@@ -2,17 +2,13 @@ package wqrtq
 
 // BenchmarkCellIndex measures the materialized reverse-top-k cell index on
 // the hot endpoints, cellindex on vs off (the -cellindex=off ablation;
-// skyband and kernel on in both arms), at the BENCH_shard.json
-// configuration (d = 3, k = 10, |W| = 200, |Wm| = 20, |S| = 16) for n in
-// {20k, 100k}. TestRecordBenchCellIndex re-runs the n = 20k cells through
+// skyband and kernel on in both arms), on UN data with d = 3, k = 10,
+// |W| = 200, |Wm| = 20, |S| = 16 for n in {20k, 100k}.
+// TestRecordBenchCellIndex re-runs the n = 20k cells through
 // testing.Benchmark and writes BENCH_cellindex.json with the run
 // environment recorded from the process itself:
 //
 //	RECORD_BENCH=1 go test -run TestRecordBenchCellIndex .
-//
-// The cross-release trajectory at this configuration is
-// BENCH_shard.json → BENCH_skyband.json → BENCH_kernel.json →
-// BENCH_cellindex.json (see README).
 
 import (
 	"fmt"
@@ -55,8 +51,7 @@ func TestRecordBenchCellIndex(t *testing.T) {
 			"and kernel sub-indexes on in both arms; results are bit-identical either way "+
 			"(TestCellIndexDifferential, TestCellIndexWhyNotPenalties, FuzzCellIndex). Compare the "+
 			"cellindex=on rows against BENCH_kernel.json's kernel=on rows (same dataset "+
-			"configuration) for the cross-release trajectory BENCH_shard → BENCH_skyband → "+
-			"BENCH_kernel → BENCH_cellindex.", n)
+			"configuration).", n)
 	for _, mode := range []string{"on", "off"} {
 		env := newCellIndexBenchEnv(t, n, mode == "on")
 		// Warm the epoch caches so the recorded steady-state numbers do

@@ -2,16 +2,13 @@ package wqrtq
 
 // BenchmarkKernel measures the blocked SoA scoring kernel on the hot
 // endpoints, kernel on vs off (the -kernel=off scalar ablation, skyband on
-// in both arms), at the BENCH_shard.json configuration (d = 3, k = 10,
-// |W| = 200, |Wm| = 20, |S| = 16) for n in {20k, 100k}.
+// in both arms), on UN data with d = 3, k = 10, |W| = 200, |Wm| = 20,
+// |S| = 16 for n in {20k, 100k}.
 // TestRecordBenchKernel re-runs the n = 20k cells through
 // testing.Benchmark and writes BENCH_kernel.json with the run environment
 // recorded from the process itself:
 //
 //	RECORD_BENCH=1 go test -run TestRecordBenchKernel .
-//
-// The cross-release trajectory at this configuration is
-// BENCH_shard.json → BENCH_skyband.json → BENCH_kernel.json (see README).
 
 import (
 	"fmt"
@@ -53,8 +50,7 @@ func TestRecordBenchKernel(t *testing.T) {
 			"per-weight execution paths (the -kernel=off ablation) with the skyband sub-index on in "+
 			"both arms; results are bit-identical either way (TestKernelDifferential, "+
 			"TestKernelWhyNotPenalties). Compare the kernel=on rows against BENCH_skyband.json's "+
-			"skyband=on rows (same dataset configuration) for the cross-release trajectory "+
-			"BENCH_shard → BENCH_skyband → BENCH_kernel.", n)
+			"skyband=on rows (same dataset configuration).", n)
 	for _, mode := range []string{"on", "off"} {
 		env := newKernelBenchEnv(t, n, mode == "on")
 		// Warm the epoch caches so the recorded steady-state numbers do

@@ -1,9 +1,8 @@
 package wqrtq
 
 // BenchmarkSkyband measures the k-skyband sub-index on the three hot
-// reverse-top-k-shaped endpoints, skyband on vs off, at the
-// BENCH_shard.json configuration (d = 3, k = 10, |W| = 200, |Wm| = 20,
-// |S| = 16) for n in {20k, 100k}. TestRecordBench re-runs the n = 20k
+// reverse-top-k-shaped endpoints, skyband on vs off, on UN data with
+// d = 3, k = 10, |W| = 200, |Wm| = 20, |S| = 16 for n in {20k, 100k}. TestRecordBench re-runs the n = 20k
 // cells through testing.Benchmark and writes BENCH_skyband.json with the
 // run environment (gomaxprocs included) recorded from the process itself,
 // so committed snapshots are reproducible rather than hand-annotated:
@@ -140,8 +139,7 @@ func TestRecordBench(t *testing.T) {
 		"Recorded by `RECORD_BENCH=1 go test -run TestRecordBench$ .` — the environment "+
 			"fields above come from the recording process itself. skyband=off preserves the "+
 			"pre-sub-index execution paths (the -skyband=off ablation); results are bit-identical "+
-			"either way (TestSkybandDifferential). Compare against BENCH_shard.json (same dataset "+
-			"configuration) for the cross-release trajectory.", n)
+			"either way (TestSkybandDifferential).", n)
 	for _, mode := range []string{"on", "off"} {
 		env := newSkybandBenchEnv(t, n, mode == "on")
 		// Warm the epoch caches so the recorded steady-state numbers do not

@@ -448,23 +448,6 @@ func BenchmarkAblationMQWKParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBichromaticParallel measures the reverse top-k fan-out.
-func BenchmarkAblationBichromaticParallel(b *testing.B) {
-	e := env(b, "independent", benchN, benchDim, benchK, benchRank, benchWm)
-	rng := rand.New(rand.NewSource(5))
-	W := make([]vec.Weight, 400)
-	for i := range W {
-		W[i] = sample.RandSimplex(rng, benchDim)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rtopk.BichromaticParallel(e.tr, W, e.wl.Q, e.wl.K, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkEngineReverseTopK measures serving-engine throughput for
 // bichromatic reverse top-k requests at 1, 4 and 16 concurrent clients over
 // the UN (independent) dataset. Each request carries its own small
@@ -628,60 +611,6 @@ func BenchmarkContextOverheadReverseTopK(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Shard scaling (internal/shard scatter-gather) --------------------------
-
-// BenchmarkShardScaling sweeps the shard count over the three hot query
-// endpoints. Each per-shard search does ~1/S of the monolithic
-// branch-and-bound work and the searches run concurrently, so on a machine
-// with >= 2 cores throughput improves with S until S exceeds the core
-// count; on one core the sweep instead measures the scatter-gather
-// coordination overhead. The committed BENCH_shard.json snapshot records
-// one run of this benchmark together with GOMAXPROCS, so the trajectory
-// distinguishes the two regimes.
-func BenchmarkShardScaling(b *testing.B) {
-	ds := dataset.Independent(benchN, benchDim, 1)
-	pts := make([][]float64, len(ds.Points))
-	for i, p := range ds.Points {
-		pts[i] = p
-	}
-	rng := rand.New(rand.NewSource(13))
-	W := make([][]float64, 200)
-	for i := range W {
-		W[i] = sample.RandSimplex(rng, benchDim)
-	}
-	wnW := W[:20]
-	w := []float64{0.2, 0.3, 0.5}
-	q := []float64{0.02, 0.03, 0.02}
-	wnOpts := Options{SampleSize: 16, Seed: 1}
-	for _, shards := range []int{1, 2, 4, 8} {
-		ix, err := NewIndexSharded(pts, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shards=%d/TopK", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.TopK(w, benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("shards=%d/ReverseTopK", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.ReverseTopK(W, q, benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("shards=%d/WhyNot", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.WhyNot(q, benchK, wnW, wnOpts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkEngineTopKCached measures the cache-hit fast path: a hot query

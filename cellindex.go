@@ -26,13 +26,6 @@ import (
 // must be serialized with mutations and Clone, like SetSkyband.
 func (ix *Index) SetCellIndex(enabled bool) {
 	ix.cellOff = !enabled
-	if ix.shards != nil {
-		if enabled && !ix.shards.CellIndexEnabled() {
-			ix.shards.EnableCellIndex(ix.cct)
-		} else if !enabled {
-			ix.shards.DisableCellIndex()
-		}
-	}
 }
 
 // CellIndexEnabled reports whether the materialized cell index is active.
@@ -118,9 +111,8 @@ type CellIndexStats struct {
 	// Enabled reports whether eligible queries route through the index.
 	Enabled bool `json:"enabled"`
 	// Grids, Cells and Candidates describe the grids materialized for the
-	// current snapshot (across all shards when sharded): how many
-	// (snapshot, k) grids exist, their total built cells, and the total
-	// candidate rows those cells store.
+	// current snapshot: how many (snapshot, k) grids exist, their total
+	// built cells, and the total candidate rows those cells store.
 	Grids      int `json:"grids"`
 	Cells      int `json:"cells"`
 	Candidates int `json:"candidates"`
@@ -144,12 +136,6 @@ func (ix *Index) CellIndexStats() CellIndexStats {
 	}
 	cs := ix.cells.Stats()
 	s.Grids, s.Cells, s.Candidates = cs.Grids, cs.Cells, cs.Candidates
-	if ix.shards != nil && ix.shards.CellIndexEnabled() {
-		ss := ix.shards.CellIndexStats()
-		s.Grids += ss.Grids
-		s.Cells += ss.Cells
-		s.Candidates += ss.Candidates
-	}
 	ct := ix.cct.Snapshot()
 	s.Builds, s.Hits, s.Fallbacks, s.Lookups = ct.Builds, ct.Hits, ct.Fallbacks, ct.Lookups
 	return s

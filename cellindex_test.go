@@ -4,9 +4,9 @@ package wqrtq
 // index: with the cell index enabled (the default), every endpoint must
 // answer bit-identically to the -cellindex=off ablation — same reverse
 // top-k index sets, same ranks, and the same why-not answers down to the
-// last bit of every penalty — across UN/CO/AC workloads, shard counts
-// including 1, skyband and kernel on/off, and mutation streams that
-// invalidate the per-epoch grid caches. RTA (through the skyband/kernel
+// last bit of every penalty — across UN/CO/AC workloads, skyband and
+// kernel on/off, and mutation streams that invalidate the per-epoch grid
+// caches. RTA (through the skyband/kernel
 // stack of the ablated index) is the oracle; the suite pins the grid
 // construction, the per-cell candidate supersets, the capped cell-local
 // counting and the whole-query fallback discipline.
@@ -21,12 +21,12 @@ import (
 	"wqrtq/internal/sample"
 )
 
-// cellPair builds two identical indexes over pts with s shards and the
-// given skyband/kernel settings, one with the cell index on (default) and
-// one ablated off.
-func cellPair(t *testing.T, pts [][]float64, s int, skybandOn, kernelOn bool) (on, off *Index) {
+// cellPair builds two identical indexes over pts with the given
+// skyband/kernel settings, one with the cell index on (default) and one
+// ablated off.
+func cellPair(t *testing.T, pts [][]float64, skybandOn, kernelOn bool) (on, off *Index) {
 	t.Helper()
-	on, err := NewIndexSharded(pts, s)
+	on, err := NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func cellPair(t *testing.T, pts [][]float64, s int, skybandOn, kernelOn bool) (o
 	}
 	on.SetSkyband(skybandOn)
 	on.SetKernel(kernelOn)
-	off, err = NewIndexSharded(pts, s)
+	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func cellPair(t *testing.T, pts [][]float64, s int, skybandOn, kernelOn bool) (o
 
 func TestCellIndexDifferential(t *testing.T) {
 	const casesPerShape = 8
-	for si, shape := range shardDiffShapes {
+	for si, shape := range diffShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			for i := 0; i < casesPerShape; i++ {
 				seed := int64(130000*si + i)
@@ -73,26 +73,24 @@ func TestCellIndexDifferential(t *testing.T) {
 				}
 				for _, skybandOn := range []bool{true, false} {
 					for _, kernelOn := range []bool{true, false} {
-						for _, s := range shardDiffCounts {
-							on, off := cellPair(t, pts, s, skybandOn, kernelOn)
-							gotRTK, err := on.ReverseTopK(W, q, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							wantRTK, err := off.ReverseTopK(W, q, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(gotRTK, wantRTK) {
-								t.Fatalf("case %d s=%d sky=%v kernel=%v: ReverseTopK %v, ablation %v",
-									i, s, skybandOn, kernelOn, gotRTK, wantRTK)
-							}
-							gotRank, _ := on.Rank(W[0], q)
-							wantRank, _ := off.Rank(W[0], q)
-							if gotRank != wantRank {
-								t.Fatalf("case %d s=%d sky=%v kernel=%v: Rank %d, ablation %d",
-									i, s, skybandOn, kernelOn, gotRank, wantRank)
-							}
+						on, off := cellPair(t, pts, skybandOn, kernelOn)
+						gotRTK, err := on.ReverseTopK(W, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantRTK, err := off.ReverseTopK(W, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(gotRTK, wantRTK) {
+							t.Fatalf("case %d sky=%v kernel=%v: ReverseTopK %v, ablation %v",
+								i, skybandOn, kernelOn, gotRTK, wantRTK)
+						}
+						gotRank, _ := on.Rank(W[0], q)
+						wantRank, _ := off.Rank(W[0], q)
+						if gotRank != wantRank {
+							t.Fatalf("case %d sky=%v kernel=%v: Rank %d, ablation %d",
+								i, skybandOn, kernelOn, gotRank, wantRank)
 						}
 					}
 				}
@@ -104,8 +102,8 @@ func TestCellIndexDifferential(t *testing.T) {
 // TestCellIndexWhyNotPenalties runs the full why-not pipeline with
 // identical seeds on cellindex-on and cellindex-off indexes and requires
 // bit-identical answers, penalties included, across both MWK strategies,
-// the parallel MQWK path, shard counts, and skyband on/off (the fused
-// pipeline's RTA stage is where the cell grids serve).
+// the parallel MQWK path, and skyband on/off (the fused pipeline's RTA
+// stage is where the cell grids serve).
 func TestCellIndexWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -135,18 +133,16 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 			W[j] = sample.RandSimplex(rng, d)
 		}
 		for _, skybandOn := range []bool{true, false} {
-			for _, s := range shardDiffCounts {
-				on, off := cellPair(t, pts, s, skybandOn, true)
-				got, err := on.WhyNot(q, k, W, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := off.WhyNot(q, k, W, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameWhyNot(t, "cellindex WhyNot", got, want)
+			on, off := cellPair(t, pts, skybandOn, true)
+			got, err := on.WhyNot(q, k, W, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := off.WhyNot(q, k, W, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWhyNot(t, "cellindex WhyNot", got, want)
 		}
 	}
 }
@@ -158,59 +154,57 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 // unreachable after the epoch moves).
 func TestCellIndexMutationInvalidation(t *testing.T) {
 	const d = 3
-	for _, s := range []int{1, 3} {
-		ds := dataset.Independent(150, d, 47)
-		pts := make([][]float64, len(ds.Points))
-		for j, p := range ds.Points {
-			pts[j] = p
-		}
-		on, off := cellPair(t, pts, s, true, true)
-		rng := rand.New(rand.NewSource(91031))
-		W := make([][]float64, 8)
-		for j := range W {
-			W[j] = sample.RandSimplex(rng, d)
-		}
-		for i := 0; i < 80; i++ {
-			q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			// Warm the grid caches so the mutation has something to invalidate.
-			if _, err := on.ReverseTopK(W, q, 5); err != nil {
-				t.Fatal(err)
-			}
-			p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			idA, errA := on.Insert(p)
-			idB, errB := off.Insert(p)
-			if errA != nil || errB != nil || idA != idB {
-				t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
-			}
-			if i%3 == 0 {
-				victim := rng.Intn(idA + 1)
-				okA, _ := on.Delete(victim)
-				okB, _ := off.Delete(victim)
-				if okA != okB {
-					t.Fatalf("delete %d diverged", victim)
-				}
-			}
-			gotRTK, err := on.ReverseTopK(W, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRTK, _ := off.ReverseTopK(W, q, 5)
-			if !reflect.DeepEqual(gotRTK, wantRTK) {
-				t.Fatalf("s=%d step %d: post-mutation ReverseTopK diverged", s, i)
-			}
-			wn, err := on.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantWn, err := off.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameWhyNot(t, "post-mutation WhyNot", wn, wantWn)
-		}
-		if err := on.CheckInvariants(); err != nil {
+	ds := dataset.Independent(150, d, 47)
+	pts := make([][]float64, len(ds.Points))
+	for j, p := range ds.Points {
+		pts[j] = p
+	}
+	on, off := cellPair(t, pts, true, true)
+	rng := rand.New(rand.NewSource(91031))
+	W := make([][]float64, 8)
+	for j := range W {
+		W[j] = sample.RandSimplex(rng, d)
+	}
+	for i := 0; i < 80; i++ {
+		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		// Warm the grid caches so the mutation has something to invalidate.
+		if _, err := on.ReverseTopK(W, q, 5); err != nil {
 			t.Fatal(err)
 		}
+		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		idA, errA := on.Insert(p)
+		idB, errB := off.Insert(p)
+		if errA != nil || errB != nil || idA != idB {
+			t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
+		}
+		if i%3 == 0 {
+			victim := rng.Intn(idA + 1)
+			okA, _ := on.Delete(victim)
+			okB, _ := off.Delete(victim)
+			if okA != okB {
+				t.Fatalf("delete %d diverged", victim)
+			}
+		}
+		gotRTK, err := on.ReverseTopK(W, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRTK, _ := off.ReverseTopK(W, q, 5)
+		if !reflect.DeepEqual(gotRTK, wantRTK) {
+			t.Fatalf("step %d: post-mutation ReverseTopK diverged", i)
+		}
+		wn, err := on.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWn, err := off.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWhyNot(t, "post-mutation WhyNot", wn, wantWn)
+	}
+	if err := on.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -275,9 +269,9 @@ func TestCellIndexEngineStats(t *testing.T) {
 
 // TestCellIndexConcurrentLazyBuild is the -race hammer for the shared
 // lazy-build lifecycle: many goroutines query overlapping k values on
-// every snapshot of a clone family (plus its sharded siblings) while
-// others read the stats, so concurrent sync.Once builds, atomic grid
-// publication and the stats peek all run under the race detector.
+// every snapshot of a clone family while others read the stats, so
+// concurrent sync.Once builds, atomic grid publication and the stats peek
+// all run under the race detector.
 func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 	ds := dataset.Independent(400, 3, 51)
 	pts := make([][]float64, len(ds.Points))
@@ -290,50 +284,48 @@ func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 		W[j] = sample.RandSimplex(rng, 3)
 	}
 	q := []float64{0.2, 0.1, 0.3}
-	for _, s := range []int{1, 3} {
-		ix, err := NewIndexSharded(pts, s)
-		if err != nil {
+	ix, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clone family: each snapshot diverges by one mutation (all
+	// mutations happen before the concurrent phase, per the
+	// serialization contract).
+	snaps := []*Index{ix}
+	for i := 0; i < 3; i++ {
+		c := snaps[len(snaps)-1].Clone()
+		if _, err := c.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
-		// Clone family: each snapshot diverges by one mutation (all
-		// mutations happen before the concurrent phase, per the
-		// serialization contract).
-		snaps := []*Index{ix}
-		for i := 0; i < 3; i++ {
-			c := snaps[len(snaps)-1].Clone()
-			if _, err := c.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps, c)
-		}
-		var wg sync.WaitGroup
-		for _, snap := range snaps {
-			for g := 0; g < 6; g++ {
-				wg.Add(1)
-				go func(snap *Index) {
-					defer wg.Done()
-					for k := 1; k <= 4; k++ {
-						if _, err := snap.ReverseTopK(W, q, k); err != nil {
-							t.Error(err)
-						}
+		snaps = append(snaps, c)
+	}
+	var wg sync.WaitGroup
+	for _, snap := range snaps {
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(snap *Index) {
+				defer wg.Done()
+				for k := 1; k <= 4; k++ {
+					if _, err := snap.ReverseTopK(W, q, k); err != nil {
+						t.Error(err)
 					}
-					_ = snap.CellIndexStats()
-				}(snap)
-			}
+				}
+				_ = snap.CellIndexStats()
+			}(snap)
 		}
-		wg.Wait()
-		want, err := snaps[0].ReverseTopK(W, q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, _ := NewIndexSharded(pts, s)
-		off.SetCellIndex(false)
-		wantOff, err := off.ReverseTopK(W, q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, wantOff) {
-			t.Fatalf("s=%d: concurrent-build result diverged from ablation: %v vs %v", s, want, wantOff)
-		}
+	}
+	wg.Wait()
+	want, err := snaps[0].ReverseTopK(W, q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _ := NewIndex(pts)
+	off.SetCellIndex(false)
+	wantOff, err := off.ReverseTopK(W, q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, wantOff) {
+		t.Fatalf("concurrent-build result diverged from ablation: %v vs %v", want, wantOff)
 	}
 }

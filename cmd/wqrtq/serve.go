@@ -56,7 +56,6 @@ func cmdServe(args []string) error {
 	linger := fs.Duration("linger", 200*time.Microsecond, "batch linger window (0 disables)")
 	cacheSize := fs.Int("cache", 4096, "result cache entries (negative disables)")
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables); expired queries answer 503")
-	shards := fs.Int("shards", 1, "spatial shards for scatter-gather query execution (<= 1 keeps the monolithic index)")
 	skyband := fs.String("skyband", "on", "k-skyband candidate sub-index: on (default) or off (full-tree ablation; results identical)")
 	kernelFlag := fs.String("kernel", "on", "blocked SoA scoring kernel: on (default) or off (scalar ablation; results bit-identical)")
 	cellFlag := fs.String("cellindex", "on", "materialized reverse-top-k cell index: on (default) or off (skyband/kernel ablation; results bit-identical)")
@@ -98,7 +97,6 @@ func cmdServe(args []string) error {
 		MaxBatch:               *maxBatch,
 		BatchLinger:            *linger,
 		CacheSize:              *cacheSize,
-		Shards:                 *shards,
 		DisableSkyband:         *skyband == "off",
 		DisableKernel:          *kernelFlag == "off",
 		DisableCellIndex:       *cellFlag == "off",
@@ -117,7 +115,7 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "wqrtq: recovered durable state from %s (LSN %d, %d WAL records replayed); -data seed ignored\n",
 			*dataDir, w.LastLSN, w.ReplayedRecords)
 	}
-	srv := &http.Server{Addr: *addr, Handler: newServeHandler(eng, *queryTimeout)}
+	srv := newHTTPServer(*addr, newServeHandler(eng, *queryTimeout))
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "wqrtq: serving %d points on %s\n", eng.Snapshot().Len(), *addr)
@@ -143,6 +141,28 @@ func cmdServe(args []string) error {
 		err = cerr
 	}
 	return err
+}
+
+// Connection read limits. A client that stalls while sending a request is
+// disconnected instead of pinning a connection and its goroutine forever;
+// a 60 KB reverse top-k body on a slow link still has a minute to arrive.
+// They bound reading only: net/http clears the deadline once the body is
+// consumed, so a handler's run time stays governed by -query-timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server `wqrtq serve` listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // newServeHandler builds the HTTP API around an engine. Every query handler

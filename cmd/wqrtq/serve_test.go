@@ -10,6 +10,8 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -254,47 +256,42 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 }
 
-// shardedTestHandler is serveTestHandler over the same dataset partitioned
-// into shards, as `wqrtq serve -shards` would build it.
-func shardedTestHandler(t *testing.T, shards int) http.Handler {
-	t.Helper()
-	ix, err := wqrtq.NewIndex([][]float64{
-		{1, 8}, {2, 5}, {4, 3}, {8, 2}, {9, 1},
-	})
+// TestServeDisconnectsStalledHeader asserts the listener `wqrtq serve`
+// builds drops a client that stops sending mid-header once
+// readHeaderTimeout passes, while a complete request on the same listener
+// is still answered.
+func TestServeDisconnectsStalledHeader(t *testing.T) {
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer("", serveTestHandler(t))
+	ts.Start()
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{Shards: shards})
-	if err != nil {
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/topk HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	return newServeHandler(e, 0)
-}
-
-// TestServeShardedGolden asserts the sharded serving path answers the same
-// golden JSON as the monolithic one — sharding must be invisible to
-// clients (other than /v1/stats reporting the shard count).
-func TestServeShardedGolden(t *testing.T) {
-	h := shardedTestHandler(t, 3)
-	rec := post(t, h, "/v1/topk", `{"w":[0.25,0.75],"k":3}`)
-	wantGolden(t, rec, http.StatusOK,
-		`{"epoch":0,"result":[{"id":4,"point":[9,1],"score":3},{"id":2,"point":[4,3],"score":3.25},{"id":3,"point":[8,2],"score":3.5}]}`+"\n")
-	rec = post(t, h, "/v1/rtopk",
-		`{"q":[3,3],"k":2,"weights":[[0.25,0.75],[0.75,0.25],[0.5,0.5]]}`)
-	wantGolden(t, rec, http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5}}`+"\n")
-
-	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var stats struct {
-		Shards int `json:"shards"`
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("complete request beside a stalled one: %v", err)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("stats not JSON: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	if stats.Shards != 3 {
-		t.Fatalf("stats shards = %d, want 3", stats.Shards)
+	// The server closes the stalled connection: the read ends with EOF (or
+	// a reset) well before the guard deadline, and not before the timeout.
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled connection still open %v after the partial header", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout {
+		t.Fatalf("connection dropped after %v, before readHeaderTimeout %v", waited, readHeaderTimeout)
 	}
 }
 

@@ -42,6 +42,7 @@ package wqrtq
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -196,6 +197,10 @@ type recInfo struct {
 	replayed  int64
 	tornDrops int64
 	fallbacks int64
+	// tornBase and tornBytes name the newest segment and the length of
+	// the tail replay dropped from it, when tornDrops > 0.
+	tornBase  uint64
+	tornBytes int64
 }
 
 // scanDataDir partitions a data directory into snapshot LSNs (descending),
@@ -329,6 +334,7 @@ func recoverState(fs storage.FS, dir string) (*Index, recInfo, error) {
 				return nil, info, fmt.Errorf("%w: segment %s is torn but not the newest", ErrCorruptStore, wal.SegmentName(base))
 			}
 			info.tornDrops++
+			info.tornBase, info.tornBytes = base, res.TornBytes
 		}
 		if !last && res.LastLSN != chain[i+1] {
 			return nil, info, fmt.Errorf("%w: segment %s ends at LSN %d, next segment starts at %d",
@@ -419,6 +425,17 @@ func openDurable(seed *Index, cfg EngineConfig) (*Index, *durable, error) {
 		}
 	}
 
+	// Recovery dropped a torn tail in memory only. Cut it off on disk too
+	// before a newer segment exists, or the next open finds a torn segment
+	// that is not the newest and refuses the directory. A torn segment
+	// that delivered no record has the new segment's name and is simply
+	// overwritten by the Create below.
+	if info.tornDrops > 0 && info.tornBase != d.lastLSN {
+		if err := trimTornSegment(fs, d.dir, info.tornBase, info.tornBytes); err != nil {
+			return nil, nil, err
+		}
+	}
+
 	// Always start a fresh segment at the recovered LSN: appending to an
 	// existing file whose tail may be torn would corrupt it. The name can
 	// collide with an existing segment only when that segment contributed
@@ -434,6 +451,60 @@ func openDurable(seed *Index, cfg EngineConfig) (*Index, *durable, error) {
 		go d.syncLoop()
 	}
 	return ix, d, nil
+}
+
+// trimTornSegment rewrites segment base without its last tornBytes bytes,
+// leaving the header and the records replay accepted. It publishes like a
+// snapshot, so a crash at any point leaves either the torn original (still
+// the newest segment) or the clean prefix, both of which recover to the
+// same LSN.
+func trimTornSegment(fs storage.FS, dir string, base uint64, tornBytes int64) error {
+	final := filepath.Join(dir, wal.SegmentName(base))
+	size, err := fs.Size(final)
+	if err != nil {
+		return err
+	}
+	src, err := fs.Open(final)
+	if err != nil {
+		return err
+	}
+	prefix := make([]byte, size-tornBytes)
+	_, err = io.ReadFull(src, prefix)
+	src.Close()
+	if err != nil {
+		return err
+	}
+	return publishFile(fs, dir, final, func(f storage.File) error {
+		_, err := f.Write(prefix)
+		return err
+	})
+}
+
+// publishFile makes final appear atomically with the content write
+// produces: tmp → fsync → rename → dir-sync, so a reader only ever sees a
+// complete file and a crash leaves at most a stray .tmp, which the next
+// open clears.
+func publishFile(fs storage.FS, dir, final string, write func(storage.File) error) error {
+	tmp := final + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, final); err != nil {
+		return err
+	}
+	return fs.SyncDir(dir)
 }
 
 // syncLoop periodically syncs the current segment under the interval
@@ -657,26 +728,9 @@ func (d *durable) stopped() bool {
 // checksummed snapshots.
 func (d *durable) writeSnapshot(ix *Index, lsn uint64) error {
 	final := filepath.Join(d.dir, pagestore.SnapshotName(lsn))
-	tmp := final + ".tmp"
-	f, err := d.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := pagestore.Write(f, ix.tree, ix.points, lsn, d.stopped); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := d.fs.Rename(tmp, final); err != nil {
-		return err
-	}
-	return d.fs.SyncDir(d.dir)
+	return publishFile(d.fs, d.dir, final, func(f storage.File) error {
+		return pagestore.Write(f, ix.tree, ix.points, lsn, d.stopped)
+	})
 }
 
 // maybeCheckpoint starts a background checkpoint when the current segment

@@ -225,69 +225,62 @@ func basePoints(shape string, n, d int, seed int64) [][]float64 {
 }
 
 // TestDurableRecoveryDifferential is the headline differential: UN/CO/AC
-// shapes × shard counts × fsync policies, a mutation stream with background
-// checkpoints, clean shutdown, recovery — and the recovered engine must
-// answer every endpoint bit-identically to a never-persisted oracle. The
-// recovered engine is opened with a different shard count than the writer,
-// so the equality also re-proves shard-independence of results.
+// shapes × fsync policies, a mutation stream with background checkpoints,
+// clean shutdown, recovery — and the recovered engine must answer every
+// endpoint bit-identically to a never-persisted oracle.
 func TestDurableRecoveryDifferential(t *testing.T) {
 	shapes := []string{"independent", "correlated", "anticorrelated"}
 	fsyncs := []string{"always", "interval", "off"}
 	for si, shape := range shapes {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", shape, shards), func(t *testing.T) {
-				pts := basePoints(shape, 200, 3, int64(100+si))
-				script, oracles := buildScript(t, pts, 100, int64(7*si+1))
-				final := oracles[len(oracles)-1]
+		t.Run(shape, func(t *testing.T) {
+			pts := basePoints(shape, 200, 3, int64(100+si))
+			script, oracles := buildScript(t, pts, 100, int64(7*si+1))
+			final := oracles[len(oracles)-1]
 
-				fs := storage.NewFaultFS()
-				cfg := durCfg(fs)
-				cfg.Shards = shards
-				cfg.Fsync = fsyncs[(si+shards)%len(fsyncs)]
-				cfg.FsyncInterval = time.Millisecond
-				cfg.CheckpointBytes = 4 << 10 // small: force background checkpoints
-				seed, err := NewIndex(pts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngine(seed, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := applyScript(t, e, script, nil); err != nil {
-					t.Fatal(err)
-				}
-				liveBat := battery(t, e.Snapshot(), 42, true)
-				if want := battery(t, final, 42, true); liveBat != want {
-					t.Fatal("live engine diverged from oracle before any persistence round-trip")
-				}
-				if err := e.Close(); err != nil {
-					t.Fatalf("close: %v", err)
-				}
+			fs := storage.NewFaultFS()
+			cfg := durCfg(fs)
+			cfg.Fsync = fsyncs[(si+1)%len(fsyncs)]
+			cfg.FsyncInterval = time.Millisecond
+			cfg.CheckpointBytes = 4 << 10 // small: force background checkpoints
+			seed, err := NewIndex(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := applyScript(t, e, script, nil); err != nil {
+				t.Fatal(err)
+			}
+			liveBat := battery(t, e.Snapshot(), 42, true)
+			if want := battery(t, final, 42, true); liveBat != want {
+				t.Fatal("live engine diverged from oracle before any persistence round-trip")
+			}
+			if err := e.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
 
-				// Recover into a different shard count; no seed index.
-				rcfg := durCfg(fs)
-				rcfg.Shards = 4 - shards
-				re, err := NewEngine(nil, rcfg)
-				if err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-				defer re.Close()
-				ws := re.Stats().WAL
-				if !ws.Enabled || ws.Recoveries != 1 {
-					t.Fatalf("WAL stats after recovery: %+v", ws)
-				}
-				if ws.LastLSN != uint64(len(script)) {
-					t.Fatalf("recovered LSN %d, want %d", ws.LastLSN, len(script))
-				}
-				if got := battery(t, re.Snapshot(), 42, true); got != liveBat {
-					t.Fatal("recovered engine is not bit-identical to the oracle")
-				}
-				if err := re.Snapshot().CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+			// Recover with no seed index.
+			re, err := NewEngine(nil, durCfg(fs))
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer re.Close()
+			ws := re.Stats().WAL
+			if !ws.Enabled || ws.Recoveries != 1 {
+				t.Fatalf("WAL stats after recovery: %+v", ws)
+			}
+			if ws.LastLSN != uint64(len(script)) {
+				t.Fatalf("recovered LSN %d, want %d", ws.LastLSN, len(script))
+			}
+			if got := battery(t, re.Snapshot(), 42, true); got != liveBat {
+				t.Fatal("recovered engine is not bit-identical to the oracle")
+			}
+			if err := re.Snapshot().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -372,6 +365,88 @@ func TestDurableCrashPointSweep(t *testing.T) {
 				t.Fatalf("crashAt=%d seed=%d: close after recovery: %v", crashAt, rebootSeed, err)
 			}
 		}
+	}
+}
+
+// TestDurableDoubleRestartAfterTornTail pins recover∘recover∘recover =
+// recover: crash before every filesystem op of a run, reboot with torn
+// tails, then open the directory three times with clean closes between.
+// The first open may drop a torn WAL tail; it must also remove it from
+// disk, so the later opens — which find the first open's fresh segment
+// above the once-torn one — see an intact chain, the same LSN and the same
+// answers.
+func TestDurableDoubleRestartAfterTornTail(t *testing.T) {
+	pts := basePoints("independent", 36, 2, 5)
+	script, _ := buildScript(t, pts, 24, 9)
+
+	// Baseline run, no crash: learn the total operation count.
+	fs0 := storage.NewFaultFS()
+	seed, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(seed, durCfg(fs0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := applyScript(t, e, script, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	total := fs0.OpCount()
+
+	tornSeen := 0
+	for crashAt := 1; crashAt <= total; crashAt++ {
+		fs := storage.NewFaultFS()
+		fs.SetCrashAt(crashAt)
+		seed, err := NewIndex(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, err := NewEngine(seed, durCfg(fs)); err == nil {
+			applyScript(t, e, script, nil)
+			e.Close() // fails on the dead filesystem; the error is expected
+		}
+		for rebootSeed := int64(1); rebootSeed <= 6; rebootSeed++ {
+			rfs := fs.Reboot(rebootSeed)
+			var wantLSN uint64
+			var wantBat string
+			for open := 1; open <= 3; open++ {
+				// The seed only matters when the crash predates the
+				// initial snapshot and the directory is still empty.
+				rseed, err := NewIndex(pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := NewEngine(rseed, durCfg(rfs))
+				if err != nil {
+					dumpFaultDir(t, rfs)
+					t.Fatalf("crashAt=%d seed=%d: open %d failed: %v", crashAt, rebootSeed, open, err)
+				}
+				ws := re.Stats().WAL
+				bat := battery(t, re.Snapshot(), 11, false)
+				if open == 1 {
+					wantLSN, wantBat = ws.LastLSN, bat
+					tornSeen += int(ws.TornTailDrops)
+				} else {
+					if ws.TornTailDrops != 0 {
+						t.Fatalf("crashAt=%d seed=%d: open %d still found a torn tail", crashAt, rebootSeed, open)
+					}
+					if ws.LastLSN != wantLSN || bat != wantBat {
+						t.Fatalf("crashAt=%d seed=%d: open %d recovered LSN %d, first open %d (answers equal: %t)",
+							crashAt, rebootSeed, open, ws.LastLSN, wantLSN, bat == wantBat)
+					}
+				}
+				if err := re.Close(); err != nil {
+					t.Fatalf("crashAt=%d seed=%d: close after open %d: %v", crashAt, rebootSeed, open, err)
+				}
+			}
+		}
+	}
+	if tornSeen == 0 {
+		t.Fatal("no reboot produced a torn WAL tail; the sweep no longer covers the scenario")
 	}
 }
 

@@ -1,14 +1,11 @@
 package wqrtq
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"wqrtq/internal/cellindex"
 	"wqrtq/internal/dominance"
-	"wqrtq/internal/rtopk"
 	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
 )
@@ -28,11 +25,6 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	id := len(ix.points)
 	ix.points = append(ix.points, vec.Point(p))
 	ix.tree.Insert(p, int32(id))
-	if ix.shards != nil {
-		if err := ix.shards.Insert(p, id); err != nil {
-			return 0, err
-		}
-	}
 	ix.resetSkyband()
 	ix.resetCellIndex()
 	return id, nil
@@ -51,11 +43,6 @@ func (ix *Index) Delete(id int) (bool, error) {
 	}
 	if !ix.tree.Delete(p, int32(id)) {
 		return false, nil
-	}
-	if ix.shards != nil {
-		if !ix.shards.Delete(p, id) {
-			return false, fmt.Errorf("wqrtq: id %d missing from its shard", id)
-		}
 	}
 	ix.ownPoints()
 	ix.points[id] = nil
@@ -86,9 +73,6 @@ func (ix *Index) Clone() *Index {
 	}
 	c.sky = skyband.NewCache(c.tree, ix.skyCounters())
 	c.cells = cellindex.NewCache(c.sky, c.Dim(), c.cct)
-	if ix.shards != nil {
-		c.shards = ix.shards.Clone()
-	}
 	ix.shared = true
 	return c
 }
@@ -117,11 +101,6 @@ func (ix *Index) CheckInvariants() error {
 	}
 	if live != ix.tree.Len() {
 		return fmt.Errorf("wqrtq: %d live ids but %d indexed points", live, ix.tree.Len())
-	}
-	if ix.shards != nil {
-		if err := ix.shards.CheckInvariants(ix.points); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -166,52 +145,4 @@ func (ix *Index) Skyline() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ReverseTopKParallel answers the bichromatic reverse top-k query with the
-// weighting vectors spread over the given number of worker goroutines
-// (workers <= 0 uses GOMAXPROCS). The result is identical to ReverseTopK.
-// It is a thin wrapper over ReverseTopKParallelCtx with
-// context.Background().
-func (ix *Index) ReverseTopKParallel(W [][]float64, q []float64, k, workers int) ([]int, error) {
-	resp, err := ix.ReverseTopKParallelCtx(context.Background(), ReverseTopKRequest{Q: q, K: k, W: W}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// ReverseTopKParallelCtx is the context-first form of ReverseTopKParallel:
-// one cancellation unwinds every worker of the fan-out cooperatively.
-func (ix *Index) ReverseTopKParallelCtx(ctx context.Context, req ReverseTopKRequest, workers int) (ReverseTopKResponse, error) {
-	resp := ReverseTopKResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.W)
-	if err != nil {
-		return resp, err
-	}
-	if err := ix.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	start := time.Now()
-	t := ix.tree
-	candSize := ix.tree.Len()
-	if b := ix.band(req.K); b != nil {
-		t = b.Tree()
-		candSize = b.Size()
-	}
-	res, stats, err := rtopk.BichromaticParallelCtx(ctx, t, ws, req.Q, req.K, workers)
-	if err != nil {
-		return resp, err
-	}
-	resp.Result = res
-	stats.CandidateSetSize = candSize
-	resp.RTA = toRTAStats(stats)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
 }

@@ -1,7 +1,6 @@
 package wqrtq
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -70,43 +69,6 @@ func TestSkylineFacade(t *testing.T) {
 	}
 	if len(sky) < 2 {
 		t.Errorf("skyline after delete = %v, expected new entrants", sky)
-	}
-}
-
-func TestReverseTopKParallelFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := make([][]float64, 2000)
-	for i := range pts {
-		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	ix, err := NewIndex(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	W := make([][]float64, 100)
-	for i := range W {
-		a, b := rng.Float64(), rng.Float64()
-		sum := a + b + 0.1
-		W[i] = []float64{a / sum, b / sum, 0.1 / sum}
-	}
-	q := []float64{0.2, 0.2, 0.2}
-	want, err := ix.ReverseTopK(W, q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 4} {
-		got, err := ix.ReverseTopKParallel(W, q, 10, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d differs", workers, i)
-			}
-		}
 	}
 }
 

@@ -192,9 +192,6 @@ func TestValidationTypedErrors(t *testing.T) {
 	if _, err := NewIndex(nil); !errors.Is(err, ErrInvalidArgument) {
 		t.Errorf("NewIndex(nil): want ErrInvalidArgument")
 	}
-	if _, err := NewIndexSharded([][]float64{{1, 2}}, 1<<20); !errors.Is(err, ErrInvalidArgument) {
-		t.Errorf("absurd shard count: want ErrInvalidArgument")
-	}
 	// Context errors must not read as validation failures.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()

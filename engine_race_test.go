@@ -45,14 +45,6 @@ func TestEngineConcurrentSnapshotIsolation(t *testing.T) {
 	engineHammer(t, EngineConfig{Workers: 2, MaxBatch: 8, CacheSize: 256})
 }
 
-// TestEngineConcurrentSnapshotIsolationSharded is the same hammer over a
-// spatially sharded engine: scatter-gather queries race shard-routed
-// mutations, so any torn read of a shard tree, the ownership table, or the
-// merged gather shows up as an oracle mismatch or a race report.
-func TestEngineConcurrentSnapshotIsolationSharded(t *testing.T) {
-	engineHammer(t, EngineConfig{Workers: 2, MaxBatch: 8, CacheSize: 256, Shards: 3})
-}
-
 func engineHammer(t *testing.T, cfg EngineConfig) {
 	const (
 		seedN    = 600

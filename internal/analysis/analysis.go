@@ -9,7 +9,7 @@
 // The five analyzers under internal/analysis/... encode the invariants the
 // paper's correctness argument rests on — zero-alloc hot loops, cooperative
 // cancellation, deterministic iteration, centralized float comparison, and
-// no blocking under the engine/shard mutexes — as compile-time checks. Each
+// no blocking under the engine mutexes — as compile-time checks. Each
 // is the static twin of a runtime guard (Test*AllocsPerOp, the differential
 // suites, the -race hammers); see DESIGN.md §11 for the mapping.
 package analysis

@@ -1,6 +1,6 @@
 // Package lockhold forbids blocking operations — channel sends/receives,
 // select, sync.WaitGroup.Wait, time.Sleep, and I/O package calls — while
-// an engine or shard mutex is held. The serving engine's liveness argument
+// an engine mutex is held. The serving engine's liveness argument
 // (batch pool progress, cancellation shedding, snapshot publication) rests
 // on those critical sections being short and non-blocking; the -race
 // hammers exercise it at runtime, this analyzer enforces it at vet time.
@@ -26,7 +26,6 @@ import (
 var LockedPackages = map[string]bool{
 	"wqrtq":                 true,
 	"wqrtq/internal/engine": true,
-	"wqrtq/internal/shard":  true,
 }
 
 // ioPackages are packages whose calls block on the outside world.
@@ -41,7 +40,7 @@ var ioPackages = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
 	Doc: "report channel operations, select, WaitGroup.Wait, time.Sleep, and I/O calls made " +
-		"while holding an engine/shard mutex",
+		"while holding an engine mutex",
 	Run: run,
 }
 

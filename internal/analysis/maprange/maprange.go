@@ -29,7 +29,6 @@ var OrderedPackages = map[string]bool{
 	"wqrtq/internal/kernel":    true,
 	"wqrtq/internal/cellindex": true,
 	"wqrtq/internal/skyband":   true,
-	"wqrtq/internal/shard":     true,
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -455,8 +455,8 @@ func build(b *skyband.Band, k, dim int) *Grid {
 }
 
 // Counters accumulates cell-index activity across snapshots. One Counters
-// is shared by every Cache in a clone family (and by every shard's cache),
-// mirroring the skyband counters.
+// is shared by every Cache in a clone family, mirroring the skyband
+// counters.
 type Counters struct {
 	builds    atomic.Int64
 	hits      atomic.Int64

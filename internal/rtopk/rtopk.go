@@ -37,9 +37,7 @@ type Stats struct {
 	Pruned    int // vectors rejected by the buffer threshold
 	// CandidateSetSize is the number of indexed points each top-k
 	// evaluation ran against: the k-skyband size when the skyband
-	// sub-index served the query, the full dataset size otherwise. The
-	// caller routing the evaluation fills it in (BichromaticFuncCtx cannot
-	// see the backend).
+	// sub-index served the query, the full dataset size otherwise.
 	CandidateSetSize int
 }
 
@@ -54,29 +52,7 @@ func Bichromatic(t *rtree.Tree, W []vec.Weight, q vec.Point, k int) ([]int, Stat
 // polls ctx every checkInterval vectors, and each underlying top-k
 // evaluation polls on its heap loop, so a canceled query unwinds mid-batch.
 func BichromaticCtx(ctx context.Context, t *rtree.Tree, W []vec.Weight, q vec.Point, k int) ([]int, Stats, error) {
-	res, stats, err := BichromaticFuncCtx(ctx, W, q, k, func(ctx context.Context, w vec.Weight, k int) ([]topk.Result, error) {
-		return topk.TopKCtx(ctx, t, w, k)
-	})
-	stats.CandidateSetSize = t.Len()
-	return res, stats, err
-}
-
-// TopKFunc computes the global top-k of the dataset under w. It abstracts
-// the index backend of the RTA loop: a monolithic R-tree supplies
-// topk.TopKCtx, a sharded index supplies a scatter-gather evaluation that
-// merges per-shard buffers. The returned slice must be sorted ascending by
-// score.
-type TopKFunc func(ctx context.Context, w vec.Weight, k int) ([]topk.Result, error)
-
-// BichromaticFuncCtx runs the RTA algorithm over an arbitrary top-k backend.
-// Because eval returns the *global* top-k under each evaluated vector, the
-// buffer threshold test prunes exactly as in the single-tree algorithm: if k
-// globally-buffered points beat q under the next vector, at least k points
-// of P beat q and the vector is rejected without an evaluation. Results and
-// Stats are therefore identical for every backend that answers top-k over
-// the same point set.
-func BichromaticFuncCtx(ctx context.Context, W []vec.Weight, q vec.Point, k int, eval TopKFunc) ([]int, Stats, error) {
-	var stats Stats
+	stats := Stats{CandidateSetSize: t.Len()}
 	if len(W) == 0 {
 		return nil, stats, ctx.Err()
 	}
@@ -115,7 +91,7 @@ func BichromaticFuncCtx(ctx context.Context, W []vec.Weight, q vec.Point, k int,
 			}
 		}
 		stats.Evaluated++
-		res, err := eval(ctx, w, k)
+		res, err := topk.TopKCtx(ctx, t, w, k)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -1,7 +1,6 @@
 package rtopk
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -279,62 +278,5 @@ func TestMonochromaticSampleHigherDim(t *testing.T) {
 	}
 	if _, f := MonochromaticSample(tr, good, 5, 0, r); f != 0 {
 		t.Errorf("samples=0 returned fraction %v", f)
-	}
-}
-
-func TestBichromaticParallelMatchesSequentialQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(300)
-		d := 2 + r.Intn(3)
-		pts := randPoints(r, n, d)
-		tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 256})
-		q := randPoints(r, 1, d)[0]
-		k := 1 + r.Intn(10)
-		m := 1 + r.Intn(60)
-		W := make([]vec.Weight, m)
-		for i := range W {
-			W[i] = randWeight(r, d)
-		}
-		want, _ := Bichromatic(tr, W, q, k)
-		for _, workers := range []int{1, 3, 8} {
-			got, stats, err := BichromaticParallelCtx(context.Background(), tr, W, q, k, workers)
-			if err != nil {
-				return false
-			}
-			// The summed per-chunk stats must account for every vector.
-			if stats.Evaluated+stats.Pruned != len(W) || stats.CandidateSetSize != tr.Len() {
-				return false
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBichromaticParallelEdgeCases(t *testing.T) {
-	tr := rtree.Bulk(paperPoints(), nil, rtree.Options{PageSize: 128})
-	if got := BichromaticParallel(tr, nil, vec.Point{4, 4}, 3, 4); got != nil {
-		t.Errorf("empty W returned %v", got)
-	}
-	// More workers than vectors.
-	got := BichromaticParallel(tr, paperWeights(), vec.Point{4, 4}, 3, 64)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("result = %v, want [1 2]", got)
-	}
-	// workers <= 0 resolves to GOMAXPROCS.
-	got = BichromaticParallel(tr, paperWeights(), vec.Point{4, 4}, 3, 0)
-	if len(got) != 2 {
-		t.Errorf("workers=0 result = %v", got)
 	}
 }

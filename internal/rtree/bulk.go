@@ -88,38 +88,6 @@ func (t *Tree) strPack(entries []entry, axis int, leaf bool) []*Node {
 	return out
 }
 
-// STRRuns packs the points into leaf-sized runs in Sort-Tile-Recursive
-// order, without building a tree: run j holds the record ids of the points
-// that STR packing would place in the j-th leaf. ids[i] is the record id of
-// points[i]; nil ids uses the point index. The runs are the unit of spatial
-// partitioning used by internal/shard — consecutive runs are spatially
-// adjacent tiles, so dealing them round-robin across shards gives every
-// shard a thin slice of each region of the data space.
-func STRRuns(points []vec.Point, ids []int32, opts ...Options) [][]int32 {
-	if len(points) == 0 {
-		return nil
-	}
-	t := New(len(points[0]), opts...)
-	entries := make([]entry, len(points))
-	for i, p := range points {
-		id := int32(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		entries[i] = entry{rect: PointRect(p), id: id}
-	}
-	leaves := t.strPack(entries, 0, true)
-	runs := make([][]int32, len(leaves))
-	for j, n := range leaves {
-		run := make([]int32, len(n.entries))
-		for i := range n.entries {
-			run[i] = n.entries[i].id
-		}
-		runs[j] = run
-	}
-	return runs
-}
-
 func sortEntriesByCenter(es []entry, axis int) {
 	sort.Slice(es, func(i, j int) bool {
 		ci := es[i].rect.Min[axis] + es[i].rect.Max[axis]

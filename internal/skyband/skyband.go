@@ -49,9 +49,9 @@ const maxBands = 16
 const fullBandFactor = 4
 
 // Counters accumulates band-cache activity across snapshots. One Counters
-// is shared by every Cache in a clone family (and by every shard's cache),
-// so the serving engine reports cumulative numbers over the index's whole
-// lifetime, not just the current epoch.
+// is shared by every Cache in a clone family, so the serving engine
+// reports cumulative numbers over the index's whole lifetime, not just the
+// current epoch.
 type Counters struct {
 	builds    atomic.Int64
 	hits      atomic.Int64
@@ -303,8 +303,7 @@ func compute(t *rtree.Tree, k int) *Band {
 // below the band bound (any dataset with >= K beaters has >= K of them
 // inside the K-skyband); a capped count falls back to the count-pruned
 // full tree and is tallied in the cache's fallback counter. A nil cache —
-// the skyband-off ablation — goes straight to the full tree. This is the
-// single rank-counting rule shared by the monolithic and per-shard paths.
+// the skyband-off ablation — goes straight to the full tree.
 func CountBelowCtx(ctx context.Context, c *Cache, t *rtree.Tree, w vec.Weight, fq float64) (int, error) {
 	if c != nil {
 		if b := c.Band(DefaultRankBand); !b.Full() {

@@ -12,10 +12,8 @@
 package topk
 
 import (
-	"container/heap"
 	"context"
 	"sync"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/ctxcheck"
 	"wqrtq/internal/rtree"
@@ -325,9 +323,7 @@ func countBelow(n *rtree.Node, w vec.Weight, fq float64, tick *ctxcheck.Ticker) 
 }
 
 // CountBelowCtx returns the number of indexed points scoring strictly below
-// fq under w (Rank minus one), with cooperative cancellation. It is the
-// per-shard contribution of a scatter-gather rank query: the global rank of
-// fq is one plus the sum of the per-shard strict-beat counts.
+// fq under w (Rank minus one), with cooperative cancellation.
 func CountBelowCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, fq float64) (int, error) {
 	tick := ctxcheck.Every(ctx, checkInterval)
 	return countBelow(t.Root(), w, fq, &tick)
@@ -389,90 +385,6 @@ func countBelowCapped(n *rtree.Node, w vec.Weight, fq float64, bound int, tick *
 		}
 	}
 	return cnt, nil
-}
-
-// MergeCtx k-way merges score-sorted result lists into one sorted list of
-// at most k results (k < 0 keeps everything). Ties on score break toward
-// the smaller ID, so the merge is deterministic regardless of which shard
-// produced which list. Inputs must each be sorted ascending by score, as
-// TopKCtx and ExplainCtx return them. The consume loop polls ctx every
-// checkInterval merged elements, so gathering a large merged list (an
-// unbounded explanation, say) unwinds promptly when the request ends.
-func MergeCtx(ctx context.Context, lists [][]Result, k int) ([]Result, error) {
-	total := 0
-	nonEmpty := 0
-	last := 0
-	for i, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if k < 0 || k > total {
-		k = total
-	}
-	if k == 0 {
-		return nil, ctx.Err()
-	}
-	if nonEmpty == 1 {
-		out := lists[last]
-		if len(out) > k {
-			out = out[:k]
-		}
-		return out, ctx.Err()
-	}
-	tick := ctxcheck.Every(ctx, checkInterval)
-	h := make(mergeHeap, 0, nonEmpty)
-	for i, l := range lists {
-		if len(l) > 0 {
-			h = append(h, mergeItem{res: l[0], list: i})
-		}
-	}
-	heap.Init(&h)
-	out := make([]Result, 0, k)
-	pos := make([]int, len(lists))
-	for len(out) < k && len(h) > 0 {
-		if err := tick.Tick(); err != nil {
-			return nil, err
-		}
-		top := h[0]
-		out = append(out, top.res)
-		pos[top.list]++
-		if p := pos[top.list]; p < len(lists[top.list]) {
-			h[0] = mergeItem{res: lists[top.list][p], list: top.list}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out, nil
-}
-
-// mergeItem is one merge-frontier element: the next unconsumed result of one
-// input list.
-type mergeItem struct {
-	res  Result
-	list int
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if feq.Ne(h[i].res.Score, h[j].res.Score) {
-		return h[i].res.Score < h[j].res.Score
-	}
-	return h[i].res.ID < h[j].res.ID
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // InTopK reports whether a query point with score f(w, q) belongs to the

@@ -11,16 +11,7 @@ package wqrtq
 // kernel differential suite in kernel_test.go proves it end to end; see
 // DESIGN.md §9 for the cost model).
 
-import (
-	"wqrtq/internal/kernel"
-	"wqrtq/internal/rtopk"
-)
-
-// kernelRTACutoff is the candidate-set size up to which reverse top-k
-// routes through the blocked counting evaluation instead of the RTA loop
-// (rtopk.CoordsCutoff re-exported as the Index-level policy constant, so
-// the monolithic and sharded paths share one eligibility threshold).
-const kernelRTACutoff = rtopk.CoordsCutoff
+import "wqrtq/internal/kernel"
 
 // SetKernel toggles the blocked scoring kernel (enabled by default).
 // Results are identical either way; disabling it — the -kernel=off
@@ -31,13 +22,6 @@ const kernelRTACutoff = rtopk.CoordsCutoff
 // run the legacy paths regardless of this switch.
 func (ix *Index) SetKernel(enabled bool) {
 	ix.kernelOff = !enabled
-	if ix.shards != nil {
-		if enabled {
-			ix.shards.EnableKernel(ix.kct)
-		} else {
-			ix.shards.DisableKernel()
-		}
-	}
 }
 
 // KernelEnabled reports whether the blocked scoring kernel is active.

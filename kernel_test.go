@@ -6,9 +6,9 @@ package wqrtq
 // why-not answers down to the last bit of every penalty, which pins the
 // blocked rank counting, the capped sample scans, the call-fixed universe
 // of the fused pipeline and the blocked RTA membership test — across
-// UN/CO/AC workloads, shard counts including 1, skyband on and off, and
-// mutation streams that invalidate the epoch caches. A separate suite pins
-// the fused WhyNot pipeline against the standalone refinement endpoints.
+// UN/CO/AC workloads, skyband on and off, and mutation streams that
+// invalidate the epoch caches. A separate suite pins the fused WhyNot
+// pipeline against the standalone refinement endpoints.
 
 import (
 	"math/rand"
@@ -19,12 +19,11 @@ import (
 	"wqrtq/internal/sample"
 )
 
-// kernelPair builds two identical indexes over pts with s shards and the
-// given skyband setting, one with the kernel on (default) and one ablated
-// off.
-func kernelPair(t *testing.T, pts [][]float64, s int, skybandOn bool) (on, off *Index) {
+// kernelPair builds two identical indexes over pts with the given skyband
+// setting, one with the kernel on (default) and one ablated off.
+func kernelPair(t *testing.T, pts [][]float64, skybandOn bool) (on, off *Index) {
 	t.Helper()
-	on, err := NewIndexSharded(pts, s)
+	on, err := NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func kernelPair(t *testing.T, pts [][]float64, s int, skybandOn bool) (on, off *
 		t.Fatal("kernel must be enabled by default")
 	}
 	on.SetSkyband(skybandOn)
-	off, err = NewIndexSharded(pts, s)
+	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func kernelPair(t *testing.T, pts [][]float64, s int, skybandOn bool) (on, off *
 
 func TestKernelDifferential(t *testing.T) {
 	const casesPerShape = 10
-	for si, shape := range shardDiffShapes {
+	for si, shape := range diffShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			for i := 0; i < casesPerShape; i++ {
 				seed := int64(120000*si + i)
@@ -68,26 +67,24 @@ func TestKernelDifferential(t *testing.T) {
 					W[j] = sample.RandSimplex(rng, d)
 				}
 				for _, skybandOn := range []bool{true, false} {
-					for _, s := range shardDiffCounts {
-						on, off := kernelPair(t, pts, s, skybandOn)
-						gotRTK, err := on.ReverseTopK(W, q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantRTK, err := off.ReverseTopK(W, q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotRTK, wantRTK) {
-							t.Fatalf("case %d s=%d sky=%v: ReverseTopK %v, ablation %v",
-								i, s, skybandOn, gotRTK, wantRTK)
-						}
-						gotRank, _ := on.Rank(W[0], q)
-						wantRank, _ := off.Rank(W[0], q)
-						if gotRank != wantRank {
-							t.Fatalf("case %d s=%d sky=%v: Rank %d, ablation %d",
-								i, s, skybandOn, gotRank, wantRank)
-						}
+					on, off := kernelPair(t, pts, skybandOn)
+					gotRTK, err := on.ReverseTopK(W, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRTK, err := off.ReverseTopK(W, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotRTK, wantRTK) {
+						t.Fatalf("case %d sky=%v: ReverseTopK %v, ablation %v",
+							i, skybandOn, gotRTK, wantRTK)
+					}
+					gotRank, _ := on.Rank(W[0], q)
+					wantRank, _ := off.Rank(W[0], q)
+					if gotRank != wantRank {
+						t.Fatalf("case %d sky=%v: Rank %d, ablation %d",
+							i, skybandOn, gotRank, wantRank)
 					}
 				}
 			}
@@ -127,7 +124,7 @@ func sameWhyNot(t *testing.T, label string, got, want *WhyNotAnswer) {
 // TestKernelWhyNotPenalties runs the full pipeline with identical seeds on
 // kernel-on and kernel-off indexes and requires bit-identical answers,
 // penalties included, across both MWK strategies, the parallel MQWK path,
-// shard counts, and skyband on/off.
+// and skyband on/off.
 func TestKernelWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -157,18 +154,16 @@ func TestKernelWhyNotPenalties(t *testing.T) {
 			W[j] = sample.RandSimplex(rng, d)
 		}
 		for _, skybandOn := range []bool{true, false} {
-			for _, s := range shardDiffCounts {
-				on, off := kernelPair(t, pts, s, skybandOn)
-				got, err := on.WhyNot(q, k, W, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := off.WhyNot(q, k, W, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameWhyNot(t, "kernel WhyNot", got, want)
+			on, off := kernelPair(t, pts, skybandOn)
+			got, err := on.WhyNot(q, k, W, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := off.WhyNot(q, k, W, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWhyNot(t, "kernel WhyNot", got, want)
 		}
 	}
 }
@@ -254,59 +249,57 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 // survives an insert or delete.
 func TestKernelMutationInvalidation(t *testing.T) {
 	const d = 3
-	for _, s := range []int{1, 3} {
-		ds := dataset.Independent(150, d, 43)
-		pts := make([][]float64, len(ds.Points))
-		for j, p := range ds.Points {
-			pts[j] = p
-		}
-		on, off := kernelPair(t, pts, s, true)
-		rng := rand.New(rand.NewSource(90031))
-		W := make([][]float64, 8)
-		for j := range W {
-			W[j] = sample.RandSimplex(rng, d)
-		}
-		for i := 0; i < 80; i++ {
-			q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			// Warm the caches so the mutation has something to invalidate.
-			if _, err := on.ReverseTopK(W, q, 5); err != nil {
-				t.Fatal(err)
-			}
-			p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			idA, errA := on.Insert(p)
-			idB, errB := off.Insert(p)
-			if errA != nil || errB != nil || idA != idB {
-				t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
-			}
-			if i%3 == 0 {
-				victim := rng.Intn(idA + 1)
-				okA, _ := on.Delete(victim)
-				okB, _ := off.Delete(victim)
-				if okA != okB {
-					t.Fatalf("delete %d diverged", victim)
-				}
-			}
-			gotRTK, err := on.ReverseTopK(W, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRTK, _ := off.ReverseTopK(W, q, 5)
-			if !reflect.DeepEqual(gotRTK, wantRTK) {
-				t.Fatalf("s=%d step %d: post-mutation ReverseTopK diverged", s, i)
-			}
-			wn, err := on.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantWn, err := off.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameWhyNot(t, "post-mutation WhyNot", wn, wantWn)
-		}
-		if err := on.CheckInvariants(); err != nil {
+	ds := dataset.Independent(150, d, 43)
+	pts := make([][]float64, len(ds.Points))
+	for j, p := range ds.Points {
+		pts[j] = p
+	}
+	on, off := kernelPair(t, pts, true)
+	rng := rand.New(rand.NewSource(90031))
+	W := make([][]float64, 8)
+	for j := range W {
+		W[j] = sample.RandSimplex(rng, d)
+	}
+	for i := 0; i < 80; i++ {
+		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		// Warm the caches so the mutation has something to invalidate.
+		if _, err := on.ReverseTopK(W, q, 5); err != nil {
 			t.Fatal(err)
 		}
+		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		idA, errA := on.Insert(p)
+		idB, errB := off.Insert(p)
+		if errA != nil || errB != nil || idA != idB {
+			t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
+		}
+		if i%3 == 0 {
+			victim := rng.Intn(idA + 1)
+			okA, _ := on.Delete(victim)
+			okB, _ := off.Delete(victim)
+			if okA != okB {
+				t.Fatalf("delete %d diverged", victim)
+			}
+		}
+		gotRTK, err := on.ReverseTopK(W, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRTK, _ := off.ReverseTopK(W, q, 5)
+		if !reflect.DeepEqual(gotRTK, wantRTK) {
+			t.Fatalf("step %d: post-mutation ReverseTopK diverged", i)
+		}
+		wn, err := on.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWn, err := off.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWhyNot(t, "post-mutation WhyNot", wn, wantWn)
+	}
+	if err := on.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,6 +20,9 @@ import (
 	"time"
 
 	"wqrtq/internal/core"
+	"wqrtq/internal/rtopk"
+	"wqrtq/internal/skyband"
+	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
 )
 
@@ -171,7 +174,7 @@ func (ix *Index) TopKCtx(ctx context.Context, req TopKRequest) (TopKResponse, er
 	if err := ctx.Err(); err != nil {
 		return resp, err
 	}
-	rs, err := ix.topkResults(ctx, vec.Weight(req.W), req.K)
+	rs, err := topk.TopKCtx(ctx, ix.tree, vec.Weight(req.W), req.K)
 	if err != nil {
 		return resp, err
 	}
@@ -203,6 +206,23 @@ func (ix *Index) RankCtx(ctx context.Context, req RankRequest) (RankResponse, er
 	return resp, nil
 }
 
+// rankResult answers a validated rank query (1 + strict-beat count). With
+// the skyband sub-index enabled, the count first runs over the
+// DefaultRankBand-skyband — exact whenever it stays below the band bound,
+// since any dataset with >= K beaters has >= K of them inside the
+// K-skyband — and falls back to the count-pruned full tree otherwise.
+func (ix *Index) rankResult(ctx context.Context, w vec.Weight, fq float64) (int, error) {
+	sky := ix.sky
+	if ix.skyOff {
+		sky = nil
+	}
+	cnt, err := skyband.CountBelowCtx(ctx, sky, ix.tree, w, fq)
+	if err != nil {
+		return 0, err
+	}
+	return 1 + cnt, nil
+}
+
 // ReverseTopKCtx answers a ReverseTopKRequest with cooperative cancellation:
 // the RTA loop polls ctx between vector evaluations and inside each
 // evaluation's heap loop.
@@ -232,6 +252,42 @@ func (ix *Index) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (Re
 	return resp, nil
 }
 
+// bichromatic answers a validated bichromatic reverse top-k query through
+// the fastest tier the input admits; every tier decides membership
+// identically. With the cell index available, each vector is counted
+// against its grid cell's candidate superset (see internal/cellindex's
+// count-preservation argument), with a whole-query fallback to the tiers
+// below when the index declines. With the skyband sub-index enabled, the
+// evaluation runs against the k-skyband: the k smallest scores under any
+// vector are achieved inside the band. For d <= 4 and a band of at most
+// rtopk.CoordsCutoff points the whole weight set is counted against the
+// flattened band in blocked sweeps (see rtopk.BichromaticCoordsCtx's
+// count-preservation argument); otherwise the RTA loop runs over the band
+// R-tree, or over the full tree when the band is disabled.
+func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k int) ([]int, rtopk.Stats, error) {
+	if g := ix.cellGrid(k); g != nil {
+		res, scanned, ok, err := g.ReverseTopK(ctx, W, q, k)
+		if err != nil {
+			return nil, rtopk.Stats{}, err
+		}
+		if ok {
+			ix.kct.Add(len(W), scanned)
+			ix.cct.CountLookups(len(W))
+			return res, rtopk.Stats{Evaluated: len(W), CandidateSetSize: g.BasisSize()}, nil
+		}
+		ix.cct.CountFallback()
+	}
+	if b := ix.band(k); b != nil {
+		if !ix.kernelOff && ix.Dim() <= 4 && b.Size() <= rtopk.CoordsCutoff {
+			res, stats, err := rtopk.BichromaticCoordsCtx(ctx, b.Coords(), W, q, k, ix.kct)
+			stats.CandidateSetSize = b.Size()
+			return res, stats, err
+		}
+		return rtopk.BichromaticCtx(ctx, b.Tree(), W, q, k)
+	}
+	return rtopk.BichromaticCtx(ctx, ix.tree, W, q, k)
+}
+
 // ExplainCtx answers an ExplainRequest with cooperative cancellation.
 func (ix *Index) ExplainCtx(ctx context.Context, req ExplainRequest) (ExplainResponse, error) {
 	start := time.Now()
@@ -246,13 +302,13 @@ func (ix *Index) ExplainCtx(ctx context.Context, req ExplainRequest) (ExplainRes
 	if err := ctx.Err(); err != nil {
 		return resp, err
 	}
-	ex, err := ix.explainResults(ctx, req.Q, ws)
-	if err != nil {
-		return resp, err
-	}
-	out := make([][]Ranked, len(ex))
-	for i, e := range ex {
-		out[i] = toRanked(e)
+	out := make([][]Ranked, len(ws))
+	for i, w := range ws {
+		res, err := topk.ExplainCtx(ctx, ix.tree, w, req.Q)
+		if err != nil {
+			return resp, err
+		}
+		out[i] = toRanked(res)
 	}
 	resp.Explanations = out
 	resp.Elapsed = time.Since(start)

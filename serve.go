@@ -47,13 +47,6 @@ type EngineConfig struct {
 	// CacheSize is the capacity of the (epoch, query)-keyed LRU result
 	// cache. 0 uses 4096; negative disables caching.
 	CacheSize int
-	// Shards > 1 partitions the dataset into that many spatial shards
-	// (STR-order round-robin of leaf runs, see internal/shard) and executes
-	// TopK, Rank, ReverseTopK (including the RTA stage of WhyNot) and
-	// Explain by scatter-gather across them. Results are bit-identical to
-	// unsharded execution; on multi-core hardware per-shard searches run
-	// concurrently. <= 1 (the default) keeps the monolithic index.
-	Shards int
 	// DisableSkyband turns off the epoch-cached k-skyband sub-index (the
 	// -skyband=off ablation): ReverseTopK, Rank, WhyNot and the refinement
 	// endpoints then run the full-tree execution paths. Results are
@@ -218,8 +211,7 @@ func (t *rtaTotals) snapshot() RTATotals {
 
 // NewEngine wraps ix in a serving engine. The engine takes ownership of the
 // index: the caller must not mutate ix afterwards (queries on it remain
-// fine). When cfg.Shards > 1 and the index is not already partitioned that
-// way, the engine reshards it before serving starts.
+// fine).
 //
 // With cfg.DataDir set, durable state wins: when the directory already
 // holds a dataset, ix serves only as a fallback seed and the recovered
@@ -240,14 +232,6 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 		ix, dur = rix, d
-	}
-	if cfg.Shards > 1 && ix.Shards() != cfg.Shards {
-		if err := ix.Reshard(cfg.Shards); err != nil {
-			if dur != nil {
-				dur.close()
-			}
-			return nil, err
-		}
 	}
 	if ix.SkybandEnabled() == cfg.DisableSkyband {
 		ix.SetSkyband(!cfg.DisableSkyband)
@@ -729,9 +713,6 @@ type EngineStats struct {
 	// Live points and allocated ids in the current snapshot.
 	Live   int `json:"live"`
 	NumIDs int `json:"num_ids"`
-	// Shards is the number of spatial partitions executing scatter-gather
-	// queries; 1 means monolithic execution.
-	Shards int `json:"shards"`
 	// Per-endpoint latency counters (topk, rank, rtopk, explain, whynot,
 	// modify_query, modify_preferences, modify_all, insert, delete).
 	Endpoints map[string]engine.CounterSnapshot `json:"endpoints"`
@@ -776,7 +757,6 @@ func (e *Engine) Stats() EngineStats {
 		Epoch:     snap.Epoch(),
 		Live:      snap.Len(),
 		NumIDs:    snap.NumIDs(),
-		Shards:    snap.Shards(),
 		Endpoints: e.metrics.Snapshot(),
 		Skyband:   snap.SkybandStats(),
 		Kernel:    snap.KernelStats(),
@@ -1043,7 +1023,7 @@ func (e *Engine) exec(batch []*engineReq) {
 		switch r.kind {
 		case "topk":
 			var rs []topk.Result
-			rs, err = snap.topkResults(cctx, vec.Weight(r.w), r.k)
+			rs, err = topk.TopKCtx(cctx, snap.tree, vec.Weight(r.w), r.k)
 			if err == nil {
 				val = toRanked(rs)
 			}

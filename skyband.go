@@ -25,16 +25,9 @@ import (
 // SetSkyband toggles the k-skyband sub-index (enabled by default). Results
 // are identical either way; disabling it — the -skyband=off ablation —
 // reverts every query to the full-tree execution paths. It must be
-// serialized with mutations and Clone, like Reshard.
+// serialized with mutations and Clone.
 func (ix *Index) SetSkyband(enabled bool) {
 	ix.skyOff = !enabled
-	if ix.shards != nil {
-		if enabled && !ix.shards.SkybandEnabled() {
-			ix.shards.EnableSkyband(ix.skyCounters())
-		} else if !enabled {
-			ix.shards.DisableSkyband()
-		}
-	}
 }
 
 // SkybandEnabled reports whether the k-skyband sub-index is active.
@@ -130,7 +123,7 @@ type SkybandStats struct {
 	// Enabled reports whether queries route through the sub-index.
 	Enabled bool `json:"enabled"`
 	// Bands and Points describe the bands materialized for the current
-	// snapshot (across all shards when sharded).
+	// snapshot.
 	Bands  int `json:"bands"`
 	Points int `json:"points"`
 	// Builds and Hits count band computations and band-cache hits over the
@@ -151,11 +144,6 @@ func (ix *Index) SkybandStats() SkybandStats {
 	}
 	cs := ix.sky.Stats()
 	s.Bands, s.Points = cs.Bands, cs.Points
-	if ix.shards != nil && ix.shards.SkybandEnabled() {
-		ss := ix.shards.SkybandStats()
-		s.Bands += ss.Bands
-		s.Points += ss.Points
-	}
 	ct := ix.sky.Counters().Snapshot()
 	s.Builds, s.Hits, s.Fallbacks = ct.Builds, ct.Hits, ct.Fallbacks
 	return s

@@ -6,8 +6,7 @@ package wqrtq
 // via RTA, same ranks, same reverse top-k index sets, same explanations,
 // and the same why-not penalties down to the last bit (which exercises the
 // lazy sampler's stream identity and the hybrid rank counting) — across
-// UN/CO/AC workloads, shard counts including 1, and mutation streams that
-// invalidate the epoch cache.
+// UN/CO/AC workloads and mutation streams that invalidate the epoch cache.
 
 import (
 	"math/rand"
@@ -18,18 +17,64 @@ import (
 	"wqrtq/internal/sample"
 )
 
-// skybandPair builds two identical indexes over pts with s shards, one
-// with the sub-index on (default) and one ablated off.
-func skybandPair(t *testing.T, pts [][]float64, s int) (on, off *Index) {
+// diffShapes are the paper's dataset distributions the differential suites
+// randomize over.
+var diffShapes = []struct {
+	name string
+	gen  func(n, d int, seed int64) *dataset.Dataset
+}{
+	{"UN", dataset.Independent},
+	{"CO", dataset.Correlated},
+	{"AC", dataset.Anticorrelated},
+}
+
+// sameRankedModuloTies compares two ranked lists for bit-identical scores
+// and, within each run of equal scores, identical ID sets. Duplicate points
+// (the clamped CO/AC generators produce them) tie on every score, and the
+// paper's definitions determine only the score sequence at a tie — the
+// heap's pop order among equal scores is unspecified, so ID order inside a
+// tie run is not comparable.
+func sameRankedModuloTies(t *testing.T, label string, got, want []Ranked) {
 	t.Helper()
-	on, err := NewIndexSharded(pts, s)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Score != want[i].Score {
+			t.Fatalf("%s: rank %d score %v, want %v", label, i+1, got[i].Score, want[i].Score)
+		}
+	}
+	for lo := 0; lo < len(got); {
+		hi := lo + 1
+		for hi < len(got) && got[hi].Score == got[lo].Score {
+			hi++
+		}
+		g := make(map[int]bool, hi-lo)
+		for _, r := range got[lo:hi] {
+			g[r.ID] = true
+		}
+		for _, r := range want[lo:hi] {
+			if !g[r.ID] {
+				t.Fatalf("%s: tie run at rank %d-%d has id %d in the reference but not the result",
+					label, lo+1, hi, r.ID)
+			}
+		}
+		lo = hi
+	}
+}
+
+// skybandPair builds two identical indexes over pts, one with the
+// sub-index on (default) and one ablated off.
+func skybandPair(t *testing.T, pts [][]float64) (on, off *Index) {
+	t.Helper()
+	on, err := NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !on.SkybandEnabled() {
 		t.Fatal("skyband must be enabled by default")
 	}
-	off, err = NewIndexSharded(pts, s)
+	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +87,7 @@ func skybandPair(t *testing.T, pts [][]float64, s int) (on, off *Index) {
 
 func TestSkybandDifferential(t *testing.T) {
 	const casesPerShape = 18
-	for si, shape := range shardDiffShapes {
+	for si, shape := range diffShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			for i := 0; i < casesPerShape; i++ {
 				seed := int64(70000*si + i)
@@ -64,46 +109,44 @@ func TestSkybandDifferential(t *testing.T) {
 				for j := range W {
 					W[j] = sample.RandSimplex(rng, d)
 				}
-				for _, s := range shardDiffCounts {
-					on, off := skybandPair(t, pts, s)
-					gotRank, err := on.Rank(w, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantRank, _ := off.Rank(w, q)
-					if gotRank != wantRank {
-						t.Fatalf("case %d s=%d: Rank %d, ablation %d", i, s, gotRank, wantRank)
-					}
-					gotRTK, err := on.ReverseTopK(W, q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantRTK, _ := off.ReverseTopK(W, q, k)
-					if !reflect.DeepEqual(gotRTK, wantRTK) {
-						t.Fatalf("case %d s=%d: ReverseTopK %v, ablation %v", i, s, gotRTK, wantRTK)
-					}
-					// TopK-via-RTA: the score sequence each RTA evaluation
-					// buffers is the global top-k; spot-check it directly
-					// through the banded evaluation path.
-					onResp, err := on.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: k, W: W})
-					if err != nil {
-						t.Fatal(err)
-					}
-					offResp, _ := off.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: k, W: W})
-					if !reflect.DeepEqual(onResp.Result, offResp.Result) {
-						t.Fatalf("case %d s=%d: Ctx results diverge", i, s)
-					}
-					if onResp.RTA.CandidateSetSize <= 0 || onResp.RTA.CandidateSetSize > offResp.RTA.CandidateSetSize {
-						t.Fatalf("case %d s=%d: candidate set %d vs full %d",
-							i, s, onResp.RTA.CandidateSetSize, offResp.RTA.CandidateSetSize)
-					}
-					gotExp, err := on.Explain(q, W[:1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantExp, _ := off.Explain(q, W[:1])
-					sameRankedModuloTies(t, "skyband Explain", gotExp[0], wantExp[0])
+				on, off := skybandPair(t, pts)
+				gotRank, err := on.Rank(w, q)
+				if err != nil {
+					t.Fatal(err)
 				}
+				wantRank, _ := off.Rank(w, q)
+				if gotRank != wantRank {
+					t.Fatalf("case %d: Rank %d, ablation %d", i, gotRank, wantRank)
+				}
+				gotRTK, err := on.ReverseTopK(W, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRTK, _ := off.ReverseTopK(W, q, k)
+				if !reflect.DeepEqual(gotRTK, wantRTK) {
+					t.Fatalf("case %d: ReverseTopK %v, ablation %v", i, gotRTK, wantRTK)
+				}
+				// TopK-via-RTA: the score sequence each RTA evaluation
+				// buffers is the global top-k; spot-check it directly
+				// through the banded evaluation path.
+				onResp, err := on.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: k, W: W})
+				if err != nil {
+					t.Fatal(err)
+				}
+				offResp, _ := off.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: k, W: W})
+				if !reflect.DeepEqual(onResp.Result, offResp.Result) {
+					t.Fatalf("case %d: Ctx results diverge", i)
+				}
+				if onResp.RTA.CandidateSetSize <= 0 || onResp.RTA.CandidateSetSize > offResp.RTA.CandidateSetSize {
+					t.Fatalf("case %d: candidate set %d vs full %d",
+						i, onResp.RTA.CandidateSetSize, offResp.RTA.CandidateSetSize)
+				}
+				gotExp, err := on.Explain(q, W[:1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantExp, _ := off.Explain(q, W[:1])
+				sameRankedModuloTies(t, "skyband Explain", gotExp[0], wantExp[0])
 			}
 		})
 	}
@@ -143,38 +186,36 @@ func TestSkybandWhyNotPenalties(t *testing.T) {
 		for j := range W {
 			W[j] = sample.RandSimplex(rng, d)
 		}
-		for _, s := range shardDiffCounts {
-			on, off := skybandPair(t, pts, s)
-			got, err := on.WhyNot(q, k, W, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := off.WhyNot(q, k, W, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Result, want.Result) || !reflect.DeepEqual(got.Missing, want.Missing) {
-				t.Fatalf("case %d s=%d: result/missing diverge", i, s)
-			}
-			for ei := range want.Explanations {
-				sameRankedModuloTies(t, "skyband WhyNot explanation", got.Explanations[ei], want.Explanations[ei])
-			}
-			if !reflect.DeepEqual(got.ModifiedQuery.Q, want.ModifiedQuery.Q) ||
-				got.ModifiedQuery.Penalty != want.ModifiedQuery.Penalty {
-				t.Fatalf("case %d s=%d: MQP diverged: %+v vs %+v", i, s, got.ModifiedQuery, want.ModifiedQuery)
-			}
-			if got.ModifiedPreferences.Penalty != want.ModifiedPreferences.Penalty ||
-				got.ModifiedPreferences.K != want.ModifiedPreferences.K ||
-				got.ModifiedPreferences.KMax != want.ModifiedPreferences.KMax ||
-				!reflect.DeepEqual(got.ModifiedPreferences.Wm, want.ModifiedPreferences.Wm) {
-				t.Fatalf("case %d s=%d: MWK diverged: %+v vs %+v", i, s, got.ModifiedPreferences, want.ModifiedPreferences)
-			}
-			if got.ModifiedAll.Penalty != want.ModifiedAll.Penalty ||
-				got.ModifiedAll.K != want.ModifiedAll.K ||
-				!reflect.DeepEqual(got.ModifiedAll.Q, want.ModifiedAll.Q) ||
-				!reflect.DeepEqual(got.ModifiedAll.Wm, want.ModifiedAll.Wm) {
-				t.Fatalf("case %d s=%d: MQWK diverged: %+v vs %+v", i, s, got.ModifiedAll, want.ModifiedAll)
-			}
+		on, off := skybandPair(t, pts)
+		got, err := on.WhyNot(q, k, W, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := off.WhyNot(q, k, W, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Result, want.Result) || !reflect.DeepEqual(got.Missing, want.Missing) {
+			t.Fatalf("case %d: result/missing diverge", i)
+		}
+		for ei := range want.Explanations {
+			sameRankedModuloTies(t, "skyband WhyNot explanation", got.Explanations[ei], want.Explanations[ei])
+		}
+		if !reflect.DeepEqual(got.ModifiedQuery.Q, want.ModifiedQuery.Q) ||
+			got.ModifiedQuery.Penalty != want.ModifiedQuery.Penalty {
+			t.Fatalf("case %d: MQP diverged: %+v vs %+v", i, got.ModifiedQuery, want.ModifiedQuery)
+		}
+		if got.ModifiedPreferences.Penalty != want.ModifiedPreferences.Penalty ||
+			got.ModifiedPreferences.K != want.ModifiedPreferences.K ||
+			got.ModifiedPreferences.KMax != want.ModifiedPreferences.KMax ||
+			!reflect.DeepEqual(got.ModifiedPreferences.Wm, want.ModifiedPreferences.Wm) {
+			t.Fatalf("case %d: MWK diverged: %+v vs %+v", i, got.ModifiedPreferences, want.ModifiedPreferences)
+		}
+		if got.ModifiedAll.Penalty != want.ModifiedAll.Penalty ||
+			got.ModifiedAll.K != want.ModifiedAll.K ||
+			!reflect.DeepEqual(got.ModifiedAll.Q, want.ModifiedAll.Q) ||
+			!reflect.DeepEqual(got.ModifiedAll.Wm, want.ModifiedAll.Wm) {
+			t.Fatalf("case %d: MQWK diverged: %+v vs %+v", i, got.ModifiedAll, want.ModifiedAll)
 		}
 	}
 }
@@ -185,55 +226,53 @@ func TestSkybandWhyNotPenalties(t *testing.T) {
 // insert or delete.
 func TestSkybandMutationInvalidation(t *testing.T) {
 	const d = 3
-	for _, s := range []int{1, 3} {
-		ds := dataset.Independent(150, d, 41)
-		pts := make([][]float64, len(ds.Points))
-		for j, p := range ds.Points {
-			pts[j] = p
-		}
-		on, off := skybandPair(t, pts, s)
-		rng := rand.New(rand.NewSource(90017))
-		W := make([][]float64, 8)
-		for j := range W {
-			W[j] = sample.RandSimplex(rng, d)
-		}
-		for i := 0; i < 120; i++ {
-			q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			// Warm the caches so the mutation has something to invalidate.
-			if _, err := on.ReverseTopK(W, q, 5); err != nil {
-				t.Fatal(err)
-			}
-			p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			idA, errA := on.Insert(p)
-			idB, errB := off.Insert(p)
-			if errA != nil || errB != nil || idA != idB {
-				t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
-			}
-			if i%3 == 0 {
-				victim := rng.Intn(idA + 1)
-				okA, _ := on.Delete(victim)
-				okB, _ := off.Delete(victim)
-				if okA != okB {
-					t.Fatalf("delete %d diverged", victim)
-				}
-			}
-			gotRTK, err := on.ReverseTopK(W, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRTK, _ := off.ReverseTopK(W, q, 5)
-			if !reflect.DeepEqual(gotRTK, wantRTK) {
-				t.Fatalf("s=%d step %d: post-mutation ReverseTopK diverged", s, i)
-			}
-			gotRank, _ := on.Rank(W[0], q)
-			wantRank, _ := off.Rank(W[0], q)
-			if gotRank != wantRank {
-				t.Fatalf("s=%d step %d: post-mutation Rank %d vs %d", s, i, gotRank, wantRank)
-			}
-		}
-		if err := on.CheckInvariants(); err != nil {
+	ds := dataset.Independent(150, d, 41)
+	pts := make([][]float64, len(ds.Points))
+	for j, p := range ds.Points {
+		pts[j] = p
+	}
+	on, off := skybandPair(t, pts)
+	rng := rand.New(rand.NewSource(90017))
+	W := make([][]float64, 8)
+	for j := range W {
+		W[j] = sample.RandSimplex(rng, d)
+	}
+	for i := 0; i < 120; i++ {
+		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		// Warm the caches so the mutation has something to invalidate.
+		if _, err := on.ReverseTopK(W, q, 5); err != nil {
 			t.Fatal(err)
 		}
+		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		idA, errA := on.Insert(p)
+		idB, errB := off.Insert(p)
+		if errA != nil || errB != nil || idA != idB {
+			t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
+		}
+		if i%3 == 0 {
+			victim := rng.Intn(idA + 1)
+			okA, _ := on.Delete(victim)
+			okB, _ := off.Delete(victim)
+			if okA != okB {
+				t.Fatalf("delete %d diverged", victim)
+			}
+		}
+		gotRTK, err := on.ReverseTopK(W, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRTK, _ := off.ReverseTopK(W, q, 5)
+		if !reflect.DeepEqual(gotRTK, wantRTK) {
+			t.Fatalf("step %d: post-mutation ReverseTopK diverged", i)
+		}
+		gotRank, _ := on.Rank(W[0], q)
+		wantRank, _ := off.Rank(W[0], q)
+		if gotRank != wantRank {
+			t.Fatalf("step %d: post-mutation Rank %d vs %d", i, gotRank, wantRank)
+		}
+	}
+	if err := on.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtopk"
 	"wqrtq/internal/rtree"
-	"wqrtq/internal/shard"
 	"wqrtq/internal/skyband"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
@@ -88,8 +87,7 @@ var errPositiveK = fmt.Errorf("%w: k must be positive", ErrInvalidArgument)
 type Index struct {
 	tree   *rtree.Tree
 	points []vec.Point
-	shared bool       // points backing array is shared with a Clone
-	shards *shard.Set // optional spatial partition (sharding.go); nil = monolithic
+	shared bool // points backing array is shared with a Clone
 	// sky is the snapshot's k-skyband sub-index cache (skyband.go): bands
 	// are computed lazily per (snapshot, k) and shared by all readers;
 	// clones and mutations swap in a fresh cache, so stale bands are
