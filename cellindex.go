@@ -42,13 +42,6 @@ func (ix *Index) cellGrid(k int) *cellindex.Grid {
 	return ix.cells.Grid(k)
 }
 
-// resetCellIndex swaps in a fresh grid cache after an in-place mutation.
-// It must run after resetSkyband so the new grids build over the new
-// snapshot's bands.
-func (ix *Index) resetCellIndex() {
-	ix.cells = cellindex.NewCache(ix.sky, ix.Dim(), ix.cct)
-}
-
 // MonoCell is one cell of a d >= 3 monochromatic reverse top-k answer:
 // Lo and Hi bound the weighting vectors it covers per coordinate, Full
 // marks cells proven to lie entirely inside the result, and MidIn reports
@@ -110,9 +103,10 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 type CellIndexStats struct {
 	// Enabled reports whether eligible queries route through the index.
 	Enabled bool `json:"enabled"`
-	// Grids, Cells and Candidates describe the grids materialized for the
-	// current snapshot: how many (snapshot, k) grids exist, their total
-	// built cells, and the total candidate rows those cells store.
+	// Grids, Cells and Candidates describe the grids the current snapshot
+	// holds (built on it or carried over with their basis band): how many
+	// there are, their total built cells, and the total candidate rows
+	// those cells store.
 	Grids      int `json:"grids"`
 	Cells      int `json:"cells"`
 	Candidates int `json:"candidates"`
@@ -125,6 +119,11 @@ type CellIndexStats struct {
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
 	Lookups   int64 `json:"lookups"`
+	// Carried and Dropped count, per mutation and finished grid entry, the
+	// entries that followed their basis band into the next snapshot and
+	// the ones dropped with it (each costs one later build).
+	Carried int64 `json:"carried"`
+	Dropped int64 `json:"dropped"`
 }
 
 // CellIndexStats reports the sub-index's cache contents and cumulative
@@ -138,5 +137,6 @@ func (ix *Index) CellIndexStats() CellIndexStats {
 	s.Grids, s.Cells, s.Candidates = cs.Grids, cs.Cells, cs.Candidates
 	ct := ix.cct.Snapshot()
 	s.Builds, s.Hits, s.Fallbacks, s.Lookups = ct.Builds, ct.Hits, ct.Fallbacks, ct.Lookups
+	s.Carried, s.Dropped = ct.Carried, ct.Dropped
 	return s
 }

@@ -246,24 +246,48 @@ func TestCellIndexEngineStats(t *testing.T) {
 		t.Fatalf("ablated engine recorded cell-index work: %+v", stOff.CellIndex)
 	}
 
-	// A mutation publishes a fresh snapshot: its caches start empty, the
-	// cumulative counters carry over, and the next query rebuilds.
-	builds := st.CellIndex.Builds
-	if _, _, err := eOn.Insert([]float64{0.9, 0.9, 0.9}); err != nil {
+	// A mutation publishes a fresh snapshot that keeps every grid whose
+	// basis band it leaves unchanged: a point nearly everything dominates
+	// comes and goes without a rebuild, and the next query is a cache hit.
+	builds, grids := st.CellIndex.Builds, st.CellIndex.Grids
+	id, _, err := eOn.Insert([]float64{0.99, 0.99, 0.99})
+	if err != nil {
 		t.Fatal(err)
 	}
-	mid := eOn.Stats().CellIndex
-	if mid.Grids != 0 {
-		t.Fatalf("fresh snapshot inherited grids: %+v", mid)
+	if ok, _, err := eOn.Delete(id); !ok || err != nil {
+		t.Fatalf("delete: %t, %v", ok, err)
 	}
-	if mid.Builds != builds {
-		t.Fatalf("cumulative builds changed on snapshot swap: %d vs %d", mid.Builds, builds)
+	mid := eOn.Stats().CellIndex
+	if mid.Grids != grids || mid.Builds != builds || mid.Carried != int64(2*grids) || mid.Dropped != 0 {
+		t.Fatalf("non-member insert+delete: before %+v after %+v", st.CellIndex, mid)
 	}
 	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eOn.Stats().CellIndex; got.Builds <= builds || got.Grids < 1 {
-		t.Fatalf("new snapshot did not rebuild grids: %+v", got)
+	if got := eOn.Stats().CellIndex; got.Builds != builds || got.Hits <= mid.Hits {
+		t.Fatalf("query after carried mutations rebuilt its grid: %+v", got)
+	}
+
+	// Deleting a member of the k=4 basis band drops exactly that grid,
+	// and the next query rebuilds it over the rebuilt band.
+	snap := eOn.Snapshot()
+	keep := snap.band(4).Keep(4)
+	victim := 0
+	for !keep(int32(victim)) {
+		victim++
+	}
+	if ok, _, err := eOn.Delete(victim); !ok || err != nil {
+		t.Fatalf("delete: %t, %v", ok, err)
+	}
+	after := eOn.Stats().CellIndex
+	if after.Grids != grids-1 || after.Dropped != 1 || after.Builds != builds {
+		t.Fatalf("member delete: before %+v after %+v", mid, after)
+	}
+	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eOn.Stats().CellIndex; got.Builds != builds+1 || got.Grids != grids {
+		t.Fatalf("dropped grid was not rebuilt lazily: %+v", got)
 	}
 }
 

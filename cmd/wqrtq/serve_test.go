@@ -266,12 +266,15 @@ func TestServeDisconnectsStalledHeader(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
+	// Taken before the dial: the server arms its header deadline when it
+	// accepts, which a loaded machine can schedule ahead of this goroutine's
+	// next line, and the lower bound below must not race that.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "POST /v1/topk HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -508,4 +511,65 @@ func TestServeKernelStats(t *testing.T) {
 	if enabled, blocks := stats(off); enabled || blocks != 0 {
 		t.Fatalf("ablated engine reports kernel work: enabled=%v blocks=%d", enabled, blocks)
 	}
+}
+
+// TestServeCarryStats pins the skyband and cellindex sections of /v1/stats
+// across mutations: an insert every band member dominates is carried (no
+// build on the next read), a delete of a band member drops that band and
+// its grid, and the next read rebuilds both.
+func TestServeCarryStats(t *testing.T) {
+	pts := make([][]float64, 0, 36)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			pts = append(pts, []float64{float64(1 + i), float64(1 + j)})
+		}
+	}
+	ix, err := wqrtq.NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	h := newServeHandler(e, 0)
+	sections := func() string {
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var st struct {
+			Skyband   json.RawMessage `json:"skyband"`
+			CellIndex json.RawMessage `json:"cellindex"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("stats not JSON: %v", err)
+		}
+		return string(st.Skyband) + "\n" + string(st.CellIndex)
+	}
+	want := func(step, golden string) {
+		t.Helper()
+		if got := sections(); got != golden {
+			t.Fatalf("%s\n got: %s\nwant: %s", step, got, golden)
+		}
+	}
+	rtopk := func() {
+		t.Helper()
+		if rec := post(t, h, "/v1/rtopk", `{"q":[1.5,1.5],"k":2,"weights":[[0.25,0.75],[0.5,0.5]]}`); rec.Code != http.StatusOK {
+			t.Fatalf("rtopk: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	rtopk()
+	want("first read builds the 2-band and its grid", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0}
+{"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":0,"fallbacks":0,"lookups":2,"carried":0,"dropped":0}`)
+	post(t, h, "/v1/insert", `{"point":[9,9]}`)
+	rtopk()
+	want("dominated insert is carried", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0}
+{"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":0}`)
+	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
+	want("member delete drops band and grid", `{"enabled":true,"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1}
+{"enabled":true,"grids":0,"cells":0,"candidates":0,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":1}`)
+	rtopk()
+	want("next read rebuilds both", `{"enabled":true,"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1}
+{"enabled":true,"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
 }

@@ -51,11 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wqrtq/internal/cellindex"
-	"wqrtq/internal/kernel"
 	"wqrtq/internal/pagestore"
-	"wqrtq/internal/rtree"
-	"wqrtq/internal/skyband"
 	"wqrtq/internal/storage"
 	"wqrtq/internal/vec"
 	"wqrtq/internal/wal"
@@ -179,15 +175,6 @@ const (
 	defaultWALRetries      = 3
 	defaultWALRetryBackoff = 2 * time.Millisecond
 )
-
-// newIndexFromParts wires a recovered tree and id-indexed points table
-// into a full Index, mirroring NewIndex's sub-index setup without the
-// validation and bulk load (the parts came from verified durable state).
-func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	ix := &Index{tree: tree, points: points, sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), cct: cellindex.NewCounters()}
-	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
-	return ix
-}
 
 // recInfo summarizes one recovery pass.
 type recInfo struct {
@@ -729,7 +716,7 @@ func (d *durable) stopped() bool {
 func (d *durable) writeSnapshot(ix *Index, lsn uint64) error {
 	final := filepath.Join(d.dir, pagestore.SnapshotName(lsn))
 	return publishFile(d.fs, d.dir, final, func(f storage.File) error {
-		return pagestore.Write(f, ix.tree, ix.points, lsn, d.stopped)
+		return pagestore.Write(f, ix.tree, ix.ids.Flat(), lsn, d.stopped)
 	})
 }
 

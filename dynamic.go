@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wqrtq/internal/cellindex"
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
@@ -21,12 +20,9 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
-	ix.ownPoints()
-	id := len(ix.points)
-	ix.points = append(ix.points, vec.Point(p))
+	id := ix.ids.Append(vec.Point(p))
 	ix.tree.Insert(p, int32(id))
-	ix.resetSkyband()
-	ix.resetCellIndex()
+	ix.carry(ix.sky.AfterInsert(ix.tree, p))
 	return id, nil
 }
 
@@ -34,46 +30,54 @@ func (ix *Index) Insert(p []float64) (int, error) {
 // ordering or Insert). Deleted ids are never reused; queries simply stop
 // returning them. It reports whether the id was present.
 func (ix *Index) Delete(id int) (bool, error) {
-	if id < 0 || id >= len(ix.points) {
+	if id < 0 || id >= ix.ids.Len() {
 		return false, invalidArgf("id %d out of range", id)
 	}
-	p := ix.points[id]
+	p := ix.ids.Get(id)
 	if p == nil {
 		return false, nil // already deleted
 	}
 	if !ix.tree.Delete(p, int32(id)) {
 		return false, nil
 	}
-	ix.ownPoints()
-	ix.points[id] = nil
-	ix.resetSkyband()
-	ix.resetCellIndex()
+	ix.ids.Clear(id)
+	ix.carry(ix.sky.AfterDelete(ix.tree, int32(id)))
 	return true, nil
 }
 
-// Clone returns a copy-on-write snapshot of the index in O(1). The snapshot
-// and the receiver share all index structure; a later Insert or Delete on
-// either side copies the nodes it touches first, so the other side is never
-// affected. Clones are how mutations coexist with concurrent queries:
-// publish a Clone, keep querying it from any number of goroutines, and
-// mutate the other copy.
+// carry installs sky — the skyband cache of the snapshot one mutation has
+// just produced, holding the bands the mutation left unchanged — and moves
+// the cell grids along with their basis bands. Everything else was dropped
+// and is rebuilt lazily by the next reader that asks (DESIGN.md §8, §10).
+func (ix *Index) carry(sky *skyband.Cache) {
+	ix.sky = sky
+	ix.cells = ix.cells.Carry(sky, true)
+}
+
+// Clone returns a copy-on-write snapshot of the index in O(n/512): it
+// copies the id table's page directory and nothing else. The snapshot and
+// the receiver share all index structure; a later Insert or Delete on
+// either side copies the tree nodes and the one id page it touches first,
+// so the other side is never affected. The clone starts with every band
+// and grid the receiver has materialized — in sub-index caches of its own,
+// bound to its own tree, so the two sides invalidate independently. Clones
+// are how mutations coexist with concurrent queries: publish a Clone, keep
+// querying it from any number of goroutines, and mutate the other copy.
 //
 // Clone and mutations of indexes in the same clone family must be
 // externally serialized with each other; queries need no synchronization.
 func (ix *Index) Clone() *Index {
 	c := &Index{
 		tree:      ix.tree.Clone(),
-		points:    ix.points[:len(ix.points):len(ix.points)],
-		shared:    true,
+		ids:       ix.ids.Clone(),
 		skyOff:    ix.skyOff,
 		kct:       ix.kct,
 		kernelOff: ix.kernelOff,
 		cct:       ix.cct,
 		cellOff:   ix.cellOff,
 	}
-	c.sky = skyband.NewCache(c.tree, ix.skyCounters())
-	c.cells = cellindex.NewCache(c.sky, c.Dim(), c.cct)
-	ix.shared = true
+	c.sky = ix.sky.Rebind(c.tree)
+	c.cells = ix.cells.Carry(c.sky, false)
 	return c
 }
 
@@ -85,7 +89,7 @@ func (ix *Index) Epoch() uint64 { return ix.tree.Epoch() }
 // NumIDs returns the size of the id space: ids 0 ≤ id < NumIDs() have been
 // allocated by NewIndex or Insert (some may since have been deleted; Point
 // reports nil for those). Len() counts only live points.
-func (ix *Index) NumIDs() int { return len(ix.points) }
+func (ix *Index) NumIDs() int { return ix.ids.Len() }
 
 // CheckInvariants verifies the structural invariants of the underlying
 // R-tree and the id table; it is intended for tests.
@@ -93,51 +97,34 @@ func (ix *Index) CheckInvariants() error {
 	if err := ix.tree.CheckInvariants(); err != nil {
 		return err
 	}
-	live := 0
-	for _, p := range ix.points {
-		if p != nil {
-			live++
-		}
-	}
-	if live != ix.tree.Len() {
-		return fmt.Errorf("wqrtq: %d live ids but %d indexed points", live, ix.tree.Len())
+	if live, _ := ix.livePoints(); len(live) != ix.tree.Len() {
+		return fmt.Errorf("wqrtq: %d live ids but %d indexed points", len(live), ix.tree.Len())
 	}
 	return nil
 }
 
-// ownPoints gives the index a private copy of the id table when its backing
-// array is shared with a clone, so in-place writes cannot leak across
-// snapshots.
-func (ix *Index) ownPoints() {
-	if !ix.shared {
-		return
-	}
-	pts := make([]vec.Point, len(ix.points), len(ix.points)+1)
-	copy(pts, ix.points)
-	ix.points = pts
-	ix.shared = false
-}
-
 // Point returns the point stored under id, or nil if it was deleted.
-func (ix *Index) Point(id int) []float64 {
-	if id < 0 || id >= len(ix.points) {
-		return nil
+func (ix *Index) Point(id int) []float64 { return ix.ids.Get(id) }
+
+// livePoints flattens the id table without its tombstones: the live points
+// and, in step, their ids (ascending).
+func (ix *Index) livePoints() ([]vec.Point, []int) {
+	live := make([]vec.Point, 0, ix.tree.Len())
+	ids := make([]int, 0, ix.tree.Len())
+	for id, p := range ix.ids.Flat() {
+		if p != nil {
+			live = append(live, p)
+			ids = append(ids, id)
+		}
 	}
-	return ix.points[id]
+	return live, ids
 }
 
 // Skyline returns the ids of the Pareto-optimal points: those dominated by
 // no other indexed point. These are the only products that can rank first
 // under any preference.
 func (ix *Index) Skyline() []int {
-	live := make([]vec.Point, 0, len(ix.points))
-	idx := make([]int, 0, len(ix.points))
-	for i, p := range ix.points {
-		if p != nil {
-			live = append(live, p)
-			idx = append(idx, i)
-		}
-	}
+	live, idx := ix.livePoints()
 	sky := dominance.Skyline(live)
 	out := make([]int, len(sky))
 	for i, s := range sky {

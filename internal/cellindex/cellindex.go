@@ -1,6 +1,6 @@
-// Package cellindex implements the epoch-cached materialized reverse-top-k
-// cell index (after Chester et al., "Indexing Reverse Top-k Queries"): a
-// per-(snapshot, k) grid over the weighting simplex whose cells carry
+// Package cellindex implements the materialized reverse-top-k cell index
+// (after Chester et al., "Indexing Reverse Top-k Queries"): a per-(band, k)
+// grid over the weighting simplex whose cells carry
 // precomputed candidate top-k supersets, so a bichromatic reverse top-k
 // evaluates each weighting vector against a tiny cell-local candidate list
 // instead of sweeping the whole k-skyband.
@@ -60,10 +60,16 @@
 // # Lifecycle
 //
 // A Cache owns the grids of one snapshot, mirroring skyband.Cache: grids
-// build lazily, once per (snapshot, k), shared by all readers via
-// sync.Once; invalidation is the copy-on-write epoch bump (clones and
-// in-place mutations swap in a fresh Cache over the fresh skyband cache).
-// Cumulative counters survive across epochs through the shared Counters.
+// build lazily, once per k, shared by all readers via sync.Once. A grid is
+// a pure function of its basis band (and k, and the dimensionality), so it
+// is valid exactly as long as that band is: Carry builds the next
+// snapshot's Cache over the next snapshot's skyband cache and keeps every
+// finished entry — grid or recorded decline — whose basis band was itself
+// carried there, pointer-identical. Whatever the skyband layer dropped
+// (see internal/skyband for the two lemmas) drops the grid with it, to be
+// rebuilt lazily over the rebuilt band; nothing is patched in place.
+// Cumulative counters survive across snapshots through the shared
+// Counters.
 package cellindex
 
 import (
@@ -115,7 +121,7 @@ func resolutionFor(d int) int {
 	}
 }
 
-// Grid is the materialized cell index of one (snapshot, k). Grids are
+// Grid is the materialized cell index of one (basis band, k). Grids are
 // immutable after construction and safe for concurrent use.
 type Grid struct {
 	k, dim, res int
@@ -462,6 +468,8 @@ type Counters struct {
 	hits      atomic.Int64
 	fallbacks atomic.Int64
 	lookups   atomic.Int64
+	carried   atomic.Int64
+	dropped   atomic.Int64
 }
 
 // NewCounters creates a zeroed counter set.
@@ -488,6 +496,11 @@ type CountersSnapshot struct {
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
 	Lookups   int64 `json:"lookups"`
+	// Carried and Dropped count (mutation, finished grid entry) pairs:
+	// entries a mutation handed to the next snapshot with their basis band,
+	// and entries it invalidated.
+	Carried int64 `json:"carried"`
+	Dropped int64 `json:"dropped"`
 }
 
 // Snapshot copies the counters.
@@ -500,6 +513,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		Hits:      c.hits.Load(),
 		Fallbacks: c.fallbacks.Load(),
 		Lookups:   c.lookups.Load(),
+		Carried:   c.carried.Load(),
+		Dropped:   c.dropped.Load(),
 	}
 }
 
@@ -522,6 +537,10 @@ type gridEntry struct {
 	// goroutine is still building without racing the once.Do write. It
 	// stays nil when the build declined (ineligible configuration).
 	grid atomic.Pointer[Grid]
+	// basis is the band the build ran over, stored once the build has
+	// finished (after grid), declined or not: it marks the entry finished
+	// and ties its validity to that band.
+	basis atomic.Pointer[skyband.Band]
 }
 
 // NewCache creates an empty cache whose grids build over sky's bands (so
@@ -535,9 +554,35 @@ func NewCache(sky *skyband.Cache, dim int, ct *Counters) *Cache {
 	return &Cache{sky: sky, dim: dim, ct: ct, ents: make(map[int]*gridEntry)}
 }
 
-// Counters returns the cumulative counter set, for propagation into the
-// cache of the next snapshot.
-func (c *Cache) Counters() *Counters { return c.ct }
+// Carry returns the cache of the next snapshot, building over sky (that
+// snapshot's skyband cache), with every finished entry of c whose basis
+// band sky holds pointer-identically; the rest — basis dropped or served
+// pass-through, build still in flight — is left behind and rebuilt lazily.
+// Entries are shared, not copied: a finished entry is immutable. mutation
+// selects whether the step counts toward Carried/Dropped (a clone is not
+// a mutation).
+func (c *Cache) Carry(sky *skyband.Cache, mutation bool) *Cache {
+	nc := NewCache(sky, c.dim, c.ct)
+	finished := 0
+	c.mu.Lock()
+	//wqrtq:unordered each entry is judged on its own; the carried set is order-free
+	for k, e := range c.ents {
+		b := e.basis.Load()
+		if b == nil {
+			continue
+		}
+		finished++
+		if sky.Peek(k) == b {
+			nc.ents[k] = e
+		}
+	}
+	c.mu.Unlock()
+	if mutation {
+		c.ct.carried.Add(int64(len(nc.ents)))
+		c.ct.dropped.Add(int64(finished - len(nc.ents)))
+	}
+	return nc
+}
 
 // Grid returns the cell index for parameter k, building it on first use,
 // or nil when the configuration is ineligible (dimensionality outside
@@ -567,10 +612,12 @@ func (c *Cache) Grid(k int) *Grid {
 		c.ct.hits.Add(1)
 	}
 	e.once.Do(func() {
-		if g := build(c.sky.Band(k), k, c.dim); g != nil {
+		b := c.sky.Band(k)
+		if g := build(b, k, c.dim); g != nil {
 			e.grid.Store(g)
 			c.ct.builds.Add(1)
 		}
+		e.basis.Store(b)
 	})
 	g := e.grid.Load()
 	if g == nil {

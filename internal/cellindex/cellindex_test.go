@@ -171,3 +171,55 @@ func TestCellIndexAllocsPerOp(t *testing.T) {
 		}
 	}
 }
+
+// TestCarryFollowsBasis pins the grid lifecycle: a finished entry — grid
+// or recorded decline — moves to the next snapshot's cache exactly when
+// that snapshot's skyband cache holds the entry's basis band,
+// pointer-identical; an entry still building is left behind uncounted.
+func TestCarryFollowsBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := testPoints(rng, 400, 3)
+	tree := rtree.Bulk(pts, nil)
+	sky := skyband.NewCache(tree, nil)
+	c := NewCache(sky, 3, nil)
+	g2, g5 := c.Grid(2), c.Grid(5)
+	if g2 == nil || g5 == nil {
+		t.Fatal("grids did not build")
+	}
+	// A recorded decline over the 7-band, and an entry still in flight.
+	declined := &gridEntry{}
+	declined.basis.Store(sky.Band(7))
+	c.ents[7] = declined
+	c.ents[9] = &gridEntry{}
+
+	// A clone keeps everything finished and counts nothing.
+	nc := c.Carry(sky.Rebind(tree.Clone()), false)
+	if nc.Grid(2) != g2 || nc.Grid(5) != g5 || nc.ents[7] != declined || nc.ents[9] != nil {
+		t.Fatal("rebind did not carry exactly the finished entries")
+	}
+	if s := c.ct.Snapshot(); s.Carried != 0 || s.Dropped != 0 || s.Builds != 2 {
+		t.Fatalf("clone counted as a mutation or rebuilt: %+v", s)
+	}
+
+	// Deleting a point of the 5-band that is not in the 2-band drops the
+	// 5- and 7-band, so their entries go; the 2-grid stays.
+	keep2, keep5 := sky.Band(2).Keep(2), sky.Band(5).Keep(5)
+	victim := int32(0)
+	for !keep5(victim) || keep2(victim) {
+		victim++
+	}
+	nsky := sky.AfterDelete(tree, victim)
+	if nsky.Peek(2) == nil || nsky.Peek(5) != nil || nsky.Peek(7) != nil {
+		t.Fatal("skyband carry did not split the bands as constructed")
+	}
+	nc = c.Carry(nsky, true)
+	if len(nc.ents) != 1 || nc.Grid(2) != g2 {
+		t.Fatalf("carry kept %d entries, want only the 2-grid", len(nc.ents))
+	}
+	if s := c.ct.Snapshot(); s.Carried != 1 || s.Dropped != 2 {
+		t.Fatalf("three finished entries counted carried=%d dropped=%d", s.Carried, s.Dropped)
+	}
+	if st := nc.Stats(); st.Grids != 1 {
+		t.Fatalf("stats after carry: %+v", st)
+	}
+}

@@ -25,7 +25,7 @@ type BandPoint struct {
 // k smallest scores of the dataset are always achieved within the k-skyband.
 // Every top-k result, every top k-th score, and every strict-beat count
 // below k is therefore answerable from the k-skyband alone — the candidate
-// set behind the epoch-cached sub-index in internal/skyband.
+// set behind the sub-index in internal/skyband.
 //
 // The computation is the classic sort-filter: points are ordered by
 // ascending coordinate sum (a dominating point always has a strictly

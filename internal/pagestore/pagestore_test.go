@@ -32,7 +32,7 @@ func buildTree(n, dim int, seed int64) (*rtree.Tree, []vec.Point) {
 	return tr, pts
 }
 
-func writeSnap(t *testing.T, fs storage.FS, name string, tr *rtree.Tree, pts []vec.Point, lsn uint64) {
+func writeSnap(t testing.TB, fs storage.FS, name string, tr *rtree.Tree, pts []vec.Point, lsn uint64) {
 	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {

@@ -194,3 +194,94 @@ func TestCloneOfBulkLoadedTree(t *testing.T) {
 		t.Fatalf("snapshot reachable points = %d, want 1000", len(ids))
 	}
 }
+
+// ownedNodes counts the nodes reachable from t's root that t's epoch owns:
+// the nodes copied or created since t's last Clone.
+func ownedNodes(t *Tree) int {
+	var walk func(n *Node) int
+	walk = func(n *Node) int {
+		c := 0
+		if n.epoch == t.epoch {
+			c = 1
+		}
+		if !n.leaf {
+			for i := range n.entries {
+				c += walk(n.entries[i].child)
+			}
+		}
+		return c
+	}
+	return walk(t.root)
+}
+
+// TestCloneDeleteCopiesOnlyThePath pins Delete's copy-on-write footprint:
+// the search for the entry backtracks through overlapping subtrees, but
+// only the path that leads to it may be copied. A deletion that leaves its
+// leaf above the minimum fill (no condensation, no reinsertion) therefore
+// owns at most Height() nodes, and the parent is untouched either way.
+func TestCloneDeleteCopiesOnlyThePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pts := randPoints(rng, 3000, 3)
+	// One-by-one insertion into small pages: a tall tree with overlapping
+	// sibling rectangles, so most searches meet dead ends.
+	tr := New(3, Options{PageSize: 512})
+	for i, p := range pts {
+		tr.Insert(p, int32(i))
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: tree too shallow to exercise backtracking", tr.Height())
+	}
+	ref := tr.Clone()
+	leafOf := map[int32]*Node{}
+	var index func(n *Node)
+	index = func(n *Node) {
+		for i := range n.entries {
+			if n.leaf {
+				leafOf[n.entries[i].id] = n
+			} else {
+				index(n.entries[i].child)
+			}
+		}
+	}
+	index(tr.root)
+	checked := 0
+	for id := int32(0); id < int32(len(pts)); id += 7 {
+		condenses := len(leafOf[id].entries) <= tr.minFill
+		c := tr.Clone()
+		if !c.Delete(pts[id], id) {
+			t.Fatalf("id %d not found", id)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("clone after deleting %d: %v", id, err)
+		}
+		if c.Len() != len(pts)-1 {
+			t.Fatalf("clone Len = %d after one delete of %d", c.Len(), len(pts))
+		}
+		if !condenses {
+			checked++
+			if got, h := ownedNodes(c), c.Height(); got > h {
+				t.Fatalf("deleting id %d copied %d nodes, tree height %d", id, got, h)
+			}
+		}
+		if c.Delete(pts[id], id) {
+			t.Fatalf("id %d deleted twice", id)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no deletion avoided condensation; the bound was never checked")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("parent: %v", err)
+	}
+	equalContents(t, tr, ref)
+	for id := int32(0); id < int32(len(pts)); id += 97 {
+		got := tr.Search(PointRect(pts[id]), nil)
+		found := false
+		for _, g := range got {
+			found = found || g == id
+		}
+		if !found {
+			t.Fatalf("parent lost id %d", id)
+		}
+	}
+}

@@ -357,10 +357,20 @@ func nodeRect(n *Node) Rect {
 // Delete removes one entry matching (p, id). It reports whether an entry was
 // found. Underfull nodes are dissolved and their points reinserted.
 func (t *Tree) Delete(p vec.Point, id int32) bool {
-	t.root = t.own(t.root)
-	leaf, path := t.findLeaf(t.root, nil, p, id)
-	if leaf == nil {
+	steps, ok := findLeaf(t.root, nil, p, id)
+	if !ok {
 		return false
+	}
+	// Own (copy on write) exactly the nodes the removal and condensation
+	// mutate: the root-to-leaf path just located.
+	t.root = t.own(t.root)
+	leaf := t.root
+	path := make([]*Node, 0, len(steps))
+	for _, i := range steps {
+		path = append(path, leaf)
+		child := t.own(leaf.entries[i].child)
+		leaf.entries[i].child = child
+		leaf = child
 	}
 	for i := range leaf.entries {
 		if leaf.entries[i].id == id && vec.Equal(vec.Point(leaf.entries[i].rect.Min), p) {
@@ -390,30 +400,29 @@ func (t *Tree) Delete(p vec.Point, id int32) bool {
 	return true
 }
 
-// findLeaf locates the leaf containing (p, id) and the ancestor path. The
-// caller must pass an owned node; every descended child is owned in turn so
-// the subsequent removal and condensation only touch nodes of this epoch
-// (dead-end branches may be copied needlessly, which is harmless).
-func (t *Tree) findLeaf(n *Node, path []*Node, p vec.Point, id int32) (*Node, []*Node) {
+// findLeaf locates the leaf containing (p, id) without touching the tree:
+// it returns the entry index taken at each internal level, root first.
+// Several subtrees may contain p, so the search backtracks out of dead
+// ends; keeping it read-only is what lets Delete copy only the one path
+// that leads to the entry, not every branch the search looked into.
+func findLeaf(n *Node, steps []int, p vec.Point, id int32) ([]int, bool) {
 	if n.leaf {
 		for i := range n.entries {
 			if n.entries[i].id == id && vec.Equal(vec.Point(n.entries[i].rect.Min), p) {
-				return n, path
+				return steps, true
 			}
 		}
-		return nil, nil
+		return nil, false
 	}
 	for i := range n.entries {
 		if !n.entries[i].rect.ContainsPoint(p) {
 			continue
 		}
-		child := t.own(n.entries[i].child)
-		n.entries[i].child = child
-		if leaf, lp := t.findLeaf(child, append(path, n), p, id); leaf != nil {
-			return leaf, lp
+		if found, ok := findLeaf(n.entries[i].child, append(steps, i), p, id); ok {
+			return found, true
 		}
 	}
-	return nil, nil
+	return nil, false
 }
 
 // condense removes underfull nodes bottom-up, collecting their points for

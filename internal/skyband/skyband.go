@@ -1,5 +1,5 @@
-// Package skyband implements the epoch-cached k-skyband sub-index that
-// accelerates every reverse-top-k-shaped evaluation.
+// Package skyband implements the k-skyband sub-index that accelerates
+// every reverse-top-k-shaped evaluation.
 //
 // Only points dominated by fewer than k others (the k-skyband,
 // dominance.KSkyband) can ever appear in a top-k result under a monotone
@@ -12,12 +12,33 @@
 // shrinks, and the shrinkage provably never removes an answer).
 //
 // A Cache owns the bands of one snapshot. Bands are computed lazily, once
-// per (snapshot, k), and shared by all readers of that snapshot; they are
-// never mutated. Invalidation is the copy-on-write epoch bump: cloning an
-// index creates a fresh empty Cache for the clone (and in-place mutation
-// resets the mutated side's Cache), so a stale band is unreachable by
-// construction. Cumulative counters survive across epochs through the
-// shared Counters, which the serving engine surfaces in EngineStats.
+// per k, and shared by all readers; they are never mutated. Every snapshot
+// has its own Cache bound to its own tree, but a band outlives the
+// snapshot it was computed on for as long as it stays the k-skyband:
+// invalidation is a membership test, not the epoch bump. Rebind (clone),
+// AfterInsert and AfterDelete (one mutation) build the next snapshot's
+// Cache and hand it, pointer-identical, every finished band the step
+// provably leaves unchanged:
+//
+//   - inserting p leaves the k-band unchanged iff at least k of its members
+//     dominate p. A point with >= k dominators has >= k of them inside the
+//     k-skyband (dominance.KSkyband's sort-filter argument), so the test
+//     sees them; such a p is no member, and it dominates no member either
+//     (its k dominators would dominate that member too), so the members'
+//     exact counts — and Keep(bound) for every bound <= k — stay exact.
+//   - deleting id leaves the k-band unchanged iff id is no member. Every
+//     dominator of a member is a member, so a non-member dominates no
+//     member, and each non-member it dominated keeps >= k dominators (it
+//     inherits all of the deleted point's).
+//
+// Anything else — p joins the band, a member is deleted, the dataset
+// shrinks to where k is served pass-through, a build still in flight — is
+// dropped and recomputed lazily by the next reader; there is deliberately
+// no incremental patch path, and a mutation never waits for a build. A
+// stale band is unreachable by construction: the only way into a Cache is
+// through those three functions. Cumulative counters survive across
+// snapshots through the shared Counters, which the serving engine
+// surfaces in EngineStats.
 package skyband
 
 import (
@@ -56,6 +77,8 @@ type Counters struct {
 	builds    atomic.Int64
 	hits      atomic.Int64
 	fallbacks atomic.Int64
+	carried   atomic.Int64
+	dropped   atomic.Int64
 }
 
 // NewCounters creates a zeroed counter set.
@@ -74,6 +97,11 @@ type CountersSnapshot struct {
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
+	// Carried and Dropped count (mutation, materialized band) pairs: bands
+	// a mutation handed to the next snapshot unchanged, and bands it
+	// invalidated.
+	Carried int64 `json:"carried"`
+	Dropped int64 `json:"dropped"`
 }
 
 // Snapshot copies the counters.
@@ -85,6 +113,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		Builds:    c.builds.Load(),
 		Hits:      c.hits.Load(),
 		Fallbacks: c.fallbacks.Load(),
+		Carried:   c.carried.Load(),
+		Dropped:   c.dropped.Load(),
 	}
 }
 
@@ -174,6 +204,39 @@ func (b *Band) Keep(bound int) func(id int32) bool {
 	}
 }
 
+// member reports whether record id belongs to the band. Ids allocated
+// after the band was computed lie beyond counts and are no members.
+func (b *Band) member(id int32) bool {
+	return id >= 0 && int(id) < len(b.counts) && b.counts[id] >= 0
+}
+
+// excludes reports whether at least K() band members dominate p, under the
+// predicate dominance.KSkyband counts with: p is then outside the band and
+// dominates none of its members. Only subtrees whose lower corner is <= p can hold a
+// dominator, and the walk stops at the k-th.
+func (b *Band) excludes(p vec.Point) bool {
+	k, found := b.k, 0
+	b.tree.Visit(
+		func(r rtree.Rect, _ *rtree.Node) bool {
+			if found >= k {
+				return false
+			}
+			for j, lo := range r.Min {
+				if lo > p[j] {
+					return false
+				}
+			}
+			return true
+		},
+		func(_ int32, m vec.Point) {
+			if found < k && vec.Dominates(m, p) {
+				found++
+			}
+		},
+	)
+	return found >= k
+}
+
 // Cache lazily computes and retains the bands of one snapshot. It is safe
 // for concurrent use; concurrent requests for the same k share one
 // computation.
@@ -205,9 +268,74 @@ func NewCache(t *rtree.Tree, ct *Counters) *Cache {
 	return &Cache{tree: t, ct: ct, ents: make(map[int]*cacheEntry)}
 }
 
-// Counters returns the cumulative counter set, for propagation into the
-// cache of the next snapshot.
+// Counters returns the cumulative counter set of the clone family.
 func (c *Cache) Counters() *Counters { return c.ct }
+
+// Rebind returns a cache over t, a clone of c's tree holding the same
+// points, that starts with every finished band of c. The clone must not
+// share c itself: lazy builds read the cache's tree, and the parent may
+// later mutate its tree in place.
+func (c *Cache) Rebind(t *rtree.Tree) *Cache {
+	return c.next(t, false, func(*Band) bool { return true })
+}
+
+// AfterInsert returns the cache of snapshot t — c's snapshot plus the
+// point p — carrying every finished band that at least k members dominate
+// p in (see the package comment); the others are dropped.
+func (c *Cache) AfterInsert(t *rtree.Tree, p vec.Point) *Cache {
+	return c.next(t, true, func(b *Band) bool { return b.excludes(p) })
+}
+
+// AfterDelete returns the cache of snapshot t — c's snapshot minus record
+// id — carrying every finished band id is no member of.
+func (c *Cache) AfterDelete(t *rtree.Tree, id int32) *Cache {
+	return c.next(t, true, func(b *Band) bool { return !b.member(id) })
+}
+
+// next builds the cache of snapshot t from the finished entries of c that
+// pass unchanged. Entries are shared, not copied: a finished entry is
+// immutable. A k the new snapshot would serve pass-through is dropped, so
+// the cache holds exactly what it serves; entries still building are left
+// behind uncounted — a mutation never waits for a build. mutation selects
+// whether the step counts toward Carried/Dropped (a clone is not a
+// mutation).
+func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *Cache {
+	nc := NewCache(t, c.ct)
+	n := t.Len()
+	finished := 0
+	c.mu.Lock()
+	//wqrtq:unordered each entry is judged on its own; the carried set is order-free
+	for k, e := range c.ents {
+		b := e.band.Load()
+		if b == nil {
+			continue
+		}
+		finished++
+		if fullBandFactor*k < n && unchanged(b) {
+			nc.ents[k] = e
+		}
+	}
+	c.mu.Unlock()
+	if mutation {
+		c.ct.carried.Add(int64(len(nc.ents)))
+		c.ct.dropped.Add(int64(finished - len(nc.ents)))
+	}
+	return nc
+}
+
+// Peek returns the materialized band for parameter k, or nil when there is
+// none (never requested, still building, served pass-through). It builds
+// nothing and counts nothing; the cell index uses it to decide which grids
+// follow their basis band into the next snapshot.
+func (c *Cache) Peek(k int) *Band {
+	c.mu.Lock()
+	e := c.ents[k]
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	return e.band.Load()
+}
 
 // Band returns the band for parameter k, computing it on first use. k
 // values that cannot prune (fullBandFactor*k >= n) and requests beyond the
@@ -218,7 +346,7 @@ func (c *Cache) Counters() *Counters { return c.ct }
 // for every reader of the snapshot (like the engine's result cache), so
 // one request's cancellation must not abort or poison the build its
 // co-readers are waiting on. The work is bounded — one tree walk plus the
-// sort-filter — and paid once per (snapshot, k).
+// sort-filter — and paid once per k until a mutation changes that band.
 func (c *Cache) Band(k int) *Band {
 	if k < 1 {
 		k = 1

@@ -215,3 +215,92 @@ func TestBandKeep(t *testing.T) {
 		t.Fatalf("Keep must reject out-of-range ids")
 	}
 }
+
+// TestCarryRules checks the two invalidation lemmas at the cache level
+// against exact dominance counts, and the lifecycle edges around them: a
+// build still in flight is left behind uncounted, a rebind (clone) carries
+// everything and counts nothing, and Peek never builds.
+func TestCarryRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pts := randPoints(700, 3, rng)
+	tr := rtree.Bulk(pts, nil)
+	ks := []int{1, 4, 9, 20}
+	dominators := func(p vec.Point) int {
+		c := 0
+		for _, o := range pts {
+			if o != nil && vec.Dominates(o, p) {
+				c++
+			}
+		}
+		return c
+	}
+	c := NewCache(tr, nil)
+	if c.Peek(4) != nil || c.Stats().Bands != 0 {
+		t.Fatal("Peek built a band")
+	}
+	for _, k := range ks {
+		c.Band(k)
+	}
+	// An entry whose build has not finished: present in the map, no band.
+	c.ents[50] = &cacheEntry{}
+
+	if nc := c.Rebind(tr.Clone()); nc == c || nc.Peek(50) != nil || nc.Stats().Bands != len(ks) {
+		t.Fatalf("rebind carried %d bands, want the %d finished ones in a cache of its own", nc.Stats().Bands, len(ks))
+	}
+	if s := c.Counters().Snapshot(); s.Carried != 0 || s.Dropped != 0 {
+		t.Fatalf("rebind counted as a mutation: %+v", s)
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		// Inserts: random points, and copies of band members (duplicates
+		// do not dominate each other, so the copy has the member's count).
+		p := randPoints(1, 3, rng)[0]
+		if trial%4 == 0 {
+			p = append(vec.Point(nil), pts[rng.Intn(len(pts))]...)
+		}
+		dom := dominators(p)
+		before := c.Counters().Snapshot()
+		nc := c.AfterInsert(tr, p) // t is only bound, not read, by the carry
+		carried := 0
+		for _, k := range ks {
+			want := dom >= k
+			if got := nc.Peek(k) != nil; got != want {
+				t.Fatalf("insert with %d dominators: band k=%d carried=%t, want %t", dom, k, got, want)
+			}
+			if want {
+				carried++
+				if nc.Peek(k) != c.Peek(k) {
+					t.Fatalf("band k=%d was copied, not carried", k)
+				}
+			}
+		}
+		after := c.Counters().Snapshot()
+		if after.Carried-before.Carried != int64(carried) || after.Dropped-before.Dropped != int64(len(ks)-carried) {
+			t.Fatalf("insert over %d finished bands counted carried=%d dropped=%d",
+				len(ks), after.Carried-before.Carried, after.Dropped-before.Dropped)
+		}
+		if nc.Peek(50) != nil {
+			t.Fatal("in-flight entry was carried")
+		}
+
+		// Deletes, ids beyond the count tables included.
+		id := int32(rng.Intn(len(pts) + 5))
+		dom = 1 << 30 // an id the bands never saw is in none of them
+		if int(id) < len(pts) {
+			dom = dominators(pts[id])
+		}
+		nc = c.AfterDelete(tr, id)
+		for _, k := range ks {
+			if got, want := nc.Peek(k) != nil, dom >= k; got != want {
+				t.Fatalf("delete of id %d with %d dominators: band k=%d carried=%t, want %t", id, dom, k, got, want)
+			}
+		}
+	}
+
+	// A snapshot too small for k to prune holds no band for it.
+	small := rtree.Bulk(pts[:fullBandFactor*9], nil)
+	nc := c.AfterDelete(small, int32(len(pts)+1))
+	if nc.Peek(9) != nil || nc.Peek(20) != nil || nc.Peek(4) == nil {
+		t.Fatal("pass-through threshold not applied to the carried set")
+	}
+}

@@ -26,7 +26,7 @@ func collect(t *testing.T, fs storage.FS, name string, base uint64) ([]rec, Repl
 	return got, res, err
 }
 
-func writeSegment(t *testing.T, fs storage.FS, dir string, base uint64, policy Policy, n int) string {
+func writeSegment(t testing.TB, fs storage.FS, dir string, base uint64, policy Policy, n int) string {
 	t.Helper()
 	if err := fs.MkdirAll(dir); err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ type EngineConfig struct {
 	// CacheSize is the capacity of the (epoch, query)-keyed LRU result
 	// cache. 0 uses 4096; negative disables caching.
 	CacheSize int
-	// DisableSkyband turns off the epoch-cached k-skyband sub-index (the
+	// DisableSkyband turns off the k-skyband sub-index (the
 	// -skyband=off ablation): ReverseTopK, Rank, WhyNot and the refinement
 	// endpoints then run the full-tree execution paths. Results are
 	// identical either way; the sub-index only shrinks the candidate set

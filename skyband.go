@@ -3,8 +3,8 @@ package wqrtq
 // The k-skyband sub-index (internal/skyband) bound to the Index: every
 // reverse-top-k-shaped evaluation — the RTA loop behind ReverseTopK and
 // WhyNot, rank counting, MQP's top k-th searches, and the MWK/MQWK sampling
-// loops — runs against a lazily computed, epoch-cached k-skyband candidate
-// set instead of the full dataset. Only points dominated by fewer than k
+// loops — runs against a lazily computed k-skyband candidate set, cached
+// for as long as mutations leave it unchanged, instead of the full dataset. Only points dominated by fewer than k
 // others can appear in any top-k result, so results are bit-identical to
 // the full-tree paths (the differential suite in skyband_test.go proves it
 // end to end); the candidate set is typically orders of magnitude smaller
@@ -32,22 +32,6 @@ func (ix *Index) SetSkyband(enabled bool) {
 
 // SkybandEnabled reports whether the k-skyband sub-index is active.
 func (ix *Index) SkybandEnabled() bool { return !ix.skyOff }
-
-// skyCounters returns the cumulative skyband counters of the clone family.
-func (ix *Index) skyCounters() *skyband.Counters {
-	if ix.sky == nil {
-		return nil
-	}
-	return ix.sky.Counters()
-}
-
-// resetSkyband swaps in a fresh cache after an in-place mutation, so the
-// next banded query recomputes against the current point set. (Engine
-// traffic never hits this path for invalidation — every mutation publishes
-// a Clone, which starts with an empty cache.)
-func (ix *Index) resetSkyband() {
-	ix.sky = skyband.NewCache(ix.tree, ix.skyCounters())
-}
 
 // band returns the k-skyband of the current snapshot, or nil when the
 // sub-index is disabled.
@@ -122,8 +106,8 @@ func (ix *Index) refineSource(q []float64, k int) *core.Source {
 type SkybandStats struct {
 	// Enabled reports whether queries route through the sub-index.
 	Enabled bool `json:"enabled"`
-	// Bands and Points describe the bands materialized for the current
-	// snapshot.
+	// Bands and Points describe the bands the current snapshot holds,
+	// whether it computed them or a mutation carried them over.
 	Bands  int `json:"bands"`
 	Points int `json:"points"`
 	// Builds and Hits count band computations and band-cache hits over the
@@ -133,6 +117,12 @@ type SkybandStats struct {
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
+	// Carried and Dropped count, per mutation and materialized band, the
+	// bands the mutation provably left unchanged and handed to the next
+	// snapshot, and the ones it invalidated (each costs one later build):
+	// a slow first read after a write shows up as a Dropped tick.
+	Carried int64 `json:"carried"`
+	Dropped int64 `json:"dropped"`
 }
 
 // SkybandStats reports the sub-index's cache contents and cumulative
@@ -146,6 +136,7 @@ func (ix *Index) SkybandStats() SkybandStats {
 	s.Bands, s.Points = cs.Bands, cs.Points
 	ct := ix.sky.Counters().Snapshot()
 	s.Builds, s.Hits, s.Fallbacks = ct.Builds, ct.Hits, ct.Fallbacks
+	s.Carried, s.Dropped = ct.Carried, ct.Dropped
 	return s
 }
 

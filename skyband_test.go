@@ -6,7 +6,7 @@ package wqrtq
 // via RTA, same ranks, same reverse top-k index sets, same explanations,
 // and the same why-not penalties down to the last bit (which exercises the
 // lazy sampler's stream identity and the hybrid rank counting) — across
-// UN/CO/AC workloads and mutation streams that invalidate the epoch cache.
+// UN/CO/AC workloads and mutation streams that invalidate cached bands.
 
 import (
 	"math/rand"
@@ -15,6 +15,7 @@ import (
 
 	"wqrtq/internal/dataset"
 	"wqrtq/internal/sample"
+	"wqrtq/internal/skyband"
 )
 
 // diffShapes are the paper's dataset distributions the differential suites
@@ -278,9 +279,10 @@ func TestSkybandMutationInvalidation(t *testing.T) {
 
 // TestSkybandEngineStats exercises the engine integration: the sub-index
 // state and the per-endpoint RTA totals must surface in EngineStats, the
-// response stats must carry the candidate-set size, clones must keep the
-// cumulative counters, and the DisableSkyband ablation must answer
-// identically.
+// response stats must carry the candidate-set size, mutations must carry
+// the bands they leave unchanged (and drop exactly the ones they do not)
+// with the cumulative counters telling which, and the DisableSkyband
+// ablation must answer identically.
 func TestSkybandEngineStats(t *testing.T) {
 	eOn, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1})
 	eOff, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1, DisableSkyband: true})
@@ -332,23 +334,62 @@ func TestSkybandEngineStats(t *testing.T) {
 		t.Fatalf("candidate points %d, want %d", st.RTA["rtopk"].CandidatePoints, respOn.RTA.CandidateSetSize)
 	}
 
-	// A mutation publishes a fresh snapshot: its cache starts empty while
-	// the cumulative counters carry over.
-	builds := st.Skyband.Builds
-	if _, _, err := eOn.Insert([]float64{0.9, 0.9, 0.9}); err != nil {
+	// A mutation publishes a fresh snapshot that keeps every band the
+	// mutation leaves unchanged: inserting and then deleting a point nearly
+	// everything dominates costs no build at all.
+	builds, bands := st.Skyband.Builds, st.Skyband.Bands
+	id, _, err := eOn.Insert([]float64{0.99, 0.99, 0.99})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := eOn.Stats()
-	if st2.Skyband.Bands != 0 {
-		t.Fatalf("fresh snapshot should hold no bands, got %d", st2.Skyband.Bands)
+	if ok, _, err := eOn.Delete(id); !ok || err != nil {
+		t.Fatalf("delete: %t, %v", ok, err)
 	}
-	if st2.Skyband.Builds != builds {
-		t.Fatalf("cumulative builds changed on snapshot swap: %d vs %d", st2.Skyband.Builds, builds)
+	st2 := eOn.Stats().Skyband
+	if st2.Bands != bands || st2.Builds != builds {
+		t.Fatalf("non-member insert+delete: bands %d → %d, builds %d → %d", bands, st2.Bands, builds, st2.Builds)
+	}
+	if st2.Carried != int64(2*bands) || st2.Dropped != 0 {
+		t.Fatalf("two mutations over %d bands: carried=%d dropped=%d", bands, st2.Carried, st2.Dropped)
 	}
 	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eOn.Stats().Skyband; got.Builds <= builds || got.Bands < 1 {
-		t.Fatalf("new snapshot did not rebuild its band: %+v", got)
+	if got := eOn.Stats().Skyband; got.Builds != builds || got.Bands != bands {
+		t.Fatalf("query after carried mutations rebuilt its band: %+v", got)
+	}
+
+	// Deleting a member of exactly one band drops exactly that band: take
+	// a point the rank band (k=32) holds with more than 16 dominators, out
+	// of reach of the query's 4-band.
+	snap := eOn.Snapshot()
+	rank := snap.band(skyband.DefaultRankBand)
+	keep17, keep32 := rank.Keep(17), rank.Keep(skyband.DefaultRankBand)
+	victim := -1
+	for id := 0; id < snap.NumIDs(); id++ {
+		if snap.Point(id) != nil && !keep17(int32(id)) && keep32(int32(id)) {
+			victim = id
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no point with 17..31 dominators")
+	}
+	st3 := eOn.Stats().Skyband
+	if ok, _, err := eOn.Delete(victim); !ok || err != nil {
+		t.Fatalf("delete: %t, %v", ok, err)
+	}
+	st4 := eOn.Stats().Skyband
+	if st4.Bands != st3.Bands-1 || st4.Dropped != st3.Dropped+1 || st4.Carried != st3.Carried+int64(st3.Bands-1) {
+		t.Fatalf("member delete: before %+v after %+v", st3, st4)
+	}
+	if eOn.Snapshot().sky.Peek(4) == nil || eOn.Snapshot().sky.Peek(skyband.DefaultRankBand) != nil {
+		t.Fatal("member delete dropped the wrong band")
+	}
+	if _, err := eOn.RankCtx(t.Context(), RankRequest{W: W[0], Q: q}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eOn.Stats().Skyband; got.Builds != st4.Builds+1 || got.Bands != st3.Bands {
+		t.Fatalf("dropped band was not rebuilt lazily: %+v", got)
 	}
 }

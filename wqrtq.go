@@ -50,6 +50,7 @@ import (
 	"math/rand"
 
 	"wqrtq/internal/cellindex"
+	"wqrtq/internal/idtable"
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtopk"
 	"wqrtq/internal/rtree"
@@ -85,13 +86,16 @@ var errPositiveK = fmt.Errorf("%w: k must be positive", ErrInvalidArgument)
 // Index is an immutable dataset indexed for reverse top-k and why-not
 // processing.
 type Index struct {
-	tree   *rtree.Tree
-	points []vec.Point
-	shared bool // points backing array is shared with a Clone
+	tree *rtree.Tree
+	// ids is the id → point table (nil for deleted ids), paged and
+	// copy-on-write like the tree: a clone shares its pages and a mutation
+	// copies the one it writes.
+	ids *idtable.Table
 	// sky is the snapshot's k-skyband sub-index cache (skyband.go): bands
-	// are computed lazily per (snapshot, k) and shared by all readers;
-	// clones and mutations swap in a fresh cache, so stale bands are
-	// unreachable. skyOff is the -skyband=off ablation switch.
+	// are computed lazily per k and shared by all readers. Clone, Insert
+	// and Delete give the next snapshot a cache of its own that carries
+	// every band the step provably leaves unchanged (dynamic.go), so stale
+	// bands are unreachable. skyOff is the -skyband=off ablation switch.
 	sky    *skyband.Cache
 	skyOff bool
 	// kct carries the blocked scoring kernel's cumulative counters, shared
@@ -100,8 +104,8 @@ type Index struct {
 	kct       *kernel.Counters
 	kernelOff bool
 	// cells is the snapshot's materialized reverse-top-k cell-index cache
-	// (cellindex.go): grids build lazily per (snapshot, k) over the skyband
-	// bands; clones and mutations swap in a fresh cache. cct carries the
+	// (cellindex.go): grids build lazily per k over the skyband bands and
+	// follow their basis band from snapshot to snapshot. cct carries the
 	// clone family's cumulative counters; cellOff is the -cellindex=off
 	// ablation switch.
 	cells   *cellindex.Cache
@@ -127,10 +131,18 @@ func NewIndex(points [][]float64) (*Index, error) {
 		}
 		ps[i] = p
 	}
-	tree := rtree.Bulk(ps, nil)
-	ix := &Index{tree: tree, points: ps, sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), cct: cellindex.NewCounters()}
-	ix.cells = cellindex.NewCache(ix.sky, d, ix.cct)
-	return ix, nil
+	return newIndexFromParts(rtree.Bulk(ps, nil), ps), nil
+}
+
+// newIndexFromParts wires a tree and the id-indexed points it holds
+// (points[id] nil for deleted ids) into an Index with fresh sub-index
+// caches and counters: NewIndex's tail, and recovery's whole constructor
+// (its parts come from verified durable state, so it skips validation and
+// bulk load).
+func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
+	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), cct: cellindex.NewCounters()}
+	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
+	return ix
 }
 
 // Len returns the number of indexed points.
@@ -204,7 +216,8 @@ func (ix *Index) ReverseTopKMono2D(q []float64, k int) ([]Interval, error) {
 	if k <= 0 {
 		return nil, errPositiveK
 	}
-	ivs := rtopk.Monochromatic2D(ix.points, q, k)
+	live, _ := ix.livePoints()
+	ivs := rtopk.Monochromatic2D(live, q, k)
 	out := make([]Interval, len(ivs))
 	for i, iv := range ivs {
 		out[i] = Interval{Lo: iv.Lo, Hi: iv.Hi}
