@@ -560,16 +560,68 @@ func TestServeCarryStats(t *testing.T) {
 		}
 	}
 	rtopk()
-	want("first read builds the 2-band and its grid", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0}
+	want("first read builds the 2-band and its grid", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":0,"fallbacks":0,"lookups":2,"carried":0,"dropped":0}`)
 	post(t, h, "/v1/insert", `{"point":[9,9]}`)
 	rtopk()
-	want("dominated insert is carried", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0}
+	want("dominated insert is carried", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":0}`)
 	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
-	want("member delete drops band and grid", `{"enabled":true,"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1}
+	want("member delete drops band and grid", `{"enabled":true,"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"enabled":true,"grids":0,"cells":0,"candidates":0,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":1}`)
 	rtopk()
-	want("next read rebuilds both", `{"enabled":true,"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1}
+	want("next read rebuilds both", `{"enabled":true,"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"enabled":true,"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
+}
+
+// TestServeRefineRouteStats pins what /v1/stats says about the route a
+// why-not's refinement samples were ranked by: one call-fixed universe per
+// request, every sample loop (MWK at q, MQWK at q and at each of the |Q|
+// sample points) sweeping it, none falling to a scalar scan, and — on a
+// dataset this small — the band trim refused for the dataset's size, with
+// the reason counted in the skyband section.
+func TestServeRefineRouteStats(t *testing.T) {
+	pts := make([][]float64, 0, 400)
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 20; j++ {
+			pts = append(pts, []float64{float64(1 + i), float64(1 + j)})
+		}
+	}
+	ix, err := wqrtq.NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	h := newServeHandler(e, 0)
+	if rec := post(t, h, "/v1/whynot", `{"q":[4.5,4.5],"k":3,"weights":[[0.25,0.75]],"samples":6,"seed":3}`); rec.Code != http.StatusOK {
+		t.Fatalf("whynot: %d %s", rec.Code, rec.Body.String())
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var st struct {
+		Kernel struct {
+			Refine json.RawMessage `json:"refine"`
+		} `json:"kernel"`
+		Skyband struct {
+			Declines           int64 `json:"declines"`
+			TrimRefusedK       int64 `json:"trim_refused_k"`
+			TrimRefusedDataset int64 `json:"trim_refused_dataset"`
+			TrimRefusedBand    int64 `json:"trim_refused_band"`
+		} `json:"skyband"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats not JSON: %v", err)
+	}
+	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":8,"evals_scalar":0,"samples_drawn":48,"samples_kept":17}`
+	if got := string(st.Kernel.Refine); got != golden {
+		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
+	}
+	if sb := st.Skyband; sb.TrimRefusedDataset != 1 || sb.TrimRefusedK != 0 || sb.TrimRefusedBand != 0 || sb.Declines != 0 {
+		t.Fatalf("skyband refusal counters: %+v", sb)
+	}
 }

@@ -104,14 +104,22 @@ func TestEngineWhyNotCtxAlreadyCanceledCountsInStats(t *testing.T) {
 // asserts the abort lands well under the full runtime — i.e. within a few
 // check intervals of the MQWK sampling loops, not at their natural end.
 //
-// The workload is sized so the full pipeline takes hundreds of
-// milliseconds even with the skyband sub-index on: cancellation detection
+// The workload is sized — by its sample counts, |S| = |Q| = 600, since the
+// per-sample cost no longer grows with the dataset — so the full pipeline
+// takes hundreds of milliseconds on a warm index: cancellation detection
 // rides on goroutine scheduling (a deadline context's Err flips only after
 // the timer goroutine runs), which on a saturated single-CPU machine has a
 // floor of tens of milliseconds — the elapsed < full/2 assertion needs the
-// full runtime to dominate that floor, not the polling intervals.
+// full runtime to dominate that floor, not the polling intervals. One
+// untimed call first builds the lazy bands, which are per-index work the
+// deadline run would not repeat: timing a cold run against a warm one
+// would measure the bands, not the abort.
 func TestWhyNotDeadlineMidRefinement(t *testing.T) {
 	ix, req := testWorkload(t, 40000)
+	req.Opts.SampleSize = 600
+	if _, err := ix.WhyNotCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
 
 	start := time.Now()
 	if _, err := ix.WhyNotCtx(context.Background(), req); err != nil {

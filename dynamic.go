@@ -72,6 +72,7 @@ func (ix *Index) Clone() *Index {
 		ids:       ix.ids.Clone(),
 		skyOff:    ix.skyOff,
 		kct:       ix.kct,
+		rct:       ix.rct,
 		kernelOff: ix.kernelOff,
 		cct:       ix.cct,
 		cellOff:   ix.cellOff,

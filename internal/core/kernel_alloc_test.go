@@ -15,32 +15,27 @@ import (
 // kernelSource builds a Source with the blocked kernel enabled, mirroring
 // the hooks the Index wires up (band trimming omitted — the allocation
 // guards target the universe paths).
-func kernelSource(t *testing.T) *Source {
-	t.Helper()
-	return &Source{
-		Kernel: kernel.NewCounters(),
-		CountBeaters: func(ctx context.Context, w vec.Weight, fq float64) (int, error) {
-			t.Fatal("small universes must not reach the tree count")
-			return 0, nil
-		},
-	}
+func kernelSource() *Source {
+	return &Source{Kernel: kernel.NewCounters(), Routes: new(RouteCounters)}
 }
 
 // TestSampleLoopAllocsPerOp extends the TestTopKAllocsPerOp-style guards to
 // the sampling loops: with a warm pooled scratch, the blocked rank
 // evaluations — rankBlock over the universe image and the capped
-// sampleRankBlock — must not allocate at all, and one full mwkFromSets
-// sampling call must stay within a small budget dominated by its result
-// and the per-draw sample weights (a regression here silently multiplies
-// the cost of every refinement request).
+// sampleRankBlock — must not allocate at all, classifying a sample query
+// point and drawing its ranked samples must not either (drawn weights live
+// in the block arena, kept ones in the kept arena), and one whole search
+// stays within a budget that does not grow with the sample count (a
+// regression here silently multiplies the cost of every refinement
+// request).
 func TestSampleLoopAllocsPerOp(t *testing.T) {
 	ds := dataset.Independent(2000, 3, 5)
 	tr := ds.Tree()
-	src := kernelSource(t)
+	src := kernelSource()
 	q := vec.Point{0.05, 0.06, 0.05}
-	sets := dominance.FindIncom(tr, q)
-	if len(sets.I) < 100 {
-		t.Fatalf("universe too small for a meaningful guard: |I|=%d", len(sets.I))
+	cands, _ := dominance.Candidates(tr, q)
+	if len(cands) < 100 {
+		t.Fatalf("universe too small for a meaningful guard: %d candidates", len(cands))
 	}
 	rng := rand.New(rand.NewSource(9))
 	wm := make([]vec.Weight, 8)
@@ -51,13 +46,15 @@ func TestSampleLoopAllocsPerOp(t *testing.T) {
 
 	sc := getRankScratch()
 	defer putRankScratch(sc)
-	ev := newRankEval(src, sc, &sets, q)
+	sc.prepareUniverse(src, cands, q, nil, wm, 1)
+	ev := newRankEval(src, sc, cands, q)
 	if !ev.blocked() {
-		t.Fatal("kernel evaluator expected")
+		t.Fatal("universe evaluator expected")
 	}
-	ev.rankBlock(wm, ranks) // warm block buffers
+	img, dSub := &sc.uni.all, sc.dPos
+	ev.rankBlock(img, dSub, wm, ranks) // warm block buffers
 	if allocs := testing.AllocsPerRun(100, func() {
-		ev.rankBlock(wm, ranks)
+		ev.rankBlock(img, dSub, wm, ranks)
 	}); allocs > 1 {
 		// One closure allocation feeding kernel.CountBelowWeights is
 		// tolerated; per-weight or per-point allocations are not.
@@ -65,33 +62,42 @@ func TestSampleLoopAllocsPerOp(t *testing.T) {
 	}
 	kMax := 0
 	for _, r := range ranks {
-		if r > kMax {
-			kMax = r
-		}
+		kMax = max(kMax, r)
 	}
+	ev.forSamples(kMax)
 	if allocs := testing.AllocsPerRun(100, func() {
 		ev.sampleRankBlock(wm, ranks, kMax)
 	}); allocs != 0 {
 		t.Fatalf("sampleRankBlock allocates %.1f objects per op, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sc.classify(q)
+	}); allocs != 0 {
+		t.Fatalf("classify allocates %.1f objects per query point, want 0", allocs)
+	}
 
-	// Whole-call budget: one warm mwkFromSets run (64 samples) allocates
-	// for its returned refinement, the kept-sample list and one fresh
-	// weight per draw — roughly 1-2 objects per sample all-in. 4 per
-	// sample leaves slack while still failing on per-point boxing.
-	const samples = 64
+	// Whole-search budget: one warm mwkSearch allocates its evaluator, the
+	// sampler with its draw and accessor closures, and the sort's and the
+	// scan's closures — a fixed dozen or so objects, none per draw and none
+	// per kept sample, so 64 and 512 samples must cost the same.
 	pm := PenaltyModel{Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Lambda: 0.5}
 	callRng := rand.New(rand.NewSource(11))
-	if _, err := mwkFromSets(context.Background(), src, sc, &sets, q, 3, wm, samples, callRng, pm); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := mwkFromSets(context.Background(), src, sc, &sets, q, 3, wm, samples, callRng, pm); err != nil {
-			t.Fatal(err)
+	search := func(samples int) float64 {
+		run := func() {
+			if _, err := mwkSearch(context.Background(), newRankEval(src, sc, cands, q), 3, wm, samples, callRng, pm); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 4*samples {
-		t.Fatalf("mwkFromSets allocates %.1f objects per call for %d samples, want <= %d",
-			allocs, samples, 4*samples)
+		run() // warm the arenas at this sample count
+		return testing.AllocsPerRun(20, run)
+	}
+	const budget = 16
+	for _, samples := range []int{64, 512} {
+		if allocs := search(samples); allocs > budget {
+			t.Fatalf("mwkSearch allocates %.1f objects per search at %d samples, want <= %d", allocs, samples, budget)
+		}
+	}
+	if rs := src.Routes.Snapshot(); rs.SamplesDrawn == 0 || rs.SamplesKept == 0 || rs.SamplesKept == rs.SamplesDrawn {
+		t.Fatalf("guard needs both kept and discarded draws to mean anything: %+v", rs)
 	}
 }

@@ -54,87 +54,89 @@ func MQWKCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.We
 
 // MQWKSrcCtx is MQWKCtx with every per-sample evaluation routed through an
 // optional skyband Source: the MQP optimum uses the band's k-th scores, and
-// each sample query point's MWK search classifies candidates into reused
-// scratch, samples hyperplanes lazily and ranks through pruned tree counts
-// (blocked through the scoring kernel when enabled). Results are
-// bit-identical to MQWKCtx for any valid Source.
+// each sample query point's MWK search classifies against the call-fixed
+// candidate universe, samples hyperplanes lazily and ranks by capped sweeps
+// of that universe's band trim (scalar scans with the kernel off or d > 4).
+// Results are bit-identical to MQWKCtx for any valid Source.
 func MQWKSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	if err := validateInput(t, q, k, wm); err != nil {
+	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
+	if err != nil {
 		return MQWKResult{}, err
 	}
-	if qSampleSize < 0 {
-		return MQWKResult{}, fmt.Errorf("core: negative query sample size %d", qSampleSize)
+	// Reuse cache: one traversal serves every sample point in [q_min, q].
+	sc := getRankScratch()
+	defer putRankScratch(sc)
+	cands, _ := sc.candidates(t, src, q, qMin, wm, qSampleSize+1)
+	return mqwkResolved(ctx, src, sc, qMin, cands, q, k, wm, sampleSize, qSampleSize, rng, pm)
+}
+
+// mqwkQMin validates an MQWK call and computes line 2 of Algorithm 3: q_min
+// from the first solution.
+func mqwkQMin(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, qSampleSize int, pm PenaltyModel) (vec.Point, error) {
+	if err := validateInput(t, q, k, wm); err != nil {
+		return nil, err
 	}
-	// Line 2: q_min from the first solution.
+	if qSampleSize < 0 {
+		return nil, fmt.Errorf("core: negative query sample size %d", qSampleSize)
+	}
 	mqp, err := MQPSrcCtx(ctx, t, src, q, k, wm, pm)
 	if err != nil {
 		if ctx.Err() != nil {
-			return MQWKResult{}, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return MQWKResult{}, fmt.Errorf("core: MQWK needs the MQP optimum: %w", err)
+		return nil, fmt.Errorf("core: MQWK needs the MQP optimum: %w", err)
 	}
-
-	// Reuse cache: one traversal serves every sample point in [q_min, q].
-	// On the source path the candidate buffer comes from the pooled
-	// scratch, so repeated refinements reuse one backing array.
-	var sc *rankScratch
-	if src != nil {
-		sc = getRankScratch()
-		defer putRankScratch(sc)
-	}
-	var cands []dominance.Ref
-	if sc != nil {
-		cands, _ = dominance.CandidatesInto(t, q, sc.candBuf[:0])
-		sc.candBuf = cands
-	} else {
-		cands, _ = dominance.Candidates(t, q)
-	}
-	return mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, rng, pm)
+	return mqp.RefinedQ, nil
 }
 
-// mqwkResolved is the sampling search of Algorithm 3 given the MQP optimum
-// and the candidate cache (one resolution serves both the standalone entry
-// point and the fused why-not pipeline, which shares these across
-// refinement solutions).
-func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	best := MQWKResult{
+// candidates runs the §4.4 reuse traversal — every point not dominated by
+// and not equal to q, with the number of nodes expanded — and, with a
+// Source, prepares the call-fixed universe over it for the sample box
+// [qMin, q] (qMin nil: q alone). On the source path the list lives in the
+// scratch's pooled buffer, so repeated refinements reuse one backing array.
+func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight, qSamples int) ([]dominance.Ref, int) {
+	if src == nil {
+		return dominance.Candidates(t, q)
+	}
+	cands, visited := dominance.CandidatesInto(t, q, sc.candBuf[:0])
+	sc.candBuf = cands
+	sc.prepareUniverse(src, cands, q, qMin, wm, qSamples)
+	return cands, visited
+}
+
+// mqwkBest is the running optimum of Algorithm 3, seeded with the pure
+// first solution (q' = q_min, Wm and k unchanged).
+func mqwkBest(qMin vec.Point, cands int, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) MQWKResult {
+	return MQWKResult{
 		RefinedQ:         qMin,
 		RefinedWm:        cloneWeights(wm),
 		RefinedK:         k,
 		Penalty:          pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1),
 		QMin:             qMin,
-		CandidatesCached: len(cands),
+		CandidatesCached: cands,
 		TreeTraversals:   2,
 	}
+}
 
-	var scratch *dominance.Sets // reused across samples on the source path
-	if sc != nil {
-		prepareFixedUniverse(src, sc, cands, wm, qSampleSize+1)
-		scratch = &sc.sets
-	} else if src != nil {
-		scratch = new(dominance.Sets)
-	}
+// mqwkResolved is the sampling search of Algorithm 3 given the MQP optimum
+// and the candidate cache, with the scratch's universe (if any) already
+// prepared over it (one resolution serves both the standalone entry point
+// and the fused why-not pipeline, which shares these across refinement
+// solutions).
+func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
+	best := mqwkBest(qMin, len(cands), q, k, wm, pm)
 	evaluate := func(qp vec.Point) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var sets dominance.Sets
-		if src != nil {
-			if !classifyFixed(sc, qp, scratch) {
-				dominance.ClassifyInto(cands, qp, scratch)
-			}
-			sets = *scratch
-		} else {
-			sets = dominance.Classify(cands, qp)
-		}
-		wk, err := mwkFromSets(ctx, src, sc, &sets, qp, k, wm, sampleSize, rng, pm)
+		wk, err := mwkSearch(ctx, newRankEval(src, sc, cands, qp), k, wm, sampleSize, rng, pm)
 		if err != nil {
 			return err
 		}
 		p := pm.Gamma*pm.QPenalty(q, qp) + pm.Lambda*wk.Penalty
 		if p < best.Penalty {
 			best.RefinedQ = vec.Clone(qp)
-			best.RefinedWm = wk.RefinedWm
+			best.RefinedWm = cloneWeights(wk.refined)
 			best.RefinedK = wk.RefinedK
 			best.Penalty = p
 		}

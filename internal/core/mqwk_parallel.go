@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -42,30 +41,25 @@ func MQWKParallelCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm 
 // evaluation routed through an optional skyband Source (see MQWKSrcCtx);
 // results stay identical across worker counts and to the nil-Source path.
 func MQWKParallelSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
-	if err := validateInput(t, q, k, wm); err != nil {
+	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
+	if err != nil {
 		return MQWKResult{}, err
 	}
-	if qSampleSize < 0 {
-		return MQWKResult{}, fmt.Errorf("core: negative query sample size %d", qSampleSize)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mqp, err := MQPSrcCtx(ctx, t, src, q, k, wm, pm)
-	if err != nil {
-		if ctx.Err() != nil {
-			return MQWKResult{}, ctx.Err()
-		}
-		return MQWKResult{}, fmt.Errorf("core: MQWK needs the MQP optimum: %w", err)
-	}
-	cands, _ := dominance.Candidates(t, q)
-	return mqwkParallelResolved(ctx, src, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
+	prep := getRankScratch()
+	defer putRankScratch(prep)
+	cands, _ := prep.candidates(t, src, q, qMin, wm, qSampleSize+1)
+	return mqwkParallelResolved(ctx, src, prep, qMin, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
 }
 
 // mqwkParallelResolved is the parallel sampling search given the MQP
 // optimum and the candidate cache (shared with the fused why-not
-// pipeline, like mqwkResolved).
-func mqwkParallelResolved(ctx context.Context, src *Source, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
+// pipeline, like mqwkResolved). prep is the coordinator's scratch, whose
+// universe — prepared once over cands — every worker adopts read-only.
+// workers <= 0 resolves to GOMAXPROCS.
+func mqwkParallelResolved(ctx context.Context, src *Source, prep *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	// Endpoint candidates and sample points, all drawn up front so the
 	// parallel phase is pure computation.
 	points := make([]vec.Point, 0, qSampleSize+1)
@@ -80,30 +74,19 @@ func mqwkParallelResolved(ctx context.Context, src *Source, qMin vec.Point, cand
 		ok  bool
 	}
 	results := make([]cand, len(points))
-	// The call-fixed universe (flatten + sorted score columns) is prepared
-	// once by the coordinator and adopted read-only by every worker.
-	var prep *rankScratch
-	if src != nil {
-		prep = getRankScratch()
-		defer putRankScratch(prep)
-		prepareFixedUniverse(src, prep, cands, wm, qSampleSize+1)
-	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch dominance.Sets // per-worker scratch on the source path
-			var sc *rankScratch
-			if src != nil {
-				// Workers draw from the shared scratch pool rather than
-				// allocating per call, so repeated MQWK requests reuse the
-				// same warm flatten/kernel/draw buffers across the fan-out.
-				sc = getRankScratch()
-				defer putRankScratch(sc)
-				sc.adoptFixedUniverse(prep)
-			}
+			// Workers draw from the shared scratch pool rather than
+			// allocating per call, so repeated MQWK requests reuse the
+			// same warm classification/kernel/draw buffers across the
+			// fan-out.
+			sc := getRankScratch()
+			defer putRankScratch(sc)
+			sc.uni = prep.uni // the coordinator's, read-only from here on
 			jobRng := getRng(1)
 			defer putRng(jobRng)
 			for i := range jobs {
@@ -112,25 +95,18 @@ func mqwkParallelResolved(ctx context.Context, src *Source, qMin vec.Point, cand
 					continue
 				}
 				qp := points[i]
-				var sets dominance.Sets
-				if src != nil {
-					if !classifyFixed(sc, qp, &scratch) {
-						dominance.ClassifyInto(cands, qp, &scratch)
-					}
-					sets = scratch
-				} else {
-					sets = dominance.Classify(cands, qp)
-				}
 				jobRng.Seed(seed + int64(i) + 1)
-				wk, err := mwkFromSets(ctx, src, sc, &sets, qp, k, wm, sampleSize, jobRng, pm)
+				wk, err := mwkSearch(ctx, newRankEval(src, sc, cands, qp), k, wm, sampleSize, jobRng, pm)
 				if err != nil {
 					results[i] = cand{err: err}
 					continue
 				}
+				// The outcome aliases the worker's scratch, which the
+				// next job overwrites: copy it out now.
 				results[i] = cand{
 					res: MQWKResult{
 						RefinedQ:  qp,
-						RefinedWm: wk.RefinedWm,
+						RefinedWm: cloneWeights(wk.refined),
 						RefinedK:  wk.RefinedK,
 						Penalty:   pm.Gamma*pm.QPenalty(q, qp) + pm.Lambda*wk.Penalty,
 					},
@@ -145,15 +121,7 @@ func mqwkParallelResolved(ctx context.Context, src *Source, qMin vec.Point, cand
 	close(jobs)
 	wg.Wait()
 
-	best := MQWKResult{
-		RefinedQ:         qMin,
-		RefinedWm:        cloneWeights(wm),
-		RefinedK:         k,
-		Penalty:          pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1),
-		QMin:             qMin,
-		CandidatesCached: len(cands),
-		TreeTraversals:   2,
-	}
+	best := mqwkBest(qMin, len(cands), q, k, wm, pm)
 	for _, c := range results {
 		if c.err != nil {
 			return MQWKResult{}, c.err

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"wqrtq/internal/ctxcheck"
 	"wqrtq/internal/dominance"
@@ -53,28 +53,30 @@ func MWKCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Wei
 // construction routed through an optional skyband Source. Results are
 // bit-identical to MWKCtx for any valid Source; nil runs the legacy path.
 func MWKSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
+	return mwkEntry(ctx, t, src, q, k, wm, sampleSize, rng, pm, mwkSearch)
+}
+
+// mwkEntry is the shared body of the standalone MWK entry points: resolve
+// q's dominance sets, run the given candidate strategy, report the
+// traversal cost. The sets come from one Candidates walk classified at q —
+// exactly FindIncom's D/I split, in the same encounter order and over the
+// same nodes — so a standalone call is served like a fused one.
+func mwkEntry(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel, search mwkStrategy) (MWKResult, error) {
 	if err := validateInput(t, q, k, wm); err != nil {
 		return MWKResult{}, err
 	}
 	if sampleSize < 0 {
 		return MWKResult{}, fmt.Errorf("core: negative sample size %d", sampleSize)
 	}
-	var sc *rankScratch
-	var sets *dominance.Sets
-	if src != nil {
-		sc = getRankScratch()
-		defer putRankScratch(sc)
-		dominance.FindIncomInto(t, q, &sc.sets)
-		sets = &sc.sets
-	} else {
-		s := dominance.FindIncom(t, q)
-		sets = &s
-	}
-	res, err := mwkFromSets(ctx, src, sc, sets, q, k, wm, sampleSize, rng, pm)
+	sc := getRankScratch()
+	defer putRankScratch(sc)
+	cands, visited := sc.candidates(t, src, q, nil, wm, 1)
+	out, err := search(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, rng, pm)
 	if err != nil {
 		return MWKResult{}, err
 	}
-	res.NodesVisited = sets.NodesVisited
+	res := out.result()
+	res.NodesVisited = visited
 	return res, nil
 }
 
@@ -88,86 +90,121 @@ func MWKFromSets(sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, samp
 // MWKFromSetsCtx is MWKFromSets with cooperative cancellation over the
 // sample-drawing and candidate-scan loops.
 func MWKFromSetsCtx(ctx context.Context, sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return mwkFromSets(ctx, nil, nil, sets, q, k, wm, sampleSize, rng, pm)
+	sc := getRankScratch()
+	defer putRankScratch(sc)
+	out, err := mwkSearch(ctx, setsRankEval(nil, sc, sets, q), k, wm, sampleSize, rng, pm)
+	if err != nil {
+		return MWKResult{}, err
+	}
+	return out.result(), nil
 }
 
-// mwkFromSets is the sampling search with an optional skyband Source: rank
-// evaluations go through a rankEval (blocked kernel sweeps or pruned tree
-// counting when they pay) and the sample space through newSampler (lazy
-// hyperplane enumeration), all bit-compatible with the legacy scans.
-func mwkFromSets(ctx context.Context, src *Source, sc *rankScratch, sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	tick := ctxcheck.Every(ctx, sampleCheckInterval)
-	ev := newRankEval(src, sc, sets, q)
-	// Actual rankings and k'max (lines 7-9).
-	ranks := make([]int, len(wm))
-	kMax := 0
-	active := 0
-	if wmRanks(sc, sets, q, wm, ranks) {
-		// Served from the call-fixed sorted score columns (MQWK reuse).
-	} else if ev.blocked() && len(wm) > 1 {
-		if err := ctx.Err(); err != nil {
-			return MWKResult{}, err
-		}
-		ev.rankBlock(wm, ranks)
-	} else {
-		for i, w := range wm {
-			r, err := ev.fn(ctx, w)
-			if err != nil {
-				return MWKResult{}, err
-			}
-			ranks[i] = r
-		}
+// mwkOutcome is a search's result before its refined vectors are copied
+// out: refined aliases the caller's wm, the scratch's candidate buffers and
+// its kept-sample arena, all valid until the scratch's next search. MQWK
+// evaluates hundreds of sample query points and adopts a handful, so only
+// an adopted outcome pays for the copy (result).
+type mwkOutcome struct {
+	MWKResult
+	refined []vec.Weight
+}
+
+// result materializes the outcome as a self-contained MWKResult.
+func (o mwkOutcome) result() MWKResult {
+	o.RefinedWm = cloneWeights(o.refined)
+	return o.MWKResult
+}
+
+// mwkStrategy is one of the two §4.3 candidate-selection strategies over a
+// classified query point: mwkSearch (Lemma 6 scan) or mwkPerVectorSearch.
+type mwkStrategy func(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error)
+
+// mwkStage is what both strategies compute before they diverge: the
+// why-not vectors' actual rankings, k'max, and the drawn samples ranking
+// within it (in draw order). done is set, with the outcome to return, when
+// there is nothing to select from — every vector already ranks q within
+// top-k, or no usable sample exists and the k-only baseline stands.
+type mwkStage struct {
+	ranks   []int
+	kMax    int
+	samples []sampleRank
+	tick    ctxcheck.Ticker
+	done    bool
+	out     mwkOutcome
+}
+
+// mwkSamples runs Algorithm 2 up to the candidate selection (lines 3-9 and
+// the baseline of line 11) against the evaluator's query point. All index
+// work goes through ev; the buffers are ev's scratch.
+func mwkSamples(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkStage, error) {
+	st := mwkStage{tick: ctxcheck.Every(ctx, sampleCheckInterval)}
+	if err := ctx.Err(); err != nil {
+		return st, err
 	}
-	for i := range wm {
-		if ranks[i] > kMax {
-			kMax = ranks[i]
-		}
-		if ranks[i] > k {
+	// Actual rankings and k'max (lines 7-9).
+	st.ranks = ev.sc.ranksBuf(len(wm))
+	ev.rankWm(wm, st.ranks)
+	active := 0
+	for _, r := range st.ranks {
+		st.kMax = max(st.kMax, r)
+		if r > k {
 			active++
 		}
 	}
 	if active == 0 {
 		// Every vector already ranks q within top-k: nothing to refine.
-		return MWKResult{RefinedWm: cloneWeights(wm), RefinedK: k, Penalty: 0, KMax: kMax}, nil
+		st.done = true
+		st.out = mwkOutcome{MWKResult: MWKResult{RefinedK: k, KMax: st.kMax}, refined: wm}
+		return st, nil
 	}
-
 	// Baseline candidate (line 11): keep Wm, raise k to k'max (Lemma 4).
-	best := MWKResult{
-		RefinedWm:      cloneWeights(wm),
-		RefinedK:       kMax,
-		Penalty:        pm.WKPenalty(wm, wm, k, kMax, kMax),
-		KMax:           kMax,
-		BaselineChosen: true,
+	st.out = mwkOutcome{
+		MWKResult: MWKResult{
+			RefinedK:       st.kMax,
+			Penalty:        pm.WKPenalty(wm, wm, k, st.kMax, st.kMax),
+			KMax:           st.kMax,
+			BaselineChosen: true,
+		},
+		refined: wm,
 	}
-
 	// Sample space (line 3): hyperplanes of incomparable points.
-	sampler, err := newSampler(src, sets, q)
+	draw, err := newDraw(ev, rng)
 	if err == sample.ErrNoSampleSpace || sampleSize == 0 {
 		// Weight modification cannot help; the k-only baseline stands.
-		return best, nil
+		st.done = true
+		return st, nil
 	} else if err != nil {
-		return MWKResult{}, err
+		return st, err
 	}
-
 	// Draw and rank the samples (lines 3-6), keeping only those whose rank
-	// does not exceed k'max; see drawRankedSamples for the blocked form.
-	sev := newSampleRankEval(src, sc, sets, q, kMax, ev)
-	samples, err := drawRankedSamples(ctx, &tick, sev, sc, newDraw(sampler, sc, rng),
-		make([]sampleRank, 0, sampleSize), sampleSize, kMax)
+	// does not exceed k'max (Lemma 4; line 13's break applied up front).
+	ev.forSamples(st.kMax)
+	st.samples, err = drawRankedSamples(ctx, &st.tick, ev, draw, sampleSize, st.kMax)
 	if err != nil {
-		return MWKResult{}, err
+		return st, err
 	}
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].rank < samples[j].rank })
+	st.done = len(st.samples) == 0
+	return st, nil
+}
 
-	if len(samples) == 0 {
-		return best, nil
+// mwkSearch is the sampling search of Algorithm 2 over one classified query
+// point, with the Lemma 6 candidate scan.
+func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error) {
+	st, err := mwkSamples(ctx, ev, k, wm, sampleSize, rng, pm)
+	if err != nil || st.done {
+		return st.out, err
 	}
+	sc, ranks, kMax, samples, best := ev.sc, st.ranks, st.kMax, st.samples, st.out
+	slices.SortStableFunc(samples, func(a, b sampleRank) int { return a.rank - b.rank })
 
 	// Candidate scan per Lemma 6 (lines 10-18). CW holds, per why-not
 	// vector, the closest sample seen so far; vectors already ranking q
 	// within top-k stay fixed at their original value.
-	cw := cloneWeights(wm)
-	dist := make([]float64, len(wm))
+	cw := append(sc.cw[:0], wm...)
+	if cap(sc.dist) < len(wm) {
+		sc.dist = make([]float64, len(wm))
+	}
+	dist := sc.dist[:len(wm)]
 	first := samples[0]
 	//wqrtq:bounded one distance per why-not vector, request-sized
 	for i := range wm {
@@ -184,19 +221,15 @@ func mwkFromSets(ctx context.Context, src *Source, sc *rankScratch, sets *domina
 		}
 		p := pm.WKPenalty(wm, cw, k, kPrime, kMax)
 		if p < best.Penalty {
-			best = MWKResult{
-				RefinedWm: cloneWeights(cw),
-				RefinedK:  kPrime,
-				Penalty:   p,
-				KMax:      kMax,
-			}
+			sc.bestCW = append(sc.bestCW[:0], cw...)
+			best = mwkOutcome{MWKResult: MWKResult{RefinedK: kPrime, Penalty: p, KMax: kMax}, refined: sc.bestCW}
 		}
 	}
 	consider(first.rank)
 	used := 1
 	for _, s := range samples[1:] {
-		if err := tick.Tick(); err != nil {
-			return MWKResult{}, err
+		if err := st.tick.Tick(); err != nil {
+			return mwkOutcome{}, err
 		}
 		used++
 		updated := false
@@ -215,6 +248,7 @@ func mwkFromSets(ctx context.Context, src *Source, sc *rankScratch, sets *domina
 			consider(s.rank)
 		}
 	}
+	sc.cw = cw
 	best.SamplesUsed = used
 	return best, nil
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 	"math/rand"
 
-	"wqrtq/internal/ctxcheck"
-	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
-	"wqrtq/internal/sample"
 	"wqrtq/internal/vec"
 )
 
@@ -36,94 +33,31 @@ func MWKPerVectorCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm 
 // sampler construction routed through an optional skyband Source; results
 // are bit-identical for any valid Source.
 func MWKPerVectorSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	if err := validateInput(t, q, k, wm); err != nil {
-		return MWKResult{}, err
-	}
-	var sc *rankScratch
-	var sets *dominance.Sets
-	if src != nil {
-		sc = getRankScratch()
-		defer putRankScratch(sc)
-		dominance.FindIncomInto(t, q, &sc.sets)
-		sets = &sc.sets
-	} else {
-		s := dominance.FindIncom(t, q)
-		sets = &s
-	}
-	return mwkPerVectorFromSets(ctx, src, sc, sets, q, k, wm, sampleSize, rng, pm)
+	return mwkEntry(ctx, t, src, q, k, wm, sampleSize, rng, pm, mwkPerVectorSearch)
 }
 
-// mwkPerVectorFromSets is the per-vector candidate strategy given
-// precomputed dominance sets, mirroring mwkFromSets for the fused why-not
-// pipeline.
-func mwkPerVectorFromSets(ctx context.Context, src *Source, sc *rankScratch, sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	tick := ctxcheck.Every(ctx, sampleCheckInterval)
-	ev := newRankEval(src, sc, sets, q)
-	ranks := make([]int, len(wm))
-	kMax := 0
-	active := 0
-	if ev.blocked() && len(wm) > 1 {
-		if err := ctx.Err(); err != nil {
-			return MWKResult{}, err
-		}
-		ev.rankBlock(wm, ranks)
-	} else {
-		for i, w := range wm {
-			r, err := ev.fn(ctx, w)
-			if err != nil {
-				return MWKResult{}, err
-			}
-			ranks[i] = r
-		}
-	}
-	for i := range wm {
-		if ranks[i] > kMax {
-			kMax = ranks[i]
-		}
-		if ranks[i] > k {
-			active++
-		}
-	}
-	if active == 0 {
-		return MWKResult{RefinedWm: cloneWeights(wm), RefinedK: k, Penalty: 0, KMax: kMax}, nil
-	}
-	baseline := MWKResult{
-		RefinedWm:      cloneWeights(wm),
-		RefinedK:       kMax,
-		Penalty:        pm.WKPenalty(wm, wm, k, kMax, kMax),
-		KMax:           kMax,
-		BaselineChosen: true,
-		NodesVisited:   sets.NodesVisited,
-	}
-	sampler, err := newSampler(src, sets, q)
-	if err == sample.ErrNoSampleSpace || sampleSize == 0 {
-		return baseline, nil
-	} else if err != nil {
-		return MWKResult{}, err
-	}
+// mwkPerVectorSearch is the per-vector candidate strategy over one
+// classified query point, sharing mwkSamples with mwkSearch.
+func mwkPerVectorSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error) {
 	// Draw once, shared by all why-not vectors. Only samples that improve
-	// q's rank below k'max are useful (Lemma 4); see drawRankedSamples for
-	// the blocked form shared with mwkFromSets.
-	sev := newSampleRankEval(src, sc, sets, q, kMax, ev)
-	samples, err := drawRankedSamples(ctx, &tick, sev, sc, newDraw(sampler, sc, rng),
-		make([]sampleRank, 0, sampleSize), sampleSize, kMax)
-	if err != nil {
-		return MWKResult{}, err
+	// q's rank below k'max are useful (Lemma 4).
+	st, err := mwkSamples(ctx, ev, k, wm, sampleSize, rng, pm)
+	if err != nil || st.done {
+		return st.out, err
 	}
-	if len(samples) == 0 {
-		return baseline, nil
-	}
-	cw := cloneWeights(wm)
+	sc := ev.sc
+	cw := append(sc.cw[:0], wm...)
+	sc.cw = cw
 	kPrime := k
 	for i := range wm {
-		if ranks[i] <= k {
+		if st.ranks[i] <= k {
 			continue
 		}
 		bestDist := -1.0
 		bestRank := 0
-		for _, s := range samples {
-			if err := tick.Tick(); err != nil {
-				return MWKResult{}, err
+		for _, s := range st.samples {
+			if err := st.tick.Tick(); err != nil {
+				return mwkOutcome{}, err
 			}
 			if d := vec.WeightDist(wm[i], s.w); bestDist < 0 || d < bestDist {
 				bestDist = d
@@ -135,17 +69,18 @@ func mwkPerVectorFromSets(ctx context.Context, src *Source, sc *rankScratch, set
 			kPrime = bestRank // Lemma 5(i): k' = max of the chosen ranks
 		}
 	}
-	res := MWKResult{
-		RefinedWm:    cw,
-		RefinedK:     kPrime,
-		Penalty:      pm.WKPenalty(wm, cw, k, kPrime, kMax),
-		KMax:         kMax,
-		SamplesUsed:  len(samples),
-		NodesVisited: sets.NodesVisited,
+	res := mwkOutcome{
+		MWKResult: MWKResult{
+			RefinedK:    kPrime,
+			Penalty:     pm.WKPenalty(wm, cw, k, kPrime, st.kMax),
+			KMax:        st.kMax,
+			SamplesUsed: len(st.samples),
+		},
+		refined: cw,
 	}
 	// The k-only baseline may still be cheaper.
-	if baseline.Penalty < res.Penalty {
-		return baseline, nil
+	if st.out.Penalty < res.Penalty {
+		return st.out, nil
 	}
 	return res, nil
 }

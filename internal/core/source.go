@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"wqrtq/internal/ctxcheck"
 
@@ -16,24 +17,11 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// srcRankCutoff is the candidate-set size below which the flattened linear
-// rank scan beats a pruned tree descent — hyperplane-sampled weights often
-// carry near-zero components, whose thin score slabs cut across many tree
-// tiles, so the descent only wins once the linear scan is several thousand
-// points. Both routes compute the same value; the cutoff only affects
-// speed.
-const srcRankCutoff = 8192
-
 // Source carries the skyband-backed acceleration hooks that the refinement
 // algorithms (MQP, MWK, MQWK) route their index work through. A nil
 // *Source — the -skyband=off ablation — preserves the legacy execution
 // exactly; a non-nil Source must be bit-compatible with it:
 //
-//   - CountBeaters(w, fq) must return precisely the number of candidate
-//     points (the universe behind the algorithm's dominance sets: every
-//     point not dominated by and not equal to the reference query point)
-//     with vec.Score(w, p) < fq. dominance.CountBeatersCtx provides this
-//     over the full tree with pruned descent.
 //   - KthPoint(w, k) must return a point achieving exactly the dataset's
 //     k-th smallest score under w. A k-skyband tree qualifies: the k
 //     smallest scores of the dataset are achieved within the band, so only
@@ -44,87 +32,182 @@ const srcRankCutoff = 8192
 // whose draw stream is bit-identical to the eager sampler; refined
 // vectors, k' values and penalties therefore match the ablation exactly,
 // which the skyband differential suite asserts end to end.
+//
+// With a Source, ranks are counted over the call's candidate set — the
+// points not dominated by and not equal to the reference query point, which
+// the call materializes once anyway — by one of two routes (see rankEval):
+// capped sweeps of a call-fixed column-major image when Kernel is set and
+// d <= 4, scalar scans of the classified incomparable set otherwise. No
+// route touches the tree per sample.
 type Source struct {
-	CountBeaters func(ctx context.Context, w vec.Weight, fq float64) (int, error)
-	KthPoint     func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
-	// BandCounts returns a membership test for the bound-skyband of the
-	// whole dataset — keep(id) reports dominance count < bound — or nil
-	// when no such test is available. The sampling loops use it to shrink
-	// the per-sample scan to the k'max-skyband: a sample's rank is needed
-	// exactly only while it is <= k'max, every strict beater of a point
-	// ranked <= k'max lies in the k'max-skyband, and a trimmed count that
-	// reaches k'max proves the true rank exceeds it — so trimming never
-	// changes a kept sample's rank or a discard decision.
-	BandCounts func(bound int) func(id int32) bool
+	KthPoint func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
+	// BandCounts returns exact dominance counts covering the bound-skyband
+	// of the whole dataset, indexed by record id — counts[id] in [0, bound)
+	// iff id belongs to it; negative, larger, or beyond the slice otherwise
+	// — or nil when no such table is available. The sampling loops use it
+	// to shrink the per-sample sweep to the k'max-skyband: a sample's rank
+	// is needed exactly only while it is <= k'max, every strict beater of a
+	// point ranked <= k'max lies in the k'max-skyband, and a trimmed count
+	// that reaches k'max proves the true rank exceeds it — so trimming
+	// never changes a kept sample's rank or a discard decision.
+	BandCounts func(bound int) []int32
 	// Kernel, when non-nil, enables the blocked SoA scoring kernel
-	// (internal/kernel) for the rank evaluations of the sampling loops:
-	// the incomparable set is flattened column-major once per sample query
-	// point and whole blocks of weighting vectors are ranked in one sweep.
-	// The counters record the blocked work. nil — the -kernel=off ablation
-	// — keeps the scalar per-weight scans; ranks, the rng stream and every
-	// refinement answer are bit-identical either way (the scores are the
-	// same multiply/add chains, only evaluated block-at-a-time).
+	// (internal/kernel) for the rank evaluations of the sampling loops: the
+	// candidate set is flattened column-major once per call and every
+	// weighting vector is ranked by a sweep of that image. The counters
+	// record the swept work. nil — the -kernel=off ablation — keeps the
+	// scalar per-weight scans; ranks, the rng stream and every refinement
+	// answer are bit-identical either way (the scores are the same
+	// multiply/add chains, only evaluated column-wise).
 	Kernel *kernel.Counters
+	// Routes, when non-nil, records which route ranked the samples.
+	Routes *RouteCounters
+}
+
+// RouteCounters accumulates, across the calls of one clone family, which
+// route the refinement loops ranked their samples by and how much of the
+// candidate universe the band trim removed. All methods are nil-safe.
+type RouteCounters struct {
+	universes      atomic.Int64
+	universePoints atomic.Int64
+	trimmedPoints  atomic.Int64
+	evals          [numEvalRoutes]atomic.Int64
+	drawn          atomic.Int64
+	kept           atomic.Int64
+}
+
+// evalRoute indexes RouteCounters.evals: the route one sample loop's
+// evaluator ranks by.
+type evalRoute int
+
+const (
+	evalTrimmed evalRoute = iota
+	evalUntrimmed
+	evalScalar
+	numEvalRoutes
+)
+
+// RouteSnapshot is a point-in-time copy of RouteCounters.
+type RouteSnapshot struct {
+	// Universes counts call-fixed universes prepared (one per refinement
+	// call on the kernel route); UniversePoints sums their sizes and
+	// TrimmedPoints the sizes of their band trims (0 for a call whose trim
+	// was refused or too weak), so TrimmedPoints/UniversePoints is the
+	// fraction of each sweep the trim leaves.
+	Universes      int64 `json:"universes"`
+	UniversePoints int64 `json:"universe_points"`
+	TrimmedPoints  int64 `json:"trimmed_points"`
+	// EvalsTrimmed, EvalsUntrimmed and EvalsScalar count sample-loop
+	// evaluators (one per sample query point) by route: sweeps of the
+	// band-trimmed universe, sweeps of the whole universe, and scalar
+	// scans (kernel off, or d > 4).
+	EvalsTrimmed   int64 `json:"evals_trimmed"`
+	EvalsUntrimmed int64 `json:"evals_untrimmed"`
+	EvalsScalar    int64 `json:"evals_scalar"`
+	// SamplesDrawn and SamplesKept count drawn weighting vectors and those
+	// ranking within k'max; the difference was discarded by a capped count.
+	SamplesDrawn int64 `json:"samples_drawn"`
+	SamplesKept  int64 `json:"samples_kept"`
+}
+
+// Snapshot copies the counters.
+func (c *RouteCounters) Snapshot() RouteSnapshot {
+	if c == nil {
+		return RouteSnapshot{}
+	}
+	return RouteSnapshot{
+		Universes:      c.universes.Load(),
+		UniversePoints: c.universePoints.Load(),
+		TrimmedPoints:  c.trimmedPoints.Load(),
+		EvalsTrimmed:   c.evals[evalTrimmed].Load(),
+		EvalsUntrimmed: c.evals[evalUntrimmed].Load(),
+		EvalsScalar:    c.evals[evalScalar].Load(),
+		SamplesDrawn:   c.drawn.Load(),
+		SamplesKept:    c.kept.Load(),
+	}
+}
+
+func (c *RouteCounters) countUniverse(points, trimmed int) {
+	if c != nil {
+		c.universes.Add(1)
+		c.universePoints.Add(int64(points))
+		c.trimmedPoints.Add(int64(trimmed))
+	}
+}
+
+func (c *RouteCounters) countEval(r evalRoute) {
+	if c != nil {
+		c.evals[r].Add(1)
+	}
+}
+
+func (c *RouteCounters) countSamples(drawn, kept int) {
+	if c != nil {
+		c.drawn.Add(int64(drawn))
+		c.kept.Add(int64(kept))
+	}
+}
+
+// routes returns the source's route counters (nil without a source).
+func (src *Source) routes() *RouteCounters {
+	if src == nil {
+		return nil
+	}
+	return src.Routes
 }
 
 // rankScratch holds the buffers one sampling call (or one MQWK worker)
-// reuses across its sample query points: the row-major flattened point
-// buffers of the scalar scans, the column-major kernel scratch of the
-// blocked scans, the sampler's draw scratch, the per-block weight and rank
-// arrays, and the call-fixed universe state of the MQWK reuse technique.
-// Scratches are pooled (getRankScratch/putRankScratch), so parallel MQWK
-// workers and successive calls share warm buffers instead of allocating
-// per call.
+// reuses across its sample query points: the call-fixed universe of the
+// kernel route, one query point's classification against it, the scalar
+// routes' dominance sets, the sampler's draw scratch, and the per-search
+// rank, sample and candidate arrays. Scratches are pooled
+// (getRankScratch/putRankScratch), so parallel MQWK workers and successive
+// calls share warm buffers instead of allocating per call.
 type rankScratch struct {
-	flat []float64 // full incomparable set, scalar path
-	trim []float64 // k'max-skyband subset, scalar path
-	ks   kernel.Scratch
+	ks   kernel.Scratch // packed block buffers of the uncapped sweeps
 	draw sample.DrawScratch
-	// blocked-loop buffers: the drawn weight block, and the full-length
-	// threshold/count/rank arrays of rankBlock.
+	// Per-block buffers of the sample loop: warena backs the drawn weights
+	// of one block (wblock's headers point into it), so a discarded draw
+	// leaves nothing behind; rblock receives their ranks. fqs/counts serve
+	// rankBlock.
+	warena []float64
 	wblock []vec.Weight
 	rblock []int
 	fqs    []float64
 	counts []int
-	// Call-fixed universe (§4.4 reuse, kernel path): ks.Uni holds the SoA
-	// image of the *candidate superset* — every point not dominated by and
-	// not equal to the call's reference point — shared by all sample query
-	// points of one MQWK call. Counting against the superset is exact
-	// after subtracting the D-beats: points the sample point dominates can
-	// never score strictly below it (score sums of coordinate-wise >=
-	// points are >= under non-negative weights, with IEEE rounding
-	// monotone), equal points tie, so count(cands) = count(D) + count(I).
-	uniFixed bool
-	// uniShared, when non-nil, points at another scratch's prepared
-	// universe image (read-only after preparation): MQWK workers adopt
-	// the coordinator's flatten and score columns instead of rebuilding
-	// them per worker. nil means the universe lives in ks.Uni.
-	uniShared *kernel.Coords
-	// Sorted score columns of the call's why-not vectors over the fixed
-	// universe (kernel.ScoreBlock + one sort per vector): each sample
-	// query point's Wm rankings then cost one binary search per vector
-	// instead of one universe sweep. wmFor pins the identity of the
-	// weight slice the columns were built for.
-	wmFor    []vec.Weight
-	wmCols   []float64
-	wmSorted [][]float64
-	// uniRefs aliases the candidate slice behind the fixed universe, for
-	// id-based band trimming; candBuf is the reusable backing array the
-	// sequential MQWK path fills it from; sets is the pooled dominance-set
-	// scratch the per-query-point classifications write into.
-	uniRefs []dominance.Ref
+	// Per-search buffers: the why-not vectors' ranks, the kept samples
+	// (their weights copied into the kept arena, sized before the draw so
+	// it never moves), the candidate vector set of the Lemma 6 scan with
+	// its distances, and the best candidate seen.
+	ranks   []int
+	samples []sampleRank
+	kept    []float64
+	cw      []vec.Weight
+	dist    []float64
+	bestCW  []vec.Weight
+	// own is this scratch's universe storage; uni points at the universe in
+	// force — own once prepared, a coordinator's when adopted by an MQWK
+	// worker (read-only after preparation), nil on the scalar routes.
+	own universe
+	uni *universe
+	// One query point's classification against uni, as positions into
+	// uni.refs: the dominating points, and — in position order — every
+	// point that is *not* incomparable (dominating, or dominated by or
+	// equal to the query point). The incomparable set is the complement;
+	// nothing the size of the universe is written per query point.
+	dPos []int32
+	notI []int32
+	// dTrim and dSub are dPos restricted to the band trim and to the
+	// prefix of it a sample loop sweeps, in trim positions; view is that
+	// prefix as a Coords.
+	dTrim []int32
+	dSub  []int32
+	view  kernel.Coords
+	pbuf  vec.Point // incAt's scratch point
+	// candBuf backs the candidate list of the sequential entry points;
+	// sets is the scalar routes' classification scratch.
 	candBuf []dominance.Ref
 	sets    dominance.Sets
-	// Call-cached band trims: trims[i] holds the SoA image of
-	// (trimBounds[i]-skyband ∩ candidate superset), one slot per distinct
-	// band bound seen this call (bounds are powers of two from a handful
-	// of buckets, so alternating k'max values across sample query points
-	// reuse their slots instead of rebuilding). dBand is the
-	// per-query-point scratch for D ∩ band.
-	trimBounds [4]int
-	trimKeeps  [4]func(id int32) bool
-	trims      [4]kernel.Coords
-	dBand      []dominance.Ref
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -134,218 +217,181 @@ var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 func getRankScratch() *rankScratch { return rankScratchPool.Get().(*rankScratch) }
 
 // putRankScratch clears the call-scoped state — including every reference
-// into snapshot point data, so an idle pooled scratch never pins a dead
-// epoch's points or bands — and returns the scratch to the pool. The
-// float64 backing arrays (SoA images, packed blocks, score columns) hold
-// no pointers and are retained for reuse.
+// into snapshot point data and into the caller's weight slices, so an idle
+// pooled scratch never pins a dead epoch's points or bands — and returns
+// the scratch to the pool. The float64 and int32 backing arrays (SoA
+// images, position lists, arenas, score columns) hold no pointers and are
+// retained for reuse.
 func putRankScratch(sc *rankScratch) {
 	if sc == nil {
 		return
 	}
-	sc.uniFixed = false
-	sc.uniShared = nil
-	sc.uniRefs = nil
-	sc.wmFor = nil
-	sc.wmSorted = sc.wmSorted[:0]
-	sc.trimBounds = [4]int{}
-	sc.trimKeeps = [4]func(id int32) bool{}
+	sc.uni = nil
+	sc.own.release()
 	clearRefs(sc.candBuf)
-	clearRefs(sc.dBand)
 	clearRefs(sc.sets.D)
 	clearRefs(sc.sets.I)
-	for i := range sc.wblock {
-		sc.wblock[i] = nil
-	}
+	clear(sc.cw[:cap(sc.cw)])
+	clear(sc.bestCW[:cap(sc.bestCW)])
 	rankScratchPool.Put(sc)
 }
 
 // clearRefs zeroes a Ref slice through its full capacity, dropping the
 // point references while keeping the backing array.
 func clearRefs(refs []dominance.Ref) {
-	refs = refs[:cap(refs)]
-	for i := range refs {
-		refs[i] = dominance.Ref{}
-	}
+	clear(refs[:cap(refs)])
 }
 
-// dSubCap bounds the dominating-set size up to which the fixed-universe
-// evaluators pay the per-weight D-subtraction scan; a larger D makes the
-// per-query-point flatten the cheaper route.
-const dSubCap = 512
-
-// uni returns the scratch's fixed-universe image: the adopted shared one
-// when present, its own otherwise.
-func (sc *rankScratch) uni() *kernel.Coords {
-	if sc.uniShared != nil {
-		return sc.uniShared
+// ranksBuf returns the scratch's rank buffer sized to n.
+func (sc *rankScratch) ranksBuf(n int) []int {
+	if cap(sc.ranks) < n {
+		sc.ranks = make([]int, n)
 	}
-	return &sc.ks.Uni
+	return sc.ranks[:n]
 }
 
-// adoptFixedUniverse points this scratch at a coordinator scratch's
-// prepared call-fixed state — the universe image, candidate refs and
-// sorted score columns, all read-only after preparation — so parallel
-// workers skip the per-worker flatten, ScoreBlock sweep and sorts. Band
-// trims stay per-worker (they are built lazily into mutable scratch).
-func (sc *rankScratch) adoptFixedUniverse(prep *rankScratch) {
-	if prep == nil || !prep.uniFixed {
-		return
-	}
-	sc.uniFixed = true
-	sc.uniShared = prep.uni()
-	sc.uniRefs = prep.uniRefs
-	sc.wmFor = prep.wmFor
-	sc.wmSorted = append(sc.wmSorted[:0], prep.wmSorted...)
-}
-
-// wmColsMinQPs is the sample-query-point count from which the sorted
-// per-vector score columns pay for themselves: one sort costs on the
-// order of a hundred linear sweeps of the same column, so binary-searched
-// Wm rankings only win when enough query points amortize it (the paper's
-// default |Q| = 800 clears the bar comfortably; small benchmark sweeps do
-// not).
-const wmColsMinQPs = 64
-
-// prepareFixedUniverse fills the scratch's call-fixed state for one MQWK
-// call: the SoA image of cands and — when enough sample query points will
-// amortize the sorts — the sorted per-vector score columns. No-op (leaves
-// uniFixed false) when the kernel is off or the universe exceeds the
-// linear-scan cutoff.
-func prepareFixedUniverse(src *Source, sc *rankScratch, cands []dominance.Ref, wm []vec.Weight, qSamples int) {
-	if src == nil || src.Kernel == nil || sc == nil || len(cands) == 0 || len(cands) > srcRankCutoff {
-		return
-	}
-	d := len(cands[0].Point)
-	if d > 4 {
-		return
-	}
-	if !(sc.uniFixed && len(sc.uniRefs) == len(cands) && &sc.uniRefs[0] == &cands[0]) {
-		sc.ks.Uni.Fill(d, len(cands), func(i int) []float64 { return cands[i].Point })
-		sc.uniFixed = true
-		sc.uniRefs = cands
-	}
-	if qSamples < wmColsMinQPs || sc.wmFor != nil {
-		return
-	}
-	// Score columns of the why-not vectors over the fixed universe, one
-	// blocked sweep + one sort per vector; every sample query point's Wm
-	// rankings then binary-search these columns.
-	n := len(cands)
-	if cap(sc.wmCols) < len(wm)*n {
-		sc.wmCols = make([]float64, len(wm)*n)
-	}
-	cols := sc.wmCols[:len(wm)*n]
-	wb, _, _ := sc.ks.Block(len(wm), d)
-	for i, w := range wm {
-		copy(wb[i*d:(i+1)*d], w)
-	}
-	kernel.ScoreBlock(&sc.ks.Uni, wb, len(wm), cols)
-	src.Kernel.Add(len(wm), n)
-	if cap(sc.wmSorted) < len(wm) {
-		sc.wmSorted = make([][]float64, len(wm))
-	}
-	sc.wmSorted = sc.wmSorted[:len(wm)]
-	for i := range wm {
-		col := cols[i*n : (i+1)*n]
-		sort.Float64s(col)
-		sc.wmSorted[i] = col
-	}
-	sc.wmFor = wm
-}
-
-// classifyFixed is dominance.ClassifyInto over the call-fixed universe,
-// reading the coordinate tests off the column-major image (sequential
-// streams instead of one pointer chase per candidate) and emitting refs
-// from uniRefs in the same order with the same conditions — the output is
-// identical. Reports false when no fixed universe is prepared.
-func classifyFixed(sc *rankScratch, qp vec.Point, s *dominance.Sets) bool {
-	if sc == nil || !sc.uniFixed {
-		return false
-	}
-	s.D = s.D[:0]
-	s.I = s.I[:0]
-	s.NodesVisited = 0
-	refs := sc.uniRefs
-	uni := sc.uni()
-	switch len(qp) {
-	case 2:
-		x, y := uni.Col(0), uni.Col(1)
-		q0, q1 := qp[0], qp[1]
-		for i := range refs {
-			p0, p1 := x[i], y[i]
-			le := p0 <= q0 && p1 <= q1
-			ge := p0 >= q0 && p1 >= q1
-			if le {
-				if !ge {
-					s.D = append(s.D, refs[i])
-				}
-			} else if !ge {
-				s.I = append(s.I, refs[i])
-			}
-		}
-	case 3:
-		x, y, z := uni.Col(0), uni.Col(1), uni.Col(2)
-		q0, q1, q2 := qp[0], qp[1], qp[2]
-		for i := range refs {
-			p0, p1, p2 := x[i], y[i], z[i]
-			le := p0 <= q0 && p1 <= q1 && p2 <= q2
-			ge := p0 >= q0 && p1 >= q1 && p2 >= q2
-			if le {
-				if !ge {
-					s.D = append(s.D, refs[i])
-				}
-			} else if !ge {
-				s.I = append(s.I, refs[i])
-			}
-		}
-	case 4:
-		x, y, z, u := uni.Col(0), uni.Col(1), uni.Col(2), uni.Col(3)
-		q0, q1, q2, q3 := qp[0], qp[1], qp[2], qp[3]
-		for i := range refs {
-			p0, p1, p2, p3 := x[i], y[i], z[i], u[i]
-			le := p0 <= q0 && p1 <= q1 && p2 <= q2 && p3 <= q3
-			ge := p0 >= q0 && p1 >= q1 && p2 >= q2 && p3 >= q3
-			if le {
-				if !ge {
-					s.D = append(s.D, refs[i])
-				}
-			} else if !ge {
-				s.I = append(s.I, refs[i])
-			}
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// rankEval evaluates q's rank under weighting vectors against one fixed
-// (sets, qp) pair. fn answers a single weight; when the blocked kernel is
-// active, soa additionally holds the column-major image of the scanned
-// candidate set and rankBlock answers a whole block of weights in one
-// sweep. A non-empty dSub marks soa as a superset image (the call-fixed
-// candidate universe, or its band trim): the dominating points it contains
-// are counted by the sweep and subtracted per weight, which is exact —
-// count(superset) = count(D-part) + count(I-part), since points the query
-// point dominates never score strictly below it and equal points tie. All
-// routes — the legacy Sets.Rank scan, the flattened scalar scans, the
-// pruned tree count and the blocked kernel — return identical values; the
-// choice only affects speed.
+// rankEval evaluates one query point's rank under weighting vectors, by
+// one of three routes that return identical values:
+//
+//   - legacy (nil Source): dominance.Sets.Rank over the materialized sets,
+//     the reference execution.
+//   - universe (u != nil; Source with the kernel on, d <= 4): sweeps of a
+//     column-major image that is a superset of I(qp) — the call-fixed
+//     candidate universe or a band trim of it. The dominating points the
+//     image contains (dSub, as positions into it) are counted by the sweep
+//     and subtracted per weight, which is exact (see universe).
+//   - scalar (Source with the kernel off, or d > 4): unrolled scans of the
+//     materialized I(qp).
+//
+// The rank definition is the same everywhere: 1 + |D| + the strict
+// I-beaters, every score the multiply/add chain of vec.Score.
 type rankEval struct {
-	fn   func(ctx context.Context, w vec.Weight) (int, error)
-	soa  *kernel.Coords // non-nil → blocked evaluation available
-	sc   *rankScratch
-	ct   *kernel.Counters
-	base int // 1 + |D|
 	qp   vec.Point
-	dSub []dominance.Ref // dominating points included in soa, to subtract
+	base int // 1 + |D|
+	sc   *rankScratch
+	rc   *RouteCounters
+	// universe route
+	u       *universe
+	trusted bool
+	img     *kernel.Coords // the image the sample loop sweeps (forSamples)
+	dSub    []int32        // dominating points inside img, to subtract
+	ct      *kernel.Counters
+	// legacy and scalar routes
+	sets   *dominance.Sets
+	legacy bool
 }
 
-func (e *rankEval) blocked() bool { return e.soa != nil }
+// newRankEval classifies cands against qp by the route src and the
+// scratch's universe select and returns the evaluator every ranking of
+// that query point goes through.
+func newRankEval(src *Source, sc *rankScratch, cands []dominance.Ref, qp vec.Point) *rankEval {
+	if sc.uni != nil {
+		trusted := sc.classify(qp)
+		return &rankEval{qp: qp, base: 1 + len(sc.dPos), sc: sc, rc: src.Routes,
+			u: sc.uni, trusted: trusted, ct: src.Kernel}
+	}
+	if src == nil {
+		sets := dominance.Classify(cands, qp)
+		return setsRankEval(nil, sc, &sets, qp)
+	}
+	dominance.ClassifyInto(cands, qp, &sc.sets)
+	return setsRankEval(src, sc, &sc.sets, qp)
+}
 
-// rankBlock ranks every weight of ws in blocked kernel sweeps, writing the
-// ranks into out. Values are identical to calling fn per weight.
-func (e *rankEval) rankBlock(ws []vec.Weight, out []int) {
+// setsRankEval builds the legacy (nil src) or scalar evaluator over
+// materialized dominance sets.
+func setsRankEval(src *Source, sc *rankScratch, sets *dominance.Sets, qp vec.Point) *rankEval {
+	return &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, rc: src.routes(), sets: sets, legacy: src == nil}
+}
+
+// numInc returns |I(qp)| and incAt the i-th incomparable point in
+// classification order — the sampler's sample space.
+func (e *rankEval) numInc() int {
+	if e.u != nil {
+		return e.sc.numInc()
+	}
+	return len(e.sets.I)
+}
+
+func (e *rankEval) incAt(i int) vec.Point {
+	if e.u != nil {
+		return e.sc.incAt(i)
+	}
+	return e.sets.I[i].Point
+}
+
+// rankWm writes qp's exact rank under every why-not vector into out.
+func (e *rankEval) rankWm(wm []vec.Weight, out []int) {
+	u := e.u
+	if u == nil {
+		for i, w := range wm {
+			if e.legacy {
+				out[i] = e.sets.Rank(w, e.qp)
+			} else {
+				out[i] = e.base + countBeats(e.sets.I, w, vec.Score(w, e.qp), len(e.sets.I))
+			}
+		}
+		return
+	}
+	// The universe was prepared for these vectors: q's own ranks are the
+	// ones k0 was taken from.
+	callWm := e.trusted && len(wm) > 0 && len(u.wmFor) == len(wm) && &u.wmFor[0] == &wm[0]
+	if callWm && vec.Equal(e.qp, u.hi) {
+		copy(out, u.qRanks)
+		return
+	}
+	// A trusted point's Wm ranks are <= k0, so the k0-skyband trim holds
+	// every beater; an untrusted one is counted on the whole universe.
+	img, dSub := &u.all, e.sc.dPos
+	if e.trusted && u.trimmed {
+		e.sc.dTrim = u.inTrim(e.sc.dPos, u.trim.Len(), e.sc.dTrim[:0])
+		img, dSub = &u.trim, e.sc.dTrim
+	}
+	if callWm && len(u.wmSorted) == len(wm) {
+		for i, w := range wm {
+			fq := vec.Score(w, e.qp)
+			out[i] = e.base + sort.SearchFloat64s(u.wmSorted[i], fq) - countBeatsAt(img, dSub, w, fq)
+		}
+		return
+	}
+	e.rankBlock(img, dSub, wm, out)
+}
+
+// forSamples readies the evaluator for the sample loop once k'max is
+// known. On the universe route a trusted point with a trim sweeps the
+// k'max-skyband's share of the universe — a prefix of the trim — instead
+// of the whole: kept samples (rank <= k'max) get their exact rank, since
+// every strict beater of a point ranked <= k'max has fewer than k'max
+// dominators, and discarded ones (true rank > k'max) are still reported
+// above k'max, since any k'max beaters include k'max inside the
+// k'max-skyband — so the loop behaves identically to the full sweep.
+func (e *rankEval) forSamples(kMax int) {
+	u := e.u
+	switch {
+	case u == nil:
+		if !e.legacy {
+			e.rc.countEval(evalScalar)
+		}
+	case e.trusted && u.trimmed && kMax <= u.k0:
+		n := int(u.cum[kMax])
+		e.sc.view.PrefixOf(&u.trim, n)
+		e.sc.dSub = u.inTrim(e.sc.dPos, n, e.sc.dSub[:0])
+		e.img, e.dSub = &e.sc.view, e.sc.dSub
+		e.rc.countEval(evalTrimmed)
+	default:
+		e.img, e.dSub = &u.all, e.sc.dPos
+		e.rc.countEval(evalUntrimmed)
+	}
+}
+
+// blocked reports that the sample loop ranks whole blocks of draws with
+// sampleRankBlock.
+func (e *rankEval) blocked() bool { return e.u != nil }
+
+// rankBlock ranks every weight of ws by uncapped blocked sweeps of img — a
+// superset image of I(qp) whose dominating points sit at positions dSub —
+// writing the ranks into out.
+func (e *rankEval) rankBlock(img *kernel.Coords, dSub []int32, ws []vec.Weight, out []int) {
 	sc := e.sc
 	if cap(sc.fqs) < len(ws) {
 		sc.fqs = make([]float64, len(ws))
@@ -358,9 +404,9 @@ func (e *rankEval) rankBlock(ws []vec.Weight, out []int) {
 	for i, w := range ws {
 		fqs[i] = vec.Score(w, e.qp)
 	}
-	kernel.CountBelowWeights(e.soa, len(ws), func(i int) []float64 { return ws[i] }, fqs, counts, &sc.ks, e.ct)
+	kernel.CountBelowWeights(img, len(ws), func(i int) []float64 { return ws[i] }, fqs, counts, &sc.ks, e.ct)
 	for i, w := range ws {
-		out[i] = e.base + counts[i] - countBeats(e.dSub, w, fqs[i])
+		out[i] = e.base + counts[i] - countBeatsAt(img, dSub, w, fqs[i])
 	}
 }
 
@@ -378,275 +424,55 @@ func (e *rankEval) sampleRankBlock(ws []vec.Weight, out []int, kMax int) {
 	capAt := kMax - e.base + len(e.dSub)
 	for i, w := range ws {
 		fq := vec.Score(w, e.qp)
-		cnt, n := kernel.CountBelowCapped(e.soa, w, fq, capAt)
+		cnt, n := kernel.CountBelowCapped(e.img, w, fq, capAt)
 		scanned += n
 		if cnt > capAt {
-			// count(soa) > kMax - base + |dSub| and count(dSub-part) <=
+			// count(img) > kMax - base + |dSub| and count(dSub-part) <=
 			// |dSub| force the true rank past kMax; report the bound.
 			out[i] = kMax + 1
 		} else {
-			out[i] = e.base + cnt - countBeats(e.dSub, w, fq)
+			out[i] = e.base + cnt - countBeatsAt(e.img, e.dSub, w, fq)
 		}
 	}
 	e.ct.Add(len(ws), scanned)
 }
 
-// kernelRankFn builds the single-weight evaluator of a blocked rankEval: a
-// one-weight kernel sweep over soa, counted like any other block.
-func kernelRankFn(e *rankEval) func(ctx context.Context, w vec.Weight) (int, error) {
-	return func(_ context.Context, w vec.Weight) (int, error) {
-		fq := vec.Score(w, e.qp)
-		wb, bf, bc := e.sc.ks.Block(1, len(w))
-		copy(wb, w)
-		bf[0] = fq
-		kernel.CountBelowBlock(e.soa, wb, bf, bc)
-		e.ct.Add(1, e.soa.Len())
-		return e.base + bc[0] - countBeats(e.dSub, w, fq), nil
+// sampleRank ranks one sampled weight on the legacy and scalar routes. The
+// scalar count stops once it proves the rank exceeds kMax, like
+// sampleRankBlock; the legacy route is the uncapped reference.
+func (e *rankEval) sampleRank(w vec.Weight, kMax int) int {
+	if e.legacy {
+		return e.sets.Rank(w, e.qp)
 	}
+	return e.base + countBeats(e.sets.I, w, vec.Score(w, e.qp), kMax-e.base)
 }
 
-// wmRanks answers the why-not vectors' rankings against one sample query
-// point from the call-fixed sorted score columns: rank_i = 1 + |D| +
-// |{cands : score < fq_i}| - |{D : score < fq_i}|, with the candidate
-// count read off the sorted column by binary search. Available (non-nil
-// sc.wmFor pinning the same wm slice) only on the MQWK fixed-universe
-// path; values are identical to rankBlock over the universe, which in turn
-// matches the scalar scan.
-func wmRanks(sc *rankScratch, sets *dominance.Sets, qp vec.Point, wm []vec.Weight, out []int) bool {
-	if sc == nil || !sc.uniFixed || len(sc.wmFor) != len(wm) || len(sets.D) > dSubCap {
-		return false
-	}
-	if len(wm) > 0 && &sc.wmFor[0] != &wm[0] {
-		return false
-	}
-	base := 1 + len(sets.D)
-	for i, w := range wm {
-		fq := vec.Score(w, qp)
-		out[i] = base + sort.SearchFloat64s(sc.wmSorted[i], fq) - countBeats(sets.D, w, fq)
-	}
-	return true
-}
-
-// newRankEval builds the rank evaluator one mwkFromSets call uses for every
-// weighting vector it ranks against a fixed sets/qp pair.
-func newRankEval(src *Source, sc *rankScratch, sets *dominance.Sets, qp vec.Point) *rankEval {
-	e := &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc}
-	if src == nil || src.CountBeaters == nil {
-		e.fn = func(_ context.Context, w vec.Weight) (int, error) {
-			return sets.Rank(w, qp), nil
-		}
-		return e
-	}
-	d := len(qp)
-	if len(sets.D)+len(sets.I) <= srcRankCutoff && d <= 4 && sc != nil {
-		if src.Kernel != nil && sc.uniFixed && len(sets.D) <= dSubCap {
-			// Call-fixed candidate-superset image (§4.4 reuse): no per-
-			// query-point flatten; the D-part of each count is subtracted
-			// per weight.
-			e.soa = sc.uni()
-			e.ct = src.Kernel
-			e.dSub = sets.D
-			e.fn = kernelRankFn(e)
-			return e
-		}
-		if src.Kernel != nil && !sc.uniFixed {
-			// Column-major SoA image of I, swept block-at-a-time by the
-			// kernel; derived once per (sets, qp) pair.
-			sc.ks.Uni.Fill(d, len(sets.I), func(i int) []float64 { return sets.I[i].Point })
-			e.soa = &sc.ks.Uni
-			e.ct = src.Kernel
-			e.fn = kernelRankFn(e)
-			return e
-		}
-		// Flatten I into one contiguous buffer: the per-sample scans are
-		// memory-bound on the Ref slice-header indirection, and one |I|·d
-		// copy amortizes over the |S|+|Wm| scans of the call.
-		flat := sc.flat[:0]
-		for _, c := range sets.I {
-			flat = append(flat, c.Point...)
-		}
-		sc.flat = flat
-		e.fn = func(_ context.Context, w vec.Weight) (int, error) {
-			fq := vec.Score(w, qp)
-			return 1 + len(sets.D) + countBeatsFlat(flat, w, fq), nil
-		}
-		return e
-	}
-	if len(sets.D)+len(sets.I) <= srcRankCutoff {
-		e.fn = func(_ context.Context, w vec.Weight) (int, error) {
-			fq := vec.Score(w, qp)
-			return 1 + len(sets.D) + countBeats(sets.I, w, fq), nil
-		}
-		return e
-	}
-	e.fn = func(ctx context.Context, w vec.Weight) (int, error) {
-		fq := vec.Score(w, qp)
-		cnt, err := src.CountBeaters(ctx, w, fq)
-		if err != nil {
-			return 0, err
-		}
-		return 1 + len(sets.D) + cnt - countBeats(sets.D, w, fq), nil
-	}
-	return e
-}
-
-// newSampleRankEval refines a rank evaluator for the sample loop once k'max
-// is known: with band counts available, the scanned incomparable set
-// shrinks to its k'max-skyband subset. Kept samples (rank <= k'max) get
-// their exact rank; discarded ones (true rank > k'max) are still reported
-// above k'max — both directions proved by the dominator-chain argument in
-// Source.BandCounts — so the loop behaves identically to the full scan.
-// The trim decision (band availability, the kept-fraction payoff test) is
-// shared by the scalar and blocked paths, so kernel-on and kernel-off scan
-// the same subset and report the same ranks.
-func newSampleRankEval(src *Source, sc *rankScratch, sets *dominance.Sets, qp vec.Point, kMax int, uni *rankEval) *rankEval {
-	d := len(qp)
-	if src == nil || src.BandCounts == nil || sc == nil || d > 4 || len(sets.I) < 64 {
-		return uni
-	}
-	if src.Kernel != nil && sc.uniFixed && len(sets.D) <= dSubCap {
-		// Call-cached superset trim: the band bound rounds k'max up to a
-		// power of two (mirroring the BandCounts hook's own rounding), so
-		// sample query points whose k'max values land in the same bucket
-		// share one trim of the fixed universe. A bound-superset trim is
-		// rank-preserving for exactly the samples the loop keeps: every
-		// strict beater of a point ranked <= k'max lies in the
-		// k'max-skyband ⊆ bound-skyband, and a discarded sample's trimmed
-		// count still reaches past k'max. The per-query-point D-part is
-		// subtracted like the universe evaluator's.
-		bound := 16
-		for bound < kMax {
-			bound <<= 1
-		}
-		slot := -1
-		for i, b := range sc.trimBounds {
-			if b == bound {
-				slot = i
-				break
-			}
-			if b == 0 {
-				keep := src.BandCounts(bound)
-				if keep == nil {
-					return uni
-				}
-				sc.trims[i].Reset(d)
-				for _, c := range sc.uniRefs {
-					if keep(c.ID) {
-						sc.trims[i].Append(c.Point)
-					}
-				}
-				sc.trimBounds[i] = bound
-				sc.trimKeeps[i] = keep
-				slot = i
-				break
-			}
-		}
-		if slot < 0 {
-			return uni // more distinct bounds than slots; sweep the universe
-		}
-		trim := &sc.trims[slot]
-		if trim.Len()*4 >= sc.uni().Len()*3 {
-			return uni // trim too weak to pay for itself
-		}
-		keep := sc.trimKeeps[slot]
-		db := sc.dBand[:0]
-		for _, c := range sets.D {
-			if keep(c.ID) {
-				db = append(db, c)
-			}
-		}
-		sc.dBand = db
-		e := &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, soa: trim, ct: src.Kernel, dSub: db}
-		e.fn = kernelRankFn(e)
-		return e
-	}
-	keep := src.BandCounts(kMax)
-	if keep == nil {
-		return uni
-	}
-	if src.Kernel != nil && !sc.uniFixed {
-		sc.ks.Trim.Reset(d)
-		kept := 0
-		for _, c := range sets.I {
-			if keep(c.ID) {
-				sc.ks.Trim.Append(c.Point)
-				kept++
-			}
-		}
-		if kept*4 >= len(sets.I)*3 {
-			return uni // trim too weak to pay for itself
-		}
-		e := &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, soa: &sc.ks.Trim, ct: src.Kernel}
-		e.fn = kernelRankFn(e)
-		return e
-	}
-	flat := sc.trim[:0]
-	kept := 0
-	for _, c := range sets.I {
-		if keep(c.ID) {
-			flat = append(flat, c.Point...)
-			kept++
-		}
-	}
-	sc.trim = flat
-	if kept*4 >= len(sets.I)*3 {
-		return uni // trim too weak to pay for itself
-	}
-	nD := len(sets.D)
-	e := &rankEval{qp: qp, base: 1 + nD, sc: sc}
-	e.fn = func(_ context.Context, w vec.Weight) (int, error) {
-		fq := vec.Score(w, qp)
-		return 1 + nD + countBeatsFlat(flat, w, fq), nil
-	}
-	return e
-}
-
-// countBeatsFlat is countBeats over a flattened point buffer (d values per
-// point, d = len(w)), with the same multiply/add order as vec.Score.
-func countBeatsFlat(flat []float64, w vec.Weight, fq float64) int {
+// countBeatsAt counts the points of c at positions pos scoring strictly
+// below fq, each score the multiply/add chain of vec.Score read off the
+// columns.
+func countBeatsAt(c *kernel.Coords, pos []int32, w vec.Weight, fq float64) int {
 	cnt := 0
-	switch len(w) {
-	case 2:
-		w0, w1 := w[0], w[1]
-		for i := 0; i+1 < len(flat); i += 2 {
-			s := w0 * flat[i]
-			s += w1 * flat[i+1]
-			if s < fq {
-				cnt++
-			}
+	for _, p := range pos {
+		s := w[0] * c.Col(0)[p]
+		for j := 1; j < len(w); j++ {
+			s += w[j] * c.Col(j)[p]
 		}
-	case 3:
-		w0, w1, w2 := w[0], w[1], w[2]
-		for i := 0; i+2 < len(flat); i += 3 {
-			s := w0 * flat[i]
-			s += w1 * flat[i+1]
-			s += w2 * flat[i+2]
-			if s < fq {
-				cnt++
-			}
-		}
-	case 4:
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		for i := 0; i+3 < len(flat); i += 4 {
-			s := w0 * flat[i]
-			s += w1 * flat[i+1]
-			s += w2 * flat[i+2]
-			s += w3 * flat[i+3]
-			if s < fq {
-				cnt++
-			}
+		if s < fq {
+			cnt++
 		}
 	}
 	return cnt
 }
 
-// countBeats counts refs scoring strictly below fq. The unrolled low-
-// dimension bodies evaluate the score with the same sequence of multiplies
-// and left-to-right adds as vec.Score (float addition of a product chain is
-// association-order dependent, and bit-identity with the legacy scan
-// requires the same order), so the count matches Sets.Rank's inner loop bit
-// for bit while avoiding the per-point call and bounds checks.
-func countBeats(refs []dominance.Ref, w vec.Weight, fq float64) int {
+// countBeats counts refs scoring strictly below fq, giving up once the
+// count exceeds limit (the result is then limit+1; pass len(refs) for an
+// exact count). The unrolled low-dimension bodies evaluate the score with
+// the same sequence of multiplies and left-to-right adds as vec.Score
+// (float addition of a product chain is association-order dependent, and
+// bit-identity with the legacy scan requires the same order), so the count
+// matches Sets.Rank's inner loop bit for bit while avoiding the per-point
+// call and bounds checks.
+func countBeats(refs []dominance.Ref, w vec.Weight, fq float64, limit int) int {
 	cnt := 0
 	switch len(w) {
 	case 2:
@@ -656,7 +482,9 @@ func countBeats(refs []dominance.Ref, w vec.Weight, fq float64) int {
 			s := w0 * p[0]
 			s += w1 * p[1]
 			if s < fq {
-				cnt++
+				if cnt++; cnt > limit {
+					return cnt
+				}
 			}
 		}
 	case 3:
@@ -667,7 +495,9 @@ func countBeats(refs []dominance.Ref, w vec.Weight, fq float64) int {
 			s += w1 * p[1]
 			s += w2 * p[2]
 			if s < fq {
-				cnt++
+				if cnt++; cnt > limit {
+					return cnt
+				}
 			}
 		}
 	case 4:
@@ -679,13 +509,17 @@ func countBeats(refs []dominance.Ref, w vec.Weight, fq float64) int {
 			s += w2 * p[2]
 			s += w3 * p[3]
 			if s < fq {
-				cnt++
+				if cnt++; cnt > limit {
+					return cnt
+				}
 			}
 		}
 	default:
 		for _, c := range refs {
 			if vec.Score(w, c.Point) < fq {
-				cnt++
+				if cnt++; cnt > limit {
+					return cnt
+				}
 			}
 		}
 	}
@@ -701,34 +535,30 @@ func kthPoint(ctx context.Context, src *Source, t *rtree.Tree, w vec.Weight, k i
 	return topk.KthPointCtx(ctx, t, w, k)
 }
 
-// weightSampler abstracts the eager and lazy hyperplane samplers, which
-// draw bit-identical streams over the same incomparable point sequence.
-type weightSampler interface {
-	Sample(rng *rand.Rand) vec.Weight
-}
-
-// newSampler builds the sample space over sets.I: the lazy sampler when a
-// source is active (no per-plane materialization), the legacy eager one
-// otherwise. Both return sample.ErrNoSampleSpace for an empty I.
-func newSampler(src *Source, sets *dominance.Sets, qp vec.Point) (weightSampler, error) {
-	if src != nil {
-		return sample.NewLazyWeightSampler(qp, len(sets.I), func(i int) vec.Point { return sets.I[i].Point })
+// newDraw builds the sample space over the evaluator's incomparable set
+// and returns the per-sample draw, which writes one weighting vector into
+// dst: the lazy sampler when a source is active (no per-plane
+// materialization, nothing allocated per draw), the legacy eager one
+// otherwise. Both consume the rng identically and return
+// sample.ErrNoSampleSpace for an empty I.
+func newDraw(e *rankEval, rng *rand.Rand) (func(dst vec.Weight), error) {
+	if !e.legacy {
+		ls, err := sample.NewLazyWeightSampler(e.qp, e.numInc(), e.incAt)
+		if err != nil {
+			return nil, err
+		}
+		sc := e.sc
+		return func(dst vec.Weight) { ls.SampleInto(rng, &sc.draw, dst) }, nil
 	}
-	inc := make([]vec.Point, len(sets.I))
-	for i, c := range sets.I {
+	inc := make([]vec.Point, len(e.sets.I))
+	for i, c := range e.sets.I {
 		inc[i] = c.Point
 	}
-	return sample.NewWeightSampler(qp, inc)
-}
-
-// newDraw returns the per-sample draw function: the scratch-backed lazy
-// draw when available (identical values and rng stream, one allocation per
-// draw instead of several), the plain Sample otherwise.
-func newDraw(sampler weightSampler, sc *rankScratch, rng *rand.Rand) func() vec.Weight {
-	if ls, ok := sampler.(*sample.LazyWeightSampler); ok && sc != nil {
-		return func() vec.Weight { return ls.SampleScratch(rng, &sc.draw) }
+	ws, err := sample.NewWeightSampler(e.qp, inc)
+	if err != nil {
+		return nil, err
 	}
-	return func() vec.Weight { return sampler.Sample(rng) }
+	return func(dst vec.Weight) { copy(dst, ws.Sample(rng)) }, nil
 }
 
 // sampleRank is one drawn weighting vector with its (exact, <= k'max)
@@ -740,53 +570,58 @@ type sampleRank struct {
 
 // drawRankedSamples draws sampleSize weighting vectors and keeps those
 // ranking within kMax (Algorithm 2 lines 3-6 with line 13's break applied
-// at construction), appending to samples. With a blocked evaluator the
-// draws fill a block first — consuming the rng stream in the same order
-// as the scalar loop — and one capped kernel pass ranks the whole block,
-// so the kept samples and their ranks are identical on every route. Both
-// MWK candidate strategies share this loop.
-func drawRankedSamples(ctx context.Context, tick *ctxcheck.Ticker, sev *rankEval, sc *rankScratch, draw func() vec.Weight, samples []sampleRank, sampleSize, kMax int) ([]sampleRank, error) {
-	if sev.blocked() {
-		if cap(sc.wblock) < kernel.BlockSize {
-			sc.wblock = make([]vec.Weight, kernel.BlockSize)
-			sc.rblock = make([]int, kernel.BlockSize)
-		}
-		for done := 0; done < sampleSize; {
-			nb := sampleSize - done
-			if nb > kernel.BlockSize {
-				nb = kernel.BlockSize
+// at construction). The draws fill a block first — consuming the rng
+// stream in the same order a one-at-a-time loop would — and the block is
+// then ranked: by one capped kernel pass on the universe route, weight by
+// weight otherwise, so the kept samples and their ranks are identical on
+// every route. Drawn weights live in the scratch's block arena; only kept
+// ones are copied out, into the kept arena, so the returned samples (and
+// everything derived from them) are valid until the scratch's next draw.
+// Both MWK candidate strategies share this loop.
+func drawRankedSamples(ctx context.Context, tick *ctxcheck.Ticker, e *rankEval, draw func(dst vec.Weight), sampleSize, kMax int) ([]sampleRank, error) {
+	sc, d := e.sc, len(e.qp)
+	if cap(sc.wblock) < kernel.BlockSize || cap(sc.warena) < kernel.BlockSize*d {
+		sc.wblock = make([]vec.Weight, kernel.BlockSize)
+		sc.rblock = make([]int, kernel.BlockSize)
+		sc.warena = make([]float64, kernel.BlockSize*d)
+	}
+	if cap(sc.kept) < sampleSize*d {
+		sc.kept = make([]float64, sampleSize*d)
+	}
+	kept := sc.kept[:0]
+	samples := sc.samples[:0]
+	for done := 0; done < sampleSize; {
+		nb := min(sampleSize-done, kernel.BlockSize)
+		wb := sc.wblock[:nb]
+		for j := range wb {
+			if err := tick.Tick(); err != nil {
+				return nil, err
 			}
-			wb := sc.wblock[:nb]
-			for j := 0; j < nb; j++ {
+			wb[j] = sc.warena[j*d : (j+1)*d : (j+1)*d]
+			draw(wb[j])
+		}
+		rb := sc.rblock[:nb]
+		if e.blocked() {
+			e.sampleRankBlock(wb, rb, kMax)
+		} else {
+			for j, w := range wb {
 				if err := tick.Tick(); err != nil {
-					return samples, err
+					return nil, err
 				}
-				wb[j] = draw()
+				rb[j] = e.sampleRank(w, kMax)
 			}
-			rb := sc.rblock[:nb]
-			sev.sampleRankBlock(wb, rb, kMax)
-			for j := 0; j < nb; j++ {
-				if rb[j] <= kMax {
-					samples = append(samples, sampleRank{w: wb[j], rank: rb[j]})
-				}
+		}
+		for j, r := range rb {
+			if r <= kMax {
+				at := len(kept)
+				kept = append(kept, wb[j]...)
+				samples = append(samples, sampleRank{w: kept[at:len(kept):len(kept)], rank: r})
 			}
-			done += nb
 		}
-		return samples, nil
+		done += nb
 	}
-	for i := 0; i < sampleSize; i++ {
-		if err := tick.Tick(); err != nil {
-			return samples, err
-		}
-		w := draw()
-		r, err := sev.fn(ctx, w)
-		if err != nil {
-			return samples, err
-		}
-		if r <= kMax {
-			samples = append(samples, sampleRank{w: w, rank: r})
-		}
-	}
+	sc.samples = samples
+	e.rc.countSamples(sampleSize, len(samples))
 	return samples, nil
 }
 

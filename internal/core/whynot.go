@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
-	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/vec"
 )
@@ -56,72 +54,33 @@ func WhyNotRefineSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.P
 	// One pruned traversal serves both samplings: classified at q it is
 	// FindIncom's D/I split (the traversal visits the same nodes in the
 	// same order and applies the same per-point conditions), and it is
-	// MQWK's §4.4 reuse cache as-is.
-	var sc *rankScratch
-	if src != nil {
-		sc = getRankScratch()
-		defer putRankScratch(sc)
-	}
-	var cands []dominance.Ref
-	var visited int
-	if sc != nil {
-		cands, visited = dominance.CandidatesInto(t, q, sc.candBuf[:0])
-		sc.candBuf = cands
-	} else {
-		cands, visited = dominance.Candidates(t, q)
-	}
-
-	var sets *dominance.Sets
-	if sc != nil {
-		prepareFixedUniverse(src, sc, cands, wm, qSampleSize+1)
-		sets = &sc.sets
-		if !classifyFixed(sc, q, sets) {
-			dominance.ClassifyInto(cands, q, sets)
-		}
-	} else {
-		s := dominance.Classify(cands, q)
-		sets = &s
-	}
-	sets.NodesVisited = visited
+	// MQWK's §4.4 reuse cache as-is — as is the universe prepared over it.
+	sc := getRankScratch()
+	defer putRankScratch(sc)
+	cands, visited := sc.candidates(t, src, q, mqp.RefinedQ, wm, qSampleSize+1)
 
 	// Second solution (MWK), on its own rng stream exactly like the
 	// standalone entry point.
-	mwkRng := getRng(seed)
+	search := mwkSearch
 	if perVector {
-		out.MWK, err = mwkPerVectorFromSets(ctx, src, sc, sets, q, k, wm, sampleSize, mwkRng, pm)
-	} else {
-		out.MWK, err = mwkFromSets(ctx, src, sc, sets, q, k, wm, sampleSize, mwkRng, pm)
-		if err == nil {
-			out.MWK.NodesVisited = visited
-		}
+		search = mwkPerVectorSearch
 	}
+	mwkRng := getRng(seed)
+	mwk, err := search(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm)
 	putRng(mwkRng)
 	if err != nil {
 		return out, err
 	}
+	out.MWK = mwk.result()
+	out.MWK.NodesVisited = visited
 
 	// Third solution (MQWK), reusing q_min and the candidate cache.
 	if workers != 0 {
-		if workers < 0 {
-			workers = 0 // resolved to GOMAXPROCS inside
-		}
-		out.MQWK, err = mqwkParallelFused(ctx, src, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
+		out.MQWK, err = mqwkParallelResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
 	} else {
 		mqwkRng := getRng(seed)
 		out.MQWK, err = mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, mqwkRng, pm)
 		putRng(mqwkRng)
 	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// mqwkParallelFused resolves the worker count like MQWKParallelSrcCtx
-// before delegating to the shared parallel search.
-func mqwkParallelFused(ctx context.Context, src *Source, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return mqwkParallelResolved(ctx, src, qMin, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
+	return out, err
 }

@@ -1,16 +1,6 @@
 package dominance
 
-import (
-	"context"
-
-	"wqrtq/internal/ctxcheck"
-	"wqrtq/internal/rtree"
-	"wqrtq/internal/vec"
-)
-
-// countCheckInterval is how many tree nodes a counting descent examines
-// between context polls, matching the interval used by internal/topk.
-const countCheckInterval = 64
+import "wqrtq/internal/vec"
 
 // ClassifyInto is Classify with caller-owned scratch: the candidate split is
 // written into s.D and s.I, reusing their backing arrays. It computes
@@ -85,76 +75,4 @@ func ClassifyInto(cands []Ref, qp vec.Point, s *Sets) {
 			}
 		}
 	}
-}
-
-// CountBeatersCtx returns the number of indexed points that are candidates
-// with respect to ref — not dominated by ref and not equal to it, the
-// universe of Candidates(t, ref) — scoring strictly below fq under w.
-//
-// For dominance sets built against that universe (FindIncom with ref as the
-// query point, or Classify over Candidates(t, ref)), the value equals the
-// strict-beat count a linear scan over D ∪ I computes, bit for bit: every
-// score is evaluated with vec.Score exactly as the scan would, points
-// dominated by (or equal to) ref can never score strictly below a point
-// q' <= ref, and the count is order-independent. internal/core uses it to
-// replace the per-sample O(|D| + |I|) rank scans of the refinement loops
-// with a pruned tree descent.
-//
-// Pruning is sound bitwise: Rect.MinScore is the score of the MBR's lower
-// corner, which under non-negative weights never exceeds any member's
-// vec.Score (term-wise monotone products summed in the same order), and
-// symmetrically for MaxScore. A subtree is skipped when it contains only
-// ref-dominated points (Rect.DominatedBy) or cannot score below fq; it is
-// counted wholesale when every point scores below fq and no point inside
-// can be dominated-or-equal by ref (some Max coordinate below ref).
-func CountBeatersCtx(ctx context.Context, t *rtree.Tree, ref vec.Point, w vec.Weight, fq float64) (int, error) {
-	tick := ctxcheck.Every(ctx, countCheckInterval)
-	return countBeaters(t.Root(), ref, w, fq, &tick)
-}
-
-func countBeaters(n *rtree.Node, ref vec.Point, w vec.Weight, fq float64, tick *ctxcheck.Ticker) (int, error) {
-	if err := tick.Tick(); err != nil {
-		return 0, err
-	}
-	cnt := 0
-	if n.IsLeaf() {
-		for i := 0; i < n.NumEntries(); i++ {
-			p := n.Point(i)
-			if vec.Score(w, p) < fq && !vec.Dominates(ref, p) && !vec.Equal(p, ref) {
-				cnt++
-			}
-		}
-		return cnt, nil
-	}
-	for i := 0; i < n.NumEntries(); i++ {
-		r := n.EntryRect(i)
-		if r.DominatedBy(ref) {
-			continue // only ref-dominated or ref-equal points inside
-		}
-		if r.MinScore(w) >= fq {
-			continue // nothing inside can beat fq
-		}
-		if r.MaxScore(w) < fq && rectClearOfDominated(r, ref) {
-			cnt += n.Child(i).Count() // every point inside beats fq and is a candidate
-			continue
-		}
-		sub, err := countBeaters(n.Child(i), ref, w, fq, tick)
-		if err != nil {
-			return 0, err
-		}
-		cnt += sub
-	}
-	return cnt, nil
-}
-
-// rectClearOfDominated reports that no point inside r can be
-// dominated-or-equal by ref: some coordinate's upper bound lies strictly
-// below ref, so no member is coordinate-wise >= ref.
-func rectClearOfDominated(r rtree.Rect, ref vec.Point) bool {
-	for i := range ref {
-		if r.Max[i] < ref[i] {
-			return true
-		}
-	}
-	return false
 }

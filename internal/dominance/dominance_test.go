@@ -193,6 +193,42 @@ func TestCandidatesCoverAllBoxQueries(t *testing.T) {
 	}
 }
 
+// TestCandidatesMatchFindIncomWalk pins what the standalone and fused
+// refinement entry points rely on: classified at q itself, the candidate
+// list is FindIncom's D and I in the same encounter order, and the two
+// walks expand the same nodes.
+func TestCandidatesMatchFindIncomWalk(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(3000)
+		d := 2 + r.Intn(3)
+		pts := randPoints(r, n, d, 10)
+		if seed%3 == 0 {
+			pts = append(pts, pts[:n/4]...) // duplicates
+		}
+		tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 256})
+		q := randPoints(r, 1, d, 10)[0]
+		if seed%4 == 0 {
+			q = vec.Clone(pts[r.Intn(len(pts))]) // q equal to data points
+		}
+		cands, visited := Candidates(tr, q)
+		got, want := Classify(cands, q), FindIncom(tr, q)
+		if visited != want.NodesVisited || len(cands) != len(want.D)+len(want.I) {
+			t.Fatalf("seed %d: %d candidates over %d nodes, FindIncom %d+%d over %d", seed, len(cands), visited, len(want.D), len(want.I), want.NodesVisited)
+		}
+		for i := range want.D {
+			if got.D[i].ID != want.D[i].ID {
+				t.Fatalf("seed %d: D order differs at %d", seed, i)
+			}
+		}
+		for i := range want.I {
+			if got.I[i].ID != want.I[i].ID {
+				t.Fatalf("seed %d: I order differs at %d", seed, i)
+			}
+		}
+	}
+}
+
 func TestCandidatesExcludeDominated(t *testing.T) {
 	tr := rtree.Bulk(paperPoints(), nil, rtree.Options{PageSize: 128})
 	cands, visited := Candidates(tr, vec.Point{4, 4})

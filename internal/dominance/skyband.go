@@ -37,8 +37,21 @@ type BandPoint struct {
 // order its dominators by sum; the i-th has at most i-1 dominators — so the
 // filter never keeps a non-member.
 func KSkyband(points []vec.Point, k int) []BandPoint {
+	band, _ := KSkybandLimit(points, k, len(points))
+	return band
+}
+
+// KSkybandLimit is KSkyband that gives up once the band is known to hold
+// more than limit points: it then returns the members found so far — every
+// one a true member with its exact count, by the sort-filter argument
+// above, so the partial result is evidence that the band exceeds limit —
+// and false. The filter costs one dominance test per (point, kept member)
+// pair, so abandoning at limit bounds the work by about n·limit tests
+// whatever the band's final size would have been; internal/skyband uses it
+// for bands that are only worth having while they stay small.
+func KSkybandLimit(points []vec.Point, k, limit int) ([]BandPoint, bool) {
 	if len(points) == 0 || k <= 0 {
-		return nil
+		return nil, true
 	}
 	order := make([]int, len(points))
 	sums := make([]float64, len(points))
@@ -72,10 +85,13 @@ func KSkyband(points []vec.Point, k int) []BandPoint {
 		if cnt < k {
 			kept = append(kept, idx)
 			out = append(out, BandPoint{Index: idx, Count: cnt})
+			if len(out) > limit {
+				break
+			}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
+	return out, len(out) <= limit
 }
 
 // KSkybandNaive is the quadratic reference implementation for tests: it

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"wqrtq/internal/rtree"
 	"wqrtq/internal/vec"
 )
 
@@ -68,6 +67,48 @@ func TestKSkybandMatchesNaive(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s case %d (n=%d d=%d k=%d): KSkyband %v, naive %v",
 					shape, caseIdx, n, d, k, got, want)
+			}
+		}
+	}
+}
+
+// TestKSkybandLimit checks the self-limiting filter: within the limit it is
+// KSkyband; past it, it stops at limit+1 members, each a true member with
+// its exact count.
+func TestKSkybandLimit(t *testing.T) {
+	for _, shape := range []string{"UN", "CO", "AC"} {
+		for caseIdx := 0; caseIdx < 20; caseIdx++ {
+			rng := rand.New(rand.NewSource(int64(77*caseIdx + len(shape))))
+			n := 1 + rng.Intn(200)
+			k := 1 + rng.Intn(12)
+			pts := genPoints(shape, n, 2+rng.Intn(3), rng)
+			want := KSkybandNaive(pts, k)
+			for _, limit := range []int{0, 1, len(want) - 1, len(want), n} {
+				if limit < 0 {
+					continue
+				}
+				got, complete := KSkybandLimit(pts, k, limit)
+				if complete != (len(want) <= limit) {
+					t.Fatalf("%s case %d limit %d: complete = %t for a band of %d", shape, caseIdx, limit, complete, len(want))
+				}
+				if complete {
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s case %d limit %d: complete result differs from the naive band", shape, caseIdx, limit)
+					}
+					continue
+				}
+				if len(got) != limit+1 {
+					t.Fatalf("%s case %d limit %d: abandoned at %d members", shape, caseIdx, limit, len(got))
+				}
+				exact := make(map[int]int, len(want))
+				for _, m := range want {
+					exact[m.Index] = m.Count
+				}
+				for _, m := range got {
+					if c, ok := exact[m.Index]; !ok || c != m.Count {
+						t.Fatalf("%s case %d limit %d: evidence %+v is no exact member", shape, caseIdx, limit, m)
+					}
+				}
 			}
 		}
 	}
@@ -154,52 +195,6 @@ func TestClassifyIntoMatchesClassify(t *testing.T) {
 		}
 		if !sameRefs(scratch.D, want.D) || !sameRefs(scratch.I, want.I) {
 			t.Fatalf("case %d: ClassifyInto diverged from Classify", i)
-		}
-	}
-}
-
-// TestCountBeatersMatchesScan checks the pruned tree count against the
-// linear definition — candidates of ref scoring strictly below fq — for
-// randomized trees, reference points, weights (including zero components)
-// and thresholds.
-func TestCountBeatersMatchesScan(t *testing.T) {
-	for caseIdx := 0; caseIdx < 30; caseIdx++ {
-		rng := rand.New(rand.NewSource(int64(500 + caseIdx)))
-		n := 1 + rng.Intn(300)
-		d := 2 + rng.Intn(3)
-		pts := genPoints([]string{"UN", "CO", "AC"}[caseIdx%3], n, d, rng)
-		tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 256})
-		for trial := 0; trial < 10; trial++ {
-			ref := make(vec.Point, d)
-			for j := range ref {
-				ref[j] = rng.Float64() * rng.Float64() * 2
-			}
-			w := make(vec.Weight, d)
-			sum := 0.0
-			for j := range w {
-				w[j] = rng.Float64()
-				if trial%3 == 0 && j == 0 {
-					w[j] = 0 // exercise zero weight components
-				}
-				sum += w[j]
-			}
-			for j := range w {
-				w[j] /= sum
-			}
-			fq := vec.Score(w, pts[rng.Intn(n)]) * (0.5 + rng.Float64())
-			want := 0
-			for _, p := range pts {
-				if !vec.Dominates(ref, p) && !vec.Equal(p, ref) && vec.Score(w, p) < fq {
-					want++
-				}
-			}
-			got, err := CountBeatersCtx(t.Context(), tr, ref, w, fq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("case %d trial %d: CountBeaters = %d, scan = %d", caseIdx, trial, got, want)
-			}
 		}
 	}
 }

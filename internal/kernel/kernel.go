@@ -91,12 +91,57 @@ func (c *Coords) Dim() int { return len(c.cols) }
 // Col returns coordinate column j.
 func (c *Coords) Col(j int) []float64 { return c.cols[j] }
 
-// Fill resets c to dimension d and appends n points accessed through at.
+// Cols4 returns the column headers of an image of at most four dimensions
+// as an array, for per-point loops that index several columns without
+// re-reading the header slice. It panics on a wider image.
+func (c *Coords) Cols4() (cols [4][]float64) {
+	copy(cols[:len(c.cols)], c.cols)
+	return cols
+}
+
+// Fill resets c to dimension d and n points accessed through at.
 func (c *Coords) Fill(d, n int, at func(int) []float64) {
-	c.Reset(d)
+	c.Resize(d, n)
 	for i := 0; i < n; i++ {
-		c.Append(at(i))
+		p := at(i)
+		for j, col := range c.cols {
+			col[i] = p[j]
+		}
 	}
+}
+
+// Resize sets c to n points of dimension d, retaining column capacity; the
+// coordinates are unspecified until the caller has Put every slot. It
+// serves fills that place points out of order (a counting sort into the
+// columns), which Append cannot express.
+func (c *Coords) Resize(d, n int) {
+	c.Reset(d)
+	for j := range c.cols {
+		if cap(c.cols[j]) < n {
+			c.cols[j] = make([]float64, n)
+		}
+		c.cols[j] = c.cols[j][:n]
+	}
+	c.n = n
+}
+
+// Put copies point i of src into slot t of c (same dimensionality).
+func (c *Coords) Put(t int, src *Coords, i int) {
+	for j, col := range c.cols {
+		col[t] = src.cols[j][i]
+	}
+}
+
+// PrefixOf makes c a view of the first n points of src: the columns alias
+// src's memory (no copy), so c must not be appended to and is valid only
+// while src is unchanged. c's own column-header array is reused, so a
+// pooled view costs no allocation in steady state.
+func (c *Coords) PrefixOf(src *Coords, n int) {
+	c.cols = c.cols[:0]
+	for _, col := range src.cols {
+		c.cols = append(c.cols, col[:n:n])
+	}
+	c.n = n
 }
 
 // CountBelowBlock counts, for each weight b in the packed block wb (len(fqs)
@@ -557,15 +602,13 @@ func scoreBlockGeneric(c *Coords, wb []float64, nWeights int, out []float64) {
 }
 
 // Scratch holds the reusable buffers of one blocked evaluation site: the
-// SoA images of the scanned candidate sets and the packed per-block weight,
+// SoA image of the scanned candidate set and the packed per-block weight,
 // threshold and count arrays. Obtain one with GetScratch and return it with
 // PutScratch; in steady state a pooled Scratch makes the blocked paths
 // allocation-free.
 type Scratch struct {
-	// Uni is the SoA image of the full candidate universe of one call;
-	// Trim the k'max-trimmed subset the sampling loops scan.
-	Uni  Coords
-	Trim Coords
+	// Uni is the SoA image of the candidate set of one call.
+	Uni Coords
 	// WB, Fqs and Counts are the packed block buffers.
 	WB     []float64
 	Fqs    []float64

@@ -149,6 +149,44 @@ func TestCoordsReuse(t *testing.T) {
 	}
 }
 
+// TestCoordsPlacedFillAndPrefixView covers the out-of-order fill (Resize +
+// Put) and the prefix view: a view sweeps exactly the first n points of its
+// source, shares its memory, and costs no allocation once warm.
+func TestCoordsPlacedFillAndPrefixView(t *testing.T) {
+	var src, dst, view Coords
+	src.Fill(3, 8, func(i int) []float64 { return []float64{float64(i), float64(10 * i), float64(100 * i)} })
+	dst.Resize(3, 8)
+	for i := 0; i < 8; i++ {
+		dst.Put(7-i, &src, i) // reversed
+	}
+	for i := 0; i < 8; i++ {
+		if dst.Col(0)[i] != float64(7-i) || dst.Col(2)[i] != float64(100*(7-i)) {
+			t.Fatalf("placed fill wrong at %d", i)
+		}
+	}
+	if cols := dst.Cols4(); len(cols[2]) != 8 || cols[3] != nil || &cols[1][0] != &dst.Col(1)[0] {
+		t.Fatal("Cols4 must alias the three columns and leave the fourth nil")
+	}
+	w := []float64{1, 0, 0}
+	for n := 0; n <= 8; n++ {
+		view.PrefixOf(&dst, n)
+		if view.Len() != n || view.Dim() != 3 {
+			t.Fatalf("view of %d: len=%d dim=%d", n, view.Len(), view.Dim())
+		}
+		// Scores are 7, 6, ..., so the first n points hold those above 7-n.
+		cnt, scanned := CountBelowCapped(&view, w, 100, 100)
+		if cnt != n || scanned != n {
+			t.Fatalf("view of %d swept %d points, counted %d", n, scanned, cnt)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { view.PrefixOf(&dst, 5) }); allocs != 0 {
+		t.Fatalf("PrefixOf allocates %.1f objects when warm", allocs)
+	}
+	if &view.Col(0)[0] != &dst.Col(0)[0] {
+		t.Fatal("a view must alias its source")
+	}
+}
+
 // TestKernelAllocsPerOp guards the acceptance requirement of zero
 // allocations per op in the kernel inner loops: with warmed scratch,
 // CountBelowBlock, ScoreBlock and the chunking wrapper must not allocate.

@@ -12,8 +12,8 @@ import (
 // candidate once per kernel.BlockSize weights costs less than the
 // per-vector branch-and-bound top-k evaluations (plus their heap traffic)
 // that RTA runs for non-pruned vectors, and the flattened image stays
-// cache-resident. The value mirrors core's srcRankCutoff, which draws the
-// same linear-scan-vs-tree-descent line for the sampling loops.
+// cache-resident. (The refinement sampling loops have no such line: their
+// counts are capped at k'max, so they sweep at every candidate-set size.)
 const CoordsCutoff = 8192
 
 // BichromaticCoordsCtx answers the bichromatic reverse top-k query by

@@ -169,10 +169,10 @@ func (s *LazyWeightSampler) Sample(rng *rand.Rand) vec.Weight {
 	return combineVertices(vs, rng)
 }
 
-// DrawScratch holds the per-draw temporaries of SampleScratch — the
+// DrawScratch holds the per-draw temporaries of SampleInto — the
 // hyperplane coefficients, the vertex set and the Dirichlet coefficients —
-// so a sampling loop's draws allocate only the returned weight. The zero
-// value is ready for use.
+// so a sampling loop's draws allocate nothing. The zero value is ready for
+// use.
 type DrawScratch struct {
 	c    []float64
 	vs   []vec.Weight
@@ -180,12 +180,13 @@ type DrawScratch struct {
 	coef []float64
 }
 
-// SampleScratch is Sample with caller-owned scratch: it draws the exact
-// same weighting vector — same rand.Rand consumption, same float values —
-// while reusing sc's buffers for every intermediate, so only the returned
-// weight is a fresh allocation. The blocked sampling loops of internal/core
-// use it to keep per-draw garbage off the refinement hot path.
-func (s *LazyWeightSampler) SampleScratch(rng *rand.Rand, sc *DrawScratch) vec.Weight {
+// SampleInto is Sample with caller-owned memory: it draws the exact same
+// weighting vector — same rand.Rand consumption, same float values — into
+// dst (len d), reusing sc's buffers for every intermediate. The blocked
+// sampling loops of internal/core carve dst out of a per-block arena and
+// copy out only the samples they keep, so a discarded draw leaves no
+// garbage at all.
+func (s *LazyWeightSampler) SampleInto(rng *rand.Rand, sc *DrawScratch, dst vec.Weight) {
 	idx := rng.Intn(s.n)
 	p := s.at(idx)
 	d := len(s.q)
@@ -200,8 +201,10 @@ func (s *LazyWeightSampler) SampleScratch(rng *rand.Rand, sc *DrawScratch) vec.W
 	if len(vs) == 0 {
 		panic("sample: LazyWeightSampler over a point not incomparable with q")
 	}
+	w := dst[:d]
 	if len(vs) == 1 {
-		return vec.CloneWeight(vs[0])
+		copy(w, vs[0])
+		return
 	}
 	if cap(sc.coef) < len(vs) {
 		sc.coef = make([]float64, len(vs))
@@ -212,14 +215,13 @@ func (s *LazyWeightSampler) SampleScratch(rng *rand.Rand, sc *DrawScratch) vec.W
 		coef[i] = rng.ExpFloat64()
 		sum += coef[i]
 	}
-	w := make(vec.Weight, d)
+	clear(w)
 	for i, v := range vs {
 		cf := coef[i] / sum
 		for j := range w {
 			w[j] += cf * v[j]
 		}
 	}
-	return w
 }
 
 // hyperplaneVerticesInto is HyperplaneVertices with the vertex slices carved

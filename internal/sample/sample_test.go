@@ -217,7 +217,8 @@ func drawBoth(t *testing.T, label string, q vec.Point, inc []vec.Point, n int) {
 	for i := 0; i < n; i++ {
 		we := eager.Sample(rngE)
 		wl := lazy.Sample(rngL)
-		ws := lazy.SampleScratch(rngS, &sc)
+		ws := make(vec.Weight, len(q))
+		lazy.SampleInto(rngS, &sc, ws)
 		if !vec.Equal(vec.Point(we), vec.Point(wl)) {
 			t.Fatalf("%s: draw %d diverged: eager %v, lazy %v", label, i, we, wl)
 		}
@@ -266,7 +267,7 @@ func TestLazySampler1D(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			if scratch {
 				var sc DrawScratch
-				lazy.SampleScratch(rng, &sc)
+				lazy.SampleInto(rng, &sc, make(vec.Weight, len(q)))
 			} else {
 				lazy.Sample(rng)
 			}
@@ -294,8 +295,8 @@ func TestLazySamplerMoreSamplesThanPlanes(t *testing.T) {
 	drawBoth(t, "samples > universe", q, inc, 500)
 }
 
-// TestSampleScratchAllocs guards the scratch draw: after warm-up each draw
-// allocates only the returned weight (one object).
+// TestSampleScratchAllocs guards the scratch draw: after warm-up a draw
+// into a caller-owned weight allocates nothing.
 func TestSampleScratchAllocs(t *testing.T) {
 	q := vec.Point{4, 4, 4}
 	inc := []vec.Point{{9, 3, 2}, {1, 9, 5}, {3, 7, 4}}
@@ -305,11 +306,12 @@ func TestSampleScratchAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var sc DrawScratch
-	lazy.SampleScratch(rng, &sc) // warm the scratch buffers
+	w := make(vec.Weight, len(q))
+	lazy.SampleInto(rng, &sc, w) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		lazy.SampleScratch(rng, &sc)
+		lazy.SampleInto(rng, &sc, w)
 	})
-	if allocs > 1 {
-		t.Fatalf("SampleScratch allocates %.1f objects per draw, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("SampleInto allocates %.1f objects per draw, want 0", allocs)
 	}
 }

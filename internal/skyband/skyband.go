@@ -39,6 +39,17 @@
 // through those three functions. Cumulative counters survive across
 // snapshots through the shared Counters, which the serving engine
 // surfaces in EngineStats.
+//
+// A band requested only to trim the refinement loops' rank scans (TrimBand)
+// is worth having only while it is small, so its build is self-limiting: it
+// is abandoned once membership passes n/trimBandFrac, and the members found
+// until then are kept as the *decline* for that k — real members, which
+// the same two rules keep members, so a decline is carried across mutations
+// for as long as its evidence stands and still outnumbers n/trimBandFrac,
+// and no later request pays the abandoned build again. Only the evidence
+// travels: each snapshot's cache holds it in an entry of its own, because a
+// reader may yet complete the entry into the full band of that snapshot's
+// tree (see Cache.next).
 package skyband
 
 import (
@@ -69,6 +80,32 @@ const maxBands = 16
 // fullBandFactor*k >= n the full tree is served as a pass-through band.
 const fullBandFactor = 4
 
+// trimBandFrac bounds the bands TrimBand will finish: a rank-trim band is
+// abandoned once it holds more than n/trimBandFrac points. The sort-filter
+// costs one dominance test per (point, kept member) pair, so a band of m
+// members costs on the order of m²/2 tests at the least — past n/16 that is
+// over half a second at n = 100k (anticorrelated data reaches 32k members
+// and 12 s at k = 128) — while the candidate universe it would trim is
+// typically a quarter of the dataset, so a larger band removes less than
+// three quarters of a sweep that costs a nanosecond per point.
+const trimBandFrac = 16
+
+// TrimRefusal names why a rank-trim band request was refused.
+type TrimRefusal int
+
+const (
+	// TrimRefusedK: the rounded band parameter exceeds the cap on trim
+	// bands.
+	TrimRefusedK TrimRefusal = iota
+	// TrimRefusedDataset: k is too large relative to the dataset for a
+	// band to prune.
+	TrimRefusedDataset
+	// TrimRefusedBand: the band itself declined — abandoned as too large,
+	// served pass-through, or beyond the cache's k-diversity cap.
+	TrimRefusedBand
+	numTrimRefusals
+)
+
 // Counters accumulates band-cache activity across snapshots. One Counters
 // is shared by every Cache in a clone family, so the serving engine
 // reports cumulative numbers over the index's whole lifetime, not just the
@@ -79,6 +116,8 @@ type Counters struct {
 	fallbacks atomic.Int64
 	carried   atomic.Int64
 	dropped   atomic.Int64
+	declines  atomic.Int64
+	refused   [numTrimRefusals]atomic.Int64
 }
 
 // NewCounters creates a zeroed counter set.
@@ -92,6 +131,14 @@ func (c *Counters) CountFallback() {
 	}
 }
 
+// CountTrimRefusal records one rank-trim band request refused for the
+// given reason.
+func (c *Counters) CountTrimRefusal(why TrimRefusal) {
+	if c != nil {
+		c.refused[why].Add(1)
+	}
+}
+
 // CountersSnapshot is a point-in-time copy of the cumulative counters.
 type CountersSnapshot struct {
 	Builds    int64 `json:"builds"`
@@ -102,6 +149,14 @@ type CountersSnapshot struct {
 	// invalidated.
 	Carried int64 `json:"carried"`
 	Dropped int64 `json:"dropped"`
+	// Declines counts trim-band builds abandoned as too large; the
+	// TrimRefused fields count refused trim requests by reason (a request
+	// answered from a cached decline counts under Band without a new
+	// Declines tick).
+	Declines           int64 `json:"declines"`
+	TrimRefusedK       int64 `json:"trim_refused_k"`
+	TrimRefusedDataset int64 `json:"trim_refused_dataset"`
+	TrimRefusedBand    int64 `json:"trim_refused_band"`
 }
 
 // Snapshot copies the counters.
@@ -115,6 +170,11 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		Fallbacks: c.fallbacks.Load(),
 		Carried:   c.carried.Load(),
 		Dropped:   c.dropped.Load(),
+		Declines:  c.declines.Load(),
+
+		TrimRefusedK:       c.refused[TrimRefusedK].Load(),
+		TrimRefusedDataset: c.refused[TrimRefusedDataset].Load(),
+		TrimRefusedBand:    c.refused[TrimRefusedBand].Load(),
 	}
 }
 
@@ -185,6 +245,14 @@ func (b *Band) coordsSlow() *kernel.Coords {
 	return &b.coords
 }
 
+// Counts returns each record's exact dominance count indexed by record id:
+// -1 for non-members (count >= K()), and ids at or beyond the slice — ones
+// allocated after the band was computed — are non-members too. The
+// bound-skyband for any bound <= K() is exactly the ids with
+// 0 <= count < bound. nil for pass-through bands. The slice is shared and
+// must not be modified.
+func (b *Band) Counts() []int32 { return b.counts }
+
 // Keep returns a membership test for the bound-skyband, bound <= K(): the
 // returned function reports whether the record's dominance count is below
 // bound (non-members of this band have count >= K() >= bound). nil for
@@ -252,10 +320,29 @@ type Cache struct {
 }
 
 type cacheEntry struct {
+	// once guards the entry's first build: the whole band when the first
+	// requester was Band, a size-limited attempt when it was TrimBand.
 	once sync.Once
 	// band is stored atomically so Stats can peek at entries that another
 	// goroutine is still building without racing the once.Do write.
 	band atomic.Pointer[Band]
+	// decline is the evidence of an abandoned limited build: a Band over
+	// the members found before giving up (K() is the entry's k; the counts
+	// were exact at the build and mark membership since), never handed to
+	// readers. full completes such an entry when a reader arrives that
+	// needs the band whatever its size.
+	decline atomic.Pointer[Band]
+	full    sync.Once
+}
+
+// declinedEntry returns a fresh entry holding the decline evidence b, its
+// first build already spent: TrimBand answers nil from it and Band completes
+// it from its own cache's tree.
+func declinedEntry(b *Band) *cacheEntry {
+	e := &cacheEntry{}
+	e.once.Do(func() {})
+	e.decline.Store(b)
+	return e
 }
 
 // NewCache creates an empty cache over the snapshot tree t. ct carries the
@@ -293,32 +380,45 @@ func (c *Cache) AfterDelete(t *rtree.Tree, id int32) *Cache {
 }
 
 // next builds the cache of snapshot t from the finished entries of c that
-// pass unchanged. Entries are shared, not copied: a finished entry is
-// immutable. A k the new snapshot would serve pass-through is dropped, so
-// the cache holds exactly what it serves; entries still building are left
+// pass unchanged. An entry holding its band is shared, not copied: it is
+// immutable from then on. A decline is not — Band completes it from the
+// tree of whichever cache asks, and the two snapshots' full bands can
+// differ where their evidence agrees (a deleted non-evidence member) — so
+// its evidence moves into a fresh entry that the new cache completes on its
+// own. The evidence stays a set of true members across both carry rules,
+// hence a proof that the band holds at least that many points; it is
+// honoured only while that is still more than n/trimBandFrac of the new
+// snapshot, so a dataset that outgrew the decline gets its build attempted
+// again. A k the new snapshot would serve pass-through is dropped, so the
+// cache holds exactly what it serves; entries still building are left
 // behind uncounted — a mutation never waits for a build. mutation selects
 // whether the step counts toward Carried/Dropped (a clone is not a
 // mutation).
 func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *Cache {
 	nc := NewCache(t, c.ct)
 	n := t.Len()
-	finished := 0
+	finished, kept := 0, 0
 	c.mu.Lock()
 	//wqrtq:unordered each entry is judged on its own; the carried set is order-free
 	for k, e := range c.ents {
-		b := e.band.Load()
-		if b == nil {
+		if b := e.band.Load(); b != nil {
+			finished++
+			if fullBandFactor*k < n && unchanged(b) {
+				nc.ents[k] = e
+				kept++
+			}
 			continue
 		}
-		finished++
-		if fullBandFactor*k < n && unchanged(b) {
-			nc.ents[k] = e
+		// Declines ride along uncounted: Carried/Dropped are about
+		// materialized bands, whose loss costs a rebuild.
+		if b := e.decline.Load(); b != nil && fullBandFactor*k < n && b.size > n/trimBandFrac && unchanged(b) {
+			nc.ents[k] = declinedEntry(b)
 		}
 	}
 	c.mu.Unlock()
 	if mutation {
-		c.ct.carried.Add(int64(len(nc.ents)))
-		c.ct.dropped.Add(int64(finished - len(nc.ents)))
+		c.ct.carried.Add(int64(kept))
+		c.ct.dropped.Add(int64(finished - kept))
 	}
 	return nc
 }
@@ -351,16 +451,69 @@ func (c *Cache) Band(k int) *Band {
 	if k < 1 {
 		k = 1
 	}
-	n := c.tree.Len()
-	if fullBandFactor*k >= n {
+	e := c.entry(k)
+	if e == nil {
 		return c.passBand()
+	}
+	if b := e.band.Load(); b != nil {
+		return b
+	}
+	build := func() {
+		b, _ := compute(c.tree, k, c.tree.Len())
+		e.band.Store(b)
+		c.ct.builds.Add(1)
+	}
+	e.once.Do(build)
+	if e.band.Load() == nil {
+		// The entry's first build was a TrimBand attempt that declined;
+		// this reader needs the band regardless of its size.
+		e.full.Do(build)
+	}
+	return e.band.Load()
+}
+
+// TrimBand returns the band for parameter k if it is worth trimming rank
+// scans with — at most n/trimBandFrac points — and nil otherwise. A band
+// some reader already materialized is returned whatever its size (the
+// caller's own payoff test judges it); otherwise the build is abandoned
+// once membership passes the limit, and the decline is cached and carried
+// like a band, so the abandoned work is paid once per k and lineage, not
+// per request. nil also covers the cases Band serves pass-through.
+func (c *Cache) TrimBand(k int) *Band {
+	if k < 1 {
+		k = 1
+	}
+	e := c.entry(k)
+	if e == nil {
+		return nil
+	}
+	e.once.Do(func() {
+		b, complete := compute(c.tree, k, c.tree.Len()/trimBandFrac)
+		if complete {
+			e.band.Store(b)
+			c.ct.builds.Add(1)
+		} else {
+			e.decline.Store(b)
+			c.ct.declines.Add(1)
+		}
+	})
+	return e.band.Load()
+}
+
+// entry returns the cache entry for k, creating it on first request, or
+// nil when k is served pass-through: it cannot prune (fullBandFactor*k >=
+// n) or the cache already holds maxBands distinct k values. A request that
+// finds an existing entry counts as a hit.
+func (c *Cache) entry(k int) *cacheEntry {
+	if fullBandFactor*k >= c.tree.Len() {
+		return nil
 	}
 	c.mu.Lock()
 	e, ok := c.ents[k]
 	if !ok {
 		if len(c.ents) >= maxBands {
 			c.mu.Unlock()
-			return c.passBand()
+			return nil
 		}
 		e = &cacheEntry{}
 		c.ents[k] = e
@@ -369,11 +522,7 @@ func (c *Cache) Band(k int) *Band {
 	if ok {
 		c.ct.hits.Add(1)
 	}
-	e.once.Do(func() {
-		e.band.Store(compute(c.tree, k))
-		c.ct.builds.Add(1)
-	})
-	return e.band.Load()
+	return e
 }
 
 // passBand returns the cache's shared pass-through band. Its K reads 0 —
@@ -389,8 +538,10 @@ func (c *Cache) passBand() *Band {
 }
 
 // compute collects the snapshot's live points, filters them to the
-// k-skyband and bulk-loads the result, preserving original record ids.
-func compute(t *rtree.Tree, k int) *Band {
+// k-skyband and bulk-loads the result, preserving original record ids. The
+// filter gives up past limit members (dominance.KSkybandLimit); the Band
+// then holds the members found so far and complete reports false.
+func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 	n := t.Len()
 	pts := make([]vec.Point, 0, n)
 	ids := make([]int32, 0, n)
@@ -401,7 +552,7 @@ func compute(t *rtree.Tree, k int) *Band {
 			ids = append(ids, id)
 		},
 	)
-	band := dominance.KSkyband(pts, k)
+	band, complete := dominance.KSkybandLimit(pts, k, limit)
 	bp := make([]vec.Point, len(band))
 	bi := make([]int32, len(band))
 	maxID := int32(-1)
@@ -423,7 +574,7 @@ func compute(t *rtree.Tree, k int) *Band {
 	// pages: a small fanout makes each branch-and-bound expansion push
 	// far fewer heap entries, which is where band top-k time goes.
 	opts := rtree.Options{PageSize: 1024}
-	return &Band{k: k, tree: rtree.Bulk(bp, bi, opts), size: len(band), counts: counts}
+	return &Band{k: k, tree: rtree.Bulk(bp, bi, opts), size: len(band), counts: counts}, complete
 }
 
 // CountBelowCtx counts the points of t scoring strictly below fq under w,

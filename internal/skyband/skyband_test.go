@@ -304,3 +304,186 @@ func TestCarryRules(t *testing.T) {
 		t.Fatal("pass-through threshold not applied to the carried set")
 	}
 }
+
+// TestTrimBandDeclines pins the self-limiting trim build: a band within
+// n/trimBandFrac points is built and shared with Band; a larger one is
+// abandoned, the decline is cached (no second attempt), carried across
+// mutations by the band rules applied to its evidence — in an entry of the
+// new snapshot's own, and only while it still exceeds the size limit —
+// never handed out as a band, and completed on demand by a reader that
+// needs the band whatever its size.
+func TestTrimBandDeclines(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	// Anticorrelated-like: points near the plane x+y+z = 1.5, where almost
+	// nobody dominates anybody, so every k-skyband is most of the dataset.
+	n := 1600
+	wide := make([]vec.Point, n)
+	for i := range wide {
+		a, b := rng.Float64(), rng.Float64()
+		wide[i] = vec.Point{a, b, 1.5 - (a+b)/2 + 0.01*rng.Float64()}
+	}
+	tr := rtree.Bulk(wide, nil)
+	c := NewCache(tr, nil)
+	limit := n / trimBandFrac
+	if got := len(c.Band(8).counts); got == 0 || c.Band(8).Size() <= limit {
+		t.Fatalf("fixture: 8-band holds %d points, need more than %d", c.Band(8).Size(), limit)
+	}
+	c = NewCache(tr, nil)
+	if b := c.TrimBand(8); b != nil {
+		t.Fatalf("TrimBand built a %d-point band past the %d-point limit", b.Size(), limit)
+	}
+	s := c.Counters().Snapshot()
+	if s.Declines != 1 || s.Builds != 0 || c.Stats().Bands != 0 || c.Peek(8) != nil {
+		t.Fatalf("after one decline: %+v, stats %+v", s, c.Stats())
+	}
+	ev := c.ents[8].decline.Load()
+	if ev == nil || ev.Size() != limit+1 || ev.K() != 8 {
+		t.Fatalf("decline evidence: %+v", ev)
+	}
+	// Evidence members are true members with exact counts.
+	for id, cnt := range ev.counts {
+		if cnt < 0 {
+			continue
+		}
+		dom := 0
+		for _, o := range wide {
+			if vec.Dominates(o, wide[id]) {
+				dom++
+			}
+		}
+		if int(cnt) != dom || dom >= 8 {
+			t.Fatalf("evidence member %d: count %d, true %d", id, cnt, dom)
+		}
+	}
+	if c.TrimBand(8) != nil {
+		t.Fatal("a cached decline was retried")
+	}
+	if s := c.Counters().Snapshot(); s.Declines != 1 || s.Builds != 0 {
+		t.Fatalf("repeat requests rebuilt: %+v", s)
+	}
+
+	// Carry: a far-dominated insert and a non-evidence delete keep the
+	// decline — its evidence, in an entry of the new cache's own, since a
+	// declined entry can still be completed from one snapshot's tree —
+	// deleting an evidence member drops it. None of it counts as a carried
+	// or dropped band.
+	var evID, otherID int32 = -1, -1
+	for id, cnt := range ev.counts {
+		if cnt >= 0 && evID < 0 {
+			evID = int32(id)
+		}
+		if cnt < 0 && otherID < 0 {
+			otherID = int32(id)
+		}
+	}
+	carriedDecline := func(nc *Cache) bool {
+		e := nc.ents[8]
+		return e != nil && e != c.ents[8] && e.decline.Load() == ev && e.band.Load() == nil
+	}
+	if nc := c.AfterInsert(tr, vec.Point{9, 9, 9}); !carriedDecline(nc) || nc.TrimBand(8) != nil {
+		t.Fatal("dominated insert dropped the decline")
+	}
+	if nc := c.AfterDelete(tr, otherID); !carriedDecline(nc) {
+		t.Fatal("non-evidence delete dropped the decline")
+	}
+	if nc := c.Rebind(tr.Clone()); !carriedDecline(nc) {
+		t.Fatal("rebind dropped the decline")
+	}
+	if nc := c.AfterDelete(tr, evID); nc.ents[8] != nil {
+		t.Fatal("evidence delete carried the decline")
+	}
+	if nc := c.AfterInsert(tr, vec.Point{0, 0, 0}); nc.ents[8] != nil {
+		t.Fatal("dominating insert carried the decline")
+	}
+	// A dataset that outgrew the evidence (limit+1 members no longer exceed
+	// n/trimBandFrac) gets its build attempted again.
+	grown := rtree.Bulk(append(append([]vec.Point(nil), wide...), randPoints(trimBandFrac, 3, rng)...), nil)
+	if nc := c.AfterInsert(grown, vec.Point{9, 9, 9}); nc.ents[8] != nil {
+		t.Fatal("a decline outlived the size limit it was measured against")
+	}
+	if s := c.Counters().Snapshot(); s.Carried != 0 || s.Dropped != 0 {
+		t.Fatalf("declines counted as bands: %+v", s)
+	}
+	if s := c.Counters().Snapshot(); s.Declines != 1 || s.Builds != 0 {
+		t.Fatalf("carrying a decline rebuilt: %+v", s)
+	}
+
+	// Completing a declined entry stays inside its snapshot: delete a full-
+	// band member the evidence does not know, complete the old cache's entry
+	// from the old tree, and the new cache must still serve the band of the
+	// new tree.
+	whole := NewCache(tr, nil).Band(8)
+	victim := int32(-1)
+	for id, cnt := range whole.counts {
+		if cnt >= 0 && !ev.member(int32(id)) {
+			victim = int32(id)
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("fixture: every full-band member is in the evidence")
+	}
+	after := tr.Clone()
+	if !after.Delete(wide[victim], victim) {
+		t.Fatal("fixture: victim not deleted")
+	}
+	nc := c.Rebind(after).AfterDelete(after, victim)
+	if nc.ents[8] == nil {
+		t.Fatal("non-evidence member delete dropped the decline")
+	}
+	if old := c.Band(8); !old.member(victim) {
+		t.Fatal("old snapshot's band must hold the point it still has")
+	}
+	got, scratch := nc.Band(8), NewCache(after, nil).Band(8)
+	if got.member(victim) || got.Size() != scratch.Size() {
+		t.Fatalf("band completed after the carry: %d points (victim member: %t), from scratch %d",
+			got.Size(), got.member(victim), scratch.Size())
+	}
+	for id := range scratch.counts {
+		if got.counts[id] != scratch.counts[id] {
+			t.Fatalf("carried-decline band: count[%d] = %d, from scratch %d", id, got.counts[id], scratch.counts[id])
+		}
+	}
+
+	// A reader that needs the band completes the declined entry; TrimBand
+	// then serves what exists.
+	full := c.Band(8)
+	if full == nil || full.Full() || full.Size() <= limit {
+		t.Fatalf("Band over a declined entry: %+v", full)
+	}
+	if c.TrimBand(8) != full || c.Peek(8) != full {
+		t.Fatal("TrimBand must share the materialized band")
+	}
+	if s := c.Counters().Snapshot(); s.Builds != 2 || s.Declines != 1 {
+		t.Fatalf("completion counters (one build per snapshot): %+v", s)
+	}
+
+	// Uniform data: the band is small, TrimBand builds it and Band shares it.
+	pts := randPoints(6000, 3, rng)
+	c2 := NewCache(rtree.Bulk(pts, nil), nil)
+	b := c2.TrimBand(8)
+	if b == nil || b.Size() > len(pts)/trimBandFrac {
+		t.Fatalf("uniform 8-band declined or oversized: %+v", b)
+	}
+	if c2.Band(8) != b {
+		t.Fatal("Band rebuilt what TrimBand built")
+	}
+	want := 0
+	for id, cnt := range b.Counts() {
+		dom := 0
+		for _, o := range pts {
+			if vec.Dominates(o, pts[id]) {
+				dom++
+			}
+		}
+		if (dom < 8) != (cnt >= 0) || (cnt >= 0 && int(cnt) != dom) {
+			t.Fatalf("Counts()[%d] = %d, true dominators %d", id, cnt, dom)
+		}
+		if dom < 8 {
+			want++
+		}
+	}
+	if want != b.Size() {
+		t.Fatalf("band size %d, want %d", b.Size(), want)
+	}
+}

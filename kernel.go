@@ -11,7 +11,10 @@ package wqrtq
 // kernel differential suite in kernel_test.go proves it end to end; see
 // DESIGN.md §9 for the cost model).
 
-import "wqrtq/internal/kernel"
+import (
+	"wqrtq/internal/core"
+	"wqrtq/internal/kernel"
+)
 
 // SetKernel toggles the blocked scoring kernel (enabled by default).
 // Results are identical either way; disabling it — the -kernel=off
@@ -50,6 +53,13 @@ type KernelStats struct {
 	Blocks  int64 `json:"blocks"`
 	Weights int64 `json:"weights"`
 	Points  int64 `json:"points"`
+	// Refine says which route ranked the samples of the refinement loops
+	// (MWK/MQWK): how many call-fixed candidate universes were prepared,
+	// how far the band trim cut them, how many sample loops swept the
+	// trimmed universe, the whole one, or fell to scalar scans (kernel
+	// off, or d > 4), and how many drawn samples survived their capped
+	// count. Cumulative like the counters above.
+	Refine core.RouteSnapshot `json:"refine"`
 }
 
 // KernelStats reports the kernel's cumulative counters.
@@ -57,5 +67,6 @@ func (ix *Index) KernelStats() KernelStats {
 	s := KernelStats{Enabled: ix.KernelEnabled()}
 	cs := ix.kct.Snapshot()
 	s.Blocks, s.Weights, s.Points = cs.Blocks, cs.Weights, cs.Points
+	s.Refine = ix.rct.Snapshot()
 	return s
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 
 	"wqrtq/internal/core"
-	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtopk"
 	"wqrtq/internal/skyband"
 	"wqrtq/internal/topk"
@@ -43,20 +42,17 @@ func (ix *Index) band(k int) *skyband.Band {
 }
 
 // coreSource builds the acceleration hooks the refinement algorithms run
-// through for query point q and parameter k, or nil when disabled. The
-// hooks are bit-compatible with the legacy scans (see core.Source). Every
-// band resolves lazily inside its hook, so an algorithm that never calls a
-// hook (MWK uses neither KthPoint nor, for small k'max, BandCounts) never
-// pays a band construction.
-func (ix *Index) coreSource(q vec.Point, k int) *core.Source {
+// through for parameter k, or nil when disabled. The hooks are
+// bit-compatible with the legacy scans (see core.Source). Every band
+// resolves lazily inside its hook, so an algorithm that never calls a hook
+// (MWK never needs KthPoint) never pays a band construction.
+func (ix *Index) coreSource(k int) *core.Source {
 	if ix.skyOff || ix.sky == nil {
 		return nil
 	}
 	return &core.Source{
 		Kernel: ix.kernelCounters(),
-		CountBeaters: func(ctx context.Context, w vec.Weight, fq float64) (int, error) {
-			return dominance.CountBeatersCtx(ctx, ix.tree, q, w, fq)
-		},
+		Routes: ix.rct,
 		KthPoint: func(ctx context.Context, w vec.Weight, kk int) (topk.Result, bool, error) {
 			if kk == k {
 				if b := ix.band(k); b != nil && !b.Full() {
@@ -65,28 +61,41 @@ func (ix *Index) coreSource(q vec.Point, k int) *core.Source {
 			}
 			return topk.KthPointCtx(ctx, ix.tree, w, kk)
 		},
-		BandCounts: func(bound int) func(id int32) bool {
+		BandCounts: func(bound int) []int32 {
 			// Round the band parameter up to a power of two so the
 			// per-request k'max values (which vary query to query) map
-			// onto a handful of cached bands per snapshot, and refuse
-			// large bounds outright: a wide band is expensive to build
-			// and trims little, so the sampling loops are better served
-			// by their flattened full scans.
+			// onto a handful of cached bands per snapshot. What bounds the
+			// cost of a trim band is its size, which TrimBand limits
+			// itself; the cap on k only keeps requests from probing
+			// parameters whose bands outgrow that limit on any data.
 			bandK := 16
 			for bandK < bound {
 				bandK <<= 1
 			}
-			if bandK > 2*skyband.DefaultRankBand || fullBandTrim*bandK >= ix.tree.Len() {
+			ct := ix.sky.Counters()
+			if bandK > maxTrimBand {
+				ct.CountTrimRefusal(skyband.TrimRefusedK)
 				return nil
 			}
-			bb := ix.band(bandK)
-			if bb == nil || bb.Full() {
+			if fullBandTrim*bandK >= ix.tree.Len() {
+				ct.CountTrimRefusal(skyband.TrimRefusedDataset)
 				return nil
 			}
-			return bb.Keep(bound)
+			bb := ix.sky.TrimBand(bandK)
+			if bb == nil {
+				ct.CountTrimRefusal(skyband.TrimRefusedBand)
+				return nil
+			}
+			return bb.Counts()
 		},
 	}
 }
+
+// maxTrimBand caps the band parameter of sample-loop trims. 128 covers the
+// paper's default question (Table 1: actual rank 101); on uniform data at
+// n = 100k, d = 3 that band holds 4% of the points and builds in a quarter
+// of a second, once per snapshot lineage.
+const maxTrimBand = 128
 
 // fullBandTrim rejects sample-loop trim bands whose k is large relative to
 // the dataset (the band would cover most of it).
@@ -99,7 +108,7 @@ func (ix *Index) refineSource(q []float64, k int) *core.Source {
 	if k <= 0 || len(q) != ix.Dim() || ix.tree.Len() == 0 {
 		return nil
 	}
-	return ix.coreSource(vec.Point(q), k)
+	return ix.coreSource(k)
 }
 
 // SkybandStats is a point-in-time view of the skyband sub-index.
@@ -123,6 +132,15 @@ type SkybandStats struct {
 	// a slow first read after a write shows up as a Dropped tick.
 	Carried int64 `json:"carried"`
 	Dropped int64 `json:"dropped"`
+	// Declines counts sample-loop trim bands abandoned mid-build as too
+	// large to pay (the decline is cached and carried like a band). The
+	// TrimRefused counters say why refinement calls went without a trim:
+	// k'max beyond the trim-band cap, a dataset too small for that band
+	// to prune, or the band itself declined or served pass-through.
+	Declines           int64 `json:"declines"`
+	TrimRefusedK       int64 `json:"trim_refused_k"`
+	TrimRefusedDataset int64 `json:"trim_refused_dataset"`
+	TrimRefusedBand    int64 `json:"trim_refused_band"`
 }
 
 // SkybandStats reports the sub-index's cache contents and cumulative
@@ -137,6 +155,8 @@ func (ix *Index) SkybandStats() SkybandStats {
 	ct := ix.sky.Counters().Snapshot()
 	s.Builds, s.Hits, s.Fallbacks = ct.Builds, ct.Hits, ct.Fallbacks
 	s.Carried, s.Dropped = ct.Carried, ct.Dropped
+	s.Declines = ct.Declines
+	s.TrimRefusedK, s.TrimRefusedDataset, s.TrimRefusedBand = ct.TrimRefusedK, ct.TrimRefusedDataset, ct.TrimRefusedBand
 	return s
 }
 

@@ -30,6 +30,7 @@ func TestTierCoverage(t *testing.T) {
 		{"d=5 4k>=n RTA over the full tree", 32, 5, 10, false, false},
 		{"d=3 4k>=n cell index over the full set", 32, 3, 10, true, false},
 	}
+	t.Run("refinement", refinementTier)
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := dataset.Independent(tc.n, tc.d, int64(900+ci))
@@ -94,6 +95,165 @@ func TestTierCoverage(t *testing.T) {
 				}
 				if want := topk.RankNaive(ds.Points, w, vec.Score(w, q)); got != want {
 					t.Fatalf("Rank %d, naive %d", got, want)
+				}
+			}
+		})
+	}
+}
+
+// refinementTier is TestTierCoverage's refinement tier: which route ranks the
+// MWK/MQWK samples is decided by dimensionality and the kernel switch
+// alone, never by the size of the candidate set. The differential suites
+// run at n ~ 20k, where a why-not question's candidate set stays in the
+// low thousands; these shapes have tens of thousands of candidates (a
+// rank-101 point of UN d = 3 is not dominated by about a quarter of the
+// dataset). Each dataset.MakeWhyNot instance is answered by the product
+// path and compared field for field with the SetSkyband(false) and
+// SetKernel(false) clones, sequentially and with Options.Workers = 2;
+// every refinement is re-verified by topk.RankNaive; and the route is read
+// off the counters: at d <= 4 every sample loop swept the call-fixed
+// universe (band-trimmed when k'max fits a trim band) and none fell to a
+// scalar scan, at d = 5 all of them did.
+func refinementTier(t *testing.T) {
+	const samples = 12 // |S| = |Q|: 13 sample query points + MWK at q per call
+	cases := []struct {
+		name    string
+		ds      *dataset.Dataset
+		rank    int
+		trimmed bool // k'max fits a trim band the data keeps small
+	}{
+		{"UN n=100k d=3 rank 101", dataset.Independent(100000, 3, 42), 101, true},
+		{"UN n=100k d=3 rank 501", nil, 501, false},
+		{"UN n=100k d=3 rank 1001", nil, 1001, false},
+		{"AC n=20k d=3 rank 101", dataset.Anticorrelated(20000, 3, 43), 101, false},
+		{"UN n=100k d=4 rank 101", dataset.Independent(100000, 4, 44), 101, false},
+		{"UN n=30k d=5 rank 101 (scalar)", dataset.Independent(30000, 5, 45), 101, false},
+	}
+	var ix *Index
+	for ci, tc := range cases {
+		if tc.ds == nil {
+			tc.ds = cases[ci-1].ds // the same UN dataset and index, a harder question
+			cases[ci].ds = tc.ds
+		} else {
+			pts := make([][]float64, len(tc.ds.Points))
+			for j, p := range tc.ds.Points {
+				pts[j] = p
+			}
+			var err error
+			if ix, err = NewIndex(pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, d := tc.ds, tc.ds.Dim
+		skyOff, kernOff := ix.Clone(), ix.Clone()
+		skyOff.SetSkyband(false)
+		kernOff.SetKernel(false)
+		t.Run(tc.name, func(t *testing.T) {
+			for inst := 0; inst < 2; inst++ {
+				wl, err := dataset.MakeWhyNot(ds, 10, tc.rank, 1, int64(7000+10*ci+inst))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wm := [][]float64{wl.Wm[0]}
+				for _, workers := range []int{0, 2} {
+					req := WhyNotRequest{Q: wl.Q, K: wl.K, W: wm, Opts: Options{SampleSize: samples, Seed: int64(inst + 1), Workers: workers}}
+					before, skyBefore := ix.KernelStats(), ix.SkybandStats()
+					resp, err := ix.WhyNotCtx(t.Context(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					after, skyAfter := ix.KernelStats(), ix.SkybandStats()
+					got := resp.Answer
+					if len(got.Missing) != 1 {
+						t.Fatalf("instance %d: the why-not vector is not missing: %+v", inst, got.Missing)
+					}
+					for name, ref := range map[string]*Index{"skyband off": skyOff, "kernel off": kernOff} {
+						want, err := ref.WhyNotCtx(t.Context(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// RTA statistics legitimately differ (they report the
+						// candidate set each path pruned against); everything
+						// the question's answer consists of must not.
+						w := want.Answer
+						if !reflect.DeepEqual(got.Result, w.Result) || !reflect.DeepEqual(got.Missing, w.Missing) ||
+							!reflect.DeepEqual(got.Explanations, w.Explanations) ||
+							!reflect.DeepEqual(got.ModifiedQuery, w.ModifiedQuery) ||
+							!reflect.DeepEqual(got.ModifiedPreferences, w.ModifiedPreferences) ||
+							!reflect.DeepEqual(got.ModifiedAll, w.ModifiedAll) {
+							t.Fatalf("instance %d workers %d: product answer differs from %s:\n got %+v %+v %+v\nwant %+v %+v %+v", inst, workers, name,
+								got.ModifiedQuery, got.ModifiedPreferences, got.ModifiedAll, w.ModifiedQuery, w.ModifiedPreferences, w.ModifiedAll)
+						}
+					}
+
+					within := func(q []float64, ws [][]float64, k int) bool {
+						for _, w := range ws {
+							if topk.RankNaive(ds.Points, w, vec.Score(w, q)) > k {
+								return false
+							}
+						}
+						return true
+					}
+					if !within(got.ModifiedQuery.Q, wm, wl.K) {
+						t.Fatalf("instance %d: MQP refinement does not rank within k", inst)
+					}
+					if mp := got.ModifiedPreferences; !within(wl.Q, mp.Wm, mp.K) {
+						t.Fatalf("instance %d: MWK refinement does not rank within k' = %d", inst, mp.K)
+					}
+					if ma := got.ModifiedAll; !within(ma.Q, ma.Wm, ma.K) {
+						t.Fatalf("instance %d: MQWK refinement does not rank within k' = %d", inst, ma.K)
+					}
+
+					rt := after.Refine
+					rt.Universes -= before.Refine.Universes
+					rt.UniversePoints -= before.Refine.UniversePoints
+					rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
+					rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
+					rt.EvalsScalar -= before.Refine.EvalsScalar
+					rt.SamplesDrawn -= before.Refine.SamplesDrawn
+					loops := int64(samples + 2) // MWK at q, MQWK at q, |Q| sample points
+					if rt.SamplesDrawn != loops*samples {
+						t.Fatalf("instance %d workers %d: %d samples drawn, want %d", inst, workers, rt.SamplesDrawn, loops*samples)
+					}
+					if d > 4 {
+						if rt.Universes != 0 || rt.EvalsScalar != loops || rt.EvalsTrimmed+rt.EvalsUntrimmed != 0 || after.Points != before.Points {
+							t.Fatalf("d = %d must rank by scalar scans: %+v", d, rt)
+						}
+						continue
+					}
+					if rt.Universes != 1 || rt.EvalsScalar != 0 || rt.EvalsTrimmed+rt.EvalsUntrimmed != loops {
+						t.Fatalf("instance %d workers %d: every sample loop must sweep the one call-fixed universe: %+v", inst, workers, rt)
+					}
+					if rt.UniversePoints <= 8192 {
+						t.Fatalf("instance %d: universe of %d points does not reach past the old linear-scan cutoff", inst, rt.UniversePoints)
+					}
+					if tc.trimmed && got.ModifiedPreferences.KMax <= maxTrimBand && rt.EvalsTrimmed != loops {
+						t.Fatalf("instance %d workers %d: k'max %d fits a trim band, yet %d of %d loops swept untrimmed",
+							inst, workers, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, loops)
+					}
+					// A call that sweeps untrimmed says why: exactly one
+					// counted refusal (k'max past the band cap, or a band
+					// the data makes too large to be worth building).
+					refusedK := skyAfter.TrimRefusedK - skyBefore.TrimRefusedK
+					refusedBand := skyAfter.TrimRefusedBand - skyBefore.TrimRefusedBand
+					wantK, wantBand := int64(0), int64(0)
+					switch {
+					case got.ModifiedPreferences.KMax > maxTrimBand:
+						wantK = 1
+					case !tc.trimmed:
+						wantBand = 1
+					}
+					if refusedK != wantK || refusedBand != wantBand || skyAfter.TrimRefusedDataset != 0 ||
+						(rt.EvalsUntrimmed > 0) != (wantK+wantBand > 0) {
+						t.Fatalf("instance %d workers %d: k'max %d, %d untrimmed loops, refusals k=%d band=%d, want k=%d band=%d",
+							inst, workers, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, refusedK, refusedBand, wantK, wantBand)
+					}
+					// Every sample and every Wm ranking costs at most one
+					// sweep of the universe (capped sweeps and the trim make
+					// it far less), plus the k0 ranking of the preparation.
+					if swept, bound := after.Points-before.Points, (loops*(samples+1)+1)*rt.UniversePoints; swept > bound {
+						t.Fatalf("instance %d workers %d: swept %d points, bound %d", inst, workers, swept, bound)
+					}
 				}
 			}
 		})

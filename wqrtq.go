@@ -50,6 +50,7 @@ import (
 	"math/rand"
 
 	"wqrtq/internal/cellindex"
+	"wqrtq/internal/core"
 	"wqrtq/internal/idtable"
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtopk"
@@ -101,7 +102,10 @@ type Index struct {
 	// kct carries the blocked scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters; kernelOff is the
 	// -kernel=off ablation switch (kernel.go).
-	kct       *kernel.Counters
+	kct *kernel.Counters
+	// rct records which route ranked the refinement loops' samples,
+	// shared across the clone family like kct.
+	rct       *core.RouteCounters
 	kernelOff bool
 	// cells is the snapshot's materialized reverse-top-k cell-index cache
 	// (cellindex.go): grids build lazily per k over the skyband bands and
@@ -140,7 +144,7 @@ func NewIndex(points [][]float64) (*Index, error) {
 // (its parts come from verified durable state, so it skips validation and
 // bulk load).
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), cct: cellindex.NewCounters()}
+	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
 	return ix
 }
