@@ -19,7 +19,7 @@ import (
 func newCellIndexBenchEnv(tb testing.TB, n int, cellOn bool) *skybandBenchEnv {
 	tb.Helper()
 	env := newKernelBenchEnv(tb, n, true)
-	env.ix.SetCellIndex(cellOn)
+	env.ix.cellOff = !cellOn
 	return env
 }
 

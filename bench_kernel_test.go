@@ -19,7 +19,7 @@ import (
 func newKernelBenchEnv(tb testing.TB, n int, kernelOn bool) *skybandBenchEnv {
 	tb.Helper()
 	env := newSkybandBenchEnv(tb, n, true)
-	env.ix.SetKernel(kernelOn)
+	env.ix.kernelOff = !kernelOn
 	return env
 }
 

@@ -80,19 +80,17 @@ func newOverloadWorkload(tb testing.TB, pts [][]float64, admission bool) *overlo
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// The fast-path sub-indexes answer in microseconds, which puts
+	// "capacity" far past what an open-loop generator sharing the CPU can
+	// offer honestly. The reference scalar path costs ~1ms per request, so
+	// saturation happens at a few hundred req/s and the harness overhead
+	// stays negligible. The admission dynamics under study are identical
+	// either way, and BENCH_overload.json was recorded this way.
+	ix.cellOff, ix.skyOff, ix.kernelOff = true, true, true
 	e, err := NewEngine(ix, EngineConfig{
 		Admission:            admission,
 		AdmissionMaxInflight: 8, // deep enough to absorb open-loop arrival bursts, shallow enough to bound accepted latency
 		CacheSize:            -1,
-		// The fast-path sub-indexes answer in microseconds, which puts
-		// "capacity" far past what an open-loop generator sharing the CPU
-		// can offer honestly. The ablated scalar path costs ~1ms per
-		// request, so saturation happens at a few hundred req/s and the
-		// harness overhead stays negligible. The admission dynamics under
-		// study are identical either way.
-		DisableCellIndex: true,
-		DisableSkyband:   true,
-		DisableKernel:    true,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -45,7 +45,7 @@ func newSkybandBenchEnv(tb testing.TB, n int, skybandOn bool) *skybandBenchEnv {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix.SetSkyband(skybandOn)
+	ix.skyOff = !skybandOn
 	rng := rand.New(rand.NewSource(13))
 	W := make([][]float64, 200)
 	for i := range W {

@@ -74,7 +74,7 @@ func benchAlgos(b *testing.B, e *benchEnv, sampleSize int) {
 	b.Run("MQP", func(b *testing.B) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
-			res, err := core.MQP(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, e.pm)
+			res, err := core.MQP(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func benchAlgos(b *testing.B, e *benchEnv, sampleSize int) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(int64(i + 1)))
-			res, err := core.MWK(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, rng, e.pm)
+			res, err := core.MWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, rng, e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func benchAlgos(b *testing.B, e *benchEnv, sampleSize int) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(int64(i + 1)))
-			res, err := core.MQWK(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, sampleSize, rng, e.pm)
+			res, err := core.MQWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, sampleSize, rng, e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func BenchmarkAblationQPvsGrid(b *testing.B) {
 	e := env(b, "independent", benchN, 2, benchK, benchRank, benchWm)
 	b.Run("InteriorPointQP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MQP(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, e.pm); err != nil {
+			if _, err := core.MQP(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, e.pm); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -269,7 +269,7 @@ func BenchmarkAblationRankCounting(b *testing.B) {
 func BenchmarkAblationReuse(b *testing.B) {
 	e := env(b, "independent", benchN, benchDim, benchK, benchRank, benchWm)
 	rng := rand.New(rand.NewSource(1))
-	mqp, err := core.MQP(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, e.pm)
+	mqp, err := core.MQP(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, e.pm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func BenchmarkAblationMWKStrategy(b *testing.B) {
 	b.Run("Lemma6Scan", func(b *testing.B) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
-			res, err := core.MWK(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
+			res, err := core.MWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -422,7 +422,7 @@ func BenchmarkAblationMWKStrategy(b *testing.B) {
 	b.Run("PerVector", func(b *testing.B) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
-			res, err := core.MWKPerVector(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
+			res, err := core.MWKPerVector(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -440,7 +440,7 @@ func BenchmarkAblationMQWKParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MQWKParallel(e.tr, e.wl.Q, e.wl.K, e.wl.Wm, benchSample, benchSample, 1, workers, e.pm); err != nil {
+				if _, err := core.MQWKParallel(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, benchSample, benchSample, 1, workers, e.pm); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -511,7 +511,7 @@ func BenchmarkEngineReverseTopK(b *testing.B) {
 							if i > int64(b.N) {
 								return
 							}
-							if _, _, err := e.ReverseTopK(workload[i%int64(len(workload))], q, benchK); err != nil {
+							if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: workload[i%int64(len(workload))], Q: q, K: benchK}); err != nil {
 								b.Error(err)
 								return
 							}
@@ -631,12 +631,12 @@ func BenchmarkEngineTopKCached(b *testing.B) {
 	}
 	defer e.Close()
 	w := []float64{0.2, 0.3, 0.5}
-	if _, _, err := e.TopK(w, benchK); err != nil {
+	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: benchK}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.TopK(w, benchK); err != nil {
+		if _, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: benchK}); err != nil {
 			b.Fatal(err)
 		}
 	}

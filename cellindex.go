@@ -6,33 +6,22 @@ package wqrtq
 // weighting vector from a point-located grid cell's precomputed candidate
 // superset instead of sweeping the whole k-skyband, and monochromatic
 // reverse top-k gets an exact algorithm beyond 2-D (ReverseTopKMonoND).
-// Results are bit-identical to the -cellindex=off ablation (the
+// Results are bit-identical to the band sweep a declining grid falls back
+// to, which tests reach directly through the unexported cellOff field (the
 // differential suite in cellindex_test.go proves it end to end; see
 // DESIGN.md §10 for the construction and the count-preservation
 // argument). The index rides on the skyband bands — grids are built over
 // them, so their lazy builds and cache hits tick the skyband counters —
-// and reports its scan work through the kernel counters; with either of
-// those sub-indexes disabled, queries run the legacy paths regardless of
-// this switch.
+// and reports its scan work through the kernel counters; under skyOff or
+// kernelOff there is no grid either.
 
 import (
 	"wqrtq/internal/cellindex"
 	"wqrtq/internal/rtopk"
 )
 
-// SetCellIndex toggles the materialized cell index (enabled by default).
-// Results are identical either way; disabling it — the -cellindex=off
-// ablation — reverts reverse top-k to the blocked-kernel/RTA paths. It
-// must be serialized with mutations and Clone, like SetSkyband.
-func (ix *Index) SetCellIndex(enabled bool) {
-	ix.cellOff = !enabled
-}
-
-// CellIndexEnabled reports whether the materialized cell index is active.
-func (ix *Index) CellIndexEnabled() bool { return !ix.cellOff }
-
-// cellGrid returns the cell grid for parameter k, or nil when any of the
-// stacked sub-indexes is disabled or the configuration is ineligible
+// cellGrid returns the cell grid for parameter k, or nil when a test has
+// switched off any of the stacked sub-indexes or the configuration is ineligible
 // (dimensionality, basis size, cache pressure) — callers then use the
 // kernel/RTA paths, which answer identically.
 func (ix *Index) cellGrid(k int) *cellindex.Grid {
@@ -59,10 +48,9 @@ type MonoCell struct {
 // 4-D it returns the result region as grid cells (intervals is nil):
 // every weighting vector whose top-k contains q lies in a returned cell,
 // full cells are entirely inside the result, and partial cells carry a
-// verified midpoint decision. It requires the cell index and the skyband
-// sub-index (its basis) to be enabled; 2-D queries fall back to the exact
-// arrangement sweep when the index declines, higher dimensions have no
-// exact fallback and report the configuration error.
+// verified midpoint decision. 2-D queries fall back to the exact
+// arrangement sweep when the index declines to build a grid; higher
+// dimensions have no exact fallback and report an error.
 func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, error) {
 	if err := ix.checkPoint(q); err != nil {
 		return nil, nil, err
@@ -101,8 +89,6 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 
 // CellIndexStats is a point-in-time view of the materialized cell index.
 type CellIndexStats struct {
-	// Enabled reports whether eligible queries route through the index.
-	Enabled bool `json:"enabled"`
 	// Grids, Cells and Candidates describe the grids the current snapshot
 	// holds (built on it or carried over with their basis band): how many
 	// there are, their total built cells, and the total candidate rows
@@ -129,7 +115,7 @@ type CellIndexStats struct {
 // CellIndexStats reports the sub-index's cache contents and cumulative
 // counters.
 func (ix *Index) CellIndexStats() CellIndexStats {
-	s := CellIndexStats{Enabled: ix.CellIndexEnabled()}
+	var s CellIndexStats
 	if ix.cells == nil {
 		return s
 	}

@@ -30,21 +30,18 @@ func cellPair(t *testing.T, pts [][]float64, skybandOn, kernelOn bool) (on, off 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.CellIndexEnabled() {
+	if on.cellOff {
 		t.Fatal("cell index must be enabled by default")
 	}
-	on.SetSkyband(skybandOn)
-	on.SetKernel(kernelOn)
+	on.skyOff = !skybandOn
+	on.kernelOff = !kernelOn
 	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.SetSkyband(skybandOn)
-	off.SetKernel(kernelOn)
-	off.SetCellIndex(false)
-	if off.CellIndexEnabled() {
-		t.Fatal("SetCellIndex(false) did not stick")
-	}
+	off.skyOff = !skybandOn
+	off.kernelOff = !kernelOn
+	off.cellOff = true
 	return on, off
 }
 
@@ -210,13 +207,13 @@ func TestCellIndexMutationInvalidation(t *testing.T) {
 
 // TestCellIndexEngineStats exercises the engine integration: the cell
 // counters must surface in EngineStats and survive snapshot swaps, the
-// DisableCellIndex ablation must answer identically and record no cell
+// cellOff reference must answer identically and record no cell
 // activity, and a mutation must publish a snapshot whose grids rebuild on
 // first use while the cumulative counters carry over.
 func TestCellIndexEngineStats(t *testing.T) {
 	eOn, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1})
-	eOff, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1, DisableCellIndex: true})
-	if !eOn.Snapshot().CellIndexEnabled() || eOff.Snapshot().CellIndexEnabled() {
+	eOff, _ := testEngineOver(t, 500, 3, EngineConfig{CacheSize: -1}, func(ix *Index) { ix.cellOff = true })
+	if eOn.Snapshot().cellOff || !eOff.Snapshot().cellOff {
 		t.Fatal("engine cell-index configuration not applied")
 	}
 	rng := rand.New(rand.NewSource(521))
@@ -237,12 +234,12 @@ func TestCellIndexEngineStats(t *testing.T) {
 		t.Fatalf("engine results diverge: %v vs %v", respOn.Result, respOff.Result)
 	}
 	st := eOn.Stats()
-	if !st.CellIndex.Enabled || st.CellIndex.Grids < 1 || st.CellIndex.Cells < 1 ||
+	if st.CellIndex.Grids < 1 || st.CellIndex.Cells < 1 ||
 		st.CellIndex.Candidates < 1 || st.CellIndex.Builds < 1 || st.CellIndex.Lookups < int64(len(W)) {
 		t.Fatalf("cell-index stats not populated: %+v", st.CellIndex)
 	}
 	stOff := eOff.Stats()
-	if stOff.CellIndex.Enabled || stOff.CellIndex.Builds != 0 || stOff.CellIndex.Lookups != 0 {
+	if stOff.CellIndex.Builds != 0 || stOff.CellIndex.Lookups != 0 {
 		t.Fatalf("ablated engine recorded cell-index work: %+v", stOff.CellIndex)
 	}
 
@@ -344,7 +341,7 @@ func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, _ := NewIndex(pts)
-	off.SetCellIndex(false)
+	off.cellOff = true
 	wantOff, err := off.ReverseTopK(W, q, 3)
 	if err != nil {
 		t.Fatal(err)

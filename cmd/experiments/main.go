@@ -6,9 +6,13 @@
 //
 //	experiments -figure all -scale 0.1 -seed 1 -csv results.csv
 //
-// Scale multiplies |P|, |S| and |Q|; scale 1 is the paper's configuration
-// (hours of compute for the MQWK sweeps), scale 0.05–0.1 reproduces every
-// qualitative shape in minutes. EXPERIMENTS.md records the committed runs.
+// Scale multiplies |P|, |S| and |Q|; scale 1 is the paper's configuration,
+// scale 0.05–0.1 reproduces every qualitative shape in minutes. The harness
+// times the oracle path (nil core.Source), where the default Table-1 cell at
+// scale 1 costs about three minutes (MQWK 188 s, measured), so a full sweep
+// is hours; the product path answers the same cell in 0.34 s (ROADMAP item
+// 4, which decides which path the figures report). EXPERIMENTS.md records
+// the committed runs.
 package main
 
 import (

@@ -31,6 +31,13 @@ package main
 // Cancellations are counted per endpoint (and in total) in /v1/stats,
 // admission and shedding counters under "admission", degradation state
 // under "wal".
+//
+// Every POST route is the same sequence — decode the body, derive the
+// request context, call the engine, map the error, encode the answer —
+// written once in handlePost; a route is its JSON request shape plus the body
+// that calls the engine and shapes the answer. The flags size the pool,
+// the cache, durability and admission; which index structures answer a
+// query is not configurable (the product has one path).
 
 import (
 	"context"
@@ -56,9 +63,6 @@ func cmdServe(args []string) error {
 	linger := fs.Duration("linger", 200*time.Microsecond, "batch linger window (0 disables)")
 	cacheSize := fs.Int("cache", 4096, "result cache entries (negative disables)")
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables); expired queries answer 503")
-	skyband := fs.String("skyband", "on", "k-skyband candidate sub-index: on (default) or off (full-tree ablation; results identical)")
-	kernelFlag := fs.String("kernel", "on", "blocked SoA scoring kernel: on (default) or off (scalar ablation; results bit-identical)")
-	cellFlag := fs.String("cellindex", "on", "materialized reverse-top-k cell index: on (default) or off (skyband/kernel ablation; results bit-identical)")
 	dataDir := fs.String("data-dir", "", "durable data directory: WAL + snapshots; existing state overrides -data (empty = in-memory)")
 	fsync := fs.String("fsync", "always", "WAL sync policy: always (sync per mutation), interval (periodic) or off (sync at rotation/close only)")
 	fsyncInterval := fs.Duration("fsync-interval", 0, "sync period under -fsync=interval (0 = default)")
@@ -67,15 +71,6 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "admission: hard per-class concurrency ceiling (0 = default)")
 	targetLatency := fs.Duration("target-latency", 0, "admission: latency target driving the adaptive window (0 = default)")
 	fs.Parse(args)
-	if *skyband != "on" && *skyband != "off" {
-		return fmt.Errorf("wqrtq serve: -skyband must be on or off, got %q", *skyband)
-	}
-	if *kernelFlag != "on" && *kernelFlag != "off" {
-		return fmt.Errorf("wqrtq serve: -kernel must be on or off, got %q", *kernelFlag)
-	}
-	if *cellFlag != "on" && *cellFlag != "off" {
-		return fmt.Errorf("wqrtq serve: -cellindex must be on or off, got %q", *cellFlag)
-	}
 	if *fsync != "always" && *fsync != "interval" && *fsync != "off" {
 		return fmt.Errorf("wqrtq serve: -fsync must be always, interval or off, got %q", *fsync)
 	}
@@ -97,9 +92,6 @@ func cmdServe(args []string) error {
 		MaxBatch:               *maxBatch,
 		BatchLinger:            *linger,
 		CacheSize:              *cacheSize,
-		DisableSkyband:         *skyband == "off",
-		DisableKernel:          *kernelFlag == "off",
-		DisableCellIndex:       *cellFlag == "off",
 		DataDir:                *dataDir,
 		Fsync:                  *fsync,
 		FsyncInterval:          *fsyncInterval,
@@ -165,170 +157,124 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// handlePost registers one POST route: decode the JSON body into a Req, bound the
+// work by the client connection and the configured per-query deadline,
+// call, and answer with the encoded result or the mapped error.
+func handlePost[Req any](mux *http.ServeMux, path string, queryTimeout time.Duration, call func(context.Context, *Req) (any, error)) {
+	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		ctx := r.Context()
+		if queryTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, queryTimeout)
+			defer cancel()
+		}
+		out, err := call(ctx, &req)
+		if err != nil {
+			writeQueryErr(w, err)
+			return
+		}
+		writeJSON(w, out)
+	})
+}
+
+type (
+	topKBody struct {
+		W []float64 `json:"w"`
+		K int       `json:"k"`
+	}
+	rankBody struct {
+		W []float64 `json:"w"`
+		Q []float64 `json:"q"`
+	}
+	rtopkBody struct {
+		Q       []float64   `json:"q"`
+		K       int         `json:"k"`
+		Weights [][]float64 `json:"weights"`
+	}
+	explainBody struct {
+		Q       []float64   `json:"q"`
+		Weights [][]float64 `json:"weights"`
+	}
+	whyNotBody struct {
+		Q       []float64   `json:"q"`
+		K       int         `json:"k"`
+		Weights [][]float64 `json:"weights"`
+		Samples int         `json:"samples"`
+		Seed    int64       `json:"seed"`
+	}
+	insertBody struct {
+		Point []float64 `json:"point"`
+	}
+	deleteBody struct {
+		ID *int `json:"id"`
+	}
+)
+
 // newServeHandler builds the HTTP API around an engine. Every query handler
 // derives its context from the request (plus queryTimeout when positive), so
 // deadlines and client disconnects cancel engine work. Factored out so tests
 // can drive it with httptest.
 func newServeHandler(e *wqrtq.Engine, queryTimeout time.Duration) http.Handler {
-	// queryCtx bounds a handler's work by the client connection and the
-	// configured per-query deadline.
-	queryCtx := func(r *http.Request) (context.Context, context.CancelFunc) {
-		if queryTimeout > 0 {
-			return context.WithTimeout(r.Context(), queryTimeout)
-		}
-		return context.WithCancel(r.Context())
-	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/topk", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			W []float64 `json:"w"`
-			K int       `json:"k"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ctx, cancel := queryCtx(r)
-		defer cancel()
+	handlePost(mux, "/v1/topk", queryTimeout, func(ctx context.Context, req *topKBody) (any, error) {
 		resp, err := e.TopKCtx(ctx, wqrtq.TopKRequest{W: req.W, K: req.K})
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch  uint64       `json:"epoch"`
 			Result []rankedJSON `json:"result"`
-		}{resp.Epoch, toRankedJSON(resp.Result)})
+		}{resp.Epoch, toRankedJSON(resp.Result)}, err
 	})
-	mux.HandleFunc("POST /v1/rank", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			W []float64 `json:"w"`
-			Q []float64 `json:"q"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ctx, cancel := queryCtx(r)
-		defer cancel()
+	handlePost(mux, "/v1/rank", queryTimeout, func(ctx context.Context, req *rankBody) (any, error) {
 		resp, err := e.RankCtx(ctx, wqrtq.RankRequest{W: req.W, Q: req.Q})
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch uint64 `json:"epoch"`
 			Rank  int    `json:"rank"`
-		}{resp.Epoch, resp.Rank})
+		}{resp.Epoch, resp.Rank}, err
 	})
-	mux.HandleFunc("POST /v1/rtopk", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Q       []float64   `json:"q"`
-			K       int         `json:"k"`
-			Weights [][]float64 `json:"weights"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ctx, cancel := queryCtx(r)
-		defer cancel()
+	handlePost(mux, "/v1/rtopk", queryTimeout, func(ctx context.Context, req *rtopkBody) (any, error) {
 		resp, err := e.ReverseTopKCtx(ctx, wqrtq.ReverseTopKRequest{Q: req.Q, K: req.K, W: req.Weights})
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		res := resp.Result
-		if res == nil {
-			res = []int{}
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch  uint64         `json:"epoch"`
 			Result []int          `json:"result"`
 			RTA    wqrtq.RTAStats `json:"rta"`
-		}{resp.Epoch, res, resp.RTA})
+		}{resp.Epoch, orEmpty(resp.Result), resp.RTA}, err
 	})
-	mux.HandleFunc("POST /v1/explain", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Q       []float64   `json:"q"`
-			Weights [][]float64 `json:"weights"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ctx, cancel := queryCtx(r)
-		defer cancel()
+	handlePost(mux, "/v1/explain", queryTimeout, func(ctx context.Context, req *explainBody) (any, error) {
 		resp, err := e.ExplainCtx(ctx, wqrtq.ExplainRequest{Q: req.Q, Wm: req.Weights})
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		out := make([][]rankedJSON, len(resp.Explanations))
-		for i, ex := range resp.Explanations {
-			out[i] = toRankedJSON(ex)
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch        uint64         `json:"epoch"`
 			Explanations [][]rankedJSON `json:"explanations"`
-		}{resp.Epoch, out})
+		}{resp.Epoch, toRankedJSONs(resp.Explanations)}, err
 	})
-	mux.HandleFunc("POST /v1/whynot", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Q       []float64   `json:"q"`
-			K       int         `json:"k"`
-			Weights [][]float64 `json:"weights"`
-			Samples int         `json:"samples"`
-			Seed    int64       `json:"seed"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ctx, cancel := queryCtx(r)
-		defer cancel()
+	handlePost(mux, "/v1/whynot", queryTimeout, func(ctx context.Context, req *whyNotBody) (any, error) {
 		resp, err := e.WhyNotCtx(ctx, wqrtq.WhyNotRequest{
 			Q: req.Q, K: req.K, W: req.Weights,
 			Opts: wqrtq.Options{SampleSize: req.Samples, Seed: req.Seed},
 		})
 		if err != nil {
-			writeQueryErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, whyNotJSON(resp.Epoch, resp.Answer))
+		return whyNotJSON(resp.Epoch, resp.Answer), nil
 	})
-	mux.HandleFunc("POST /v1/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Point []float64 `json:"point"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
+	handlePost(mux, "/v1/insert", queryTimeout, func(_ context.Context, req *insertBody) (any, error) {
 		id, epoch, err := e.Insert(req.Point)
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch uint64 `json:"epoch"`
 			ID    int    `json:"id"`
-		}{epoch, id})
+		}{epoch, id}, err
 	})
-	mux.HandleFunc("POST /v1/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ID *int `json:"id"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
+	handlePost(mux, "/v1/delete", queryTimeout, func(_ context.Context, req *deleteBody) (any, error) {
 		if req.ID == nil {
-			writeErr(w, http.StatusBadRequest, errors.New("missing id"))
-			return
+			return nil, fmt.Errorf("%w: missing id", wqrtq.ErrInvalidArgument)
 		}
 		deleted, epoch, err := e.Delete(*req.ID)
-		if err != nil {
-			writeQueryErr(w, err)
-			return
-		}
-		writeJSON(w, struct {
+		return struct {
 			Epoch   uint64 `json:"epoch"`
 			Deleted bool   `json:"deleted"`
-		}{epoch, deleted})
+		}{epoch, deleted}, err
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, e.Stats())
@@ -365,6 +311,22 @@ func toRankedJSON(rs []wqrtq.Ranked) []rankedJSON {
 	return out
 }
 
+func toRankedJSONs(rss [][]wqrtq.Ranked) [][]rankedJSON {
+	out := make([][]rankedJSON, len(rss))
+	for i, rs := range rss {
+		out[i] = toRankedJSON(rs)
+	}
+	return out
+}
+
+// orEmpty makes an empty index list encode as [] instead of null.
+func orEmpty(is []int) []int {
+	if is == nil {
+		return []int{}
+	}
+	return is
+}
+
 func whyNotJSON(epoch uint64, ans *wqrtq.WhyNotAnswer) any {
 	type refineQ struct {
 		Q       []float64 `json:"q"`
@@ -381,18 +343,6 @@ func whyNotJSON(epoch uint64, ans *wqrtq.WhyNotAnswer) any {
 		K       int         `json:"k"`
 		Penalty float64     `json:"penalty"`
 	}
-	exps := make([][]rankedJSON, len(ans.Explanations))
-	for i, ex := range ans.Explanations {
-		exps[i] = toRankedJSON(ex)
-	}
-	result := ans.Result
-	if result == nil {
-		result = []int{}
-	}
-	missing := ans.Missing
-	if missing == nil {
-		missing = []int{}
-	}
 	out := struct {
 		Epoch        uint64         `json:"epoch"`
 		Result       []int          `json:"result"`
@@ -402,7 +352,7 @@ func whyNotJSON(epoch uint64, ans *wqrtq.WhyNotAnswer) any {
 		ModifyQuery  *refineQ       `json:"modify_query,omitempty"`
 		ModifyPrefs  *refineW       `json:"modify_preferences,omitempty"`
 		ModifyAll    *refineAll     `json:"modify_all,omitempty"`
-	}{Epoch: epoch, Result: result, Missing: missing, RTA: ans.RTA, Explanations: exps}
+	}{Epoch: epoch, Result: orEmpty(ans.Result), Missing: orEmpty(ans.Missing), RTA: ans.RTA, Explanations: toRankedJSONs(ans.Explanations)}
 	if len(ans.Missing) > 0 {
 		out.ModifyQuery = &refineQ{Q: ans.ModifiedQuery.Q, Penalty: ans.ModifiedQuery.Penalty}
 		out.ModifyPrefs = &refineW{Wm: ans.ModifiedPreferences.Wm, K: ans.ModifiedPreferences.K, Penalty: ans.ModifiedPreferences.Penalty}

@@ -310,6 +310,13 @@ func TestServeValidationStatusCodes(t *testing.T) {
 		{"negative point rtopk", "/v1/rtopk", `{"q":[-1,-1],"k":2,"weights":[[0.5,0.5]]}`},
 		{"negative insert", "/v1/insert", `{"point":[-1,2]}`},
 		{"weight sum", "/v1/explain", `{"q":[3,3],"weights":[[0.3,0.3]]}`},
+		{"explain point dimension", "/v1/explain", `{"q":[3,3,3],"weights":[[0.5,0.5]]}`},
+		{"explain empty weights", "/v1/explain", `{"q":[3,3],"weights":[]}`},
+		{"whynot weight dimension", "/v1/whynot", `{"q":[3,3],"k":2,"weights":[[0.2,0.3,0.5]]}`},
+		{"whynot negative point", "/v1/whynot", `{"q":[-3,3],"k":2,"weights":[[0.5,0.5]]}`},
+		// q dominates the dataset, so nothing is missing and no refinement
+		// runs: the options are rejected all the same.
+		{"whynot negative samples, nothing missing", "/v1/whynot", `{"q":[0,0],"k":2,"weights":[[0.5,0.5]],"samples":-1}`},
 	}
 	for _, tc := range badInputs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -462,54 +469,32 @@ func TestServeDegraded503(t *testing.T) {
 	wantGolden(t, hrec, http.StatusOK, `{"live":true,"ready":true,"degraded":true,"reason":"wal_append"}`+"\n")
 }
 
-// TestServeKernelStats pins the -kernel plumbing: an engine with the
-// kernel enabled surfaces its blocked-sweep counters in /v1/stats after a
-// reverse top-k, a DisableKernel engine reports the ablation, and the
-// answers match either way.
+// TestServeKernelStats pins the kernel section of /v1/stats: the
+// blocked-sweep counters are populated after a reverse top-k. (That the
+// kernel and the scalar path answer bit-identically is kernel_test.go's
+// job, in package wqrtq.)
 func TestServeKernelStats(t *testing.T) {
-	pts := [][]float64{{1, 8}, {2, 5}, {4, 3}, {8, 2}, {9, 1}}
-	build := func(disable bool) http.Handler {
-		ix, err := wqrtq.NewIndex(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{DisableKernel: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		return newServeHandler(e, 0)
+	h := serveTestHandler(t)
+	rec := post(t, h, "/v1/rtopk", `{"q":[3,4],"k":2,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("rtopk status %d; body %s", rec.Code, rec.Body.String())
 	}
-	body := `{"q":[3,4],"k":2,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`
-	on, off := build(false), build(true)
-	recOn := post(t, on, "/v1/rtopk", body)
-	recOff := post(t, off, "/v1/rtopk", body)
-	if recOn.Code != http.StatusOK || recOn.Body.String() != recOff.Body.String() {
-		t.Fatalf("kernel on/off answers diverge:\n on: %s\noff: %s", recOn.Body.String(), recOff.Body.String())
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stats status %d", rec.Code)
 	}
-	stats := func(h http.Handler) (enabled bool, blocks int64) {
-		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stats status %d", rec.Code)
-		}
-		var st struct {
-			Kernel struct {
-				Enabled bool  `json:"enabled"`
-				Blocks  int64 `json:"blocks"`
-			} `json:"kernel"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatalf("stats not JSON: %v", err)
-		}
-		return st.Kernel.Enabled, st.Kernel.Blocks
+	var st struct {
+		Kernel struct {
+			Blocks int64 `json:"blocks"`
+		} `json:"kernel"`
 	}
-	if enabled, blocks := stats(on); !enabled || blocks < 1 {
-		t.Fatalf("kernel stats not populated on the enabled engine: enabled=%v blocks=%d", enabled, blocks)
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats not JSON: %v", err)
 	}
-	if enabled, blocks := stats(off); enabled || blocks != 0 {
-		t.Fatalf("ablated engine reports kernel work: enabled=%v blocks=%d", enabled, blocks)
+	if st.Kernel.Blocks < 1 {
+		t.Fatalf("kernel stats not populated after an rtopk: blocks=%d", st.Kernel.Blocks)
 	}
 }
 
@@ -560,18 +545,18 @@ func TestServeCarryStats(t *testing.T) {
 		}
 	}
 	rtopk()
-	want("first read builds the 2-band and its grid", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":0,"fallbacks":0,"lookups":2,"carried":0,"dropped":0}`)
+	want("first read builds the 2-band and its grid", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":260,"builds":1,"hits":0,"fallbacks":0,"lookups":2,"carried":0,"dropped":0}`)
 	post(t, h, "/v1/insert", `{"point":[9,9]}`)
 	rtopk()
-	want("dominated insert is carried", `{"enabled":true,"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"enabled":true,"grids":1,"cells":128,"candidates":260,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":0}`)
+	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":260,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":0}`)
 	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
-	want("member delete drops band and grid", `{"enabled":true,"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"enabled":true,"grids":0,"cells":0,"candidates":0,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":1}`)
+	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":0,"cells":0,"candidates":0,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":1}`)
 	rtopk()
-	want("next read rebuilds both", `{"enabled":true,"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"enabled":true,"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
+	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
 }
 
 // TestServeRefineRouteStats pins what /v1/stats says about the route a

@@ -10,6 +10,7 @@ package wqrtq
 // ErrCorruptStore. Never silently wrong.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -691,12 +692,12 @@ func TestDurableRaceHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for i := 0; i < 120; i++ {
 				w := []float64(sample.RandSimplex(rng, 3))
-				if _, _, err := e.TopK(w, 5); err != nil {
+				if _, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: 5}); err != nil {
 					t.Errorf("hammer TopK: %v", err)
 					return
 				}
 				q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-				if _, _, err := e.ReverseTopK([][]float64{w}, q, 4); err != nil {
+				if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: [][]float64{w}, Q: q, K: 4}); err != nil {
 					t.Errorf("hammer ReverseTopK: %v", err)
 					return
 				}

@@ -33,7 +33,7 @@ func TestEngineCacheSweepsDeadEpochs(t *testing.T) {
 		for i := 0; i < queries; i++ {
 			w := []float64(sample.RandSimplex(rng, 3))
 			for rep := 0; rep < 2; rep++ {
-				if _, _, err := e.TopK(w, 5); err != nil {
+				if _, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: 5}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,15 +67,16 @@ func sharedWeightGroup(rng *rand.Rand, d int) (*engineReq, *engineReq) {
 	for i := range shared {
 		shared[i] = sample.RandSimplex(rng, d)
 	}
-	mk := func() [][]float64 {
+	mk := func() *engineReq {
 		W := append([][]float64{}, shared...)
 		W = append(W, sample.RandSimplex(rng, d), sample.RandSimplex(rng, d))
-		return W
+		r := &engineReq{query: query{kind: kindRTopK, set: W, q: []float64{0.05, 0.05, 0.05}, k: 5}}
+		for _, w := range W {
+			r.ws = append(r.ws, w) // what Index.validate derives
+		}
+		return r
 	}
-	q := []float64{0.05, 0.05, 0.05}
-	ra := &engineReq{kind: "rtopk", W: mk(), q: q, k: 5}
-	rb := &engineReq{kind: "rtopk", W: mk(), q: q, k: 5}
-	return ra, rb
+	return mk(), mk()
 }
 
 // TestMergeRTopKWeightsDedup asserts that a merged same-(q, k) group
@@ -91,7 +92,7 @@ func TestMergeRTopKWeightsDedup(t *testing.T) {
 	}
 	for gi, r := range []*engineReq{ra, rb} {
 		for j, mi := range slots[gi] {
-			if !vec.Equal(vec.Point(merged[mi]), vec.Point(r.W[j])) {
+			if !vec.Equal(vec.Point(merged[mi]), vec.Point(r.set[j])) {
 				t.Fatalf("slot (%d, %d) points at the wrong merged vector", gi, j)
 			}
 		}
@@ -125,7 +126,7 @@ func TestExecRTopKSharedWeights(t *testing.T) {
 		got[r] = rv.res
 	})
 	for i, r := range []*engineReq{ra, rb} {
-		want, err := snap.ReverseTopK(r.W, r.q, r.k)
+		want, err := snap.ReverseTopK(r.set, r.q, r.k)
 		if err != nil {
 			t.Fatal(err)
 		}

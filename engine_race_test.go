@@ -8,6 +8,7 @@ package wqrtq
 // violation, or a race-detector report under `go test -race`.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -137,7 +138,8 @@ func engineHammer(t *testing.T, cfg EngineConfig) {
 				// consistent with *some* snapshot — every returned point is
 				// from the known universe, the reported scores are exact,
 				// and ranks ascend.
-				res, _, err := e.TopK(w, k)
+				resResp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: k})
+				res := resResp.Result
 				if err != nil {
 					t.Errorf("engine TopK: %v", err)
 					return
@@ -170,7 +172,8 @@ func engineHammer(t *testing.T, cfg EngineConfig) {
 					// here just assert it stays well-formed under churn.
 					W := [][]float64{w, sample.RandSimplex(rng, dim)}
 					q := []float64{rng.Float64() * 0.05, rng.Float64() * 0.05, rng.Float64() * 0.05}
-					idxs, _, err := e.ReverseTopK(W, q, k)
+					idxsResp, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: W, Q: q, K: k})
+					idxs := idxsResp.Result
 					if err != nil {
 						t.Errorf("engine ReverseTopK: %v", err)
 						return

@@ -1,6 +1,7 @@
 package wqrtq
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -13,6 +14,14 @@ import (
 
 func testEngine(t *testing.T, n, d int, cfg EngineConfig) (*Engine, *Index) {
 	t.Helper()
+	return testEngineOver(t, n, d, cfg, func(*Index) {})
+}
+
+// testEngineOver is testEngine with prep applied to the index before the
+// engine takes ownership of it: how a suite puts a whole engine on a
+// reference path (the unexported skyOff / kernelOff / cellOff fields).
+func testEngineOver(t *testing.T, n, d int, cfg EngineConfig, prep func(*Index)) (*Engine, *Index) {
+	t.Helper()
 	ds := dataset.Independent(n, d, 7)
 	pts := make([][]float64, len(ds.Points))
 	for i, p := range ds.Points {
@@ -22,6 +31,7 @@ func testEngine(t *testing.T, n, d int, cfg EngineConfig) (*Engine, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep(ix)
 	e, err := NewEngine(ix, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +49,8 @@ func TestEngineMatchesIndex(t *testing.T) {
 		q := []float64{rng.Float64() * 0.1, rng.Float64() * 0.1, rng.Float64() * 0.1}
 		k := 1 + rng.Intn(10)
 
-		got, _, err := e.TopK(w, k)
+		gotResp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: k})
+		got := gotResp.Result
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +59,8 @@ func TestEngineMatchesIndex(t *testing.T) {
 			t.Fatalf("TopK mismatch: %v vs %v", got, want)
 		}
 
-		gr, _, err := e.Rank(w, q)
+		grResp, err := e.RankCtx(context.Background(), RankRequest{W: w, Q: q})
+		gr := grResp.Rank
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +73,8 @@ func TestEngineMatchesIndex(t *testing.T) {
 		for j := range W {
 			W[j] = sample.RandSimplex(rng, 3)
 		}
-		gi, _, err := e.ReverseTopK(W, q, k)
+		giResp, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: W, Q: q, K: k})
+		gi := giResp.Result
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +83,8 @@ func TestEngineMatchesIndex(t *testing.T) {
 			t.Fatalf("ReverseTopK mismatch: %v vs %v", gi, wi)
 		}
 
-		ge, _, err := e.Explain(q, W)
+		geResp, err := e.ExplainCtx(context.Background(), ExplainRequest{Q: q, Wm: W})
+		ge := geResp.Explanations
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +104,8 @@ func TestEngineWhyNot(t *testing.T) {
 		W[j] = sample.RandSimplex(rng, 2)
 	}
 	opts := Options{SampleSize: 64, Seed: 3}
-	got, epoch, err := e.WhyNot(q, 3, W, opts)
+	gotResp, err := e.WhyNotCtx(context.Background(), WhyNotRequest{Q: q, K: 3, W: W, Opts: opts})
+	got, epoch := gotResp.Answer, gotResp.Epoch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +123,16 @@ func TestEngineWhyNot(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	e, _ := testEngine(t, 100, 3, EngineConfig{})
-	if _, _, err := e.TopK([]float64{0.5, 0.5}, 3); err == nil {
+	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 3}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if _, _, err := e.TopK([]float64{0.2, 0.3, 0.5}, 0); err == nil {
+	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.2, 0.3, 0.5}, K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := e.Rank([]float64{0.2, 0.3, 0.5}, []float64{1}); err == nil {
+	if _, err := e.RankCtx(context.Background(), RankRequest{W: []float64{0.2, 0.3, 0.5}, Q: []float64{1}}); err == nil {
 		t.Fatal("bad point accepted")
 	}
-	if _, _, err := e.ReverseTopK(nil, []float64{1, 2, 3}, 5); err == nil {
+	if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: nil, Q: []float64{1, 2, 3}, K: 5}); err == nil {
 		t.Fatal("empty weight set accepted")
 	}
 	if _, _, err := e.Insert([]float64{1, 2}); err == nil {
@@ -152,7 +167,8 @@ func TestEngineMutationsPublishNewSnapshots(t *testing.T) {
 	}
 
 	// The new point is cheap enough to rank first under any weight.
-	res, _, err := e.TopK([]float64{0.5, 0.5}, 1)
+	resResp, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 1})
+	res := resResp.Result
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +202,13 @@ func TestEngineMutationsPublishNewSnapshots(t *testing.T) {
 func TestEngineCache(t *testing.T) {
 	e, _ := testEngine(t, 400, 3, EngineConfig{CacheSize: 64})
 	w := []float64{0.2, 0.3, 0.5}
-	r1, ep1, err := e.TopK(w, 5)
+	r1Resp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: 5})
+	r1, ep1 := r1Resp.Result, r1Resp.Epoch
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, ep2, err := e.TopK(w, 5)
+	r2Resp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: 5})
+	r2, ep2 := r2Resp.Result, r2Resp.Epoch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +224,8 @@ func TestEngineCache(t *testing.T) {
 	if _, _, err := e.Insert([]float64{0.0001, 0.0001, 0.0001}); err != nil {
 		t.Fatal(err)
 	}
-	r3, ep3, err := e.TopK(w, 5)
+	r3Resp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: 5})
+	r3, ep3 := r3Resp.Result, r3Resp.Epoch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +264,8 @@ func TestEngineBatchMergeCorrectness(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for _, W := range workloads[c] {
-				got, _, err := e.ReverseTopK(W, q, 10)
+				gotResp, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: W, Q: q, K: 10})
+				got := gotResp.Result
 				if err != nil {
 					errs <- err
 					return
@@ -278,7 +298,7 @@ func TestEngineBatchMergeCorrectness(t *testing.T) {
 func TestEngineClose(t *testing.T) {
 	e, _ := testEngine(t, 50, 2, EngineConfig{})
 	e.Close()
-	if _, _, err := e.TopK([]float64{0.5, 0.5}, 1); err != ErrEngineClosed {
+	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 1}); err != ErrEngineClosed {
 		t.Fatalf("TopK after close: %v", err)
 	}
 	if _, _, err := e.Insert([]float64{1, 1}); err != ErrEngineClosed {
@@ -292,10 +312,10 @@ func TestEngineClose(t *testing.T) {
 
 func TestEngineStatsEndpoints(t *testing.T) {
 	e, _ := testEngine(t, 100, 2, EngineConfig{})
-	if _, _, err := e.TopK([]float64{0.5, 0.5}, 3); err != nil {
+	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Rank([]float64{0.5, 0.5}, []float64{0.1, 0.1}); err != nil {
+	if _, err := e.RankCtx(context.Background(), RankRequest{W: []float64{0.5, 0.5}, Q: []float64{0.1, 0.1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.Insert([]float64{0.3, 0.3}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,7 +134,7 @@ func TestPenaltyModelValidate(t *testing.T) {
 func TestMQPPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	res, err := MQP(tr, paperQ, 3, paperWm, pm)
+	res, err := MQP(context.Background(), tr, nil, paperQ, 3, paperWm, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestMQPAlwaysFeasibleQuick(t *testing.T) {
 			wm[i] = randWeight(r, d)
 		}
 		pm := DefaultPenaltyModel()
-		res, err := MQP(tr, q, k, wm, pm)
+		res, err := MQP(context.Background(), tr, nil, q, k, wm, pm)
 		if err != nil {
 			return false
 		}
@@ -199,7 +200,7 @@ func TestMQPAlreadySatisfied(t *testing.T) {
 	// Why-not vectors that already contain q: the QP constraints are
 	// inactive and q is returned unchanged (penalty 0).
 	tr := paperTree()
-	res, err := MQP(tr, paperQ, 3, []vec.Weight{{0.5, 0.5}}, DefaultPenaltyModel())
+	res, err := MQP(context.Background(), tr, nil, paperQ, 3, []vec.Weight{{0.5, 0.5}}, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +212,19 @@ func TestMQPAlreadySatisfied(t *testing.T) {
 func TestMQPInputValidation(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	if _, err := MQP(tr, paperQ, 0, paperWm, pm); err == nil {
+	if _, err := MQP(context.Background(), tr, nil, paperQ, 0, paperWm, pm); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := MQP(tr, paperQ, 3, nil, pm); err == nil {
+	if _, err := MQP(context.Background(), tr, nil, paperQ, 3, nil, pm); err == nil {
 		t.Error("empty Wm accepted")
 	}
-	if _, err := MQP(tr, paperQ, 3, []vec.Weight{{0.7, 0.7}}, pm); err == nil {
+	if _, err := MQP(context.Background(), tr, nil, paperQ, 3, []vec.Weight{{0.7, 0.7}}, pm); err == nil {
 		t.Error("invalid weight accepted")
 	}
-	if _, err := MQP(tr, paperQ, 100, paperWm, pm); err == nil {
+	if _, err := MQP(context.Background(), tr, nil, paperQ, 100, paperWm, pm); err == nil {
 		t.Error("k > |P| accepted")
 	}
-	if _, err := MQP(tr, vec.Point{1, 2, 3}, 3, paperWm, pm); err == nil {
+	if _, err := MQP(context.Background(), tr, nil, vec.Point{1, 2, 3}, 3, paperWm, pm); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -234,7 +235,7 @@ func TestMWKPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
 	rng := rand.New(rand.NewSource(1))
-	res, err := MWK(tr, paperQ, 3, paperWm, 2000, rng, pm)
+	res, err := MWK(context.Background(), tr, nil, paperQ, 3, paperWm, 2000, rng, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestMWKMatchesExact2DQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := MWK(tr, q, k, wm, 600, rand.New(rand.NewSource(seed+1)), pm)
+		got, err := MWK(context.Background(), tr, nil, q, k, wm, 600, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
@@ -304,7 +305,7 @@ func TestMWKMatchesExact2DQuick(t *testing.T) {
 func TestMWKAlreadySatisfied(t *testing.T) {
 	tr := paperTree()
 	rng := rand.New(rand.NewSource(2))
-	res, err := MWK(tr, paperQ, 3, []vec.Weight{{0.5, 0.5}}, 100, rng, DefaultPenaltyModel())
+	res, err := MWK(context.Background(), tr, nil, paperQ, 3, []vec.Weight{{0.5, 0.5}}, 100, rng, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestMWKZeroSamplesFallsBackToKOnly(t *testing.T) {
 	tr := paperTree()
 	rng := rand.New(rand.NewSource(3))
 	pm := DefaultPenaltyModel()
-	res, err := MWK(tr, paperQ, 3, paperWm, 0, rng, pm)
+	res, err := MWK(context.Background(), tr, nil, paperQ, 3, paperWm, 0, rng, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestMQWKPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
 	rng := rand.New(rand.NewSource(7))
-	res, err := MQWK(tr, paperQ, 3, paperWm, 400, 400, rng, pm)
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 400, 400, rng, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,18 +383,18 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 		wm := []vec.Weight{randWeight(r, d)}
 		pm := DefaultPenaltyModel()
 
-		mqp, err := MQP(tr, q, k, wm, pm)
+		mqp, err := MQP(context.Background(), tr, nil, q, k, wm, pm)
 		if err != nil {
 			return false
 		}
 		// Same seed for both: MQWK evaluates the endpoint q' = q first, so
 		// its internal MWK consumes the identical sample sequence and the
 		// pure-solution bound is deterministic.
-		mwk, err := MWK(tr, q, k, wm, 200, rand.New(rand.NewSource(seed+1)), pm)
+		mwk, err := MWK(context.Background(), tr, nil, q, k, wm, 200, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
-		all, err := MQWK(tr, q, k, wm, 200, 50, rand.New(rand.NewSource(seed+1)), pm)
+		all, err := MQWK(context.Background(), tr, nil, q, k, wm, 200, 50, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
@@ -413,7 +414,7 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 func TestMQWKReusesSingleTraversal(t *testing.T) {
 	tr := paperTree()
 	rng := rand.New(rand.NewSource(9))
-	res, err := MQWK(tr, paperQ, 3, paperWm, 50, 20, rng, DefaultPenaltyModel())
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 50, 20, rng, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestMQPZeroCoordinateQuery(t *testing.T) {
 	tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 256})
 	q := vec.Point{8, 6, 0}
 	wm := []vec.Weight{{0.2, 0.3, 0.5}, {0.1, 0.1, 0.8}}
-	res, err := MQP(tr, q, 3, wm, DefaultPenaltyModel())
+	res, err := MQP(context.Background(), tr, nil, q, 3, wm, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +477,7 @@ func TestMQPZeroCoordinateQuery(t *testing.T) {
 	}
 	// Fully-zero q dominates everything: returned unchanged.
 	origin := vec.Point{0, 0, 0}
-	res, err = MQP(tr, origin, 3, wm, DefaultPenaltyModel())
+	res, err = MQP(context.Background(), tr, nil, origin, 3, wm, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,24 +37,18 @@ var ErrSmallDataset = errors.New("core: dataset smaller than k; nothing to refin
 // the box 0 ≤ q' ≤ q (increasing any coordinate can never help, §4.2), and
 // the closest point of the region to q is obtained by interior-point
 // quadratic programming: minimize ‖q' − q‖².
-func MQP(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) (MQPResult, error) {
-	return MQPCtx(context.Background(), t, q, k, wm, pm)
-}
-
-// MQPCtx is MQP with cooperative cancellation: the per-vector top k-th
-// searches of phase 1 poll ctx on their heap loops (the interior-point solve
-// of phase 2 is a small dense problem and runs to completion).
-func MQPCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) (MQPResult, error) {
-	return MQPSrcCtx(ctx, t, nil, q, k, wm, pm)
-}
-
-// MQPSrcCtx is MQPCtx with the per-vector top k-th searches routed through
-// an optional skyband Source. The refined point and penalty are
-// bit-identical for any valid Source: the safe-region constraints and the
-// feasibility snap consume only the k-th scores, which a k-skyband tree
+//
+// Cancellation is cooperative: the per-vector top k-th searches of phase 1
+// poll ctx on their heap loops (the interior-point solve of phase 2 is a
+// small dense problem and runs to completion).
+//
+// src routes the top k-th searches through the skyband hooks of a Source;
+// nil is the oracle path over the full tree. The refined point and penalty
+// are bit-identical for any valid Source: the safe-region constraints and
+// the feasibility snap consume only the k-th scores, which a k-skyband tree
 // reproduces exactly (only the identity of a score-tied k-th point may
 // differ, visible solely in the diagnostic KthPoints field).
-func MQPSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) (MQPResult, error) {
+func MQP(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) (MQPResult, error) {
 	d := len(q)
 	if err := validateInput(t, q, k, wm); err != nil {
 		return MQPResult{}, err

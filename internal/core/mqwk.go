@@ -40,25 +40,19 @@ type MQWKResult struct {
 // q' = q_min with (Wm, k) unchanged (pure first solution) and q' = q with
 // the best (Wm', k') (pure second solution), so MQWK never returns a worse
 // penalty than γ·Penalty(q_min) or λ·Penalty(Wm', k').
-func MQWK(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	return MQWKCtx(context.Background(), t, q, k, wm, sampleSize, qSampleSize, rng, pm)
-}
-
-// MQWKCtx is MQWK with cooperative cancellation: ctx is polled before every
-// sample query point's MWK search (each costing |S| in-memory rank
-// evaluations), and the inner sampling loops poll on their own intervals, so
-// a canceled refinement unwinds within a fraction of one sample's work.
-func MQWKCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	return MQWKSrcCtx(ctx, t, nil, q, k, wm, sampleSize, qSampleSize, rng, pm)
-}
-
-// MQWKSrcCtx is MQWKCtx with every per-sample evaluation routed through an
-// optional skyband Source: the MQP optimum uses the band's k-th scores, and
-// each sample query point's MWK search classifies against the call-fixed
-// candidate universe, samples hyperplanes lazily and ranks by capped sweeps
-// of that universe's band trim (scalar scans with the kernel off or d > 4).
-// Results are bit-identical to MQWKCtx for any valid Source.
-func MQWKSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
+//
+// ctx is polled before every sample query point's MWK search (each costing
+// |S| in-memory rank evaluations), and the inner sampling loops poll on
+// their own intervals, so a canceled refinement unwinds within a fraction
+// of one sample's work.
+//
+// src routes every per-sample evaluation through the skyband hooks of a
+// Source: the MQP optimum uses the band's k-th scores, and each sample
+// query point's MWK search classifies against the call-fixed candidate
+// universe, samples hyperplanes lazily and ranks by capped sweeps of that
+// universe's band trim (scalar scans with the kernel off or d > 4). nil is
+// the oracle path; results are bit-identical for any valid Source.
+func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
 	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
 	if err != nil {
 		return MQWKResult{}, err
@@ -79,7 +73,7 @@ func mqwkQMin(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k in
 	if qSampleSize < 0 {
 		return nil, fmt.Errorf("core: negative query sample size %d", qSampleSize)
 	}
-	mqp, err := MQPSrcCtx(ctx, t, src, q, k, wm, pm)
+	mqp, err := MQP(ctx, t, src, q, k, wm, pm)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()

@@ -24,23 +24,12 @@ import (
 // This addresses the paper's closing direction — "we would like to explore
 // why-not questions on reverse top-k queries over larger datasets" (§6) —
 // with the orthogonal axis available in a shared-memory implementation.
-func MQWKParallel(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
-	return MQWKParallelCtx(context.Background(), t, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
-}
-
-// MQWKParallelCtx is MQWKParallel with cooperative cancellation: every
-// worker polls the shared ctx before each sample query point and inside its
-// sampling loops, so one cancellation unwinds the whole fan-out. Results
-// remain identical across worker counts at a fixed seed when the context is
-// never canceled.
-func MQWKParallelCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
-	return MQWKParallelSrcCtx(ctx, t, nil, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
-}
-
-// MQWKParallelSrcCtx is MQWKParallelCtx with every worker's per-sample
-// evaluation routed through an optional skyband Source (see MQWKSrcCtx);
-// results stay identical across worker counts and to the nil-Source path.
-func MQWKParallelSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
+//
+// Every worker polls the shared ctx before each sample query point and
+// inside its sampling loops, so one cancellation unwinds the whole fan-out.
+// src is as for MQWK; results stay identical across worker counts and to
+// the nil-Source path.
+func MQWKParallel(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
 	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
 	if err != nil {
 		return MQWKResult{}, err

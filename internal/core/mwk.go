@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"wqrtq/internal/ctxcheck"
-	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/vec"
@@ -38,21 +37,13 @@ type MWKResult struct {
 
 // MWK implements Algorithm 2: modify the why-not weighting vector set Wm
 // and the parameter k with minimum penalty so that q enters the reverse
-// top-k' result of every refined vector.
-func MWK(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return MWKCtx(context.Background(), t, q, k, wm, sampleSize, rng, pm)
-}
-
-// MWKCtx is MWK with cooperative cancellation: the |S|-sample drawing and
-// ranking loop polls ctx every sampleCheckInterval samples.
-func MWKCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return MWKSrcCtx(ctx, t, nil, q, k, wm, sampleSize, rng, pm)
-}
-
-// MWKSrcCtx is MWKCtx with the per-sample rank evaluations and the sampler
-// construction routed through an optional skyband Source. Results are
-// bit-identical to MWKCtx for any valid Source; nil runs the legacy path.
-func MWKSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
+// top-k' result of every refined vector. The |S|-sample drawing and ranking
+// loop polls ctx every sampleCheckInterval samples.
+//
+// src routes the per-sample rank evaluations and the sampler construction
+// through the skyband hooks of a Source; nil is the oracle path. Results
+// are bit-identical for any valid Source.
+func MWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
 	return mwkEntry(ctx, t, src, q, k, wm, sampleSize, rng, pm, mwkSearch)
 }
 
@@ -78,25 +69,6 @@ func mwkEntry(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k in
 	res := out.result()
 	res.NodesVisited = visited
 	return res, nil
-}
-
-// MWKFromSets runs the sampling search of Algorithm 2 given precomputed
-// dominance sets; MQWK calls it once per sample query point, implementing
-// the §4.4 reuse technique (the R-tree is never touched here).
-func MWKFromSets(sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return MWKFromSetsCtx(context.Background(), sets, q, k, wm, sampleSize, rng, pm)
-}
-
-// MWKFromSetsCtx is MWKFromSets with cooperative cancellation over the
-// sample-drawing and candidate-scan loops.
-func MWKFromSetsCtx(ctx context.Context, sets *dominance.Sets, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	sc := getRankScratch()
-	defer putRankScratch(sc)
-	out, err := mwkSearch(ctx, setsRankEval(nil, sc, sets, q), k, wm, sampleSize, rng, pm)
-	if err != nil {
-		return MWKResult{}, err
-	}
-	return out.result(), nil
 }
 
 // mwkOutcome is a search's result before its refined vectors are copied

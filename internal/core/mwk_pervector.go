@@ -18,21 +18,8 @@ import (
 // replaced by its closest sample can drag k' up for everyone. The scanning
 // strategy of MWK (Lemma 6) dominates it on penalty; this variant exists as
 // the paper's explicitly described alternative and as an ablation baseline
-// (BenchmarkAblationMWKStrategy).
-func MWKPerVector(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return MWKPerVectorCtx(context.Background(), t, q, k, wm, sampleSize, rng, pm)
-}
-
-// MWKPerVectorCtx is MWKPerVector with cooperative cancellation over the
-// sample-drawing and per-vector scan loops.
-func MWKPerVectorCtx(ctx context.Context, t *rtree.Tree, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return MWKPerVectorSrcCtx(ctx, t, nil, q, k, wm, sampleSize, rng, pm)
-}
-
-// MWKPerVectorSrcCtx is MWKPerVectorCtx with the rank evaluations and the
-// sampler construction routed through an optional skyband Source; results
-// are bit-identical for any valid Source.
-func MWKPerVectorSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
+// (BenchmarkAblationMWKStrategy). ctx and src are as for MWK.
+func MWKPerVector(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
 	return mwkEntry(ctx, t, src, q, k, wm, sampleSize, rng, pm, mwkPerVectorSearch)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -106,11 +107,11 @@ func TestNormalizedDeltaWBoundedQuick(t *testing.T) {
 func TestMWKDeterministic(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	a, err := MWK(tr, paperQ, 3, paperWm, 300, rand.New(rand.NewSource(42)), pm)
+	a, err := MWK(context.Background(), tr, nil, paperQ, 3, paperWm, 300, rand.New(rand.NewSource(42)), pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MWK(tr, paperQ, 3, paperWm, 300, rand.New(rand.NewSource(42)), pm)
+	b, err := MWK(context.Background(), tr, nil, paperQ, 3, paperWm, 300, rand.New(rand.NewSource(42)), pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestMWKRefinedVectorsValidQuick(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr := paperTree()
 		wm := []vec.Weight{randWeight(r, 2), randWeight(r, 2)}
-		res, err := MWK(tr, paperQ, 2, wm, 200, rand.New(rand.NewSource(seed+1)), DefaultPenaltyModel())
+		res, err := MWK(context.Background(), tr, nil, paperQ, 2, wm, 200, rand.New(rand.NewSource(seed+1)), DefaultPenaltyModel())
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -14,7 +15,7 @@ func TestMWKPerVectorPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
 	rng := rand.New(rand.NewSource(1))
-	res, err := MWKPerVector(tr, paperQ, 3, paperWm, 2000, rng, pm)
+	res, err := MWKPerVector(context.Background(), tr, nil, paperQ, 3, paperWm, 2000, rng, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestMWKPerVectorNeverBeatsScanQuick(t *testing.T) {
 			wm[i] = randWeight(r, d)
 		}
 		pm := DefaultPenaltyModel()
-		scan, err := MWK(tr, q, k, wm, 300, rand.New(rand.NewSource(seed+1)), pm)
+		scan, err := MWK(context.Background(), tr, nil, q, k, wm, 300, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
-		per, err := MWKPerVector(tr, q, k, wm, 300, rand.New(rand.NewSource(seed+1)), pm)
+		per, err := MWKPerVector(context.Background(), tr, nil, q, k, wm, 300, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
@@ -69,7 +70,7 @@ func TestMWKPerVectorNeverBeatsScanQuick(t *testing.T) {
 func TestMWKPerVectorAlreadySatisfied(t *testing.T) {
 	tr := paperTree()
 	rng := rand.New(rand.NewSource(2))
-	res, err := MWKPerVector(tr, paperQ, 3, []vec.Weight{{0.5, 0.5}}, 100, rng, DefaultPenaltyModel())
+	res, err := MWKPerVector(context.Background(), tr, nil, paperQ, 3, []vec.Weight{{0.5, 0.5}}, 100, rng, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +83,12 @@ func TestMQWKParallelMatchesDeterministicSeeding(t *testing.T) {
 	// Same seed, different worker counts: identical result.
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	base, err := MQWKParallel(tr, paperQ, 3, paperWm, 200, 50, 11, 1, pm)
+	base, err := MQWKParallel(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, 1, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got, err := MQWKParallel(tr, paperQ, 3, paperWm, 200, 50, 11, workers, pm)
+		got, err := MQWKParallel(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, workers, pm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +111,11 @@ func TestMQWKParallelVerifiesAndBeatsPureSolutions(t *testing.T) {
 	q := randPoints(r, 1, 3)[0]
 	wm := []vec.Weight{randWeight(r, 3), randWeight(r, 3)}
 	pm := DefaultPenaltyModel()
-	mqp, err := MQP(tr, q, 5, wm, pm)
+	mqp, err := MQP(context.Background(), tr, nil, q, 5, wm, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MQWKParallel(tr, q, 5, wm, 200, 100, 4, 0, pm)
+	res, err := MQWKParallel(context.Background(), tr, nil, q, 5, wm, 200, 100, 4, 0, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +130,10 @@ func TestMQWKParallelVerifiesAndBeatsPureSolutions(t *testing.T) {
 func TestMQWKParallelInputValidation(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	if _, err := MQWKParallel(tr, paperQ, 0, paperWm, 10, 10, 1, 0, pm); err == nil {
+	if _, err := MQWKParallel(context.Background(), tr, nil, paperQ, 0, paperWm, 10, 10, 1, 0, pm); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := MQWKParallel(tr, paperQ, 3, paperWm, 10, -1, 1, 0, pm); err == nil {
+	if _, err := MQWKParallel(context.Background(), tr, nil, paperQ, 3, paperWm, 10, -1, 1, 0, pm); err == nil {
 		t.Error("negative query sample size accepted")
 	}
 }

@@ -16,7 +16,7 @@ type WhyNotRefinements struct {
 	MQWK MQWKResult
 }
 
-// WhyNotRefineSrcCtx computes all three refinement solutions of a why-not
+// WhyNotRefine computes all three refinement solutions of a why-not
 // question over shared traversal state — the pipeline fusion behind
 // Index.WhyNot. Run separately, the solutions repeat each other's index
 // work: MWK's FindIncom and MQWK's candidate cache are the same pruned
@@ -31,7 +31,7 @@ type WhyNotRefinements struct {
 // same arguments: each stage seeds its own rng exactly as the separate
 // calls do, and the shared state is equal by construction to what each
 // stage would have recomputed.
-func WhyNotRefineSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, perVector bool, pm PenaltyModel) (WhyNotRefinements, error) {
+func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, perVector bool, pm PenaltyModel) (WhyNotRefinements, error) {
 	var out WhyNotRefinements
 	if err := validateInput(t, q, k, wm); err != nil {
 		return out, err
@@ -42,7 +42,7 @@ func WhyNotRefineSrcCtx(ctx context.Context, t *rtree.Tree, src *Source, q vec.P
 	if qSampleSize < 0 {
 		return out, fmt.Errorf("core: negative query sample size %d", qSampleSize)
 	}
-	mqp, err := MQPSrcCtx(ctx, t, src, q, k, wm, pm)
+	mqp, err := MQP(ctx, t, src, q, k, wm, pm)
 	if err != nil {
 		if ctx.Err() != nil {
 			return out, ctx.Err()

@@ -13,9 +13,14 @@
 // A Scale factor shrinks cardinality and sample sizes proportionally so the
 // full suite runs in laptop time; EXPERIMENTS.md records the scale used for
 // the committed results.
+//
+// Every algorithm is called with a nil core.Source, so the harness times the
+// oracle path (full-tree scans), not the skyband/kernel product path that
+// wqrtq.Index serves; ROADMAP item 4 decides which one the figures report.
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -169,7 +174,7 @@ func (r *Runner) RunCell(figure string, xName string, x float64, p Params) (Cell
 	mqpSecs := 0.0
 	for rep := 0; rep < 5; rep++ {
 		start := time.Now()
-		mqp, err = core.MQP(b.tr, wl.Q, wl.K, wl.Wm, p.PM)
+		mqp, err = core.MQP(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, p.PM)
 		elapsed := time.Since(start).Seconds()
 		if err != nil {
 			return CellResult{}, fmt.Errorf("experiment: MQP: %w", err)
@@ -184,7 +189,7 @@ func (r *Runner) RunCell(figure string, xName string, x float64, p Params) (Cell
 	}
 
 	start := time.Now()
-	mwk, err := core.MWK(b.tr, wl.Q, wl.K, wl.Wm, sampleSize, rand.New(rand.NewSource(p.Seed+7)), p.PM)
+	mwk, err := core.MWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, rand.New(rand.NewSource(p.Seed+7)), p.PM)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiment: MWK: %w", err)
 	}
@@ -194,7 +199,7 @@ func (r *Runner) RunCell(figure string, xName string, x float64, p Params) (Cell
 	}
 
 	start = time.Now()
-	mqwk, err := core.MQWK(b.tr, wl.Q, wl.K, wl.Wm, sampleSize, qSampleSize, rand.New(rand.NewSource(p.Seed+13)), p.PM)
+	mqwk, err := core.MQWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, qSampleSize, rand.New(rand.NewSource(p.Seed+13)), p.PM)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiment: MQWK: %w", err)
 	}

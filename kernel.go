@@ -6,33 +6,21 @@ package wqrtq
 // membership tests over a k-skyband — runs as cache-friendly blocked
 // sweeps over column-major flattened coordinates instead of one scalar
 // scan (or one branch-and-bound top-k) per weighting vector. Results are
-// bit-identical to the -kernel=off ablation: every score is the same
-// multiply/add chain as vec.Score, only evaluated block-at-a-time (the
-// kernel differential suite in kernel_test.go proves it end to end; see
-// DESIGN.md §9 for the cost model).
+// bit-identical to the scalar path, which is the product path at d > 4 and
+// which tests reach at any d through the unexported kernelOff field: every
+// score is the same multiply/add chain as vec.Score, only evaluated
+// block-at-a-time (the kernel differential suite in kernel_test.go proves
+// it end to end; see DESIGN.md §9 for the cost model). The kernel rides on
+// the skyband candidate sets: under skyOff there is nothing to flatten.
 
 import (
 	"wqrtq/internal/core"
 	"wqrtq/internal/kernel"
 )
 
-// SetKernel toggles the blocked scoring kernel (enabled by default).
-// Results are identical either way; disabling it — the -kernel=off
-// ablation — reverts the sampling loops and reverse top-k to scalar
-// per-weight evaluation. It must be serialized with mutations and Clone,
-// like SetSkyband. The kernel rides on the skyband candidate sets: with
-// the skyband sub-index disabled there is nothing to flatten, and queries
-// run the legacy paths regardless of this switch.
-func (ix *Index) SetKernel(enabled bool) {
-	ix.kernelOff = !enabled
-}
-
-// KernelEnabled reports whether the blocked scoring kernel is active.
-func (ix *Index) KernelEnabled() bool { return !ix.kernelOff }
-
 // kernelCounters returns the cumulative kernel counters of the clone
-// family, or nil when the kernel is disabled (the nil propagates into
-// core.Source.Kernel as the ablation switch).
+// family, or nil under kernelOff (the nil propagates into
+// core.Source.Kernel as the scalar-path switch).
 func (ix *Index) kernelCounters() *kernel.Counters {
 	if ix.kernelOff {
 		return nil
@@ -42,9 +30,6 @@ func (ix *Index) kernelCounters() *kernel.Counters {
 
 // KernelStats is a point-in-time view of the blocked scoring kernel.
 type KernelStats struct {
-	// Enabled reports whether eligible evaluations route through the
-	// blocked kernel.
-	Enabled bool `json:"enabled"`
 	// Blocks counts blocked sweeps over a flattened candidate set;
 	// Weights the weighting vectors they evaluated; Points the candidate
 	// points per sweep, summed. Weights/Blocks is the achieved blocking
@@ -64,7 +49,7 @@ type KernelStats struct {
 
 // KernelStats reports the kernel's cumulative counters.
 func (ix *Index) KernelStats() KernelStats {
-	s := KernelStats{Enabled: ix.KernelEnabled()}
+	var s KernelStats
 	cs := ix.kct.Snapshot()
 	s.Blocks, s.Weights, s.Points = cs.Blocks, cs.Weights, cs.Points
 	s.Refine = ix.rct.Snapshot()

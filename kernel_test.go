@@ -27,19 +27,16 @@ func kernelPair(t *testing.T, pts [][]float64, skybandOn bool) (on, off *Index) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.KernelEnabled() {
+	if on.kernelOff {
 		t.Fatal("kernel must be enabled by default")
 	}
-	on.SetSkyband(skybandOn)
+	on.skyOff = !skybandOn
 	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.SetSkyband(skybandOn)
-	off.SetKernel(false)
-	if off.KernelEnabled() {
-		t.Fatal("SetKernel(false) did not stick")
-	}
+	off.skyOff = !skybandOn
+	off.kernelOff = true
 	return on, off
 }
 
@@ -206,7 +203,7 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix.SetKernel(kernelOn)
+			ix.kernelOff = !kernelOn
 			ans, err := ix.WhyNot(q, k, W, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -305,12 +302,12 @@ func TestKernelMutationInvalidation(t *testing.T) {
 
 // TestKernelEngineStats exercises the engine integration: the kernel
 // counters must surface in EngineStats and survive snapshot swaps, the
-// DisableKernel ablation must answer identically, and Clone must keep the
+// kernelOff reference must answer identically, and Clone must keep the
 // clone family's cumulative counters.
 func TestKernelEngineStats(t *testing.T) {
 	eOn, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1})
-	eOff, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1, DisableKernel: true})
-	if !eOn.Snapshot().KernelEnabled() || eOff.Snapshot().KernelEnabled() {
+	eOff, _ := testEngineOver(t, 500, 3, EngineConfig{CacheSize: -1}, func(ix *Index) { ix.kernelOff = true })
+	if eOn.Snapshot().kernelOff || !eOff.Snapshot().kernelOff {
 		t.Fatal("engine kernel configuration not applied")
 	}
 	rng := rand.New(rand.NewSource(321))
@@ -338,11 +335,11 @@ func TestKernelEngineStats(t *testing.T) {
 		t.Fatalf("WhyNot RTA stats inconsistent: %+v over %d vectors", wnOn.Answer.RTA, len(W))
 	}
 	st := eOn.Stats()
-	if !st.Kernel.Enabled || st.Kernel.Blocks < 1 || st.Kernel.Weights < int64(len(W)) || st.Kernel.Points < 1 {
+	if st.Kernel.Blocks < 1 || st.Kernel.Weights < int64(len(W)) || st.Kernel.Points < 1 {
 		t.Fatalf("kernel stats not populated: %+v", st.Kernel)
 	}
 	stOff := eOff.Stats()
-	if stOff.Kernel.Enabled || stOff.Kernel.Blocks != 0 {
+	if stOff.Kernel.Blocks != 0 {
 		t.Fatalf("ablated engine recorded kernel work: %+v", stOff.Kernel)
 	}
 

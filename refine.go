@@ -191,6 +191,18 @@ func (ix *Index) WhyNot(q []float64, k int, W [][]float64, opts Options) (*WhyNo
 	return resp.Answer, nil
 }
 
+func toQueryRefinement(r core.MQPResult) QueryRefinement {
+	return QueryRefinement{Q: r.RefinedQ, Penalty: r.Penalty}
+}
+
+func toPreferenceRefinement(r core.MWKResult) PreferenceRefinement {
+	return PreferenceRefinement{Wm: weightsToFloats(r.RefinedWm), K: r.RefinedK, Penalty: r.Penalty, KMax: r.KMax}
+}
+
+func toFullRefinement(r core.MQWKResult) FullRefinement {
+	return FullRefinement{Q: r.RefinedQ, Wm: weightsToFloats(r.RefinedWm), K: r.RefinedK, Penalty: r.Penalty}
+}
+
 func weightsToFloats(ws []vec.Weight) [][]float64 {
 	out := make([][]float64, len(ws))
 	for i, w := range ws {

@@ -3,9 +3,18 @@ package wqrtq
 // The context-first request/response API: every public query path of Index
 // and Engine is reachable through a *Ctx method taking a context.Context and
 // a request struct, returning a response struct carrying the snapshot epoch
-// and the wall-clock time spent. These are the primary entry points; the
-// positional signatures (Index.TopK, Index.WhyNot, Engine.ReverseTopK, ...)
-// are thin wrappers delegating here with context.Background().
+// and the wall-clock time spent. These are the primary entry points; Index's
+// positional signatures (Index.TopK, Index.WhyNot, ...) are thin wrappers
+// delegating here with context.Background().
+//
+// A query kind is described once, in the kinds table below: its name, the
+// request fields it carries (each carried field is validated, by the one
+// Index.validate), whether Options enter its cache key, and its executor.
+// Both serving paths are written once over that table — Index.serve
+// (validate → ctx.Err → answer → stamp) here and Engine.serve (validate →
+// key → cache → admit → submit → wait → observe) in serve.go, whose batch
+// executor calls the same Index.answer — and the sixteen typed *Ctx
+// methods only pack a request into a query and unpack the answer.
 //
 // Cancellation is cooperative: the long-running layers — the branch-and-
 // bound heap loop of internal/topk, the RTA loop of internal/rtopk, and the
@@ -159,51 +168,244 @@ type WhyNotResponse struct {
 	Answer  *WhyNotAnswer
 }
 
+// kind identifies one of the eight query kinds; kinds[kind] describes it.
+type kind uint8
+
+const (
+	kindTopK kind = iota
+	kindRank
+	kindRTopK
+	kindExplain
+	kindWhyNot
+	kindModifyQuery
+	kindModifyPreferences
+	kindModifyAll
+	numKinds
+)
+
+// kindSpec is the single description of a query kind.
+type kindSpec struct {
+	// name is the kind's metrics endpoint (EngineStats.Endpoints, and
+	// EngineStats.RTA for the kinds with an rta) and the leading bytes of
+	// its cache key.
+	name string
+	// The request fields the kind carries. Index.validate checks every
+	// carried field — w as one weighting vector, set as a non-empty set of
+	// them, q as a point, k as positive, opts through Options.resolve — and
+	// the typed wrappers leave the others zero. opts is also what puts
+	// Options into the cache key.
+	w, set, q, k, opts bool
+	// run answers a validated query against one snapshot.
+	run func(ctx context.Context, ix *Index, a *query) (any, error)
+	// rta reads the reverse top-k pruning statistics out of an answer, for
+	// the kinds that run an RTA stage; the engine totals them per kind.
+	rta func(val any) RTAStats
+}
+
+var kinds = [numKinds]kindSpec{
+	kindTopK:              {name: "topk", w: true, k: true, run: runTopK},
+	kindRank:              {name: "rank", w: true, q: true, run: runRank},
+	kindRTopK:             {name: "rtopk", set: true, q: true, k: true, run: runReverseTopK, rta: reverseTopKRTA},
+	kindExplain:           {name: "explain", set: true, q: true, run: runExplain},
+	kindWhyNot:            {name: "whynot", set: true, q: true, k: true, opts: true, run: runWhyNot, rta: whyNotRTA},
+	kindModifyQuery:       {name: "modify_query", set: true, q: true, k: true, opts: true, run: runModifyQuery},
+	kindModifyPreferences: {name: "modify_preferences", set: true, q: true, k: true, opts: true, run: runModifyPreferences},
+	kindModifyAll:         {name: "modify_all", set: true, q: true, k: true, opts: true, run: runModifyAll},
+}
+
+// query is one request of any kind: the union of the typed request structs'
+// fields, plus what validation derives from them. A query validated on one
+// snapshot is valid on every snapshot of the clone family — dimensionality
+// never changes — so the engine validates at its door and its workers
+// answer without validating again.
+type query struct {
+	kind kind
+	w    []float64   // the one weighting vector of topk and rank
+	set  [][]float64 // W, or Wm for explain and the modify kinds
+	q    []float64
+	k    int
+	opts Options
+
+	// Set by Index.validate: set as typed vectors, opts resolved.
+	ws    []vec.Weight
+	pm    core.PenaltyModel
+	s, qs int
+	seed  int64
+}
+
+// validate is the one request-boundary check of every kind on both serving
+// paths: each failure is tagged ErrInvalidArgument and found before the
+// request costs a queue slot or a band build. internal/core keeps its own
+// validateInput as the internal packages' guard.
+func (ix *Index) validate(a *query) (err error) {
+	spec := &kinds[a.kind]
+	if spec.w {
+		if err = ix.checkWeight(a.w); err != nil {
+			return err
+		}
+	}
+	if spec.set {
+		if a.ws, err = ix.checkWeights(a.set); err != nil {
+			return err
+		}
+	}
+	if spec.q {
+		if err = ix.checkPoint(a.q); err != nil {
+			return err
+		}
+	}
+	if spec.k && a.k <= 0 {
+		return errPositiveK
+	}
+	if spec.opts {
+		a.pm, a.s, a.qs, a.seed, err = a.opts.resolve()
+	}
+	return err
+}
+
+// answer runs a validated query's executor against this snapshot.
+func (ix *Index) answer(ctx context.Context, a *query) (any, error) {
+	return kinds[a.kind].run(ctx, ix, a)
+}
+
+// serve is the Index request path — validate → ctx.Err → answer → stamp —
+// under cooperative cancellation: the executors poll ctx at bounded
+// intervals and return ctx.Err() once the context ends.
+func (ix *Index) serve(ctx context.Context, a query) (val any, epoch uint64, elapsed time.Duration, err error) {
+	start := time.Now()
+	epoch = ix.Epoch()
+	if err = ix.validate(&a); err != nil {
+		return nil, epoch, 0, err
+	}
+	if err = ctx.Err(); err != nil {
+		return nil, epoch, 0, err
+	}
+	val, err = ix.answer(ctx, &a)
+	return val, epoch, time.Since(start), err
+}
+
+// server is a serving path: Index.serve or Engine.serve.
+type server interface {
+	serve(ctx context.Context, a query) (val any, epoch uint64, elapsed time.Duration, err error)
+}
+
+// answerAs sends a query down a serving path and types its answer.
+func answerAs[T any](ctx context.Context, s server, a query) (res T, epoch uint64, elapsed time.Duration, err error) {
+	v, epoch, elapsed, err := s.serve(ctx, a)
+	if err == nil {
+		res = v.(T)
+	}
+	return res, epoch, elapsed, err
+}
+
+// The typed shape of each kind, written once for both serving paths: pack
+// the request into a query, unpack the answer into the response.
+
+func serveTopK(ctx context.Context, s server, req TopKRequest) (TopKResponse, error) {
+	res, epoch, elapsed, err := answerAs[[]Ranked](ctx, s, query{kind: kindTopK, w: req.W, k: req.K})
+	return TopKResponse{Epoch: epoch, Elapsed: elapsed, Result: res}, err
+}
+
+func serveRank(ctx context.Context, s server, req RankRequest) (RankResponse, error) {
+	rank, epoch, elapsed, err := answerAs[int](ctx, s, query{kind: kindRank, w: req.W, q: req.Q})
+	return RankResponse{Epoch: epoch, Elapsed: elapsed, Rank: rank}, err
+}
+
+func serveReverseTopK(ctx context.Context, s server, req ReverseTopKRequest) (ReverseTopKResponse, error) {
+	rv, epoch, elapsed, err := answerAs[rtopkVal](ctx, s, query{kind: kindRTopK, set: req.W, q: req.Q, k: req.K})
+	return ReverseTopKResponse{Epoch: epoch, Elapsed: elapsed, Result: rv.res, RTA: rv.rta}, err
+}
+
+func serveExplain(ctx context.Context, s server, req ExplainRequest) (ExplainResponse, error) {
+	ex, epoch, elapsed, err := answerAs[[][]Ranked](ctx, s, query{kind: kindExplain, set: req.Wm, q: req.Q})
+	return ExplainResponse{Epoch: epoch, Elapsed: elapsed, Explanations: ex}, err
+}
+
+func serveWhyNot(ctx context.Context, s server, req WhyNotRequest) (WhyNotResponse, error) {
+	ans, epoch, elapsed, err := answerAs[*WhyNotAnswer](ctx, s, query{kind: kindWhyNot, set: req.W, q: req.Q, k: req.K, opts: req.Opts})
+	return WhyNotResponse{Epoch: epoch, Elapsed: elapsed, Answer: ans}, err
+}
+
+func serveModifyQuery(ctx context.Context, s server, req ModifyQueryRequest) (ModifyQueryResponse, error) {
+	ref, epoch, elapsed, err := answerAs[QueryRefinement](ctx, s, query{kind: kindModifyQuery, set: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
+	return ModifyQueryResponse{Epoch: epoch, Elapsed: elapsed, Refinement: ref}, err
+}
+
+func serveModifyPreferences(ctx context.Context, s server, req ModifyPreferencesRequest) (ModifyPreferencesResponse, error) {
+	ref, epoch, elapsed, err := answerAs[PreferenceRefinement](ctx, s, query{kind: kindModifyPreferences, set: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
+	return ModifyPreferencesResponse{Epoch: epoch, Elapsed: elapsed, Refinement: ref}, err
+}
+
+func serveModifyAll(ctx context.Context, s server, req ModifyAllRequest) (ModifyAllResponse, error) {
+	ref, epoch, elapsed, err := answerAs[FullRefinement](ctx, s, query{kind: kindModifyAll, set: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
+	return ModifyAllResponse{Epoch: epoch, Elapsed: elapsed, Refinement: ref}, err
+}
+
 // TopKCtx answers a TopKRequest with cooperative cancellation: the
 // branch-and-bound search polls ctx every few dozen heap pops and returns
 // ctx.Err() once the context ends.
 func (ix *Index) TopKCtx(ctx context.Context, req TopKRequest) (TopKResponse, error) {
-	start := time.Now()
-	resp := TopKResponse{Epoch: ix.Epoch()}
-	if err := ix.checkWeight(req.W); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	rs, err := topk.TopKCtx(ctx, ix.tree, vec.Weight(req.W), req.K)
-	if err != nil {
-		return resp, err
-	}
-	resp.Result = toRanked(rs)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return serveTopK(ctx, ix, req)
 }
 
 // RankCtx answers a RankRequest with cooperative cancellation.
 func (ix *Index) RankCtx(ctx context.Context, req RankRequest) (RankResponse, error) {
-	start := time.Now()
-	resp := RankResponse{Epoch: ix.Epoch()}
-	if err := ix.checkWeight(req.W); err != nil {
-		return resp, err
-	}
-	if err := ix.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	w := vec.Weight(req.W)
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	r, err := ix.rankResult(ctx, w, vec.Score(w, vec.Point(req.Q)))
+	return serveRank(ctx, ix, req)
+}
+
+// ReverseTopKCtx answers a ReverseTopKRequest with cooperative cancellation:
+// the RTA loop polls ctx between vector evaluations and inside each
+// evaluation's heap loop.
+func (ix *Index) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
+	return serveReverseTopK(ctx, ix, req)
+}
+
+// ExplainCtx answers an ExplainRequest with cooperative cancellation.
+func (ix *Index) ExplainCtx(ctx context.Context, req ExplainRequest) (ExplainResponse, error) {
+	return serveExplain(ctx, ix, req)
+}
+
+// ModifyQueryCtx answers a ModifyQueryRequest (Algorithm 1, MQP) with
+// cooperative cancellation of the per-vector top k-th searches.
+func (ix *Index) ModifyQueryCtx(ctx context.Context, req ModifyQueryRequest) (ModifyQueryResponse, error) {
+	return serveModifyQuery(ctx, ix, req)
+}
+
+// ModifyPreferencesCtx answers a ModifyPreferencesRequest (Algorithm 2, MWK)
+// with cooperative cancellation of the |S|-sample loop.
+func (ix *Index) ModifyPreferencesCtx(ctx context.Context, req ModifyPreferencesRequest) (ModifyPreferencesResponse, error) {
+	return serveModifyPreferences(ctx, ix, req)
+}
+
+// ModifyAllCtx answers a ModifyAllRequest (Algorithm 3, MQWK) with
+// cooperative cancellation: ctx is polled before every sample query point
+// and inside every sampling loop, across all workers when parallel.
+func (ix *Index) ModifyAllCtx(ctx context.Context, req ModifyAllRequest) (ModifyAllResponse, error) {
+	return serveModifyAll(ctx, ix, req)
+}
+
+// WhyNotCtx answers a WhyNotRequest — the complete pipeline of Index.WhyNot
+// — with cooperative cancellation threaded through every stage: the reverse
+// top-k evaluation, the explanations, and all three refinement algorithms.
+// A canceled request returns ctx.Err() within one check interval of the
+// stage it was in.
+func (ix *Index) WhyNotCtx(ctx context.Context, req WhyNotRequest) (WhyNotResponse, error) {
+	return serveWhyNot(ctx, ix, req)
+}
+
+// The executors: one per kind, each answering a validated query.
+
+func runTopK(ctx context.Context, ix *Index, a *query) (any, error) {
+	rs, err := topk.TopKCtx(ctx, ix.tree, a.w, a.k)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	resp.Rank = r
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return toRanked(rs), nil
+}
+
+func runRank(ctx context.Context, ix *Index, a *query) (any, error) {
+	w := vec.Weight(a.w)
+	return ix.rankResult(ctx, w, vec.Score(w, a.q))
 }
 
 // rankResult answers a validated rank query (1 + strict-beat count). With
@@ -223,33 +425,22 @@ func (ix *Index) rankResult(ctx context.Context, w vec.Weight, fq float64) (int,
 	return 1 + cnt, nil
 }
 
-// ReverseTopKCtx answers a ReverseTopKRequest with cooperative cancellation:
-// the RTA loop polls ctx between vector evaluations and inside each
-// evaluation's heap loop.
-func (ix *Index) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
-	start := time.Now()
-	resp := ReverseTopKResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.W)
+// rtopkVal is a reverse top-k answer: the matching indices plus the pruning
+// statistics of the run that produced them (shared, in the engine, by cache
+// hits and merged co-waiters).
+type rtopkVal struct {
+	res []int
+	rta RTAStats
+}
+
+func reverseTopKRTA(val any) RTAStats { return val.(rtopkVal).rta }
+
+func runReverseTopK(ctx context.Context, ix *Index, a *query) (any, error) {
+	res, stats, err := ix.bichromatic(ctx, a.ws, a.q, a.k)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	if err := ix.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	res, stats, err := ix.bichromatic(ctx, ws, req.Q, req.K)
-	if err != nil {
-		return resp, err
-	}
-	resp.Result = res
-	resp.RTA = toRTAStats(stats)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return rtopkVal{res: res, rta: toRTAStats(stats)}, nil
 }
 
 // bichromatic answers a validated bichromatic reverse top-k query through
@@ -288,194 +479,99 @@ func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k
 	return rtopk.BichromaticCtx(ctx, ix.tree, W, q, k)
 }
 
-// ExplainCtx answers an ExplainRequest with cooperative cancellation.
-func (ix *Index) ExplainCtx(ctx context.Context, req ExplainRequest) (ExplainResponse, error) {
-	start := time.Now()
-	resp := ExplainResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.Wm)
-	if err != nil {
-		return resp, err
-	}
-	if err := ix.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
+func runExplain(ctx context.Context, ix *Index, a *query) (any, error) {
+	return ix.explain(ctx, a.ws, a.q)
+}
+
+// explain lists, per weighting vector, the points scoring strictly better
+// than q, in rank order.
+func (ix *Index) explain(ctx context.Context, ws []vec.Weight, q vec.Point) ([][]Ranked, error) {
 	out := make([][]Ranked, len(ws))
 	for i, w := range ws {
-		res, err := topk.ExplainCtx(ctx, ix.tree, w, req.Q)
+		res, err := topk.ExplainCtx(ctx, ix.tree, w, q)
 		if err != nil {
-			return resp, err
+			return nil, err
 		}
 		out[i] = toRanked(res)
 	}
-	resp.Explanations = out
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return out, nil
 }
 
-// ModifyQueryCtx answers a ModifyQueryRequest (Algorithm 1, MQP) with
-// cooperative cancellation of the per-vector top k-th searches.
-func (ix *Index) ModifyQueryCtx(ctx context.Context, req ModifyQueryRequest) (ModifyQueryResponse, error) {
-	start := time.Now()
-	resp := ModifyQueryResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.Wm)
+func runModifyQuery(ctx context.Context, ix *Index, a *query) (any, error) {
+	res, err := core.MQP(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.pm)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	pm, _, _, _, err := req.Opts.resolve()
-	if err != nil {
-		return resp, err
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	res, err := core.MQPSrcCtx(ctx, ix.tree, ix.refineSource(req.Q, req.K), req.Q, req.K, ws, pm)
-	if err != nil {
-		return resp, err
-	}
-	resp.Refinement = QueryRefinement{Q: res.RefinedQ, Penalty: res.Penalty}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return toQueryRefinement(res), nil
 }
 
-// ModifyPreferencesCtx answers a ModifyPreferencesRequest (Algorithm 2, MWK)
-// with cooperative cancellation of the |S|-sample loop.
-func (ix *Index) ModifyPreferencesCtx(ctx context.Context, req ModifyPreferencesRequest) (ModifyPreferencesResponse, error) {
-	start := time.Now()
-	resp := ModifyPreferencesResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.Wm)
+func runModifyPreferences(ctx context.Context, ix *Index, a *query) (any, error) {
+	run := core.MWK
+	if a.opts.PerVector {
+		run = core.MWKPerVector
+	}
+	res, err := run(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, rngFor(a.seed), a.pm)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	pm, s, _, seed, err := req.Opts.resolve()
-	if err != nil {
-		return resp, err
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	run := core.MWKSrcCtx
-	if req.Opts.PerVector {
-		run = core.MWKPerVectorSrcCtx
-	}
-	res, err := run(ctx, ix.tree, ix.refineSource(req.Q, req.K), req.Q, req.K, ws, s, rngFor(seed), pm)
-	if err != nil {
-		return resp, err
-	}
-	resp.Refinement = PreferenceRefinement{
-		Wm:      weightsToFloats(res.RefinedWm),
-		K:       res.RefinedK,
-		Penalty: res.Penalty,
-		KMax:    res.KMax,
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return toPreferenceRefinement(res), nil
 }
 
-// ModifyAllCtx answers a ModifyAllRequest (Algorithm 3, MQWK) with
-// cooperative cancellation: ctx is polled before every sample query point
-// and inside every sampling loop, across all workers when parallel.
-func (ix *Index) ModifyAllCtx(ctx context.Context, req ModifyAllRequest) (ModifyAllResponse, error) {
-	start := time.Now()
-	resp := ModifyAllResponse{Epoch: ix.Epoch()}
-	ws, err := ix.checkWeights(req.Wm)
-	if err != nil {
-		return resp, err
-	}
-	pm, s, qs, seed, err := req.Opts.resolve()
-	if err != nil {
-		return resp, err
-	}
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
+func runModifyAll(ctx context.Context, ix *Index, a *query) (any, error) {
 	var res core.MQWKResult
-	src := ix.refineSource(req.Q, req.K)
-	if req.Opts.Workers != 0 {
-		workers := req.Opts.Workers
+	var err error
+	src := ix.coreSource(a.k)
+	if workers := a.opts.Workers; workers != 0 {
 		if workers < 0 {
 			workers = 0 // MQWKParallel resolves 0 to GOMAXPROCS
 		}
-		res, err = core.MQWKParallelSrcCtx(ctx, ix.tree, src, req.Q, req.K, ws, s, qs, seed, workers, pm)
+		res, err = core.MQWKParallel(ctx, ix.tree, src, a.q, a.k, a.ws, a.s, a.qs, a.seed, workers, a.pm)
 	} else {
-		res, err = core.MQWKSrcCtx(ctx, ix.tree, src, req.Q, req.K, ws, s, qs, rngFor(seed), pm)
+		res, err = core.MQWK(ctx, ix.tree, src, a.q, a.k, a.ws, a.s, a.qs, rngFor(a.seed), a.pm)
 	}
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	resp.Refinement = FullRefinement{
-		Q:       res.RefinedQ,
-		Wm:      weightsToFloats(res.RefinedWm),
-		K:       res.RefinedK,
-		Penalty: res.Penalty,
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return toFullRefinement(res), nil
 }
 
-// WhyNotCtx answers a WhyNotRequest — the complete pipeline of Index.WhyNot
-// — with cooperative cancellation threaded through every stage: the reverse
-// top-k evaluation, the explanations, and all three refinement algorithms.
-// A canceled request returns ctx.Err() within one check interval of the
-// stage it was in.
-func (ix *Index) WhyNotCtx(ctx context.Context, req WhyNotRequest) (WhyNotResponse, error) {
-	start := time.Now()
-	resp := WhyNotResponse{Epoch: ix.Epoch()}
-	rt, err := ix.ReverseTopKCtx(ctx, ReverseTopKRequest{Q: req.Q, K: req.K, W: req.W})
+func whyNotRTA(val any) RTAStats { return val.(*WhyNotAnswer).RTA }
+
+// runWhyNot is the complete why-not pipeline: the reverse top-k result, the
+// missing vectors, their explanations, and — fused in core.WhyNotRefine, so
+// one candidate traversal serves both sampling solutions and MQWK reuses
+// the MQP optimum — all three refinements, each bit-identical to its
+// standalone kind. With nothing missing only Result and RTA are populated.
+func runWhyNot(ctx context.Context, ix *Index, a *query) (any, error) {
+	res, stats, err := ix.bichromatic(ctx, a.ws, a.q, a.k)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	ans := &WhyNotAnswer{Result: rt.Result, RTA: rt.RTA}
-	in := make(map[int]bool, len(rt.Result))
-	for _, i := range rt.Result {
+	ans := &WhyNotAnswer{Result: res, RTA: toRTAStats(stats)}
+	in := make(map[int]bool, len(res))
+	for _, i := range res {
 		in[i] = true
 	}
-	var missing [][]float64
-	for i := range req.W {
+	var missing []vec.Weight
+	for i, w := range a.ws {
 		if !in[i] {
 			ans.Missing = append(ans.Missing, i)
-			missing = append(missing, req.W[i])
+			missing = append(missing, w)
 		}
 	}
 	if len(missing) == 0 {
-		resp.Answer = ans
-		resp.Elapsed = time.Since(start)
-		return resp, nil
+		return ans, nil
 	}
-	ex, err := ix.ExplainCtx(ctx, ExplainRequest{Q: req.Q, Wm: missing})
+	if ans.Explanations, err = ix.explain(ctx, missing, a.q); err != nil {
+		return nil, err
+	}
+	ref, err := core.WhyNotRefine(ctx, ix.tree, ix.coreSource(a.k),
+		a.q, a.k, missing, a.s, a.qs, a.seed, a.opts.Workers, a.opts.PerVector, a.pm)
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	ans.Explanations = ex.Explanations
-	// The three refinements run fused (core.WhyNotRefineSrcCtx): one
-	// candidate traversal serves both sampling solutions and MQWK reuses
-	// the MQP optimum, with every answer bit-identical to the standalone
-	// ModifyQueryCtx / ModifyPreferencesCtx / ModifyAllCtx calls.
-	pm, s, qs, seed, err := req.Opts.resolve()
-	if err != nil {
-		return resp, err
-	}
-	ref, err := core.WhyNotRefineSrcCtx(ctx, ix.tree, ix.refineSource(req.Q, req.K),
-		req.Q, req.K, toWeights(missing), s, qs, seed, req.Opts.Workers, req.Opts.PerVector, pm)
-	if err != nil {
-		return resp, err
-	}
-	ans.ModifiedQuery = QueryRefinement{Q: ref.MQP.RefinedQ, Penalty: ref.MQP.Penalty}
-	ans.ModifiedPreferences = PreferenceRefinement{
-		Wm:      weightsToFloats(ref.MWK.RefinedWm),
-		K:       ref.MWK.RefinedK,
-		Penalty: ref.MWK.Penalty,
-		KMax:    ref.MWK.KMax,
-	}
-	ans.ModifiedAll = FullRefinement{
-		Q:       ref.MQWK.RefinedQ,
-		Wm:      weightsToFloats(ref.MQWK.RefinedWm),
-		K:       ref.MQWK.RefinedK,
-		Penalty: ref.MQWK.Penalty,
-	}
-	resp.Answer = ans
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	ans.ModifiedQuery = toQueryRefinement(ref.MQP)
+	ans.ModifiedPreferences = toPreferenceRefinement(ref.MWK)
+	ans.ModifiedAll = toFullRefinement(ref.MQWK)
+	return ans, nil
 }

@@ -1,13 +1,17 @@
 package wqrtq
 
 // The concurrent query-serving engine: copy-on-write snapshots let
-// Insert/Delete proceed while TopK/ReverseTopK/Explain/WhyNot queries run
-// from any number of goroutines, a bounded worker pool coalesces concurrent
-// queries into batches (merging reverse top-k requests against the same
-// query point into a single RTA run), and an LRU cache keyed by
-// (snapshot epoch, query) serves repeated traffic without touching the
-// index. The concurrency substrate (pool, cache, metrics) lives in
-// internal/engine; this file binds it to the Index.
+// Insert/Delete proceed while queries run from any number of goroutines, a
+// bounded worker pool coalesces concurrent queries into batches (merging
+// reverse top-k requests against the same query point into a single RTA
+// run), and an LRU cache keyed by (snapshot epoch, query) serves repeated
+// traffic without touching the index. The concurrency substrate (pool,
+// cache, metrics) lives in internal/engine; this file binds it to the Index.
+//
+// Every query of every kind takes the one path Engine.serve — validate on
+// the snapshot → key → cache → admit → submit → wait → observe — and every
+// mutation the one path Engine.mutate; what a kind is (fields, validation,
+// cache key, metrics name, executor) is the kinds table of request.go.
 
 import (
 	"context"
@@ -21,7 +25,6 @@ import (
 	"wqrtq/internal/admission"
 	"wqrtq/internal/engine"
 	"wqrtq/internal/storage"
-	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
 )
 
@@ -29,7 +32,9 @@ import (
 var ErrEngineClosed = errors.New("wqrtq: engine is closed")
 
 // EngineConfig tunes the serving engine. The zero value is a sensible
-// latency-oriented default.
+// latency-oriented default. It sizes the pool, the cache, durability and
+// admission; which index structures answer a query is not configurable —
+// the skyband, kernel and cell-index layers always serve.
 type EngineConfig struct {
 	// Workers is the number of query worker goroutines; <= 0 uses
 	// GOMAXPROCS.
@@ -47,27 +52,6 @@ type EngineConfig struct {
 	// CacheSize is the capacity of the (epoch, query)-keyed LRU result
 	// cache. 0 uses 4096; negative disables caching.
 	CacheSize int
-	// DisableSkyband turns off the k-skyband sub-index (the
-	// -skyband=off ablation): ReverseTopK, Rank, WhyNot and the refinement
-	// endpoints then run the full-tree execution paths. Results are
-	// identical either way; the sub-index only shrinks the candidate set
-	// each evaluation traverses (see skyband.go and DESIGN.md §8).
-	DisableSkyband bool
-	// DisableKernel turns off the blocked SoA scoring kernel (the
-	// -kernel=off ablation): the refinement sampling loops and eligible
-	// reverse top-k evaluations then score one weighting vector at a time
-	// instead of sweeping whole blocks over the flattened candidate set.
-	// Results are bit-identical either way (see kernel.go and DESIGN.md
-	// §9).
-	DisableKernel bool
-	// DisableCellIndex turns off the materialized reverse-top-k cell index
-	// (the -cellindex=off ablation): eligible ReverseTopK evaluations (and
-	// the RTA stage of WhyNot) then count against the whole flattened
-	// k-skyband instead of a grid cell's precomputed candidate superset.
-	// Results are bit-identical either way (see cellindex.go and DESIGN.md
-	// §10). The index rides on the skyband and kernel sub-indexes, so
-	// disabling either of those sidelines it too.
-	DisableCellIndex bool
 	// DataDir enables durability (durability.go): mutations are logged to
 	// a write-ahead log before they are published, a background
 	// checkpointer serializes snapshots, and NewEngine recovers the
@@ -163,11 +147,11 @@ type Engine struct {
 	// keepEpoch is the deposit guard for AddIf: allocated once so the
 	// batch-execution finish path does not build a closure per result.
 	keepEpoch func(cacheKey) bool
-	// Per-endpoint RTA totals (rtopk and whynot), accumulated when a
-	// computation actually runs — cache hits and merged co-waiters share
-	// the producing run's statistics without re-counting them.
-	rtaRtopk  rtaTotals
-	rtaWhynot rtaTotals
+	// Per-kind RTA totals (the kinds with a kindSpec.rta: rtopk and
+	// whynot), accumulated when a computation actually runs — cache hits
+	// and merged co-waiters share the producing run's statistics without
+	// re-counting them.
+	rta [numKinds]rtaTotals
 }
 
 // rtaTotals accumulates reverse top-k pruning statistics for one endpoint.
@@ -232,15 +216,6 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 		ix, dur = rix, d
-	}
-	if ix.SkybandEnabled() == cfg.DisableSkyband {
-		ix.SetSkyband(!cfg.DisableSkyband)
-	}
-	if ix.KernelEnabled() == cfg.DisableKernel {
-		ix.SetKernel(!cfg.DisableKernel)
-	}
-	if ix.CellIndexEnabled() == cfg.DisableCellIndex {
-		ix.SetCellIndex(!cfg.DisableCellIndex)
 	}
 	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur}
 	e.current.Store(ix)
@@ -332,15 +307,62 @@ func (e *Engine) Epoch() uint64 { return e.current.Load().Epoch() }
 // Insert adds a point through a copy-on-write snapshot swap and returns its
 // id and the epoch of the snapshot that includes it.
 func (e *Engine) Insert(p []float64) (int, uint64, error) {
-	start := time.Now()
-	id, epoch, err := e.insert(p)
-	e.metrics.Observe("insert", time.Since(start), err != nil)
-	return id, epoch, err
+	var id int
+	epoch, err := e.mutate("insert", func(cur *Index) (*Index, func() error, error) {
+		if err := cur.checkPoint(p); err != nil {
+			return nil, nil, err
+		}
+		next := cur.Clone()
+		var err error
+		if id, err = next.Insert(p); err != nil {
+			return nil, nil, err
+		}
+		return next, func() error { return e.dur.appendInsert(uint64(id), vec.Point(p)) }, nil
+	})
+	if err != nil {
+		return 0, epoch, err
+	}
+	return id, epoch, nil
 }
 
-func (e *Engine) insert(p []float64) (int, uint64, error) {
+// Delete removes the point with the given id through a copy-on-write
+// snapshot swap. It reports whether the id was live, and the epoch of the
+// snapshot without it.
+func (e *Engine) Delete(id int) (bool, uint64, error) {
+	deleted := false
+	epoch, err := e.mutate("delete", func(cur *Index) (*Index, func() error, error) {
+		if id < 0 || id >= cur.NumIDs() {
+			_, err := cur.Delete(id) // delegate for the canonical error
+			return nil, nil, err
+		}
+		if cur.Point(id) == nil {
+			return nil, nil, nil // already deleted
+		}
+		next := cur.Clone()
+		ok, err := next.Delete(id)
+		if err != nil || !ok {
+			return nil, nil, err
+		}
+		deleted = true
+		return next, func() error { return e.dur.appendDelete(uint64(id)) }, nil
+	})
+	return deleted && err == nil, epoch, err
+}
+
+// mutate is the one write path: closed → degraded → admit → lock → closed
+// again → apply → WAL append (+fsync, with retry) → publish → sweep →
+// checkpoint, observed under name. apply turns the current snapshot into
+// the next one — on a Clone, so a failure leaves the engine state unchanged
+// — and returns the WAL append that logs the change (called only with
+// durability on); a nil next means there is nothing to publish, because
+// apply rejected the mutation (err) or found it a no-op. The returned epoch
+// is the published snapshot's, the current one's when nothing was
+// published, or 0 when the mutation was turned away before the lock.
+func (e *Engine) mutate(name string, apply func(cur *Index) (next *Index, logTo func() error, err error)) (epoch uint64, err error) {
+	start := time.Now()
+	defer func() { e.metrics.Observe(name, time.Since(start), err != nil) }()
 	if e.closed.Load() {
-		return 0, 0, ErrEngineClosed
+		return 0, ErrEngineClosed
 	}
 	// Fail fast outside the lock: a degraded (read-only) engine refuses
 	// mutations before they cost a clone; admission meters the mutation
@@ -348,16 +370,16 @@ func (e *Engine) insert(p []float64) (int, uint64, error) {
 	// the authoritative path (appendRetry, the closed re-check below).
 	if e.dur != nil {
 		if derr := e.dur.degradedErr(); derr != nil {
-			return 0, 0, derr
+			return 0, derr
 		}
 	}
 	ticket, err := e.admit(context.Background(), admission.Mutation)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if ticket != nil {
-		start := time.Now()
-		defer func() { ticket.Done(time.Since(start)) }()
+		admitted := time.Now()
+		defer func() { ticket.Done(time.Since(admitted)) }()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -365,25 +387,19 @@ func (e *Engine) insert(p []float64) (int, uint64, error) {
 		// Close sets closed and then takes e.mu as a barrier; a mutation
 		// that raced past the first check must not append after the WAL
 		// has been sealed.
-		return 0, 0, ErrEngineClosed
+		return 0, ErrEngineClosed
 	}
 	cur := e.current.Load()
-	if err := cur.checkPoint(p); err != nil {
-		return 0, cur.Epoch(), err
-	}
-	next := cur.Clone()
-	id, err := next.Insert(p)
-	if err != nil {
-		return 0, cur.Epoch(), err
+	next, logTo, err := apply(cur)
+	if err != nil || next == nil {
+		return cur.Epoch(), err
 	}
 	// Write-ahead: the mutation is logged (and, under fsync=always, made
 	// durable) before the snapshot containing it becomes observable. On
 	// failure the clone is discarded and the engine state is unchanged.
 	if e.dur != nil {
-		if err := e.dur.appendRetry(cur, func() error {
-			return e.dur.appendInsert(uint64(id), vec.Point(p))
-		}); err != nil {
-			return 0, cur.Epoch(), err
+		if err := e.dur.appendRetry(cur, logTo); err != nil {
+			return cur.Epoch(), err
 		}
 	}
 	e.current.Store(next)
@@ -391,67 +407,7 @@ func (e *Engine) insert(p []float64) (int, uint64, error) {
 	if e.dur != nil {
 		e.maybeCheckpoint()
 	}
-	return id, next.Epoch(), nil
-}
-
-// Delete removes the point with the given id through a copy-on-write
-// snapshot swap. It reports whether the id was live, and the epoch of the
-// snapshot without it.
-func (e *Engine) Delete(id int) (bool, uint64, error) {
-	start := time.Now()
-	ok, epoch, err := e.delete(id)
-	e.metrics.Observe("delete", time.Since(start), err != nil)
-	return ok, epoch, err
-}
-
-func (e *Engine) delete(id int) (bool, uint64, error) {
-	if e.closed.Load() {
-		return false, 0, ErrEngineClosed
-	}
-	if e.dur != nil {
-		if derr := e.dur.degradedErr(); derr != nil {
-			return false, 0, derr
-		}
-	}
-	ticket, err := e.admit(context.Background(), admission.Mutation)
-	if err != nil {
-		return false, 0, err
-	}
-	if ticket != nil {
-		start := time.Now()
-		defer func() { ticket.Done(time.Since(start)) }()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return false, 0, ErrEngineClosed
-	}
-	cur := e.current.Load()
-	if id < 0 || id >= cur.NumIDs() {
-		ok, err := cur.Delete(id) // delegate for the canonical error
-		return ok, cur.Epoch(), err
-	}
-	if cur.Point(id) == nil {
-		return false, cur.Epoch(), nil // already deleted
-	}
-	next := cur.Clone()
-	ok, err := next.Delete(id)
-	if err != nil || !ok {
-		return ok, cur.Epoch(), err
-	}
-	if e.dur != nil {
-		if err := e.dur.appendRetry(cur, func() error {
-			return e.dur.appendDelete(uint64(id))
-		}); err != nil {
-			return false, cur.Epoch(), err
-		}
-	}
-	e.current.Store(next)
-	e.sweepCache(next.Epoch())
-	if e.dur != nil {
-		e.maybeCheckpoint()
-	}
-	return true, next.Epoch(), nil
+	return next.Epoch(), nil
 }
 
 // sweepCache evicts every cache entry of a superseded epoch as soon as a
@@ -472,238 +428,59 @@ func (e *Engine) sweepCache(current uint64) {
 	})
 }
 
-// TopK serves Index.TopK from the current snapshot, batched and cached. It
-// is a thin wrapper over TopKCtx with context.Background(). The returned
-// epoch identifies the snapshot that produced the result.
-func (e *Engine) TopK(w []float64, k int) ([]Ranked, uint64, error) {
-	resp, err := e.TopKCtx(context.Background(), TopKRequest{W: w, K: k})
-	return resp.Result, resp.Epoch, err
-}
-
 // TopKCtx serves a TopKRequest, batched and cached, with cooperative
 // cancellation: a request whose context ends while queued is shed without
 // index work, and one canceled mid-evaluation unwinds within one check
-// interval. The response's Elapsed includes queueing and batching time.
+// interval. The response's Elapsed includes queueing and batching time, and
+// its Epoch identifies the snapshot that produced the result.
 func (e *Engine) TopKCtx(ctx context.Context, req TopKRequest) (TopKResponse, error) {
-	start := time.Now()
-	var resp TopKResponse
-	if err := e.Snapshot().checkWeight(req.W); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "topk", w: req.W, k: req.K})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Result = v.([]Ranked)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
-}
-
-// Rank serves Index.Rank from the current snapshot. It is a thin wrapper
-// over RankCtx with context.Background().
-func (e *Engine) Rank(w, q []float64) (int, uint64, error) {
-	resp, err := e.RankCtx(context.Background(), RankRequest{W: w, Q: q})
-	return resp.Rank, resp.Epoch, err
+	return serveTopK(ctx, e, req)
 }
 
 // RankCtx serves a RankRequest with cooperative cancellation.
 func (e *Engine) RankCtx(ctx context.Context, req RankRequest) (RankResponse, error) {
-	start := time.Now()
-	var resp RankResponse
-	snap := e.Snapshot()
-	if err := snap.checkWeight(req.W); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "rank", w: req.W, q: req.Q})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Rank = v.(int)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
-}
-
-// ReverseTopK serves the bichromatic reverse top-k query from the current
-// snapshot. Concurrent calls with the same q and k are merged into a single
-// RTA evaluation over the union of their weighting-vector sets, amortizing
-// the R-tree traversals across the whole batch. It is a thin wrapper over
-// ReverseTopKCtx with context.Background().
-func (e *Engine) ReverseTopK(W [][]float64, q []float64, k int) ([]int, uint64, error) {
-	resp, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{Q: q, K: k, W: W})
-	return resp.Result, resp.Epoch, err
+	return serveRank(ctx, e, req)
 }
 
 // ReverseTopKCtx serves a ReverseTopKRequest with cooperative cancellation.
-// A merged same-(q, k) RTA group is aborted only when every waiter's
-// context is done: one canceled waiter unblocks immediately with its
-// context's error while the shared evaluation keeps running for the rest.
+// Concurrent calls with the same q and k are merged into a single RTA
+// evaluation over the union of their weighting-vector sets, amortizing the
+// R-tree traversals across the whole batch. A merged same-(q, k) RTA group
+// is aborted only when every waiter's context is done: one canceled waiter
+// unblocks immediately with its context's error while the shared
+// evaluation keeps running for the rest.
 func (e *Engine) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
-	start := time.Now()
-	var resp ReverseTopKResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.W); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "rtopk", W: req.W, q: req.Q, k: req.K})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	rv := v.(rtopkVal)
-	resp.Result = rv.res
-	resp.RTA = rv.rta
-	resp.Elapsed = time.Since(start)
-	return resp, nil
-}
-
-// Explain serves Index.Explain from the current snapshot. It is a thin
-// wrapper over ExplainCtx with context.Background().
-func (e *Engine) Explain(q []float64, Wm [][]float64) ([][]Ranked, uint64, error) {
-	resp, err := e.ExplainCtx(context.Background(), ExplainRequest{Q: q, Wm: Wm})
-	return resp.Explanations, resp.Epoch, err
+	return serveReverseTopK(ctx, e, req)
 }
 
 // ExplainCtx serves an ExplainRequest with cooperative cancellation.
 func (e *Engine) ExplainCtx(ctx context.Context, req ExplainRequest) (ExplainResponse, error) {
-	start := time.Now()
-	var resp ExplainResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.Wm); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "explain", W: req.Wm, q: req.Q})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Explanations = v.([][]Ranked)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
-}
-
-// WhyNot serves the full why-not pipeline from the current snapshot. It is
-// a thin wrapper over WhyNotCtx with context.Background().
-func (e *Engine) WhyNot(q []float64, k int, W [][]float64, opts Options) (*WhyNotAnswer, uint64, error) {
-	resp, err := e.WhyNotCtx(context.Background(), WhyNotRequest{Q: q, K: k, W: W, Opts: opts})
-	return resp.Answer, resp.Epoch, err
+	return serveExplain(ctx, e, req)
 }
 
 // WhyNotCtx serves a WhyNotRequest with cooperative cancellation threaded
 // through the whole refinement pipeline; deadline-bounding heavy why-not
 // refinements is the primary use of the context API.
 func (e *Engine) WhyNotCtx(ctx context.Context, req WhyNotRequest) (WhyNotResponse, error) {
-	start := time.Now()
-	var resp WhyNotResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.W); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "whynot", W: req.W, q: req.Q, k: req.K, opts: req.Opts})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Answer = v.(*WhyNotAnswer)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return serveWhyNot(ctx, e, req)
 }
 
 // ModifyQueryCtx serves a ModifyQueryRequest (MQP) through the engine:
 // batched, cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyQueryCtx(ctx context.Context, req ModifyQueryRequest) (ModifyQueryResponse, error) {
-	start := time.Now()
-	var resp ModifyQueryResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.Wm); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "modify_query", W: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Refinement = v.(QueryRefinement)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return serveModifyQuery(ctx, e, req)
 }
 
 // ModifyPreferencesCtx serves a ModifyPreferencesRequest (MWK) through the
 // engine: batched, cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyPreferencesCtx(ctx context.Context, req ModifyPreferencesRequest) (ModifyPreferencesResponse, error) {
-	start := time.Now()
-	var resp ModifyPreferencesResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.Wm); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "modify_preferences", W: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Refinement = v.(PreferenceRefinement)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return serveModifyPreferences(ctx, e, req)
 }
 
 // ModifyAllCtx serves a ModifyAllRequest (MQWK) through the engine:
 // batched, cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyAllCtx(ctx context.Context, req ModifyAllRequest) (ModifyAllResponse, error) {
-	start := time.Now()
-	var resp ModifyAllResponse
-	snap := e.Snapshot()
-	if _, err := snap.checkWeights(req.Wm); err != nil {
-		return resp, err
-	}
-	if err := snap.checkPoint(req.Q); err != nil {
-		return resp, err
-	}
-	if req.K <= 0 {
-		return resp, errPositiveK
-	}
-	v, epoch, err := e.do(ctx, &engineReq{kind: "modify_all", W: req.Wm, q: req.Q, k: req.K, opts: req.Opts})
-	resp.Epoch = epoch
-	if err != nil {
-		return resp, err
-	}
-	resp.Refinement = v.(FullRefinement)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return serveModifyAll(ctx, e, req)
 }
 
 // EngineStats is a point-in-time view of the engine's serving counters.
@@ -730,9 +507,9 @@ type EngineStats struct {
 	// Skyband describes the k-skyband sub-index: the bands cached on the
 	// current snapshot and the cumulative build/hit/fallback counters.
 	Skyband SkybandStats `json:"skyband"`
-	// Kernel describes the blocked scoring kernel: whether it is enabled
-	// and the cumulative blocked-sweep counters (blocks, weights ranked,
-	// candidate points swept).
+	// Kernel describes the blocked scoring kernel: the cumulative
+	// blocked-sweep counters (blocks, weights ranked, candidate points
+	// swept).
 	Kernel KernelStats `json:"kernel"`
 	// CellIndex describes the materialized reverse-top-k cell index: the
 	// grids cached on the current snapshot and the cumulative
@@ -761,10 +538,12 @@ func (e *Engine) Stats() EngineStats {
 		Skyband:   snap.SkybandStats(),
 		Kernel:    snap.KernelStats(),
 		CellIndex: snap.CellIndexStats(),
-		RTA: map[string]RTATotals{
-			"rtopk":  e.rtaRtopk.snapshot(),
-			"whynot": e.rtaWhynot.snapshot(),
-		},
+		RTA:       make(map[string]RTATotals),
+	}
+	for k := range kinds {
+		if kinds[k].rta != nil {
+			s.RTA[kinds[k].name] = e.rta[k].snapshot()
+		}
 	}
 	//wqrtq:unordered summing int counters; result is order-free
 	for _, c := range s.Endpoints {
@@ -790,12 +569,8 @@ func (e *Engine) Stats() EngineStats {
 // and a running computation is canceled only when the contexts of all its
 // waiters are done.
 type engineReq struct {
+	query
 	ctx  context.Context
-	kind string
-	w, q []float64
-	W    [][]float64
-	k    int
-	opts Options
 	key  string
 	done chan engineResp
 }
@@ -811,87 +586,77 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// observe records one request's latency, error and cancellation counters.
-func (e *Engine) observe(kind string, start time.Time, err error) {
-	e.metrics.Observe(kind, time.Since(start), err != nil)
-	if err != nil && isCtxErr(err) {
-		e.metrics.ObserveCanceled(kind)
-	}
-}
-
-// do runs one request through the cache fast path, the admission door and
-// the worker pool. The caller unblocks as soon as ctx ends, even if the
-// request is still queued (the pool then sheds it without work). With
-// admission on, a request that cannot get a queue slot immediately is
-// shed with ErrOverloaded instead of parking the caller behind a backlog.
-func (e *Engine) do(ctx context.Context, r *engineReq) (any, uint64, error) {
+// serve is the Engine request path, the one place a request of any kind
+// opens and closes: validate on the current snapshot → key → cache fast
+// path → admission door → submit to the worker pool → wait → observe.
+// Every exit is observed exactly once (the first defer) and the admission
+// ticket is released exactly once (the second). The caller unblocks as soon
+// as ctx ends, even if the request is still queued (the pool then sheds it
+// without work). With admission on, a request that cannot get a queue slot
+// immediately is shed with ErrOverloaded instead of parking the caller
+// behind a backlog.
+func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, elapsed time.Duration, err error) {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		e.observe(r.kind, start, err)
-		return nil, 0, err
+	name := kinds[a.kind].name
+	defer func() {
+		elapsed = time.Since(start)
+		e.metrics.Observe(name, elapsed, err != nil)
+		if err != nil && isCtxErr(err) {
+			e.metrics.ObserveCanceled(name)
+		}
+	}()
+	snap := e.Snapshot()
+	if err = snap.validate(&a); err != nil {
+		return nil, 0, 0, err
 	}
-	r.ctx = ctx
-	r.key = argKey(r)
+	if err = ctx.Err(); err != nil {
+		return nil, 0, 0, err
+	}
+	r := &engineReq{query: a, ctx: ctx, key: argKey(&a)}
 	if e.cache != nil {
-		epoch := e.Epoch()
-		if v, ok := e.cacheGet(epoch, r.key); ok {
-			e.metrics.Observe(r.kind, time.Since(start), false)
+		if v, ok := e.cacheGet(snap.Epoch(), r.key); ok {
 			if e.adm != nil {
 				// Cache hits bypass admission but still shape the class's
 				// service-time estimate: under cache-heavy traffic the
 				// median service time really is a cache hit.
 				e.adm.Observe(admission.Query, time.Since(start))
 			}
-			return v, epoch, nil
+			return v, snap.Epoch(), 0, nil
 		}
 	}
 	// The door: deadline-aware shedding, rate limiting and the AIMD
 	// concurrency window — all before the request costs a queue slot.
-	ticket, aerr := e.admit(ctx, admission.Query)
-	if aerr != nil {
-		e.observe(r.kind, start, aerr)
-		return nil, 0, aerr
+	ticket, err := e.admit(ctx, admission.Query)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	r.done = make(chan engineResp, 1)
 	if ticket != nil {
+		defer func() { ticket.Done(time.Since(start)) }()
 		queued, open := e.pool.TrySubmit(r)
 		if !open {
-			ticket.Done(time.Since(start))
-			return nil, 0, ErrEngineClosed
+			return nil, 0, 0, ErrEngineClosed
 		}
 		if !queued {
-			ticket.Done(time.Since(start))
-			err := &OverloadError{Class: "query", Reason: ReasonQueueFull, RetryAfter: e.adm.P50(admission.Query)}
-			e.observe(r.kind, start, err)
-			return nil, 0, err
+			return nil, 0, 0, &OverloadError{Class: "query", Reason: ReasonQueueFull, RetryAfter: e.adm.P50(admission.Query)}
 		}
 	} else {
 		ok, err := e.pool.SubmitCtx(ctx, r)
 		if err != nil {
 			// The queue was full when the context ended; no work was queued.
-			e.observe(r.kind, start, err)
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if !ok {
-			return nil, 0, ErrEngineClosed
+			return nil, 0, 0, ErrEngineClosed
 		}
 	}
 	select {
 	case resp := <-r.done:
-		if ticket != nil {
-			ticket.Done(time.Since(start))
-		}
-		e.observe(r.kind, start, resp.err)
-		return resp.val, resp.epoch, resp.err
+		return resp.val, resp.epoch, 0, resp.err
 	case <-ctx.Done():
 		// The queued request is shed by the pool's drop check or answered
 		// into the buffered done channel; nothing leaks.
-		if ticket != nil {
-			ticket.Done(time.Since(start))
-		}
-		err := ctx.Err()
-		e.observe(r.kind, start, err)
-		return nil, 0, err
+		return nil, 0, 0, ctx.Err()
 	}
 }
 
@@ -967,7 +732,11 @@ func (e *Engine) exec(batch []*engineReq) {
 			continue
 		}
 		waiters[full] = []*engineReq{r}
-		if r.kind == "rtopk" {
+		// The one per-kind case of the executor: reverse top-k requests
+		// sharing (q, k) merge into a single RTA run over the union of
+		// their weight sets, because the RTA threshold buffer then prunes
+		// across the whole group; no other kind has shareable work.
+		if r.kind == kindRTopK {
 			gk := qkKey(r.q, r.k)
 			if _, ok := rtopkGroups[gk]; !ok {
 				rtopkOrder = append(rtopkOrder, gk)
@@ -1010,79 +779,23 @@ func (e *Engine) exec(batch []*engineReq) {
 		e.execRTopK(cctx, snap, grp, finish)
 		stop()
 	}
-	// Arguments were validated at the Engine entry points (and dimensions
-	// cannot change across snapshots). The cheap kinds (topk, rank)
-	// dispatch straight to the internal implementations to avoid paying
-	// validation twice; the pipeline kinds (explain, whynot, modify_*) go
-	// through the public Index Ctx methods, whose re-validation cost is
-	// negligible against their sampling, QP and traversal work.
 	for _, r := range unique {
 		cctx, stop := compCtx(waiters[cacheKey{epoch: epoch, key: r.key}])
-		var val any
-		var err error
-		switch r.kind {
-		case "topk":
-			var rs []topk.Result
-			rs, err = topk.TopKCtx(cctx, snap.tree, vec.Weight(r.w), r.k)
-			if err == nil {
-				val = toRanked(rs)
-			}
-		case "rank":
-			val, err = snap.rankResult(cctx, vec.Weight(r.w), vec.Score(vec.Weight(r.w), vec.Point(r.q)))
-		case "explain":
-			var resp ExplainResponse
-			resp, err = snap.ExplainCtx(cctx, ExplainRequest{Q: r.q, Wm: r.W})
-			if err == nil {
-				val = resp.Explanations
-			}
-		case "whynot":
-			// WhyNot runs the whole refinement pipeline; its re-validation
-			// cost is negligible against the sampling and QP work.
-			var resp WhyNotResponse
-			resp, err = snap.WhyNotCtx(cctx, WhyNotRequest{Q: r.q, K: r.k, W: r.W, Opts: r.opts})
-			if err == nil {
-				val = resp.Answer
-				e.rtaWhynot.add(resp.Answer.RTA)
-			}
-		case "modify_query":
-			var resp ModifyQueryResponse
-			resp, err = snap.ModifyQueryCtx(cctx, ModifyQueryRequest{Q: r.q, K: r.k, Wm: r.W, Opts: r.opts})
-			if err == nil {
-				val = resp.Refinement
-			}
-		case "modify_preferences":
-			var resp ModifyPreferencesResponse
-			resp, err = snap.ModifyPreferencesCtx(cctx, ModifyPreferencesRequest{Q: r.q, K: r.k, Wm: r.W, Opts: r.opts})
-			if err == nil {
-				val = resp.Refinement
-			}
-		case "modify_all":
-			var resp ModifyAllResponse
-			resp, err = snap.ModifyAllCtx(cctx, ModifyAllRequest{Q: r.q, K: r.k, Wm: r.W, Opts: r.opts})
-			if err == nil {
-				val = resp.Refinement
-			}
-		default:
-			err = errors.New("wqrtq: unknown engine request kind " + r.kind)
-		}
+		val, err := e.run(cctx, snap, r)
 		stop()
 		finish(r, val, err)
 	}
 }
 
-func toWeights(W [][]float64) []vec.Weight {
-	ws := make([]vec.Weight, len(W))
-	for i, w := range W {
-		ws[i] = w
+// run executes one validated request against the batch's snapshot — the
+// same Index.answer the Index path calls — and adds an executed RTA stage
+// to its kind's totals.
+func (e *Engine) run(ctx context.Context, snap *Index, r *engineReq) (any, error) {
+	val, err := snap.answer(ctx, &r.query)
+	if rta := kinds[r.kind].rta; rta != nil && err == nil {
+		e.rta[r.kind].add(rta(val))
 	}
-	return ws
-}
-
-// rtopkVal is the engine's cached reverse top-k result: the matching
-// indices plus the pruning statistics of the run that produced them.
-type rtopkVal struct {
-	res []int
-	rta RTAStats
+	return val, err
 }
 
 // execRTopK evaluates a group of reverse top-k requests sharing (q, k)
@@ -1093,19 +806,12 @@ type rtopkVal struct {
 // back out through the slot map, each carrying the shared run's statistics.
 func (e *Engine) execRTopK(ctx context.Context, snap *Index, grp []*engineReq, finish func(*engineReq, any, error)) {
 	if len(grp) == 1 {
-		r := grp[0]
-		res, stats, err := snap.bichromatic(ctx, toWeights(r.W), vec.Point(r.q), r.k)
-		if err != nil {
-			finish(r, nil, err)
-			return
-		}
-		rta := toRTAStats(stats)
-		e.rtaRtopk.add(rta)
-		finish(r, rtopkVal{res: res, rta: rta}, nil)
+		val, err := e.run(ctx, snap, grp[0])
+		finish(grp[0], val, err)
 		return
 	}
 	merged, slots := mergeRTopKWeights(grp)
-	res, stats, err := snap.bichromatic(ctx, merged, vec.Point(grp[0].q), grp[0].k)
+	res, stats, err := snap.bichromatic(ctx, merged, grp[0].q, grp[0].k)
 	if err != nil {
 		for _, r := range grp {
 			finish(r, nil, err)
@@ -1113,7 +819,7 @@ func (e *Engine) execRTopK(ctx context.Context, snap *Index, grp []*engineReq, f
 		return
 	}
 	rta := toRTAStats(stats)
-	e.rtaRtopk.add(rta)
+	e.rta[kindRTopK].add(rta)
 	inResult := make([]bool, len(merged))
 	for _, mi := range res {
 		inResult[mi] = true
@@ -1135,14 +841,14 @@ func (e *Engine) execRTopK(ctx context.Context, snap *Index, grp []*engineReq, f
 func mergeRTopKWeights(grp []*engineReq) (merged []vec.Weight, slots [][]int) {
 	total := 0
 	for _, r := range grp {
-		total += len(r.W)
+		total += len(r.ws)
 	}
 	merged = make([]vec.Weight, 0, total)
 	slots = make([][]int, len(grp))
 	seen := make(map[string]int, total)
 	for gi, r := range grp {
-		slots[gi] = make([]int, len(r.W))
-		for j, w := range r.W {
+		slots[gi] = make([]int, len(r.ws))
+		for j, w := range r.ws {
 			key := string(appendVec(nil, w))
 			mi, ok := seen[key]
 			if !ok {
@@ -1156,26 +862,27 @@ func mergeRTopKWeights(grp []*engineReq) (merged []vec.Weight, slots [][]int) {
 	return merged, slots
 }
 
-// argKey encodes a request's kind and arguments exactly (no hashing, so no
-// collisions): kind byte, k, then length-prefixed float vectors.
-func argKey(r *engineReq) string {
-	n := 16 + 8*len(r.w) + 8*len(r.q)
-	for _, w := range r.W {
+// argKey encodes a validated query's kind and arguments exactly (no
+// hashing, so no collisions): kind name, k, then length-prefixed float
+// vectors, then the Options of the kinds that carry them.
+func argKey(a *query) string {
+	spec := &kinds[a.kind]
+	n := 16 + 8*len(a.w) + 8*len(a.q)
+	for _, w := range a.ws {
 		n += 8 + 8*len(w)
 	}
-	b := make([]byte, 0, n+len(r.kind)+64)
-	b = append(b, r.kind...)
+	b := make([]byte, 0, n+len(spec.name)+64)
+	b = append(b, spec.name...)
 	b = append(b, 0)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(r.k)))
-	b = appendVec(b, r.w)
-	b = appendVec(b, r.q)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(r.W)))
-	for _, w := range r.W {
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.k)))
+	b = appendVec(b, a.w)
+	b = appendVec(b, a.q)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(a.ws)))
+	for _, w := range a.ws {
 		b = appendVec(b, w)
 	}
-	switch r.kind {
-	case "whynot", "modify_query", "modify_preferences", "modify_all":
-		b = appendOptions(b, r.opts)
+	if spec.opts {
+		b = appendOptions(b, a.opts)
 	}
 	return string(b)
 }

@@ -7,7 +7,8 @@ package wqrtq
 // for as long as mutations leave it unchanged, instead of the full dataset. Only points dominated by fewer than k
 // others can appear in any top-k result, so results are bit-identical to
 // the full-tree paths (the differential suite in skyband_test.go proves it
-// end to end); the candidate set is typically orders of magnitude smaller
+// end to end, reaching the full-tree oracle through the unexported skyOff
+// field); the candidate set is typically orders of magnitude smaller
 // than n, which is where the speedup comes from (see DESIGN.md §8 and
 // BENCH_skyband.json).
 
@@ -21,19 +22,8 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// SetSkyband toggles the k-skyband sub-index (enabled by default). Results
-// are identical either way; disabling it — the -skyband=off ablation —
-// reverts every query to the full-tree execution paths. It must be
-// serialized with mutations and Clone.
-func (ix *Index) SetSkyband(enabled bool) {
-	ix.skyOff = !enabled
-}
-
-// SkybandEnabled reports whether the k-skyband sub-index is active.
-func (ix *Index) SkybandEnabled() bool { return !ix.skyOff }
-
-// band returns the k-skyband of the current snapshot, or nil when the
-// sub-index is disabled.
+// band returns the k-skyband of the current snapshot, or nil when a test
+// has switched the sub-index off (skyOff) to get the full-tree oracle.
 func (ix *Index) band(k int) *skyband.Band {
 	if ix.skyOff || ix.sky == nil {
 		return nil
@@ -42,10 +32,11 @@ func (ix *Index) band(k int) *skyband.Band {
 }
 
 // coreSource builds the acceleration hooks the refinement algorithms run
-// through for parameter k, or nil when disabled. The hooks are
-// bit-compatible with the legacy scans (see core.Source). Every band
-// resolves lazily inside its hook, so an algorithm that never calls a hook
-// (MWK never needs KthPoint) never pays a band construction.
+// through for parameter k, or nil — core's oracle path — under skyOff. The
+// hooks are bit-compatible with the legacy scans (see core.Source). Every
+// band resolves lazily inside its hook, so an algorithm that never calls a
+// hook (MWK never needs KthPoint) never pays a band construction, and none
+// is built before core's own input guard has passed.
 func (ix *Index) coreSource(k int) *core.Source {
 	if ix.skyOff || ix.sky == nil {
 		return nil
@@ -101,20 +92,8 @@ const maxTrimBand = 128
 // the dataset (the band would cover most of it).
 const fullBandTrim = 64
 
-// refineSource is coreSource guarded for the refinement entry points, which
-// validate q and k inside internal/core: obviously invalid input gets a nil
-// source, so no band is built before the validation error surfaces.
-func (ix *Index) refineSource(q []float64, k int) *core.Source {
-	if k <= 0 || len(q) != ix.Dim() || ix.tree.Len() == 0 {
-		return nil
-	}
-	return ix.coreSource(k)
-}
-
 // SkybandStats is a point-in-time view of the skyband sub-index.
 type SkybandStats struct {
-	// Enabled reports whether queries route through the sub-index.
-	Enabled bool `json:"enabled"`
 	// Bands and Points describe the bands the current snapshot holds,
 	// whether it computed them or a mutation carried them over.
 	Bands  int `json:"bands"`
@@ -146,7 +125,7 @@ type SkybandStats struct {
 // SkybandStats reports the sub-index's cache contents and cumulative
 // counters.
 func (ix *Index) SkybandStats() SkybandStats {
-	s := SkybandStats{Enabled: ix.SkybandEnabled()}
+	var s SkybandStats
 	if ix.sky == nil {
 		return s
 	}

@@ -72,17 +72,14 @@ func skybandPair(t *testing.T, pts [][]float64) (on, off *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.SkybandEnabled() {
+	if on.skyOff {
 		t.Fatal("skyband must be enabled by default")
 	}
 	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.SetSkyband(false)
-	if off.SkybandEnabled() {
-		t.Fatal("SetSkyband(false) did not stick")
-	}
+	off.skyOff = true
 	return on, off
 }
 
@@ -281,12 +278,12 @@ func TestSkybandMutationInvalidation(t *testing.T) {
 // state and the per-endpoint RTA totals must surface in EngineStats, the
 // response stats must carry the candidate-set size, mutations must carry
 // the bands they leave unchanged (and drop exactly the ones they do not)
-// with the cumulative counters telling which, and the DisableSkyband
+// with the cumulative counters telling which, and the skyOff
 // ablation must answer identically.
 func TestSkybandEngineStats(t *testing.T) {
 	eOn, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1})
-	eOff, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1, DisableSkyband: true})
-	if !eOn.Snapshot().SkybandEnabled() || eOff.Snapshot().SkybandEnabled() {
+	eOff, _ := testEngineOver(t, 500, 3, EngineConfig{CacheSize: -1}, func(ix *Index) { ix.skyOff = true })
+	if eOn.Snapshot().skyOff || !eOff.Snapshot().skyOff {
 		t.Fatal("engine skyband configuration not applied")
 	}
 	rng := rand.New(rand.NewSource(123))
@@ -321,7 +318,7 @@ func TestSkybandEngineStats(t *testing.T) {
 	}
 
 	st := eOn.Stats()
-	if !st.Skyband.Enabled || st.Skyband.Builds < 1 || st.Skyband.Bands < 1 || st.Skyband.Points < 1 {
+	if st.Skyband.Builds < 1 || st.Skyband.Bands < 1 || st.Skyband.Points < 1 {
 		t.Fatalf("skyband stats not populated: %+v", st.Skyband)
 	}
 	if st.RTA["rtopk"].Runs != 1 || st.RTA["whynot"].Runs != 1 {

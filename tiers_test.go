@@ -146,8 +146,8 @@ func refinementTier(t *testing.T) {
 		}
 		ds, d := tc.ds, tc.ds.Dim
 		skyOff, kernOff := ix.Clone(), ix.Clone()
-		skyOff.SetSkyband(false)
-		kernOff.SetKernel(false)
+		skyOff.skyOff = true
+		kernOff.kernelOff = true
 		t.Run(tc.name, func(t *testing.T) {
 			for inst := 0; inst < 2; inst++ {
 				wl, err := dataset.MakeWhyNot(ds, 10, tc.rank, 1, int64(7000+10*ci+inst))

@@ -96,25 +96,27 @@ type Index struct {
 	// are computed lazily per k and shared by all readers. Clone, Insert
 	// and Delete give the next snapshot a cache of its own that carries
 	// every band the step provably leaves unchanged (dynamic.go), so stale
-	// bands are unreachable. skyOff is the -skyband=off ablation switch.
-	sky    *skyband.Cache
-	skyOff bool
+	// bands are unreachable.
+	sky *skyband.Cache
 	// kct carries the blocked scoring kernel's cumulative counters, shared
-	// across the clone family like the skyband counters; kernelOff is the
-	// -kernel=off ablation switch (kernel.go).
+	// across the clone family like the skyband counters (kernel.go).
 	kct *kernel.Counters
 	// rct records which route ranked the refinement loops' samples,
 	// shared across the clone family like kct.
-	rct       *core.RouteCounters
-	kernelOff bool
+	rct *core.RouteCounters
 	// cells is the snapshot's materialized reverse-top-k cell-index cache
 	// (cellindex.go): grids build lazily per k over the skyband bands and
 	// follow their basis band from snapshot to snapshot. cct carries the
-	// clone family's cumulative counters; cellOff is the -cellindex=off
-	// ablation switch.
-	cells   *cellindex.Cache
-	cct     *cellindex.Counters
-	cellOff bool
+	// clone family's cumulative counters.
+	cells *cellindex.Cache
+	cct   *cellindex.Counters
+	// skyOff, kernelOff and cellOff route queries around a sub-index, onto
+	// the path it accelerates: the full tree, the scalar scan (the product
+	// path at d > 4) and the band sweep (the product path when a grid
+	// declines). The product has one path, so nothing outside this
+	// package's tests sets them: they are how the differential suites
+	// reach their reference answers. Clone copies them.
+	skyOff, kernelOff, cellOff bool
 }
 
 // NewIndex validates and bulk-loads a dataset. Every point must be
