@@ -402,34 +402,64 @@ func BenchmarkMicroWeightSampler(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMWKStrategy compares the paper's two §4.3 candidate
-// strategies: the Lemma 6 scan (MWK, default) and the per-vector closest
-// replacement (MWKPerVector). Same sample budget; the scan dominates on
-// penalty at equal cost.
-func BenchmarkAblationMWKStrategy(b *testing.B) {
-	e := env(b, "independent", benchN, benchDim, benchK, benchRank, 3)
-	b.Run("Lemma6Scan", func(b *testing.B) {
-		var penalty float64
-		for i := 0; i < b.N; i++ {
-			res, err := core.MWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
+// BenchmarkWhyNotDims runs the product why-not path (Index.WhyNotCtx, every
+// accelerator on) on Table-1 questions (k = 10, actual rank 101, |Wm| = 1)
+// over the paper's dimensionalities — UN d = 3 and the stand-ins for its
+// two real datasets, household-like d = 6 and NBA-like d = 13 — at two
+// sample counts. One op answers every question of the cell once. It is the
+// benchmark DESIGN §9 quotes for the refinement route, and CI's one-shot
+// smoke of it keeps the d > 4 product path running.
+func BenchmarkWhyNotDims(b *testing.B) {
+	const questions = 4
+	for _, c := range []struct {
+		name string
+		ds   func() *dataset.Dataset
+	}{
+		{"UN-d3", func() *dataset.Dataset { return dataset.Independent(100000, 3, 1) }},
+		{"household-d6", func() *dataset.Dataset { return dataset.HouseholdLike(100000, 1) }},
+		{"nba-d13", func() *dataset.Dataset { return dataset.NBALike(17265, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := c.ds()
+			pts := make([][]float64, len(ds.Points))
+			for i, p := range ds.Points {
+				pts[i] = p
+			}
+			ix, err := NewIndex(pts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			penalty = res.Penalty
-		}
-		b.ReportMetric(penalty, "penalty")
-	})
-	b.Run("PerVector", func(b *testing.B) {
-		var penalty float64
-		for i := 0; i < b.N; i++ {
-			res, err := core.MWKPerVector(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, 256, rand.New(rand.NewSource(int64(i+1))), e.pm)
-			if err != nil {
-				b.Fatal(err)
+			var reqs []WhyNotRequest
+			for seed := int64(1); len(reqs) < questions; seed++ {
+				wl, err := dataset.MakeWhyNot(ds, benchK, benchRank, 1, seed)
+				if err != nil {
+					continue // no point of this rank under the drawn vector
+				}
+				reqs = append(reqs, WhyNotRequest{Q: wl.Q, K: wl.K, W: [][]float64{wl.Wm[0]}})
 			}
-			penalty = res.Penalty
-		}
-		b.ReportMetric(penalty, "penalty")
-	})
+			for _, samples := range []int{24, 100} {
+				b.Run(fmt.Sprintf("S=%d", samples), func(b *testing.B) {
+					run := func() {
+						for qi, req := range reqs {
+							req.Opts = Options{SampleSize: samples, Seed: int64(qi + 1)}
+							resp, err := ix.WhyNotCtx(context.Background(), req)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if len(resp.Answer.Missing) != 1 {
+								b.Fatalf("question %d: the why-not vector is not missing", qi)
+							}
+						}
+					}
+					run() // builds the bands the questions share, once per index
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run()
+					}
+				})
+			}
+		})
+	}
 }
 
 // BenchmarkAblationMQWKParallel measures the speedup of parallelizing

@@ -13,10 +13,14 @@ package wqrtq
 // bulk load a single time.
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"wqrtq/internal/dataset"
 )
@@ -110,7 +114,7 @@ func TestRecordBenchWAL(t *testing.T) {
 		t.Skip("set RECORD_BENCH=1 to re-record BENCH_wal.json")
 	}
 	const n = 1_000_000
-	snap := newBenchSnapshot("BenchmarkWAL",
+	snap := newBenchSnapshot("BenchmarkWAL", map[string]any{"shape": "independent", "n": n, "d": benchDim},
 		"Recorded by `RECORD_BENCH=1 go test -run TestRecordBenchWAL .` — the environment fields "+
 			"above come from the recording process itself, the data directory lives on that "+
 			"machine's filesystem, so the fsync=always row is a property of the recording disk. "+
@@ -118,8 +122,7 @@ func TestRecordBenchWAL(t *testing.T) {
 			"publish; fsync=memory is the no-DataDir in-memory baseline); the recover row is one "+
 			"full startup recovery: 1M-point checksummed snapshot load, R-tree reassembly, and a "+
 			"1000-record WAL tail replay. Checkpointing is disabled in every arm so the rows "+
-			"isolate the append/recovery paths.", n)
-	snap.Dataset = map[string]any{"shape": "independent", "n": n, "d": benchDim}
+			"isolate the append/recovery paths.")
 
 	ix := walBenchIndex(t, n)
 	for _, arm := range []string{"memory", "off", "interval", "always"} {
@@ -165,4 +168,78 @@ func TestRecordBenchWAL(t *testing.T) {
 		Iterations: res.N, NsPerOp: ns, ReqPerSec: 1e9 / ns,
 	})
 	writeBenchSnapshot(t, "BENCH_wal.json", snap)
+}
+
+// benchRecord is one row of BENCH_wal.json.
+type benchRecord struct {
+	N          int     `json:"n"`
+	Fsync      string  `json:"fsync"`
+	Endpoint   string  `json:"endpoint"`
+	Iterations int     `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	ReqPerSec  float64 `json:"requests_per_sec"`
+}
+
+// benchSnapshot is the BENCH_wal.json document shape. Every environment
+// field is captured from the running process.
+type benchSnapshot struct {
+	Benchmark  string        `json:"benchmark"`
+	Date       string        `json:"date"`
+	Go         string        `json:"go"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	GOAMD64    string        `json:"goamd64"`
+	NumCPU     int           `json:"num_cpu"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Dataset    any           `json:"dataset"`
+	Note       string        `json:"note"`
+	Results    []benchRecord `json:"results"`
+}
+
+// newBenchSnapshot captures the run environment for one snapshot document.
+func newBenchSnapshot(benchmark string, ds any, note string) benchSnapshot {
+	return benchSnapshot{
+		Benchmark:  benchmark,
+		Date:       time.Now().UTC().Format("2006-01-02"),
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOAMD64:    goamd64(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Dataset:    ds,
+		Note:       note,
+	}
+}
+
+// writeBenchSnapshot commits one benchmark snapshot document.
+func writeBenchSnapshot(t *testing.T, path string, snap benchSnapshot) {
+	t.Helper()
+	out, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s (%d results)", path, len(snap.Results))
+}
+
+// goamd64 resolves the microarchitecture level the recording binary was
+// compiled for: the build info of the test binary itself when stamped,
+// else the GOAMD64 environment variable, else "unknown". Numbers are not
+// comparable across levels, so the snapshot must say which one produced
+// them.
+func goamd64() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "GOAMD64" {
+				return s.Value
+			}
+		}
+	}
+	if v := os.Getenv("GOAMD64"); v != "" {
+		return v
+	}
+	return "unknown"
 }

@@ -98,8 +98,8 @@ func TestCellIndexDifferential(t *testing.T) {
 
 // TestCellIndexWhyNotPenalties runs the full why-not pipeline with
 // identical seeds on cellindex-on and cellindex-off indexes and requires
-// bit-identical answers, penalties included, across both MWK strategies,
-// the parallel MQWK path, and skyband on/off (the fused pipeline's RTA
+// bit-identical answers, penalties included, across the sequential and
+// parallel MQWK paths and skyband on/off (the fused pipeline's RTA
 // stage is where the cell grids serve).
 func TestCellIndexWhyNotPenalties(t *testing.T) {
 	const cases = 8
@@ -110,9 +110,6 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 16, Seed: seed}
-		if i%3 == 1 {
-			opts.PerVector = true
-		}
 		if i%4 == 2 {
 			opts.Workers = 3
 		}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"wqrtq"
+	"wqrtq/internal/dataset"
 	"wqrtq/internal/storage"
 )
 
@@ -471,7 +472,7 @@ func TestServeDegraded503(t *testing.T) {
 
 // TestServeKernelStats pins the kernel section of /v1/stats: the
 // blocked-sweep counters are populated after a reverse top-k. (That the
-// kernel and the scalar path answer bit-identically is kernel_test.go's
+// kernel and its references answer bit-identically is kernel_test.go's
 // job, in package wqrtq.)
 func TestServeKernelStats(t *testing.T) {
 	h := serveTestHandler(t)
@@ -559,12 +560,89 @@ func TestServeCarryStats(t *testing.T) {
 {"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
 }
 
-// TestServeRefineRouteStats pins what /v1/stats says about the route a
-// why-not's refinement samples were ranked by: one call-fixed universe per
-// request, every sample loop (MWK at q, MQWK at q and at each of the |Q|
-// sample points) sweeping it, none falling to a scalar scan, and — on a
-// dataset this small — the band trim refused for the dataset's size, with
-// the reason counted in the skyband section.
+// routeStats is what the refinement tests read of /v1/stats: kernel.refine
+// verbatim, and the skyband section's reasons for a refused trim.
+type routeStats struct {
+	Kernel struct {
+		Refine json.RawMessage `json:"refine"`
+	} `json:"kernel"`
+	Skyband struct {
+		Declines           int64 `json:"declines"`
+		TrimRefusedK       int64 `json:"trim_refused_k"`
+		TrimRefusedDataset int64 `json:"trim_refused_dataset"`
+		TrimRefusedBand    int64 `json:"trim_refused_band"`
+	} `json:"skyband"`
+}
+
+func getRouteStats(t *testing.T, h http.Handler) routeStats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st routeStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats not JSON: %v", err)
+	}
+	return st
+}
+
+// TestServeWhyNotWideDataset answers a why-not question over HTTP on
+// household-like d = 6 data — past the dimensionality where the refinement
+// loops used to leave the universe: 200, every field equal to the
+// in-process answer, and /v1/stats showing one universe swept by every
+// sample loop.
+func TestServeWhyNotWideDataset(t *testing.T) {
+	ds := dataset.HouseholdLike(500, 7)
+	wl, err := dataset.MakeWhyNot(ds, 3, 12, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ix, err := wqrtq.NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := wqrtq.NewIndex(pts) // same data, same epoch, its own counters
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := twin.WhyNotCtx(t.Context(), wqrtq.WhyNotRequest{Q: wl.Q, K: wl.K, W: [][]float64{wl.Wm[0]},
+		Opts: wqrtq.Options{SampleSize: 24, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(whyNotJSON(0, inproc.Answer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	h := newServeHandler(e, 0)
+	body, err := json.Marshal(map[string]any{"q": wl.Q, "k": wl.K, "weights": [][]float64{wl.Wm[0]}, "samples": 24, "seed": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGolden(t, post(t, h, "/v1/whynot", string(body)), http.StatusOK, string(want)+"\n")
+	if len(inproc.Answer.Missing) != 1 {
+		t.Fatalf("the why-not vector is not missing: %+v", inproc.Answer)
+	}
+	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":26,"samples_drawn":624,"samples_kept":2}`
+	if got := string(getRouteStats(t, h).Kernel.Refine); got != golden {
+		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
+	}
+}
+
+// TestServeRefineRouteStats pins what /v1/stats says about how a why-not's
+// refinement samples were ranked: one call-fixed universe per request,
+// every sample loop (MWK at q, MQWK at q and at each of the |Q| sample
+// points) sweeping it, and — on a dataset this small — the band trim
+// refused for the dataset's size, with the reason counted in the skyband
+// section.
 func TestServeRefineRouteStats(t *testing.T) {
 	pts := make([][]float64, 0, 400)
 	for i := 0; i < 20; i++ {
@@ -585,24 +663,8 @@ func TestServeRefineRouteStats(t *testing.T) {
 	if rec := post(t, h, "/v1/whynot", `{"q":[4.5,4.5],"k":3,"weights":[[0.25,0.75]],"samples":6,"seed":3}`); rec.Code != http.StatusOK {
 		t.Fatalf("whynot: %d %s", rec.Code, rec.Body.String())
 	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var st struct {
-		Kernel struct {
-			Refine json.RawMessage `json:"refine"`
-		} `json:"kernel"`
-		Skyband struct {
-			Declines           int64 `json:"declines"`
-			TrimRefusedK       int64 `json:"trim_refused_k"`
-			TrimRefusedDataset int64 `json:"trim_refused_dataset"`
-			TrimRefusedBand    int64 `json:"trim_refused_band"`
-		} `json:"skyband"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("stats not JSON: %v", err)
-	}
-	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":8,"evals_scalar":0,"samples_drawn":48,"samples_kept":17}`
+	st := getRouteStats(t, h)
+	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":8,"samples_drawn":48,"samples_kept":17}`
 	if got := string(st.Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}

@@ -72,17 +72,9 @@ func TestSkylineFacade(t *testing.T) {
 	}
 }
 
-func TestOptionsPerVectorAndWorkers(t *testing.T) {
+func TestOptionsWorkers(t *testing.T) {
 	ix := paperIndex(t)
 	wm := [][]float64{{0.1, 0.9}, {0.9, 0.1}}
-	// Per-vector strategy produces a valid refinement too.
-	per, err := ix.ModifyPreferences(paperQ, 3, wm, Options{SampleSize: 500, Seed: 2, PerVector: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := ix.Verify(paperQ, per.K, per.Wm); !ok {
-		t.Error("per-vector refinement fails verification")
-	}
 	// Parallel ModifyAll matches itself across worker counts.
 	a, err := ix.ModifyAll(paperQ, 3, wm, Options{SampleSize: 200, Seed: 2, Workers: 1})
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,15 +13,16 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// kernelSource builds a Source with the blocked kernel enabled, mirroring
-// the hooks the Index wires up (band trimming omitted — the allocation
-// guards target the universe paths).
+// kernelSource builds a Source with counters attached, mirroring the hooks
+// the Index wires up (band trimming omitted — the allocation guards target
+// the universe paths).
 func kernelSource() *Source {
 	return &Source{Kernel: kernel.NewCounters(), Routes: new(RouteCounters)}
 }
 
 // TestSampleLoopAllocsPerOp extends the TestTopKAllocsPerOp-style guards to
-// the sampling loops: with a warm pooled scratch, the blocked rank
+// the sampling loops, at d = 3 (the kernel's unrolled sweeps) and d = 6
+// (its generic-d tails): with a warm pooled scratch, the blocked rank
 // evaluations — rankBlock over the universe image and the capped
 // sampleRankBlock — must not allocate at all, classifying a sample query
 // point and drawing its ranked samples must not either (drawn weights live
@@ -29,10 +31,21 @@ func kernelSource() *Source {
 // regression here silently multiplies the cost of every refinement
 // request).
 func TestSampleLoopAllocsPerOp(t *testing.T) {
-	ds := dataset.Independent(2000, 3, 5)
+	for _, tc := range []struct {
+		d int
+		q vec.Point
+	}{
+		{3, vec.Point{0.05, 0.06, 0.05}},
+		{6, vec.Point{0.3, 0.3, 0.3, 0.3, 0.3, 0.3}},
+	} {
+		t.Run(fmt.Sprintf("d=%d", tc.d), func(t *testing.T) { sampleLoopAllocs(t, tc.d, tc.q) })
+	}
+}
+
+func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
+	ds := dataset.Independent(2000, d, 5)
 	tr := ds.Tree()
 	src := kernelSource()
-	q := vec.Point{0.05, 0.06, 0.05}
 	cands, _ := dominance.Candidates(tr, q)
 	if len(cands) < 100 {
 		t.Fatalf("universe too small for a meaningful guard: %d candidates", len(cands))
@@ -40,7 +53,7 @@ func TestSampleLoopAllocsPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	wm := make([]vec.Weight, 8)
 	for i := range wm {
-		wm[i] = sample.RandSimplex(rng, 3)
+		wm[i] = sample.RandSimplex(rng, d)
 	}
 	ranks := make([]int, len(wm))
 
@@ -48,7 +61,7 @@ func TestSampleLoopAllocsPerOp(t *testing.T) {
 	defer putRankScratch(sc)
 	sc.prepareUniverse(src, cands, q, nil, wm, 1)
 	ev := newRankEval(src, sc, cands, q)
-	if !ev.blocked() {
+	if ev.u == nil {
 		t.Fatal("universe evaluator expected")
 	}
 	img, dSub := &sc.uni.all, sc.dPos

@@ -50,8 +50,8 @@ type MQWKResult struct {
 // Source: the MQP optimum uses the band's k-th scores, and each sample
 // query point's MWK search classifies against the call-fixed candidate
 // universe, samples hyperplanes lazily and ranks by capped sweeps of that
-// universe's band trim (scalar scans with the kernel off or d > 4). nil is
-// the oracle path; results are bit-identical for any valid Source.
+// universe's band trim, at any dimensionality. nil is the oracle path;
+// results are bit-identical for any valid Source.
 func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
 	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
 	if err != nil {

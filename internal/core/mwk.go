@@ -44,25 +44,19 @@ type MWKResult struct {
 // through the skyband hooks of a Source; nil is the oracle path. Results
 // are bit-identical for any valid Source.
 func MWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (MWKResult, error) {
-	return mwkEntry(ctx, t, src, q, k, wm, sampleSize, rng, pm, mwkSearch)
-}
-
-// mwkEntry is the shared body of the standalone MWK entry points: resolve
-// q's dominance sets, run the given candidate strategy, report the
-// traversal cost. The sets come from one Candidates walk classified at q —
-// exactly FindIncom's D/I split, in the same encounter order and over the
-// same nodes — so a standalone call is served like a fused one.
-func mwkEntry(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel, search mwkStrategy) (MWKResult, error) {
 	if err := validateInput(t, q, k, wm); err != nil {
 		return MWKResult{}, err
 	}
 	if sampleSize < 0 {
 		return MWKResult{}, fmt.Errorf("core: negative sample size %d", sampleSize)
 	}
+	// q's dominance sets come from one Candidates walk classified at q —
+	// exactly FindIncom's D/I split, in the same encounter order and over
+	// the same nodes — so a standalone call is served like a fused one.
 	sc := getRankScratch()
 	defer putRankScratch(sc)
 	cands, visited := sc.candidates(t, src, q, nil, wm, 1)
-	out, err := search(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, rng, pm)
+	out, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, rng, pm)
 	if err != nil {
 		return MWKResult{}, err
 	}
@@ -87,54 +81,35 @@ func (o mwkOutcome) result() MWKResult {
 	return o.MWKResult
 }
 
-// mwkStrategy is one of the two §4.3 candidate-selection strategies over a
-// classified query point: mwkSearch (Lemma 6 scan) or mwkPerVectorSearch.
-type mwkStrategy func(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error)
-
-// mwkStage is what both strategies compute before they diverge: the
-// why-not vectors' actual rankings, k'max, and the drawn samples ranking
-// within it (in draw order). done is set, with the outcome to return, when
-// there is nothing to select from — every vector already ranks q within
-// top-k, or no usable sample exists and the k-only baseline stands.
-type mwkStage struct {
-	ranks   []int
-	kMax    int
-	samples []sampleRank
-	tick    ctxcheck.Ticker
-	done    bool
-	out     mwkOutcome
-}
-
-// mwkSamples runs Algorithm 2 up to the candidate selection (lines 3-9 and
-// the baseline of line 11) against the evaluator's query point. All index
-// work goes through ev; the buffers are ev's scratch.
-func mwkSamples(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkStage, error) {
-	st := mwkStage{tick: ctxcheck.Every(ctx, sampleCheckInterval)}
+// mwkSearch is the sampling search of Algorithm 2 over one classified query
+// point, with the Lemma 6 candidate scan. All index work goes through ev;
+// the buffers are ev's scratch.
+func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error) {
 	if err := ctx.Err(); err != nil {
-		return st, err
+		return mwkOutcome{}, err
 	}
+	tick := ctxcheck.Every(ctx, sampleCheckInterval)
 	// Actual rankings and k'max (lines 7-9).
-	st.ranks = ev.sc.ranksBuf(len(wm))
-	ev.rankWm(wm, st.ranks)
-	active := 0
-	for _, r := range st.ranks {
-		st.kMax = max(st.kMax, r)
+	sc := ev.sc
+	ranks := sc.ranksBuf(len(wm))
+	ev.rankWm(wm, ranks)
+	kMax, active := 0, 0
+	for _, r := range ranks {
+		kMax = max(kMax, r)
 		if r > k {
 			active++
 		}
 	}
 	if active == 0 {
 		// Every vector already ranks q within top-k: nothing to refine.
-		st.done = true
-		st.out = mwkOutcome{MWKResult: MWKResult{RefinedK: k, KMax: st.kMax}, refined: wm}
-		return st, nil
+		return mwkOutcome{MWKResult: MWKResult{RefinedK: k, KMax: kMax}, refined: wm}, nil
 	}
 	// Baseline candidate (line 11): keep Wm, raise k to k'max (Lemma 4).
-	st.out = mwkOutcome{
+	best := mwkOutcome{
 		MWKResult: MWKResult{
-			RefinedK:       st.kMax,
-			Penalty:        pm.WKPenalty(wm, wm, k, st.kMax, st.kMax),
-			KMax:           st.kMax,
+			RefinedK:       kMax,
+			Penalty:        pm.WKPenalty(wm, wm, k, kMax, kMax),
+			KMax:           kMax,
 			BaselineChosen: true,
 		},
 		refined: wm,
@@ -143,30 +118,17 @@ func mwkSamples(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampl
 	draw, err := newDraw(ev, rng)
 	if err == sample.ErrNoSampleSpace || sampleSize == 0 {
 		// Weight modification cannot help; the k-only baseline stands.
-		st.done = true
-		return st, nil
+		return best, nil
 	} else if err != nil {
-		return st, err
+		return mwkOutcome{}, err
 	}
 	// Draw and rank the samples (lines 3-6), keeping only those whose rank
 	// does not exceed k'max (Lemma 4; line 13's break applied up front).
-	ev.forSamples(st.kMax)
-	st.samples, err = drawRankedSamples(ctx, &st.tick, ev, draw, sampleSize, st.kMax)
-	if err != nil {
-		return st, err
+	ev.forSamples(kMax)
+	samples, err := drawRankedSamples(ctx, &tick, ev, draw, sampleSize, kMax)
+	if err != nil || len(samples) == 0 {
+		return best, err
 	}
-	st.done = len(st.samples) == 0
-	return st, nil
-}
-
-// mwkSearch is the sampling search of Algorithm 2 over one classified query
-// point, with the Lemma 6 candidate scan.
-func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error) {
-	st, err := mwkSamples(ctx, ev, k, wm, sampleSize, rng, pm)
-	if err != nil || st.done {
-		return st.out, err
-	}
-	sc, ranks, kMax, samples, best := ev.sc, st.ranks, st.kMax, st.samples, st.out
 	slices.SortStableFunc(samples, func(a, b sampleRank) int { return a.rank - b.rank })
 
 	// Candidate scan per Lemma 6 (lines 10-18). CW holds, per why-not
@@ -200,7 +162,7 @@ func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sample
 	consider(first.rank)
 	used := 1
 	for _, s := range samples[1:] {
-		if err := st.tick.Tick(); err != nil {
+		if err := tick.Tick(); err != nil {
 			return mwkOutcome{}, err
 		}
 		used++

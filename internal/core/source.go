@@ -19,8 +19,9 @@ import (
 
 // Source carries the skyband-backed acceleration hooks that the refinement
 // algorithms (MQP, MWK, MQWK) route their index work through. A nil
-// *Source — the -skyband=off ablation — preserves the legacy execution
-// exactly; a non-nil Source must be bit-compatible with it:
+// *Source is the legacy oracle: the reference execution the differential
+// suites compare against, preserved exactly. A non-nil Source is the
+// product path and must be bit-compatible with it:
 //
 //   - KthPoint(w, k) must return a point achieving exactly the dataset's
 //     k-th smallest score under w. A k-skyband tree qualifies: the k
@@ -30,15 +31,15 @@ import (
 //
 // The sampling loops additionally switch to sample.LazyWeightSampler,
 // whose draw stream is bit-identical to the eager sampler; refined
-// vectors, k' values and penalties therefore match the ablation exactly,
-// which the skyband differential suite asserts end to end.
+// vectors, k' values and penalties therefore match the oracle exactly,
+// which the differential suites assert end to end.
 //
 // With a Source, ranks are counted over the call's candidate set — the
 // points not dominated by and not equal to the reference query point, which
-// the call materializes once anyway — by one of two routes (see rankEval):
-// capped sweeps of a call-fixed column-major image when Kernel is set and
-// d <= 4, scalar scans of the classified incomparable set otherwise. No
-// route touches the tree per sample.
+// the call materializes once anyway — by capped sweeps of a call-fixed
+// column-major image of it (see universe), at every dimensionality and
+// every candidate-set size, the empty one included. Nothing touches the
+// tree per sample.
 type Source struct {
 	KthPoint func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
 	// BandCounts returns exact dominance counts covering the bound-skyband
@@ -51,22 +52,18 @@ type Source struct {
 	// that reaches k'max proves the true rank exceeds it — so trimming
 	// never changes a kept sample's rank or a discard decision.
 	BandCounts func(bound int) []int32
-	// Kernel, when non-nil, enables the blocked SoA scoring kernel
-	// (internal/kernel) for the rank evaluations of the sampling loops: the
-	// candidate set is flattened column-major once per call and every
-	// weighting vector is ranked by a sweep of that image. The counters
-	// record the swept work. nil — the -kernel=off ablation — keeps the
-	// scalar per-weight scans; ranks, the rng stream and every refinement
-	// answer are bit-identical either way (the scores are the same
-	// multiply/add chains, only evaluated column-wise).
+	// Kernel, when non-nil, records the points the sampling loops' sweeps
+	// of the candidate image examined (internal/kernel's counters). It
+	// selects nothing: the sweeps run the same with or without it.
 	Kernel *kernel.Counters
-	// Routes, when non-nil, records which route ranked the samples.
+	// Routes, when non-nil, records how the samples were ranked.
 	Routes *RouteCounters
 }
 
-// RouteCounters accumulates, across the calls of one clone family, which
-// route the refinement loops ranked their samples by and how much of the
-// candidate universe the band trim removed. All methods are nil-safe.
+// RouteCounters accumulates, across the calls of one clone family, how
+// much of the candidate universe the band trim removed and which of the two
+// images — trimmed or whole — each sample loop swept. All methods are
+// nil-safe.
 type RouteCounters struct {
 	universes      atomic.Int64
 	universePoints atomic.Int64
@@ -76,34 +73,31 @@ type RouteCounters struct {
 	kept           atomic.Int64
 }
 
-// evalRoute indexes RouteCounters.evals: the route one sample loop's
-// evaluator ranks by.
+// evalRoute indexes RouteCounters.evals: the image one sample loop's
+// evaluator sweeps.
 type evalRoute int
 
 const (
 	evalTrimmed evalRoute = iota
 	evalUntrimmed
-	evalScalar
 	numEvalRoutes
 )
 
 // RouteSnapshot is a point-in-time copy of RouteCounters.
 type RouteSnapshot struct {
 	// Universes counts call-fixed universes prepared (one per refinement
-	// call on the kernel route); UniversePoints sums their sizes and
+	// call with a Source); UniversePoints sums their sizes and
 	// TrimmedPoints the sizes of their band trims (0 for a call whose trim
 	// was refused or too weak), so TrimmedPoints/UniversePoints is the
 	// fraction of each sweep the trim leaves.
 	Universes      int64 `json:"universes"`
 	UniversePoints int64 `json:"universe_points"`
 	TrimmedPoints  int64 `json:"trimmed_points"`
-	// EvalsTrimmed, EvalsUntrimmed and EvalsScalar count sample-loop
-	// evaluators (one per sample query point) by route: sweeps of the
-	// band-trimmed universe, sweeps of the whole universe, and scalar
-	// scans (kernel off, or d > 4).
+	// EvalsTrimmed and EvalsUntrimmed count sample-loop evaluators (one per
+	// sample query point) by the image they swept: the band-trimmed
+	// universe or the whole one.
 	EvalsTrimmed   int64 `json:"evals_trimmed"`
 	EvalsUntrimmed int64 `json:"evals_untrimmed"`
-	EvalsScalar    int64 `json:"evals_scalar"`
 	// SamplesDrawn and SamplesKept count drawn weighting vectors and those
 	// ranking within k'max; the difference was discarded by a capped count.
 	SamplesDrawn int64 `json:"samples_drawn"`
@@ -121,7 +115,6 @@ func (c *RouteCounters) Snapshot() RouteSnapshot {
 		TrimmedPoints:  c.trimmedPoints.Load(),
 		EvalsTrimmed:   c.evals[evalTrimmed].Load(),
 		EvalsUntrimmed: c.evals[evalUntrimmed].Load(),
-		EvalsScalar:    c.evals[evalScalar].Load(),
 		SamplesDrawn:   c.drawn.Load(),
 		SamplesKept:    c.kept.Load(),
 	}
@@ -148,19 +141,10 @@ func (c *RouteCounters) countSamples(drawn, kept int) {
 	}
 }
 
-// routes returns the source's route counters (nil without a source).
-func (src *Source) routes() *RouteCounters {
-	if src == nil {
-		return nil
-	}
-	return src.Routes
-}
-
 // rankScratch holds the buffers one sampling call (or one MQWK worker)
-// reuses across its sample query points: the call-fixed universe of the
-// kernel route, one query point's classification against it, the scalar
-// routes' dominance sets, the sampler's draw scratch, and the per-search
-// rank, sample and candidate arrays. Scratches are pooled
+// reuses across its sample query points: the call-fixed universe, one
+// query point's classification against it, the sampler's draw scratch, and
+// the per-search rank, sample and candidate arrays. Scratches are pooled
 // (getRankScratch/putRankScratch), so parallel MQWK workers and successive
 // calls share warm buffers instead of allocating per call.
 type rankScratch struct {
@@ -187,7 +171,7 @@ type rankScratch struct {
 	bestCW  []vec.Weight
 	// own is this scratch's universe storage; uni points at the universe in
 	// force — own once prepared, a coordinator's when adopted by an MQWK
-	// worker (read-only after preparation), nil on the scalar routes.
+	// worker (read-only after preparation), nil on the legacy route.
 	own universe
 	uni *universe
 	// One query point's classification against uni, as positions into
@@ -204,10 +188,8 @@ type rankScratch struct {
 	dSub  []int32
 	view  kernel.Coords
 	pbuf  vec.Point // incAt's scratch point
-	// candBuf backs the candidate list of the sequential entry points;
-	// sets is the scalar routes' classification scratch.
+	// candBuf backs the candidate list of the sequential entry points.
 	candBuf []dominance.Ref
-	sets    dominance.Sets
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -228,18 +210,10 @@ func putRankScratch(sc *rankScratch) {
 	}
 	sc.uni = nil
 	sc.own.release()
-	clearRefs(sc.candBuf)
-	clearRefs(sc.sets.D)
-	clearRefs(sc.sets.I)
+	clear(sc.candBuf[:cap(sc.candBuf)])
 	clear(sc.cw[:cap(sc.cw)])
 	clear(sc.bestCW[:cap(sc.bestCW)])
 	rankScratchPool.Put(sc)
-}
-
-// clearRefs zeroes a Ref slice through its full capacity, dropping the
-// point references while keeping the backing array.
-func clearRefs(refs []dominance.Ref) {
-	clear(refs[:cap(refs)])
 }
 
 // ranksBuf returns the scratch's rank buffer sized to n.
@@ -251,38 +225,36 @@ func (sc *rankScratch) ranksBuf(n int) []int {
 }
 
 // rankEval evaluates one query point's rank under weighting vectors, by
-// one of three routes that return identical values:
+// one of two routes that return identical values:
 //
-//   - legacy (nil Source): dominance.Sets.Rank over the materialized sets,
-//     the reference execution.
-//   - universe (u != nil; Source with the kernel on, d <= 4): sweeps of a
-//     column-major image that is a superset of I(qp) — the call-fixed
-//     candidate universe or a band trim of it. The dominating points the
-//     image contains (dSub, as positions into it) are counted by the sweep
-//     and subtracted per weight, which is exact (see universe).
-//   - scalar (Source with the kernel off, or d > 4): unrolled scans of the
-//     materialized I(qp).
+//   - legacy (u == nil; nil Source): dominance.Sets.Rank over the
+//     materialized sets, the reference execution.
+//   - universe (any Source): sweeps of a column-major image that is a
+//     superset of I(qp) — the call-fixed candidate universe or a band trim
+//     of it. The dominating points the image contains (dSub, as positions
+//     into it) are counted by the sweep and subtracted per weight, which is
+//     exact (see universe).
 //
-// The rank definition is the same everywhere: 1 + |D| + the strict
-// I-beaters, every score the multiply/add chain of vec.Score.
+// The rank definition is the same on both: 1 + |D| + the strict I-beaters,
+// every score the multiply/add chain of vec.Score.
 type rankEval struct {
 	qp   vec.Point
 	base int // 1 + |D|
 	sc   *rankScratch
-	rc   *RouteCounters
 	// universe route
 	u       *universe
 	trusted bool
 	img     *kernel.Coords // the image the sample loop sweeps (forSamples)
 	dSub    []int32        // dominating points inside img, to subtract
 	ct      *kernel.Counters
-	// legacy and scalar routes
-	sets   *dominance.Sets
-	legacy bool
+	rc      *RouteCounters
+	// legacy route
+	sets dominance.Sets
 }
 
-// newRankEval classifies cands against qp by the route src and the
-// scratch's universe select and returns the evaluator every ranking of
+// newRankEval classifies cands against qp — against the scratch's universe
+// when one is in force (every call with a Source prepares one), by
+// dominance.Classify otherwise — and returns the evaluator every ranking of
 // that query point goes through.
 func newRankEval(src *Source, sc *rankScratch, cands []dominance.Ref, qp vec.Point) *rankEval {
 	if sc.uni != nil {
@@ -290,18 +262,8 @@ func newRankEval(src *Source, sc *rankScratch, cands []dominance.Ref, qp vec.Poi
 		return &rankEval{qp: qp, base: 1 + len(sc.dPos), sc: sc, rc: src.Routes,
 			u: sc.uni, trusted: trusted, ct: src.Kernel}
 	}
-	if src == nil {
-		sets := dominance.Classify(cands, qp)
-		return setsRankEval(nil, sc, &sets, qp)
-	}
-	dominance.ClassifyInto(cands, qp, &sc.sets)
-	return setsRankEval(src, sc, &sc.sets, qp)
-}
-
-// setsRankEval builds the legacy (nil src) or scalar evaluator over
-// materialized dominance sets.
-func setsRankEval(src *Source, sc *rankScratch, sets *dominance.Sets, qp vec.Point) *rankEval {
-	return &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, rc: src.routes(), sets: sets, legacy: src == nil}
+	sets := dominance.Classify(cands, qp)
+	return &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, sets: sets}
 }
 
 // numInc returns |I(qp)| and incAt the i-th incomparable point in
@@ -325,11 +287,7 @@ func (e *rankEval) rankWm(wm []vec.Weight, out []int) {
 	u := e.u
 	if u == nil {
 		for i, w := range wm {
-			if e.legacy {
-				out[i] = e.sets.Rank(w, e.qp)
-			} else {
-				out[i] = e.base + countBeats(e.sets.I, w, vec.Score(w, e.qp), len(e.sets.I))
-			}
+			out[i] = e.sets.Rank(w, e.qp)
 		}
 		return
 	}
@@ -367,26 +325,20 @@ func (e *rankEval) rankWm(wm []vec.Weight, out []int) {
 // k'max-skyband — so the loop behaves identically to the full sweep.
 func (e *rankEval) forSamples(kMax int) {
 	u := e.u
-	switch {
-	case u == nil:
-		if !e.legacy {
-			e.rc.countEval(evalScalar)
-		}
-	case e.trusted && u.trimmed && kMax <= u.k0:
+	if u == nil {
+		return
+	}
+	if e.trusted && u.trimmed && kMax <= u.k0 {
 		n := int(u.cum[kMax])
 		e.sc.view.PrefixOf(&u.trim, n)
 		e.sc.dSub = u.inTrim(e.sc.dPos, n, e.sc.dSub[:0])
 		e.img, e.dSub = &e.sc.view, e.sc.dSub
 		e.rc.countEval(evalTrimmed)
-	default:
-		e.img, e.dSub = &u.all, e.sc.dPos
-		e.rc.countEval(evalUntrimmed)
+		return
 	}
+	e.img, e.dSub = &u.all, e.sc.dPos
+	e.rc.countEval(evalUntrimmed)
 }
-
-// blocked reports that the sample loop ranks whole blocks of draws with
-// sampleRankBlock.
-func (e *rankEval) blocked() bool { return e.u != nil }
 
 // rankBlock ranks every weight of ws by uncapped blocked sweeps of img — a
 // superset image of I(qp) whose dominating points sit at positions dSub —
@@ -417,7 +369,7 @@ func (e *rankEval) rankBlock(img *kernel.Coords, dSub []int32, ws []vec.Weight, 
 // proves the true rank exceeds kMax — the reported value is then merely
 // some number > kMax, which the loop discards exactly as it would the
 // true one. Kept samples and their ranks are therefore identical to the
-// uncapped evaluation (and to the scalar path), while discarded samples
+// uncapped evaluation (and to the legacy route's), while discarded samples
 // abandon their sweeps early.
 func (e *rankEval) sampleRankBlock(ws []vec.Weight, out []int, kMax int) {
 	scanned := 0
@@ -437,16 +389,6 @@ func (e *rankEval) sampleRankBlock(ws []vec.Weight, out []int, kMax int) {
 	e.ct.Add(len(ws), scanned)
 }
 
-// sampleRank ranks one sampled weight on the legacy and scalar routes. The
-// scalar count stops once it proves the rank exceeds kMax, like
-// sampleRankBlock; the legacy route is the uncapped reference.
-func (e *rankEval) sampleRank(w vec.Weight, kMax int) int {
-	if e.legacy {
-		return e.sets.Rank(w, e.qp)
-	}
-	return e.base + countBeats(e.sets.I, w, vec.Score(w, e.qp), kMax-e.base)
-}
-
 // countBeatsAt counts the points of c at positions pos scoring strictly
 // below fq, each score the multiply/add chain of vec.Score read off the
 // columns.
@@ -464,68 +406,6 @@ func countBeatsAt(c *kernel.Coords, pos []int32, w vec.Weight, fq float64) int {
 	return cnt
 }
 
-// countBeats counts refs scoring strictly below fq, giving up once the
-// count exceeds limit (the result is then limit+1; pass len(refs) for an
-// exact count). The unrolled low-dimension bodies evaluate the score with
-// the same sequence of multiplies and left-to-right adds as vec.Score
-// (float addition of a product chain is association-order dependent, and
-// bit-identity with the legacy scan requires the same order), so the count
-// matches Sets.Rank's inner loop bit for bit while avoiding the per-point
-// call and bounds checks.
-func countBeats(refs []dominance.Ref, w vec.Weight, fq float64, limit int) int {
-	cnt := 0
-	switch len(w) {
-	case 2:
-		w0, w1 := w[0], w[1]
-		for _, c := range refs {
-			p := c.Point
-			s := w0 * p[0]
-			s += w1 * p[1]
-			if s < fq {
-				if cnt++; cnt > limit {
-					return cnt
-				}
-			}
-		}
-	case 3:
-		w0, w1, w2 := w[0], w[1], w[2]
-		for _, c := range refs {
-			p := c.Point
-			s := w0 * p[0]
-			s += w1 * p[1]
-			s += w2 * p[2]
-			if s < fq {
-				if cnt++; cnt > limit {
-					return cnt
-				}
-			}
-		}
-	case 4:
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		for _, c := range refs {
-			p := c.Point
-			s := w0 * p[0]
-			s += w1 * p[1]
-			s += w2 * p[2]
-			s += w3 * p[3]
-			if s < fq {
-				if cnt++; cnt > limit {
-					return cnt
-				}
-			}
-		}
-	default:
-		for _, c := range refs {
-			if vec.Score(w, c.Point) < fq {
-				if cnt++; cnt > limit {
-					return cnt
-				}
-			}
-		}
-	}
-	return cnt
-}
-
 // kthPoint routes MQP's top k-th search through the source's band tree
 // when available.
 func kthPoint(ctx context.Context, src *Source, t *rtree.Tree, w vec.Weight, k int) (topk.Result, bool, error) {
@@ -537,12 +417,12 @@ func kthPoint(ctx context.Context, src *Source, t *rtree.Tree, w vec.Weight, k i
 
 // newDraw builds the sample space over the evaluator's incomparable set
 // and returns the per-sample draw, which writes one weighting vector into
-// dst: the lazy sampler when a source is active (no per-plane
+// dst: the lazy sampler on the universe route (no per-plane
 // materialization, nothing allocated per draw), the legacy eager one
 // otherwise. Both consume the rng identically and return
 // sample.ErrNoSampleSpace for an empty I.
 func newDraw(e *rankEval, rng *rand.Rand) (func(dst vec.Weight), error) {
-	if !e.legacy {
+	if e.u != nil {
 		ls, err := sample.NewLazyWeightSampler(e.qp, e.numInc(), e.incAt)
 		if err != nil {
 			return nil, err
@@ -572,12 +452,12 @@ type sampleRank struct {
 // ranking within kMax (Algorithm 2 lines 3-6 with line 13's break applied
 // at construction). The draws fill a block first — consuming the rng
 // stream in the same order a one-at-a-time loop would — and the block is
-// then ranked: by one capped kernel pass on the universe route, weight by
-// weight otherwise, so the kept samples and their ranks are identical on
-// every route. Drawn weights live in the scratch's block arena; only kept
-// ones are copied out, into the kept arena, so the returned samples (and
-// everything derived from them) are valid until the scratch's next draw.
-// Both MWK candidate strategies share this loop.
+// then ranked: by one capped kernel pass on the universe route, by the
+// uncapped reference Sets.Rank on the legacy one, so the kept samples and
+// their ranks are identical on both. Drawn weights live in the scratch's
+// block arena; only kept ones are copied out, into the kept arena, so the
+// returned samples (and everything derived from them) are valid until the
+// scratch's next draw.
 func drawRankedSamples(ctx context.Context, tick *ctxcheck.Ticker, e *rankEval, draw func(dst vec.Weight), sampleSize, kMax int) ([]sampleRank, error) {
 	sc, d := e.sc, len(e.qp)
 	if cap(sc.wblock) < kernel.BlockSize || cap(sc.warena) < kernel.BlockSize*d {
@@ -601,14 +481,14 @@ func drawRankedSamples(ctx context.Context, tick *ctxcheck.Ticker, e *rankEval, 
 			draw(wb[j])
 		}
 		rb := sc.rblock[:nb]
-		if e.blocked() {
+		if e.u != nil {
 			e.sampleRankBlock(wb, rb, kMax)
 		} else {
 			for j, w := range wb {
 				if err := tick.Tick(); err != nil {
 					return nil, err
 				}
-				rb[j] = e.sampleRank(w, kMax)
+				rb[j] = e.sets.Rank(w, e.qp)
 			}
 		}
 		for j, r := range rb {

@@ -20,11 +20,11 @@ const wmColsMinQPs = 64
 // sweeping a few dozen points costs less than filtering them.
 const trimMinUniverse = 64
 
-// universe is the call-fixed state of one refinement call on the kernel
-// route (§4.4 reuse): everything that depends on the call's reference point
-// q and its sample box [q_min, q] but not on the individual sample query
-// point. It is built once by prepare and read-only afterwards, so parallel
-// MQWK workers share the coordinator's.
+// universe is the call-fixed state of one refinement call with a Source
+// (§4.4 reuse), at any dimensionality: everything that depends on the
+// call's reference point q and its sample box [q_min, q] but not on the
+// individual sample query point. It is built once by prepare and read-only
+// afterwards, so parallel MQWK workers share the coordinator's.
 //
 // Counting against the candidate superset is exact after subtracting the
 // D-beats: points the sample point dominates can never score strictly below
@@ -108,10 +108,11 @@ func (u *universe) trusted(qp vec.Point) bool {
 // reference point q and sample box [qMin, q] (qMin nil: q alone): the SoA
 // image, the maybe list, k0 from one uncapped ranking of wm at q, the band
 // trim, and — when qSamples query points will amortize the sorts — the
-// sorted score columns. It leaves sc.uni nil, selecting the scalar route,
-// when the kernel is off or d > 4.
+// sorted score columns. An empty candidate list gets a zero-point universe:
+// every rank over it is 1 and the sampler finds no sample space. Only a nil
+// src leaves sc.uni nil, which selects the legacy route.
 func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qMin vec.Point, wm []vec.Weight, qSamples int) {
-	if src == nil || src.Kernel == nil || len(cands) == 0 || len(q) > 4 {
+	if src == nil {
 		return
 	}
 	d, n := len(q), len(cands)
@@ -129,18 +130,16 @@ func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qM
 	}
 	u.maybe = u.maybe[:0]
 	u.maybeImg.Reset(d)
-	cols, lo, hi := u.all.Cols4(), point4(u.lo), point4(u.hi)
+	var bits [boxChunk]uint8
 	//wqrtq:bounded one pass over the call's candidate list, like the Fill above
-	for i := 0; i < n; i++ {
-		le, ge := true, true
-		for j := 0; j < d; j++ {
-			v := cols[j][i]
-			le = le && v <= hi[j]
-			ge = ge && v >= lo[j]
-		}
-		if le || ge {
-			u.maybe = append(u.maybe, int32(i))
-			u.maybeImg.Append(cands[i].Point)
+	for base := 0; base < n; base += boxChunk {
+		b := bits[:min(boxChunk, n-base)]
+		boxBits(&u.all, base, u.lo, u.hi, b)
+		for i, c := range b {
+			if c != 0 {
+				u.maybe = append(u.maybe, int32(base+i))
+				u.maybeImg.Append(cands[base+i].Point)
+			}
 		}
 	}
 	sc.uni = u
@@ -262,7 +261,7 @@ func (u *universe) buildTrim(counts []int32) {
 // reports whether qp is trusted. A trusted point only examines uni.maybe;
 // an untrusted one (outside the sample box: only rounding in the box
 // sampler could produce it) examines every candidate. Either way the split
-// is exactly dominance.ClassifyInto's over uni.refs, with le = (p <= qp
+// is exactly dominance.Classify's over uni.refs, with le = (p <= qp
 // everywhere) and ge = (p >= qp everywhere): p dominates qp iff le && !ge,
 // is dominated or equal iff ge, and is incomparable otherwise.
 func (sc *rankScratch) classify(qp vec.Point) bool {
@@ -282,49 +281,57 @@ func (sc *rankScratch) classify(qp vec.Point) bool {
 		sc.dPos = make([]int32, n)
 	}
 	notI, dPos := sc.notI[:n], sc.dPos[:n]
-	cols, q := img.Cols4(), point4(qp)
-	d := len(qp)
 	nd, nn := 0, 0
-	//wqrtq:bounded one pass over at most the call's candidate list, what ClassifyInto costs
-	for i := 0; i < n; i++ {
-		// The comparisons are accumulated as 0/1 integers — the compiler
-		// materializes each with a flag-set, not a jump.
-		le, ge := 1, 1
-		for j := 0; j < d; j++ {
-			l, g := cmp01(cols[j][i], q[j])
-			le &= l
-			ge &= g
+	var bits [boxChunk]uint8
+	//wqrtq:bounded one pass over at most the call's candidate list, what Classify costs
+	for base := 0; base < n; base += boxChunk {
+		b := bits[:min(boxChunk, n-base)]
+		boxBits(img, base, qp, qp, b)
+		for i, c := range b {
+			le, ge := int(c&1), int(c>>1)
+			p := int32(base + i)
+			if trusted {
+				p = u.maybe[base+i]
+			}
+			dPos[nd], notI[nn] = p, p
+			nd += le &^ ge
+			nn += le | ge
 		}
-		p := int32(i)
-		if trusted {
-			p = u.maybe[i]
-		}
-		dPos[nd], notI[nn] = p, p
-		nd += le &^ ge
-		nn += le | ge
 	}
 	sc.dPos, sc.notI = dPos[:nd], notI[:nn]
 	return trusted
 }
 
-// cmp01 returns v <= q and v >= q as 0/1 integers.
-func cmp01(v, q float64) (le, ge int) {
-	if v <= q {
-		le = 1
+// boxChunk is how many points one boxBits call compares: few enough that
+// their bytes stay in L1 across the d column sweeps, each of which reads
+// its own stretch of memory once.
+const boxChunk = 1024
+
+// boxBits compares the len(bits) points of img from position base on with
+// the box [lo, hi] and writes one byte per point: bit 0 set iff the point is
+// <= hi everywhere, bit 1 iff it is >= lo everywhere. It sweeps one column
+// at a time, whatever their number, and materializes the comparisons as 0/1
+// integers — a flag-set each, not a jump.
+func boxBits(img *kernel.Coords, base int, lo, hi vec.Point, bits []uint8) {
+	for i := range bits {
+		bits[i] = 3
 	}
-	if v >= q {
-		ge = 1
+	for j, h := range hi {
+		l := lo[j]
+		col := img.Col(j)[base : base+len(bits)]
+		bits := bits[:len(col)]
+		for i, v := range col {
+			bits[i] &= b01(v <= h) | b01(v >= l)<<1
+		}
 	}
-	return le, ge
 }
 
-// point4 copies a point of at most four coordinates into an array, as
-// kernel.Coords.Cols4 does for an image's column headers: the universe
-// route serves d <= 4 only, and fixed arrays let its per-point loops index
-// without re-reading slice headers.
-func point4(p vec.Point) (a [4]float64) {
-	copy(a[:], p)
-	return a
+// b01 returns b as 0 or 1.
+func b01(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // numInc returns |I(qp)| of the current classification.

@@ -12,8 +12,8 @@ import (
 )
 
 // bandSource is a Source whose BandCounts hook serves exact dominance
-// counts computed by the naive quadratic scan, so the universe route's
-// trim runs without internal/skyband.
+// counts computed by the naive quadratic scan, so the universe's trim runs
+// without internal/skyband.
 func bandSource(pts []vec.Point) *Source {
 	return &Source{
 		Kernel: kernel.NewCounters(),
@@ -31,25 +31,40 @@ func bandSource(pts []vec.Point) *Source {
 	}
 }
 
-// TestUniverseMatchesClassify drives the universe route's building blocks
-// against the definitions they replace, on random instances in d = 2..4:
-// for query points inside the sample box (trusted: only the maybe list is
-// examined) and outside it (untrusted: full scan, no trim), the D/I split
-// equals dominance.ClassifyInto's — sizes, D members, and the i-th
-// incomparable point for every i — and every rank the evaluator reports,
-// for the why-not vectors and for samples through the capped band-trimmed
-// sweep, equals Sets.Rank wherever the sample loop would keep it and
-// exceeds k'max wherever it would not.
+// universeDims are the dimensionalities the universe tests run at: the
+// kernel's unrolled sweeps (2-4), its generic-d tails just past them, and
+// the paper's real datasets (Household d = 6, NBA d = 13).
+var universeDims = []int{2, 3, 4, 5, 6, 7, 8, 13}
+
+// TestUniverseMatchesClassify drives the universe's building blocks against
+// the definitions they replace, on random instances at every universeDims
+// dimensionality and data shape: for query points inside the sample box
+// (trusted: only the maybe list is examined) and outside it (untrusted:
+// full scan, no trim), the D/I split equals dominance.Classify's — sizes,
+// D members, and the i-th incomparable point for every i — and every rank
+// the evaluator reports, for the why-not vectors and for samples through
+// the capped band-trimmed sweep, equals Sets.Rank wherever the sample loop
+// would keep it and exceeds k'max wherever it would not.
 func TestUniverseMatchesClassify(t *testing.T) {
-	trimmedCases, sortedCases := 0, 0
+	trimmedCases, trimmedWide, sortedCases := 0, 0, 0
+	dimsRun := map[int]bool{}
 	defer func() {
-		if !t.Failed() && (trimmedCases < 6 || sortedCases < 6) {
-			t.Fatalf("fixtures reached the trim %d times and the sorted columns %d times; want both exercised", trimmedCases, sortedCases)
+		if t.Failed() {
+			return
+		}
+		if trimmedCases < 6 || trimmedWide < 2 || sortedCases < 6 {
+			t.Fatalf("fixtures reached the trim %d times (%d at d > 4) and the sorted columns %d times; want all exercised", trimmedCases, trimmedWide, sortedCases)
+		}
+		for _, d := range universeDims {
+			if !dimsRun[d] {
+				t.Fatalf("no fixture ran at d = %d", d)
+			}
 		}
 	}()
+	// 8 dimensionalities x 3 shapes, each pairing once.
 	for caseIdx := 0; caseIdx < 24; caseIdx++ {
 		rng := rand.New(rand.NewSource(int64(300 + caseIdx)))
-		d := 2 + caseIdx%3
+		d := universeDims[caseIdx%len(universeDims)]
 		var ds *dataset.Dataset
 		switch caseIdx % 3 {
 		case 0:
@@ -61,8 +76,13 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		}
 		tr := ds.Tree()
 		// q: synthesized at a small rank under three nearby vectors, so k0
-		// is small and the k0-skyband trims the universe; qMin below it.
-		wl, err := dataset.MakeWhyNot(ds, 3, 8+rng.Intn(40), 3, int64(caseIdx))
+		// is small and the k0-skyband trims the universe (the more
+		// dimensions, the smaller it has to be); qMin below it.
+		rank := 8 + rng.Intn(40)
+		if d > 4 {
+			rank = 4 + rng.Intn(6)
+		}
+		wl, err := dataset.MakeWhyNot(ds, 3, rank, 3, int64(caseIdx))
 		if err != nil {
 			continue
 		}
@@ -78,6 +98,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		if len(cands) < trimMinUniverse {
 			continue
 		}
+		dimsRun[d] = true
 		src := bandSource(ds.Points)
 		sc := getRankScratch()
 		qSamples := 1
@@ -91,6 +112,9 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		}
 		if u.trimmed {
 			trimmedCases++
+			if d > 4 {
+				trimmedWide++
+			}
 		}
 		if len(u.wmSorted) > 0 {
 			sortedCases++
@@ -145,9 +169,8 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		under[rng.Intn(d)] -= 0.01
 		qps = append(qps, over, under)
 
-		var want dominance.Sets
 		for qi, qp := range qps {
-			dominance.ClassifyInto(cands, qp, &want)
+			want := dominance.Classify(cands, qp)
 			ev := newRankEval(src, sc, cands, qp)
 			if wantTrust := qi < len(qps)-2; ev.trusted != wantTrust {
 				t.Fatalf("case %d qp %d: trusted = %t", caseIdx, qi, ev.trusted)
@@ -199,7 +222,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 			}
 		}
 		rs := src.Routes.Snapshot()
-		if rs.Universes != 1 || rs.EvalsScalar != 0 || rs.EvalsTrimmed+rs.EvalsUntrimmed != int64(len(qps)) {
+		if rs.Universes != 1 || rs.EvalsTrimmed+rs.EvalsUntrimmed != int64(len(qps)) {
 			t.Fatalf("case %d: route counters %+v for %d query points", caseIdx, rs, len(qps))
 		}
 		if u.trimmed && (rs.EvalsUntrimmed != 2 || rs.TrimmedPoints != int64(u.trim.Len())) {

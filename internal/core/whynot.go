@@ -31,7 +31,7 @@ type WhyNotRefinements struct {
 // same arguments: each stage seeds its own rng exactly as the separate
 // calls do, and the shared state is equal by construction to what each
 // stage would have recomputed.
-func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, perVector bool, pm PenaltyModel) (WhyNotRefinements, error) {
+func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (WhyNotRefinements, error) {
 	var out WhyNotRefinements
 	if err := validateInput(t, q, k, wm); err != nil {
 		return out, err
@@ -61,12 +61,8 @@ func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, 
 
 	// Second solution (MWK), on its own rng stream exactly like the
 	// standalone entry point.
-	search := mwkSearch
-	if perVector {
-		search = mwkPerVectorSearch
-	}
 	mwkRng := getRng(seed)
-	mwk, err := search(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm)
+	mwk, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm)
 	putRng(mwkRng)
 	if err != nil {
 		return out, err

@@ -31,18 +31,9 @@ type Sets struct {
 // vector and are pruned, subtree-wise where possible: a subtree whose MBR
 // lower corner is coordinate-wise >= q contains only such points.
 func FindIncom(t *rtree.Tree, q vec.Point) Sets {
-	var s Sets
-	FindIncomInto(t, q, &s)
+	s := Sets{NodesVisited: 1}
+	walk(t.Root(), q, &s)
 	return s
-}
-
-// FindIncomInto is FindIncom writing into caller-owned scratch, reusing
-// the D and I backing arrays like ClassifyInto.
-func FindIncomInto(t *rtree.Tree, q vec.Point, s *Sets) {
-	s.D = s.D[:0]
-	s.I = s.I[:0]
-	s.NodesVisited = 1
-	walk(t.Root(), q, s)
 }
 
 func walk(n *rtree.Node, q vec.Point, s *Sets) {

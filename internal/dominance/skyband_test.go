@@ -164,37 +164,3 @@ func TestKSkybandEdges(t *testing.T) {
 		}
 	}
 }
-
-// TestClassifyIntoMatchesClassify checks the scratch-reusing split against
-// the allocating one over randomized candidates and query points, twice per
-// scratch to exercise reuse.
-func TestClassifyIntoMatchesClassify(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pts := genPoints("UN", 150, 3, rng)
-	cands := make([]Ref, len(pts))
-	for i, p := range pts {
-		cands[i] = Ref{ID: int32(i), Point: p}
-	}
-	var scratch Sets
-	for i := 0; i < 20; i++ {
-		qp := vec.Point{rng.Float64(), rng.Float64(), rng.Float64()}
-		want := Classify(cands, qp)
-		ClassifyInto(cands, qp, &scratch)
-		// Compare element-wise: an empty reused scratch slice is non-nil
-		// where Classify returns nil, which is immaterial to callers.
-		sameRefs := func(got, exp []Ref) bool {
-			if len(got) != len(exp) {
-				return false
-			}
-			for j := range got {
-				if got[j].ID != exp[j].ID || !vec.Equal(got[j].Point, exp[j].Point) {
-					return false
-				}
-			}
-			return true
-		}
-		if !sameRefs(scratch.D, want.D) || !sameRefs(scratch.I, want.I) {
-			t.Fatalf("case %d: ClassifyInto diverged from Classify", i)
-		}
-	}
-}

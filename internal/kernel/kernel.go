@@ -91,14 +91,6 @@ func (c *Coords) Dim() int { return len(c.cols) }
 // Col returns coordinate column j.
 func (c *Coords) Col(j int) []float64 { return c.cols[j] }
 
-// Cols4 returns the column headers of an image of at most four dimensions
-// as an array, for per-point loops that index several columns without
-// re-reading the header slice. It panics on a wider image.
-func (c *Coords) Cols4() (cols [4][]float64) {
-	copy(cols[:len(c.cols)], c.cols)
-	return cols
-}
-
 // Fill resets c to dimension d and n points accessed through at.
 func (c *Coords) Fill(d, n int, at func(int) []float64) {
 	c.Resize(d, n)
@@ -370,8 +362,8 @@ func countBelow4(x, y, z, u, wb, fqs []float64, counts []int) {
 
 // countBelowGeneric carries no nobce clause deliberately: the inner
 // cols[j][i] walk indexes a slice of slices whose lengths the prove pass
-// cannot relate, so its checks are structural. Dimensions 2–4 — every
-// dimension the paper's workloads use — never reach it.
+// cannot relate, so its checks are structural. Dimensions 2–4 never reach
+// it; the paper's real datasets (Household d = 6, NBA d = 13) do.
 //
 //wqrtq:hotpath
 //wqrtq:contract noescape(cols,wb,fqs,counts) noalloc

@@ -164,9 +164,6 @@ func TestCoordsPlacedFillAndPrefixView(t *testing.T) {
 			t.Fatalf("placed fill wrong at %d", i)
 		}
 	}
-	if cols := dst.Cols4(); len(cols[2]) != 8 || cols[3] != nil || &cols[1][0] != &dst.Col(1)[0] {
-		t.Fatal("Cols4 must alias the three columns and leave the fourth nil")
-	}
 	w := []float64{1, 0, 0}
 	for n := 0; n <= 8; n++ {
 		view.PrefixOf(&dst, n)

@@ -1,14 +1,16 @@
 package wqrtq
 
-// Differential property suite for the blocked scoring kernel: with the
-// kernel enabled (the default), every endpoint must answer bit-identically
-// to the -kernel=off ablation — same reverse top-k index sets and the same
-// why-not answers down to the last bit of every penalty, which pins the
-// blocked rank counting, the capped sample scans, the call-fixed universe
-// of the fused pipeline and the blocked RTA membership test — across
-// UN/CO/AC workloads, skyband on and off, and mutation streams that
-// invalidate the epoch caches. A separate suite pins the fused WhyNot
-// pipeline against the standalone refinement endpoints.
+// Differential property suite for the blocked scoring kernel. Reverse
+// top-k with the kernel enabled (the default) must answer bit-identically
+// to the kernelOff reference — the RTA loop over the band tree — with the
+// same index sets across UN/CO/AC workloads, skyband on and off, and
+// mutation streams that invalidate the epoch caches. The refinement loops
+// sweep the call-fixed universe whatever kernelOff says, so their reference
+// is the skyOff oracle (core's nil-Source legacy path): why-not answers must
+// match it down to the last bit of every penalty, which pins the blocked
+// rank counting, the capped sample sweeps and the universe of the fused
+// pipeline. A separate suite pins the fused WhyNot pipeline against the
+// standalone refinement endpoints.
 
 import (
 	"math/rand"
@@ -20,7 +22,7 @@ import (
 )
 
 // kernelPair builds two identical indexes over pts with the given skyband
-// setting, one with the kernel on (default) and one ablated off.
+// setting, one with the kernel on (default) and one with kernelOff.
 func kernelPair(t *testing.T, pts [][]float64, skybandOn bool) (on, off *Index) {
 	t.Helper()
 	on, err := NewIndex(pts)
@@ -119,9 +121,11 @@ func sameWhyNot(t *testing.T, label string, got, want *WhyNotAnswer) {
 }
 
 // TestKernelWhyNotPenalties runs the full pipeline with identical seeds on
-// kernel-on and kernel-off indexes and requires bit-identical answers,
-// penalties included, across both MWK strategies, the parallel MQWK path,
-// and skyband on/off.
+// the product index and on every reference — the skyOff oracle, whose
+// refinements take core's legacy path, with its RTA stage over the full
+// tree and (kernelOff too) the same; and kernelOff alone, whose RTA stage
+// runs over the band tree — and requires bit-identical answers, penalties
+// included, across the sequential and parallel MQWK paths.
 func TestKernelWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -131,9 +135,6 @@ func TestKernelWhyNotPenalties(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 16, Seed: seed}
-		if i%3 == 1 {
-			opts.PerVector = true
-		}
 		if i%4 == 2 {
 			opts.Workers = 3
 		}
@@ -150,23 +151,24 @@ func TestKernelWhyNotPenalties(t *testing.T) {
 		for j := range W {
 			W[j] = sample.RandSimplex(rng, d)
 		}
-		for _, skybandOn := range []bool{true, false} {
-			on, off := kernelPair(t, pts, skybandOn)
-			got, err := on.WhyNot(q, k, W, opts)
+		product, kernOff := kernelPair(t, pts, true)
+		oracle, oracleKernOff := kernelPair(t, pts, false)
+		got, err := product.WhyNot(q, k, W, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ref := range map[string]*Index{"skyOff oracle": oracle, "skyOff+kernelOff": oracleKernOff, "kernelOff": kernOff} {
+			want, err := ref.WhyNot(q, k, W, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := off.WhyNot(q, k, W, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameWhyNot(t, "kernel WhyNot", got, want)
+			sameWhyNot(t, "WhyNot vs "+name, got, want)
 		}
 	}
 }
 
 // TestWhyNotMatchesStandaloneRefinements pins the fused refinement
-// pipeline (core.WhyNotRefineSrcCtx): the three refinements inside a
+// pipeline (core.WhyNotRefine): the three refinements inside a
 // WhyNot answer must be bit-identical to the standalone ModifyQuery /
 // ModifyPreferences / ModifyAll endpoints called with the same missing
 // vectors — the shared candidate traversal and the reused MQP optimum are
@@ -179,9 +181,6 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 24, Seed: seed}
-		if i%2 == 1 {
-			opts.PerVector = true
-		}
 		if i%3 == 2 {
 			opts.Workers = 2
 		}
@@ -240,10 +239,10 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 	}
 }
 
-// TestKernelMutationInvalidation drives the same mutation stream into a
-// kernel-on and a kernel-off index, querying between mutations: every
-// answer must stay identical, which fails if a stale flattened band image
-// survives an insert or delete.
+// TestKernelMutationInvalidation drives the same mutation stream into the
+// product index, a kernelOff one and the skyOff oracle, querying between
+// mutations: every answer must stay identical, which fails if a stale
+// flattened band image survives an insert or delete.
 func TestKernelMutationInvalidation(t *testing.T) {
 	const d = 3
 	ds := dataset.Independent(150, d, 43)
@@ -252,6 +251,7 @@ func TestKernelMutationInvalidation(t *testing.T) {
 		pts[j] = p
 	}
 	on, off := kernelPair(t, pts, true)
+	oracle, _ := kernelPair(t, pts, false)
 	rng := rand.New(rand.NewSource(90031))
 	W := make([][]float64, 8)
 	for j := range W {
@@ -266,14 +266,16 @@ func TestKernelMutationInvalidation(t *testing.T) {
 		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		idA, errA := on.Insert(p)
 		idB, errB := off.Insert(p)
-		if errA != nil || errB != nil || idA != idB {
-			t.Fatalf("insert diverged: (%d, %v) vs (%d, %v)", idA, errA, idB, errB)
+		idC, errC := oracle.Insert(p)
+		if errA != nil || errB != nil || errC != nil || idA != idB || idA != idC {
+			t.Fatalf("insert diverged: (%d, %v) vs (%d, %v) vs (%d, %v)", idA, errA, idB, errB, idC, errC)
 		}
 		if i%3 == 0 {
 			victim := rng.Intn(idA + 1)
 			okA, _ := on.Delete(victim)
 			okB, _ := off.Delete(victim)
-			if okA != okB {
+			okC, _ := oracle.Delete(victim)
+			if okA != okB || okA != okC {
 				t.Fatalf("delete %d diverged", victim)
 			}
 		}
@@ -289,11 +291,13 @@ func TestKernelMutationInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantWn, err := off.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
+		for name, ref := range map[string]*Index{"kernelOff": off, "skyOff oracle": oracle} {
+			wantWn, err := ref.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWhyNot(t, "post-mutation WhyNot vs "+name, wn, wantWn)
 		}
-		sameWhyNot(t, "post-mutation WhyNot", wn, wantWn)
 	}
 	if err := on.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -35,11 +35,6 @@ type Options struct {
 	QuerySampleSize int
 	// Seed makes the sampling deterministic (default 1).
 	Seed int64
-	// PerVector switches ModifyPreferences to the paper's first candidate
-	// strategy (§4.3): replace each why-not vector with its own closest
-	// sample independently. ΔWm is then individually minimal, but the total
-	// penalty can exceed the default Lemma 6 scan.
-	PerVector bool
 	// Workers > 0 parallelizes ModifyAll across that many goroutines
 	// (Workers < 0 uses GOMAXPROCS). Results are identical for every
 	// worker count at a fixed Seed. Zero keeps the sequential Algorithm 3.

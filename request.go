@@ -506,11 +506,7 @@ func runModifyQuery(ctx context.Context, ix *Index, a *query) (any, error) {
 }
 
 func runModifyPreferences(ctx context.Context, ix *Index, a *query) (any, error) {
-	run := core.MWK
-	if a.opts.PerVector {
-		run = core.MWKPerVector
-	}
-	res, err := run(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, rngFor(a.seed), a.pm)
+	res, err := core.MWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, rngFor(a.seed), a.pm)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +562,7 @@ func runWhyNot(ctx context.Context, ix *Index, a *query) (any, error) {
 		return nil, err
 	}
 	ref, err := core.WhyNotRefine(ctx, ix.tree, ix.coreSource(a.k),
-		a.q, a.k, missing, a.s, a.qs, a.seed, a.opts.Workers, a.opts.PerVector, a.pm)
+		a.q, a.k, missing, a.s, a.qs, a.seed, a.opts.Workers, a.pm)
 	if err != nil {
 		return nil, err
 	}

@@ -903,9 +903,6 @@ func appendOptions(b []byte, o Options) []byte {
 	if o.Penalty.NormalizeWeights {
 		flags |= 1
 	}
-	if o.PerVector {
-		flags |= 2
-	}
 	b = binary.LittleEndian.AppendUint64(b, flags)
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(o.SampleSize)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(o.QuerySampleSize)))

@@ -9,8 +9,7 @@ package wqrtq
 // the full-tree paths (the differential suite in skyband_test.go proves it
 // end to end, reaching the full-tree oracle through the unexported skyOff
 // field); the candidate set is typically orders of magnitude smaller
-// than n, which is where the speedup comes from (see DESIGN.md §8 and
-// BENCH_skyband.json).
+// than n, which is where the speedup comes from (see DESIGN.md §8).
 
 import (
 	"context"
@@ -42,7 +41,7 @@ func (ix *Index) coreSource(k int) *core.Source {
 		return nil
 	}
 	return &core.Source{
-		Kernel: ix.kernelCounters(),
+		Kernel: ix.kct,
 		Routes: ix.rct,
 		KthPoint: func(ctx context.Context, w vec.Weight, kk int) (topk.Result, bool, error) {
 			if kk == k {

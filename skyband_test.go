@@ -2,7 +2,8 @@ package wqrtq
 
 // Differential property suite for the k-skyband sub-index: with the
 // sub-index enabled (the default), every endpoint must answer bit-
-// identically to the -skyband=off ablation — same top-k score sequences
+// identically to the skyOff oracle (the full tree, and core's nil-Source
+// legacy path for the refinements) — same top-k score sequences
 // via RTA, same ranks, same reverse top-k index sets, same explanations,
 // and the same why-not penalties down to the last bit (which exercises the
 // lazy sampler's stream identity and the hybrid rank counting) — across
@@ -154,8 +155,8 @@ func TestSkybandDifferential(t *testing.T) {
 // skyband-on and skyband-off indexes and requires bit-identical answers,
 // penalties included — the sub-index reroutes the MQP k-th searches, the
 // sampler construction and every rank evaluation, so this pins the whole
-// bit-compatibility argument, across both MWK strategies and the parallel
-// MQWK path.
+// bit-compatibility argument, across the sequential and parallel MQWK
+// paths.
 func TestSkybandWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -165,9 +166,6 @@ func TestSkybandWhyNotPenalties(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 16, Seed: seed}
-		if i%3 == 1 {
-			opts.PerVector = true
-		}
 		if i%4 == 2 {
 			opts.Workers = 3
 		}

@@ -101,19 +101,20 @@ func TestTierCoverage(t *testing.T) {
 	}
 }
 
-// refinementTier is TestTierCoverage's refinement tier: which route ranks the
-// MWK/MQWK samples is decided by dimensionality and the kernel switch
-// alone, never by the size of the candidate set. The differential suites
-// run at n ~ 20k, where a why-not question's candidate set stays in the
-// low thousands; these shapes have tens of thousands of candidates (a
-// rank-101 point of UN d = 3 is not dominated by about a quarter of the
-// dataset). Each dataset.MakeWhyNot instance is answered by the product
-// path and compared field for field with the SetSkyband(false) and
-// SetKernel(false) clones, sequentially and with Options.Workers = 2;
-// every refinement is re-verified by topk.RankNaive; and the route is read
-// off the counters: at d <= 4 every sample loop swept the call-fixed
-// universe (band-trimmed when k'max fits a trim band) and none fell to a
-// scalar scan, at d = 5 all of them did.
+// refinementTier is TestTierCoverage's refinement tier: the MWK/MQWK
+// samples are ranked one way — sweeps of the call-fixed universe — whatever
+// the dimensionality, the kernel switch or the size of the candidate set.
+// The differential suites run at n ~ 20k and d <= 4, where a why-not
+// question's candidate set stays in the low thousands; these shapes have
+// tens of thousands of candidates (a rank-101 point of UN d = 3 is not
+// dominated by about a quarter of the dataset) and reach d = 5 and the
+// dimensionalities of the paper's real datasets, Household (d = 6) and NBA
+// (d = 13). Each dataset.MakeWhyNot instance is answered by the product
+// path and compared field for field with the skyOff oracle and the
+// kernelOff clone, sequentially and with Options.Workers = 2; every
+// refinement is re-verified by topk.RankNaive; and the route is read off
+// the counters: one universe per call, every sample loop a sweep of it
+// (band-trimmed when k'max fits a trim band the data keeps small).
 func refinementTier(t *testing.T) {
 	const samples = 12 // |S| = |Q|: 13 sample query points + MWK at q per call
 	cases := []struct {
@@ -127,7 +128,9 @@ func refinementTier(t *testing.T) {
 		{"UN n=100k d=3 rank 1001", nil, 1001, false},
 		{"AC n=20k d=3 rank 101", dataset.Anticorrelated(20000, 3, 43), 101, false},
 		{"UN n=100k d=4 rank 101", dataset.Independent(100000, 4, 44), 101, false},
-		{"UN n=30k d=5 rank 101 (scalar)", dataset.Independent(30000, 5, 45), 101, false},
+		{"UN n=30k d=5 rank 101", dataset.Independent(30000, 5, 45), 101, false},
+		{"household-like n=20k d=6 rank 101", dataset.HouseholdLike(20000, 46), 101, false},
+		{"NBA-like n=17k d=13 rank 101", dataset.NBALike(17265, 47), 101, false},
 	}
 	var ix *Index
 	for ci, tc := range cases {
@@ -144,7 +147,7 @@ func refinementTier(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ds, d := tc.ds, tc.ds.Dim
+		ds := tc.ds
 		skyOff, kernOff := ix.Clone(), ix.Clone()
 		skyOff.skyOff = true
 		kernOff.kernelOff = true
@@ -209,19 +212,12 @@ func refinementTier(t *testing.T) {
 					rt.UniversePoints -= before.Refine.UniversePoints
 					rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
 					rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
-					rt.EvalsScalar -= before.Refine.EvalsScalar
 					rt.SamplesDrawn -= before.Refine.SamplesDrawn
 					loops := int64(samples + 2) // MWK at q, MQWK at q, |Q| sample points
 					if rt.SamplesDrawn != loops*samples {
 						t.Fatalf("instance %d workers %d: %d samples drawn, want %d", inst, workers, rt.SamplesDrawn, loops*samples)
 					}
-					if d > 4 {
-						if rt.Universes != 0 || rt.EvalsScalar != loops || rt.EvalsTrimmed+rt.EvalsUntrimmed != 0 || after.Points != before.Points {
-							t.Fatalf("d = %d must rank by scalar scans: %+v", d, rt)
-						}
-						continue
-					}
-					if rt.Universes != 1 || rt.EvalsScalar != 0 || rt.EvalsTrimmed+rt.EvalsUntrimmed != loops {
+					if rt.Universes != 1 || rt.EvalsTrimmed+rt.EvalsUntrimmed != loops {
 						t.Fatalf("instance %d workers %d: every sample loop must sweep the one call-fixed universe: %+v", inst, workers, rt)
 					}
 					if rt.UniversePoints <= 8192 {
@@ -257,5 +253,89 @@ func refinementTier(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRefinementDegenerateUniverses pins the two universes a literal
+// dimension test used to keep off the product path: one with candidates but
+// nothing incomparable with q (every point on one dominance chain, so the
+// sampler has no sample space and the k-only baseline stands), through
+// Index.WhyNotCtx at d = 5, 6 and 13; and the zero-point universe of a q
+// that dominates the whole dataset, which only the standalone refinements
+// reach (WhyNot finds nothing missing). Answers must equal the skyOff
+// oracle's, and the counters must show a universe was prepared — not the
+// legacy route taken silently.
+func TestRefinementDegenerateUniverses(t *testing.T) {
+	const n, k = 200, 10
+	for _, d := range []int{5, 6, 13} {
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, d)
+			for j := range pts[i] {
+				pts[i][j] = float64(i+1) / float64(n+1)
+			}
+		}
+		ix, err := NewIndex(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := ix.Clone()
+		oracle.skyOff = true
+		w := make([]float64, d)
+		for j := range w {
+			w[j] = 1 / float64(d)
+		}
+		opts := Options{SampleSize: 12, Seed: 1}
+
+		// q equal to the 61st chain point: 60 points dominate it, none is
+		// incomparable with it.
+		req := WhyNotRequest{Q: pts[60], K: k, W: [][]float64{w}, Opts: opts}
+		before := ix.KernelStats().Refine
+		got, err := ix.WhyNotCtx(t.Context(), req)
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		want, err := oracle.WhyNotCtx(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWhyNot(t, "chain", got.Answer, want.Answer)
+		if mp := got.Answer.ModifiedPreferences; len(got.Answer.Missing) != 1 || mp.K != 61 || mp.KMax != 61 || !reflect.DeepEqual(mp.Wm, [][]float64{w}) {
+			t.Fatalf("d=%d: no sample space at q, so the k-only baseline must stand: %+v", d, mp)
+		}
+		after := ix.KernelStats().Refine
+		if after.Universes-before.Universes != 1 || after.UniversePoints-before.UniversePoints != 60 {
+			t.Fatalf("d=%d: chain question did not prepare its 60-point universe: %+v -> %+v", d, before, after)
+		}
+
+		// q below every point: the candidate list is empty.
+		zero := make([]float64, d)
+		before = after
+		gotMP, err := ix.ModifyPreferencesCtx(t.Context(), ModifyPreferencesRequest{Q: zero, K: k, Wm: [][]float64{w}, Opts: opts})
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		wantMP, err := oracle.ModifyPreferencesCtx(t.Context(), ModifyPreferencesRequest{Q: zero, K: k, Wm: [][]float64{w}, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMA, err := ix.ModifyAllCtx(t.Context(), ModifyAllRequest{Q: zero, K: k, Wm: [][]float64{w}, Opts: opts})
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		wantMA, err := oracle.ModifyAllCtx(t.Context(), ModifyAllRequest{Q: zero, K: k, Wm: [][]float64{w}, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotMP.Refinement, wantMP.Refinement) || !reflect.DeepEqual(gotMA.Refinement, wantMA.Refinement) {
+			t.Fatalf("d=%d: empty candidate list: %+v %+v, oracle %+v %+v", d, gotMP.Refinement, gotMA.Refinement, wantMP.Refinement, wantMA.Refinement)
+		}
+		if gotMP.Refinement.K != k || gotMP.Refinement.KMax != 1 || gotMP.Refinement.Penalty != 0 {
+			t.Fatalf("d=%d: q already ranks first: %+v", d, gotMP.Refinement)
+		}
+		after = ix.KernelStats().Refine
+		if after.Universes-before.Universes != 2 || after.UniversePoints != before.UniversePoints {
+			t.Fatalf("d=%d: the two calls must each prepare a zero-point universe: %+v -> %+v", d, before, after)
+		}
 	}
 }

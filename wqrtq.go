@@ -111,9 +111,10 @@ type Index struct {
 	cells *cellindex.Cache
 	cct   *cellindex.Counters
 	// skyOff, kernelOff and cellOff route queries around a sub-index, onto
-	// the path it accelerates: the full tree, the scalar scan (the product
-	// path at d > 4) and the band sweep (the product path when a grid
-	// declines). The product has one path, so nothing outside this
+	// the path it accelerates: the full tree (and core's nil-Source oracle
+	// for the refinements), the RTA loop over the band tree (the reverse
+	// top-k product path at d > 4) and the band sweep (the product path
+	// when a grid declines). The product has one path, so nothing outside this
 	// package's tests sets them: they are how the differential suites
 	// reach their reference answers. Clone copies them.
 	skyOff, kernelOff, cellOff bool
