@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -458,6 +459,100 @@ func BenchmarkWhyNotDims(b *testing.B) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkReverseTopKDims runs reverse top-k (k = 10, |W| = 1 000) below
+// the cell grid across data shapes and the paper's dimensionalities. Each
+// cell has 50 query points, 30 % of them synthesized at rank <= k under a
+// vector of W — the expensive case, as bench/gen.go draws them — and the
+// rest random data points; one op answers all 50, and ms/q and p95-ms/q
+// report the per-query mean and 95th percentile. "product" is
+// Index.ReverseTopKCtx: one capped count descent per vector over the band
+// tree (UN d = 3 runs with cellOff, since the grid would otherwise answer;
+// the AC bands at d = 3 and 4 are past the grid's basis limit on their
+// own). "rta" is the paper's algorithm over the same band tree, the
+// reference DESIGN §9 quotes the product against.
+func BenchmarkReverseTopKDims(b *testing.B) {
+	const queries, nW = 50, 1000
+	for _, c := range []struct {
+		name    string
+		ds      func() *dataset.Dataset
+		cellOff bool
+	}{
+		{"UN-d3-cellOff", func() *dataset.Dataset { return dataset.Independent(100000, 3, 1) }, true},
+		{"UN-d5", func() *dataset.Dataset { return dataset.Independent(100000, 5, 1) }, false},
+		{"AC-d3", func() *dataset.Dataset { return dataset.Anticorrelated(100000, 3, 1) }, false},
+		{"AC-d4", func() *dataset.Dataset { return dataset.Anticorrelated(100000, 4, 1) }, false},
+		{"AC-d5", func() *dataset.Dataset { return dataset.Anticorrelated(50000, 5, 1) }, false},
+		{"household-d6", func() *dataset.Dataset { return dataset.HouseholdLike(20000, 1) }, false},
+		{"nba-d13", func() *dataset.Dataset { return dataset.NBALike(17265, 1) }, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := c.ds()
+			pts := make([][]float64, len(ds.Points))
+			for i, p := range ds.Points {
+				pts[i] = p
+			}
+			ix, err := NewIndex(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix.cellOff = c.cellOff
+			rng := rand.New(rand.NewSource(2))
+			W := make([][]float64, nW)
+			ws := make([]vec.Weight, nW)
+			for i := range W {
+				ws[i] = sample.RandSimplex(rng, ds.Dim)
+				W[i] = ws[i]
+			}
+			qs := make([][]float64, queries)
+			for i := range qs {
+				if i%10 >= 3 {
+					qs[i] = pts[rng.Intn(len(pts))]
+					continue
+				}
+				top, err := ix.TopK(W[rng.Intn(nW)], benchK)
+				if err != nil {
+					b.Fatal(err)
+				}
+				qs[i] = top[rng.Intn(len(top))].Point
+			}
+			band := ix.band(benchK).Tree() // built here, outside the timed loops
+			run := func(b *testing.B, answer func(q []float64) error) {
+				lat := make([]time.Duration, 0, b.N*queries)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, q := range qs {
+						start := time.Now()
+						if err := answer(q); err != nil {
+							b.Fatal(err)
+						}
+						lat = append(lat, time.Since(start))
+					}
+				}
+				b.StopTimer()
+				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(len(lat)), "ms/q")
+				b.ReportMetric(float64(lat[len(lat)*95/100].Microseconds())/1e3, "p95-ms/q")
+			}
+			b.Run("product", func(b *testing.B) {
+				before := ix.CellIndexStats().Lookups
+				run(b, func(q []float64) error {
+					_, err := ix.ReverseTopKCtx(context.Background(), ReverseTopKRequest{Q: q, K: benchK, W: W})
+					return err
+				})
+				if ix.CellIndexStats().Lookups != before {
+					b.Fatal("the cell grid answered: this cell does not measure the tier below it")
+				}
+			})
+			b.Run("rta", func(b *testing.B) {
+				run(b, func(q []float64) error {
+					_, _, err := rtopk.BichromaticCtx(context.Background(), band, ws, q, benchK)
+					return err
+				})
+			})
 		})
 	}
 }

@@ -6,14 +6,14 @@ package wqrtq
 // weighting vector from a point-located grid cell's precomputed candidate
 // superset instead of sweeping the whole k-skyband, and monochromatic
 // reverse top-k gets an exact algorithm beyond 2-D (ReverseTopKMonoND).
-// Results are bit-identical to the band sweep a declining grid falls back
-// to, which tests reach directly through the unexported cellOff field (the
-// differential suite in cellindex_test.go proves it end to end; see
-// DESIGN.md §10 for the construction and the count-preservation
-// argument). The index rides on the skyband bands — grids are built over
-// them, so their lazy builds and cache hits tick the skyband counters —
-// and reports its scan work through the kernel counters; under skyOff or
-// kernelOff there is no grid either.
+// Results are bit-identical to the per-vector count descent over the band
+// tree a declining grid falls back to, which tests reach directly through
+// the unexported cellOff field (the differential suite in cellindex_test.go
+// proves it end to end; see DESIGN.md §10 for the construction and the
+// count-preservation argument). The index rides on the skyband bands —
+// grids are built over them, so their lazy builds and cache hits tick the
+// skyband counters — and reports its scan work through the kernel
+// counters; under skyOff there is no grid either.
 
 import (
 	"wqrtq/internal/cellindex"
@@ -21,11 +21,11 @@ import (
 )
 
 // cellGrid returns the cell grid for parameter k, or nil when a test has
-// switched off any of the stacked sub-indexes or the configuration is ineligible
-// (dimensionality, basis size, cache pressure) — callers then use the
-// kernel/RTA paths, which answer identically.
+// switched off either of the stacked sub-indexes or the configuration is
+// ineligible (cell budget, basis size, cache pressure) — callers then use
+// the count descent, which answers identically.
 func (ix *Index) cellGrid(k int) *cellindex.Grid {
-	if ix.cellOff || ix.skyOff || ix.kernelOff || ix.cells == nil {
+	if ix.cellOff || ix.skyOff || ix.cells == nil {
 		return nil
 	}
 	return ix.cells.Grid(k)
@@ -58,10 +58,7 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 	if k <= 0 {
 		return nil, nil, errPositiveK
 	}
-	var g *cellindex.Grid
-	if !ix.cellOff && !ix.skyOff && ix.cells != nil {
-		g = ix.cells.Grid(k)
-	}
+	g := ix.cellGrid(k)
 	if g == nil {
 		if ix.Dim() == 2 {
 			ivs, err := ix.ReverseTopKMono2D(q, k)

@@ -2,14 +2,15 @@ package wqrtq
 
 // Differential property suite for the materialized reverse-top-k cell
 // index: with the cell index enabled (the default), every endpoint must
-// answer bit-identically to the -cellindex=off ablation — same reverse
-// top-k index sets, same ranks, and the same why-not answers down to the
-// last bit of every penalty — across UN/CO/AC workloads, skyband and
-// kernel on/off, and mutation streams that invalidate the per-epoch grid
-// caches. RTA (through the skyband/kernel
-// stack of the ablated index) is the oracle; the suite pins the grid
-// construction, the per-cell candidate supersets, the capped cell-local
-// counting and the whole-query fallback discipline.
+// answer bit-identically to the cellOff reference — same reverse top-k
+// index sets, same ranks, and the same why-not answers down to the last
+// bit of every penalty — across UN/CO/AC workloads, skyband on/off, and
+// mutation streams that invalidate the per-epoch grid caches. The
+// reference is the tier below the grid, one capped count descent per
+// vector over the band tree (itself pinned to RTA and the linear scan in
+// kernel_test.go, tiers_test.go and internal/rtopk's FuzzBichromaticCount);
+// the suite pins the grid construction, the per-cell candidate supersets,
+// the capped cell-local counting and the whole-query fallback discipline.
 
 import (
 	"math/rand"
@@ -21,10 +22,9 @@ import (
 	"wqrtq/internal/sample"
 )
 
-// cellPair builds two identical indexes over pts with the given
-// skyband/kernel settings, one with the cell index on (default) and one
-// ablated off.
-func cellPair(t *testing.T, pts [][]float64, skybandOn, kernelOn bool) (on, off *Index) {
+// cellPair builds two identical indexes over pts with the given skyband
+// setting, one with the cell index on (default) and one with cellOff.
+func cellPair(t *testing.T, pts [][]float64, skybandOn bool) (on, off *Index) {
 	t.Helper()
 	on, err := NewIndex(pts)
 	if err != nil {
@@ -34,13 +34,11 @@ func cellPair(t *testing.T, pts [][]float64, skybandOn, kernelOn bool) (on, off 
 		t.Fatal("cell index must be enabled by default")
 	}
 	on.skyOff = !skybandOn
-	on.kernelOff = !kernelOn
 	off, err = NewIndex(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off.skyOff = !skybandOn
-	off.kernelOff = !kernelOn
 	off.cellOff = true
 	return on, off
 }
@@ -69,26 +67,24 @@ func TestCellIndexDifferential(t *testing.T) {
 					W[j] = sample.RandSimplex(rng, d)
 				}
 				for _, skybandOn := range []bool{true, false} {
-					for _, kernelOn := range []bool{true, false} {
-						on, off := cellPair(t, pts, skybandOn, kernelOn)
-						gotRTK, err := on.ReverseTopK(W, q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantRTK, err := off.ReverseTopK(W, q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotRTK, wantRTK) {
-							t.Fatalf("case %d sky=%v kernel=%v: ReverseTopK %v, ablation %v",
-								i, skybandOn, kernelOn, gotRTK, wantRTK)
-						}
-						gotRank, _ := on.Rank(W[0], q)
-						wantRank, _ := off.Rank(W[0], q)
-						if gotRank != wantRank {
-							t.Fatalf("case %d sky=%v kernel=%v: Rank %d, ablation %d",
-								i, skybandOn, kernelOn, gotRank, wantRank)
-						}
+					on, off := cellPair(t, pts, skybandOn)
+					gotRTK, err := on.ReverseTopK(W, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRTK, err := off.ReverseTopK(W, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotRTK, wantRTK) {
+						t.Fatalf("case %d sky=%v: ReverseTopK %v, ablation %v",
+							i, skybandOn, gotRTK, wantRTK)
+					}
+					gotRank, _ := on.Rank(W[0], q)
+					wantRank, _ := off.Rank(W[0], q)
+					if gotRank != wantRank {
+						t.Fatalf("case %d sky=%v: Rank %d, ablation %d",
+							i, skybandOn, gotRank, wantRank)
 					}
 				}
 			}
@@ -127,7 +123,7 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 			W[j] = sample.RandSimplex(rng, d)
 		}
 		for _, skybandOn := range []bool{true, false} {
-			on, off := cellPair(t, pts, skybandOn, true)
+			on, off := cellPair(t, pts, skybandOn)
 			got, err := on.WhyNot(q, k, W, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +149,7 @@ func TestCellIndexMutationInvalidation(t *testing.T) {
 	for j, p := range ds.Points {
 		pts[j] = p
 	}
-	on, off := cellPair(t, pts, true, true)
+	on, off := cellPair(t, pts, true)
 	rng := rand.New(rand.NewSource(91031))
 	W := make([][]float64, 8)
 	for j := range W {

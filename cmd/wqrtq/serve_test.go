@@ -11,6 +11,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 
 	"wqrtq"
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/sample"
 	"wqrtq/internal/storage"
 )
 
@@ -634,6 +636,66 @@ func TestServeWhyNotWideDataset(t *testing.T) {
 	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":26,"samples_drawn":624,"samples_kept":2}`
 	if got := string(getRouteStats(t, h).Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
+	}
+}
+
+// TestServeReverseTopKWideDataset answers a reverse top-k over HTTP on
+// NBA-like d = 13 data, where no cell grid exists and every vector is one
+// count descent over the band tree: 200, body byte-equal to the in-process
+// answer, and an "rta" block that says so — evaluated is the size of the
+// result, pruned the descents stopped at their k-th beater, and the
+// candidate set the 10-skyband.
+func TestServeReverseTopKWideDataset(t *testing.T) {
+	const k = 10
+	ds := dataset.NBALike(2000, 7)
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ix, err := wqrtq.NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := wqrtq.NewIndex(pts) // same data, same epoch, its own counters
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	W := make([][]float64, 60)
+	for i := range W {
+		W[i] = sample.RandSimplex(rng, ds.Dim)
+	}
+	top, err := twin.TopK(W[0], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := top[k/2].Point // mid-ranked under W[0]: in some of the 60 top-k sets, not all
+	inproc, err := twin.ReverseTopKCtx(t.Context(), wqrtq.ReverseTopKRequest{Q: q, K: k, W: W})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Epoch  uint64         `json:"epoch"`
+		Result []int          `json:"result"`
+		RTA    wqrtq.RTAStats `json:"rta"`
+	}{0, inproc.Result, inproc.RTA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	h := newServeHandler(e, 0)
+	body, err := json.Marshal(map[string]any{"q": q, "k": k, "weights": W})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGolden(t, post(t, h, "/v1/rtopk", string(body)), http.StatusOK, string(want)+"\n")
+	const golden = `"rta":{"evaluated":19,"pruned":41,"candidate_set_size":1104}}`
+	if !strings.HasSuffix(string(want), golden) || inproc.RTA.Evaluated != len(inproc.Result) {
+		t.Fatalf("rta block\n got: %s\nwant suffix: %s", want, golden)
 	}
 }
 

@@ -2,12 +2,16 @@ package wqrtq
 
 // Cancellation tests for the context-first API: already-canceled contexts
 // return promptly at every layer, a deadline set mid-refinement aborts the
-// MQWK sampling loops within one check interval, and a canceled waiter in a
-// merged reverse top-k batch never aborts its co-waiters.
+// MQWK sampling loops within one check interval, a reverse top-k canceled
+// between two of its thousands of count descents stops at the poll that
+// says so, and a canceled waiter in a merged reverse top-k batch never
+// aborts its co-waiters.
 
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,6 +163,104 @@ func TestWhyNotDeadlineMidRefinement(t *testing.T) {
 	}
 	if elapsed > full/2 {
 		t.Fatalf("cancel run took %v, want well under full runtime %v", elapsed, full)
+	}
+}
+
+// tripCtx cancels itself on its trip-th Err poll and counts every poll. A
+// computation that stops at the poll reporting the cancellation leaves
+// polls == trip; one that never polls runs to completion and returns nil.
+type tripCtx struct {
+	context.Context // cancelable, so Done is non-nil and tickers arm
+	trip            int64
+	polls           atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) >= c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReverseTopKCancelMidCountDescents cancels a d = 13 reverse top-k of
+// 5 000 vectors mid-request. Below the cell grid every vector is one count
+// descent, and all of them tick one ticker, once per tree node: a request
+// of many short descents (a query point deep in the data: each descent
+// meets its k-th beater within a node or two, far below any per-descent
+// interval) and one of long descents (a competitive query point) must both
+// return ctx.Err() at the poll that reports it — on the Index, and in the
+// engine's merged same-(q, k) group, where the failed run must not be
+// added to the reverse top-k totals.
+func TestReverseTopKCancelMidCountDescents(t *testing.T) {
+	const k, trip = 10, 50
+	ds := dataset.NBALike(17265, 11)
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ix, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	W := make([][]float64, 5000)
+	for i := range W {
+		W[i] = sample.RandSimplex(rng, ds.Dim)
+	}
+	top, err := ix.TopK(W[0], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ix.Clone(), EngineConfig{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := e.Snapshot()
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, q := range map[string][]float64{"short descents": pts[0], "long descents": top[k-1].Point} {
+		full, err := ix.ReverseTopKCtx(context.Background(), ReverseTopKRequest{Q: q, K: k, W: W}) // also builds the band
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "short descents" && len(full.Result) != 0 || name == "long descents" && len(full.Result) == 0 {
+			t.Fatalf("%s: %d of %d vectors in the result", name, len(full.Result), len(W))
+		}
+
+		ctx := &tripCtx{Context: live, trip: trip}
+		if _, err := ix.ReverseTopKCtx(ctx, ReverseTopKRequest{Q: q, K: k, W: W}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Index error = %v, want context.Canceled", name, err)
+		}
+		if got := ctx.polls.Load(); got != trip {
+			t.Fatalf("%s: Index polled ctx %d times, want to stop at poll %d", name, got, trip)
+		}
+
+		// Two requests sharing (q, k), halves of W: one merged evaluation.
+		grp := []*engineReq{
+			{query: query{kind: kindRTopK, set: W[:2500], q: q, k: k}},
+			{query: query{kind: kindRTopK, set: W[2500:], q: q, k: k}},
+		}
+		for _, r := range grp {
+			if err := snap.validate(&r.query); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := e.Stats().RTA["rtopk"]
+		ctx = &tripCtx{Context: live, trip: trip}
+		finished := 0
+		e.execRTopK(ctx, snap, grp, func(_ *engineReq, val any, err error) {
+			finished++
+			if val != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: merged waiter got (%v, %v), want context.Canceled", name, val, err)
+			}
+		})
+		if got := ctx.polls.Load(); finished != len(grp) || got != trip {
+			t.Fatalf("%s: merged group finished %d of %d waiters after %d polls, want all at poll %d", name, finished, len(grp), got, trip)
+		}
+		if after := e.Stats().RTA["rtopk"]; after != before {
+			t.Fatalf("%s: canceled run was added to the totals: %+v -> %+v", name, before, after)
+		}
 	}
 }
 

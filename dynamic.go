@@ -68,14 +68,13 @@ func (ix *Index) carry(sky *skyband.Cache) {
 // externally serialized with each other; queries need no synchronization.
 func (ix *Index) Clone() *Index {
 	c := &Index{
-		tree:      ix.tree.Clone(),
-		ids:       ix.ids.Clone(),
-		skyOff:    ix.skyOff,
-		kct:       ix.kct,
-		rct:       ix.rct,
-		kernelOff: ix.kernelOff,
-		cct:       ix.cct,
-		cellOff:   ix.cellOff,
+		tree:    ix.tree.Clone(),
+		ids:     ix.ids.Clone(),
+		skyOff:  ix.skyOff,
+		kct:     ix.kct,
+		rct:     ix.rct,
+		cct:     ix.cct,
+		cellOff: ix.cellOff,
 	}
 	c.sky = ix.sky.Rebind(c.tree)
 	c.cells = ix.cells.Carry(c.sky, false)

@@ -19,7 +19,7 @@ func testEngine(t *testing.T, n, d int, cfg EngineConfig) (*Engine, *Index) {
 
 // testEngineOver is testEngine with prep applied to the index before the
 // engine takes ownership of it: how a suite puts a whole engine on a
-// reference path (the unexported skyOff / kernelOff / cellOff fields).
+// reference path (the unexported skyOff / cellOff fields).
 func testEngineOver(t *testing.T, n, d int, cfg EngineConfig, prep func(*Index)) (*Engine, *Index) {
 	t.Helper()
 	ds := dataset.Independent(n, d, 7)

@@ -84,9 +84,9 @@ import (
 )
 
 // MaxBasis is the largest basis (k-skyband band) size a grid is built
-// over: beyond it the per-cell supersets stop being "tiny" relative to
-// the blocked kernel sweep and the build cost stops amortizing, so Grid
-// declines and the caller stays on the kernel/RTA paths.
+// over: beyond it the per-cell supersets stop being "tiny" and the build
+// cost stops amortizing, so Grid declines and the caller counts each
+// vector by a descent of the band tree instead.
 const MaxBasis = 4096
 
 // maxGrids caps how many distinct k values one snapshot caches grids for;
@@ -119,6 +119,30 @@ func resolutionFor(d int) int {
 	default:
 		return 16
 	}
+}
+
+// maxBaseCells is the cell budget of one grid, counted as its res^(d-1)
+// base cells before simplex clipping. resolutionFor spends exactly the
+// budget at d = 3 (64²) and d = 4 (16³); at its floor of 16 per axis a
+// d = 5 grid would be 16⁴ = 65 536 cells and a d = 6 one — Household's
+// dimensionality — 16⁵ ≈ 1M, each with its bounds and a candidate row. The
+// budget is why those datasets have no grid, and reverse top-k on them goes
+// straight to the per-vector count descent.
+const maxBaseCells = 4096
+
+// baseCells returns the base cell count of a grid over d-dimensional data,
+// or 0 when there is no such grid: d < 2, or a count over maxBaseCells.
+func baseCells(d int) int {
+	if d < 2 {
+		return 0
+	}
+	res, n := resolutionFor(d), 1
+	for j := 0; j < d-1; j++ {
+		if n *= res; n > maxBaseCells {
+			return 0
+		}
+	}
+	return n
 }
 
 // Grid is the materialized cell index of one (basis band, k). Grids are
@@ -335,8 +359,8 @@ func (g *Grid) CountBelowCapped(w []float64, fq float64, cap int) (count, scanne
 			}
 		}
 	default:
-		// build admits only dim 2..4; an impossible shape falls back
-		// rather than panicking on the query path.
+		// maxBaseCells admits only dim 2..4; an impossible shape falls
+		// back rather than panicking on the query path.
 		return 0, 0, false
 	}
 	return count, e - s, true
@@ -369,21 +393,18 @@ func (g *Grid) ReverseTopK(ctx context.Context, W []vec.Weight, q vec.Point, k i
 }
 
 // build constructs the grid over basis band b, or returns nil when the
-// configuration is ineligible (dimensionality outside 2..4, basis too
-// large, or candidate storage would blow past maxCandidates).
+// configuration is ineligible (a cell count over budget, basis too large,
+// or candidate storage would blow past maxCandidates).
 //
 //wqrtq:prealloc
 func build(b *skyband.Band, k, dim int) *Grid {
-	if dim < 2 || dim > 4 || b.Size() == 0 || b.Size() > MaxBasis {
+	nBase := baseCells(dim)
+	if nBase == 0 || b.Size() == 0 || b.Size() > MaxBasis {
 		return nil
 	}
 	basis := b.Coords()
 	m := basis.Len()
 	res := resolutionFor(dim)
-	nBase := 1
-	for j := 0; j < dim-1; j++ {
-		nBase *= res
-	}
 	g := &Grid{
 		k: k, dim: dim, res: res,
 		basisSize: m,
@@ -585,12 +606,12 @@ func (c *Cache) Carry(sky *skyband.Cache, mutation bool) *Cache {
 }
 
 // Grid returns the cell index for parameter k, building it on first use,
-// or nil when the configuration is ineligible (dimensionality outside
-// 2..4, basis beyond MaxBasis, k-diversity beyond maxGrids, oversized
-// candidate storage) — callers then use the kernel/RTA paths, which
-// answer identically.
+// or nil when the configuration is ineligible (a cell count over
+// maxBaseCells, basis beyond MaxBasis, k-diversity beyond maxGrids,
+// oversized candidate storage) — callers then use the per-vector count
+// descent, which answers identically.
 func (c *Cache) Grid(k int) *Grid {
-	if c == nil || c.sky == nil || c.dim < 2 || c.dim > 4 {
+	if c == nil || c.sky == nil || baseCells(c.dim) == 0 {
 		return nil
 	}
 	if k < 1 {

@@ -7,15 +7,6 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// CoordsCutoff is the candidate-set size up to which the blocked counting
-// evaluation is preferred over the RTA loop: below it, sweeping every
-// candidate once per kernel.BlockSize weights costs less than the
-// per-vector branch-and-bound top-k evaluations (plus their heap traffic)
-// that RTA runs for non-pruned vectors, and the flattened image stays
-// cache-resident. (The refinement sampling loops have no such line: their
-// counts are capped at k'max, so they sweep at every candidate-set size.)
-const CoordsCutoff = 8192
-
 // BichromaticCoordsCtx answers the bichromatic reverse top-k query by
 // blocked counting over a flattened candidate set: w belongs to the result
 // iff fewer than k candidates score strictly below f(w, q) (ties won by q,
@@ -26,15 +17,17 @@ const CoordsCutoff = 8192
 // strict-beat count whenever that count is below k, and is at least k
 // whenever the dataset's is (any point with >= k beaters has >= k of them
 // inside the k-skyband), so the membership test count < k decides exactly
-// as the full dataset would. Results are therefore identical to the RTA
-// loop over the same snapshot, while the evaluation is one blocked sweep
-// of the candidate columns per kernel.BlockSize weights instead of one
-// branch-and-bound top-k per non-pruned vector.
+// as the full dataset would. BichromaticCountCtx rests on the same
+// argument.
 //
-// Stats report every vector as evaluated and none pruned: the blocked
-// sweep has no threshold buffer — counting all candidates for a block of
-// weights is the cheaper operation precisely where the candidate set is
-// small, which the caller ensures via CoordsCutoff before routing here.
+// No query is routed here any more. The sweep is uncapped — every weight
+// pays for every candidate — and used to serve d <= 4 bands of at most
+// CoordsCutoff = 8192 points; the capped count descent beat it at every
+// such shape (DESIGN.md §9), so the cutoff and the route are gone. The
+// function stays because the benchmark harness times it
+// (kernel.coords_rtopk_us); FuzzBichromaticCount keeps it honest.
+//
+// Stats report every vector as evaluated and none pruned.
 func BichromaticCoordsCtx(ctx context.Context, c *kernel.Coords, W []vec.Weight, q vec.Point, k int, ct *kernel.Counters) ([]int, Stats, error) {
 	var stats Stats
 	if len(W) == 0 {

@@ -2,11 +2,15 @@
 // query class whose why-not questions WQRTQ answers.
 //
 // Bichromatic: given a finite weighting-vector set W, return every w ∈ W
-// whose top-k result contains the query point q. The implementation follows
-// the RTA idea: vectors are evaluated in sorted order and the top-k buffer
-// of the previously evaluated vector serves as a pruning threshold — if k
-// buffered points already score better than q under the next vector, that
-// vector cannot be in the result and no top-k evaluation is needed.
+// whose top-k result contains the query point q. Membership of w is a
+// threshold count, not a top-k — do fewer than k points score strictly
+// below f(w, q) — so the product evaluation (BichromaticCountCtx) is one
+// capped, count-pruned R-tree descent per vector. The paper's own
+// algorithm is kept beside it as an oracle: RTA (BichromaticCtx) evaluates
+// vectors in sorted order and uses the top-k buffer of the previously
+// evaluated vector as a pruning threshold — if k buffered points already
+// score better than q under the next vector, that vector cannot be in the
+// result and no top-k evaluation is needed.
 //
 // Monochromatic: in two dimensions the weighting space is the segment
 // w = (λ, 1-λ), λ ∈ [0, 1], and the result is a union of intervals of λ
@@ -26,19 +30,57 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// checkInterval is how many weighting vectors the RTA loop examines between
-// context polls; each top-k evaluation inside the loop additionally polls on
-// its own heap-pop interval.
+// checkInterval is how many weighting vectors a bichromatic loop examines
+// between context polls. RTA's top-k evaluations additionally poll on their
+// own heap-pop interval; the count descents tick the loop's own ticker once
+// per tree node, so a long descent polls on the same interval.
 const checkInterval = 16
 
-// Stats reports the work done by the RTA evaluation.
+// Stats reports the work done by one bichromatic evaluation. Evaluated
+// and Pruned partition W. Under the count descent, Pruned is the vectors
+// whose descent stopped at the k-th point beating q (non-members) and
+// Evaluated the vectors counted to completion (the result's members);
+// under RTA, Pruned is the vectors the buffer threshold rejected and
+// Evaluated the ones that required a top-k evaluation.
 type Stats struct {
-	Evaluated int // vectors that required a top-k evaluation
-	Pruned    int // vectors rejected by the buffer threshold
-	// CandidateSetSize is the number of indexed points each top-k
-	// evaluation ran against: the k-skyband size when the skyband
-	// sub-index served the query, the full dataset size otherwise.
+	Evaluated int
+	Pruned    int
+	// CandidateSetSize is the number of indexed points each evaluation
+	// ran against: the k-skyband size when the skyband sub-index served
+	// the query, the full dataset size otherwise.
 	CandidateSetSize int
+}
+
+// BichromaticCountCtx returns the indices into W of the weighting vectors
+// whose top-k contains q (ties won by q): w is a member iff fewer than k
+// points of t score strictly below f(w, q), decided by one
+// topk.CountBelowCapped descent per vector — subtrees wholly above f(w, q)
+// are skipped, subtrees wholly below it are counted through their node
+// counts, and the descent stops at the k-th beater. t must be
+// count-preserving for k: the full dataset or a k-skyband of it (see
+// BichromaticCoordsCtx). All descents tick one ticker, once per node, so a
+// canceled query returns ctx.Err() within checkInterval vectors or nodes,
+// whichever the loop is spending its time on.
+func BichromaticCountCtx(ctx context.Context, t *rtree.Tree, W []vec.Weight, q vec.Point, k int) ([]int, Stats, error) {
+	stats := Stats{CandidateSetSize: t.Len()}
+	tick := ctxcheck.Every(ctx, checkInterval)
+	if err := tick.Err(); err != nil {
+		return nil, stats, err
+	}
+	var result []int
+	for wi, w := range W {
+		cnt, err := topk.CountBelowCapped(t, w, vec.Score(w, q), k, &tick)
+		if err != nil {
+			return nil, stats, err
+		}
+		if cnt < k {
+			stats.Evaluated++
+			result = append(result, wi)
+		} else {
+			stats.Pruned++
+		}
+	}
+	return result, stats, nil
 }
 
 // Bichromatic returns the indices into W of the weighting vectors whose

@@ -6,8 +6,8 @@
 // linear scoring function; the k smallest scores of the dataset — and any
 // strict-beat count below k — are always achieved within that set. A Band
 // therefore bulk-loads the skyband points of one snapshot into a compact
-// R-tree, and branch-and-bound top-k, RTA reverse top-k and capped rank
-// counting run against it with results bit-identical to the full tree
+// R-tree, and branch-and-bound top-k, reverse top-k membership counts and
+// capped rank counting run against it with results bit-identical to the full tree
 // (every score is computed by vec.Score either way; only the candidate set
 // shrinks, and the shrinkage provably never removes an answer).
 //

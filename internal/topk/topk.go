@@ -342,13 +342,27 @@ func CountBelowCappedCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, fq fl
 		return 0, true, ctx.Err()
 	}
 	tick := ctxcheck.Every(ctx, checkInterval)
-	cnt, err := countBelowCapped(t.Root(), w, fq, bound, &tick)
-	if err != nil {
-		return 0, false, err
-	}
-	return cnt, cnt >= bound, nil
+	cnt, err := CountBelowCapped(t, w, fq, bound, &tick)
+	return cnt, cnt >= bound, err
 }
 
+// CountBelowCapped is CountBelowCappedCtx's descent under a ticker the
+// caller owns, ticked once per node visited, the root included: the count
+// is exact when below bound, and at least bound otherwise.
+// A loop of many short descents — reverse top-k membership, one per
+// weighting vector — shares one ticker across them, so ctx is polled on
+// the loop's interval as well as inside a long descent; a fresh ticker per
+// call would never reach its interval.
+func CountBelowCapped(t *rtree.Tree, w vec.Weight, fq float64, bound int, tick *ctxcheck.Ticker) (int, error) {
+	return countBelowCapped(t.Root(), w, fq, bound, tick)
+}
+
+// countBelowCapped pays one MinScore per entry and a MaxScore only for the
+// entries MinScore could not reject (most rectangles of a band tree lie
+// wholly above fq, and at d = 13 each bound is a 13-term dot product).
+//
+//wqrtq:hotpath
+//wqrtq:contract noalloc
 func countBelowCapped(n *rtree.Node, w vec.Weight, fq float64, bound int, tick *ctxcheck.Ticker) (int, error) {
 	if err := tick.Tick(); err != nil {
 		return 0, err

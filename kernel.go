@@ -1,19 +1,18 @@
 package wqrtq
 
 // The blocked SoA scoring kernel (internal/kernel) bound to the Index:
-// every "many weights × one candidate set" evaluation — the per-sample
-// rank counting of the MWK/MQWK refinement loops and the reverse top-k
-// membership tests over a k-skyband — runs as cache-friendly blocked
-// sweeps over column-major flattened coordinates instead of one scalar
-// scan (or one branch-and-bound top-k) per weighting vector. Every score
-// is the same multiply/add chain as vec.Score, only evaluated
-// block-at-a-time, so results are bit-identical to the references: for
-// reverse top-k the RTA loop over the band tree, which is the product
-// path at d > 4 and which tests reach at any d through the unexported
-// kernelOff field (kernel_test.go); for the refinement loops, which sweep
-// at every d, core's nil-Source oracle, reached through skyOff (see
-// DESIGN.md §9 for the cost model). The kernel rides on the skyband
-// candidate sets: under skyOff there is nothing to flatten.
+// the "many weights × one candidate set" evaluations — the per-sample rank
+// counting of the MWK/MQWK refinement loops, and the cell-local counts of
+// the reverse top-k grid, which report their scan work through the same
+// counters — run as cache-friendly blocked sweeps over column-major
+// flattened coordinates instead of one scalar scan per weighting vector.
+// Every score is the same multiply/add chain as vec.Score, only evaluated
+// block-at-a-time, so results are bit-identical to the references: for the
+// refinement loops, which sweep at every d, core's nil-Source oracle,
+// reached through skyOff (see DESIGN.md §9 for the cost model). The kernel
+// rides on the skyband candidate sets: under skyOff there is nothing to
+// flatten. Reverse top-k below the grid does not sweep: membership there is
+// one capped count descent per vector (rtopk.BichromaticCountCtx).
 
 import (
 	"wqrtq/internal/core"

@@ -1,16 +1,18 @@
 package wqrtq
 
-// Differential property suite for the blocked scoring kernel. Reverse
-// top-k with the kernel enabled (the default) must answer bit-identically
-// to the kernelOff reference — the RTA loop over the band tree — with the
-// same index sets across UN/CO/AC workloads, skyband on and off, and
-// mutation streams that invalidate the epoch caches. The refinement loops
-// sweep the call-fixed universe whatever kernelOff says, so their reference
-// is the skyOff oracle (core's nil-Source legacy path): why-not answers must
-// match it down to the last bit of every penalty, which pins the blocked
-// rank counting, the capped sample sweeps and the universe of the fused
-// pipeline. A separate suite pins the fused WhyNot pipeline against the
-// standalone refinement endpoints.
+// Differential property suite for what the blocked scoring kernel serves.
+// Reverse top-k on the product path (the cell grid, whose cell-local counts
+// are kernel sweeps) must answer bit-identically to every reference — the
+// cellOff index, one capped count descent per vector over the band tree;
+// the skyOff index, the same descent over the full tree; and RTA, the
+// paper's own algorithm, over the full tree — with the same index sets
+// across UN/CO/AC workloads and mutation streams that invalidate the epoch
+// caches. The refinement loops sweep the call-fixed universe, so their
+// reference is the skyOff oracle (core's nil-Source legacy path): why-not
+// answers must match it down to the last bit of every penalty, which pins
+// the blocked rank counting, the capped sample sweeps and the universe of
+// the fused pipeline. A separate suite pins the fused WhyNot pipeline
+// against the standalone refinement endpoints.
 
 import (
 	"math/rand"
@@ -18,29 +20,10 @@ import (
 	"testing"
 
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/rtopk"
 	"wqrtq/internal/sample"
+	"wqrtq/internal/vec"
 )
-
-// kernelPair builds two identical indexes over pts with the given skyband
-// setting, one with the kernel on (default) and one with kernelOff.
-func kernelPair(t *testing.T, pts [][]float64, skybandOn bool) (on, off *Index) {
-	t.Helper()
-	on, err := NewIndex(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.kernelOff {
-		t.Fatal("kernel must be enabled by default")
-	}
-	on.skyOff = !skybandOn
-	off, err = NewIndex(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off.skyOff = !skybandOn
-	off.kernelOff = true
-	return on, off
-}
 
 func TestKernelDifferential(t *testing.T) {
 	const casesPerShape = 10
@@ -65,8 +48,12 @@ func TestKernelDifferential(t *testing.T) {
 				for j := range W {
 					W[j] = sample.RandSimplex(rng, d)
 				}
+				ws := make([]vec.Weight, len(W))
+				for j, w := range W {
+					ws[j] = w
+				}
 				for _, skybandOn := range []bool{true, false} {
-					on, off := kernelPair(t, pts, skybandOn)
+					on, off := cellPair(t, pts, skybandOn)
 					gotRTK, err := on.ReverseTopK(W, q, k)
 					if err != nil {
 						t.Fatal(err)
@@ -78,6 +65,9 @@ func TestKernelDifferential(t *testing.T) {
 					if !reflect.DeepEqual(gotRTK, wantRTK) {
 						t.Fatalf("case %d sky=%v: ReverseTopK %v, ablation %v",
 							i, skybandOn, gotRTK, wantRTK)
+					}
+					if rta, _ := rtopk.Bichromatic(on.tree, ws, q, k); !reflect.DeepEqual(gotRTK, rta) {
+						t.Fatalf("case %d sky=%v: ReverseTopK %v, RTA %v", i, skybandOn, gotRTK, rta)
 					}
 					gotRank, _ := on.Rank(W[0], q)
 					wantRank, _ := off.Rank(W[0], q)
@@ -121,11 +111,11 @@ func sameWhyNot(t *testing.T, label string, got, want *WhyNotAnswer) {
 }
 
 // TestKernelWhyNotPenalties runs the full pipeline with identical seeds on
-// the product index and on every reference — the skyOff oracle, whose
-// refinements take core's legacy path, with its RTA stage over the full
-// tree and (kernelOff too) the same; and kernelOff alone, whose RTA stage
-// runs over the band tree — and requires bit-identical answers, penalties
-// included, across the sequential and parallel MQWK paths.
+// the product index and on both references — the skyOff oracle, whose
+// refinements take core's legacy path and whose reverse top-k stage counts
+// over the full tree; and cellOff, whose reverse top-k stage counts over
+// the band tree — and requires bit-identical answers, penalties included,
+// across the sequential and parallel MQWK paths.
 func TestKernelWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -151,13 +141,13 @@ func TestKernelWhyNotPenalties(t *testing.T) {
 		for j := range W {
 			W[j] = sample.RandSimplex(rng, d)
 		}
-		product, kernOff := kernelPair(t, pts, true)
-		oracle, oracleKernOff := kernelPair(t, pts, false)
+		product, cellOff := cellPair(t, pts, true)
+		oracle, _ := cellPair(t, pts, false)
 		got, err := product.WhyNot(q, k, W, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, ref := range map[string]*Index{"skyOff oracle": oracle, "skyOff+kernelOff": oracleKernOff, "kernelOff": kernOff} {
+		for name, ref := range map[string]*Index{"skyOff oracle": oracle, "cellOff": cellOff} {
 			want, err := ref.WhyNot(q, k, W, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -197,12 +187,12 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 		for j := range W {
 			W[j] = sample.RandSimplex(rng, d)
 		}
-		for _, kernelOn := range []bool{true, false} {
+		for _, cellOn := range []bool{true, false} {
 			ix, err := NewIndex(pts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix.kernelOff = !kernelOn
+			ix.cellOff = !cellOn
 			ans, err := ix.WhyNot(q, k, W, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -219,30 +209,30 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(mq, ans.ModifiedQuery) {
-				t.Fatalf("case %d kernel=%v: fused MQP %+v, standalone %+v", i, kernelOn, ans.ModifiedQuery, mq)
+				t.Fatalf("case %d cell=%v: fused MQP %+v, standalone %+v", i, cellOn, ans.ModifiedQuery, mq)
 			}
 			mp, err := ix.ModifyPreferences(q, k, missing, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(mp, ans.ModifiedPreferences) {
-				t.Fatalf("case %d kernel=%v: fused MWK %+v, standalone %+v", i, kernelOn, ans.ModifiedPreferences, mp)
+				t.Fatalf("case %d cell=%v: fused MWK %+v, standalone %+v", i, cellOn, ans.ModifiedPreferences, mp)
 			}
 			ma, err := ix.ModifyAll(q, k, missing, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ma, ans.ModifiedAll) {
-				t.Fatalf("case %d kernel=%v: fused MQWK %+v, standalone %+v", i, kernelOn, ans.ModifiedAll, ma)
+				t.Fatalf("case %d cell=%v: fused MQWK %+v, standalone %+v", i, cellOn, ans.ModifiedAll, ma)
 			}
 		}
 	}
 }
 
 // TestKernelMutationInvalidation drives the same mutation stream into the
-// product index, a kernelOff one and the skyOff oracle, querying between
+// product index, a cellOff one and the skyOff oracle, querying between
 // mutations: every answer must stay identical, which fails if a stale
-// flattened band image survives an insert or delete.
+// band, grid or flattened image survives an insert or delete.
 func TestKernelMutationInvalidation(t *testing.T) {
 	const d = 3
 	ds := dataset.Independent(150, d, 43)
@@ -250,8 +240,8 @@ func TestKernelMutationInvalidation(t *testing.T) {
 	for j, p := range ds.Points {
 		pts[j] = p
 	}
-	on, off := kernelPair(t, pts, true)
-	oracle, _ := kernelPair(t, pts, false)
+	on, off := cellPair(t, pts, true)
+	oracle, _ := cellPair(t, pts, false)
 	rng := rand.New(rand.NewSource(90031))
 	W := make([][]float64, 8)
 	for j := range W {
@@ -291,7 +281,7 @@ func TestKernelMutationInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, ref := range map[string]*Index{"kernelOff": off, "skyOff oracle": oracle} {
+		for name, ref := range map[string]*Index{"cellOff": off, "skyOff oracle": oracle} {
 			wantWn, err := ref.WhyNot(q, 5, W, Options{SampleSize: 8, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -306,14 +296,12 @@ func TestKernelMutationInvalidation(t *testing.T) {
 
 // TestKernelEngineStats exercises the engine integration: the kernel
 // counters must surface in EngineStats and survive snapshot swaps, the
-// kernelOff reference must answer identically, and Clone must keep the
-// clone family's cumulative counters.
+// cellOff reference must answer identically without a single sweep (the
+// count descent does not touch the kernel), and Clone must keep the clone
+// family's cumulative counters.
 func TestKernelEngineStats(t *testing.T) {
 	eOn, _ := testEngine(t, 500, 3, EngineConfig{CacheSize: -1})
-	eOff, _ := testEngineOver(t, 500, 3, EngineConfig{CacheSize: -1}, func(ix *Index) { ix.kernelOff = true })
-	if eOn.Snapshot().kernelOff || !eOff.Snapshot().kernelOff {
-		t.Fatal("engine kernel configuration not applied")
-	}
+	eOff, _ := testEngineOver(t, 500, 3, EngineConfig{CacheSize: -1}, func(ix *Index) { ix.cellOff = true })
 	rng := rand.New(rand.NewSource(321))
 	q := []float64{rng.Float64() * 0.3, rng.Float64() * 0.3, rng.Float64() * 0.3}
 	W := make([][]float64, 12)

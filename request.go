@@ -17,9 +17,10 @@ package wqrtq
 // methods only pack a request into a query and unpack the answer.
 //
 // Cancellation is cooperative: the long-running layers — the branch-and-
-// bound heap loop of internal/topk, the RTA loop of internal/rtopk, and the
-// |S| x |Q| sampling loops of internal/core — poll ctx at bounded intervals
-// (every N heap pops / samples), so a canceled or deadline-expired request
+// bound heap loop of internal/topk, the per-vector count descents of
+// internal/rtopk, and the |S| x |Q| sampling loops of internal/core — poll
+// ctx at bounded intervals (every N heap pops / tree nodes / samples), so a
+// canceled or deadline-expired request
 // unwinds within one check interval while the uncancelable fast path
 // (context.Background) pays about one branch per interval. See DESIGN.md,
 // "Context-first API and cooperative cancellation".
@@ -80,7 +81,7 @@ type ReverseTopKResponse struct {
 	Elapsed time.Duration
 	// Result holds the indices into W of the matching vectors, ascending.
 	Result []int
-	// RTA reports the evaluation's pruning statistics. For engine requests
+	// RTA reports the evaluation's statistics (see RTAStats). For engine requests
 	// served from the result cache or a merged same-(q, k) group, the
 	// statistics are those of the computation that produced the shared
 	// result.
@@ -354,8 +355,8 @@ func (ix *Index) RankCtx(ctx context.Context, req RankRequest) (RankResponse, er
 }
 
 // ReverseTopKCtx answers a ReverseTopKRequest with cooperative cancellation:
-// the RTA loop polls ctx between vector evaluations and inside each
-// evaluation's heap loop.
+// the per-vector loop polls ctx every few vectors and, on the same ticker,
+// every few tree nodes inside a long count descent.
 func (ix *Index) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
 	return serveReverseTopK(ctx, ix, req)
 }
@@ -444,17 +445,14 @@ func runReverseTopK(ctx context.Context, ix *Index, a *query) (any, error) {
 }
 
 // bichromatic answers a validated bichromatic reverse top-k query through
-// the fastest tier the input admits; every tier decides membership
-// identically. With the cell index available, each vector is counted
-// against its grid cell's candidate superset (see internal/cellindex's
-// count-preservation argument), with a whole-query fallback to the tiers
-// below when the index declines. With the skyband sub-index enabled, the
-// evaluation runs against the k-skyband: the k smallest scores under any
-// vector are achieved inside the band. For d <= 4 and a band of at most
-// rtopk.CoordsCutoff points the whole weight set is counted against the
-// flattened band in blocked sweeps (see rtopk.BichromaticCoordsCtx's
-// count-preservation argument); otherwise the RTA loop runs over the band
-// R-tree, or over the full tree when the band is disabled.
+// one of two tiers, which decide membership identically. With the cell
+// index available, each vector is counted against its grid cell's candidate
+// superset (see internal/cellindex's count-preservation argument). When
+// there is no grid for this k or it declines the query, each vector pays
+// one capped count descent (rtopk.BichromaticCountCtx) over the k-skyband's
+// tree — the k smallest scores under any vector are achieved inside the
+// band — which is the full tree for a pass-through band and under skyOff.
+// Nothing here reads the dimensionality or the band's size.
 func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k int) ([]int, rtopk.Stats, error) {
 	if g := ix.cellGrid(k); g != nil {
 		res, scanned, ok, err := g.ReverseTopK(ctx, W, q, k)
@@ -468,15 +466,11 @@ func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k
 		}
 		ix.cct.CountFallback()
 	}
+	t := ix.tree
 	if b := ix.band(k); b != nil {
-		if !ix.kernelOff && ix.Dim() <= 4 && b.Size() <= rtopk.CoordsCutoff {
-			res, stats, err := rtopk.BichromaticCoordsCtx(ctx, b.Coords(), W, q, k, ix.kct)
-			stats.CandidateSetSize = b.Size()
-			return res, stats, err
-		}
-		return rtopk.BichromaticCtx(ctx, b.Tree(), W, q, k)
+		t = b.Tree()
 	}
-	return rtopk.BichromaticCtx(ctx, ix.tree, W, q, k)
+	return rtopk.BichromaticCountCtx(ctx, t, W, q, k)
 }
 
 func runExplain(ctx context.Context, ix *Index, a *query) (any, error) {

@@ -3,8 +3,9 @@ package wqrtq
 // The concurrent query-serving engine: copy-on-write snapshots let
 // Insert/Delete proceed while queries run from any number of goroutines, a
 // bounded worker pool coalesces concurrent queries into batches (merging
-// reverse top-k requests against the same query point into a single RTA
-// run), and an LRU cache keyed by (snapshot epoch, query) serves repeated
+// reverse top-k requests against the same query point into a single
+// evaluation of their distinct vectors), and an LRU cache keyed by
+// (snapshot epoch, query) serves repeated
 // traffic without touching the index. The concurrency substrate (pool,
 // cache, metrics) lives in internal/engine; this file binds it to the Index.
 //
@@ -154,7 +155,7 @@ type Engine struct {
 	rta [numKinds]rtaTotals
 }
 
-// rtaTotals accumulates reverse top-k pruning statistics for one endpoint.
+// rtaTotals accumulates reverse top-k evaluation statistics for one endpoint.
 type rtaTotals struct {
 	runs       atomic.Int64
 	evaluated  atomic.Int64
@@ -169,17 +170,17 @@ func (t *rtaTotals) add(s RTAStats) {
 	t.candidates.Add(int64(s.CandidateSetSize))
 }
 
-// RTATotals is the cumulative RTA work of one endpoint, as surfaced in
-// EngineStats and /v1/stats.
+// RTATotals is the cumulative reverse top-k work of one endpoint, as
+// surfaced in EngineStats and /v1/stats.
 type RTATotals struct {
-	// Runs counts the RTA evaluations actually executed (cache hits and
+	// Runs counts the evaluations actually executed (cache hits and
 	// merged co-waiters do not add runs).
 	Runs int64 `json:"runs"`
-	// Evaluated and Pruned total the per-run vector counts.
+	// Evaluated and Pruned total the per-run vector counts (see RTAStats).
 	Evaluated int64 `json:"evaluated"`
 	Pruned    int64 `json:"pruned"`
 	// CandidatePoints totals the per-run candidate-set sizes; divided by
-	// Runs it is the average number of points each top-k evaluation ran
+	// Runs it is the average number of points each membership count ran
 	// against — the production-visible measure of the skyband win.
 	CandidatePoints int64 `json:"candidate_points"`
 }
@@ -443,9 +444,9 @@ func (e *Engine) RankCtx(ctx context.Context, req RankRequest) (RankResponse, er
 }
 
 // ReverseTopKCtx serves a ReverseTopKRequest with cooperative cancellation.
-// Concurrent calls with the same q and k are merged into a single RTA
-// evaluation over the union of their weighting-vector sets, amortizing the
-// R-tree traversals across the whole batch. A merged same-(q, k) RTA group
+// Concurrent calls with the same q and k are merged into a single
+// evaluation over the union of their weighting-vector sets, so a vector
+// several callers sent is counted once. A merged same-(q, k) group
 // is aborted only when every waiter's context is done: one canceled waiter
 // unblocks immediately with its context's error while the shared
 // evaluation keeps running for the rest.
@@ -698,7 +699,7 @@ func compCtx(reqs []*engineReq) (context.Context, context.CancelFunc) {
 // exec serves one batch: it loads the snapshot once (the batch's
 // linearization point), answers cache hits, sheds requests whose context
 // already ended, deduplicates identical requests, merges reverse top-k
-// requests that share (q, k) into one RTA run over the union of their
+// requests that share (q, k) into one evaluation over the union of their
 // weight sets, and fans results back out. Deduplicated and merged
 // computations run under a context that cancels only when every waiter's
 // context is done.
@@ -709,8 +710,8 @@ func (e *Engine) exec(batch []*engineReq) {
 	waiters := make(map[cacheKey][]*engineReq, len(batch))
 	var unique []*engineReq
 	// rtopkOrder fixes the group execution order to first arrival within the
-	// batch: ranging over rtopkGroups directly would run RTA merges (and
-	// populate the cache) in a different order every batch.
+	// batch: ranging over rtopkGroups directly would run the merged groups
+	// (and populate the cache) in a different order every batch.
 	rtopkGroups := make(map[string][]*engineReq)
 	var rtopkOrder []string
 	for _, r := range batch {
@@ -733,9 +734,9 @@ func (e *Engine) exec(batch []*engineReq) {
 		}
 		waiters[full] = []*engineReq{r}
 		// The one per-kind case of the executor: reverse top-k requests
-		// sharing (q, k) merge into a single RTA run over the union of
-		// their weight sets, because the RTA threshold buffer then prunes
-		// across the whole group; no other kind has shareable work.
+		// sharing (q, k) merge into a single evaluation over the union of
+		// their weight sets, because a vector two of them sent is then
+		// counted once; no other kind has shareable work.
 		if r.kind == kindRTopK {
 			gk := qkKey(r.q, r.k)
 			if _, ok := rtopkGroups[gk]; !ok {
@@ -801,8 +802,8 @@ func (e *Engine) run(ctx context.Context, snap *Index, r *engineReq) (any, error
 // execRTopK evaluates a group of reverse top-k requests sharing (q, k)
 // under ctx (which cancels only when every waiter is gone). The weight sets
 // are merged with duplicates removed — weight vectors shared by co-waiters
-// are evaluated once — so RTA's threshold buffer prunes across the whole
-// group and no vector costs two top-k evaluations; per-request results fan
+// are evaluated once; vectors are decided independently of one another, so
+// that deduplication is all the merge shares — and per-request results fan
 // back out through the slot map, each carrying the shared run's statistics.
 func (e *Engine) execRTopK(ctx context.Context, snap *Index, grp []*engineReq, finish func(*engineReq, any, error)) {
 	if len(grp) == 1 {

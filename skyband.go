@@ -1,8 +1,8 @@
 package wqrtq
 
 // The k-skyband sub-index (internal/skyband) bound to the Index: every
-// reverse-top-k-shaped evaluation — the RTA loop behind ReverseTopK and
-// WhyNot, rank counting, MQP's top k-th searches, and the MWK/MQWK sampling
+// reverse-top-k-shaped evaluation — the membership counts behind ReverseTopK
+// and WhyNot, rank counting, MQP's top k-th searches, and the MWK/MQWK sampling
 // loops — runs against a lazily computed k-skyband candidate set, cached
 // for as long as mutations leave it unchanged, instead of the full dataset. Only points dominated by fewer than k
 // others can appear in any top-k result, so results are bit-identical to
@@ -138,10 +138,15 @@ func (ix *Index) SkybandStats() SkybandStats {
 	return s
 }
 
-// RTAStats reports the pruning work of one reverse top-k evaluation: how
-// many weighting vectors required a top-k evaluation, how many the RTA
-// buffer threshold rejected without one, and how many indexed points each
-// evaluation ran against (the k-skyband size when the sub-index served the
+// RTAStats reports the work of one reverse top-k evaluation (the name and
+// the "rta" JSON block date from when RTA, the paper's [31], served it).
+// Evaluated and Pruned partition the weighting vectors. When the cell grid
+// answers, every vector is Evaluated (one cell-local count each). Below
+// the grid each vector pays one capped count descent: Pruned counts the
+// descents that stopped at the k-th point beating q — the non-members —
+// and Evaluated the ones counted to completion, so Evaluated equals the
+// size of the result. CandidateSetSize is how many indexed points each
+// count ran against (the k-skyband size when the sub-index served the
 // query, the full dataset size otherwise).
 type RTAStats struct {
 	Evaluated        int `json:"evaluated"`

@@ -1,10 +1,11 @@
 package wqrtq
 
 // Which tier answers a reverse top-k query is decided by properties of the
-// input alone — dimensionality and k relative to n — never by a flag. The
-// differential suites randomize over d <= 4, where the cell index serves;
-// this table pins the other tiers too, and checks each one against the
-// linear-scan oracles.
+// input alone — whether a cell grid fits its budget, and k relative to n —
+// never by a flag. The differential suites randomize over d <= 4, where the
+// cell index serves; this table pins the tier below it too, one capped
+// count descent per vector, up to the dimensionalities of the paper's real
+// datasets, and checks each row against the linear-scan oracles.
 
 import (
 	"math/rand"
@@ -20,21 +21,28 @@ import (
 
 func TestTierCoverage(t *testing.T) {
 	cases := []struct {
-		name    string
-		n, d, k int
-		cell    bool // the cell index answers (d <= 4)
-		banded  bool // the k-skyband prunes (4k < n)
+		name   string
+		ds     *dataset.Dataset
+		k      int
+		cell   bool // the cell index answers (d <= 4)
+		banded bool // a k-skyband is built (4k < n)
+		prunes bool // ... and it is smaller than the dataset
 	}{
-		{"d=3 cell index over the band", 2000, 3, 10, true, true},
-		{"d=5 RTA over the band tree", 2000, 5, 10, false, true},
-		{"d=5 4k>=n RTA over the full tree", 32, 5, 10, false, false},
-		{"d=3 4k>=n cell index over the full set", 32, 3, 10, true, false},
+		{"d=3 cell index over the band", dataset.Independent(2000, 3, 900), 10, true, true, true},
+		{"d=5 count descent over the band tree", dataset.Independent(2000, 5, 901), 10, false, true, true},
+		{"d=5 4k>=n count descent over the full tree", dataset.Independent(32, 5, 902), 10, false, false, false},
+		{"d=3 4k>=n cell index over the full set", dataset.Independent(32, 3, 903), 10, true, false, false},
+		{"NBA-like n=17265 d=13 count descent over the band tree", dataset.NBALike(17265, 904), 10, false, true, true},
+		// Household-like data is so anticorrelated at d = 6 that its
+		// 10-skyband is the whole dataset: the band tree prunes nothing.
+		{"household-like n=20k d=6 count descent over a band of everything", dataset.HouseholdLike(20000, 905), 10, false, true, false},
 	}
 	t.Run("refinement", refinementTier)
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := dataset.Independent(tc.n, tc.d, int64(900+ci))
-			pts := make([][]float64, len(ds.Points))
+			ds := tc.ds
+			n, d := len(ds.Points), ds.Dim
+			pts := make([][]float64, n)
 			for j, p := range ds.Points {
 				pts[j] = p
 			}
@@ -46,7 +54,7 @@ func TestTierCoverage(t *testing.T) {
 			W := make([][]float64, 40)
 			ws := make([]vec.Weight, len(W))
 			for j := range W {
-				ws[j] = sample.RandSimplex(rng, tc.d)
+				ws[j] = sample.RandSimplex(rng, d)
 				W[j] = ws[j]
 			}
 			// A competitive query point — the k-th best under the first
@@ -74,18 +82,22 @@ func TestTierCoverage(t *testing.T) {
 				if cell.Builds != 1 || cell.Lookups != int64(len(W)) || cell.Fallbacks != 0 {
 					t.Fatalf("cell index did not answer: %+v", cell)
 				}
-			} else if cell.Builds != 0 || cell.Lookups != 0 || kern.Blocks != 0 {
-				t.Fatalf("d=%d must skip the cell index and the kernel gate: %+v %+v", tc.d, cell, kern)
-			}
-			if !tc.cell && resp.RTA.Evaluated+resp.RTA.Pruned != len(W) {
-				t.Fatalf("RTA did not account for every vector: %+v", resp.RTA)
+			} else {
+				if cell.Builds != 0 || cell.Lookups != 0 || kern.Blocks != 0 {
+					t.Fatalf("d=%d must skip the cell index and sweep nothing: %+v %+v", d, cell, kern)
+				}
+				// Only the members are counted to completion; every other
+				// descent stops at its k-th beater.
+				if resp.RTA.Evaluated != len(resp.Result) || resp.RTA.Evaluated+resp.RTA.Pruned != len(W) {
+					t.Fatalf("count descent statistics %+v, want %d evaluated of %d", resp.RTA, len(resp.Result), len(W))
+				}
 			}
 			if tc.banded {
-				if sky.Builds != 1 || sky.Points != resp.RTA.CandidateSetSize || sky.Points >= tc.n {
-					t.Fatalf("band did not prune: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, tc.n)
+				if sky.Builds != 1 || sky.Points != resp.RTA.CandidateSetSize || (sky.Points < n) != tc.prunes {
+					t.Fatalf("band (prunes: %t): %+v, candidate set %d of %d", tc.prunes, sky, resp.RTA.CandidateSetSize, n)
 				}
-			} else if sky.Builds != 0 || resp.RTA.CandidateSetSize != tc.n {
-				t.Fatalf("4k >= n must pass the full set through: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, tc.n)
+			} else if sky.Builds != 0 || resp.RTA.CandidateSetSize != n {
+				t.Fatalf("4k >= n must pass the full set through: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, n)
 			}
 
 			for _, w := range W[:8] {
@@ -103,7 +115,7 @@ func TestTierCoverage(t *testing.T) {
 
 // refinementTier is TestTierCoverage's refinement tier: the MWK/MQWK
 // samples are ranked one way — sweeps of the call-fixed universe — whatever
-// the dimensionality, the kernel switch or the size of the candidate set.
+// the dimensionality or the size of the candidate set.
 // The differential suites run at n ~ 20k and d <= 4, where a why-not
 // question's candidate set stays in the low thousands; these shapes have
 // tens of thousands of candidates (a rank-101 point of UN d = 3 is not
@@ -111,7 +123,7 @@ func TestTierCoverage(t *testing.T) {
 // dimensionalities of the paper's real datasets, Household (d = 6) and NBA
 // (d = 13). Each dataset.MakeWhyNot instance is answered by the product
 // path and compared field for field with the skyOff oracle and the
-// kernelOff clone, sequentially and with Options.Workers = 2; every
+// cellOff clone, sequentially and with Options.Workers = 2; every
 // refinement is re-verified by topk.RankNaive; and the route is read off
 // the counters: one universe per call, every sample loop a sweep of it
 // (band-trimmed when k'max fits a trim band the data keeps small).
@@ -148,9 +160,9 @@ func refinementTier(t *testing.T) {
 			}
 		}
 		ds := tc.ds
-		skyOff, kernOff := ix.Clone(), ix.Clone()
+		skyOff, cellOff := ix.Clone(), ix.Clone()
 		skyOff.skyOff = true
-		kernOff.kernelOff = true
+		cellOff.cellOff = true
 		t.Run(tc.name, func(t *testing.T) {
 			for inst := 0; inst < 2; inst++ {
 				wl, err := dataset.MakeWhyNot(ds, 10, tc.rank, 1, int64(7000+10*ci+inst))
@@ -170,7 +182,7 @@ func refinementTier(t *testing.T) {
 					if len(got.Missing) != 1 {
 						t.Fatalf("instance %d: the why-not vector is not missing: %+v", inst, got.Missing)
 					}
-					for name, ref := range map[string]*Index{"skyband off": skyOff, "kernel off": kernOff} {
+					for name, ref := range map[string]*Index{"skyband off": skyOff, "cell index off": cellOff} {
 						want, err := ref.WhyNotCtx(t.Context(), req)
 						if err != nil {
 							t.Fatal(err)

@@ -38,8 +38,9 @@
 // mutations with live query traffic, wrap the index in an Engine: it
 // publishes copy-on-write snapshots (Index.Clone) so mutations never
 // disturb in-flight queries, coalesces concurrent queries into batches
-// (merging reverse top-k requests that share a query point into one RTA
-// traversal), and caches results under (snapshot epoch, query) keys. The
+// (merging reverse top-k requests that share a query point into one
+// evaluation of their distinct vectors), and caches results under
+// (snapshot epoch, query) keys. The
 // wqrtq command's serve subcommand exposes the engine over JSON/HTTP.
 package wqrtq
 
@@ -110,14 +111,14 @@ type Index struct {
 	// clone family's cumulative counters.
 	cells *cellindex.Cache
 	cct   *cellindex.Counters
-	// skyOff, kernelOff and cellOff route queries around a sub-index, onto
-	// the path it accelerates: the full tree (and core's nil-Source oracle
-	// for the refinements), the RTA loop over the band tree (the reverse
-	// top-k product path at d > 4) and the band sweep (the product path
-	// when a grid declines). The product has one path, so nothing outside this
-	// package's tests sets them: they are how the differential suites
-	// reach their reference answers. Clone copies them.
-	skyOff, kernelOff, cellOff bool
+	// skyOff and cellOff route queries around a sub-index, onto the path
+	// it accelerates: the full tree (and core's nil-Source oracle for the
+	// refinements), and the count descent over the band tree (the reverse
+	// top-k product path when there is no grid or it declines). The product
+	// has one path, so nothing outside this package's tests sets them: they
+	// are how the differential suites reach their reference answers. Clone
+	// copies them.
+	skyOff, cellOff bool
 }
 
 // NewIndex validates and bulk-loads a dataset. Every point must be
