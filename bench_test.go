@@ -582,14 +582,9 @@ func BenchmarkAblationMQWKParallel(b *testing.B) {
 // excludes memoization; ns/op is the end-to-end latency-throughput inverse:
 // requests/sec = 1e9 / (ns/op).
 //
-// Two batching effects drive the client scaling, and the linger dimension
-// separates them. With linger=2ms (throughput-tuned serving), a lone client
-// pays the full linger per request while 16 concurrent clients amortize one
-// window across a whole batch — the classic latency-for-throughput trade,
-// and the dominant term. With linger=0 (latency-tuned), only requests
-// already queued coalesce, so any remaining scaling isolates the merged-RTA
-// effect: batched requests sharing (q, k) run as one traversal whose
-// threshold buffer prunes across the union of their weight sets.
+// A worker batches only what is already queued, so client scaling comes
+// from amortizing one snapshot load and queue hand-off over a batch; every
+// distinct request still runs its own per-vector membership counts.
 func BenchmarkEngineReverseTopK(b *testing.B) {
 	ds := dataset.Independent(benchN, benchDim, 1)
 	pts := make([][]float64, len(ds.Points))
@@ -611,41 +606,38 @@ func BenchmarkEngineReverseTopK(b *testing.B) {
 		}
 		workload[i] = W
 	}
-	for _, linger := range []time.Duration{2 * time.Millisecond, 0} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("linger=%v/clients=%d", linger, clients), func(b *testing.B) {
-				e, err := NewEngine(ix.Clone(), EngineConfig{
-					Workers:     1,
-					MaxBatch:    64,
-					BatchLinger: linger,
-					CacheSize:   -1, // exclude memoization from the measurement
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer e.Close()
-				var next atomic.Int64
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: workload[i%int64(len(workload))], Q: q, K: benchK}); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
+	for _, clients := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			e, err := NewEngine(ix.Clone(), EngineConfig{
+				Workers:   1,
+				MaxBatch:  64,
+				CacheSize: -1, // exclude memoization from the measurement
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			var next atomic.Int64
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := next.Add(1)
+						if i > int64(b.N) {
+							return
+						}
+						if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{W: workload[i%int64(len(workload))], Q: q, K: benchK}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -60,7 +60,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "query workers (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("batch", 32, "max requests coalesced per batch")
-	linger := fs.Duration("linger", 200*time.Microsecond, "batch linger window (0 disables)")
 	cacheSize := fs.Int("cache", 4096, "result cache entries (negative disables)")
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables); expired queries answer 503")
 	dataDir := fs.String("data-dir", "", "durable data directory: WAL + snapshots; existing state overrides -data (empty = in-memory)")
@@ -90,7 +89,6 @@ func cmdServe(args []string) error {
 	eng, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{
 		Workers:                *workers,
 		MaxBatch:               *maxBatch,
-		BatchLinger:            *linger,
 		CacheSize:              *cacheSize,
 		DataDir:                *dataDir,
 		Fsync:                  *fsync,

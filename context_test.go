@@ -4,13 +4,14 @@ package wqrtq
 // return promptly at every layer, a deadline set mid-refinement aborts the
 // MQWK sampling loops within one check interval, a reverse top-k canceled
 // between two of its thousands of count descents stops at the poll that
-// says so, and a canceled waiter in a merged reverse top-k batch never
-// aborts its co-waiters.
+// says so, and a canceled waiter of a deduplicated request never aborts
+// its co-waiters.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,9 +189,10 @@ func (c *tripCtx) Err() error {
 // of many short descents (a query point deep in the data: each descent
 // meets its k-th beater within a node or two, far below any per-descent
 // interval) and one of long descents (a competitive query point) must both
-// return ctx.Err() at the poll that reports it — on the Index, and in the
-// engine's merged same-(q, k) group, where the failed run must not be
-// added to the reverse top-k totals.
+// return ctx.Err() at the poll that reports it on the Index. Through the
+// engine's executor, a deduplicated pair whose waiters are both gone
+// aborts its one shared run, answers each waiter with context.Canceled,
+// and adds nothing to the reverse top-k totals.
 func TestReverseTopKCancelMidCountDescents(t *testing.T) {
 	const k, trip = 10, 50
 	ds := dataset.NBALike(17265, 11)
@@ -236,93 +238,90 @@ func TestReverseTopKCancelMidCountDescents(t *testing.T) {
 			t.Fatalf("%s: Index polled ctx %d times, want to stop at poll %d", name, got, trip)
 		}
 
-		// Two requests sharing (q, k), halves of W: one merged evaluation.
-		grp := []*engineReq{
-			{query: query{kind: kindRTopK, set: W[:2500], q: q, k: k}},
-			{query: query{kind: kindRTopK, set: W[2500:], q: q, k: k}},
+	}
+
+	// Two identical requests, one run. Each waiter's context passes the
+	// executor's shed check (its first poll) with its Done already closed,
+	// so the shared context's watcher cancels the run once it is scheduled.
+	// A pair's run polls that shared context, not any waiter's, so there is
+	// no exact poll to pin here; the long-descent point keeps the run
+	// (~40 ms uncanceled on a 2-vCPU Xeon) well past the scheduler's
+	// 10 ms preemption, so the watcher always lands mid-run.
+	q := top[k-1].Point
+	pair := []*engineReq{batchReq(t, snap, deadTrip(), q, k, W), batchReq(t, snap, deadTrip(), q, k, W)}
+	before := e.Stats().RTA["rtopk"]
+	e.exec(pair)
+	for _, r := range pair {
+		resp := <-r.done
+		if resp.val != nil || !errors.Is(resp.err, context.Canceled) {
+			t.Fatalf("deduplicated waiter got (%v, %v), want context.Canceled", resp.val, resp.err)
 		}
-		for _, r := range grp {
-			if err := snap.validate(&r.query); err != nil {
-				t.Fatal(err)
-			}
+		if got := r.ctx.(*tripCtx).polls.Load(); got != 2 {
+			t.Fatalf("waiter ctx polled %d times, want 2 (shed check, own error)", got)
 		}
-		before := e.Stats().RTA["rtopk"]
-		ctx = &tripCtx{Context: live, trip: trip}
-		finished := 0
-		e.execRTopK(ctx, snap, grp, func(_ *engineReq, val any, err error) {
-			finished++
-			if val != nil || !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: merged waiter got (%v, %v), want context.Canceled", name, val, err)
-			}
-		})
-		if got := ctx.polls.Load(); finished != len(grp) || got != trip {
-			t.Fatalf("%s: merged group finished %d of %d waiters after %d polls, want all at poll %d", name, finished, len(grp), got, trip)
-		}
-		if after := e.Stats().RTA["rtopk"]; after != before {
-			t.Fatalf("%s: canceled run was added to the totals: %+v -> %+v", name, before, after)
-		}
+	}
+	if after := e.Stats().RTA["rtopk"]; after != before {
+		t.Fatalf("canceled run was added to the totals: %+v -> %+v", before, after)
 	}
 }
 
-// TestMergedRTABatchSurvivesCoWaiterCancel verifies the all-waiters-cancel
-// rule: two reverse top-k requests sharing (q, k) coalesce into one merged
-// RTA evaluation; canceling one of them must unblock it with its own
-// context error while the survivor still receives the correct answer.
-func TestMergedRTABatchSurvivesCoWaiterCancel(t *testing.T) {
+// deadTrip returns a context whose Done is already closed but whose first
+// Err poll still reports it live: a waiter the executor admits into a batch
+// and that is gone for the whole of the run that follows.
+func deadTrip() *tripCtx {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	return &tripCtx{Context: dead, trip: 2}
+}
+
+// batchReq validates a reverse top-k request on snap and wraps it as the
+// executor receives it from the pool.
+func batchReq(t *testing.T, snap *Index, ctx context.Context, q []float64, k int, W [][]float64) *engineReq {
+	t.Helper()
+	a := query{kind: kindRTopK, set: W, q: q, k: k}
+	if err := snap.validate(&a); err != nil {
+		t.Fatal(err)
+	}
+	return &engineReq{query: a, ctx: ctx, key: argKey(&a), done: make(chan engineResp, 1)}
+}
+
+// TestDedupedBatchSurvivesCoWaiterCancel verifies the all-waiters-cancel
+// rule on one batch holding two identical reverse top-k requests: they run
+// once, and the waiter that is gone before the run starts does not abort
+// it — the survivor receives the correct answer. (The gone waiter's caller
+// has already returned its own ctx.Err() from Engine.serve's select.)
+func TestDedupedBatchSurvivesCoWaiterCancel(t *testing.T) {
 	ix, req := testWorkload(t, 2000)
-	// One worker with a generous linger guarantees both requests land in the
-	// same batch; the cache is disabled so the survivor's answer is computed.
-	e, err := NewEngine(ix.Clone(), EngineConfig{
-		Workers:     1,
-		MaxBatch:    8,
-		BatchLinger: 100 * time.Millisecond,
-		CacheSize:   -1,
-	})
+	e, err := NewEngine(ix.Clone(), EngineConfig{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-
-	wA := req.W
-	wB := [][]float64{req.W[1], req.W[0], sample.RandSimplex(rngFor(3), 3)}
-	want, err := ix.ReverseTopK(wB, req.Q, req.K)
+	want, err := ix.ReverseTopK(req.W, req.Q, req.K)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	errA := make(chan error, 1)
-	go func() {
-		_, err := e.ReverseTopKCtx(ctxA, ReverseTopKRequest{Q: req.Q, K: req.K, W: wA})
-		errA <- err
-	}()
-	respB := make(chan ReverseTopKResponse, 1)
-	errB := make(chan error, 1)
-	go func() {
-		resp, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{Q: req.Q, K: req.K, W: wB})
-		respB <- resp
-		errB <- err
-	}()
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	snap := e.Snapshot()
+	gone := batchReq(t, snap, deadTrip(), req.Q, req.K, req.W)
+	survivor := batchReq(t, snap, live, req.Q, req.K, req.W)
+	before := e.Stats().RTA["rtopk"].Runs
+	e.exec([]*engineReq{gone, survivor})
 
-	// Let both requests enqueue into the lingering batch, then cancel A.
-	time.Sleep(20 * time.Millisecond)
-	cancelA()
-
-	if err := <-errA; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter error = %v, want context.Canceled", err)
+	resp := <-survivor.done
+	if resp.err != nil {
+		t.Fatalf("surviving waiter error = %v, want success", resp.err)
 	}
-	if err := <-errB; err != nil {
-		t.Fatalf("surviving waiter error = %v, want success", err)
+	if got := resp.val.(rtopkVal).res; !reflect.DeepEqual(got, want) {
+		t.Fatalf("survivor result %v, want %v", got, want)
 	}
-	resp := <-respB
-	if len(resp.Result) != len(want) {
-		t.Fatalf("survivor result %v, want %v", resp.Result, want)
+	if gone.ctx.Err() == nil {
+		t.Fatal("the gone waiter's context still reports live")
 	}
-	for i := range want {
-		if resp.Result[i] != want[i] {
-			t.Fatalf("survivor result %v, want %v", resp.Result, want)
-		}
+	if runs := e.Stats().RTA["rtopk"].Runs - before; runs != 1 {
+		t.Fatalf("two identical requests ran %d times, want 1", runs)
 	}
 }
 

@@ -1,20 +1,17 @@
 package wqrtq
 
-// Regression tests for three serving-engine fixes: the dead-epoch cache
-// sweep on mutation publish, deduplication of merged reverse top-k weight
-// sets, and typed validation errors at the request boundary.
+// Regression tests for two serving-engine fixes: the dead-epoch cache
+// sweep on mutation publish, and typed validation errors at the request
+// boundary.
 
 import (
 	"context"
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"wqrtq/internal/rtopk"
 	"wqrtq/internal/sample"
-	"wqrtq/internal/vec"
 )
 
 // TestEngineCacheSweepsDeadEpochs asserts that entries cached under a
@@ -57,82 +54,6 @@ func TestEngineCacheSweepsDeadEpochs(t *testing.T) {
 	}
 	if s.CacheHits == 0 {
 		t.Fatalf("expected some same-epoch cache hits, got stats %+v", s)
-	}
-}
-
-// sharedWeightGroup builds two same-(q, k) requests whose weight sets share
-// 90% of their vectors (18 of 20 each, 22 distinct in total).
-func sharedWeightGroup(rng *rand.Rand, d int) (*engineReq, *engineReq) {
-	shared := make([][]float64, 18)
-	for i := range shared {
-		shared[i] = sample.RandSimplex(rng, d)
-	}
-	mk := func() *engineReq {
-		W := append([][]float64{}, shared...)
-		W = append(W, sample.RandSimplex(rng, d), sample.RandSimplex(rng, d))
-		r := &engineReq{query: query{kind: kindRTopK, set: W, q: []float64{0.05, 0.05, 0.05}, k: 5}}
-		for _, w := range W {
-			r.ws = append(r.ws, w) // what Index.validate derives
-		}
-		return r
-	}
-	return mk(), mk()
-}
-
-// TestMergeRTopKWeightsDedup asserts that a merged same-(q, k) group
-// evaluates each distinct weight vector exactly once: the merged slice is
-// deduplicated, and the RTA run over it evaluates-or-prunes exactly the
-// deduplicated count.
-func TestMergeRTopKWeightsDedup(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	ra, rb := sharedWeightGroup(rng, 3)
-	merged, slots := mergeRTopKWeights([]*engineReq{ra, rb})
-	if want := 22; len(merged) != want {
-		t.Fatalf("merged %d weights, want %d (18 shared + 2 + 2)", len(merged), want)
-	}
-	for gi, r := range []*engineReq{ra, rb} {
-		for j, mi := range slots[gi] {
-			if !vec.Equal(vec.Point(merged[mi]), vec.Point(r.set[j])) {
-				t.Fatalf("slot (%d, %d) points at the wrong merged vector", gi, j)
-			}
-		}
-	}
-
-	e, _ := testEngine(t, 400, 3, EngineConfig{})
-	snap := e.Snapshot()
-	_, stats, err := rtopk.BichromaticCtx(context.Background(), snap.tree, merged, vec.Point(ra.q), ra.k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.Evaluated + stats.Pruned; got != len(merged) {
-		t.Fatalf("Evaluated + Pruned = %d, want the deduplicated count %d", got, len(merged))
-	}
-}
-
-// TestExecRTopKSharedWeights runs the batch executor's merged-group path
-// directly on two requests sharing 90% of W and checks each fan-out result
-// against an independent per-request evaluation.
-func TestExecRTopKSharedWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	e, _ := testEngine(t, 400, 3, EngineConfig{})
-	snap := e.Snapshot()
-	ra, rb := sharedWeightGroup(rng, 3)
-	got := make(map[*engineReq][]int)
-	e.execRTopK(context.Background(), snap, []*engineReq{ra, rb}, func(r *engineReq, val any, err error) {
-		if err != nil {
-			t.Fatalf("execRTopK: %v", err)
-		}
-		rv, _ := val.(rtopkVal)
-		got[r] = rv.res
-	})
-	for i, r := range []*engineReq{ra, rb} {
-		want, err := snap.ReverseTopK(r.set, r.q, r.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[r], want) {
-			t.Fatalf("request %d: merged result %v, independent result %v", i, got[r], want)
-		}
 	}
 }
 

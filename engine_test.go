@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"wqrtq/internal/dataset"
 	"wqrtq/internal/sample"
@@ -238,11 +237,10 @@ func TestEngineCache(t *testing.T) {
 }
 
 func TestEngineBatchMergeCorrectness(t *testing.T) {
-	// Many concurrent ReverseTopK requests sharing (q, k) exercise the
-	// merged-RTA path; each must get exactly its own per-request result.
-	e, ix := testEngine(t, 2000, 3, EngineConfig{
-		Workers: 2, MaxBatch: 16, BatchLinger: 2 * time.Millisecond, CacheSize: -1,
-	})
+	// Many concurrent ReverseTopK requests share (q, k) but carry different
+	// weight sets, so batches mix them; each must get exactly its own
+	// per-request result.
+	e, ix := testEngine(t, 2000, 3, EngineConfig{Workers: 2, MaxBatch: 16, CacheSize: -1})
 	q := []float64{0.02, 0.03, 0.02}
 	const clients, reqs = 8, 20
 	rng := rand.New(rand.NewSource(9))
@@ -276,12 +274,12 @@ func TestEngineBatchMergeCorrectness(t *testing.T) {
 					return
 				}
 				if len(got) != len(want) {
-					t.Errorf("merged result %v, want %v", got, want)
+					t.Errorf("batched result %v, want %v", got, want)
 					return
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Errorf("merged result %v, want %v", got, want)
+						t.Errorf("batched result %v, want %v", got, want)
 						return
 					}
 				}

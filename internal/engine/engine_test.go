@@ -13,7 +13,7 @@ func TestPoolProcessesEverything(t *testing.T) {
 	var sum atomic.Int64
 	var batches atomic.Int64
 	var maxBatch atomic.Int64
-	p := NewPool(2, 8, 0, nil, func(b []int) {
+	p := NewPool(2, 8, nil, func(b []int) {
 		batches.Add(1)
 		for {
 			cur := maxBatch.Load()
@@ -49,31 +49,36 @@ func TestPoolProcessesEverything(t *testing.T) {
 	}
 }
 
-func TestPoolLingerCoalesces(t *testing.T) {
-	// With a generous linger and slow submission of n requests from one
-	// goroutine followed by a burst, the burst must coalesce into few
-	// batches.
+func TestPoolDrainsQueuedIntoBatches(t *testing.T) {
+	// Hold the one worker on a blocking first request, queue 32 more
+	// behind it, then release: the worker drains the queue without waiting,
+	// so the 32 run in MaxBatch-sized batches — 1 + 2 batches in all.
+	started := make(chan struct{})
+	release := make(chan struct{})
 	var batches atomic.Int64
 	var served atomic.Int64
-	p := NewPool(1, 16, 50*time.Millisecond, nil, func(b []int) {
+	p := NewPool(1, 16, nil, func(b []int) {
 		batches.Add(1)
-		served.Add(int64(len(b)))
+		for _, v := range b {
+			if v == 0 {
+				started <- struct{}{}
+				<-release
+			}
+			served.Add(int64(v))
+		}
 	})
-	var wg sync.WaitGroup
+	p.Submit(0)
+	<-started
 	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Submit(1)
-		}()
+		p.Submit(1)
 	}
-	wg.Wait()
+	close(release)
 	p.Close()
 	if served.Load() != 32 {
-		t.Fatalf("served %d, want 32", served.Load())
+		t.Fatalf("served %d queued requests, want 32", served.Load())
 	}
-	if b := batches.Load(); b > 4 {
-		t.Fatalf("32 concurrent requests ran in %d batches; linger should coalesce them into ≤4", b)
+	if b := batches.Load(); b > 3 {
+		t.Fatalf("1 held + 32 queued requests ran in %d batches; at MaxBatch 16 the drain takes ≤3", b)
 	}
 }
 
@@ -81,7 +86,7 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var served atomic.Int64
-	p := NewPool(1, 1, 0, nil, func(b []int) {
+	p := NewPool(1, 1, nil, func(b []int) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -113,7 +118,7 @@ func TestPoolSubmitCtxGivesUpOnFullQueue(t *testing.T) {
 	// fill the queue; a deadline-bounded submit must then give up with the
 	// context error instead of pinning the caller.
 	release := make(chan struct{})
-	p := NewPool(1, 1, 0, nil, func(b []int) { <-release })
+	p := NewPool(1, 1, nil, func(b []int) { <-release })
 	defer func() {
 		close(release)
 		p.Close()
@@ -145,7 +150,7 @@ func TestPoolDropShedsStaleRequests(t *testing.T) {
 		v     int
 	}
 	var dropped, served atomic.Int64
-	p := NewPool(1, 4, 0, func(r req) bool {
+	p := NewPool(1, 4, func(r req) bool {
 		if r.stale {
 			dropped.Add(1)
 			return true

@@ -4,22 +4,18 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Pool is a bounded worker pool that drains submitted requests in batches.
-// A worker blocks for the first request of a batch; it then gathers more
-// until MaxBatch is reached, the linger window expires, or (with no linger)
-// the queue is momentarily empty. Batching is what lets the run callback
-// amortize shared work — one snapshot load, merged index traversals — over
-// many concurrent callers, trading a bounded amount of latency for
-// throughput.
+// A worker blocks for the first request of a batch, then takes whatever is
+// already queued, up to MaxBatch; it never waits for more. Batching lets
+// the run callback amortize one snapshot load and deduplicate identical
+// requests across concurrent callers without adding latency.
 type Pool[R any] struct {
 	ch       chan R
 	run      func([]R)
 	drop     func(R) bool
 	maxBatch int
-	linger   time.Duration
 
 	mu      sync.RWMutex // guards closed vs sender registration
 	closed  bool
@@ -29,9 +25,7 @@ type Pool[R any] struct {
 
 // NewPool starts workers goroutines serving batches of at most maxBatch
 // requests through run. workers <= 0 defaults to GOMAXPROCS; maxBatch <= 0
-// defaults to 1 (no batching). linger > 0 makes a worker wait up to that
-// long to fill its batch after the first request arrives; linger == 0
-// batches only what is already queued.
+// defaults to 1 (no batching).
 //
 // drop, when non-nil, is consulted as queued requests are gathered into a
 // batch: returning true consumes the request without running it (the
@@ -41,7 +35,7 @@ type Pool[R any] struct {
 //
 // run and drop are called from worker goroutines; run must not retain the
 // batch slice.
-func NewPool[R any](workers, maxBatch int, linger time.Duration, drop func(R) bool, run func([]R)) *Pool[R] {
+func NewPool[R any](workers, maxBatch int, drop func(R) bool, run func([]R)) *Pool[R] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -53,7 +47,6 @@ func NewPool[R any](workers, maxBatch int, linger time.Duration, drop func(R) bo
 		run:      run,
 		drop:     drop,
 		maxBatch: maxBatch,
-		linger:   linger,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -155,39 +148,19 @@ func (p *Pool[R]) worker() {
 			continue // consumed without work; block for the next request
 		}
 		batch = append(batch[:0], r)
-		if p.linger > 0 && p.maxBatch > 1 {
-			timer := time.NewTimer(p.linger)
-		fill:
-			for len(batch) < p.maxBatch {
-				select {
-				case r2, ok2 := <-p.ch:
-					if !ok2 {
-						break fill
-					}
-					if p.drop != nil && p.drop(r2) {
-						continue
-					}
-					batch = append(batch, r2)
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < p.maxBatch {
-				select {
-				case r2, ok2 := <-p.ch:
-					if !ok2 {
-						break drain
-					}
-					if p.drop != nil && p.drop(r2) {
-						continue
-					}
-					batch = append(batch, r2)
-				default:
+	drain:
+		for len(batch) < p.maxBatch {
+			select {
+			case r2, ok2 := <-p.ch:
+				if !ok2 {
 					break drain
 				}
+				if p.drop != nil && p.drop(r2) {
+					continue
+				}
+				batch = append(batch, r2)
+			default:
+				break drain
 			}
 		}
 		p.run(batch)

@@ -19,8 +19,8 @@ import (
 // and n <= 400, with duplicated points, any k (k >= n included), weighting
 // vectors with zero components and a query point that may equal a data
 // point (so score ties, which q wins, are reached), the per-vector count
-// descent must return the same indices as the linear scan and as RTA —
-// on the full tree and on a k-skyband tree, where it is the product path —
+// descent must return the same indices as the linear scan — on the full
+// tree and on a k-skyband tree, where it is the product path —
 // and account for every vector: the members counted to completion, the
 // rest stopped at their k-th beater. The uncapped blocked sweep, which only
 // the benchmark harness still calls, is held to the same answer.
@@ -96,13 +96,6 @@ func FuzzBichromaticCount(f *testing.F) {
 			}
 			if stats.Evaluated != len(got) || stats.Evaluated+stats.Pruned != len(W) || stats.CandidateSetSize != tr.Len() {
 				t.Fatalf("d=%d n=%d k=%d, %s: stats %+v for %d members of %d vectors over %d points", d, n, k, name, stats, len(got), len(W), tr.Len())
-			}
-			rta, _, err := BichromaticCtx(ctx, tr, W, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rta, want) {
-				t.Fatalf("d=%d n=%d k=%d, %s: RTA %v, linear scan %v", d, n, k, name, rta, want)
 			}
 		}
 		var coords kernel.Coords

@@ -82,9 +82,9 @@ type ReverseTopKResponse struct {
 	// Result holds the indices into W of the matching vectors, ascending.
 	Result []int
 	// RTA reports the evaluation's statistics (see RTAStats). For engine requests
-	// served from the result cache or a merged same-(q, k) group, the
-	// statistics are those of the computation that produced the shared
-	// result.
+	// served from the result cache or deduplicated against an identical
+	// request, the statistics are those of the computation that produced
+	// the shared result.
 	RTA RTAStats
 }
 
@@ -428,7 +428,7 @@ func (ix *Index) rankResult(ctx context.Context, w vec.Weight, fq float64) (int,
 
 // rtopkVal is a reverse top-k answer: the matching indices plus the pruning
 // statistics of the run that produced them (shared, in the engine, by cache
-// hits and merged co-waiters).
+// hits and deduplicated co-waiters).
 type rtopkVal struct {
 	res []int
 	rta RTAStats

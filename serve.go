@@ -2,12 +2,11 @@ package wqrtq
 
 // The concurrent query-serving engine: copy-on-write snapshots let
 // Insert/Delete proceed while queries run from any number of goroutines, a
-// bounded worker pool coalesces concurrent queries into batches (merging
-// reverse top-k requests against the same query point into a single
-// evaluation of their distinct vectors), and an LRU cache keyed by
-// (snapshot epoch, query) serves repeated
-// traffic without touching the index. The concurrency substrate (pool,
-// cache, metrics) lives in internal/engine; this file binds it to the Index.
+// bounded worker pool drains already-queued queries into batches (identical
+// requests in a batch run once), and an LRU cache keyed by (snapshot epoch,
+// query) serves repeated traffic without touching the index. The
+// concurrency substrate (pool, cache, metrics) lives in internal/engine;
+// this file binds it to the Index.
 //
 // Every query of every kind takes the one path Engine.serve — validate on
 // the snapshot → key → cache → admit → submit → wait → observe — and every
@@ -43,12 +42,8 @@ type EngineConfig struct {
 	// MaxBatch caps how many concurrent requests one worker coalesces into
 	// a batch; <= 0 uses 32.
 	MaxBatch int
-	// BatchLinger is how long a worker waits to fill its batch after the
-	// first request arrives. Zero (the default) batches only requests
-	// already queued — lowest latency; a sub-millisecond linger trades that
-	// latency for substantially higher throughput under concurrent load,
-	// because reverse top-k requests sharing a query point merge into one
-	// index traversal.
+	// Deprecated: ignored; a worker batches only requests already queued
+	// and never waits for more.
 	BatchLinger time.Duration
 	// CacheSize is the capacity of the (epoch, query)-keyed LRU result
 	// cache. 0 uses 4096; negative disables caching.
@@ -146,12 +141,12 @@ type Engine struct {
 	closeOnce sync.Once
 	closeErr  error
 	// keepEpoch is the deposit guard for AddIf: allocated once so the
-	// batch-execution finish path does not build a closure per result.
+	// batch executor's deposit does not build a closure per result.
 	keepEpoch func(cacheKey) bool
 	// Per-kind RTA totals (the kinds with a kindSpec.rta: rtopk and
 	// whynot), accumulated when a computation actually runs — cache hits
-	// and merged co-waiters share the producing run's statistics without
-	// re-counting them.
+	// and deduplicated co-waiters share the producing run's statistics
+	// without re-counting them.
 	rta [numKinds]rtaTotals
 }
 
@@ -174,7 +169,7 @@ func (t *rtaTotals) add(s RTAStats) {
 // surfaced in EngineStats and /v1/stats.
 type RTATotals struct {
 	// Runs counts the evaluations actually executed (cache hits and
-	// merged co-waiters do not add runs).
+	// deduplicated co-waiters do not add runs).
 	Runs int64 `json:"runs"`
 	// Evaluated and Pruned total the per-run vector counts (see RTAStats).
 	Evaluated int64 `json:"evaluated"`
@@ -232,7 +227,7 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 			MutationRate:  cfg.AdmissionMutationRate,
 		})
 	}
-	e.pool = engine.NewPool(cfg.Workers, cfg.MaxBatch, cfg.BatchLinger, e.dropReq, e.exec)
+	e.pool = engine.NewPool(cfg.Workers, cfg.MaxBatch, e.dropReq, e.exec)
 	return e, nil
 }
 
@@ -444,12 +439,10 @@ func (e *Engine) RankCtx(ctx context.Context, req RankRequest) (RankResponse, er
 }
 
 // ReverseTopKCtx serves a ReverseTopKRequest with cooperative cancellation.
-// Concurrent calls with the same q and k are merged into a single
-// evaluation over the union of their weighting-vector sets, so a vector
-// several callers sent is counted once. A merged same-(q, k) group
-// is aborted only when every waiter's context is done: one canceled waiter
-// unblocks immediately with its context's error while the shared
-// evaluation keeps running for the rest.
+// Identical concurrent calls that land in one batch run once. That shared
+// run is aborted only when every waiter's context is done: one canceled
+// waiter unblocks immediately with its context's error while the run keeps
+// going for the rest.
 func (e *Engine) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
 	return serveReverseTopK(ctx, e, req)
 }
@@ -661,7 +654,7 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 	}
 }
 
-// compCtx returns the context a deduplicated or merged computation runs
+// compCtx returns the context a deduplicated computation runs
 // under: canceled only once every waiter's context is done, so one canceled
 // waiter never aborts co-waiters sharing the work. The returned stop must be
 // called when the computation finishes to release the watcher goroutine.
@@ -669,7 +662,7 @@ func compCtx(reqs []*engineReq) (context.Context, context.CancelFunc) {
 	if len(reqs) == 1 {
 		// Sole waiter: its own context is exactly the right computation
 		// context, with no watcher goroutine. This is the hot path — most
-		// batch entries are not deduplicated or merged.
+		// batch entries are not deduplicated.
 		if ctx := reqs[0].ctx; ctx != nil {
 			return ctx, func() {}
 		}
@@ -698,22 +691,15 @@ func compCtx(reqs []*engineReq) (context.Context, context.CancelFunc) {
 
 // exec serves one batch: it loads the snapshot once (the batch's
 // linearization point), answers cache hits, sheds requests whose context
-// already ended, deduplicates identical requests, merges reverse top-k
-// requests that share (q, k) into one evaluation over the union of their
-// weight sets, and fans results back out. Deduplicated and merged
-// computations run under a context that cancels only when every waiter's
-// context is done.
+// already ended, runs each distinct request once through run, and fans
+// results back out to identical requests. A deduplicated computation runs
+// under a context that cancels only when every waiter's context is done.
 func (e *Engine) exec(batch []*engineReq) {
 	snap := e.current.Load()
 	epoch := snap.Epoch()
 
 	waiters := make(map[cacheKey][]*engineReq, len(batch))
 	var unique []*engineReq
-	// rtopkOrder fixes the group execution order to first arrival within the
-	// batch: ranging over rtopkGroups directly would run the merged groups
-	// (and populate the cache) in a different order every batch.
-	rtopkGroups := make(map[string][]*engineReq)
-	var rtopkOrder []string
 	for _, r := range batch {
 		if r.ctx != nil {
 			if err := r.ctx.Err(); err != nil {
@@ -733,23 +719,14 @@ func (e *Engine) exec(batch []*engineReq) {
 			continue
 		}
 		waiters[full] = []*engineReq{r}
-		// The one per-kind case of the executor: reverse top-k requests
-		// sharing (q, k) merge into a single evaluation over the union of
-		// their weight sets, because a vector two of them sent is then
-		// counted once; no other kind has shareable work.
-		if r.kind == kindRTopK {
-			gk := qkKey(r.q, r.k)
-			if _, ok := rtopkGroups[gk]; !ok {
-				rtopkOrder = append(rtopkOrder, gk)
-			}
-			rtopkGroups[gk] = append(rtopkGroups[gk], r)
-		} else {
-			unique = append(unique, r)
-		}
+		unique = append(unique, r)
 	}
 
-	finish := func(r *engineReq, val any, err error) {
+	for _, r := range unique {
 		full := cacheKey{epoch: epoch, key: r.key}
+		cctx, stop := compCtx(waiters[full])
+		val, err := e.run(cctx, snap, r)
+		stop()
 		if err == nil && e.cache != nil {
 			// Epoch-guarded deposit: if a mutation published a newer
 			// snapshot while this result was computing, the sweep has
@@ -769,23 +746,6 @@ func (e *Engine) exec(batch []*engineReq) {
 			w.done <- engineResp{val: val, epoch: epoch, err: werr}
 		}
 	}
-
-	for _, gk := range rtopkOrder {
-		grp := rtopkGroups[gk]
-		var ws []*engineReq
-		for _, r := range grp {
-			ws = append(ws, waiters[cacheKey{epoch: epoch, key: r.key}]...)
-		}
-		cctx, stop := compCtx(ws)
-		e.execRTopK(cctx, snap, grp, finish)
-		stop()
-	}
-	for _, r := range unique {
-		cctx, stop := compCtx(waiters[cacheKey{epoch: epoch, key: r.key}])
-		val, err := e.run(cctx, snap, r)
-		stop()
-		finish(r, val, err)
-	}
 }
 
 // run executes one validated request against the batch's snapshot — the
@@ -797,70 +757,6 @@ func (e *Engine) run(ctx context.Context, snap *Index, r *engineReq) (any, error
 		e.rta[r.kind].add(rta(val))
 	}
 	return val, err
-}
-
-// execRTopK evaluates a group of reverse top-k requests sharing (q, k)
-// under ctx (which cancels only when every waiter is gone). The weight sets
-// are merged with duplicates removed — weight vectors shared by co-waiters
-// are evaluated once; vectors are decided independently of one another, so
-// that deduplication is all the merge shares — and per-request results fan
-// back out through the slot map, each carrying the shared run's statistics.
-func (e *Engine) execRTopK(ctx context.Context, snap *Index, grp []*engineReq, finish func(*engineReq, any, error)) {
-	if len(grp) == 1 {
-		val, err := e.run(ctx, snap, grp[0])
-		finish(grp[0], val, err)
-		return
-	}
-	merged, slots := mergeRTopKWeights(grp)
-	res, stats, err := snap.bichromatic(ctx, merged, grp[0].q, grp[0].k)
-	if err != nil {
-		for _, r := range grp {
-			finish(r, nil, err)
-		}
-		return
-	}
-	rta := toRTAStats(stats)
-	e.rta[kindRTopK].add(rta)
-	inResult := make([]bool, len(merged))
-	for _, mi := range res {
-		inResult[mi] = true
-	}
-	for gi, r := range grp {
-		var part []int
-		for j, mi := range slots[gi] {
-			if inResult[mi] {
-				part = append(part, j)
-			}
-		}
-		finish(r, rtopkVal{res: part, rta: rta}, nil)
-	}
-}
-
-// mergeRTopKWeights merges the weight sets of a same-(q, k) request group,
-// deduplicating identical vectors: merged holds each distinct weight once,
-// and slots[gi][j] is the merged index evaluating request gi's j-th vector.
-func mergeRTopKWeights(grp []*engineReq) (merged []vec.Weight, slots [][]int) {
-	total := 0
-	for _, r := range grp {
-		total += len(r.ws)
-	}
-	merged = make([]vec.Weight, 0, total)
-	slots = make([][]int, len(grp))
-	seen := make(map[string]int, total)
-	for gi, r := range grp {
-		slots[gi] = make([]int, len(r.ws))
-		for j, w := range r.ws {
-			key := string(appendVec(nil, w))
-			mi, ok := seen[key]
-			if !ok {
-				mi = len(merged)
-				merged = append(merged, w)
-				seen[key] = mi
-			}
-			slots[gi][j] = mi
-		}
-	}
-	return merged, slots
 }
 
 // argKey encodes a validated query's kind and arguments exactly (no
@@ -928,11 +824,4 @@ type cacheKey struct {
 //wqrtq:contract inline noalloc noescape(key)
 func (e *Engine) cacheGet(epoch uint64, key string) (any, bool) {
 	return e.cache.Get(cacheKey{epoch: epoch, key: key})
-}
-
-func qkKey(q []float64, k int) string {
-	b := make([]byte, 0, 16+8*len(q))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(k)))
-	b = appendVec(b, q)
-	return string(b)
 }
