@@ -2,10 +2,10 @@ package wqrtq
 
 // The materialized reverse-top-k cell index (internal/cellindex) bound to
 // the Index: eligible bichromatic reverse top-k evaluations — ReverseTopK
-// itself and the RTA stage of the fused why-not pipeline — answer each
+// itself and the membership stage of the fused why-not pipeline — answer each
 // weighting vector from a point-located grid cell's precomputed candidate
 // superset instead of sweeping the whole k-skyband, and monochromatic
-// reverse top-k gets an exact algorithm beyond 2-D (ReverseTopKMonoND).
+// reverse top-k gets an exact algorithm at d = 3 and 4 (ReverseTopKMonoND).
 // Results are bit-identical to the per-vector count descent over the band
 // tree a declining grid falls back to, which tests reach directly through
 // the unexported cellOff field (the differential suite in cellindex_test.go
@@ -42,16 +42,19 @@ type MonoCell struct {
 	MidIn  bool
 }
 
-// ReverseTopKMonoND answers the monochromatic reverse top-k query exactly
-// through the materialized cell index. For 2-D data it returns the same
-// maximal λ-intervals as ReverseTopKMono2D (cells is nil); for 3-D and
-// 4-D it returns the result region as grid cells (intervals is nil):
-// every weighting vector whose top-k contains q lies in a returned cell,
-// full cells are entirely inside the result, and partial cells carry a
-// verified midpoint decision. 2-D queries fall back to the exact
-// arrangement sweep when the index declines to build a grid; higher
-// dimensions have no exact fallback and report an error.
+// ReverseTopKMonoND answers the monochromatic reverse top-k query exactly.
+// For 2-D data it is ReverseTopKMono2D: the maximal λ-intervals (cells is
+// nil). For 3-D and 4-D it answers through the materialized cell index and
+// returns the result region as grid cells (intervals is nil): every
+// weighting vector whose top-k contains q lies in a returned cell, full
+// cells are entirely inside the result, and partial cells carry a verified
+// midpoint decision. Beyond 2-D there is no exact fallback, so a declined
+// grid is an error.
 func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, error) {
+	if ix.Dim() == 2 {
+		ivs, err := ix.ReverseTopKMono2D(q, k)
+		return ivs, nil, err
+	}
 	if err := ix.checkPoint(q); err != nil {
 		return nil, nil, err
 	}
@@ -60,28 +63,14 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 	}
 	g := ix.cellGrid(k)
 	if g == nil {
-		if ix.Dim() == 2 {
-			ivs, err := ix.ReverseTopKMono2D(q, k)
-			return ivs, nil, err
-		}
 		return nil, nil, invalidArgf("exact monochromatic reverse top-k beyond 2-D requires the cell index (%d-D data, cell index eligible: %t)", ix.Dim(), !ix.cellOff && !ix.skyOff)
 	}
-	ivs, cells := rtopk.MonochromaticND(g, q, k)
-	outIvs := make([]Interval, len(ivs))
-	for i, iv := range ivs {
-		outIvs[i] = Interval{Lo: iv.Lo, Hi: iv.Hi}
+	cells := rtopk.MonochromaticND(g, q, k)
+	out := make([]MonoCell, len(cells))
+	for i, c := range cells {
+		out[i] = MonoCell{Lo: c.Lo, Hi: c.Hi, Full: c.Full, MidIn: c.MidIn}
 	}
-	var outCells []MonoCell
-	if cells != nil {
-		outCells = make([]MonoCell, len(cells))
-		for i, c := range cells {
-			outCells[i] = MonoCell{Lo: c.Lo, Hi: c.Hi, Full: c.Full, MidIn: c.MidIn}
-		}
-	}
-	if ix.Dim() == 2 {
-		return outIvs, nil, nil
-	}
-	return nil, outCells, nil
+	return nil, out, nil
 }
 
 // CellIndexStats is a point-in-time view of the materialized cell index.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,6 +9,7 @@ import (
 	"sort"
 
 	"wqrtq/internal/analysis/contract"
+	"wqrtq/internal/analysis/load"
 )
 
 // gateResult is one gate run: the contracts found, the violations against
@@ -20,21 +20,25 @@ type gateResult struct {
 	Stream     []byte
 }
 
-// runGate executes the full gate pipeline over moduleDir: resolve the
-// compiled file set with `go list`, collect //wqrtq:contract annotations
+// runGate executes the full gate pipeline over moduleDir: type-check the
+// compiled file set `go list` reports, collect //wqrtq:contract annotations
 // from exactly those files (so a build-tagged-out file drops its contracts
 // instead of failing them), compile with gc diagnostics, parse the stream
-// and check. The diagnostic compile reuses the build cache — gc replays
-// its stderr on cache hits — so a warm gate run costs roughly a `go list`.
+// and check. Both compiles reuse the build cache — gc replays its stderr on
+// cache hits — so a warm gate run costs roughly a `go list`.
 func runGate(moduleDir string, patterns []string) (gateResult, error) {
 	var res gateResult
-	files, hasMain, err := compiledFiles(moduleDir, patterns)
+	pkgs, err := load.Module(moduleDir, patterns...)
 	if err != nil {
 		return res, err
 	}
-	res.Contracts, err = contract.Collect(moduleDir, files)
+	res.Contracts, err = contract.Collect(moduleDir, pkgs)
 	if err != nil {
 		return res, err
+	}
+	hasMain := false
+	for _, p := range pkgs {
+		hasMain = hasMain || p.Types.Name() == "main"
 	}
 
 	// -o <dir>/ keeps main-package binaries out of the working tree (go
@@ -76,45 +80,4 @@ func runGate(moduleDir string, patterns []string) (gateResult, error) {
 		return a.Kind < b.Kind
 	})
 	return res, nil
-}
-
-// compiledFiles returns the non-test Go files `go list` would compile for
-// the patterns, relative to moduleDir, and whether any matched package is
-// a main package.
-func compiledFiles(moduleDir string, patterns []string) (files []string, hasMain bool, err error) {
-	args := append([]string{"list", "-json=Name,Dir,GoFiles"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = moduleDir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, false, fmt.Errorf("go %v: %v\n%s", args, err, stderr.String())
-	}
-	absModule, err := filepath.Abs(moduleDir)
-	if err != nil {
-		return nil, false, err
-	}
-	dec := json.NewDecoder(&stdout)
-	for dec.More() {
-		var pkg struct {
-			Name    string
-			Dir     string
-			GoFiles []string
-		}
-		if err := dec.Decode(&pkg); err != nil {
-			return nil, false, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if pkg.Name == "main" {
-			hasMain = true
-		}
-		for _, f := range pkg.GoFiles {
-			rel, err := filepath.Rel(absModule, filepath.Join(pkg.Dir, f))
-			if err != nil {
-				return nil, false, err
-			}
-			files = append(files, rel)
-		}
-	}
-	return files, hasMain, nil
 }

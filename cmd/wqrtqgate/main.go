@@ -3,7 +3,9 @@
 // the position-tagged diagnostic stream into per-function facts (escape
 // verdicts, inlining decisions, surviving bounds checks) and checks them
 // against every //wqrtq:contract annotation (internal/analysis/contract,
-// DESIGN.md §12).
+// DESIGN.md §12). A noalloc contract also reads the function's typed body
+// for the allocations gc reports no heap fact for: append, go statements,
+// string concatenation and string/slice conversions.
 //
 //	wqrtqgate [-C dir] [-diag file] [patterns...]
 //

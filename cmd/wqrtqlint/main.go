@@ -1,8 +1,9 @@
-// Command wqrtqlint is the wqrtq invariant suite: seven analyzers enforcing
-// hot-path allocation discipline, preallocated slice growth, snapshot
-// immutability outside the builder packages, cooperative cancellation,
-// deterministic iteration, centralized float comparison, and non-blocking
-// critical sections (see internal/analysis/... and DESIGN.md §11–12).
+// Command wqrtqlint is the wqrtq invariant suite: five analyzers enforcing
+// snapshot immutability outside the builder packages, cooperative
+// cancellation, deterministic iteration, centralized float comparison, and
+// non-blocking critical sections (see internal/analysis/... and DESIGN.md
+// §11). Allocation-freedom is checked by cmd/wqrtqgate's noalloc contracts
+// (DESIGN.md §12).
 //
 // It runs two ways:
 //

@@ -59,9 +59,9 @@ func TestSeededViolationsCaught(t *testing.T) {
 		}
 	}
 
-	// ctxloop, maprange, floateq, hotpathalloc, growthcheck (the hotpath
-	// append doubles as its seed), snapshotmut: all gate-on (or ignore
-	// gating) at wqrtq/internal/topk.
+	// ctxloop, maprange, floateq, snapshotmut: all gate on (or ignore
+	// gating) at wqrtq/internal/topk. Allocation seeds live with the gate
+	// (cmd/wqrtqgate), which owns the noalloc promise.
 	write("wqrtq/internal/rtree/rtree.go", `package rtree
 
 type Node struct {
@@ -99,11 +99,6 @@ func Assemble(m map[string]int) int {
 }
 
 func Tie(a, b float64) bool { return a == b }
-
-//wqrtq:hotpath
-func Grow(xs []int, x int) []int {
-	return append(xs, x)
-}
 `)
 	// lockhold gates on wqrtq/internal/engine.
 	write("wqrtq/internal/engine/bad.go", `package engine

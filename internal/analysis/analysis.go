@@ -7,11 +7,13 @@
 // through the Pass.
 //
 // The five analyzers under internal/analysis/... encode the invariants the
-// paper's correctness argument rests on — zero-alloc hot loops, cooperative
-// cancellation, deterministic iteration, centralized float comparison, and
-// no blocking under the engine mutexes — as compile-time checks. Each
-// is the static twin of a runtime guard (Test*AllocsPerOp, the differential
-// suites, the -race hammers); see DESIGN.md §11 for the mapping.
+// paper's correctness argument rests on — snapshot immutability outside the
+// builder packages, cooperative cancellation, deterministic iteration,
+// centralized float comparison, and no blocking under the engine mutexes —
+// as compile-time checks. Each is the static twin of a runtime guard (the
+// differential suites, the -race hammers); see DESIGN.md §11 for the
+// mapping. Allocation-freedom is not an analyzer: it is the `noalloc`
+// clause of the compiler-contract gate (internal/analysis/contract).
 package analysis
 
 import (
@@ -94,11 +96,6 @@ func IsFloat(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// IsInterface reports whether t is a non-nil interface type.
-func IsInterface(t types.Type) bool {
-	return t != nil && types.IsInterface(t)
 }
 
 // FuncFor resolves the *types.Func called by e, following method values and

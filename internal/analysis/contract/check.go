@@ -67,6 +67,9 @@ func checkOne(c Contract, facts *Facts) []Violation {
 				})
 			}
 		}
+		for _, a := range c.Allocs {
+			out = append(out, Violation{File: c.File, Line: a.Line, Func: c.Func, Kind: "noalloc", Msg: a.What})
+		}
 	}
 	for _, p := range c.NoEscape {
 		out = append(out, checkNoEscape(c, p, facts, stale)...)

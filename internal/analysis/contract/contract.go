@@ -1,7 +1,8 @@
 // Package contract implements the compiler-contract gate behind
 // cmd/wqrtqgate: the `//wqrtq:contract` annotation grammar, collection of
-// annotated functions from source, parsing of the gc diagnostic stream
-// (gcdiag.go) and the checker that diffs the two (check.go).
+// annotated functions from type-checked source, the allocations gc does
+// not report (noalloc.go), parsing of the gc diagnostic stream (gcdiag.go)
+// and the checker that diffs the two (check.go).
 //
 // # Grammar
 //
@@ -16,7 +17,10 @@
 //	nobce          no bounds or slice-bounds check may survive in the
 //	               function's declaration line range
 //	noalloc        no heap allocation site ("escapes to heap", "moved to
-//	               heap") may appear in the declaration line range
+//	               heap") may appear in the declaration line range, and
+//	               the body may hold no append, go statement, string
+//	               concatenation or string/slice conversion — the
+//	               allocations gc does not report (noalloc.go)
 //
 // Contracts bind to the compiler's view of the build: a contract whose
 // diagnostics cannot be found at all (function renamed, file build-tagged
@@ -27,13 +31,12 @@ package contract
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"wqrtq/internal/analysis"
+	"wqrtq/internal/analysis/load"
 )
 
 // Contract is one annotated function with its parsed clauses and the
@@ -50,8 +53,11 @@ type Contract struct {
 	Inline             bool
 	NoBCE              bool
 	NoAlloc            bool
-	Params             []string // declared receiver+param names, for staleness
-	Raw                string   // original clause text, for messages
+	// Allocs are the allocating constructs in a noalloc body that gc
+	// reports no heap fact for (noalloc.go); each one is a violation.
+	Allocs []Site
+	Params []string // declared receiver+param names, for staleness
+	Raw    string   // original clause text, for messages
 }
 
 // parseClauses parses the text after "//wqrtq:contract" into c's clause
@@ -86,52 +92,53 @@ func parseClauses(text string, c *Contract) error {
 	return nil
 }
 
-// Collect parses the given Go files (absolute or moduleDir-relative paths)
-// and returns every //wqrtq:contract-annotated function, with files
-// recorded relative to moduleDir, matching the positions `go build` prints
-// when invoked there. Files that fail to parse are reported as errors —
-// the gate must not silently skip what it cannot read.
-func Collect(moduleDir string, files []string) ([]Contract, error) {
-	fset := token.NewFileSet()
+// Collect returns every //wqrtq:contract-annotated function in the loaded
+// packages, with files recorded relative to moduleDir, matching the
+// positions `go build` prints when invoked there. The packages carry type
+// information because noalloc reads the typed body (noalloc.go).
+func Collect(moduleDir string, pkgs []*load.Package) ([]Contract, error) {
+	absModule, err := filepath.Abs(moduleDir)
+	if err != nil {
+		return nil, err
+	}
 	var out []Contract
-	for _, file := range files {
-		abs := file
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(moduleDir, file)
-		}
-		f, err := parser.ParseFile(fset, abs, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", file, err)
-		}
-		rel, err := filepath.Rel(moduleDir, abs)
-		if err != nil {
-			rel = file
-		}
-		rel = filepath.ToSlash(rel)
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			arg, ok := analysis.FuncDirectiveArg(fn, analysis.DirContract)
-			if !ok {
-				continue
-			}
-			name, err := compilerName(fn)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			abs := pkg.Fset.Position(f.Pos()).Filename
+			rel, err := filepath.Rel(absModule, abs)
 			if err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", rel, fset.Position(fn.Pos()).Line, err)
+				rel = abs
 			}
-			c := Contract{
-				Func:      name,
-				File:      rel,
-				StartLine: fset.Position(fn.Pos()).Line,
-				EndLine:   fset.Position(fn.End()).Line,
-				Params:    paramNames(fn),
+			rel = filepath.ToSlash(rel)
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				arg, ok := analysis.FuncDirectiveArg(fn, analysis.DirContract)
+				if !ok {
+					continue
+				}
+				line := pkg.Fset.Position(fn.Pos()).Line
+				name, err := compilerName(fn)
+				if err != nil {
+					return nil, fmt.Errorf("%s:%d: %w", rel, line, err)
+				}
+				c := Contract{
+					Func:      name,
+					File:      rel,
+					StartLine: line,
+					EndLine:   pkg.Fset.Position(fn.End()).Line,
+					Params:    paramNames(fn),
+				}
+				if err := parseClauses(arg, &c); err != nil {
+					return nil, fmt.Errorf("%s:%d: %s: %w", rel, c.StartLine, name, err)
+				}
+				if c.NoAlloc && fn.Body != nil {
+					c.Allocs = allocSites(pkg.Fset, pkg.Info, fn)
+				}
+				out = append(out, c)
 			}
-			if err := parseClauses(arg, &c); err != nil {
-				return nil, fmt.Errorf("%s:%d: %s: %w", rel, c.StartLine, name, err)
-			}
-			out = append(out, c)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -3,8 +3,11 @@ package contract
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"wqrtq/internal/analysis/load"
 )
 
 func TestParseClauses(t *testing.T) {
@@ -26,9 +29,26 @@ func TestParseClauses(t *testing.T) {
 	}
 }
 
+// collectSrc writes src as package p of a GOPATH-style tree, type-checks
+// it and collects its contracts relative to the tree root.
+func collectSrc(t *testing.T, src string) ([]Contract, error) {
+	t.Helper()
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "p"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "p", "p.go"), []byte(src), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := load.Dir(root, "p")
+	if err != nil {
+		t.Fatalf("loading p: %v", err)
+	}
+	return Collect(root, pkgs)
+}
+
 func TestCollect(t *testing.T) {
-	dir := t.TempDir()
-	src := `package p
+	cs, err := collectSrc(t, `package p
 
 // Plain is contracted.
 //
@@ -46,26 +66,33 @@ type M struct{ xs []int }
 
 // Unannotated carries no contract.
 func Unannotated() {}
-`
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := Collect(dir, []string{"p.go"})
+
+// Grows breaks noalloc four ways gc reports no heap fact for, and adds
+// integers, which allocates nothing.
+//
+//wqrtq:contract noalloc
+func Grows(xs []int, s string, n int) ([]int, string) {
+	xs = append(xs, n+1)
+	s += "x" + s + s
+	go Unannotated()
+	return xs, string([]rune(s))
+}
+`)
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if len(cs) != 2 {
-		t.Fatalf("collected %d contracts, want 2: %+v", len(cs), cs)
+	if len(cs) != 3 {
+		t.Fatalf("collected %d contracts, want 3: %+v", len(cs), cs)
 	}
-	plain, meth := cs[0], cs[1]
-	if plain.Func != "Plain" || plain.File != "p.go" || !plain.Inline {
+	plain, meth, grows := cs[0], cs[1], cs[2]
+	if plain.Func != "Plain" || plain.File != "p/p.go" || !plain.Inline {
 		t.Errorf("Plain = %+v", plain)
 	}
 	if len(plain.Params) != 1 || plain.Params[0] != "a" {
 		t.Errorf("Plain params = %v, want [a] (blanks skipped)", plain.Params)
 	}
-	if meth.Func != "(*M).Method" || !meth.NoBCE || !meth.NoAlloc {
-		t.Errorf("Method = %+v, want (*M).Method with nobce+noalloc", meth)
+	if meth.Func != "(*M).Method" || !meth.NoBCE || !meth.NoAlloc || len(meth.Allocs) != 0 {
+		t.Errorf("Method = %+v, want (*M).Method with nobce+noalloc and no allocation sites", meth)
 	}
 	if meth.StartLine >= meth.EndLine {
 		t.Errorf("Method range [%d,%d] must span the body", meth.StartLine, meth.EndLine)
@@ -73,19 +100,25 @@ func Unannotated() {}
 	if len(meth.Params) != 2 || meth.Params[0] != "m" || meth.Params[1] != "i" {
 		t.Errorf("Method params = %v, want receiver first", meth.Params)
 	}
+	// append; += and the concatenation on its right-hand side (one site for
+	// the chain); go; and the two conversions of the return line, which are
+	// one site because they share a line and a reason.
+	var lines []int
+	for _, a := range grows.Allocs {
+		lines = append(lines, a.Line-grows.StartLine)
+	}
+	if want := []int{1, 2, 2, 3, 4}; !reflect.DeepEqual(lines, want) {
+		t.Errorf("Grows allocation sites at body lines %v, want %v: %+v", lines, want, grows.Allocs)
+	}
 }
 
 func TestCollectRejectsGenerics(t *testing.T) {
-	dir := t.TempDir()
-	src := `package p
+	_, err := collectSrc(t, `package p
 
 //wqrtq:contract inline
 func G[T any](x T) T { return x }
-`
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(dir, []string{"p.go"}); err == nil || !strings.Contains(err.Error(), "generic") {
+`)
+	if err == nil || !strings.Contains(err.Error(), "generic") {
 		t.Errorf("Collect on a generic contract: err = %v, want generic rejection", err)
 	}
 }

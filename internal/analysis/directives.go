@@ -10,10 +10,6 @@ import (
 // directive comments — `//wqrtq:<name>` with no space after the slashes —
 // so gofmt keeps them attached and go/ast excludes them from doc text.
 const (
-	// DirHotPath marks a function whose body must be allocation-free
-	// (checked by hotpathalloc). Goes on the function's doc comment.
-	DirHotPath = "hotpath"
-
 	// DirUnordered allowlists one map-range statement whose iteration
 	// order provably cannot reach a response or a score (checked by
 	// maprange). Goes on the `for ... range` line or the line above.
@@ -32,8 +28,9 @@ const (
 
 	// DirContract declares compiler-level guarantees for a function:
 	// `//wqrtq:contract noescape(p,…) inline nobce noalloc`, checked by
-	// cmd/wqrtqgate against the gc diagnostic stream (DESIGN.md §12). Goes
-	// on the function's doc comment, usually next to //wqrtq:hotpath.
+	// cmd/wqrtqgate against the gc diagnostic stream and the function's
+	// typed body (DESIGN.md §12). Goes on the function's doc comment;
+	// `noalloc` is the only way to promise a function does not allocate.
 	DirContract = "contract"
 
 	// DirMutates allowlists one statement (or function) that writes
@@ -41,12 +38,6 @@ const (
 	// (checked by snapshotmut). A rationale is mandatory:
 	// `//wqrtq:mutates <why this write cannot be observed by a reader>`.
 	DirMutates = "mutates"
-
-	// DirPrealloc marks a function that may grow slices, but only into
-	// preallocated scratch it writes back to the same destination
-	// (checked by growthcheck, which also covers the hotpath set). Goes
-	// on the function's doc comment.
-	DirPrealloc = "prealloc"
 )
 
 const directivePrefix = "//wqrtq:"

@@ -8,8 +8,6 @@ import (
 	"wqrtq/internal/analysis"
 	"wqrtq/internal/analysis/ctxloop"
 	"wqrtq/internal/analysis/floateq"
-	"wqrtq/internal/analysis/growthcheck"
-	"wqrtq/internal/analysis/hotpathalloc"
 	"wqrtq/internal/analysis/lockhold"
 	"wqrtq/internal/analysis/maprange"
 	"wqrtq/internal/analysis/snapshotmut"
@@ -18,8 +16,6 @@ import (
 // All returns the analyzers in deterministic order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		hotpathalloc.Analyzer,
-		growthcheck.Analyzer,
 		snapshotmut.Analyzer,
 		ctxloop.Analyzer,
 		maprange.Analyzer,

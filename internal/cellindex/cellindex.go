@@ -190,9 +190,6 @@ func (g *Grid) Basis() *kernel.Coords { return g.basis }
 // NumCells returns the number of built cells.
 func (g *Grid) NumCells() int { return g.cells }
 
-// NumCandidates returns the total candidate rows across all cells.
-func (g *Grid) NumCandidates() int { return g.cands }
-
 // Cells iterates the built cells in flat index order: lo and hi are the
 // cell's per-coordinate bounds (len dim, de-interleaved from grid storage
 // into scratch reused across calls) and cand its candidate coordinate
@@ -223,7 +220,6 @@ func (g *Grid) Cells(fn func(lo, hi []float64, cand [][]float64)) {
 // cell edge, an invalid weight, an unreachable cell) — the caller must
 // fall back to a legacy path, which answers identically.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(g,w) nobce noalloc
 func (g *Grid) locate(w []float64) int {
 	d := g.dim
@@ -282,7 +278,6 @@ func (g *Grid) locate(w []float64) int {
 // scan allocates nothing and uses vec.Score's arithmetic order, so an
 // uncapped count is bit-identical to a scalar scan of the cell.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(g,w) nobce noalloc
 func (g *Grid) CountBelowCapped(w []float64, fq float64, cap int) (count, scanned int, ok bool) {
 	ci := g.locate(w)
@@ -394,9 +389,9 @@ func (g *Grid) ReverseTopK(ctx context.Context, W []vec.Weight, q vec.Point, k i
 
 // build constructs the grid over basis band b, or returns nil when the
 // configuration is ineligible (a cell count over budget, basis too large,
-// or candidate storage would blow past maxCandidates).
-//
-//wqrtq:prealloc
+// or candidate storage would blow past maxCandidates). Its per-cell scratch
+// is sized once per build; TestCellIndexAllocsPerOp bounds what it
+// allocates per built cell.
 func build(b *skyband.Band, k, dim int) *Grid {
 	nBase := baseCells(dim)
 	if nBase == 0 || b.Size() == 0 || b.Size() > MaxBasis {

@@ -146,8 +146,9 @@ func TestGridReverseTopKEmptyAndCancel(t *testing.T) {
 	}
 }
 
-// TestCellIndexAllocsPerOp guards the cell-lookup hot path: point
-// location plus the capped candidate scan must not allocate.
+// TestCellIndexAllocsPerOp guards the cell-lookup hot path — point
+// location plus the capped candidate scan must not allocate — and bounds
+// what a grid build allocates per built cell.
 func TestCellIndexAllocsPerOp(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		rng := rand.New(rand.NewSource(int64(40 + d)))
@@ -168,6 +169,16 @@ func TestCellIndexAllocsPerOp(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("d=%d: CountBelowCapped allocates %.1f per op", d, allocs)
+		}
+		// build sizes its per-cell scratch once and grows the candidate
+		// columns amortized, so beyond that it allocates only sort.Slice's
+		// two objects per built cell (measured 2·cells + 30–110). A slice
+		// grown afresh in every cell costs at least six.
+		band := skyband.NewCache(rtree.Bulk(pts, nil), nil).Band(k)
+		band.Coords()
+		cells := g.NumCells()
+		if allocs := testing.AllocsPerRun(3, func() { build(band, k, d) }); allocs > float64(3*cells) {
+			t.Fatalf("d=%d: build allocates %.0f objects for %d cells, want <= %d", d, allocs, cells, 3*cells)
 		}
 	}
 }

@@ -72,9 +72,8 @@ func (c *Coords) Reset(d int) {
 }
 
 // Append adds one point (len d) to the set. Growth amortizes into the
-// column scratch Reset retains across refills.
-//
-//wqrtq:prealloc
+// column scratch Reset retains across refills, so a warm refill allocates
+// nothing (TestKernelAllocsPerOp).
 func (c *Coords) Append(p []float64) {
 	for j := range c.cols {
 		c.cols[j] = append(c.cols[j], p[j])
@@ -144,7 +143,6 @@ func (c *Coords) PrefixOf(src *Coords, n int) {
 // score is computed with vec.Score's arithmetic order, and the comparison
 // is the same strict <.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(c,wb,fqs,counts) nobce noalloc
 func CountBelowBlock(c *Coords, wb []float64, fqs []float64, counts []int) {
 	if len(counts) < len(fqs) {
@@ -178,7 +176,6 @@ func CountBelowBlock(c *Coords, wb []float64, fqs []float64, counts []int) {
 // guards make the lockstep walk cover exactly len(fqs) weights, preserving
 // the fail-loud behavior the indexed form had on short buffers.
 
-//wqrtq:hotpath
 //wqrtq:contract noescape(x,y,wb,fqs,counts) nobce noalloc
 func countBelow2(x, y, wb, fqs []float64, counts []int) {
 	if len(y) < len(x) {
@@ -238,7 +235,6 @@ func countBelow2(x, y, wb, fqs []float64, counts []int) {
 	}
 }
 
-//wqrtq:hotpath
 //wqrtq:contract noescape(x,y,z,wb,fqs,counts) nobce noalloc
 func countBelow3(x, y, z, wb, fqs []float64, counts []int) {
 	if len(y) < len(x) || len(z) < len(x) {
@@ -304,7 +300,6 @@ func countBelow3(x, y, z, wb, fqs []float64, counts []int) {
 	}
 }
 
-//wqrtq:hotpath
 //wqrtq:contract noescape(x,y,z,u,wb,fqs,counts) nobce noalloc
 func countBelow4(x, y, z, u, wb, fqs []float64, counts []int) {
 	if len(y) < len(x) || len(z) < len(x) || len(u) < len(x) {
@@ -365,7 +360,6 @@ func countBelow4(x, y, z, u, wb, fqs []float64, counts []int) {
 // cannot relate, so its checks are structural. Dimensions 2–4 never reach
 // it; the paper's real datasets (Household d = 6, NBA d = 13) do.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(cols,wb,fqs,counts) noalloc
 func countBelowGeneric(cols [][]float64, wb, fqs []float64, counts []int) {
 	d := len(cols)
@@ -397,7 +391,6 @@ func countBelowGeneric(cols [][]float64, wb, fqs []float64, counts []int) {
 // arithmetic is vec.Score's, so an uncapped result is bit-identical to
 // CountBelowBlock's.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(c,w) nobce noalloc
 func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scanned int) {
 	if cap < 0 {
@@ -498,7 +491,6 @@ func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap int) (count
 // under weight b (n = c.Len(), len(out) >= B*n). It performs no allocation.
 // Scores are bit-identical to vec.Score.
 //
-//wqrtq:hotpath
 //wqrtq:contract noescape(c,wb,out) nobce noalloc
 func ScoreBlock(c *Coords, wb []float64, nWeights int, out []float64) {
 	d := len(c.cols)

@@ -186,7 +186,9 @@ func TestCoordsPlacedFillAndPrefixView(t *testing.T) {
 
 // TestKernelAllocsPerOp guards the acceptance requirement of zero
 // allocations per op in the kernel inner loops: with warmed scratch,
-// CountBelowBlock, ScoreBlock and the chunking wrapper must not allocate.
+// CountBelowBlock, ScoreBlock and the chunking wrapper must not allocate,
+// and neither may refilling a Coords through Reset and Append once its
+// columns have grown.
 func TestKernelAllocsPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const d, n, nw = 3, 512, BlockSize
@@ -224,6 +226,17 @@ func TestKernelAllocsPerOp(t *testing.T) {
 		CountBelowWeights(c, nw, at, fqs, counts, sc, ct)
 	}); allocs != 0 {
 		t.Fatalf("CountBelowWeights allocates %.1f objects per op, want 0", allocs)
+	}
+	var fill Coords
+	refill := func() {
+		fill.Reset(d)
+		for _, p := range pts {
+			fill.Append(p)
+		}
+	}
+	refill() // grow the columns once
+	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+		t.Fatalf("a warm Reset+Append refill allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -2,8 +2,6 @@ package rtopk
 
 import (
 	"math/rand"
-	"sort"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/cellindex"
 	"wqrtq/internal/kernel"
@@ -57,115 +55,25 @@ type MonoCell struct {
 	MidIn bool
 }
 
-// MonochromaticND answers the monochromatic reverse top-k query exactly
-// from a materialized cell index over the snapshot.
-//
-// For 2-D grids it returns the same maximal λ-intervals as
-// Monochromatic2D over the full dataset: segment boundaries are the
-// cell-local candidate breakpoints plus the grid's cell edges (membership
-// can only change where some cell's candidate ties with q — the cell
-// index's count preservation makes every other point's tie irrelevant —
-// or across a cell edge, and the edges are in the boundary list), and
-// each segment's membership is decided by the same blocked-kernel
-// midpoint evaluation, counted over the grid basis.
-//
-// For d >= 3 it returns the result as grid cells (intervals is nil):
+// MonochromaticND answers the d >= 3 monochromatic reverse top-k query
+// exactly from a materialized cell index over the snapshot, as grid cells:
 // cells where even the most q-favorable corner comparison leaves fewer
 // than k possible beaters (#{fl(f(lo,p)) < fl(f(hi,q))} < k) are Full —
 // provably members everywhere; cells where the least favorable one
 // already yields k beaters (#{fl(f(hi,p)) < fl(f(lo,q))} >= k) are
 // provably empty and omitted; the rest are reported as partial with a
 // kernel-verified midpoint decision. Every weighting vector whose top-k
-// contains q lies in a reported cell.
-func MonochromaticND(g *cellindex.Grid, q vec.Point, k int) ([]Interval, []MonoCell) {
-	if g.Dim() == 2 {
-		return monoGrid2D(g, q, k), nil
-	}
-	return nil, monoGridND(g, q, k)
-}
-
-// monoGrid2D is Monochromatic2D evaluated through the cell index: same
-// breakpoint arithmetic, same midpoint kernel counts, same merge — only
-// the breakpoints come from the per-cell candidate lists (plus the cell
-// edges) and the counts run over the grid basis instead of the raw
-// dataset. Count preservation of the basis band and of the per-cell
-// supersets makes every decision pointwise identical.
-func monoGrid2D(g *cellindex.Grid, q vec.Point, k int) []Interval {
-	res := g.Res()
-	lams := make([]float64, 0, g.NumCandidates()+res)
-	g.Cells(func(lo, hi []float64, cand [][]float64) {
-		x, y := cand[0], cand[1]
-		for i := range x {
-			a := x[i] - q[0]
-			b := y[i] - q[1]
-			if feq.Eq(a, b) {
-				continue
-			}
-			if lam := b / (b - a); lam > 0 && lam < 1 {
-				lams = append(lams, lam)
-			}
-		}
-	})
-	for c := 1; c < res; c++ {
-		lams = append(lams, float64(c)/float64(res))
-	}
-	sort.Float64s(lams)
-	bounds := make([]float64, 0, len(lams)+2)
-	bounds = append(bounds, 0)
-	for _, lam := range lams {
-		if feq.Ne(lam, bounds[len(bounds)-1]) {
-			bounds = append(bounds, lam)
-		}
-	}
-	if feq.Ne(bounds[len(bounds)-1], 1) {
-		bounds = append(bounds, 1)
-	}
-
-	sc := kernel.GetScratch()
-	defer kernel.PutScratch(sc)
-	nSeg := len(bounds) - 1
-	mids := make([]float64, nSeg)
-	fqs := make([]float64, nSeg)
-	counts := make([]int, nSeg)
-	for i := 0; i < nSeg; i++ {
-		mid := (bounds[i] + bounds[i+1]) / 2
-		mids[i] = mid
-		fq := mid * q[0]
-		fq += (1 - mid) * q[1]
-		fqs[i] = fq
-	}
-	var wpair [2]float64
-	kernel.CountBelowWeights(g.Basis(), nSeg, func(i int) []float64 {
-		wpair[0] = mids[i]
-		wpair[1] = 1 - mids[i]
-		return wpair[:]
-	}, fqs, counts, sc, nil)
-
-	var out []Interval
-	for i := 0; i < nSeg; i++ {
-		if counts[i] >= k {
-			continue
-		}
-		if n := len(out); n > 0 && feq.Eq(out[n-1].Hi, bounds[i]) {
-			out[n-1].Hi = bounds[i+1]
-		} else {
-			out = append(out, Interval{Lo: bounds[i], Hi: bounds[i+1]})
-		}
-	}
-	return out
-}
-
-// monoGridND classifies every cell of a d >= 3 grid by its corner-score
-// bounds. For any w inside a cell and any candidate p, fl(f(w,p)) is
-// bracketed by the corner scores fl(f(lo,p)) and fl(f(hi,p)), and
-// fl(f(w,q)) by fl(f(lo,q)) and fl(f(hi,q)), so
+// contains q lies in a reported cell. The exact 2-D answer is
+// Monochromatic2D.
+//
+// The bracket behind the classification: for any w inside a cell and any
+// candidate p, fl(f(w,p)) lies between the corner scores fl(f(lo,p)) and
+// fl(f(hi,p)), and fl(f(w,q)) between fl(f(lo,q)) and fl(f(hi,q)), so
 //
 //	#{p : fl(f(hi,p)) < fl(f(lo,q))} <= count(w) <= #{p : fl(f(lo,p)) < fl(f(hi,q))}
 //
-// everywhere in the cell. Cells whose upper bound stays below k are Full,
-// cells whose lower bound reaches k are dropped, and the rest are partial
-// with a kernel-verified midpoint decision over the basis.
-func monoGridND(g *cellindex.Grid, q vec.Point, k int) []MonoCell {
+// everywhere in the cell.
+func MonochromaticND(g *cellindex.Grid, q vec.Point, k int) []MonoCell {
 	d := g.Dim()
 	var out []MonoCell
 	mid := make([]float64, d)

@@ -2,7 +2,6 @@ package rtopk
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"wqrtq/internal/cellindex"
@@ -12,56 +11,6 @@ import (
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
 )
-
-// monoGrid builds a cell grid over pts the way the Index does: skyband
-// cache over a bulk-loaded tree, grid cache over the bands.
-func monoGrid(t *testing.T, pts []vec.Point, k int) *cellindex.Grid {
-	t.Helper()
-	tree := rtree.Bulk(pts, nil)
-	g := cellindex.NewCache(skyband.NewCache(tree, nil), len(pts[0]), nil).Grid(k)
-	if g == nil {
-		t.Fatalf("grid declined for n=%d d=%d k=%d", len(pts), len(pts[0]), k)
-	}
-	return g
-}
-
-// TestMonochromaticNDMatches2D pins the d=2 cell-index arrangement against
-// the exact full-dataset sweep: the maximal member intervals must be
-// identical — same count, same float endpoints — across random datasets
-// including duplicate points (equal scores everywhere, never allowed to
-// exclude one another) and points collinear with q in dual space (a == b,
-// no breakpoint).
-func TestMonochromaticNDMatches2D(t *testing.T) {
-	for c := 0; c < 60; c++ {
-		rng := rand.New(rand.NewSource(int64(4200 + c)))
-		n := 1 + rng.Intn(120)
-		k := 1 + rng.Intn(8)
-		pts := make([]vec.Point, 0, n+6)
-		for i := 0; i < n; i++ {
-			pts = append(pts, vec.Point{rng.Float64(), rng.Float64()})
-		}
-		q := vec.Point{rng.Float64() * 0.8, rng.Float64() * 0.8}
-		// Duplicates: repeat an existing point a few times.
-		for i := 0; i < 3; i++ {
-			pts = append(pts, append(vec.Point(nil), pts[rng.Intn(len(pts))]...))
-		}
-		// Degenerate collinear dual lines: p - q constant per coordinate
-		// (a == b), parallel to q's dual line — no breakpoint exists.
-		for i := 0; i < 3; i++ {
-			off := rng.Float64() * 0.2
-			pts = append(pts, vec.Point{q[0] + off, q[1] + off})
-		}
-		g := monoGrid(t, pts, k)
-		got, cells := MonochromaticND(g, q, k)
-		if cells != nil {
-			t.Fatalf("case %d: 2-D query returned cells", c)
-		}
-		want := Monochromatic2D(pts, q, k)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d (n=%d k=%d): cell-index intervals %v, sweep %v", c, len(pts), k, got, want)
-		}
-	}
-}
 
 // TestMonochromaticNDWitness3D cross-checks the d=3 cell answer against
 // Monte Carlo witnesses: every sampled weighting vector whose top-k
@@ -84,10 +33,7 @@ func TestMonochromaticNDWitness3D(t *testing.T) {
 		if g == nil {
 			t.Fatalf("case %d: grid declined", c)
 		}
-		ivs, cells := MonochromaticND(g, q, k)
-		if ivs != nil {
-			t.Fatalf("case %d: 3-D query returned intervals", c)
-		}
+		cells := MonochromaticND(g, q, k)
 		for ci, cell := range cells {
 			if len(cell.Lo) != 3 || len(cell.Hi) != 3 {
 				t.Fatalf("case %d cell %d: bad bounds %v %v", c, ci, cell.Lo, cell.Hi)
@@ -131,10 +77,12 @@ func inReportedCell(cells []MonoCell, w vec.Weight) bool {
 	return false
 }
 
-// TestMonochromaticNDSampleConsistency runs the sampler on 2-D data and
-// checks every member sample falls in a reported interval and every
-// non-member sample falls in none — the interval form of the witness
-// property.
+// TestMonochromaticNDSampleConsistency checks the other direction of the
+// 3-D cell answer at arbitrary points rather than cell midpoints: a
+// sampled weighting vector whose top-k misses q lies in no Full cell, since
+// a Full cell is proven to lie inside the result everywhere in its closed
+// bounds. (That every member lies in some reported cell is
+// TestMonochromaticNDWitness3D's check.)
 func TestMonochromaticNDSampleConsistency(t *testing.T) {
 	for c := 0; c < 10; c++ {
 		rng := rand.New(rand.NewSource(int64(6400 + c)))
@@ -142,34 +90,24 @@ func TestMonochromaticNDSampleConsistency(t *testing.T) {
 		k := 1 + rng.Intn(6)
 		pts := make([]vec.Point, n)
 		for i := range pts {
-			pts[i] = vec.Point{rng.Float64(), rng.Float64()}
+			pts[i] = vec.Point{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		q := vec.Point{rng.Float64() * 0.6, rng.Float64() * 0.6}
-		g := monoGrid(t, pts, k)
-		ivs, _ := MonochromaticND(g, q, k)
+		q := vec.Point{rng.Float64() * 0.6, rng.Float64() * 0.6, rng.Float64() * 0.6}
 		tree := rtree.Bulk(pts, nil)
-		for s := 0; s < 200; s++ {
-			w := sample.RandSimplex(rng, 2)
-			lam := w[0]
-			inIv := false
-			onEdge := false
-			for _, iv := range ivs {
-				if lam >= iv.Lo && lam <= iv.Hi {
-					inIv = true
-					if lam == iv.Lo || lam == iv.Hi {
-						onEdge = true
-					}
-				}
+		g := cellindex.NewCache(skyband.NewCache(tree, nil), 3, nil).Grid(k)
+		if g == nil {
+			t.Fatalf("case %d: grid declined", c)
+		}
+		var full []MonoCell
+		for _, cell := range MonochromaticND(g, q, k) {
+			if cell.Full {
+				full = append(full, cell)
 			}
-			member := topk.InTopK(tree, vec.Weight{lam, 1 - lam}, q, k)
-			// Exactly on an interval endpoint the decision is a tie
-			// breakpoint; skip the comparison there (measure-zero).
-			if onEdge {
-				continue
-			}
-			if member != inIv {
-				t.Fatalf("case %d sample %d: λ=%v member=%v but interval containment=%v (ivs %v)",
-					c, s, lam, member, inIv, ivs)
+		}
+		for s := 0; s < 400; s++ {
+			w := sample.RandSimplex(rng, 3)
+			if !topk.InTopK(tree, w, q, k) && inReportedCell(full, w) {
+				t.Fatalf("case %d sample %d: non-member %v lies in a Full cell", c, s, w)
 			}
 		}
 	}

@@ -222,7 +222,6 @@ func (b *Band) Full() bool { return b.full }
 // Callers should bound the band size themselves before flattening a
 // pass-through band, whose image is the whole dataset.
 //
-//wqrtq:hotpath
 //wqrtq:contract inline noalloc
 func (b *Band) Coords() *kernel.Coords {
 	if b.coordsReady.Load() {

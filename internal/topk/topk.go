@@ -54,7 +54,6 @@ type heapItem struct {
 // order among equal scores) is unchanged.
 type minHeap []heapItem
 
-//wqrtq:prealloc
 func (h *minHeap) push(it heapItem) {
 	*h = append(*h, it)
 	// Sift up, as container/heap.Push would.
@@ -70,12 +69,12 @@ func (h *minHeap) push(it heapItem) {
 	}
 }
 
-// pop is annotated hotpath; push is not, because its append is the heap's
-// (amortized, pool-recycled) growth mechanism. pop's contract omits
+// pop carries a noalloc contract; push cannot, because its append is the
+// heap's (amortized, pool-recycled) growth mechanism, which
+// TestTopKAllocsPerOp bounds instead. pop's contract omits
 // noescape(h): heapItem carries node pointers the compiler summarizes as
 // "leaking param content", inherent to returning an item by value.
 //
-//wqrtq:hotpath
 //wqrtq:contract nobce noalloc
 func (h *minHeap) pop() heapItem {
 	s := *h
@@ -361,7 +360,6 @@ func CountBelowCapped(t *rtree.Tree, w vec.Weight, fq float64, bound int, tick *
 // entries MinScore could not reject (most rectangles of a band tree lie
 // wholly above fq, and at d = 13 each bound is a 13-term dot product).
 //
-//wqrtq:hotpath
 //wqrtq:contract noalloc
 func countBelowCapped(n *rtree.Node, w vec.Weight, fq float64, bound int, tick *ctxcheck.Ticker) (int, error) {
 	if err := tick.Tick(); err != nil {

@@ -4,8 +4,8 @@ package wqrtq
 // Reverse top-k on the product path (the cell grid, whose cell-local counts
 // are kernel sweeps) must answer bit-identically to every reference — the
 // cellOff index, one capped count descent per vector over the band tree;
-// the skyOff index, the same descent over the full tree; and RTA, the
-// paper's own algorithm, over the full tree — with the same index sets
+// the skyOff index, the same descent over the full tree; and the linear
+// scan over the live points (rtopk.BichromaticNaive) — with the same index sets
 // across UN/CO/AC workloads and mutation streams that invalidate the epoch
 // caches. The refinement loops sweep the call-fixed universe, so their
 // reference is the skyOff oracle (core's nil-Source legacy path): why-not
@@ -66,8 +66,9 @@ func TestKernelDifferential(t *testing.T) {
 						t.Fatalf("case %d sky=%v: ReverseTopK %v, ablation %v",
 							i, skybandOn, gotRTK, wantRTK)
 					}
-					if rta, _ := rtopk.Bichromatic(on.tree, ws, q, k); !reflect.DeepEqual(gotRTK, rta) {
-						t.Fatalf("case %d sky=%v: ReverseTopK %v, RTA %v", i, skybandOn, gotRTK, rta)
+					live, _ := on.livePoints()
+					if naive := rtopk.BichromaticNaive(live, ws, q, k); !reflect.DeepEqual(gotRTK, naive) {
+						t.Fatalf("case %d sky=%v: ReverseTopK %v, linear scan %v", i, skybandOn, gotRTK, naive)
 					}
 					gotRank, _ := on.Rank(W[0], q)
 					wantRank, _ := off.Rank(W[0], q)

@@ -1,11 +1,15 @@
 package wqrtq
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/topk"
+	"wqrtq/internal/vec"
 )
 
 // The paper's running example (Figure 1).
@@ -91,6 +95,61 @@ func TestReverseTopKMono2DFacade(t *testing.T) {
 	}
 	if _, err := ix3.ReverseTopKMono2D([]float64{1, 1, 1}, 1); err == nil {
 		t.Error("3-D monochromatic accepted")
+	}
+
+	// ReverseTopKMonoND at d = 2 is ReverseTopKMono2D.
+	ndIvs, cells, err := ix.ReverseTopKMonoND(paperQ, 3)
+	if err != nil || cells != nil || !reflect.DeepEqual(ndIvs, ivs) {
+		t.Errorf("ReverseTopKMonoND (2-D) = %v, %v, %v; want %v, no cells, no error", ndIvs, cells, err, ivs)
+	}
+
+	// At d = 3 it returns cells and no intervals, and every Full cell's
+	// midpoint has q in its top-k.
+	ds := dataset.Independent(300, 3, 5)
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ixND, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, k := []float64{0.1, 0.1, 0.1}, 5
+	ndIvs, cells, err = ixND.ReverseTopKMonoND(q, k)
+	if err != nil || ndIvs != nil || len(cells) == 0 {
+		t.Fatalf("ReverseTopKMonoND (3-D) = %v, %d cells, %v; want no intervals, cells, no error", ndIvs, len(cells), err)
+	}
+	full := 0
+	for _, c := range cells {
+		if !c.Full {
+			continue
+		}
+		full++
+		mid := make(vec.Weight, 3)
+		for j := range mid {
+			mid[j] = (c.Lo[j] + c.Hi[j]) / 2
+		}
+		if !topk.InTopK(ixND.tree, mid, q, k) {
+			t.Errorf("Full cell [%v, %v]: midpoint %v does not have q in its top-%d", c.Lo, c.Hi, mid, k)
+		}
+	}
+	if full == 0 {
+		t.Error("no Full cell to check")
+	}
+
+	// Invalid arguments, and a 3-D query with the cell index off.
+	for _, tc := range []struct {
+		ix *Index
+		q  []float64
+		k  int
+	}{{ix, paperQ, 0}, {ix, []float64{1, 1, 1}, 3}, {ixND, q, 0}, {ixND, []float64{1, 1}, k}} {
+		if _, _, err := tc.ix.ReverseTopKMonoND(tc.q, tc.k); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("ReverseTopKMonoND(%v, %d) on %d-D data: err = %v, want ErrInvalidArgument", tc.q, tc.k, tc.ix.Dim(), err)
+		}
+	}
+	ixND.cellOff = true
+	if _, _, err := ixND.ReverseTopKMonoND(q, k); err == nil {
+		t.Error("3-D ReverseTopKMonoND answered with the cell index off")
 	}
 }
 
