@@ -35,9 +35,13 @@ package main
 // Every POST route is the same sequence — decode the body, derive the
 // request context, call the engine, map the error, encode the answer —
 // written once in handlePost; a route is its JSON request shape plus the body
-// that calls the engine and shapes the answer. The flags size the pool,
-// the cache, durability and admission; which index structures answer a
-// query is not configurable (the product has one path).
+// that calls the engine and shapes the answer. Bodies are read whole, at
+// most maxBodyBytes (8 MiB, past the first JSON value too), and decoded in
+// one pass by body.go, which accepts exactly what encoding/json would and
+// builds the same structs (FuzzDecodeBody); encoding/json only encodes
+// answers. The flags size the pool, the cache, durability and admission;
+// which index structures answer a query is not configurable (the product
+// has one path).
 
 import (
 	"context"
@@ -158,10 +162,13 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // handlePost registers one POST route: decode the JSON body into a Req, bound the
 // work by the client connection and the configured per-query deadline,
 // call, and answer with the encoded result or the mapped error.
-func handlePost[Req any](mux *http.ServeMux, path string, queryTimeout time.Duration, call func(context.Context, *Req) (any, error)) {
+func handlePost[Req any, PReq interface {
+	*Req
+	requestBody
+}](mux *http.ServeMux, path string, queryTimeout time.Duration, call func(context.Context, *Req) (any, error)) {
 	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if !decodeJSON(w, r, &req) {
+		if !decodeRequest(w, r, PReq(&req)) {
 			return
 		}
 		ctx := r.Context()
@@ -363,9 +370,14 @@ func whyNotJSON(epoch uint64, ans *wqrtq.WhyNotAnswer) any {
 // cannot exhaust server memory.
 const maxBodyBytes = 8 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
+// decodeRequest reads the whole body, at most maxBodyBytes, and decodes it
+// into dst (body.go); a failure of either answers 400.
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst requestBody) bool {
+	b, err := readBody(w, r)
+	if err == nil {
+		err = decodeBody(b, dst)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
 		return false
 	}

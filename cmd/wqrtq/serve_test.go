@@ -204,28 +204,33 @@ func TestServeQueryTimeout(t *testing.T) {
 	}
 }
 
+// serveErrorCases are bodies each route must refuse with 400 and an error
+// that mentions wantErr. FuzzDecodeBody seeds from them too.
+var serveErrorCases = []struct {
+	name, path, body, wantErr string
+}{
+	{"bad dimension", "/v1/topk", `{"w":[0.2,0.3,0.5],"k":3}`, "dimension"},
+	{"k zero", "/v1/topk", `{"w":[0.5,0.5],"k":0}`, "k must be positive"},
+	{"k negative rtopk", "/v1/rtopk", `{"q":[3,3],"k":-1,"weights":[[0.5,0.5]]}`, "k must be positive"},
+	{"malformed body", "/v1/topk", `{"w":[0.5`, "malformed request body"},
+	{"not json", "/v1/rank", `hello`, "malformed request body"},
+	{"empty weights", "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[]}`, "empty weighting vector set"},
+	{"bad weight sum", "/v1/topk", `{"w":[0.9,0.9],"k":1}`, "sum"},
+	{"bad query dim", "/v1/rank", `{"w":[0.5,0.5],"q":[1,2,3]}`, "dimension"},
+	{"insert bad dim", "/v1/insert", `{"point":[1]}`, "dimension"},
+	{"delete missing id", "/v1/delete", `{}`, "missing id"},
+	{"delete out of range", "/v1/delete", `{"id":99}`, "out of range"},
+	{"whynot k zero", "/v1/whynot", `{"q":[3,3],"k":0,"weights":[[0.5,0.5]]}`, "k must be positive"},
+	{"oversized body", "/v1/topk",
+		`{"w":[0.5,0.5],"k":1,"pad":"` + strings.Repeat("x", 9<<20) + `"}`,
+		"request body too large"},
+	{"fractional k", "/v1/topk", `{"w":[0.5,0.5],"k":2.5}`, "malformed request body"},
+	{"string in weights", "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[[0.5,"0.5"]]}`, "malformed request body"},
+}
+
 func TestServeErrorPaths(t *testing.T) {
 	h := serveTestHandler(t)
-	cases := []struct {
-		name, path, body, wantErr string
-	}{
-		{"bad dimension", "/v1/topk", `{"w":[0.2,0.3,0.5],"k":3}`, "dimension"},
-		{"k zero", "/v1/topk", `{"w":[0.5,0.5],"k":0}`, "k must be positive"},
-		{"k negative rtopk", "/v1/rtopk", `{"q":[3,3],"k":-1,"weights":[[0.5,0.5]]}`, "k must be positive"},
-		{"malformed body", "/v1/topk", `{"w":[0.5`, "malformed request body"},
-		{"not json", "/v1/rank", `hello`, "malformed request body"},
-		{"empty weights", "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[]}`, "empty weighting vector set"},
-		{"bad weight sum", "/v1/topk", `{"w":[0.9,0.9],"k":1}`, "sum"},
-		{"bad query dim", "/v1/rank", `{"w":[0.5,0.5],"q":[1,2,3]}`, "dimension"},
-		{"insert bad dim", "/v1/insert", `{"point":[1]}`, "dimension"},
-		{"delete missing id", "/v1/delete", `{}`, "missing id"},
-		{"delete out of range", "/v1/delete", `{"id":99}`, "out of range"},
-		{"whynot k zero", "/v1/whynot", `{"q":[3,3],"k":0,"weights":[[0.5,0.5]]}`, "k must be positive"},
-		{"oversized body", "/v1/topk",
-			`{"w":[0.5,0.5],"k":1,"pad":"` + strings.Repeat("x", 9<<20) + `"}`,
-			"request body too large"},
-	}
-	for _, tc := range cases {
+	for _, tc := range serveErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := post(t, h, tc.path, tc.body)
 			if rec.Code != http.StatusBadRequest {
@@ -257,6 +262,30 @@ func TestServeErrorPaths(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("POST /v1/nope status %d, want 404", rec.Code)
 	}
+}
+
+// TestServeBodyDecoding pins what the body decoder accepts on the routes:
+// an unknown field holding nested objects and arrays of mixed types is
+// skipped, "K" names k as "k" does, and a Content-Length past
+// maxBodyBytes is not taken as the size of the body (a buffer presized to
+// the claim of 1 TiB would not be allocated).
+func TestServeBodyDecoding(t *testing.T) {
+	h := serveTestHandler(t)
+	const topk = `{"epoch":0,"result":[{"id":4,"point":[9,1],"score":3},{"id":2,"point":[4,3],"score":3.25},{"id":3,"point":[8,2],"score":3.5}]}` + "\n"
+	wantGolden(t, post(t, h, "/v1/topk", `{"w":[0.25,0.75],"k":3}`), http.StatusOK, topk)
+	wantGolden(t, post(t, h, "/v1/topk", `{"w":[0.25,0.75],"K":3}`), http.StatusOK, topk)
+	wantGolden(t, post(t, h, "/v1/topk",
+		`{"extra":{"a":[1,"x",{"b":null,"c":[true,false]}],"d":-2.5e3},"w":[0.25,0.75],"more":[[],{},"\u00e9",null],"k":3}`),
+		http.StatusOK, topk)
+	wantGolden(t, post(t, h, "/v1/rtopk",
+		`{"q":[3,3],"pad":[{"x":[1,[2,[3]]]},"y",0],"k":2,"weights":[[0.25,0.75],[0.75,0.25],[0.5,0.5]]}`),
+		http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5}}`+"\n")
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/topk", strings.NewReader(`{"w":[0.25,0.75],"k":3}`))
+	req.ContentLength = 1 << 40
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	wantGolden(t, rec, http.StatusOK, topk)
 }
 
 // TestServeDisconnectsStalledHeader asserts the listener `wqrtq serve`
