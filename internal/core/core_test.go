@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -349,8 +351,7 @@ func TestExactMWK2DPaperExample(t *testing.T) {
 func TestMQWKPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	rng := rand.New(rand.NewSource(7))
-	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 400, 400, rng, pm)
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 400, 400, 7, 0, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,21 +388,20 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Same seed for both: MQWK evaluates the endpoint q' = q first, so
-		// its internal MWK consumes the identical sample sequence and the
-		// pure-solution bound is deterministic.
+		// Same seed for both: MQWK's point 0 (q' = q) runs MWK's search on
+		// MWK's stream, so the pure-solution bound holds exactly.
 		mwk, err := MWK(context.Background(), tr, nil, q, k, wm, 200, rand.New(rand.NewSource(seed+1)), pm)
 		if err != nil {
 			return false
 		}
-		all, err := MQWK(context.Background(), tr, nil, q, k, wm, 200, 50, rand.New(rand.NewSource(seed+1)), pm)
+		all, err := MQWK(context.Background(), tr, nil, q, k, wm, 200, 50, seed+1, 0, pm)
 		if err != nil {
 			return false
 		}
 		if all.Penalty > pm.Gamma*mqp.Penalty+1e-9 {
 			return false
 		}
-		if all.Penalty > pm.Lambda*mwk.Penalty+1e-9 {
+		if all.Penalty > pm.Lambda*mwk.Penalty {
 			return false
 		}
 		return VerifyRefinement(tr, all.RefinedQ, all.RefinedK, all.RefinedWm)
@@ -413,8 +413,7 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 
 func TestMQWKReusesSingleTraversal(t *testing.T) {
 	tr := paperTree()
-	rng := rand.New(rand.NewSource(9))
-	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 50, 20, rng, DefaultPenaltyModel())
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 50, 20, 9, 0, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +422,65 @@ func TestMQWKReusesSingleTraversal(t *testing.T) {
 	}
 	if res.CandidatesCached != 5 {
 		t.Errorf("CandidatesCached = %d, want 5 (p1, p2, p3, p4, p7)", res.CandidatesCached)
+	}
+}
+
+// TestMQWKWorkersIdentical pins that workers only schedules: at one seed
+// every worker count, the inline 0 and 1 and GOMAXPROCS (-1) included,
+// returns the same result field for field.
+func TestMQWKWorkersIdentical(t *testing.T) {
+	tr := paperTree()
+	pm := DefaultPenaltyModel()
+	base, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, 0, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, -1, runtime.GOMAXPROCS(0), 64} {
+		got, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, workers, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("workers=%d: %+v, want %+v", workers, got, base)
+		}
+	}
+}
+
+func TestMQWKVerifiesAndBeatsPureSolutions(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	pts := randPoints(r, 500, 3)
+	tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 512})
+	q := randPoints(r, 1, 3)[0]
+	wm := []vec.Weight{randWeight(r, 3), randWeight(r, 3)}
+	pm := DefaultPenaltyModel()
+	mqp, err := MQP(context.Background(), tr, nil, q, 5, wm, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		res, err := MQWK(context.Background(), tr, nil, q, 5, wm, 200, 100, 4, workers, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Penalty > pm.Gamma*mqp.Penalty+1e-9 {
+			t.Errorf("workers=%d: MQWK penalty %v exceeds γ·MQP %v", workers, res.Penalty, pm.Gamma*mqp.Penalty)
+		}
+		if !VerifyRefinement(tr, res.RefinedQ, res.RefinedK, res.RefinedWm) {
+			t.Errorf("workers=%d: refinement fails verification", workers)
+		}
+	}
+}
+
+func TestMQWKInputValidation(t *testing.T) {
+	tr := paperTree()
+	pm := DefaultPenaltyModel()
+	for _, workers := range []int{0, 2} {
+		if _, err := MQWK(context.Background(), tr, nil, paperQ, 0, paperWm, 10, 10, 1, workers, pm); err == nil {
+			t.Errorf("workers=%d: k=0 accepted", workers)
+		}
+		if _, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 10, -1, 1, workers, pm); err == nil {
+			t.Errorf("workers=%d: negative query sample size accepted", workers)
+		}
 	}
 }
 

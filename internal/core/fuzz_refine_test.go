@@ -40,8 +40,11 @@ func bandBackedSource(tr *rtree.Tree, pts []vec.Point, k int) *Source {
 // algorithms: over random datasets of every shape at d in [2, 16] and
 // n <= 400, random k, why-not vectors (zero components included), sample
 // counts on both sides of the sorted-column threshold and seeds, MWK, MQWK
-// and the fused WhyNotRefine with a band-backed Source must equal the
-// nil-Source oracle field for field, penalties bit for bit. The query-point
+// and the fused WhyNotRefine with a band-backed Source — MQWK fanned out
+// over two workers on every other run of five modes — must equal the
+// inline nil-Source oracle field for field, penalties bit for bit; the
+// fused refinements must equal the standalone ones; and MQWK's penalty
+// must not exceed λ times MWK's, exactly. The query-point
 // mode also reaches the degenerate universes: a point equal to a data
 // point, one that dominates the whole dataset (empty candidate list) and
 // one on a dominance chain (candidates, but none incomparable).
@@ -64,6 +67,7 @@ func FuzzRefineDims(f *testing.F) {
 	f.Add(int64(103), uint8(4), uint16(399), uint8(0), uint8(1), uint8(4), uint8(24), uint8(5))   // d=6 CO, k=1, band-trimmed
 	f.Add(int64(105), uint8(3), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))   // d=5 UN, band-trimmed
 	f.Add(int64(107), uint8(6), uint16(399), uint8(1), uint8(1), uint8(4), uint8(24), uint8(5))   // d=8 CO, band-trimmed
+	f.Add(int64(406), uint8(8), uint16(398), uint8(4), uint8(2), uint8(9), uint8(23), uint8(2))   // d=10 AC, low rank, parallel: MQWK above λ·MWK before per-point streams
 	f.Fuzz(func(t *testing.T, seed int64, db uint8, nb uint16, kb, shape, mode, sb, qb uint8) {
 		d := 2 + int(db%15)
 		n := 1 + int(nb%400)
@@ -119,7 +123,7 @@ func FuzzRefineDims(f *testing.F) {
 		if qb&128 != 0 {
 			qSamples += wmColsMinQPs // sorted score columns
 		}
-		workers := 2 * int(mode/5%2) // parallel MQWK on every other run of five modes
+		workers := 2 * int(mode/5%2) // fan MQWK out on every other run of five modes
 		tr := ds.Tree()
 		src := bandBackedSource(tr, pts, k)
 		pm := DefaultPenaltyModel()
@@ -130,13 +134,19 @@ func FuzzRefineDims(f *testing.F) {
 		if (errG == nil) != (errW == nil) || !reflect.DeepEqual(gotMWK, wantMWK) {
 			t.Fatalf("MWK n=%d d=%d k=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, gotMWK, errG, wantMWK, errW)
 		}
-		gotMQWK, errG := MQWK(ctx, tr, src, q, k, wm, samples, qSamples, rand.New(rand.NewSource(seed)), pm)
-		wantMQWK, errW := MQWK(ctx, tr, nil, q, k, wm, samples, qSamples, rand.New(rand.NewSource(seed)), pm)
+		// The oracle runs inline; the product at workers 0 or 2 must match it.
+		gotMQWK, errG := MQWK(ctx, tr, src, q, k, wm, samples, qSamples, seed, workers, pm)
+		wantMQWK, errW := MQWK(ctx, tr, nil, q, k, wm, samples, qSamples, seed, 0, pm)
 		if (errG == nil) != (errW == nil) || !reflect.DeepEqual(gotMQWK, wantMQWK) {
-			t.Fatalf("MQWK n=%d d=%d k=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, gotMQWK, errG, wantMQWK, errW)
+			t.Fatalf("MQWK n=%d d=%d k=%d workers=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, workers, gotMQWK, errG, wantMQWK, errW)
+		}
+		// Point 0 is MWK's search on MWK's stream: the pure second solution
+		// bounds MQWK exactly.
+		if errW == nil && wantMQWK.Penalty > pm.Lambda*wantMWK.Penalty {
+			t.Fatalf("MQWK n=%d d=%d k=%d: penalty %v above λ·MWK %v", n, d, k, wantMQWK.Penalty, pm.Lambda*wantMWK.Penalty)
 		}
 		got, errG := WhyNotRefine(ctx, tr, src, q, k, wm, samples, qSamples, seed, workers, pm)
-		want, errW := WhyNotRefine(ctx, tr, nil, q, k, wm, samples, qSamples, seed, workers, pm)
+		want, errW := WhyNotRefine(ctx, tr, nil, q, k, wm, samples, qSamples, seed, 0, pm)
 		if (errG == nil) != (errW == nil) {
 			t.Fatalf("WhyNotRefine n=%d d=%d k=%d: source error %v, oracle error %v", n, d, k, errG, errW)
 		}
@@ -151,7 +161,7 @@ func FuzzRefineDims(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("WhyNotRefine n=%d d=%d k=%d workers=%d:\nsource %+v\noracle %+v", n, d, k, workers, got, want)
 		}
-		if workers == 0 && errW == nil && (!reflect.DeepEqual(got.MWK, wantMWK) || !reflect.DeepEqual(got.MQWK, wantMQWK)) {
+		if errW == nil && (!reflect.DeepEqual(want.MWK, wantMWK) || !reflect.DeepEqual(want.MQWK, wantMQWK)) {
 			t.Fatalf("fused refinements differ from the standalone ones at n=%d d=%d k=%d", n, d, k)
 		}
 	})

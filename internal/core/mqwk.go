@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
@@ -41,10 +44,22 @@ type MQWKResult struct {
 // the best (Wm', k') (pure second solution), so MQWK never returns a worse
 // penalty than γ·Penalty(q_min) or λ·Penalty(Wm', k').
 //
+// Every evaluation draws from its own stream derived from (seed, point):
+// point 0, q itself, from seed — the stream MWK is handed at the same seed,
+// so point 0 is MWK's answer and Penalty <= λ·MWK.Penalty exactly — the box
+// draw from seed+1, and box point i (1-based) from seed+1+i. workers only
+// schedules those evaluations: 0 and 1 run them on the caller's goroutine,
+// more fan them out over that many goroutines (< 0: GOMAXPROCS), and the
+// result is identical for every value.
+//
+// Algorithm 3 needs the first solution (q_min, line 2) and the second
+// solution's search at q (point 0), so MQWK is the last stage of
+// WhyNotRefine, which computes both once.
+//
 // ctx is polled before every sample query point's MWK search (each costing
 // |S| in-memory rank evaluations), and the inner sampling loops poll on
 // their own intervals, so a canceled refinement unwinds within a fraction
-// of one sample's work.
+// of one sample's work, on every worker.
 //
 // src routes every per-sample evaluation through the skyband hooks of a
 // Source: the MQP optimum uses the band's k-th scores, and each sample
@@ -52,35 +67,9 @@ type MQWKResult struct {
 // universe, samples hyperplanes lazily and ranks by capped sweeps of that
 // universe's band trim, at any dimensionality. nil is the oracle path;
 // results are bit-identical for any valid Source.
-func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	qMin, err := mqwkQMin(ctx, t, src, q, k, wm, qSampleSize, pm)
-	if err != nil {
-		return MQWKResult{}, err
-	}
-	// Reuse cache: one traversal serves every sample point in [q_min, q].
-	sc := getRankScratch()
-	defer putRankScratch(sc)
-	cands, _ := sc.candidates(t, src, q, qMin, wm, qSampleSize+1)
-	return mqwkResolved(ctx, src, sc, qMin, cands, q, k, wm, sampleSize, qSampleSize, rng, pm)
-}
-
-// mqwkQMin validates an MQWK call and computes line 2 of Algorithm 3: q_min
-// from the first solution.
-func mqwkQMin(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, qSampleSize int, pm PenaltyModel) (vec.Point, error) {
-	if err := validateInput(t, q, k, wm); err != nil {
-		return nil, err
-	}
-	if qSampleSize < 0 {
-		return nil, fmt.Errorf("core: negative query sample size %d", qSampleSize)
-	}
-	mqp, err := MQP(ctx, t, src, q, k, wm, pm)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("core: MQWK needs the MQP optimum: %w", err)
-	}
-	return mqp.RefinedQ, nil
+func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
+	ref, err := WhyNotRefine(ctx, t, src, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
+	return ref.MQWK, err
 }
 
 // candidates runs the §4.4 reuse traversal — every point not dominated by
@@ -98,53 +87,111 @@ func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point,
 	return cands, visited
 }
 
-// mqwkBest is the running optimum of Algorithm 3, seeded with the pure
-// first solution (q' = q_min, Wm and k unchanged).
-func mqwkBest(qMin vec.Point, cands int, q vec.Point, k int, wm []vec.Weight, pm PenaltyModel) MQWKResult {
-	return MQWKResult{
+// mqwkPick is one evaluated box point: its 1-based index, its Eq. (5)
+// penalty and its self-contained (Wm', k'). The zero index with penalty +Inf
+// is "none adopted".
+type mqwkPick struct {
+	idx     int
+	qp      vec.Point
+	penalty float64
+	wm      []vec.Weight
+	k       int
+}
+
+// mqwkResolved is the sampling search of Algorithm 3 given what
+// WhyNotRefine has already computed: the MQP optimum, the candidate cache —
+// with the scratch's universe (if any) prepared over it — and point 0's MWK
+// search at q.
+//
+// Each goroutine keeps the lowest-indexed best of the box points it took
+// (indices are handed out in increasing order, adopted by strict <); the
+// picks are then folded in index order with strict <, after the pure first
+// solution and point 0 — the sequential scan's answer whatever the
+// schedule.
+func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, atQ MWKResult, pm PenaltyModel) (MQWKResult, error) {
+	boxRng := getRng(seed + 1)
+	box := sample.Box(boxRng, qMin, q, qSampleSize)
+	putRng(boxRng)
+
+	// Lines 3-9: the box points, each on its own stream.
+	var next atomic.Int64
+	scan := func(ws *rankScratch) (mqwkPick, error) {
+		rng := getRng(seed) // reseeded per point
+		defer putRng(rng)
+		best := mqwkPick{penalty: math.Inf(1)}
+		for i := int(next.Add(1)); i <= len(box); i = int(next.Add(1)) {
+			if err := ctx.Err(); err != nil {
+				return best, err
+			}
+			qp := box[i-1]
+			rng.Seed(seed + 1 + int64(i))
+			wk, err := mwkSearch(ctx, newRankEval(src, ws, cands, qp), k, wm, sampleSize, rng, pm)
+			if err != nil {
+				return best, err
+			}
+			// The outcome aliases the scratch, which the next search
+			// overwrites: copy an adopted one out now.
+			if p := pm.Gamma*pm.QPenalty(q, qp) + pm.Lambda*wk.Penalty; p < best.penalty {
+				best = mqwkPick{idx: i, qp: qp, penalty: p, wm: cloneWeights(wk.refined), k: wk.RefinedK}
+			}
+		}
+		return best, nil
+	}
+
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	picks := make([]mqwkPick, max(1, min(workers, len(box))))
+	errs := make([]error, len(picks))
+	if len(picks) == 1 {
+		picks[0], errs[0] = scan(sc)
+	} else {
+		var wg sync.WaitGroup
+		for w := range picks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Workers draw from the shared scratch pool, so repeated
+				// requests reuse warm classification/kernel/draw buffers.
+				ws := getRankScratch()
+				defer putRankScratch(ws)
+				ws.uni = sc.uni // the coordinator's, read-only from here on
+				picks[w], errs[w] = scan(ws)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return MQWKResult{}, err
+		}
+	}
+	slices.SortFunc(picks, func(a, b mqwkPick) int { return a.idx - b.idx })
+
+	// The pure first solution (q' = q_min, Wm and k unchanged), then
+	// point 0 (q itself, the pure second solution), then the box points in
+	// index order.
+	best := MQWKResult{
 		RefinedQ:         qMin,
 		RefinedWm:        cloneWeights(wm),
 		RefinedK:         k,
 		Penalty:          pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1),
 		QMin:             qMin,
-		CandidatesCached: cands,
+		CandidatesCached: len(cands),
 		TreeTraversals:   2,
 	}
-}
-
-// mqwkResolved is the sampling search of Algorithm 3 given the MQP optimum
-// and the candidate cache, with the scratch's universe (if any) already
-// prepared over it (one resolution serves both the standalone entry point
-// and the fused why-not pipeline, which shares these across refinement
-// solutions).
-func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, rng *rand.Rand, pm PenaltyModel) (MQWKResult, error) {
-	best := mqwkBest(qMin, len(cands), q, k, wm, pm)
-	evaluate := func(qp vec.Point) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		wk, err := mwkSearch(ctx, newRankEval(src, sc, cands, qp), k, wm, sampleSize, rng, pm)
-		if err != nil {
-			return err
-		}
-		p := pm.Gamma*pm.QPenalty(q, qp) + pm.Lambda*wk.Penalty
-		if p < best.Penalty {
-			best.RefinedQ = vec.Clone(qp)
-			best.RefinedWm = cloneWeights(wk.refined)
-			best.RefinedK = wk.RefinedK
-			best.Penalty = p
-		}
-		return nil
+	if p := pm.Gamma*pm.QPenalty(q, q) + pm.Lambda*atQ.Penalty; p < best.Penalty {
+		best.RefinedQ = vec.Clone(q)
+		best.RefinedWm = cloneWeights(atQ.RefinedWm)
+		best.RefinedK = atQ.RefinedK
+		best.Penalty = p
 	}
-
-	// Endpoint q (pure second solution).
-	if err := evaluate(q); err != nil {
-		return MQWKResult{}, err
-	}
-	// Lines 3-9: sampled interior points.
-	for _, qp := range sample.Box(rng, qMin, q, qSampleSize) {
-		if err := evaluate(qp); err != nil {
-			return MQWKResult{}, err
+	for _, p := range picks {
+		if p.penalty < best.Penalty {
+			best.RefinedQ = p.qp
+			best.RefinedWm = p.wm
+			best.RefinedK = p.k
+			best.Penalty = p.penalty
 		}
 	}
 	return best, nil

@@ -18,19 +18,17 @@ type WhyNotRefinements struct {
 
 // WhyNotRefine computes all three refinement solutions of a why-not
 // question over shared traversal state — the pipeline fusion behind
-// Index.WhyNot. Run separately, the solutions repeat each other's index
-// work: MWK's FindIncom and MQWK's candidate cache are the same pruned
-// traversal, and MQWK's line 2 re-runs the MQP optimum that the first
-// solution just produced. Here one Candidates walk feeds both samplings
-// (classifying at q yields exactly FindIncom's D/I sets, in the same
-// encounter order) and the MQP result is computed once and reused as
-// MQWK's q_min, so a why-not request pays one traversal and one QP solve
-// instead of three and two.
+// Index.WhyNot, and MQWK's implementation. One Candidates walk feeds both
+// samplings (classifying at q yields exactly FindIncom's D/I sets, in the
+// same encounter order, and it is MQWK's §4.4 reuse cache), the MQP result
+// is MQWK's q_min, and MWK's search at q is MQWK's point 0 (both draw it
+// from stream seed), so a why-not request pays one traversal, one QP solve
+// and |Q|+1 MWK searches instead of three, two and |Q|+2.
 //
-// Every result is bit-identical to the standalone entry points with the
-// same arguments: each stage seeds its own rng exactly as the separate
-// calls do, and the shared state is equal by construction to what each
-// stage would have recomputed.
+// MQP and MWK are bit-identical to their standalone entry points with the
+// same arguments (MWK handed getRng(seed)): the shared state is equal by
+// construction to what each would have recomputed. workers schedules
+// MQWK's box points as in MQWK and changes no result.
 func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (WhyNotRefinements, error) {
 	var out WhyNotRefinements
 	if err := validateInput(t, q, k, wm); err != nil {
@@ -59,8 +57,8 @@ func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, 
 	defer putRankScratch(sc)
 	cands, visited := sc.candidates(t, src, q, mqp.RefinedQ, wm, qSampleSize+1)
 
-	// Second solution (MWK), on its own rng stream exactly like the
-	// standalone entry point.
+	// Second solution (MWK): the search at q on stream 0, exactly the
+	// standalone entry point's.
 	mwkRng := getRng(seed)
 	mwk, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm)
 	putRng(mwkRng)
@@ -70,13 +68,8 @@ func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, 
 	out.MWK = mwk.result()
 	out.MWK.NodesVisited = visited
 
-	// Third solution (MQWK), reusing q_min and the candidate cache.
-	if workers != 0 {
-		out.MQWK, err = mqwkParallelResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
-	} else {
-		mqwkRng := getRng(seed)
-		out.MQWK, err = mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, mqwkRng, pm)
-		putRng(mqwkRng)
-	}
+	// Third solution (MQWK), reusing q_min, the candidate cache and — as
+	// its point 0 — the MWK search at q.
+	out.MQWK, err = mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, out.MWK, pm)
 	return out, err
 }

@@ -1,21 +1,34 @@
 package dataset
 
 import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestReadTableNBAStyle(t *testing.T) {
-	// Header row, label columns, one ragged line, one row where a usually-
-	// numeric column goes non-numeric (drops the whole column, not the row).
-	csv := `player,team,gp,pts,reb,ast
+// nbaStyleCSV has a header row, label columns, one ragged line and one row
+// where a usually-numeric column goes non-numeric (which drops the whole
+// column, not the row).
+const nbaStyleCSV = `player,team,gp,pts,reb,ast
 "Jordan, M",CHI,82,32.5,6.6,8.0
 Pippen,CHI,82,21.0,7.7,7.0
 Grant,CHI,80,12.8,8.5
 Kukoc,CHI,75,18.5,7.0,5.3
 Rodman,DET,77,DNP,18.7,2.5
 `
-	ds, info, err := ReadTable(strings.NewReader(csv))
+
+// unusableTables are inputs with nothing to load.
+var unusableTables = []string{
+	"",
+	"a,b,c\nx,y,z\n",
+	"name\nalice\nbob\n",
+}
+
+func TestReadTableNBAStyle(t *testing.T) {
+	ds, info, err := ReadTable(strings.NewReader(nbaStyleCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +78,52 @@ func TestReadTablePureNumeric(t *testing.T) {
 }
 
 func TestReadTableRejectsUnusable(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"a,b,c\nx,y,z\n",
-		"name\nalice\nbob\n",
-	} {
+	for _, bad := range unusableTables {
 		if _, _, err := ReadTable(strings.NewReader(bad)); err == nil {
 			t.Fatalf("ReadTable(%q) succeeded", bad)
 		}
 	}
+}
+
+// FuzzReadTable holds ReadTable, the parser of untrusted CSV bytes behind
+// `wqrtq -data`, to its contract on arbitrary input: it never panics, and
+// on success it returns one point per kept row, each with one finite
+// coordinate per kept column, and the kept columns in strictly increasing
+// original order.
+func FuzzReadTable(f *testing.F) {
+	nba, err := os.ReadFile(filepath.Join("..", "..", "testdata", "nba_style.csv"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var pure strings.Builder
+	if err := Independent(30, 4, 3).WriteCSV(&pure); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range append([]string{string(nba), nbaStyleCSV, pure.String()}, unusableTables...) {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, info, err := ReadTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(ds.Points) != info.RowsRead || ds.Dim != len(info.Columns) {
+			t.Fatalf("%d points of dimension %d, info %+v", len(ds.Points), ds.Dim, info)
+		}
+		for i, p := range ds.Points {
+			if len(p) != len(info.Columns) {
+				t.Fatalf("point %d has %d coordinates, want %d", i, len(p), len(info.Columns))
+			}
+			for j, v := range p {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("point %d coordinate %d is %v", i, j, v)
+				}
+			}
+		}
+		for j := 1; j < len(info.Columns); j++ {
+			if info.Columns[j] <= info.Columns[j-1] {
+				t.Fatalf("columns %v not strictly increasing", info.Columns)
+			}
+		}
+	})
 }

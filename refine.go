@@ -35,9 +35,11 @@ type Options struct {
 	QuerySampleSize int
 	// Seed makes the sampling deterministic (default 1).
 	Seed int64
-	// Workers > 0 parallelizes ModifyAll across that many goroutines
-	// (Workers < 0 uses GOMAXPROCS). Results are identical for every
-	// worker count at a fixed Seed. Zero keeps the sequential Algorithm 3.
+	// Workers > 1 spreads the sample query points of ModifyAll (and of
+	// WhyNot's third refinement) over that many goroutines; Workers < 0
+	// uses GOMAXPROCS, and 0 or 1 runs them on the caller's goroutine. It
+	// changes time only: answers are identical for every value, 0
+	// included, at a fixed Seed.
 	Workers int
 }
 

@@ -508,17 +508,7 @@ func runModifyPreferences(ctx context.Context, ix *Index, a *query) (any, error)
 }
 
 func runModifyAll(ctx context.Context, ix *Index, a *query) (any, error) {
-	var res core.MQWKResult
-	var err error
-	src := ix.coreSource(a.k)
-	if workers := a.opts.Workers; workers != 0 {
-		if workers < 0 {
-			workers = 0 // MQWKParallel resolves 0 to GOMAXPROCS
-		}
-		res, err = core.MQWKParallel(ctx, ix.tree, src, a.q, a.k, a.ws, a.s, a.qs, a.seed, workers, a.pm)
-	} else {
-		res, err = core.MQWK(ctx, ix.tree, src, a.q, a.k, a.ws, a.s, a.qs, rngFor(a.seed), a.pm)
-	}
+	res, err := core.MQWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, a.qs, a.seed, a.opts.Workers, a.pm)
 	if err != nil {
 		return nil, err
 	}

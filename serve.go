@@ -761,7 +761,7 @@ func (e *Engine) run(ctx context.Context, snap *Index, r *engineReq) (any, error
 
 // argKey encodes a validated query's kind and arguments exactly (no
 // hashing, so no collisions): kind name, k, then length-prefixed float
-// vectors, then the Options of the kinds that carry them.
+// vectors, then the resolved Options of the kinds that carry them.
 func argKey(a *query) string {
 	spec := &kinds[a.kind]
 	n := 16 + 8*len(a.w) + 8*len(a.q)
@@ -779,7 +779,7 @@ func argKey(a *query) string {
 		b = appendVec(b, w)
 	}
 	if spec.opts {
-		b = appendOptions(b, a.opts)
+		b = appendOptions(b, a)
 	}
 	return string(b)
 }
@@ -792,19 +792,22 @@ func appendVec(b []byte, v []float64) []byte {
 	return b
 }
 
-func appendOptions(b []byte, o Options) []byte {
-	for _, f := range []float64{o.Penalty.Alpha, o.Penalty.Beta, o.Penalty.Gamma, o.Penalty.Lambda} {
+// appendOptions encodes what a refinement's answer depends on: the
+// resolved penalty model, sample sizes and seed (so Options{} and its
+// spelled-out defaults share a key), not Options.Workers, which only
+// schedules.
+func appendOptions(b []byte, a *query) []byte {
+	for _, f := range []float64{a.pm.Alpha, a.pm.Beta, a.pm.Gamma, a.pm.Lambda} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
 	flags := uint64(0)
-	if o.Penalty.NormalizeWeights {
+	if a.pm.NormalizeWeights {
 		flags |= 1
 	}
 	b = binary.LittleEndian.AppendUint64(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(o.SampleSize)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(o.QuerySampleSize)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(o.Seed))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(o.Workers)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.s)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.qs)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.seed))
 	return b
 }
 

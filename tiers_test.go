@@ -123,12 +123,13 @@ func TestTierCoverage(t *testing.T) {
 // dimensionalities of the paper's real datasets, Household (d = 6) and NBA
 // (d = 13). Each dataset.MakeWhyNot instance is answered by the product
 // path and compared field for field with the skyOff oracle and the
-// cellOff clone, sequentially and with Options.Workers = 2; every
-// refinement is re-verified by topk.RankNaive; and the route is read off
+// cellOff clone, sequentially and with Options.Workers = 2, and the two
+// worker counts must give the same answer; every refinement is re-verified
+// by topk.RankNaive; and the route is read off
 // the counters: one universe per call, every sample loop a sweep of it
 // (band-trimmed when k'max fits a trim band the data keeps small).
 func refinementTier(t *testing.T) {
-	const samples = 12 // |S| = |Q|: 13 sample query points + MWK at q per call
+	const samples = 12 // |S| = |Q|: q and 12 box points, 13 MWK searches per call
 	cases := []struct {
 		name    string
 		ds      *dataset.Dataset
@@ -170,6 +171,7 @@ func refinementTier(t *testing.T) {
 					t.Fatal(err)
 				}
 				wm := [][]float64{wl.Wm[0]}
+				var sequential *WhyNotAnswer
 				for _, workers := range []int{0, 2} {
 					req := WhyNotRequest{Q: wl.Q, K: wl.K, W: wm, Opts: Options{SampleSize: samples, Seed: int64(inst + 1), Workers: workers}}
 					before, skyBefore := ix.KernelStats(), ix.SkybandStats()
@@ -181,6 +183,11 @@ func refinementTier(t *testing.T) {
 					got := resp.Answer
 					if len(got.Missing) != 1 {
 						t.Fatalf("instance %d: the why-not vector is not missing: %+v", inst, got.Missing)
+					}
+					if sequential == nil {
+						sequential = got
+					} else if !reflect.DeepEqual(got, sequential) {
+						t.Fatalf("instance %d: workers %d answer differs from the sequential one:\n got %+v\nwant %+v", inst, workers, got, sequential)
 					}
 					for name, ref := range map[string]*Index{"skyband off": skyOff, "cell index off": cellOff} {
 						want, err := ref.WhyNotCtx(t.Context(), req)
@@ -225,7 +232,7 @@ func refinementTier(t *testing.T) {
 					rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
 					rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
 					rt.SamplesDrawn -= before.Refine.SamplesDrawn
-					loops := int64(samples + 2) // MWK at q, MQWK at q, |Q| sample points
+					loops := int64(samples + 1) // q (MWK, and MQWK's point 0), |Q| box points
 					if rt.SamplesDrawn != loops*samples {
 						t.Fatalf("instance %d workers %d: %d samples drawn, want %d", inst, workers, rt.SamplesDrawn, loops*samples)
 					}
