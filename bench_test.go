@@ -179,12 +179,12 @@ func BenchmarkFig12SampleSize(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ----------------------------------------------
 
-// BenchmarkAblationQPvsGrid compares MQP's interior-point solve against a
-// brute-force grid search over the 2-D box [0, q] (the naive alternative to
-// quadratic programming).
+// BenchmarkAblationQPvsGrid compares MQP's exact safe-region projection
+// against a brute-force grid search over the 2-D box [0, q] (the naive
+// alternative to solving the quadratic program).
 func BenchmarkAblationQPvsGrid(b *testing.B) {
 	e := env(b, "independent", benchN, 2, benchK, benchRank, benchWm)
-	b.Run("InteriorPointQP", func(b *testing.B) {
+	b.Run("ExactProjection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.MQP(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, e.pm); err != nil {
 				b.Fatal(err)

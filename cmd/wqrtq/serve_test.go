@@ -87,7 +87,13 @@ func TestServeWhyNotGolden(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	golden := `{"epoch":0,"result":[0,2],"missing":[1],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5},"explanations":[[{"id":0,"point":[1,8],"score":2.75},{"id":1,"point":[2,5],"score":2.75}]],"modify_query":{"q":[2.69999999983292,2.899999996320959],"penalty":0.07453559956157275},"modify_preferences":{"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.025253813613805257},"modify_all":{"q":[3,3],"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.012626906806902628}}`
+	// modify_query is the analytic MQP optimum rounded into the safe region:
+	// the missing w = (0.75, 0.25) has 2nd score s = 2.75 (points (1, 8) and
+	// (2, 5)), and projecting q = (3, 3) onto w·x = s moves it by t·w with
+	// t = (w·q − s)/‖w‖² = 0.25/0.625 = 0.4, to (2.7, 2.9); penalty
+	// ‖(0.3, 0.1)‖/‖(3, 3)‖ = √0.1/√18. The snap into vec.Score's
+	// arithmetic leaves each coordinate a few ulps below.
+	golden := `{"epoch":0,"result":[0,2],"missing":[1],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5},"explanations":[[{"id":0,"point":[1,8],"score":2.75},{"id":1,"point":[2,5],"score":2.75}]],"modify_query":{"q":[2.6999999999999997,2.8999999999999995],"penalty":0.0745355992499931},"modify_preferences":{"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.025253813613805257},"modify_all":{"q":[3,3],"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.012626906806902628}}`
 	if got := rec.Body.String(); got != golden+"\n" {
 		t.Fatalf("response mismatch\n got: %s\nwant: %s", got, golden)
 	}
@@ -662,7 +668,7 @@ func TestServeWhyNotWideDataset(t *testing.T) {
 	if len(inproc.Answer.Missing) != 1 {
 		t.Fatalf("the why-not vector is not missing: %+v", inproc.Answer)
 	}
-	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":1}`
+	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":2}`
 	if got := string(getRouteStats(t, h).Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}
@@ -755,7 +761,7 @@ func TestServeRefineRouteStats(t *testing.T) {
 		t.Fatalf("whynot: %d %s", rec.Code, rec.Body.String())
 	}
 	st := getRouteStats(t, h)
-	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":7,"samples_drawn":42,"samples_kept":14}`
+	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":7,"samples_drawn":42,"samples_kept":15}`
 	if got := string(st.Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}

@@ -145,13 +145,14 @@ func TestMQPPaperExample(t *testing.T) {
 	if res.KthPoints[0].ID != 3 || res.KthPoints[1].ID != 6 {
 		t.Errorf("k-th points = %d, %d, want p4, p7", res.KthPoints[0].ID, res.KthPoints[1].ID)
 	}
-	// Analytic optimum: intersection of the two scoring hyperplanes,
-	// q' = (3.375, 3.625), penalty 0.12886.
-	if !almost(res.RefinedQ[0], 3.375, 1e-4) || !almost(res.RefinedQ[1], 3.625, 1e-4) {
+	// Analytic optimum: intersection of the two scoring hyperplanes
+	// 0.1x + 0.9y = 3.6 and 0.9x + 0.1y = 3.4, q' = (3.375, 3.625), with
+	// penalty ‖(0.625, 0.375)‖/‖(4, 4)‖ = √0.53125/√32 ≈ 0.128847.
+	if !almost(res.RefinedQ[0], 3.375, 1e-12) || !almost(res.RefinedQ[1], 3.625, 1e-12) {
 		t.Errorf("RefinedQ = %v, want (3.375, 3.625)", res.RefinedQ)
 	}
-	if !almost(res.Penalty, 0.12886, 1e-4) {
-		t.Errorf("Penalty = %v, want 0.1289", res.Penalty)
+	if want := math.Sqrt(0.53125) / math.Sqrt(32); !almost(res.Penalty, want, 1e-12) {
+		t.Errorf("Penalty = %v, want %v", res.Penalty, want)
 	}
 	// The optimum beats both hand-picked candidates from the paper (0.318
 	// and 0.279) and passes verification.
@@ -199,8 +200,8 @@ func TestMQPAlwaysFeasibleQuick(t *testing.T) {
 }
 
 func TestMQPAlreadySatisfied(t *testing.T) {
-	// Why-not vectors that already contain q: the QP constraints are
-	// inactive and q is returned unchanged (penalty 0).
+	// Why-not vectors that already contain q: the safe-region constraints
+	// are inactive and q is returned unchanged (penalty 0).
 	tr := paperTree()
 	res, err := MQP(context.Background(), tr, nil, paperQ, 3, []vec.Weight{{0.5, 0.5}}, DefaultPenaltyModel())
 	if err != nil {
@@ -516,8 +517,7 @@ func TestExplainPaperExample(t *testing.T) {
 
 func TestMQPZeroCoordinateQuery(t *testing.T) {
 	// Regression: a query point with a zero coordinate pins that dimension
-	// (0 <= x <= 0), which must be eliminated before the interior-point
-	// solve rather than left as a degenerate constraint pair.
+	// (0 <= x <= 0); the projection max(0, q − Σλᵢwᵢ) keeps it exactly 0.
 	r := rand.New(rand.NewSource(31))
 	pts := randPoints(r, 200, 3)
 	tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: 256})

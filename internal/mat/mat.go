@@ -1,17 +1,18 @@
-// Package mat implements the small dense linear-algebra kernel needed by the
-// interior-point quadratic-programming solver: row-major dense matrices,
-// Cholesky factorization of symmetric positive-definite systems,
-// least-squares particular solutions, and orthonormal null-space bases.
+// Package mat is the small dense linear-algebra kernel of the MQP solvers:
+// row-major dense matrices and Cholesky factorization of symmetric
+// positive-definite systems. core.MQP's active-set projection solves its
+// Gram systems with it, and the reference interior-point solver (package
+// qp) its Newton systems.
 //
-// The matrices involved in WQRTQ are tiny (dimension d <= ~13, constraint
-// counts |Wm| + 2d), so the implementation favours clarity and numerical
-// robustness over blocking or SIMD.
+// The matrices involved are tiny (dimension d <= ~16, or |Wm|), so the
+// implementation favours clarity and numerical robustness over blocking or
+// SIMD.
 package mat
 
 import (
 	"errors"
-	"fmt"
 	"math"
+
 	"wqrtq/internal/feq"
 )
 
@@ -44,24 +45,6 @@ func FromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Diagonal returns a square matrix with the given diagonal entries.
-func Diagonal(d []float64) *Dense {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -76,15 +59,6 @@ func (m *Dense) Clone() *Dense {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	s := ""
-	for i := 0; i < m.Rows; i++ {
-		s += fmt.Sprintf("%v\n", m.Row(i))
-	}
-	return s
 }
 
 // MulVec computes y = M x.
@@ -116,49 +90,6 @@ func (m *Dense) TMulVec(x []float64) []float64 {
 		}
 	}
 	return y
-}
-
-// Mul returns M N.
-func (m *Dense) Mul(n *Dense) *Dense {
-	if m.Cols != n.Rows {
-		panic("mat: Mul dimension mismatch")
-	}
-	out := New(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for k, mv := range mrow {
-			if feq.Zero(mv) {
-				continue
-			}
-			nrow := n.Row(k)
-			for j, nv := range nrow {
-				orow[j] += mv * nv
-			}
-		}
-	}
-	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// AddDiag adds v to every diagonal element of a square matrix in place.
-func (m *Dense) AddDiag(v float64) {
-	if m.Rows != m.Cols {
-		panic("mat: AddDiag on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += v
-	}
 }
 
 func dot(a, b []float64) float64 {
@@ -252,25 +183,16 @@ func SolveSPD(a *Dense, b []float64) ([]float64, error) {
 	return CholSolve(l, b), nil
 }
 
-// SolveSPDJitter solves A x = b like SolveSPD, but when the factorization
-// fails it retries with growing diagonal regularization. The interior-point
-// solver uses it to keep Newton systems solvable near the boundary of the
-// feasible region, where the scaling matrix becomes ill-conditioned.
+// SolveSPDJitter solves A x = b like SolveSPD, but factorizes with
+// CholeskyJitter. The interior-point solver uses it to keep Newton systems
+// solvable near the boundary of the feasible region, where the scaling
+// matrix becomes ill-conditioned.
 func SolveSPDJitter(a *Dense, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err == nil {
-		return CholSolve(l, b), nil
+	l, err := CholeskyJitter(a)
+	if err != nil {
+		return nil, err
 	}
-	jitter := spdJitter(a)
-	work := a.Clone()
-	for try := 0; try < 6; try++ {
-		work.AddDiag(jitter)
-		if l, err = Cholesky(work); err == nil {
-			return CholSolve(l, b), nil
-		}
-		jitter *= 100
-	}
-	return nil, ErrNotSPD
+	return CholSolve(l, b), nil
 }
 
 // spdJitter picks an initial regularization scaled to the matrix magnitude.
@@ -288,80 +210,8 @@ func spdJitter(a *Dense) float64 {
 	return 1e-12 * maxAbs
 }
 
-// LeastSquaresRow solves the underdetermined system A x = b (A with
-// independent rows, Rows <= Cols) for the minimum-norm solution
-// x = Aᵀ (A Aᵀ)⁻¹ b.
-func LeastSquaresRow(a *Dense, b []float64) ([]float64, error) {
-	if len(b) != a.Rows {
-		return nil, errors.New("mat: LeastSquaresRow dimension mismatch")
-	}
-	aat := a.Mul(a.T())
-	y, err := SolveSPD(aat, b)
-	if err != nil {
-		return nil, fmt.Errorf("mat: rows of equality system are dependent: %w", err)
-	}
-	return a.TMulVec(y), nil
-}
-
-// NullSpace returns an orthonormal basis (as rows) for the null space of the
-// row space spanned by rows, each of length n. Rows that are (numerically)
-// linearly dependent on earlier ones are dropped. The basis has
-// n - rank(rows) vectors.
-func NullSpace(rows [][]float64, n int) [][]float64 {
-	const tol = 1e-12
-	// Orthonormalize the constraint rows (modified Gram-Schmidt).
-	var ortho [][]float64
-	for _, r := range rows {
-		v := make([]float64, n)
-		copy(v, r)
-		for _, u := range ortho {
-			c := dot(v, u)
-			for i := range v {
-				v[i] -= c * u[i]
-			}
-		}
-		if nv := norm(v); nv > tol*(1+norm(r)) {
-			for i := range v {
-				v[i] /= nv
-			}
-			ortho = append(ortho, v)
-		}
-	}
-	// Project the standard basis onto the orthogonal complement.
-	var basis [][]float64
-	for j := 0; j < n && len(basis) < n-len(ortho); j++ {
-		v := make([]float64, n)
-		v[j] = 1
-		for _, u := range ortho {
-			c := dot(v, u)
-			for i := range v {
-				v[i] -= c * u[i]
-			}
-		}
-		for _, u := range basis {
-			c := dot(v, u)
-			for i := range v {
-				v[i] -= c * u[i]
-			}
-		}
-		if nv := norm(v); nv > 1e-9 {
-			for i := range v {
-				v[i] /= nv
-			}
-			basis = append(basis, v)
-		}
-	}
-	return basis
-}
-
-func norm(v []float64) float64 {
-	return math.Sqrt(dot(v, v))
-}
-
 // CholeskyJitter factorizes like Cholesky but retries with growing diagonal
-// regularization when the matrix is numerically indefinite, mirroring
-// SolveSPDJitter for callers that reuse one factorization for several
-// right-hand sides.
+// regularization when the matrix is numerically indefinite.
 func CholeskyJitter(a *Dense) (*Dense, error) {
 	l, err := Cholesky(a)
 	if err == nil {
@@ -370,7 +220,9 @@ func CholeskyJitter(a *Dense) (*Dense, error) {
 	jitter := spdJitter(a)
 	work := a.Clone()
 	for try := 0; try < 6; try++ {
-		work.AddDiag(jitter)
+		for i := 0; i < work.Rows; i++ {
+			work.Data[i*work.Cols+i] += jitter
+		}
 		if l, err = Cholesky(work); err == nil {
 			return l, nil
 		}

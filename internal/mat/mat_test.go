@@ -7,14 +7,27 @@ import (
 	"testing/quick"
 )
 
+// mulT returns A Bᵀ.
+func mulT(a, b *Dense) *Dense {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, dot(a.Row(i), b.Row(j)))
+		}
+	}
+	return out
+}
+
 func randSPD(r *rand.Rand, n int) *Dense {
 	// A = B Bᵀ + n·I is SPD for random B.
 	b := New(n, n)
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	a := b.Mul(b.T())
-	a.AddDiag(float64(n))
+	a := mulT(b, b)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, a.At(i, i)+float64(n))
+	}
 	return a
 }
 
@@ -37,7 +50,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Cholesky failed on SPD matrix: %v", err)
 		}
-		llt := l.Mul(l.T())
+		llt := mulT(l, l)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if d := math.Abs(llt.At(i, j) - a.At(i, j)); d > 1e-9 {
@@ -91,92 +104,6 @@ func TestSolveSPDKnown(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresRow(t *testing.T) {
-	// Minimum-norm solution of a single constraint x1 + x2 = 1 is (0.5, 0.5).
-	a := FromRows([][]float64{{1, 1}})
-	x, err := LeastSquaresRow(a, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxAbsDiff(x, []float64{0.5, 0.5}) > 1e-12 {
-		t.Errorf("x = %v, want [0.5 0.5]", x)
-	}
-	// Two constraints in 3-D: sum = 1 and x1 - x3 = 0.
-	a = FromRows([][]float64{{1, 1, 1}, {1, 0, -1}})
-	x, err = LeastSquaresRow(a, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := x[0] + x[1] + x[2]; math.Abs(got-1) > 1e-12 {
-		t.Errorf("sum constraint violated: %v", got)
-	}
-	if math.Abs(x[0]-x[2]) > 1e-12 {
-		t.Errorf("difference constraint violated: %v", x)
-	}
-	// Dependent rows must error.
-	a = FromRows([][]float64{{1, 1}, {2, 2}})
-	if _, err := LeastSquaresRow(a, []float64{1, 2}); err == nil {
-		t.Error("dependent rows accepted")
-	}
-}
-
-func TestNullSpace(t *testing.T) {
-	// Null space of {sum(w)=const direction} in R^3 has dimension 2.
-	basis := NullSpace([][]float64{{1, 1, 1}}, 3)
-	if len(basis) != 2 {
-		t.Fatalf("basis size = %d, want 2", len(basis))
-	}
-	for i, u := range basis {
-		if s := u[0] + u[1] + u[2]; math.Abs(s) > 1e-10 {
-			t.Errorf("basis[%d] not orthogonal to constraint: %v", i, s)
-		}
-		if n := math.Sqrt(dot(u, u)); math.Abs(n-1) > 1e-10 {
-			t.Errorf("basis[%d] not unit norm: %v", i, n)
-		}
-	}
-	if c := dot(basis[0], basis[1]); math.Abs(c) > 1e-10 {
-		t.Errorf("basis vectors not orthogonal: %v", c)
-	}
-	// Two independent constraints in R^2 leave nothing.
-	basis = NullSpace([][]float64{{1, 0}, {0, 1}}, 2)
-	if len(basis) != 0 {
-		t.Errorf("basis size = %d, want 0", len(basis))
-	}
-	// Dependent constraints count once.
-	basis = NullSpace([][]float64{{1, 1}, {2, 2}}, 2)
-	if len(basis) != 1 {
-		t.Errorf("basis size = %d, want 1", len(basis))
-	}
-}
-
-func TestNullSpaceQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(8)
-		k := 1 + r.Intn(n)
-		rows := make([][]float64, k)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-			for j := range rows[i] {
-				rows[i][j] = r.NormFloat64()
-			}
-		}
-		basis := NullSpace(rows, n)
-		for _, u := range basis {
-			for _, row := range rows {
-				if math.Abs(dot(u, row)) > 1e-8*(1+norm(row)) {
-					return false
-				}
-			}
-		}
-		// Random rows are independent with probability 1, so expect n-k.
-		return len(basis) == n-k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMulVecTMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	y := a.MulVec([]float64{1, 1, 1})
@@ -186,34 +113,6 @@ func TestMulVecTMulVec(t *testing.T) {
 	z := a.TMulVec([]float64{1, 1})
 	if maxAbsDiff(z, []float64{5, 7, 9}) > 0 {
 		t.Errorf("TMulVec = %v", z)
-	}
-}
-
-func TestMulIdentityDiagonal(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	if got := a.Mul(Identity(2)); maxAbsDiff(got.Data, a.Data) > 0 {
-		t.Errorf("A·I = %v", got)
-	}
-	d := Diagonal([]float64{2, 3})
-	got := a.Mul(d)
-	want := FromRows([][]float64{{2, 6}, {6, 12}})
-	if maxAbsDiff(got.Data, want.Data) > 0 {
-		t.Errorf("A·D = %v, want %v", got, want)
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("T shape = %dx%d", at.Rows, at.Cols)
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if a.At(i, j) != at.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
 	}
 }
 

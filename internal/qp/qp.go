@@ -1,28 +1,25 @@
 // Package qp solves small convex quadratic programs of the form
 //
 //	minimize   ½ xᵀH x + cᵀx
-//	subject to G x ≤ h        (inequality constraints)
-//	           A x = b        (optional equality constraints)
+//	subject to G x ≤ h
 //
-// with H symmetric positive definite. This is the role played by the
-// interior-point QuadProg code of Monteiro and Adler [26] in Algorithm 1
-// (MQP) of the paper: the safe region ∩ HS(wᵢ, pᵢ) is never materialized;
-// the refined query point is obtained directly as the QP optimum.
+// with H symmetric positive definite, by an infeasible-start primal–dual
+// path-following interior-point method: each Newton step forms the dense
+// normal matrix H + Gᵀ·diag(z/s)·G and factorizes it with Cholesky.
 //
-// The solver is an infeasible-start primal–dual path-following interior
-// point method. Equality constraints are eliminated up front by a
-// null-space reduction (x = x_p + N u), so the core iteration only handles
-// inequalities. Problems in WQRTQ are tiny (n ≤ ~13 variables,
-// m = |Wm| + 2d constraints), so each Newton step forms the dense normal
-// matrix H + Gᵀ·diag(z/s)·G and factorizes it with Cholesky.
+// It is the reference solver, not a product path. The paper solves
+// Algorithm 1 (MQP) with the interior-point QuadProg code of Monteiro and
+// Adler [26]; the product solves the same program exactly as a projection
+// (core.MQP), and core's tests hold that answer to this solver's. The
+// benchmark's replay also times it as its qp.solve_us row.
 package qp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"wqrtq/internal/feq"
 
+	"wqrtq/internal/feq"
 	"wqrtq/internal/mat"
 )
 
@@ -33,21 +30,12 @@ type Problem struct {
 
 	G  *mat.Dense // m×n inequality matrix, may be nil (no inequalities)
 	Hv []float64  // length m right-hand side of G x ≤ h
-
-	Aeq *mat.Dense // e×n equality matrix, may be nil
-	Beq []float64  // length e
 }
 
 // Options tunes the interior-point iteration.
 type Options struct {
 	MaxIter int     // maximum Newton iterations (default 100)
 	Tol     float64 // convergence tolerance on residuals and duality gap (default 1e-9)
-	// Mehrotra enables the predictor-corrector step: an affine-scaling
-	// predictor chooses the centring parameter adaptively
-	// (sigma = (gap_aff/gap)^3) and a second-order corrector reuses the
-	// same Newton factorization. It typically converges in fewer
-	// iterations than the fixed-sigma path-following default.
-	Mehrotra bool
 }
 
 func (o Options) withDefaults() Options {
@@ -60,13 +48,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result reports the optimum and solver diagnostics.
-type Result struct {
-	X          []float64
-	Iterations int
-	Gap        float64 // final average complementarity sᵀz/m
-}
-
 // ErrInfeasible is returned when the iteration cannot reduce the primal
 // residual, indicating an empty feasible region (or numerical breakdown).
 var ErrInfeasible = errors.New("qp: problem appears infeasible")
@@ -77,111 +58,21 @@ var ErrMaxIter = errors.New("qp: maximum iterations reached without convergence"
 
 // Solve returns the minimizer of the problem.
 func Solve(p Problem, opt Options) ([]float64, error) {
-	res, err := SolveDetailed(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res.X, nil
-}
-
-// SolveDetailed solves the problem and reports iteration diagnostics.
-func SolveDetailed(p Problem, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	n := len(p.C)
 	if p.H == nil || p.H.Rows != n || p.H.Cols != n {
-		return Result{}, fmt.Errorf("qp: H must be %d×%d", n, n)
+		return nil, fmt.Errorf("qp: H must be %d×%d", n, n)
 	}
 	if p.G != nil && (p.G.Cols != n || len(p.Hv) != p.G.Rows) {
-		return Result{}, errors.New("qp: inconsistent inequality dimensions")
+		return nil, errors.New("qp: inconsistent inequality dimensions")
 	}
-	if p.Aeq == nil || p.Aeq.Rows == 0 {
-		return solveInequality(p.H, p.C, p.G, p.Hv, opt)
-	}
-	return solveWithEqualities(p, opt)
-}
-
-// solveWithEqualities eliminates A x = b by the null-space method and solves
-// the reduced inequality-constrained problem.
-func solveWithEqualities(p Problem, opt Options) (Result, error) {
-	n := len(p.C)
-	if p.Aeq.Cols != n || len(p.Beq) != p.Aeq.Rows {
-		return Result{}, errors.New("qp: inconsistent equality dimensions")
-	}
-	xp, err := mat.LeastSquaresRow(p.Aeq, p.Beq)
-	if err != nil {
-		return Result{}, fmt.Errorf("qp: equality system: %w", err)
-	}
-	rows := make([][]float64, p.Aeq.Rows)
-	for i := range rows {
-		rows[i] = p.Aeq.Row(i)
-	}
-	basis := mat.NullSpace(rows, n)
-	if len(basis) == 0 {
-		// Unique point; only feasibility to check.
-		if p.G != nil {
-			gx := p.G.MulVec(xp)
-			for i, v := range gx {
-				if v > p.Hv[i]+1e-8*(1+math.Abs(p.Hv[i])) {
-					return Result{}, ErrInfeasible
-				}
-			}
-		}
-		return Result{X: xp}, nil
-	}
-	// N has the basis vectors as columns: x = xp + N u.
-	nn := mat.New(n, len(basis))
-	for j, u := range basis {
-		for i := 0; i < n; i++ {
-			nn.Set(i, j, u[i])
-		}
-	}
-	nt := nn.T()
-	hRed := nt.Mul(p.H.Mul(nn))
-	hxpc := p.H.MulVec(xp)
-	for i := range hxpc {
-		hxpc[i] += p.C[i]
-	}
-	cRed := nt.MulVec(hxpc)
-	var gRed *mat.Dense
-	var hvRed []float64
-	if p.G != nil && p.G.Rows > 0 {
-		gRed = p.G.Mul(nn)
-		gxp := p.G.MulVec(xp)
-		hvRed = make([]float64, len(p.Hv))
-		for i := range hvRed {
-			hvRed[i] = p.Hv[i] - gxp[i]
-		}
-	}
-	res, err := solveInequality(hRed, cRed, gRed, hvRed, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	x := nn.MulVec(res.X)
-	for i := range x {
-		x[i] += xp[i]
-	}
-	res.X = x
-	return res, nil
+	return solveInequality(p.H, p.C, p.G, p.Hv, opt)
 }
 
 // solveInequality runs the primal–dual interior-point iteration on
 // min ½xᵀHx + cᵀx subject to Gx ≤ h.
-func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt Options) (Result, error) {
+func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt Options) ([]float64, error) {
 	n := len(c)
-	// Unconstrained (or trivially constrained) case.
-	if g == nil || g.Rows == 0 {
-		negc := make([]float64, n)
-		for i, v := range c {
-			negc[i] = -v
-		}
-		x, err := mat.SolveSPDJitter(h, negc)
-		if err != nil {
-			return Result{}, fmt.Errorf("qp: unconstrained solve: %w", err)
-		}
-		return Result{X: x}, nil
-	}
-	m := g.Rows
-
 	// Start from the unconstrained minimizer; slacks pushed strictly positive.
 	negc := make([]float64, n)
 	for i, v := range c {
@@ -189,8 +80,12 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 	}
 	x, err := mat.SolveSPDJitter(h, negc)
 	if err != nil {
-		return Result{}, fmt.Errorf("qp: initial point: %w", err)
+		return nil, fmt.Errorf("qp: initial point: %w", err)
 	}
+	if g == nil || g.Rows == 0 {
+		return x, nil
+	}
+	m := g.Rows
 	s := make([]float64, m)
 	z := make([]float64, m)
 	gx := g.MulVec(x)
@@ -209,26 +104,25 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 
 	rd := make([]float64, n)
 	rp := make([]float64, m)
-	dx := make([]float64, n)
 	dz := make([]float64, m)
 	ds := make([]float64, m)
+	rc := make([]float64, m)
+	v := make([]float64, m)
+	rhs := make([]float64, n)
 	// Best iterate seen so far, by scaled merit max(rd, rp, mu)/scale. The
 	// path-following iteration can break down numerically (z/s overflowing
 	// the Newton system) after it has already produced an essentially
 	// optimal iterate; in that case the best iterate is returned.
 	bestX := append([]float64(nil), x...)
 	bestMerit := math.Inf(1)
-	bestGap := math.Inf(1)
-	iterations := 0
-	finish := func(err error) (Result, error) {
+	finish := func(err error) ([]float64, error) {
 		const relaxed = 1e-7
 		if bestMerit <= relaxed {
-			return Result{X: bestX, Iterations: iterations, Gap: bestGap}, nil
+			return bestX, nil
 		}
-		return Result{}, err
+		return nil, err
 	}
 	for iter := 1; iter <= opt.MaxIter; iter++ {
-		iterations = iter
 		// Residuals.
 		gtz := g.TMulVec(z)
 		hx := h.MulVec(x)
@@ -251,15 +145,13 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 
 		if merit := math.Max(math.Max(maxRd, maxRp), mu) / scale; merit < bestMerit {
 			bestMerit = merit
-			bestGap = mu
 			copy(bestX, x)
 		}
 		if maxRd <= opt.Tol*scale && maxRp <= opt.Tol*scale && mu <= opt.Tol*scale {
-			return Result{X: x, Iterations: iter - 1, Gap: mu}, nil
+			return x, nil
 		}
 
-		// M = H + Gᵀ diag(z/s) G is shared by every direction solve this
-		// iteration (predictor and corrector differ only in rc).
+		// Newton system M = H + Gᵀ diag(z/s) G.
 		mtx := h.Clone()
 		for r := 0; r < m; r++ {
 			d := z[r] / s[r]
@@ -280,63 +172,25 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 		}
 		lfac, err := mat.CholeskyJitter(mtx)
 		if err != nil {
-			return Result{}, fmt.Errorf("qp: newton system: %w", err)
+			return nil, fmt.Errorf("qp: newton system: %w", err)
 		}
-		// direction solves for a given complementarity target rc:
-		// dx from (H + GᵀDG)dx = -rd - Gᵀ[(-rc + z∘rp)/s], then
-		// ds = -rp - G dx and dz = (-rc - z∘ds)/s.
-		v := make([]float64, m)
-		rhs := make([]float64, n)
-		direction := func(rc []float64, dx, ds, dz []float64) {
-			for i := 0; i < m; i++ {
-				v[i] = (-rc[i] + z[i]*rp[i]) / s[i]
-			}
-			gtv := g.TMulVec(v)
-			for i := 0; i < n; i++ {
-				rhs[i] = -rd[i] - gtv[i]
-			}
-			copy(dx, mat.CholSolve(lfac, rhs))
-			gdx := g.MulVec(dx)
-			for i := 0; i < m; i++ {
-				ds[i] = -rp[i] - gdx[i]
-				dz[i] = (-rc[i] - z[i]*ds[i]) / s[i]
-			}
+		// Fixed-σ path following toward sᵢzᵢ = σμ, complementarity target
+		// rc = s∘z − σμ: dx from (H + GᵀDG)dx = -rd - Gᵀ[(-rc + z∘rp)/s],
+		// then ds = -rp - G dx and dz = (-rc - z∘ds)/s.
+		const sigma = 0.1
+		for i := 0; i < m; i++ {
+			rc[i] = s[i]*z[i] - sigma*mu
+			v[i] = (-rc[i] + z[i]*rp[i]) / s[i]
 		}
-		rc := make([]float64, m)
-		if opt.Mehrotra {
-			// Predictor: pure affine step (rc = s∘z).
-			for i := 0; i < m; i++ {
-				rc[i] = s[i] * z[i]
-			}
-			direction(rc, dx, ds, dz)
-			alphaAff := 1.0
-			for i := 0; i < m; i++ {
-				if ds[i] < 0 {
-					alphaAff = math.Min(alphaAff, -s[i]/ds[i])
-				}
-				if dz[i] < 0 {
-					alphaAff = math.Min(alphaAff, -z[i]/dz[i])
-				}
-			}
-			muAff := 0.0
-			for i := 0; i < m; i++ {
-				muAff += (s[i] + alphaAff*ds[i]) * (z[i] + alphaAff*dz[i])
-			}
-			muAff /= float64(m)
-			sigma := muAff / mu
-			sigma = sigma * sigma * sigma
-			// Corrector: rc = s∘z + Δs_aff∘Δz_aff - σμ.
-			for i := 0; i < m; i++ {
-				rc[i] = s[i]*z[i] + ds[i]*dz[i] - sigma*mu
-			}
-			direction(rc, dx, ds, dz)
-		} else {
-			// Fixed-σ path following toward sᵢzᵢ = σμ.
-			const sigma = 0.1
-			for i := 0; i < m; i++ {
-				rc[i] = s[i]*z[i] - sigma*mu
-			}
-			direction(rc, dx, ds, dz)
+		gtv := g.TMulVec(v)
+		for i := 0; i < n; i++ {
+			rhs[i] = -rd[i] - gtv[i]
+		}
+		dx := mat.CholSolve(lfac, rhs)
+		gdx := g.MulVec(dx)
+		for i := 0; i < m; i++ {
+			ds[i] = -rp[i] - gdx[i]
+			dz[i] = (-rc[i] - z[i]*ds[i]) / s[i]
 		}
 
 		// Fraction-to-boundary step keeping s, z strictly positive.
@@ -366,7 +220,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 	gx = g.MulVec(bestX)
 	for i := 0; i < m; i++ {
 		if gx[i] > hv[i]+1e-6*scale {
-			return Result{}, ErrInfeasible
+			return nil, ErrInfeasible
 		}
 	}
 	return finish(ErrMaxIter)

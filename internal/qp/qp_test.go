@@ -3,7 +3,6 @@ package qp
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -110,100 +109,6 @@ func TestInactiveConstraint(t *testing.T) {
 	}
 }
 
-// projectSimplex is the classical O(n log n) Euclidean projection onto the
-// probability simplex (Held et al.), used as ground truth.
-func projectSimplex(v []float64) []float64 {
-	n := len(v)
-	u := append([]float64(nil), v...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
-	css := 0.0
-	rho := -1
-	var theta float64
-	for i := 0; i < n; i++ {
-		css += u[i]
-		t := (css - 1) / float64(i+1)
-		if u[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	_ = rho
-	out := make([]float64, n)
-	for i := range v {
-		out[i] = math.Max(v[i]-theta, 0)
-	}
-	return out
-}
-
-func TestSimplexProjectionAgainstClassic(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + r.Intn(6)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.Float64()*4 - 2
-		}
-		p := distProblem(v)
-		// sum x = 1, x >= 0.
-		aeq := mat.New(1, n)
-		for i := 0; i < n; i++ {
-			aeq.Set(0, i, 1)
-		}
-		p.Aeq = aeq
-		p.Beq = []float64{1}
-		g := mat.New(n, n)
-		for i := 0; i < n; i++ {
-			g.Set(i, i, -1)
-		}
-		p.G = g
-		p.Hv = make([]float64, n)
-		x, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := projectSimplex(v)
-		for i := range x {
-			if math.Abs(x[i]-want[i]) > 1e-4 {
-				t.Fatalf("trial %d: x = %v, want %v", trial, x, want)
-			}
-		}
-	}
-}
-
-func TestEqualityOnlyUniquePoint(t *testing.T) {
-	// In 2-D, sum w = 1 and w·c = 0 with c = (1, -1) pin w = (0.5, 0.5).
-	p := distProblem([]float64{0.9, 0.1})
-	p.Aeq = mat.FromRows([][]float64{{1, 1}, {1, -1}})
-	p.Beq = []float64{1, 0}
-	g := mat.New(2, 2)
-	g.Set(0, 0, -1)
-	g.Set(1, 1, -1)
-	p.G = g
-	p.Hv = []float64{0, 0}
-	x, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-0.5) > 1e-9 || math.Abs(x[1]-0.5) > 1e-9 {
-		t.Errorf("x = %v, want (0.5, 0.5)", x)
-	}
-}
-
-func TestEqualityUniquePointInfeasible(t *testing.T) {
-	// Unique equality point (2, -1) violates x >= 0.
-	p := distProblem([]float64{0, 0})
-	p.Aeq = mat.FromRows([][]float64{{1, 1}, {1, -1}})
-	p.Beq = []float64{1, 3}
-	g := mat.New(2, 2)
-	g.Set(0, 0, -1)
-	g.Set(1, 1, -1)
-	p.G = g
-	p.Hv = []float64{0, 0}
-	if _, err := Solve(p, Options{}); err == nil {
-		t.Fatal("expected infeasibility")
-	}
-}
-
 func TestInfeasibleInequalities(t *testing.T) {
 	// x <= -1 and x >= 2 simultaneously.
 	p := distProblem([]float64{0})
@@ -234,8 +139,13 @@ func TestOptimalityAgainstFeasibleSamplesQuick(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		h := b.Mul(b.T())
-		h.AddDiag(float64(n))
+		h := mat.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				h.Set(i, j, dotVec(b.Row(i), b.Row(j)))
+			}
+			h.Set(i, i, h.At(i, i)+float64(n))
+		}
 		c := make([]float64, n)
 		for i := range c {
 			c[i] = r.NormFloat64()
@@ -309,32 +219,10 @@ func TestDimensionValidation(t *testing.T) {
 	if _, err := Solve(p, Options{}); err == nil {
 		t.Error("bad G accepted")
 	}
-	p = distProblem([]float64{1, 2})
-	p.Aeq = mat.New(1, 3)
-	p.Beq = []float64{1}
-	if _, err := Solve(p, Options{}); err == nil {
-		t.Error("bad Aeq accepted")
-	}
 }
 
-func TestSolveDetailedReportsIterations(t *testing.T) {
-	p := distProblem([]float64{2, 2})
-	p.G = mat.FromRows([][]float64{{1, 1}})
-	p.Hv = []float64{2}
-	res, err := SolveDetailed(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations <= 0 {
-		t.Errorf("Iterations = %d, want > 0", res.Iterations)
-	}
-	if res.Gap > 1e-8 {
-		t.Errorf("Gap = %v, want tiny", res.Gap)
-	}
-}
-
-// TestPaperMQPGeometry solves the exact QP that MQP builds for the paper's
-// running example (Kevin and Julia as why-not vectors, k = 3): the top-3rd
+// TestPaperMQPGeometry solves Algorithm 1's quadratic program for the
+// paper's running example (Kevin and Julia as why-not vectors, k = 3): the top-3rd
 // points are p4 for Kevin's w and p7 for Julia's w (Figure 5(b)), giving
 // constraints f(w, q') <= f(w, p_i) plus 0 <= q' <= q.
 func TestPaperMQPGeometry(t *testing.T) {

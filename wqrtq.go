@@ -5,7 +5,7 @@
 // Top-k Queries", PVLDB 8(7), 2015, together with every substrate the paper
 // relies on: an R*-tree/STR spatial index with page-size-derived fanout,
 // branch-and-bound top-k search, monochromatic and bichromatic reverse
-// top-k queries, an interior-point convex quadratic-programming solver, and
+// top-k queries, an exact solver for MQP's quadratic program, and
 // hyperplane sampling over the weighting simplex.
 //
 // # Model
@@ -24,8 +24,8 @@
 // with minimum penalty so the missing preferences join the result, three
 // ways:
 //
-//   - Index.ModifyQuery (MQP): change the product q — quadratic programming
-//     over the safe region.
+//   - Index.ModifyQuery (MQP): change the product q — the exact projection
+//     of q onto the safe region.
 //   - Index.ModifyPreferences (MWK): change Wm and k — sampling on the
 //     rank-boundary hyperplanes.
 //   - Index.ModifyAll (MQWK): change q, Wm and k together — query-point
