@@ -80,6 +80,43 @@ func TestBoxProjectionQuick(t *testing.T) {
 	}
 }
 
+// TestMehrotraBoxProjectionQuick keeps its name from the predictor-corrector
+// stepper it once selected; with one stepper left it checks the projection
+// onto boxes lb <= x <= ub whose lower bound is negative, not zero.
+func TestMehrotraBoxProjectionQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(6)
+		tgt := make([]float64, n)
+		lb := make([]float64, n)
+		ub := make([]float64, n)
+		for i := range tgt {
+			tgt[i] = r.Float64()*8 - 4
+			lb[i] = -r.Float64() * 3
+			ub[i] = lb[i] + r.Float64()*3 + 0.1
+		}
+		p := distProblem(tgt)
+		p.G, p.Hv = boxRows(n, ub)
+		for i := range lb {
+			p.Hv[n+i] = -lb[i]
+		}
+		x, err := Solve(p, Options{})
+		if err != nil {
+			return false
+		}
+		for i := range x {
+			want := math.Max(lb[i], math.Min(tgt[i], ub[i]))
+			if math.Abs(x[i]-want) > 2e-4 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHalfspaceKnown(t *testing.T) {
 	// min (x1-2)² + (x2-2)² s.t. x1 + x2 <= 2 → projection onto the line:
 	// (1, 1).
