@@ -406,7 +406,8 @@ func BenchmarkMicroWeightSampler(b *testing.B) {
 // accelerator on) on Table-1 questions (k = 10, actual rank 101, |Wm| = 1)
 // over the paper's dimensionalities — UN d = 3 and the stand-ins for its
 // two real datasets, household-like d = 6 and NBA-like d = 13 — at two
-// sample counts. One op answers every question of the cell once. It is the
+// sample counts, and UN d = 3 also at the paper's default |S| = |Q| = 800.
+// One op answers every question of the cell once. It is the
 // benchmark DESIGN §9 quotes for the refinement route, and CI's one-shot
 // smoke of it keeps the d > 4 product path running.
 func BenchmarkWhyNotDims(b *testing.B) {
@@ -437,7 +438,13 @@ func BenchmarkWhyNotDims(b *testing.B) {
 				}
 				reqs = append(reqs, WhyNotRequest{Q: wl.Q, K: wl.K, W: [][]float64{wl.Wm[0]}})
 			}
-			for _, samples := range []int{24, 100} {
+			sampleSizes := []int{24, 100}
+			if c.name == "UN-d3" {
+				// The paper's default |S| = |Q|; household-d6 at 800 is too
+				// slow for a one-iteration smoke.
+				sampleSizes = append(sampleSizes, 800)
+			}
+			for _, samples := range sampleSizes {
 				b.Run(fmt.Sprintf("S=%d", samples), func(b *testing.B) {
 					run := func() {
 						for qi, req := range reqs {

@@ -668,7 +668,7 @@ func TestServeWhyNotWideDataset(t *testing.T) {
 	if len(inproc.Answer.Missing) != 1 {
 		t.Fatalf("the why-not vector is not missing: %+v", inproc.Answer)
 	}
-	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":2}`
+	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":0,"points_skipped":0,"points_capped":24}`
 	if got := string(getRouteStats(t, h).Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}
@@ -737,7 +737,8 @@ func TestServeReverseTopKWideDataset(t *testing.T) {
 // TestServeRefineRouteStats pins what /v1/stats says about how a why-not's
 // refinement samples were ranked: one call-fixed universe per request,
 // every sample loop (MWK at q, which is also MQWK's point 0, and MQWK at
-// each of the |Q| box points) sweeping it, and — on a dataset this small — the band trim
+// each of the |Q| box points the penalty budget did not skip) sweeping it,
+// and — on a dataset this small — the band trim
 // refused for the dataset's size, with the reason counted in the skyband
 // section.
 func TestServeRefineRouteStats(t *testing.T) {
@@ -761,7 +762,7 @@ func TestServeRefineRouteStats(t *testing.T) {
 		t.Fatalf("whynot: %d %s", rec.Code, rec.Body.String())
 	}
 	st := getRouteStats(t, h)
-	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":7,"samples_drawn":42,"samples_kept":15}`
+	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":6,"samples_drawn":36,"samples_kept":4,"points_skipped":1,"points_capped":5}`
 	if got := string(st.Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}

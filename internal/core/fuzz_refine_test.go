@@ -39,7 +39,7 @@ func bandBackedSource(tr *rtree.Tree, pts []vec.Point, k int) *Source {
 // FuzzRefineDims is the dimension-generic differential of the refinement
 // algorithms: over random datasets of every shape at d in [2, 16] and
 // n <= 400, random k, why-not vectors (zero components included), sample
-// counts on both sides of the sorted-column threshold and seeds, MWK, MQWK
+// counts, query-point counts up to 69 and seeds, MWK, MQWK
 // and the fused WhyNotRefine with a band-backed Source — MQWK fanned out
 // over two workers on every other run of five modes — must equal the
 // inline nil-Source oracle field for field, penalties bit for bit; the
@@ -50,24 +50,27 @@ func bandBackedSource(tr *rtree.Tree, pts []vec.Point, k int) *Source {
 // one on a dominance chain (candidates, but none incomparable).
 func FuzzRefineDims(f *testing.F) {
 	//            seed      d-2       n-1          k-1       shape     q mode    |S|        |Q|
-	f.Add(int64(1), uint8(0), uint16(300), uint8(4), uint8(0), uint8(0), uint8(20), uint8(5))     // d=2 UN
-	f.Add(int64(2), uint8(1), uint16(399), uint8(9), uint8(1), uint8(1), uint8(10), uint8(3))     // d=3 CO, q a data point
-	f.Add(int64(3), uint8(3), uint16(250), uint8(2), uint8(2), uint8(0), uint8(16), uint8(4))     // d=5 AC
-	f.Add(int64(4), uint8(4), uint16(399), uint8(6), uint8(0), uint8(0), uint8(12), uint8(128+2)) // d=6 UN, sorted columns
-	f.Add(int64(5), uint8(11), uint16(200), uint8(3), uint8(1), uint8(0), uint8(8), uint8(4))     // d=13 CO
-	f.Add(int64(6), uint8(14), uint16(120), uint8(1), uint8(0), uint8(1), uint8(12), uint8(2))    // d=16 UN, q a data point
-	f.Add(int64(7), uint8(4), uint16(90), uint8(5), uint8(0), uint8(2), uint8(18), uint8(5))      // d=6, empty candidate list
-	f.Add(int64(8), uint8(11), uint16(150), uint8(7), uint8(0), uint8(3), uint8(5), uint8(4))     // d=13, dominance chain
-	f.Add(int64(9), uint8(5), uint16(399), uint8(3), uint8(2), uint8(4), uint8(24), uint8(3))     // d=7 AC, low rank
-	f.Add(int64(10), uint8(2), uint16(350), uint8(0), uint8(0), uint8(4), uint8(8), uint8(128+4)) // d=4 UN, k=1, low rank
-	f.Add(int64(11), uint8(6), uint16(380), uint8(2), uint8(1), uint8(4), uint8(20), uint8(5))    // d=8 CO, low rank
-	f.Add(int64(12), uint8(4), uint16(330), uint8(3), uint8(0), uint8(5), uint8(13), uint8(4))    // d=6 UN, parallel MQWK
-	f.Add(int64(13), uint8(4), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))    // d=6 UN, low rank
-	f.Add(int64(14), uint8(11), uint16(399), uint8(2), uint8(1), uint8(9), uint8(24), uint8(5))   // d=13 CO, low rank, parallel
-	f.Add(int64(103), uint8(4), uint16(399), uint8(0), uint8(1), uint8(4), uint8(24), uint8(5))   // d=6 CO, k=1, band-trimmed
-	f.Add(int64(105), uint8(3), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))   // d=5 UN, band-trimmed
-	f.Add(int64(107), uint8(6), uint16(399), uint8(1), uint8(1), uint8(4), uint8(24), uint8(5))   // d=8 CO, band-trimmed
-	f.Add(int64(406), uint8(8), uint16(398), uint8(4), uint8(2), uint8(9), uint8(23), uint8(2))   // d=10 AC, low rank, parallel: MQWK above λ·MWK before per-point streams
+	f.Add(int64(1), uint8(0), uint16(300), uint8(4), uint8(0), uint8(0), uint8(20), uint8(5))       // d=2 UN
+	f.Add(int64(2), uint8(1), uint16(399), uint8(9), uint8(1), uint8(1), uint8(10), uint8(3))       // d=3 CO, q a data point
+	f.Add(int64(3), uint8(3), uint16(250), uint8(2), uint8(2), uint8(0), uint8(16), uint8(4))       // d=5 AC
+	f.Add(int64(4), uint8(4), uint16(399), uint8(6), uint8(0), uint8(0), uint8(12), uint8(128+2))   // d=6 UN, many box points
+	f.Add(int64(5), uint8(11), uint16(200), uint8(3), uint8(1), uint8(0), uint8(8), uint8(4))       // d=13 CO
+	f.Add(int64(6), uint8(14), uint16(120), uint8(1), uint8(0), uint8(1), uint8(12), uint8(2))      // d=16 UN, q a data point
+	f.Add(int64(7), uint8(4), uint16(90), uint8(5), uint8(0), uint8(2), uint8(18), uint8(5))        // d=6, empty candidate list
+	f.Add(int64(8), uint8(11), uint16(150), uint8(7), uint8(0), uint8(3), uint8(5), uint8(4))       // d=13, dominance chain
+	f.Add(int64(9), uint8(5), uint16(399), uint8(3), uint8(2), uint8(4), uint8(24), uint8(3))       // d=7 AC, low rank
+	f.Add(int64(10), uint8(2), uint16(350), uint8(0), uint8(0), uint8(4), uint8(8), uint8(128+4))   // d=4 UN, k=1, low rank
+	f.Add(int64(11), uint8(6), uint16(380), uint8(2), uint8(1), uint8(4), uint8(20), uint8(5))      // d=8 CO, low rank
+	f.Add(int64(12), uint8(4), uint16(330), uint8(3), uint8(0), uint8(5), uint8(13), uint8(4))      // d=6 UN, parallel MQWK
+	f.Add(int64(13), uint8(4), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))      // d=6 UN, low rank
+	f.Add(int64(14), uint8(11), uint16(399), uint8(2), uint8(1), uint8(9), uint8(24), uint8(5))     // d=13 CO, low rank, parallel
+	f.Add(int64(103), uint8(4), uint16(399), uint8(0), uint8(1), uint8(4), uint8(24), uint8(5))     // d=6 CO, k=1, band-trimmed
+	f.Add(int64(105), uint8(3), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))     // d=5 UN, band-trimmed
+	f.Add(int64(107), uint8(6), uint16(399), uint8(1), uint8(1), uint8(4), uint8(24), uint8(5))     // d=8 CO, band-trimmed
+	f.Add(int64(406), uint8(8), uint16(398), uint8(4), uint8(2), uint8(9), uint8(23), uint8(2))     // d=10 AC, low rank, parallel: MQWK above λ·MWK before per-point streams
+	f.Add(int64(501), uint8(2), uint16(399), uint8(3), uint8(1), uint8(4), uint8(12), uint8(4))     // d=4 CO, low rank: a zero-width box coordinate (q_min_j = q_j)
+	f.Add(int64(502), uint8(1), uint16(399), uint8(9), uint8(0), uint8(0), uint8(12), uint8(4))     // d=3 UN, k0 = 266 > 128: untrimmed
+	f.Add(int64(15), uint8(11), uint16(399), uint8(2), uint8(0), uint8(9), uint8(16), uint8(128+3)) // d=13 UN, low rank, |Q| = 67 on two workers
 	f.Fuzz(func(t *testing.T, seed int64, db uint8, nb uint16, kb, shape, mode, sb, qb uint8) {
 		d := 2 + int(db%15)
 		n := 1 + int(nb%400)
@@ -121,7 +124,7 @@ func FuzzRefineDims(f *testing.F) {
 		samples := int(sb % 25)
 		qSamples := int(qb % 6)
 		if qb&128 != 0 {
-			qSamples += wmColsMinQPs // sorted score columns
+			qSamples += 64 // many box points
 		}
 		workers := 2 * int(mode/5%2) // fan MQWK out on every other run of five modes
 		tr := ds.Tree()

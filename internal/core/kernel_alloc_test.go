@@ -25,8 +25,9 @@ func kernelSource() *Source {
 // (its generic-d tails): with a warm pooled scratch, the blocked rank
 // evaluations — rankBlock over the universe image and the capped
 // sampleRankBlock — must not allocate at all, classifying a sample query
-// point and drawing its ranked samples must not either (drawn weights live
-// in the block arena, kept ones in the kept arena), and one whole search
+// point — q itself, or a box point through the bitmap index — and drawing
+// its ranked samples must not either (drawn weights live in the block
+// arena, kept ones in the kept arena), and one whole search
 // stays within a budget that does not grow with the sample count (a
 // regression here silently multiplies the cost of every refinement
 // request).
@@ -59,7 +60,7 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 
 	sc := getRankScratch()
 	defer putRankScratch(sc)
-	sc.prepareUniverse(src, cands, q, nil, wm, 1)
+	sc.prepareUniverse(src, cands, q, nil, wm)
 	ev := newRankEval(src, sc, cands, q)
 	if ev.u == nil {
 		t.Fatal("universe evaluator expected")
@@ -97,7 +98,7 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 	callRng := rand.New(rand.NewSource(11))
 	search := func(samples int) float64 {
 		run := func() {
-			if _, err := mwkSearch(context.Background(), newRankEval(src, sc, cands, q), 3, wm, samples, callRng, pm); err != nil {
+			if _, err := mwkSearch(context.Background(), newRankEval(src, sc, cands, q), 3, wm, samples, callRng, pm, noBudget); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,5 +113,21 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 	}
 	if rs := src.Routes.Snapshot(); rs.SamplesDrawn == 0 || rs.SamplesKept == 0 || rs.SamplesKept == rs.SamplesDrawn {
 		t.Fatalf("guard needs both kept and discarded draws to mean anything: %+v", rs)
+	}
+
+	// An MQWK box point classifies through the universe's bitmap index,
+	// also without allocating.
+	qMin, mid := make(vec.Point, d), make(vec.Point, d)
+	for j := range q {
+		qMin[j], mid[j] = q[j]/2, q[j]*3/4
+	}
+	sc.prepareUniverse(src, cands, q, qMin, wm)
+	if !sc.classify(mid) {
+		t.Fatal("a point inside the box must be trusted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sc.classify(mid)
+	}); allocs != 0 {
+		t.Fatalf("classify allocates %.1f objects per box point, want 0", allocs)
 	}
 }

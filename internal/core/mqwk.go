@@ -63,9 +63,14 @@ type MQWKResult struct {
 //
 // src routes every per-sample evaluation through the skyband hooks of a
 // Source: the MQP optimum uses the band's k-th scores, and each sample
-// query point's MWK search classifies against the call-fixed candidate
-// universe, samples hyperplanes lazily and ranks by capped sweeps of that
-// universe's band trim, at any dimensionality. nil is the oracle path;
+// query point's MWK search classifies through the call-fixed candidate
+// universe's bitmap index, ranks Wm by binary searches of its below-q score
+// lists, samples hyperplanes lazily and ranks the samples by capped sweeps
+// of the universe's band trim, at any dimensionality. With a Source the
+// box points are also budgeted: a point whose query-point change alone
+// costs more than the best penalty found so far is skipped, and the others
+// rank their samples only as far as a candidate could still beat it
+// (mqwkResolved). nil is the oracle path, running Algorithm 3 as written;
 // results are bit-identical for any valid Source.
 func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
 	ref, err := WhyNotRefine(ctx, t, src, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
@@ -77,13 +82,13 @@ func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, w
 // Source, prepares the call-fixed universe over it for the sample box
 // [qMin, q] (qMin nil: q alone). On the source path the list lives in the
 // scratch's pooled buffer, so repeated refinements reuse one backing array.
-func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight, qSamples int) ([]dominance.Ref, int) {
+func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight) ([]dominance.Ref, int) {
 	if src == nil {
 		return dominance.Candidates(t, q)
 	}
 	cands, visited := dominance.CandidatesInto(t, q, sc.candBuf[:0])
 	sc.candBuf = cands
-	sc.prepareUniverse(src, cands, q, qMin, wm, qSamples)
+	sc.prepareUniverse(src, cands, q, qMin, wm)
 	return cands, visited
 }
 
@@ -98,6 +103,50 @@ type mqwkPick struct {
 	k       int
 }
 
+// budget bounds what one box point's MWK search has to find: qpen is the
+// point's γ·QPenalty(q, q′) term of Eq. (5) and bound the lowest total
+// penalty found so far (+Inf: none).
+type budget struct{ qpen, bound float64 }
+
+var noBudget = budget{bound: math.Inf(1)}
+
+// rankCap returns the largest k′ in [k, kMax] whose penalty floor
+// qpen + λ·kPenalty(k, k′, kMax) does not exceed the bound (kMax when
+// unbounded). A sample of rank r only enters candidates with k′ >= r, whose
+// total penalty is at least that floor at r: samples ranked above the cap
+// cannot produce a candidate within the bound. The floor is non-decreasing
+// in k′ and equals qpen at k, so a binary search finds the cap.
+func (b budget) rankCap(pm PenaltyModel, k, kMax int) int {
+	if !(b.bound < math.Inf(1)) {
+		return kMax
+	}
+	lo, hi := k+1, kMax+1
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); b.qpen+pm.Lambda*pm.kPenalty(k, m, kMax) > b.bound {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo - 1
+}
+
+// penaltyBound is the shared bound B of a budgeted MQWK: the lowest total
+// penalty found so far, lowered atomically by every worker. Penalties are
+// non-negative, so their bit patterns order like their values.
+type penaltyBound struct{ bits atomic.Uint64 }
+
+func (b *penaltyBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
+
+func (b *penaltyBound) lower(p float64) {
+	for {
+		old := b.bits.Load()
+		if !(p < math.Float64frombits(old)) || b.bits.CompareAndSwap(old, math.Float64bits(p)) {
+			return
+		}
+	}
+}
+
 // mqwkResolved is the sampling search of Algorithm 3 given what
 // WhyNotRefine has already computed: the MQP optimum, the candidate cache —
 // with the scratch's universe (if any) prepared over it — and point 0's MWK
@@ -108,10 +157,32 @@ type mqwkPick struct {
 // picks are then folded in index order with strict <, after the pure first
 // solution and point 0 — the sequential scan's answer whatever the
 // schedule.
+//
+// With a Source the scan is budgeted: B starts at the fold's two fixed
+// candidates and drops to every box point's total as it is found. A box
+// point whose γ·QPenalty alone exceeds B is skipped — its total cannot be
+// lower — and the others rank their samples only up to budget.rankCap.
+// Both tests are strict, and B never falls below the fold's minimum, so the
+// first box point attaining that minimum is neither skipped nor capped
+// short of its best candidate (whose total is at most B and at least its
+// floor): it finds the same (Wm′, k′) as unbudgeted. Every other box point
+// totals no less than it would unbudgeted, so the fold's first argmin, and
+// the answer, stay the same under any schedule.
 func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, atQ MWKResult, pm PenaltyModel) (MQWKResult, error) {
 	boxRng := getRng(seed + 1)
 	box := sample.Box(boxRng, qMin, q, qSampleSize)
 	putRng(boxRng)
+
+	// The fold's fixed candidates: the pure first solution (q' = q_min,
+	// Wm and k unchanged) and point 0 (q itself, the pure second solution).
+	firstPenalty := pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1)
+	atQPenalty := pm.Gamma*pm.QPenalty(q, q) + pm.Lambda*atQ.Penalty
+	var bound penaltyBound
+	bound.bits.Store(math.Float64bits(math.Inf(1)))
+	if src != nil {
+		bound.lower(firstPenalty)
+		bound.lower(atQPenalty)
+	}
 
 	// Lines 3-9: the box points, each on its own stream.
 	var next atomic.Int64
@@ -124,15 +195,24 @@ func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Po
 				return best, err
 			}
 			qp := box[i-1]
+			bud := budget{qpen: pm.Gamma * pm.QPenalty(q, qp), bound: bound.load()}
+			if bud.qpen > bud.bound {
+				src.Routes.countSkipped()
+				continue
+			}
 			rng.Seed(seed + 1 + int64(i))
-			wk, err := mwkSearch(ctx, newRankEval(src, ws, cands, qp), k, wm, sampleSize, rng, pm)
+			wk, err := mwkSearch(ctx, newRankEval(src, ws, cands, qp), k, wm, sampleSize, rng, pm, bud)
 			if err != nil {
 				return best, err
 			}
 			// The outcome aliases the scratch, which the next search
 			// overwrites: copy an adopted one out now.
-			if p := pm.Gamma*pm.QPenalty(q, qp) + pm.Lambda*wk.Penalty; p < best.penalty {
+			p := bud.qpen + pm.Lambda*wk.Penalty
+			if p < best.penalty {
 				best = mqwkPick{idx: i, qp: qp, penalty: p, wm: cloneWeights(wk.refined), k: wk.RefinedK}
+			}
+			if src != nil {
+				bound.lower(p)
 			}
 		}
 		return best, nil
@@ -168,23 +248,22 @@ func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Po
 	}
 	slices.SortFunc(picks, func(a, b mqwkPick) int { return a.idx - b.idx })
 
-	// The pure first solution (q' = q_min, Wm and k unchanged), then
-	// point 0 (q itself, the pure second solution), then the box points in
-	// index order.
+	// The pure first solution, then point 0, then the box points in index
+	// order.
 	best := MQWKResult{
 		RefinedQ:         qMin,
 		RefinedWm:        cloneWeights(wm),
 		RefinedK:         k,
-		Penalty:          pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1),
+		Penalty:          firstPenalty,
 		QMin:             qMin,
 		CandidatesCached: len(cands),
 		TreeTraversals:   2,
 	}
-	if p := pm.Gamma*pm.QPenalty(q, q) + pm.Lambda*atQ.Penalty; p < best.Penalty {
+	if atQPenalty < best.Penalty {
 		best.RefinedQ = vec.Clone(q)
 		best.RefinedWm = cloneWeights(atQ.RefinedWm)
 		best.RefinedK = atQ.RefinedK
-		best.Penalty = p
+		best.Penalty = atQPenalty
 	}
 	for _, p := range picks {
 		if p.penalty < best.Penalty {

@@ -55,8 +55,8 @@ func MWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm
 	// the same nodes — so a standalone call is served like a fused one.
 	sc := getRankScratch()
 	defer putRankScratch(sc)
-	cands, visited := sc.candidates(t, src, q, nil, wm, 1)
-	out, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, rng, pm)
+	cands, visited := sc.candidates(t, src, q, nil, wm)
+	out, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, rng, pm, noBudget)
 	if err != nil {
 		return MWKResult{}, err
 	}
@@ -83,8 +83,10 @@ func (o mwkOutcome) result() MWKResult {
 
 // mwkSearch is the sampling search of Algorithm 2 over one classified query
 // point, with the Lemma 6 candidate scan. All index work goes through ev;
-// the buffers are ev's scratch.
-func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel) (mwkOutcome, error) {
+// the buffers are ev's scratch. bud lets an MQWK box point rank its samples
+// only as far as a candidate could still come within the budget
+// (budget.rankCap); noBudget ranks up to k'max, as Algorithm 2 does.
+func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sampleSize int, rng *rand.Rand, pm PenaltyModel, bud budget) (mwkOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return mwkOutcome{}, err
 	}
@@ -123,9 +125,16 @@ func mwkSearch(ctx context.Context, ev *rankEval, k int, wm []vec.Weight, sample
 		return mwkOutcome{}, err
 	}
 	// Draw and rank the samples (lines 3-6), keeping only those whose rank
-	// does not exceed k'max (Lemma 4; line 13's break applied up front).
-	ev.forSamples(kMax)
-	samples, err := drawRankedSamples(ctx, &tick, ev, draw, sampleSize, kMax)
+	// does not exceed k'max (Lemma 4; line 13's break applied up front) —
+	// or the budget's cap below it: the samples dropped are a suffix of
+	// the rank order, and every candidate they would have made costs more
+	// than the budget.
+	rankCap := bud.rankCap(pm, k, kMax)
+	if rankCap < kMax {
+		ev.rc.countCapped()
+	}
+	ev.forSamples(rankCap)
+	samples, err := drawRankedSamples(ctx, &tick, ev, draw, sampleSize, rankCap)
 	if err != nil || len(samples) == 0 {
 		return best, err
 	}

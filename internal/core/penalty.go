@@ -88,6 +88,13 @@ func (pm PenaltyModel) DeltaW(wm, wmPrime []vec.Weight) float64 {
 // Δk = max(0, k'−k) (decreasing k is free, §4.3) and Δkmax = k'max − k per
 // Lemma 4.
 func (pm PenaltyModel) WKPenalty(wm, wmPrime []vec.Weight, k, kPrime, kMax int) float64 {
+	return pm.kPenalty(k, kPrime, kMax) + pm.Beta*pm.DeltaW(wm, wmPrime)
+}
+
+// kPenalty is WKPenalty's k term, α·Δk/Δkmax: non-decreasing in kPrime,
+// and a lower bound of WKPenalty at the same (k, kPrime, kMax) under IEEE
+// rounding, since the β term it omits is non-negative.
+func (pm PenaltyModel) kPenalty(k, kPrime, kMax int) float64 {
 	dk := float64(kPrime - k)
 	if dk < 0 {
 		dk = 0
@@ -96,7 +103,7 @@ func (pm PenaltyModel) WKPenalty(wm, wmPrime []vec.Weight, k, kPrime, kMax int) 
 	if dkMax < 1 {
 		dkMax = 1
 	}
-	return pm.Alpha*dk/dkMax + pm.Beta*pm.DeltaW(wm, wmPrime)
+	return pm.Alpha * dk / dkMax
 }
 
 // TotalPenalty is Equation (5): γ·Penalty(q') + λ·Penalty(Wm', k').

@@ -71,6 +71,8 @@ type RouteCounters struct {
 	evals          [numEvalRoutes]atomic.Int64
 	drawn          atomic.Int64
 	kept           atomic.Int64
+	skipped        atomic.Int64
+	capped         atomic.Int64
 }
 
 // evalRoute indexes RouteCounters.evals: the image one sample loop's
@@ -102,6 +104,12 @@ type RouteSnapshot struct {
 	// ranking within k'max; the difference was discarded by a capped count.
 	SamplesDrawn int64 `json:"samples_drawn"`
 	SamplesKept  int64 `json:"samples_kept"`
+	// PointsSkipped counts MQWK box points the penalty budget ruled out
+	// before their search (their query-point change alone exceeds the best
+	// penalty found), and PointsCapped those whose sample ranking it capped
+	// below k'max.
+	PointsSkipped int64 `json:"points_skipped"`
+	PointsCapped  int64 `json:"points_capped"`
 }
 
 // Snapshot copies the counters.
@@ -117,6 +125,8 @@ func (c *RouteCounters) Snapshot() RouteSnapshot {
 		EvalsUntrimmed: c.evals[evalUntrimmed].Load(),
 		SamplesDrawn:   c.drawn.Load(),
 		SamplesKept:    c.kept.Load(),
+		PointsSkipped:  c.skipped.Load(),
+		PointsCapped:   c.capped.Load(),
 	}
 }
 
@@ -138,6 +148,18 @@ func (c *RouteCounters) countSamples(drawn, kept int) {
 	if c != nil {
 		c.drawn.Add(int64(drawn))
 		c.kept.Add(int64(kept))
+	}
+}
+
+func (c *RouteCounters) countSkipped() {
+	if c != nil {
+		c.skipped.Add(1)
+	}
+}
+
+func (c *RouteCounters) countCapped() {
+	if c != nil {
+		c.capped.Add(1)
 	}
 }
 
@@ -174,20 +196,28 @@ type rankScratch struct {
 	// worker (read-only after preparation), nil on the legacy route.
 	own universe
 	uni *universe
-	// One query point's classification against uni, as positions into
-	// uni.refs: the dominating points, and — in position order — every
-	// point that is *not* incomparable (dominating, or dominated by or
-	// equal to the query point). The incomparable set is the complement;
-	// nothing the size of the universe is written per query point.
-	dPos []int32
-	notI []int32
-	// dTrim and dSub are dPos restricted to the band trim and to the
-	// prefix of it a sample loop sweeps, in trim positions; view is that
-	// prefix as a Coords.
-	dTrim []int32
-	dSub  []int32
-	view  kernel.Coords
-	pbuf  vec.Point // incAt's scratch point
+	// One query point's classification against uni (see classify): the
+	// positions of the dominating points, and the bitmap of the points that
+	// are *not* incomparable over the domain notDom (every position when
+	// notAll), with its per-word prefix counts notPre; incPre[w] counts the
+	// incomparable positions before word w's first domain index. The
+	// incomparable set is the complement. geMaps and gtMaps hold the query
+	// point's bitmaps of the universe's index.
+	dPos   []int32
+	notX   []uint64
+	notPre []int32
+	incPre []int32
+	notDom []int32
+	notAll bool
+	geMaps [][]uint64
+	gtMaps [][]uint64
+	// dSub is dPos restricted to the prefix of the band trim a sample loop
+	// sweeps, in trim positions; view is that prefix as a Coords (or, while
+	// a universe is prepared, a window of its image, scored into scores).
+	dSub   []int32
+	view   kernel.Coords
+	scores []float64
+	pbuf   vec.Point // incAt's scratch point
 	// candBuf backs the candidate list of the sequential entry points.
 	candBuf []dominance.Ref
 }
@@ -201,9 +231,9 @@ func getRankScratch() *rankScratch { return rankScratchPool.Get().(*rankScratch)
 // putRankScratch clears the call-scoped state — including every reference
 // into snapshot point data and into the caller's weight slices, so an idle
 // pooled scratch never pins a dead epoch's points or bands — and returns
-// the scratch to the pool. The float64 and int32 backing arrays (SoA
-// images, position lists, arenas, score columns) hold no pointers and are
-// retained for reuse.
+// the scratch to the pool. The float64, int32 and uint64 backing arrays
+// (SoA images, position lists, bitmaps, arenas, score lists) hold no
+// pointers and are retained for reuse.
 func putRankScratch(sc *rankScratch) {
 	if sc == nil {
 		return
@@ -231,9 +261,10 @@ func (sc *rankScratch) ranksBuf(n int) []int {
 //     materialized sets, the reference execution.
 //   - universe (any Source): sweeps of a column-major image that is a
 //     superset of I(qp) — the call-fixed candidate universe or a band trim
-//     of it. The dominating points the image contains (dSub, as positions
-//     into it) are counted by the sweep and subtracted per weight, which is
-//     exact (see universe).
+//     of it — or, for a trusted point's Wm ranks, binary searches of the
+//     universe's below-q score lists. The dominating points the image
+//     contains (dSub, as positions into it) are counted too and subtracted
+//     per weight, which is exact (see universe).
 //
 // The rank definition is the same on both: 1 + |D| + the strict I-beaters,
 // every score the multiply/add chain of vec.Score.
@@ -292,27 +323,21 @@ func (e *rankEval) rankWm(wm []vec.Weight, out []int) {
 		return
 	}
 	// The universe was prepared for these vectors: q's own ranks are the
-	// ones k0 was taken from.
+	// ones k0 was taken from, and a trusted point's beaters are all in the
+	// below-q lists.
 	callWm := e.trusted && len(wm) > 0 && len(u.wmFor) == len(wm) && &u.wmFor[0] == &wm[0]
-	if callWm && vec.Equal(e.qp, u.hi) {
+	if !callWm {
+		e.rankBlock(&u.all, e.sc.dPos, wm, out)
+		return
+	}
+	if vec.Equal(e.qp, u.hi) {
 		copy(out, u.qRanks)
 		return
 	}
-	// A trusted point's Wm ranks are <= k0, so the k0-skyband trim holds
-	// every beater; an untrusted one is counted on the whole universe.
-	img, dSub := &u.all, e.sc.dPos
-	if e.trusted && u.trimmed {
-		e.sc.dTrim = u.inTrim(e.sc.dPos, u.trim.Len(), e.sc.dTrim[:0])
-		img, dSub = &u.trim, e.sc.dTrim
+	for i, w := range wm {
+		fq := vec.Score(w, e.qp)
+		out[i] = e.base + sort.SearchFloat64s(u.below[i], fq) - countBeatsAt(&u.all, e.sc.dPos, w, fq)
 	}
-	if callWm && len(u.wmSorted) == len(wm) {
-		for i, w := range wm {
-			fq := vec.Score(w, e.qp)
-			out[i] = e.base + sort.SearchFloat64s(u.wmSorted[i], fq) - countBeatsAt(img, dSub, w, fq)
-		}
-		return
-	}
-	e.rankBlock(img, dSub, wm, out)
 }
 
 // forSamples readies the evaluator for the sample loop once k'max is

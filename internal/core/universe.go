@@ -1,24 +1,22 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/vec"
 )
 
-// wmColsMinQPs is the sample-query-point count from which the sorted
-// per-vector score columns pay for themselves: one sort costs on the
-// order of a hundred linear sweeps of the same column, so binary-searched
-// Wm rankings only win when enough query points amortize it (the paper's
-// default |Q| = 800 clears the bar comfortably; small benchmark sweeps do
-// not).
-const wmColsMinQPs = 64
-
 // trimMinUniverse is the universe size below which no band is looked up:
 // sweeping a few dozen points costs less than filtering them.
 const trimMinUniverse = 64
+
+// nBuckets is the resolution of the box's per-coordinate grid: bucket t of
+// coordinate j covers 1/nBuckets of [lo_j, hi_j]; values above the box
+// share one more bucket, nBuckets.
+const nBuckets = 64
 
 // universe is the call-fixed state of one refinement call with a Source
 // (§4.4 reuse), at any dimensionality: everything that depends on the
@@ -47,10 +45,16 @@ type universe struct {
 	// point dominated by or equal to q' is >= q' >= lo). Every other
 	// candidate has a coordinate above q >= q' and one below lo <= q', so
 	// it is incomparable with every trusted q' and never needs looking at.
-	// maybeImg holds their coordinates, so classifying streams it instead
-	// of gathering from all.
-	maybe    []int32
-	maybeImg kernel.Coords
+	// le lists, as indices into maybe, the ones <= q everywhere.
+	maybe []int32
+	le    []int32
+	// ge, built only for a real box (q_min given), is the range-encoded
+	// bitmap index of maybe: for coordinate j and t in [0, nBuckets+1], the
+	// bitmap geMap(j, t) over maybe indices holds the points whose
+	// coordinate j falls in bucket t or above (t = nBuckets+1: none).
+	// scale is each coordinate's bucket width, inverted.
+	ge    []uint64
+	scale []float64
 	// k0 is k'max at q. Every trusted q' is <= q coordinate-wise, so it
 	// scores no higher than q under any weighting vector: its strict
 	// beaters are among q's, rank(q', w) <= rank(q, w), and k'max(q') <= k0
@@ -61,6 +65,11 @@ type universe struct {
 	k0     int
 	qRanks []int
 	wmFor  []vec.Weight
+	// below[i] holds, sorted, the scores under wmFor[i] of the universe
+	// points scoring strictly below q — at most k0 - 1 of them. A trusted
+	// q' scores no higher than q, so its beaters are all in there: its
+	// Wm rankings are binary searches.
+	below [][]float64
 	// trim, when trimmed is set, is the image of (k0-skyband ∩ refs)
 	// ordered by dominance count, trimOf maps a position in refs to its
 	// position in trim (-1 outside), and cum[c] counts the trim points with
@@ -72,14 +81,6 @@ type universe struct {
 	trim    kernel.Coords
 	trimOf  []int32
 	cum     []int32
-	// Sorted score columns of the call's why-not vectors over the image
-	// every trusted Wm ranking is counted on (trim when trimmed: a rank
-	// <= k0 has all its beaters inside the k0-skyband; all otherwise),
-	// built when enough sample query points amortize the sorts: each Wm
-	// ranking then costs one binary search per vector instead of one
-	// sweep. Empty when not built.
-	wmCols   []float64
-	wmSorted [][]float64
 }
 
 // release drops the universe's references into snapshot data and caller
@@ -90,11 +91,10 @@ func (u *universe) release() {
 	u.k0 = 0
 	u.trimmed = false
 	u.wmFor = nil
-	u.wmSorted = u.wmSorted[:0]
 }
 
 // trusted reports whether qp lies in the call's sample box, the
-// precondition of maybe, k0 and the trim.
+// precondition of maybe, k0, the bitmap index and the trim.
 func (u *universe) trusted(qp vec.Point) bool {
 	for j, v := range qp {
 		if !(v >= u.lo[j] && v <= u.hi[j]) {
@@ -106,12 +106,12 @@ func (u *universe) trusted(qp vec.Point) bool {
 
 // prepareUniverse builds the scratch's call-fixed universe over cands for
 // reference point q and sample box [qMin, q] (qMin nil: q alone): the SoA
-// image, the maybe list, k0 from one uncapped ranking of wm at q, the band
-// trim, and — when qSamples query points will amortize the sorts — the
-// sorted score columns. An empty candidate list gets a zero-point universe:
-// every rank over it is 1 and the sampler finds no sample space. Only a nil
-// src leaves sc.uni nil, which selects the legacy route.
-func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qMin vec.Point, wm []vec.Weight, qSamples int) {
+// image, the maybe list with its bitmap index (a real box only), the
+// below-q score lists and k0 from one scoring pass of wm at q, and the band
+// trim. An empty candidate list gets a zero-point universe: every rank over
+// it is 1 and the sampler finds no sample space. Only a nil src leaves
+// sc.uni nil, which selects the legacy route.
+func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qMin vec.Point, wm []vec.Weight) {
 	if src == nil {
 		return
 	}
@@ -128,34 +128,30 @@ func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qM
 		}
 		u.lo = u.loBuf
 	}
-	u.maybe = u.maybe[:0]
-	u.maybeImg.Reset(d)
-	var bits [boxChunk]uint8
+	u.maybe, u.le = u.maybe[:0], u.le[:0]
+	var box [boxChunk]uint8
 	//wqrtq:bounded one pass over the call's candidate list, like the Fill above
 	for base := 0; base < n; base += boxChunk {
-		b := bits[:min(boxChunk, n-base)]
+		b := box[:min(boxChunk, n-base)]
 		boxBits(&u.all, base, u.lo, u.hi, b)
 		for i, c := range b {
 			if c != 0 {
+				if c&1 != 0 {
+					u.le = append(u.le, int32(len(u.maybe)))
+				}
 				u.maybe = append(u.maybe, int32(base+i))
-				u.maybeImg.Append(cands[base+i].Point)
 			}
 		}
 	}
+	u.ge = u.ge[:0]
+	if qMin != nil {
+		u.buildBuckets()
+	}
 	sc.uni = u
 
-	// k0: the first evaluation of the call, uncapped over the whole image.
+	// k0: the first evaluation of the call, over the whole image.
 	sc.classify(q)
-	if cap(u.qRanks) < len(wm) {
-		u.qRanks = make([]int, len(wm))
-	}
-	u.qRanks = u.qRanks[:len(wm)]
-	e := rankEval{qp: q, base: 1 + len(sc.dPos), sc: sc, ct: src.Kernel}
-	e.rankBlock(&u.all, sc.dPos, wm, u.qRanks)
-	for _, r := range u.qRanks {
-		u.k0 = max(u.k0, r)
-	}
-	u.wmFor = wm
+	u.rankQ(sc, src.Kernel, q, wm)
 
 	u.trimmed = false
 	if n >= trimMinUniverse && src.BandCounts != nil {
@@ -168,35 +164,117 @@ func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qM
 		trimmed = u.trim.Len()
 	}
 	src.Routes.countUniverse(n, trimmed)
+}
 
-	u.wmSorted = u.wmSorted[:0]
-	if qSamples < wmColsMinQPs {
-		return
+// bucket maps coordinate value v to its bucket on coordinate j: subtract,
+// scale, clamp, truncate. Each step is monotone under IEEE rounding — for
+// any scale >= 0, +Inf (a zero-width coordinate) included, whose NaN at
+// v = lo clamps to 0 with everything below it — so v <= v' implies
+// bucket(v) <= bucket(v'): a larger bucket proves a strictly larger value,
+// and only equal buckets need comparing values.
+func (u *universe) bucket(j int, v float64) int {
+	x := (v - u.lo[j]) * u.scale[j]
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= nBuckets:
+		return nBuckets
 	}
-	// Score columns of the why-not vectors, one blocked sweep + one sort
-	// per vector; every trusted query point's Wm rankings then binary-
-	// search these columns (over the image rankWm counts a trusted point's
-	// D-beats on).
-	img := &u.all
-	if u.trimmed {
-		img = &u.trim
+	return int(x)
+}
+
+// geMap returns the bitmap of the maybe points whose coordinate j lies in
+// bucket t or above.
+func (u *universe) geMap(j, t int) []uint64 {
+	nw := words(len(u.maybe))
+	at := (j*(nBuckets+2) + t) * nw
+	return u.ge[at : at+nw : at+nw]
+}
+
+// buildBuckets builds the bitmap index ge: one bit per maybe point in its
+// bucket's bitmap, then a suffix OR turns "in bucket t" into "in bucket t
+// or above".
+func (u *universe) buildBuckets() {
+	d, nw := u.all.Dim(), words(len(u.maybe))
+	u.scale = u.scale[:0]
+	for j := range d {
+		u.scale = append(u.scale, nBuckets/(u.hi[j]-u.lo[j]))
 	}
-	m := img.Len()
-	if cap(u.wmCols) < len(wm)*m {
-		u.wmCols = make([]float64, len(wm)*m)
+	stride := (nBuckets + 2) * nw
+	if cap(u.ge) < d*stride {
+		u.ge = make([]uint64, d*stride)
 	}
-	scores := u.wmCols[:len(wm)*m]
-	wb, _, _ := sc.ks.Block(len(wm), d)
+	u.ge = u.ge[:d*stride]
+	clear(u.ge)
+	//wqrtq:bounded one pass per coordinate over the maybe list
+	for j := range d {
+		col, g := u.all.Col(j), u.ge[j*stride:(j+1)*stride]
+		for m, p := range u.maybe {
+			g[u.bucket(j, col[p])*nw+m>>6] |= 1 << (m & 63)
+		}
+		for t := nBuckets - 1; t >= 0; t-- {
+			cur, above := g[t*nw:(t+1)*nw], g[(t+1)*nw:(t+2)*nw]
+			for w := range cur {
+				cur[w] |= above[w]
+			}
+		}
+	}
+}
+
+// words returns the number of 64-bit words n bits take.
+func words(n int) int { return (n + 63) >> 6 }
+
+// rankQ scores wm over the whole image in one blocked pass per BlockSize
+// vectors, keeping per vector the scores strictly below q's (sorted), and
+// derives from them q's ranks and k0. It must follow classify(q).
+func (u *universe) rankQ(sc *rankScratch, ct *kernel.Counters, q vec.Point, wm []vec.Weight) {
+	d, n := u.all.Dim(), u.all.Len()
+	if cap(u.below) < len(wm) {
+		u.below = make([][]float64, len(wm))
+	}
+	u.below = u.below[:len(wm)]
+	for i := range u.below {
+		u.below[i] = u.below[i][:0]
+	}
+	//wqrtq:bounded one pass over the call's candidate list per BlockSize why-not vectors
+	for base := 0; base < len(wm); base += kernel.BlockSize {
+		nb := min(kernel.BlockSize, len(wm)-base)
+		wb, fqs, _ := sc.ks.Block(nb, d)
+		for b := range nb {
+			copy(wb[b*d:(b+1)*d], wm[base+b])
+			fqs[b] = vec.Score(wm[base+b], q)
+		}
+		if cap(sc.scores) < nb*boxChunk {
+			sc.scores = make([]float64, nb*boxChunk)
+		}
+		for lo := 0; lo < n; lo += boxChunk {
+			sc.view.SliceOf(&u.all, lo, min(lo+boxChunk, n))
+			m := sc.view.Len()
+			out := sc.scores[:nb*m]
+			kernel.ScoreBlock(&sc.view, wb, nb, out)
+			for b, fq := range fqs {
+				l := u.below[base+b]
+				for _, s := range out[b*m : (b+1)*m] {
+					if s < fq {
+						l = append(l, s)
+					}
+				}
+				u.below[base+b] = l
+			}
+		}
+		ct.Add(nb, n)
+	}
+	if cap(u.qRanks) < len(wm) {
+		u.qRanks = make([]int, len(wm))
+	}
+	u.qRanks = u.qRanks[:len(wm)]
+	u.k0 = 0
 	for i, w := range wm {
-		copy(wb[i*d:(i+1)*d], w)
+		slices.Sort(u.below[i])
+		u.qRanks[i] = 1 + len(sc.dPos) + len(u.below[i]) - countBeatsAt(&u.all, sc.dPos, w, vec.Score(w, q))
+		u.k0 = max(u.k0, u.qRanks[i])
 	}
-	kernel.ScoreBlock(img, wb, len(wm), scores)
-	src.Kernel.Add(len(wm), m)
-	for i := range wm {
-		col := scores[i*m : (i+1)*m]
-		sort.Float64s(col)
-		u.wmSorted = append(u.wmSorted, col)
-	}
+	u.wmFor = wm
 }
 
 // buildTrim filters refs through the band's dominance counts, keeping the
@@ -257,49 +335,145 @@ func (u *universe) buildTrim(counts []int32) {
 	u.trimmed = true
 }
 
-// classify splits the universe against qp into sc.dPos and sc.notI and
-// reports whether qp is trusted. A trusted point only examines uni.maybe;
-// an untrusted one (outside the sample box: only rounding in the box
-// sampler could produce it) examines every candidate. Either way the split
-// is exactly dominance.Classify's over uni.refs, with le = (p <= qp
-// everywhere) and ge = (p >= qp everywhere): p dominates qp iff le && !ge,
-// is dominated or equal iff ge, and is incomparable otherwise.
+// classify splits the universe against qp and reports whether qp is
+// trusted. The outcome is sc.dPos, the positions of the points dominating
+// qp in position order, and the bitmap sc.notX of the points that are not
+// incomparable with qp (dominating, or dominated by or equal to it), over
+// the domain sc.notDom: the maybe list for a trusted point, every position
+// (notAll) for an untrusted one — outside the sample box, which only
+// rounding in the box sampler could produce. Either way the split is
+// exactly dominance.Classify's over uni.refs: p dominates qp iff p <= qp
+// everywhere and p != qp, is dominated or equal iff p >= qp everywhere,
+// and is incomparable otherwise.
 func (sc *rankScratch) classify(qp vec.Point) bool {
 	u := sc.uni
 	trusted := u.trusted(qp)
-	img, n := &u.all, len(u.refs)
 	if trusted {
-		img, n = &u.maybeImg, len(u.maybe)
+		sc.classifyBox(qp)
+	} else {
+		sc.classifyScan(qp)
 	}
-	// Every examined point may land in notI, and both lists are written
-	// unconditionally and kept only when the point belongs, so the loop
-	// carries no data-dependent branch.
-	if cap(sc.notI) < n {
-		sc.notI = make([]int32, n)
+	pre, inc := sc.notPre[:0], sc.incPre[:0]
+	c := int32(0)
+	for w, x := range sc.notX {
+		pre = append(pre, c)
+		inc = append(inc, int32(sc.posOf(w<<6))-c)
+		c += int32(bits.OnesCount64(x))
 	}
-	if cap(sc.dPos) < n {
-		sc.dPos = make([]int32, n)
+	sc.notPre, sc.incPre = append(pre, c), inc
+	return trusted
+}
+
+// posOf returns the universe position of domain index m.
+func (sc *rankScratch) posOf(m int) int {
+	if sc.notAll {
+		return m
 	}
-	notI, dPos := sc.notI[:n], sc.dPos[:n]
-	nd, nn := 0, 0
-	var bits [boxChunk]uint8
-	//wqrtq:bounded one pass over at most the call's candidate list, what Classify costs
-	for base := 0; base < n; base += boxChunk {
-		b := bits[:min(boxChunk, n-base)]
-		boxBits(img, base, qp, qp, b)
-		for i, c := range b {
-			le, ge := int(c&1), int(c>>1)
-			p := int32(base + i)
-			if trusted {
-				p = u.maybe[base+i]
+	return int(sc.notDom[m])
+}
+
+// notWords returns the scratch's notX sized to nw words, contents
+// unspecified.
+func (sc *rankScratch) notWords(nw int) []uint64 {
+	if cap(sc.notX) < nw {
+		sc.notX = make([]uint64, nw)
+	}
+	sc.notX = sc.notX[:nw]
+	return sc.notX
+}
+
+// classifyBox classifies a trusted point through the maybe list alone. The
+// points >= qp are the AND of the d bitmaps at qp's buckets, less those of
+// them that share qp's bucket on some coordinate and fail the exact test;
+// the points <= qp are among le, each tested exactly.
+func (sc *rankScratch) classifyBox(qp vec.Point) {
+	u := sc.uni
+	x := sc.notWords(words(len(u.maybe)))
+	sc.notDom, sc.notAll = u.maybe, false
+	if len(u.ge) == 0 {
+		// No box: qp is q, and no candidate is >= q.
+		clear(x)
+	} else {
+		geMaps, gtMaps := sc.geMaps[:0], sc.gtMaps[:0]
+		for j, v := range qp {
+			t := u.bucket(j, v)
+			geMaps = append(geMaps, u.geMap(j, t))
+			gtMaps = append(gtMaps, u.geMap(j, t+1))
+		}
+		sc.geMaps, sc.gtMaps = geMaps, gtMaps
+		//wqrtq:bounded one word per 64 maybe points
+		for w := range x {
+			a, eq := ^uint64(0), uint64(0)
+			for j, g := range geMaps {
+				a &= g[w]
+				eq |= g[w] &^ gtMaps[j][w]
 			}
-			dPos[nd], notI[nn] = p, p
-			nd += le &^ ge
-			nn += le | ge
+			for amb := a & eq; amb != 0; amb &= amb - 1 {
+				b := bits.TrailingZeros64(amb)
+				if !u.geAt(int(u.maybe[w<<6|b]), qp) {
+					a &^= 1 << b
+				}
+			}
+			x[w] = a
 		}
 	}
-	sc.dPos, sc.notI = dPos[:nd], notI[:nn]
-	return trusted
+	dPos := sc.dPos[:0]
+	//wqrtq:bounded D(q) has fewer than k0 members
+	for _, m := range u.le {
+		p := int(u.maybe[m])
+		if !u.leAt(p, qp) {
+			continue
+		}
+		x[m>>6] |= 1 << (m & 63)
+		if !u.geAt(p, qp) {
+			dPos = append(dPos, int32(p))
+		}
+	}
+	sc.dPos = dPos
+}
+
+// classifyScan classifies an untrusted point by comparing it with every
+// candidate.
+func (sc *rankScratch) classifyScan(qp vec.Point) {
+	u := sc.uni
+	n := len(u.refs)
+	x := sc.notWords(words(n))
+	clear(x)
+	sc.notDom, sc.notAll = nil, true
+	dPos := sc.dPos[:0]
+	var box [boxChunk]uint8
+	//wqrtq:bounded one pass over the call's candidate list, what Classify costs
+	for base := 0; base < n; base += boxChunk {
+		b := box[:min(boxChunk, n-base)]
+		boxBits(&u.all, base, qp, qp, b)
+		for i, c := range b {
+			p := base + i
+			if c == 1 {
+				dPos = append(dPos, int32(p))
+			}
+			x[p>>6] |= uint64(c&1|c>>1) << (p & 63)
+		}
+	}
+	sc.dPos = dPos
+}
+
+// leAt and geAt report whether universe point p is <= (>=) qp everywhere.
+func (u *universe) leAt(p int, qp vec.Point) bool {
+	for j, v := range qp {
+		if !(u.all.Col(j)[p] <= v) {
+			return false
+		}
+	}
+	return true
+}
+
+func (u *universe) geAt(p int, qp vec.Point) bool {
+	for j, v := range qp {
+		if !(u.all.Col(j)[p] >= v) {
+			return false
+		}
+	}
+	return true
 }
 
 // boxChunk is how many points one boxBits call compares: few enough that
@@ -335,28 +509,63 @@ func b01(b bool) uint8 {
 }
 
 // numInc returns |I(qp)| of the current classification.
-func (sc *rankScratch) numInc() int { return len(sc.uni.refs) - len(sc.notI) }
+func (sc *rankScratch) numInc() int {
+	return len(sc.uni.refs) - int(sc.notPre[len(sc.notPre)-1])
+}
+
+// notBefore counts the set notX bits below domain index m.
+func (sc *rankScratch) notBefore(m int) int {
+	c := int(sc.notPre[m>>6])
+	if r := m & 63; r != 0 {
+		c += bits.OnesCount64(sc.notX[m>>6] & (1<<r - 1))
+	}
+	return c
+}
 
 // incAt returns the i-th incomparable point in classification order: the
-// i-th position of the universe not listed in notI. With s_j the sorted
-// notI entries, s_j - j counts the incomparable points before s_j, so the
-// answer follows the first j entries for the smallest j with s_j - j > i.
-// The coordinates are read off the image into a scratch point valid until
-// the next call — the sampler consumes it at once — which spares every
-// draw a pointer chase into the dataset.
+// i-th position of the universe whose notX bit is clear. With pos(m) the
+// position of domain index m, g(m) = pos(m) - notBefore(m) counts the
+// incomparable positions before pos(m) and never decreases with m, so the
+// answer is i + notBefore(M) for the first M with g(M) > i. incPre holds g
+// at every word's first index, so one binary search over the words and one
+// within a word — a popcount per step — find M. The coordinates are read
+// off the image into a scratch point valid until the next call — the
+// sampler consumes it at once — which spares every draw a pointer chase
+// into the dataset.
 func (sc *rankScratch) incAt(i int) vec.Point {
-	notI := sc.notI
-	lo, hi := 0, len(notI)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); int(notI[m])-m > i {
-			hi = m
-		} else {
-			lo = m + 1
+	// w: the first word with incPre[w] > i, by a branch-free halving.
+	inc, w := sc.incPre, 0
+	for n := len(inc); n > 1; n -= n >> 1 {
+		if h := w + n>>1; int(inc[h-1]) <= i {
+			w = h
 		}
 	}
+	if w < len(inc) && int(inc[w]) <= i {
+		w++
+	}
+	// g exceeds i at word w's first index (or the domain's end), not at
+	// word w-1's: M is in word w-1, after its first index, or is that end.
+	n := len(sc.notDom)
+	if sc.notAll {
+		n = len(sc.uni.refs)
+	}
+	lo, m := 0, min(w<<6, n)
+	if w > 0 {
+		lo = (w-1)<<6 + 1
+		base, x := int(sc.notPre[w-1]), sc.notX[w-1]
+		for lo < m {
+			h := int(uint(lo+m) >> 1)
+			if sc.posOf(h)-base-bits.OnesCount64(x&(1<<(h&63)-1)) > i {
+				m = h
+			} else {
+				lo = h + 1
+			}
+		}
+	}
+	at := i + sc.notBefore(m)
 	p, all := sc.pbuf[:0], &sc.uni.all
 	for j := 0; j < all.Dim(); j++ {
-		p = append(p, all.Col(j)[i+lo])
+		p = append(p, all.Col(j)[at])
 	}
 	sc.pbuf = p
 	return p

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wqrtq/internal/dataset"
@@ -39,21 +40,25 @@ var universeDims = []int{2, 3, 4, 5, 6, 7, 8, 13}
 // TestUniverseMatchesClassify drives the universe's building blocks against
 // the definitions they replace, on random instances at every universeDims
 // dimensionality and data shape: for query points inside the sample box
-// (trusted: only the maybe list is examined) and outside it (untrusted:
-// full scan, no trim), the D/I split equals dominance.Classify's — sizes,
-// D members, and the i-th incomparable point for every i — and every rank
-// the evaluator reports, for the why-not vectors and for samples through
+// (trusted: only the maybe list is examined, through the bitmap index) and
+// outside it (untrusted: full scan, no trim), the D/I split equals
+// dominance.Classify's — sizes, D members, and the i-th incomparable point
+// for every i — and every rank the evaluator reports, for the why-not
+// vectors (binary searches of the below-q lists) and for samples through
 // the capped band-trimmed sweep, equals Sets.Rank wherever the sample loop
-// would keep it and exceeds k'max wherever it would not.
+// would keep it and exceeds k'max wherever it would not. The trusted points
+// include the box's corners and points sharing coordinates with candidates,
+// so buckets tie and the exact tests run; every fifth case has a
+// zero-width box coordinate.
 func TestUniverseMatchesClassify(t *testing.T) {
-	trimmedCases, trimmedWide, sortedCases := 0, 0, 0
+	trimmedCases, trimmedWide, flatCases := 0, 0, 0
 	dimsRun := map[int]bool{}
 	defer func() {
 		if t.Failed() {
 			return
 		}
-		if trimmedCases < 6 || trimmedWide < 2 || sortedCases < 6 {
-			t.Fatalf("fixtures reached the trim %d times (%d at d > 4) and the sorted columns %d times; want all exercised", trimmedCases, trimmedWide, sortedCases)
+		if trimmedCases < 6 || trimmedWide < 2 || flatCases < 2 {
+			t.Fatalf("fixtures reached the trim %d times (%d at d > 4) and a zero-width box coordinate %d times; want all exercised", trimmedCases, trimmedWide, flatCases)
 		}
 		for _, d := range universeDims {
 			if !dimsRun[d] {
@@ -92,7 +97,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 			qMin[j] = q[j] * rng.Float64()
 		}
 		if caseIdx%5 == 0 {
-			qMin[0] = q[0] * 1.5 // a q_min coordinate above q: the box clamps it
+			qMin[0] = q[0] * 1.5 // a q_min coordinate above q: the box clamps it to zero width
 		}
 		cands, _ := dominance.Candidates(tr, q)
 		if len(cands) < trimMinUniverse {
@@ -101,11 +106,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		dimsRun[d] = true
 		src := bandSource(ds.Points)
 		sc := getRankScratch()
-		qSamples := 1
-		if caseIdx%2 == 0 {
-			qSamples = wmColsMinQPs // sorted score columns
-		}
-		sc.prepareUniverse(src, cands, q, qMin, wm, qSamples)
+		sc.prepareUniverse(src, cands, q, qMin, wm)
 		u := sc.uni
 		if u == nil {
 			t.Fatalf("case %d: no universe prepared", caseIdx)
@@ -116,8 +117,22 @@ func TestUniverseMatchesClassify(t *testing.T) {
 				trimmedWide++
 			}
 		}
-		if len(u.wmSorted) > 0 {
-			sortedCases++
+		if !(u.hi[0] > u.lo[0]) {
+			flatCases++
+		}
+		for i, w := range wm {
+			// The below-q list: every candidate score strictly below q's.
+			var want []float64
+			fq := vec.Score(w, q)
+			for _, r := range cands {
+				if s := vec.Score(w, r.Point); s < fq {
+					want = append(want, s)
+				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(u.below[i], want) {
+				t.Fatalf("case %d: below-q list of wm[%d] has %d scores, want %d", caseIdx, i, len(u.below[i]), len(want))
+			}
 		}
 		setsQ := dominance.Classify(cands, q)
 		if wantK0 := setsQ.MaxRank(wm, q); u.k0 != wantK0 {
@@ -160,6 +175,16 @@ func TestUniverseMatchesClassify(t *testing.T) {
 			qp := make(vec.Point, d)
 			for j := range qp {
 				qp[j] = u.lo[j] + rng.Float64()*(u.hi[j]-u.lo[j])
+			}
+			if i%3 == 0 && len(u.maybe) > 0 {
+				// Coordinates of a maybe point clamped into the box: buckets
+				// and values tie with it.
+				p := cands[u.maybe[rng.Intn(len(u.maybe))]].Point
+				for j := range qp {
+					if rng.Intn(2) == 0 {
+						qp[j] = min(max(p[j], u.lo[j]), u.hi[j])
+					}
+				}
 			}
 			qps = append(qps, qp)
 		}

@@ -55,12 +55,12 @@ func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, 
 	// MQWK's §4.4 reuse cache as-is — as is the universe prepared over it.
 	sc := getRankScratch()
 	defer putRankScratch(sc)
-	cands, visited := sc.candidates(t, src, q, mqp.RefinedQ, wm, qSampleSize+1)
+	cands, visited := sc.candidates(t, src, q, mqp.RefinedQ, wm)
 
 	// Second solution (MWK): the search at q on stream 0, exactly the
 	// standalone entry point's.
 	mwkRng := getRng(seed)
-	mwk, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm)
+	mwk, err := mwkSearch(ctx, newRankEval(src, sc, cands, q), k, wm, sampleSize, mwkRng, pm, noBudget)
 	putRng(mwkRng)
 	if err != nil {
 		return out, err

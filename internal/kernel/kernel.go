@@ -123,16 +123,19 @@ func (c *Coords) Put(t int, src *Coords, i int) {
 	}
 }
 
-// PrefixOf makes c a view of the first n points of src: the columns alias
+// PrefixOf makes c a view of the first n points of src (see SliceOf).
+func (c *Coords) PrefixOf(src *Coords, n int) { c.SliceOf(src, 0, n) }
+
+// SliceOf makes c a view of points [lo, hi) of src: the columns alias
 // src's memory (no copy), so c must not be appended to and is valid only
 // while src is unchanged. c's own column-header array is reused, so a
 // pooled view costs no allocation in steady state.
-func (c *Coords) PrefixOf(src *Coords, n int) {
+func (c *Coords) SliceOf(src *Coords, lo, hi int) {
 	c.cols = c.cols[:0]
 	for _, col := range src.cols {
-		c.cols = append(c.cols, col[:n:n])
+		c.cols = append(c.cols, col[lo:hi:hi])
 	}
-	c.n = n
+	c.n = hi - lo
 }
 
 // CountBelowBlock counts, for each weight b in the packed block wb (len(fqs)

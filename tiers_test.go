@@ -232,7 +232,11 @@ func refinementTier(t *testing.T) {
 					rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
 					rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
 					rt.SamplesDrawn -= before.Refine.SamplesDrawn
-					loops := int64(samples + 1) // q (MWK, and MQWK's point 0), |Q| box points
+					rt.PointsSkipped -= before.Refine.PointsSkipped
+					// q (MWK, and MQWK's point 0) and the |Q| box points,
+					// less those the penalty budget skipped; every evaluated
+					// point draws exactly |S| samples.
+					loops := int64(samples+1) - rt.PointsSkipped
 					if rt.SamplesDrawn != loops*samples {
 						t.Fatalf("instance %d workers %d: %d samples drawn, want %d", inst, workers, rt.SamplesDrawn, loops*samples)
 					}
@@ -355,6 +359,59 @@ func TestRefinementDegenerateUniverses(t *testing.T) {
 		after = ix.KernelStats().Refine
 		if after.Universes-before.Universes != 2 || after.UniversePoints != before.UniversePoints {
 			t.Fatalf("d=%d: the two calls must each prepare a zero-point universe: %+v -> %+v", d, before, after)
+		}
+	}
+}
+
+// TestMQWKBudgetFires pins that the product's MQWK budget does work at a
+// Table-1 shape (UN n = 20k, k = 10, rank 101, |Wm| = 1, |S| = |Q| = 200)
+// and changes no answer: some box points are skipped outright, some rank
+// their samples under a cap below k'max, and ModifyAll equals the skyOff
+// oracle's (the nil-Source path, which runs Algorithm 3 unbudgeted) field
+// for field at Workers 0 and 2 — the shared bound is lowered by whichever
+// worker finishes first, so the second run also exercises its races.
+func TestMQWKBudgetFires(t *testing.T) {
+	const samples = 200
+	ds := dataset.Independent(20000, 3, 1)
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ix, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := ix.Clone()
+	oracle.skyOff = true
+	wl, err := dataset.MakeWhyNot(ds, 10, 101, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := ModifyAllRequest{Q: wl.Q, K: wl.K, Wm: [][]float64{wl.Wm[0]}, Opts: Options{SampleSize: samples, Seed: 1}}
+	want, err := oracle.ModifyAllCtx(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2} {
+		req.Opts.Workers = workers
+		before := ix.KernelStats().Refine
+		got, err := ix.ModifyAllCtx(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := ix.KernelStats().Refine
+		if !reflect.DeepEqual(got.Refinement, want.Refinement) {
+			t.Fatalf("workers %d: budgeted ModifyAll differs from the oracle:\n got %+v\nwant %+v", workers, got.Refinement, want.Refinement)
+		}
+		skipped := after.PointsSkipped - before.PointsSkipped
+		capped := after.PointsCapped - before.PointsCapped
+		evals := after.EvalsTrimmed + after.EvalsUntrimmed - before.EvalsTrimmed - before.EvalsUntrimmed
+		if skipped == 0 || capped == 0 {
+			t.Fatalf("workers %d: the budget skipped %d and capped %d of %d box points; want both to fire", workers, skipped, capped, samples)
+		}
+		// q (point 0) and every box point the budget did not skip.
+		if evals != samples+1-skipped || after.SamplesDrawn-before.SamplesDrawn != evals*samples {
+			t.Fatalf("workers %d: %d evaluations and %d draws for %d skipped points", workers, evals, after.SamplesDrawn-before.SamplesDrawn, skipped)
 		}
 	}
 }
