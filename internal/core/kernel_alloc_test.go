@@ -60,7 +60,7 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 
 	sc := getRankScratch()
 	defer putRankScratch(sc)
-	sc.prepareUniverse(src, cands, q, nil, wm)
+	sc.candidates(tr, src, q, nil, wm)
 	ev := newRankEval(src, sc, cands, q)
 	if ev.u == nil {
 		t.Fatal("universe evaluator expected")
@@ -121,7 +121,7 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 	for j := range q {
 		qMin[j], mid[j] = q[j]/2, q[j]*3/4
 	}
-	sc.prepareUniverse(src, cands, q, qMin, wm)
+	sc.candidates(tr, src, q, qMin, wm)
 	if !sc.classify(mid) {
 		t.Fatal("a point inside the box must be trusted")
 	}

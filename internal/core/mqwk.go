@@ -78,18 +78,34 @@ func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, w
 }
 
 // candidates runs the §4.4 reuse traversal — every point not dominated by
-// and not equal to q, with the number of nodes expanded — and, with a
-// Source, prepares the call-fixed universe over it for the sample box
-// [qMin, q] (qMin nil: q alone). On the source path the list lives in the
-// scratch's pooled buffer, so repeated refinements reuse one backing array.
+// and not equal to q, with the number of nodes expanded. Without a Source
+// it is dominance.Candidates' list; with one it is the call-fixed universe
+// for the sample box [qMin, q] (qMin nil: q alone), gathered from the
+// source's LeafImage of t, and the list is nil: the universe holds the
+// points.
 func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight) ([]dominance.Ref, int) {
 	if src == nil {
 		return dominance.Candidates(t, q)
 	}
-	cands, visited := dominance.CandidatesInto(t, q, sc.candBuf[:0])
-	sc.candBuf = cands
-	sc.prepareUniverse(src, cands, q, qMin, wm)
-	return cands, visited
+	var img *LeafImage
+	if src.Leaves != nil {
+		img = src.Leaves()
+	} else {
+		img = NewLeafImage(t)
+	}
+	sc.walk.walkLeaves(t, img, q)
+	sc.own.gather(img, sc.walk.runs)
+	sc.prepareUniverse(src, q, qMin, wm)
+	return nil, sc.walk.visited
+}
+
+// cacheSize is the size of the §4.4 reuse cache the call built: the
+// universe's, or the oracle's candidate list's.
+func (sc *rankScratch) cacheSize(cands []dominance.Ref) int {
+	if sc.uni != nil {
+		return sc.uni.all.Len()
+	}
+	return len(cands)
 }
 
 // mqwkPick is one evaluated box point: its 1-based index, its Eq. (5)
@@ -256,7 +272,7 @@ func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Po
 		RefinedK:         k,
 		Penalty:          firstPenalty,
 		QMin:             qMin,
-		CandidatesCached: len(cands),
+		CandidatesCached: sc.cacheSize(cands),
 		TreeTraversals:   2,
 	}
 	if atQPenalty < best.Penalty {

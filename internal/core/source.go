@@ -35,13 +35,19 @@ import (
 // which the differential suites assert end to end.
 //
 // With a Source, ranks are counted over the call's candidate set — the
-// points not dominated by and not equal to the reference query point, which
-// the call materializes once anyway — by capped sweeps of a call-fixed
-// column-major image of it (see universe), at every dimensionality and
-// every candidate-set size, the empty one included. Nothing touches the
+// points not dominated by and not equal to the reference query point — by
+// capped sweeps of a call-fixed column-major image of it (see universe), at
+// every dimensionality and every candidate-set size, the empty one
+// included. The call gathers that image from the snapshot's LeafImage by
+// one node walk whose survivors are ranges of it (see leafWalk): the same
+// nodes, points and order as dominance.Candidates. Nothing touches the
 // tree per sample.
 type Source struct {
 	KthPoint func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
+	// Leaves returns the LeafImage of the tree the call is handed, built at
+	// most once per snapshot (LeafImageOnce), or is nil, in which case each
+	// call builds its own image of the tree.
+	Leaves func() *LeafImage
 	// BandCounts returns exact dominance counts covering the bound-skyband
 	// of the whole dataset, indexed by record id — counts[id] in [0, bound)
 	// iff id belongs to it; negative, larger, or beyond the slice otherwise
@@ -218,8 +224,8 @@ type rankScratch struct {
 	view   kernel.Coords
 	scores []float64
 	pbuf   vec.Point // incAt's scratch point
-	// candBuf backs the candidate list of the sequential entry points.
-	candBuf []dominance.Ref
+	// walk is the §4.4 reuse traversal's cursor state and survivor runs.
+	walk leafWalk
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -240,7 +246,6 @@ func putRankScratch(sc *rankScratch) {
 	}
 	sc.uni = nil
 	sc.own.release()
-	clear(sc.candBuf[:cap(sc.candBuf)])
 	clear(sc.cw[:cap(sc.cw)])
 	clear(sc.bestCW[:cap(sc.bestCW)])
 	rankScratchPool.Put(sc)

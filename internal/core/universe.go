@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"wqrtq/internal/dominance"
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/vec"
 )
@@ -30,10 +29,11 @@ const nBuckets = 64
 // weights, with IEEE rounding monotone), equal points tie, so
 // count(cands) = count(D) + count(I).
 type universe struct {
-	// refs is the candidate superset — every point not dominated by and
-	// not equal to q — in traversal order, and all its column-major image.
-	refs []dominance.Ref
-	all  kernel.Coords
+	// all is the column-major image of the candidate superset — every point
+	// not dominated by and not equal to q — in traversal order, gathered
+	// from the snapshot's LeafImage, and ids their record ids in step.
+	all kernel.Coords
+	ids []int32
 	// lo and hi bound the sample box: hi is q, lo the coordinate-wise
 	// minimum of q_min and q. A query point inside the box is trusted: the
 	// bounds below were derived for it.
@@ -70,8 +70,8 @@ type universe struct {
 	// q' scores no higher than q, so its beaters are all in there: its
 	// Wm rankings are binary searches.
 	below [][]float64
-	// trim, when trimmed is set, is the image of (k0-skyband ∩ refs)
-	// ordered by dominance count, trimOf maps a position in refs to its
+	// trim, when trimmed is set, is the image of (k0-skyband ∩ all)
+	// ordered by dominance count, trimOf maps a position in all to its
 	// position in trim (-1 outside), and cum[c] counts the trim points with
 	// dominance count < c: the first cum[c] points of trim are exactly the
 	// c-skyband's share of the universe, for every c <= k0. One band
@@ -86,7 +86,6 @@ type universe struct {
 // release drops the universe's references into snapshot data and caller
 // slices, keeping the pointer-free backing arrays.
 func (u *universe) release() {
-	u.refs = nil
 	u.lo, u.hi = nil, nil
 	u.k0 = 0
 	u.trimmed = false
@@ -104,21 +103,16 @@ func (u *universe) trusted(qp vec.Point) bool {
 	return true
 }
 
-// prepareUniverse builds the scratch's call-fixed universe over cands for
-// reference point q and sample box [qMin, q] (qMin nil: q alone): the SoA
-// image, the maybe list with its bitmap index (a real box only), the
-// below-q score lists and k0 from one scoring pass of wm at q, and the band
-// trim. An empty candidate list gets a zero-point universe: every rank over
-// it is 1 and the sampler finds no sample space. Only a nil src leaves
-// sc.uni nil, which selects the legacy route.
-func (sc *rankScratch) prepareUniverse(src *Source, cands []dominance.Ref, q, qMin vec.Point, wm []vec.Weight) {
-	if src == nil {
-		return
-	}
-	d, n := len(q), len(cands)
+// prepareUniverse builds the scratch's call-fixed universe for reference
+// point q and sample box [qMin, q] (qMin nil: q alone) over the candidate
+// image already gathered into sc.own (see candidates): the maybe list with
+// its bitmap index (a real box only), the below-q score lists and k0 from
+// one scoring pass of wm at q, and the band trim. An empty candidate set
+// gets a zero-point universe: every rank over it is 1 and the sampler finds
+// no sample space.
+func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.Weight) {
 	u := &sc.own
-	u.refs = cands
-	u.all.Fill(d, n, func(i int) []float64 { return cands[i].Point })
+	n := u.all.Len()
 	u.hi = q
 	u.lo = q
 	if qMin != nil {
@@ -277,13 +271,14 @@ func (u *universe) rankQ(sc *rankScratch, ct *kernel.Counters, q vec.Point, wm [
 	u.wmFor = wm
 }
 
-// buildTrim filters refs through the band's dominance counts, keeping the
-// k0-skyband, and lays the survivors out by count (a counting sort), so
-// that every c-skyband for c <= k0 is a prefix of the image. The trim is
+// buildTrim filters the universe through the band's dominance counts, read
+// at the gathered ids, keeping the k0-skyband, and lays the survivors out
+// by count (a counting sort), so that every c-skyband for c <= k0 is a
+// prefix of the image. The trim is
 // dropped when it keeps three quarters of the universe or more: it would
 // not pay for its D-filtering.
 func (u *universe) buildTrim(counts []int32) {
-	n, d, k0 := len(u.refs), u.all.Dim(), u.k0
+	n, d, k0 := u.all.Len(), u.all.Dim(), u.k0
 	if cap(u.cum) < k0+1 {
 		u.cum = make([]int32, k0+1)
 	}
@@ -296,10 +291,10 @@ func (u *universe) buildTrim(counts []int32) {
 	// Pass 1: each kept point's count, parked in trimOf, and the histogram
 	// (cum[c+1] = points with count c).
 	//wqrtq:bounded one pass over the call's candidate list
-	for i, r := range u.refs {
+	for i, id := range u.ids {
 		c := int32(-1)
-		if int(r.ID) < len(counts) && counts[r.ID] < int32(k0) {
-			c = counts[r.ID]
+		if int(id) < len(counts) && counts[id] < int32(k0) {
+			c = counts[id]
 		}
 		trimOf[i] = c
 		if c >= 0 {
@@ -342,7 +337,7 @@ func (u *universe) buildTrim(counts []int32) {
 // the domain sc.notDom: the maybe list for a trusted point, every position
 // (notAll) for an untrusted one — outside the sample box, which only
 // rounding in the box sampler could produce. Either way the split is
-// exactly dominance.Classify's over uni.refs: p dominates qp iff p <= qp
+// exactly dominance.Classify's over the universe: p dominates qp iff p <= qp
 // everywhere and p != qp, is dominated or equal iff p >= qp everywhere,
 // and is incomparable otherwise.
 func (sc *rankScratch) classify(qp vec.Point) bool {
@@ -436,7 +431,7 @@ func (sc *rankScratch) classifyBox(qp vec.Point) {
 // candidate.
 func (sc *rankScratch) classifyScan(qp vec.Point) {
 	u := sc.uni
-	n := len(u.refs)
+	n := u.all.Len()
 	x := sc.notWords(words(n))
 	clear(x)
 	sc.notDom, sc.notAll = nil, true
@@ -510,7 +505,7 @@ func b01(b bool) uint8 {
 
 // numInc returns |I(qp)| of the current classification.
 func (sc *rankScratch) numInc() int {
-	return len(sc.uni.refs) - int(sc.notPre[len(sc.notPre)-1])
+	return sc.uni.all.Len() - int(sc.notPre[len(sc.notPre)-1])
 }
 
 // notBefore counts the set notX bits below domain index m.
@@ -547,7 +542,7 @@ func (sc *rankScratch) incAt(i int) vec.Point {
 	// word w-1's: M is in word w-1, after its first index, or is that end.
 	n := len(sc.notDom)
 	if sc.notAll {
-		n = len(sc.uni.refs)
+		n = sc.uni.all.Len()
 	}
 	lo, m := 0, min(w<<6, n)
 	if w > 0 {

@@ -106,7 +106,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		dimsRun[d] = true
 		src := bandSource(ds.Points)
 		sc := getRankScratch()
-		sc.prepareUniverse(src, cands, q, qMin, wm)
+		sc.candidates(tr, src, q, qMin, wm)
 		u := sc.uni
 		if u == nil {
 			t.Fatalf("case %d: no universe prepared", caseIdx)

@@ -66,14 +66,7 @@ func walk(n *rtree.Node, q vec.Point, s *Sets) {
 // behind the §4.4 reuse technique: MQWK samples its query points from the
 // box [q_min, q], so one traversal with respect to q serves all samples.
 func Candidates(t *rtree.Tree, q vec.Point) ([]Ref, int) {
-	return CandidatesInto(t, q, nil)
-}
-
-// CandidatesInto is Candidates appending into a caller-owned buffer
-// (typically buf[:0] of a pooled backing array), so repeated traversals
-// reuse one allocation.
-func CandidatesInto(t *rtree.Tree, q vec.Point, buf []Ref) ([]Ref, int) {
-	out := buf
+	var out []Ref
 	visited := 1
 	var rec func(n *rtree.Node)
 	rec = func(n *rtree.Node) {

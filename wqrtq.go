@@ -98,6 +98,12 @@ type Index struct {
 	// every band the step provably leaves unchanged (dynamic.go), so stale
 	// bands are unreachable.
 	sky *skyband.Cache
+	// leaves holds the snapshot's column-major leaf image, which the
+	// refinements gather their candidate universes from (core.LeafImage).
+	// It builds on the first why-not; Insert and Delete install a fresh,
+	// unbuilt holder (carry), so a stale image is unreachable, and Clone
+	// shares it, as the two trees hold the same leaves until one mutates.
+	leaves *core.LeafImageOnce
 	// kct carries the blocked scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters (kernel.go).
 	kct *kernel.Counters
@@ -147,7 +153,7 @@ func NewIndex(points [][]float64) (*Index, error) {
 // (its parts come from verified durable state, so it skips validation and
 // bulk load).
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
+	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), leaves: new(core.LeafImageOnce), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
 	return ix
 }
