@@ -668,7 +668,7 @@ func TestServeWhyNotWideDataset(t *testing.T) {
 	if len(inproc.Answer.Missing) != 1 {
 		t.Fatalf("the why-not vector is not missing: %+v", inproc.Answer)
 	}
-	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":0,"points_skipped":0,"points_capped":24}`
+	const golden = `{"universes":1,"universe_points":499,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":25,"samples_drawn":600,"samples_kept":2,"points_skipped":0,"points_capped":24}`
 	if got := string(getRouteStats(t, h).Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}
@@ -762,7 +762,7 @@ func TestServeRefineRouteStats(t *testing.T) {
 		t.Fatalf("whynot: %d %s", rec.Code, rec.Body.String())
 	}
 	st := getRouteStats(t, h)
-	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":6,"samples_drawn":36,"samples_kept":4,"points_skipped":1,"points_capped":5}`
+	const golden = `{"universes":1,"universe_points":144,"trimmed_points":0,"evals_trimmed":0,"evals_untrimmed":5,"samples_drawn":30,"samples_kept":3,"points_skipped":2,"points_capped":4}`
 	if got := string(st.Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}

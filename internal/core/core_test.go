@@ -391,7 +391,7 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 		}
 		// Same seed for both: MQWK's point 0 (q' = q) runs MWK's search on
 		// MWK's stream, so the pure-solution bound holds exactly.
-		mwk, err := MWK(context.Background(), tr, nil, q, k, wm, 200, rand.New(rand.NewSource(seed+1)), pm)
+		mwk, err := MWK(context.Background(), tr, nil, q, k, wm, 200, NewRand(seed+1), pm)
 		if err != nil {
 			return false
 		}

@@ -132,8 +132,8 @@ func FuzzRefineDims(f *testing.F) {
 		pm := DefaultPenaltyModel()
 		ctx := context.Background()
 
-		gotMWK, errG := MWK(ctx, tr, src, q, k, wm, samples, rand.New(rand.NewSource(seed)), pm)
-		wantMWK, errW := MWK(ctx, tr, nil, q, k, wm, samples, rand.New(rand.NewSource(seed)), pm)
+		gotMWK, errG := MWK(ctx, tr, src, q, k, wm, samples, NewRand(seed), pm)
+		wantMWK, errW := MWK(ctx, tr, nil, q, k, wm, samples, NewRand(seed), pm)
 		if (errG == nil) != (errW == nil) || !reflect.DeepEqual(gotMWK, wantMWK) {
 			t.Fatalf("MWK n=%d d=%d k=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, gotMWK, errG, wantMWK, errW)
 		}

@@ -535,11 +535,10 @@ func drawRankedSamples(ctx context.Context, tick *ctxcheck.Ticker, e *rankEval, 
 	return samples, nil
 }
 
-// rngPool recycles the ~5 KiB math/rand source state across sampling
-// calls: Seed fully resets a source, so a pooled rng re-seeded with the
-// caller's seed draws the exact stream a fresh rand.New(rand.NewSource)
-// would.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// rngPool recycles NewRand streams across sampling calls, sparing each
+// box point its allocations: Seed fully resets the stream, so a pooled rng
+// re-seeded with the caller's seed draws exactly what NewRand(seed) would.
+var rngPool = sync.Pool{New: func() any { return NewRand(1) }}
 
 // getRng takes a pooled rng seeded to the given seed; pair with putRng.
 func getRng(seed int64) *rand.Rand {

@@ -285,12 +285,12 @@ func (ix *Index) checkWeights(W [][]float64) ([]vec.Weight, error) {
 }
 
 // rngFor builds the deterministic random source used by the sampling
-// algorithms.
+// algorithms: core's stream at the seed, 0 standing for 1.
 func rngFor(seed int64) *rand.Rand {
 	if seed == 0 {
 		seed = 1
 	}
-	return rand.New(rand.NewSource(seed))
+	return core.NewRand(seed)
 }
 
 // Neighbor is one result of a nearest-neighbor query.
