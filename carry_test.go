@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtopk"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/skyband"
@@ -543,4 +544,177 @@ func TestCarryConcurrentLazyBuild(t *testing.T) {
 	if st := final.SkybandStats(); st.Carried == 0 {
 		t.Fatalf("hammer never carried a band: %+v", st)
 	}
+}
+
+// refinedAnswer is what a why-not answer's refinement stages decide: the
+// reverse top-k split and the three suggestions. (RTA statistics describe
+// the route, and explanations may order score-tied points differently.)
+type refinedAnswer struct {
+	Result, Missing []int
+	MQP             QueryRefinement
+	MWK             PreferenceRefinement
+	MQWK            FullRefinement
+}
+
+func refinedOf(a *WhyNotAnswer) refinedAnswer {
+	return refinedAnswer{a.Result, a.Missing, a.ModifiedQuery, a.ModifiedPreferences, a.ModifiedAll}
+}
+
+// checkRefinements answers WhyNot and ModifyAll for (q, k, W) on ix and on
+// a skyOff clone of it — core's nil-Source oracle over the same tree — and
+// requires equal answers.
+func checkRefinements(t *testing.T, label string, ix *Index, q []float64, k int, W [][]float64, opts Options) {
+	t.Helper()
+	oracle := ix.Clone()
+	oracle.skyOff = true
+	got, err := ix.WhyNot(q, k, W, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, err := oracle.WhyNot(q, k, W, opts)
+	if err != nil {
+		t.Fatalf("%s oracle: %v", label, err)
+	}
+	if !reflect.DeepEqual(refinedOf(got), refinedOf(want)) {
+		t.Fatalf("%s: WhyNot\n got %+v\nwant %+v", label, refinedOf(got), refinedOf(want))
+	}
+	gotMA, err := ix.ModifyAll(q, k, W, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantMA, err := oracle.ModifyAll(q, k, W, opts)
+	if err != nil {
+		t.Fatalf("%s oracle: %v", label, err)
+	}
+	if !reflect.DeepEqual(gotMA, wantMA) {
+		t.Fatalf("%s: ModifyAll\n got %+v\nwant %+v", label, gotMA, wantMA)
+	}
+}
+
+// TestCarryWhyNot runs why-not refinements across Insert and Delete, on
+// the index itself and through clones: every mutation must leave the next
+// why-not with a leaf image of the tree it walks, so its answers equal the
+// skyOff oracle's over that tree. The mutations target q's candidate
+// universe — points entering it below q, members of it deleted, points
+// dominating q — and each snapshot answers once before it mutates, so a
+// stale image would be in the holder to be reused.
+func TestCarryWhyNot(t *testing.T) {
+	for _, d := range []int{3, 5} {
+		for _, viaClone := range []bool{false, true} {
+			t.Run(fmt.Sprintf("d=%d/clone=%t", d, viaClone), func(t *testing.T) {
+				seed := int64(8100 + d)
+				ds := dataset.Independent(600, d, seed)
+				ix, err := NewIndex(toRows(ds.Points))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wl, err := dataset.MakeWhyNot(ds, 5, 30, 1, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, k, W := []float64(wl.Q), wl.K, [][]float64{wl.Wm[0]}
+				opts := Options{SampleSize: 16, QuerySampleSize: 6, Seed: seed}
+				rng := rand.New(rand.NewSource(seed))
+				checkRefinements(t, "initial", ix, q, k, W, opts)
+				for step := 0; step < 12; step++ {
+					next := ix
+					if viaClone {
+						next = ix.Clone()
+					}
+					var op string
+					switch step % 4 {
+					case 0: // a point below q on one coordinate: it joins the universe
+						op = "insert incomparable"
+						p := append([]float64(nil), q...)
+						for j := range p {
+							p[j] += 0.05 * rng.Float64()
+						}
+						p[rng.Intn(d)] *= 0.5
+						_, err = next.Insert(p)
+					case 1: // a member of the universe
+						op = "delete candidate"
+						cands, _ := dominance.Candidates(next.tree, q)
+						_, err = next.Delete(int(cands[rng.Intn(len(cands))].ID))
+					case 2: // a point dominating q
+						op = "insert dominating"
+						p := append([]float64(nil), q...)
+						for j := range p {
+							p[j] *= 0.9
+						}
+						_, err = next.Insert(p)
+					default:
+						op = "delete random id"
+						_, err = next.Delete(rng.Intn(next.NumIDs()))
+					}
+					if err != nil {
+						t.Fatalf("step %d %s: %v", step, op, err)
+					}
+					checkRefinements(t, fmt.Sprintf("step %d (%s)", step, op), next, q, k, W, opts)
+					ix = next
+				}
+			})
+		}
+	}
+}
+
+// TestLeafImageConcurrentLazyBuild has several goroutines ask a family of
+// snapshots their first why-not at once, so the per-snapshot leaf image is
+// built lazily under contention (run under -race), and requires every
+// answer to equal the skyOff oracle's.
+func TestLeafImageConcurrentLazyBuild(t *testing.T) {
+	const d = 3
+	ds := dataset.Independent(500, d, 71)
+	ix, err := NewIndex(toRows(ds.Points))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := dataset.MakeWhyNot(ds, 5, 25, 1, 72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, k, W := []float64(wl.Q), wl.K, [][]float64{wl.Wm[0]}
+	opts := Options{SampleSize: 12, QuerySampleSize: 4, Seed: 3}
+	rng := rand.New(rand.NewSource(73))
+	// Clone family: each snapshot diverges by one mutation, all made
+	// before the concurrent phase, per the serialization contract.
+	snaps := []*Index{ix}
+	for i := 0; i < 3; i++ {
+		c := snaps[len(snaps)-1].Clone()
+		p := append([]float64(nil), q...)
+		p[rng.Intn(d)] *= 0.5
+		if _, err := c.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, c)
+	}
+	wants := make([]refinedAnswer, len(snaps))
+	for i, snap := range snaps {
+		oracle := snap.Clone()
+		oracle.skyOff = true
+		a, err := oracle.WhyNot(q, k, W, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wants[i] = refinedOf(a); len(a.Missing) != 1 {
+			t.Fatalf("snapshot %d: the why-not vector is not missing, so no refinement runs", i)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, snap := range snaps {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a, err := snap.WhyNot(q, k, W, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := refinedOf(a); !reflect.DeepEqual(got, wants[i]) {
+					t.Errorf("snapshot %d: WhyNot\n got %+v\nwant %+v", i, got, wants[i])
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

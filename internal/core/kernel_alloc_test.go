@@ -27,10 +27,10 @@ func kernelSource() *Source {
 // sampleRankBlock — must not allocate at all, classifying a sample query
 // point — q itself, or a box point through the bitmap index — and drawing
 // its ranked samples must not either (drawn weights live in the block
-// arena, kept ones in the kept arena), and one whole search
-// stays within a budget that does not grow with the sample count (a
-// regression here silently multiplies the cost of every refinement
-// request).
+// arena, kept ones in the kept arena), nor must a warm rebuild of the
+// universe, and one whole search stays within a budget that does not grow
+// with the sample count (a regression here silently multiplies the cost of
+// every refinement request).
 func TestSampleLoopAllocsPerOp(t *testing.T) {
 	for _, tc := range []struct {
 		d int
@@ -129,5 +129,22 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 		sc.classify(mid)
 	}); allocs != 0 {
 		t.Fatalf("classify allocates %.1f objects per box point, want 0", allocs)
+	}
+
+	// A warm universe build — the walk over the snapshot's leaf image, the
+	// gather, and prepareUniverse with its bitmap index, below-q lists and
+	// band trim — allocates nothing either.
+	leaves := NewLeafImage(tr)
+	counts := make([]int32, len(ds.Points))
+	for _, m := range dominance.KSkybandNaive(ds.Points, len(ds.Points)) {
+		counts[m.Index] = int32(m.Count) // exact for every point: valid at any bound
+	}
+	src.Leaves = func() *LeafImage { return leaves }
+	src.BandCounts = func(int) []int32 { return counts }
+	sc.candidates(tr, src, q, qMin, wm)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sc.candidates(tr, src, q, qMin, wm)
+	}); allocs != 0 {
+		t.Fatalf("a warm universe build allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -32,9 +32,6 @@ func NewLeafImage(t *rtree.Tree) *LeafImage {
 	return img
 }
 
-// Len returns the number of points in the image.
-func (img *LeafImage) Len() int { return len(img.ids) }
-
 // LeafImageOnce holds one snapshot's LeafImage, built by the first caller
 // that asks and shared by every later one. A holder belongs to one tree
 // content: whoever mutates the tree must install a fresh holder.
