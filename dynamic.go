@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wqrtq/internal/core"
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
@@ -47,14 +46,12 @@ func (ix *Index) Delete(id int) (bool, error) {
 }
 
 // carry installs sky — the skyband cache of the snapshot one mutation has
-// just produced, holding the bands the mutation left unchanged — moves the
-// cell grids along with their basis bands, and gives the snapshot a fresh,
-// unbuilt leaf image. Everything else was dropped and is rebuilt lazily by
-// the next reader that asks (DESIGN.md §8, §10).
+// just produced, holding the bands the mutation left unchanged — and moves
+// the cell grids along with their basis bands. Everything else was dropped
+// and is rebuilt lazily by the next reader that asks (DESIGN.md §8, §10).
 func (ix *Index) carry(sky *skyband.Cache) {
 	ix.sky = sky
 	ix.cells = ix.cells.Carry(sky, true)
-	ix.leaves = new(core.LeafImageOnce)
 }
 
 // Clone returns a copy-on-write snapshot of the index in O(n/512): it
@@ -73,7 +70,6 @@ func (ix *Index) Clone() *Index {
 	c := &Index{
 		tree:    ix.tree.Clone(),
 		ids:     ix.ids.Clone(),
-		leaves:  ix.leaves,
 		skyOff:  ix.skyOff,
 		kct:     ix.kct,
 		rct:     ix.rct,

@@ -65,8 +65,8 @@ func (a *Assembler) claim(idx, entries int) error {
 
 // AddLeaf installs leaf node idx holding the given record ids and their
 // points. The point slices are retained, not copied: each leaf entry's
-// degenerate rectangle aliases the caller's point exactly as Insert and
-// Bulk alias the indexed dataset.
+// degenerate rectangle aliases the caller's point exactly as Insert
+// aliases its point.
 func (a *Assembler) AddLeaf(idx int, ids []int32, pts []vec.Point) error {
 	if len(ids) != len(pts) {
 		return fmt.Errorf("rtree: assemble: leaf %d: %d ids, %d points", idx, len(ids), len(pts))

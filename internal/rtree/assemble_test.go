@@ -108,14 +108,17 @@ func TestAssembleRoundTrip(t *testing.T) {
 		if d1, d2 := dump(tr.Root()), dump(got.Root()); d1 != d2 {
 			t.Fatalf("n=%d: structure differs\n orig: %s\n rebuilt: %s", n, d1, d2)
 		}
-		// Leaf rects must alias the caller's point slices, exactly like a
-		// bulk-loaded tree aliases the dataset.
+		// Leaf rects must alias the point slices AddLeaf was handed —
+		// disassemble hands it the original tree's — exactly like Insert
+		// aliases its point.
+		handed := map[int32]vec.Point{}
+		tr.Visit(nil, func(id int32, p vec.Point) { handed[id] = p })
 		var checkAlias func(n *Node)
 		checkAlias = func(nd *Node) {
 			if nd.IsLeaf() {
 				for i := 0; i < nd.NumEntries(); i++ {
 					p := nd.Point(i)
-					q := pts[nd.PointID(i)]
+					q := handed[nd.PointID(i)]
 					if len(p) > 0 && len(q) > 0 && &p[0] != &q[0] {
 						t.Fatalf("n=%d: leaf point id %d does not alias source slice", n, nd.PointID(i))
 					}

@@ -10,7 +10,11 @@ import (
 // Bulk builds a tree over the given points with Sort-Tile-Recursive (STR)
 // packing, producing near-full nodes and a balanced structure in O(n log n).
 // ids[i] is the record id of points[i]; if ids is nil the point index is
-// used. Point slices are retained, not copied.
+// used. The points are copied, in depth-first leaf order, into one backing
+// array: a walk over the leaves then reads the coordinates in memory order
+// instead of chasing one allocation per point, which dominates leaf scans
+// such as the why-not candidate walk. Points inserted later keep their own
+// allocations; no mutation rebuilds the layout.
 func Bulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 	if len(points) == 0 {
 		panic("rtree: Bulk requires at least one point")
@@ -36,7 +40,26 @@ func Bulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 	}
 	t.root = level[0]
 	t.size = len(points)
+	coords := make([]float64, len(points)*t.dim)
+	t.root.relocate(&coords, t.dim)
 	return t
+}
+
+// relocate copies the points of n's subtree, in depth-first leaf order, to
+// the front of *coords and advances it past them.
+func (n *Node) relocate(coords *[]float64, dim int) {
+	if !n.leaf {
+		for _, e := range n.entries {
+			e.child.relocate(coords, dim)
+		}
+		return
+	}
+	for i := range n.entries {
+		p := (*coords)[:dim:dim]
+		*coords = (*coords)[dim:]
+		copy(p, n.entries[i].rect.Min)
+		n.entries[i].rect = PointRect(p)
+	}
 }
 
 // strPack tiles entries into nodes of up to maxFill entries by recursively

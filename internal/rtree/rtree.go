@@ -152,8 +152,8 @@ func (n *Node) Child(i int) *Node { return n.entries[i].child }
 // PointID returns the record id of leaf entry i.
 func (n *Node) PointID(i int) int32 { return n.entries[i].id }
 
-// Point returns the point stored in leaf entry i (aliasing the indexed
-// slice; callers must not modify it).
+// Point returns the point stored in leaf entry i (aliasing the tree's
+// storage; callers must not modify it).
 func (n *Node) Point(i int) vec.Point { return vec.Point(n.entries[i].rect.Min) }
 
 // Count returns the number of data points in the node's subtree.

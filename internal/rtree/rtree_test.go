@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wqrtq/internal/vec"
 )
@@ -110,6 +111,32 @@ func TestBulkNodeCountMatchesStructure(t *testing.T) {
 	}
 	if tr.Height() < 2 {
 		t.Errorf("Height = %d, want >= 2 for 4000 points", tr.Height())
+	}
+}
+
+// TestBulkCopiesInLeafOrder pins Bulk's layout: every point is a copy of
+// its input, equal to it but not aliasing it, and the copies lie one after
+// another in the order a walk meets the leaves.
+func TestBulkCopiesInLeafOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, d := range []int{2, 3, 13} {
+		pts := randPoints(r, 3000, d)
+		tr := Bulk(pts, nil)
+		var prev vec.Point
+		n := 0
+		tr.Visit(nil, func(id int32, p vec.Point) {
+			n++
+			if !vec.Equal(p, pts[id]) || &p[0] == &pts[id][0] {
+				t.Fatalf("d=%d: id %d is %v, input %v (aliased: %v)", d, id, p, pts[id], &p[0] == &pts[id][0])
+			}
+			if prev != nil && unsafe.Add(unsafe.Pointer(&prev[0]), 8*d) != unsafe.Pointer(&p[0]) {
+				t.Fatalf("d=%d: id %d does not follow the previous leaf point in memory", d, id)
+			}
+			prev = p
+		})
+		if n != len(pts) {
+			t.Fatalf("d=%d: visited %d points, want %d", d, n, len(pts))
+		}
 	}
 }
 

@@ -43,7 +43,6 @@ func (ix *Index) coreSource(k int) *core.Source {
 	return &core.Source{
 		Kernel: ix.kct,
 		Routes: ix.rct,
-		Leaves: func() *core.LeafImage { return ix.leaves.Get(ix.tree) },
 		KthPoint: func(ctx context.Context, w vec.Weight, kk int) (topk.Result, bool, error) {
 			if kk == k {
 				if b := ix.band(k); b != nil && !b.Full() {
