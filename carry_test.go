@@ -593,11 +593,11 @@ func checkRefinements(t *testing.T, label string, ix *Index, q []float64, k int,
 
 // TestCarryWhyNot runs why-not refinements across Insert and Delete, on
 // the index itself and through clones: every mutation must leave the next
-// why-not with a leaf image of the tree it walks, so its answers equal the
-// skyOff oracle's over that tree. The mutations target q's candidate
-// universe — points entering it below q, members of it deleted, points
-// dominating q — and each snapshot answers once before it mutates, so a
-// stale image would be in the holder to be reused.
+// why-not with the trim bands of the tree it walks (carry), so its answers
+// equal the skyOff oracle's over that tree. The mutations target q's
+// candidate universe — points entering it below q, members of it deleted,
+// points dominating q — and each snapshot answers once before it mutates,
+// so a stale band the refinement read would be there to be reused.
 func TestCarryWhyNot(t *testing.T) {
 	for _, d := range []int{3, 5} {
 		for _, viaClone := range []bool{false, true} {
@@ -657,11 +657,11 @@ func TestCarryWhyNot(t *testing.T) {
 	}
 }
 
-// TestLeafImageConcurrentLazyBuild has several goroutines ask a family of
-// snapshots their first why-not at once, so the per-snapshot leaf image is
-// built lazily under contention (run under -race), and requires every
-// answer to equal the skyOff oracle's.
-func TestLeafImageConcurrentLazyBuild(t *testing.T) {
+// TestWhyNotConcurrentLazyBuild has several goroutines ask a family of
+// snapshots their first why-not at once, so the trim bands the refinements
+// read are built lazily under contention (run under -race), and requires
+// every answer to equal the skyOff oracle's.
+func TestWhyNotConcurrentLazyBuild(t *testing.T) {
 	const d = 3
 	ds := dataset.Independent(500, d, 71)
 	ix, err := NewIndex(toRows(ds.Points))

@@ -131,15 +131,13 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 		t.Fatalf("classify allocates %.1f objects per box point, want 0", allocs)
 	}
 
-	// A warm universe build — the walk over the snapshot's leaf image, the
-	// gather, and prepareUniverse with its bitmap index, below-q lists and
-	// band trim — allocates nothing either.
-	leaves := NewLeafImage(tr)
+	// A warm universe build — the node walk collecting the candidates and
+	// prepareUniverse with its bitmap index, below-q lists and band trim —
+	// allocates nothing either.
 	counts := make([]int32, len(ds.Points))
 	for _, m := range dominance.KSkybandNaive(ds.Points, len(ds.Points)) {
 		counts[m.Index] = int32(m.Count) // exact for every point: valid at any bound
 	}
-	src.Leaves = func() *LeafImage { return leaves }
 	src.BandCounts = func(int) []int32 { return counts }
 	sc.candidates(tr, src, q, qMin, wm)
 	if allocs := testing.AllocsPerRun(20, func() {

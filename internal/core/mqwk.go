@@ -79,24 +79,16 @@ func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, w
 
 // candidates runs the §4.4 reuse traversal — every point not dominated by
 // and not equal to q, with the number of nodes expanded. Without a Source
-// it is dominance.Candidates' list; with one it is the call-fixed universe
-// for the sample box [qMin, q] (qMin nil: q alone), gathered from the
-// source's LeafImage of t, and the list is nil: the universe holds the
-// points.
+// it is dominance.Candidates' list; with one the walk collects the points
+// straight into the call-fixed universe for the sample box [qMin, q] (qMin
+// nil: q alone), and the list is nil: the universe holds the points.
 func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight) ([]dominance.Ref, int) {
 	if src == nil {
 		return dominance.Candidates(t, q)
 	}
-	var img *LeafImage
-	if src.Leaves != nil {
-		img = src.Leaves()
-	} else {
-		img = NewLeafImage(t)
-	}
-	sc.walk.walkLeaves(t, img, q)
-	sc.own.gather(img, sc.walk.runs)
+	visited := sc.own.collect(t, q)
 	sc.prepareUniverse(src, q, qMin, wm)
-	return nil, sc.walk.visited
+	return nil, visited
 }
 
 // cacheSize is the size of the §4.4 reuse cache the call built: the

@@ -38,16 +38,12 @@ import (
 // points not dominated by and not equal to the reference query point — by
 // capped sweeps of a call-fixed column-major image of it (see universe), at
 // every dimensionality and every candidate-set size, the empty one
-// included. The call gathers that image from the snapshot's LeafImage by
-// one node walk whose survivors are ranges of it (see leafWalk): the same
-// nodes, points and order as dominance.Candidates. Nothing touches the
+// included. The call collects that image by one node walk that copies
+// each surviving leaf entry straight into its columns (see collect): the
+// same nodes, points and order as dominance.Candidates. Nothing touches the
 // tree per sample.
 type Source struct {
 	KthPoint func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
-	// Leaves returns the LeafImage of the tree the call is handed, built at
-	// most once per snapshot (LeafImageOnce), or is nil, in which case each
-	// call builds its own image of the tree.
-	Leaves func() *LeafImage
 	// BandCounts returns exact dominance counts covering the bound-skyband
 	// of the whole dataset, indexed by record id — counts[id] in [0, bound)
 	// iff id belongs to it; negative, larger, or beyond the slice otherwise
@@ -224,8 +220,6 @@ type rankScratch struct {
 	view   kernel.Coords
 	scores []float64
 	pbuf   vec.Point // incAt's scratch point
-	// walk is the §4.4 reuse traversal's cursor state and survivor runs.
-	walk leafWalk
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}

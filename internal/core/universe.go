@@ -30,8 +30,8 @@ const nBuckets = 64
 // count(cands) = count(D) + count(I).
 type universe struct {
 	// all is the column-major image of the candidate superset — every point
-	// not dominated by and not equal to q — in traversal order, gathered
-	// from the snapshot's LeafImage, and ids their record ids in step.
+	// not dominated by and not equal to q — in traversal order, collected
+	// by the node walk (collect), and ids their record ids in step.
 	all kernel.Coords
 	ids []int32
 	// lo and hi bound the sample box: hi is q, lo the coordinate-wise
@@ -105,7 +105,7 @@ func (u *universe) trusted(qp vec.Point) bool {
 
 // prepareUniverse builds the scratch's call-fixed universe for reference
 // point q and sample box [qMin, q] (qMin nil: q alone) over the candidate
-// image already gathered into sc.own (see candidates): the maybe list with
+// image already collected into sc.own (see candidates): the maybe list with
 // its bitmap index (a real box only), the below-q score lists and k0 from
 // one scoring pass of wm at q, and the band trim. An empty candidate set
 // gets a zero-point universe: every rank over it is 1 and the sampler finds

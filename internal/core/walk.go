@@ -1,169 +1,60 @@
 package core
 
 import (
-	"sync"
-
-	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/vec"
 )
 
-// LeafImage is a column-major copy of every point of one tree snapshot, in
-// depth-first leaf order — the order dominance.Candidates meets them — with
-// their record ids in step. A subtree's points are one contiguous range of
-// it, so the §4.4 reuse walk (walkLeaves) turns the node walk's survivors
-// into ranges of the image and gathers the call's universe from them by
-// position, instead of chasing a pointer per point. It is read-only once
-// built and shared by every call on its snapshot.
-type LeafImage struct {
-	pts kernel.Coords
-	ids []int32
-}
-
-// NewLeafImage lays out t's points in depth-first leaf order.
-func NewLeafImage(t *rtree.Tree) *LeafImage {
-	img := &LeafImage{ids: make([]int32, 0, t.Len())}
-	img.pts.Resize(t.Dim(), t.Len()) // capacity for every point ...
-	img.pts.Reset(t.Dim())           // ... which Append fills in leaf order
-	t.Visit(nil, func(id int32, p vec.Point) {
-		img.pts.Append(p)
-		img.ids = append(img.ids, id)
-	})
-	return img
-}
-
-// LeafImageOnce holds one snapshot's LeafImage, built by the first caller
-// that asks and shared by every later one. A holder belongs to one tree
-// content: whoever mutates the tree must install a fresh holder.
-type LeafImageOnce struct {
-	once sync.Once
-	img  *LeafImage
-}
-
-// Get returns the image of t, building it on the first call.
-func (o *LeafImageOnce) Get(t *rtree.Tree) *LeafImage {
-	o.once.Do(func() { o.img = NewLeafImage(t) })
-	return o.img
-}
-
-// leafWalk is the §4.4 reuse traversal over a LeafImage: the node walk of
-// dominance.Candidates — the same DominatedBy pruning, so the same nodes
-// and the same visited count — with a cursor into the image in place of
-// the per-point pointer chase. A pruned child advances the cursor by its
-// point count; a leaf is the image range [cur, cur+m).
+// collect fills the universe's image and ids with the §4.4 reuse cache of q
+// — every point of t not dominated by and not equal to q — and returns the
+// number of nodes expanded. It is dominance.Candidates' node walk, with the
+// same DominatedBy pruning, so it meets the same nodes and points in the
+// same order and counts the same visited; each survivor's coordinates go
+// straight from its leaf entry into the columns.
 //
 // A point p survives iff it is not dominated by and not equal to q, that is
 // iff !(q <= p everywhere): iff p_j < q_j on some j, for the finite points
 // an index holds. A leaf whose rectangle lies below q on some coordinate
-// (Max_j < q_j) therefore survives whole; any other leaf is tested column
-// by column. The survivors are recorded as maximal runs [lo, hi) of image
-// positions, in image order — Candidates' order.
-type leafWalk struct {
-	img     *LeafImage
-	q       vec.Point
-	cur     int
-	visited int
-	runs    []int32 // flat [lo, hi) pairs
-	keep    []uint8 // one leaf's per-point survival flags
+// (Max_j < q_j) therefore survives whole, without a test per point.
+func (u *universe) collect(t *rtree.Tree, q vec.Point) int {
+	u.all.Reset(t.Dim())
+	u.ids = u.ids[:0]
+	return 1 + u.collectNode(t.Root(), nil, q)
 }
 
-// walkLeaves runs the walk over t against q and leaves its runs in w.runs.
-func (w *leafWalk) walkLeaves(t *rtree.Tree, img *LeafImage, q vec.Point) {
-	w.img, w.q, w.cur, w.visited, w.runs = img, q, 0, 1, w.runs[:0]
-	w.node(t.Root(), nil)
-	w.img, w.q = nil, nil
-}
-
-// node walks n, whose bounding rectangle has upper corner hi (nil for the
-// root, which has none).
-func (w *leafWalk) node(n *rtree.Node, hi []float64) {
+// collectNode walks n, whose bounding rectangle has upper corner hi (nil
+// for the root, which has none), and returns the number of nodes it
+// expanded below n.
+func (u *universe) collectNode(n *rtree.Node, hi []float64, q vec.Point) int {
 	if n.IsLeaf() {
-		m := n.NumEntries()
-		if hi != nil && belowSomewhere(hi, w.q) {
-			w.addRun(w.cur, w.cur+m)
-		} else {
-			w.testLeaf(m)
+		whole := hi != nil && belowSomewhere(hi, q)
+		//wqrtq:bounded one step per leaf entry; the walk is the call's one traversal
+		for i := range n.NumEntries() {
+			if p := n.Point(i); whole || belowSomewhere(p, q) {
+				u.all.Append(p)
+				u.ids = append(u.ids, n.PointID(i))
+			}
 		}
-		w.cur += m
-		return
+		return 0
 	}
+	visited := 0
 	//wqrtq:bounded one step per child entry; the walk is the call's one traversal
 	for i := range n.NumEntries() {
 		r := n.EntryRect(i)
-		if r.DominatedBy(w.q) {
-			w.cur += n.Child(i).Count()
+		if r.DominatedBy(q) {
 			continue
 		}
-		w.visited++
-		w.node(n.Child(i), r.Max)
+		visited += 1 + u.collectNode(n.Child(i), r.Max, q)
 	}
+	return visited
 }
 
-// belowSomewhere reports whether hi_j < q_j on some coordinate j.
-func belowSomewhere(hi []float64, q vec.Point) bool {
+// belowSomewhere reports whether p_j < q_j on some coordinate j.
+func belowSomewhere(p []float64, q vec.Point) bool {
 	for j, v := range q {
-		if hi[j] < v {
+		if p[j] < v {
 			return true
 		}
 	}
 	return false
-}
-
-// testLeaf keeps the points of the leaf at [cur, cur+m) lying below q on
-// some coordinate, sweeping one column at a time.
-func (w *leafWalk) testLeaf(m int) {
-	if cap(w.keep) < m {
-		w.keep = make([]uint8, m)
-	}
-	keep := w.keep[:m]
-	clear(keep)
-	for j, v := range w.q {
-		col := w.img.pts.Col(j)[w.cur : w.cur+m]
-		keep := keep[:len(col)]
-		for i, c := range col {
-			keep[i] |= b01(c < v)
-		}
-	}
-	for i, k := range keep {
-		if k != 0 {
-			w.addRun(w.cur+i, w.cur+i+1)
-		}
-	}
-}
-
-// addRun appends [lo, hi), extending the last run when it ends at lo.
-func (w *leafWalk) addRun(lo, hi int) {
-	if n := len(w.runs); n > 0 && int(w.runs[n-1]) == lo {
-		w.runs[n-1] = int32(hi)
-		return
-	}
-	w.runs = append(w.runs, int32(lo), int32(hi))
-}
-
-// gather copies the image points of runs into the universe's SoA image and
-// their ids into u.ids, in run order.
-//
-//wqrtq:mutates u.all is the call's own scratch image, never published to other readers
-func (u *universe) gather(img *LeafImage, runs []int32) {
-	n := 0
-	for r := 0; r < len(runs); r += 2 {
-		n += int(runs[r+1] - runs[r])
-	}
-	d := img.pts.Dim()
-	u.all.Resize(d, n)
-	//wqrtq:bounded one copy per coordinate column
-	for j := range d {
-		src, dst, at := img.pts.Col(j), u.all.Col(j), 0
-		for r := 0; r < len(runs); r += 2 {
-			at += copy(dst[at:], src[runs[r]:runs[r+1]])
-		}
-	}
-	if cap(u.ids) < n {
-		u.ids = make([]int32, n)
-	}
-	u.ids = u.ids[:n]
-	at := 0
-	for r := 0; r < len(runs); r += 2 {
-		at += copy(u.ids[at:], img.ids[runs[r]:runs[r+1]])
-	}
 }

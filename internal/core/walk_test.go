@@ -13,12 +13,12 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// FuzzCandidateWalk is the differential of the §4.4 reuse walk over a
-// LeafImage: for trees bulk-loaded or built by Insert and Delete, at d in
+// FuzzCandidateWalk is the differential of the §4.4 reuse walk that
+// collects the universe (collect): for trees bulk-loaded or built by Insert and Delete, at d in
 // [2, 13], with duplicate points and coordinates on a coarse grid (so
 // points tie with q and with node faces), and for q a data point, a node
 // rectangle's corner, a point on a node face or a point near the data, the
-// gathered universe must list exactly dominance.Candidates' points — ids and
+// collected universe must list exactly dominance.Candidates' points — ids and
 // coordinates, in its order — and the walk must count the same nodes.
 func FuzzCandidateWalk(f *testing.F) {
 	//            seed      d-2       n-1          build     q mode    page
@@ -105,17 +105,11 @@ func FuzzCandidateWalk(f *testing.F) {
 			}
 		}
 
-		img := NewLeafImage(tr)
-		if len(img.ids) != tr.Len() || img.pts.Len() != tr.Len() {
-			t.Fatalf("image holds %d points (%d ids), tree %d", img.pts.Len(), len(img.ids), tr.Len())
-		}
-		var w leafWalk
-		w.walkLeaves(tr, img, q)
 		var u universe
-		u.gather(img, w.runs)
+		walked := u.collect(tr, q)
 		want, visited := dominance.Candidates(tr, q)
-		if w.visited != visited {
-			t.Fatalf("walk visited %d nodes, Candidates %d", w.visited, visited)
+		if walked != visited {
+			t.Fatalf("walk visited %d nodes, Candidates %d", walked, visited)
 		}
 		if u.all.Len() != len(want) || len(u.ids) != len(want) {
 			t.Fatalf("universe holds %d points (%d ids), Candidates %d", u.all.Len(), len(u.ids), len(want))
@@ -154,21 +148,19 @@ func randomRect(tr *rtree.Tree, rng *rand.Rand, fallback vec.Point) rtree.Rect {
 }
 
 // BenchmarkCandidateUniverse is the layer row of the call-fixed universe:
-// the leaf-image walk and prepareUniverse (maybe list, bitmap index, below-q
+// the node walk collecting it and prepareUniverse (maybe list, bitmap index, below-q
 // lists and k0, band trim) for MQWK's box [q_min, q], on UN n = 100k,
 // d = 3 and Table-1 questions (k = 10, actual rank 101, |Wm| = 1). The
-// Source mirrors the Index's: the snapshot's leaf image and trim bands are
-// built once, before the timer, as a warm server holds them. One op
+// Source mirrors the Index's: the trim bands are built once, before the
+// timer, as a warm server holds them. One op
 // prepares one question's universe.
 func BenchmarkCandidateUniverse(b *testing.B) {
 	ds := dataset.Independent(100000, 3, 1)
 	tr := ds.Tree()
-	img := NewLeafImage(tr)
 	bands := skyband.NewCache(tr, nil)
 	src := &Source{
 		Kernel: kernel.NewCounters(),
 		Routes: new(RouteCounters),
-		Leaves: func() *LeafImage { return img },
 		BandCounts: func(bound int) []int32 {
 			bandK := 16 // the Index's rounding and cap (coreSource)
 			for bandK < bound {

@@ -98,12 +98,6 @@ type Index struct {
 	// every band the step provably leaves unchanged (dynamic.go), so stale
 	// bands are unreachable.
 	sky *skyband.Cache
-	// leaves holds the snapshot's column-major leaf image, which the
-	// refinements gather their candidate universes from (core.LeafImage).
-	// It builds on the first why-not; Insert and Delete install a fresh,
-	// unbuilt holder (carry), so a stale image is unreachable, and Clone
-	// shares it, as the two trees hold the same leaves until one mutates.
-	leaves *core.LeafImageOnce
 	// kct carries the blocked scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters (kernel.go).
 	kct *kernel.Counters
@@ -127,8 +121,8 @@ type Index struct {
 }
 
 // NewIndex validates and bulk-loads a dataset. Every point must be
-// non-negative, finite and of equal dimensionality. The input slices are
-// retained; callers must not mutate them afterwards.
+// non-negative, finite and of equal dimensionality. The points are copied:
+// the input is not retained.
 func NewIndex(points [][]float64) (*Index, error) {
 	if len(points) == 0 {
 		return nil, invalidArgf("empty dataset")
@@ -144,7 +138,11 @@ func NewIndex(points [][]float64) (*Index, error) {
 		}
 		ps[i] = p
 	}
-	return newIndexFromParts(rtree.Bulk(ps, nil), ps), nil
+	tree := rtree.Bulk(ps, nil)
+	// The tree holds its own copies, laid out in leaf order; the id table
+	// shares them rather than keeping the input alive beside them.
+	tree.Visit(nil, func(id int32, p vec.Point) { ps[id] = p })
+	return newIndexFromParts(tree, ps), nil
 }
 
 // newIndexFromParts wires a tree and the id-indexed points it holds
@@ -153,7 +151,7 @@ func NewIndex(points [][]float64) (*Index, error) {
 // (its parts come from verified durable state, so it skips validation and
 // bulk load).
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), leaves: new(core.LeafImageOnce), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
+	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
 	return ix
 }
