@@ -98,7 +98,7 @@ func benchAlgos(b *testing.B, e *benchEnv, sampleSize int) {
 	b.Run("MQWK", func(b *testing.B) {
 		var penalty float64
 		for i := 0; i < b.N; i++ {
-			res, err := core.MQWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, sampleSize, int64(i+1), 0, e.pm)
+			res, err := core.MQWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, sampleSize, sampleSize, int64(i+1), e.pm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -559,23 +559,6 @@ func BenchmarkReverseTopKDims(b *testing.B) {
 					return err
 				})
 			})
-		})
-	}
-}
-
-// BenchmarkAblationMQWKWorkers measures the speedup of spreading
-// Algorithm 3's sample query points across workers (the library's extension
-// for the paper's "larger datasets" future-work direction). The answer is
-// the same at every worker count, so this measures scheduling only.
-func BenchmarkAblationMQWKWorkers(b *testing.B) {
-	e := env(b, "independent", benchN, benchDim, benchK, benchRank, benchWm)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MQWK(context.Background(), e.tr, nil, e.wl.Q, e.wl.K, e.wl.Wm, benchSample, benchSample, 1, workers, e.pm); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

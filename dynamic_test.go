@@ -1,7 +1,6 @@
 package wqrtq
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -70,28 +69,5 @@ func TestSkylineFacade(t *testing.T) {
 	}
 	if len(sky) < 2 {
 		t.Errorf("skyline after delete = %v, expected new entrants", sky)
-	}
-}
-
-func TestOptionsWorkers(t *testing.T) {
-	ix := paperIndex(t)
-	wm := [][]float64{{0.1, 0.9}, {0.9, 0.1}}
-	// Workers schedules ModifyAll's sample points and changes nothing else:
-	// inline (0, 1), fanned out (4) and GOMAXPROCS (-1) agree field for field.
-	base, err := ix.ModifyAll(paperQ, 3, wm, Options{SampleSize: 200, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{-1, 1, 4} {
-		got, err := ix.ModifyAll(paperQ, 3, wm, Options{SampleSize: 200, Seed: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("Workers %d: %+v, want the Workers 0 answer %+v", workers, got, base)
-		}
-	}
-	if ok, _ := ix.Verify(base.Q, base.K, base.Wm); !ok {
-		t.Error("refinement fails verification")
 	}
 }

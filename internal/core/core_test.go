@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -352,7 +350,7 @@ func TestExactMWK2DPaperExample(t *testing.T) {
 func TestMQWKPaperExample(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 400, 400, 7, 0, pm)
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 400, 400, 7, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +393,7 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		all, err := MQWK(context.Background(), tr, nil, q, k, wm, 200, 50, seed+1, 0, pm)
+		all, err := MQWK(context.Background(), tr, nil, q, k, wm, 200, 50, seed+1, pm)
 		if err != nil {
 			return false
 		}
@@ -414,7 +412,7 @@ func TestMQWKNeverWorseThanPureSolutionsQuick(t *testing.T) {
 
 func TestMQWKReusesSingleTraversal(t *testing.T) {
 	tr := paperTree()
-	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 50, 20, 9, 0, DefaultPenaltyModel())
+	res, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 50, 20, 9, DefaultPenaltyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,27 +421,6 @@ func TestMQWKReusesSingleTraversal(t *testing.T) {
 	}
 	if res.CandidatesCached != 5 {
 		t.Errorf("CandidatesCached = %d, want 5 (p1, p2, p3, p4, p7)", res.CandidatesCached)
-	}
-}
-
-// TestMQWKWorkersIdentical pins that workers only schedules: at one seed
-// every worker count, the inline 0 and 1 and GOMAXPROCS (-1) included,
-// returns the same result field for field.
-func TestMQWKWorkersIdentical(t *testing.T) {
-	tr := paperTree()
-	pm := DefaultPenaltyModel()
-	base, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, 0, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, -1, runtime.GOMAXPROCS(0), 64} {
-		got, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 200, 50, 11, workers, pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d: %+v, want %+v", workers, got, base)
-		}
 	}
 }
 
@@ -458,30 +435,26 @@ func TestMQWKVerifiesAndBeatsPureSolutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} {
-		res, err := MQWK(context.Background(), tr, nil, q, 5, wm, 200, 100, 4, workers, pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Penalty > pm.Gamma*mqp.Penalty+1e-9 {
-			t.Errorf("workers=%d: MQWK penalty %v exceeds γ·MQP %v", workers, res.Penalty, pm.Gamma*mqp.Penalty)
-		}
-		if !VerifyRefinement(tr, res.RefinedQ, res.RefinedK, res.RefinedWm) {
-			t.Errorf("workers=%d: refinement fails verification", workers)
-		}
+	res, err := MQWK(context.Background(), tr, nil, q, 5, wm, 200, 100, 4, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Penalty > pm.Gamma*mqp.Penalty+1e-9 {
+		t.Errorf("MQWK penalty %v exceeds γ·MQP %v", res.Penalty, pm.Gamma*mqp.Penalty)
+	}
+	if !VerifyRefinement(tr, res.RefinedQ, res.RefinedK, res.RefinedWm) {
+		t.Error("refinement fails verification")
 	}
 }
 
 func TestMQWKInputValidation(t *testing.T) {
 	tr := paperTree()
 	pm := DefaultPenaltyModel()
-	for _, workers := range []int{0, 2} {
-		if _, err := MQWK(context.Background(), tr, nil, paperQ, 0, paperWm, 10, 10, 1, workers, pm); err == nil {
-			t.Errorf("workers=%d: k=0 accepted", workers)
-		}
-		if _, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 10, -1, 1, workers, pm); err == nil {
-			t.Errorf("workers=%d: negative query sample size accepted", workers)
-		}
+	if _, err := MQWK(context.Background(), tr, nil, paperQ, 0, paperWm, 10, 10, 1, pm); err == nil {
+		t.Error("k=0 accepted")
+	}
+	if _, err := MQWK(context.Background(), tr, nil, paperQ, 3, paperWm, 10, -1, 1, pm); err == nil {
+		t.Error("negative query sample size accepted")
 	}
 }
 

@@ -40,9 +40,8 @@ func bandBackedSource(tr *rtree.Tree, pts []vec.Point, k int) *Source {
 // algorithms: over random datasets of every shape at d in [2, 16] and
 // n <= 400, random k, why-not vectors (zero components included), sample
 // counts, query-point counts up to 69 and seeds, MWK, MQWK
-// and the fused WhyNotRefine with a band-backed Source — MQWK fanned out
-// over two workers on every other run of five modes — must equal the
-// inline nil-Source oracle field for field, penalties bit for bit; the
+// and the fused WhyNotRefine with a band-backed Source must equal the
+// nil-Source oracle field for field, penalties bit for bit; the
 // fused refinements must equal the standalone ones; and MQWK's penalty
 // must not exceed λ times MWK's, exactly. The query-point
 // mode also reaches the degenerate universes: a point equal to a data
@@ -61,16 +60,16 @@ func FuzzRefineDims(f *testing.F) {
 	f.Add(int64(9), uint8(5), uint16(399), uint8(3), uint8(2), uint8(4), uint8(24), uint8(3))       // d=7 AC, low rank
 	f.Add(int64(10), uint8(2), uint16(350), uint8(0), uint8(0), uint8(4), uint8(8), uint8(128+4))   // d=4 UN, k=1, low rank
 	f.Add(int64(11), uint8(6), uint16(380), uint8(2), uint8(1), uint8(4), uint8(20), uint8(5))      // d=8 CO, low rank
-	f.Add(int64(12), uint8(4), uint16(330), uint8(3), uint8(0), uint8(5), uint8(13), uint8(4))      // d=6 UN, parallel MQWK
+	f.Add(int64(12), uint8(4), uint16(330), uint8(3), uint8(0), uint8(5), uint8(13), uint8(4))      // d=6 UN
 	f.Add(int64(13), uint8(4), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))      // d=6 UN, low rank
-	f.Add(int64(14), uint8(11), uint16(399), uint8(2), uint8(1), uint8(9), uint8(24), uint8(5))     // d=13 CO, low rank, parallel
+	f.Add(int64(14), uint8(11), uint16(399), uint8(2), uint8(1), uint8(9), uint8(24), uint8(5))     // d=13 CO, low rank
 	f.Add(int64(103), uint8(4), uint16(399), uint8(0), uint8(1), uint8(4), uint8(24), uint8(5))     // d=6 CO, k=1, band-trimmed
 	f.Add(int64(105), uint8(3), uint16(399), uint8(2), uint8(0), uint8(4), uint8(24), uint8(5))     // d=5 UN, band-trimmed
 	f.Add(int64(107), uint8(6), uint16(399), uint8(1), uint8(1), uint8(4), uint8(24), uint8(5))     // d=8 CO, band-trimmed
-	f.Add(int64(406), uint8(8), uint16(398), uint8(4), uint8(2), uint8(9), uint8(23), uint8(2))     // d=10 AC, low rank, parallel: MQWK above λ·MWK before per-point streams
+	f.Add(int64(406), uint8(8), uint16(398), uint8(4), uint8(2), uint8(9), uint8(23), uint8(2))     // d=10 AC, low rank: MQWK above λ·MWK before per-point streams
 	f.Add(int64(501), uint8(2), uint16(399), uint8(3), uint8(1), uint8(4), uint8(12), uint8(4))     // d=4 CO, low rank: a zero-width box coordinate (q_min_j = q_j)
 	f.Add(int64(502), uint8(1), uint16(399), uint8(9), uint8(0), uint8(0), uint8(12), uint8(4))     // d=3 UN, k0 = 266 > 128: untrimmed
-	f.Add(int64(15), uint8(11), uint16(399), uint8(2), uint8(0), uint8(9), uint8(16), uint8(128+3)) // d=13 UN, low rank, |Q| = 67 on two workers
+	f.Add(int64(15), uint8(11), uint16(399), uint8(2), uint8(0), uint8(9), uint8(16), uint8(128+3)) // d=13 UN, low rank, |Q| = 67
 	f.Fuzz(func(t *testing.T, seed int64, db uint8, nb uint16, kb, shape, mode, sb, qb uint8) {
 		d := 2 + int(db%15)
 		n := 1 + int(nb%400)
@@ -126,7 +125,6 @@ func FuzzRefineDims(f *testing.F) {
 		if qb&128 != 0 {
 			qSamples += 64 // many box points
 		}
-		workers := 2 * int(mode/5%2) // fan MQWK out on every other run of five modes
 		tr := ds.Tree()
 		src := bandBackedSource(tr, pts, k)
 		pm := DefaultPenaltyModel()
@@ -137,19 +135,18 @@ func FuzzRefineDims(f *testing.F) {
 		if (errG == nil) != (errW == nil) || !reflect.DeepEqual(gotMWK, wantMWK) {
 			t.Fatalf("MWK n=%d d=%d k=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, gotMWK, errG, wantMWK, errW)
 		}
-		// The oracle runs inline; the product at workers 0 or 2 must match it.
-		gotMQWK, errG := MQWK(ctx, tr, src, q, k, wm, samples, qSamples, seed, workers, pm)
-		wantMQWK, errW := MQWK(ctx, tr, nil, q, k, wm, samples, qSamples, seed, 0, pm)
+		gotMQWK, errG := MQWK(ctx, tr, src, q, k, wm, samples, qSamples, seed, pm)
+		wantMQWK, errW := MQWK(ctx, tr, nil, q, k, wm, samples, qSamples, seed, pm)
 		if (errG == nil) != (errW == nil) || !reflect.DeepEqual(gotMQWK, wantMQWK) {
-			t.Fatalf("MQWK n=%d d=%d k=%d workers=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, workers, gotMQWK, errG, wantMQWK, errW)
+			t.Fatalf("MQWK n=%d d=%d k=%d: source (%+v, %v), oracle (%+v, %v)", n, d, k, gotMQWK, errG, wantMQWK, errW)
 		}
 		// Point 0 is MWK's search on MWK's stream: the pure second solution
 		// bounds MQWK exactly.
 		if errW == nil && wantMQWK.Penalty > pm.Lambda*wantMWK.Penalty {
 			t.Fatalf("MQWK n=%d d=%d k=%d: penalty %v above λ·MWK %v", n, d, k, wantMQWK.Penalty, pm.Lambda*wantMWK.Penalty)
 		}
-		got, errG := WhyNotRefine(ctx, tr, src, q, k, wm, samples, qSamples, seed, workers, pm)
-		want, errW := WhyNotRefine(ctx, tr, nil, q, k, wm, samples, qSamples, seed, 0, pm)
+		got, errG := WhyNotRefine(ctx, tr, src, q, k, wm, samples, qSamples, seed, pm)
+		want, errW := WhyNotRefine(ctx, tr, nil, q, k, wm, samples, qSamples, seed, pm)
 		if (errG == nil) != (errW == nil) {
 			t.Fatalf("WhyNotRefine n=%d d=%d k=%d: source error %v, oracle error %v", n, d, k, errG, errW)
 		}
@@ -162,7 +159,7 @@ func FuzzRefineDims(f *testing.F) {
 		}
 		got.MQP.KthPoints, want.MQP.KthPoints = nil, nil
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("WhyNotRefine n=%d d=%d k=%d workers=%d:\nsource %+v\noracle %+v", n, d, k, workers, got, want)
+			t.Fatalf("WhyNotRefine n=%d d=%d k=%d:\nsource %+v\noracle %+v", n, d, k, got, want)
 		}
 		if errW == nil && (!reflect.DeepEqual(want.MWK, wantMWK) || !reflect.DeepEqual(want.MQWK, wantMQWK)) {
 			t.Fatalf("fused refinements differ from the standalone ones at n=%d d=%d k=%d", n, d, k)

@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
@@ -47,10 +43,8 @@ type MQWKResult struct {
 // Every evaluation draws from its own stream derived from (seed, point):
 // point 0, q itself, from seed — the stream MWK is handed at the same seed,
 // so point 0 is MWK's answer and Penalty <= λ·MWK.Penalty exactly — the box
-// draw from seed+1, and box point i (1-based) from seed+1+i. workers only
-// schedules those evaluations: 0 and 1 run them on the caller's goroutine,
-// more fan them out over that many goroutines (< 0: GOMAXPROCS), and the
-// result is identical for every value.
+// draw from seed+1, and box point i (1-based) from seed+1+i. The box points
+// run one after another on the caller's goroutine.
 //
 // Algorithm 3 needs the first solution (q_min, line 2) and the second
 // solution's search at q (point 0), so MQWK is the last stage of
@@ -59,7 +53,7 @@ type MQWKResult struct {
 // ctx is polled before every sample query point's MWK search (each costing
 // |S| in-memory rank evaluations), and the inner sampling loops poll on
 // their own intervals, so a canceled refinement unwinds within a fraction
-// of one sample's work, on every worker.
+// of one sample's work.
 //
 // src routes every per-sample evaluation through the skyband hooks of a
 // Source: the MQP optimum uses the band's k-th scores, and each sample
@@ -72,8 +66,8 @@ type MQWKResult struct {
 // rank their samples only as far as a candidate could still beat it
 // (mqwkResolved). nil is the oracle path, running Algorithm 3 as written;
 // results are bit-identical for any valid Source.
-func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (MQWKResult, error) {
-	ref, err := WhyNotRefine(ctx, t, src, q, k, wm, sampleSize, qSampleSize, seed, workers, pm)
+func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, pm PenaltyModel) (MQWKResult, error) {
+	ref, err := WhyNotRefine(ctx, t, src, q, k, wm, sampleSize, qSampleSize, seed, pm)
 	return ref.MQWK, err
 }
 
@@ -86,7 +80,7 @@ func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point,
 	if src == nil {
 		return dominance.Candidates(t, q)
 	}
-	visited := sc.own.collect(t, q)
+	visited := sc.uni.collect(t, q)
 	sc.prepareUniverse(src, q, qMin, wm)
 	return nil, visited
 }
@@ -94,21 +88,10 @@ func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point,
 // cacheSize is the size of the §4.4 reuse cache the call built: the
 // universe's, or the oracle's candidate list's.
 func (sc *rankScratch) cacheSize(cands []dominance.Ref) int {
-	if sc.uni != nil {
+	if sc.prepared {
 		return sc.uni.all.Len()
 	}
 	return len(cands)
-}
-
-// mqwkPick is one evaluated box point: its 1-based index, its Eq. (5)
-// penalty and its self-contained (Wm', k'). The zero index with penalty +Inf
-// is "none adopted".
-type mqwkPick struct {
-	idx     int
-	qp      vec.Point
-	penalty float64
-	wm      []vec.Weight
-	k       int
 }
 
 // budget bounds what one box point's MWK search has to find: qpen is the
@@ -139,146 +122,71 @@ func (b budget) rankCap(pm PenaltyModel, k, kMax int) int {
 	return lo - 1
 }
 
-// penaltyBound is the shared bound B of a budgeted MQWK: the lowest total
-// penalty found so far, lowered atomically by every worker. Penalties are
-// non-negative, so their bit patterns order like their values.
-type penaltyBound struct{ bits atomic.Uint64 }
-
-func (b *penaltyBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
-
-func (b *penaltyBound) lower(p float64) {
-	for {
-		old := b.bits.Load()
-		if !(p < math.Float64frombits(old)) || b.bits.CompareAndSwap(old, math.Float64bits(p)) {
-			return
-		}
-	}
-}
-
 // mqwkResolved is the sampling search of Algorithm 3 given what
 // WhyNotRefine has already computed: the MQP optimum, the candidate cache —
 // with the scratch's universe (if any) prepared over it — and point 0's MWK
-// search at q.
+// search at q. It scans the pure first solution, point 0 and then the box
+// points in index order, adopting a candidate only if it is strictly below
+// the best so far: the answer is the first argmin of that order.
 //
-// Each goroutine keeps the lowest-indexed best of the box points it took
-// (indices are handed out in increasing order, adopted by strict <); the
-// picks are then folded in index order with strict <, after the pure first
-// solution and point 0 — the sequential scan's answer whatever the
-// schedule.
-//
-// With a Source the scan is budgeted: B starts at the fold's two fixed
-// candidates and drops to every box point's total as it is found. A box
-// point whose γ·QPenalty alone exceeds B is skipped — its total cannot be
-// lower — and the others rank their samples only up to budget.rankCap.
-// Both tests are strict, and B never falls below the fold's minimum, so the
-// first box point attaining that minimum is neither skipped nor capped
-// short of its best candidate (whose total is at most B and at least its
-// floor): it finds the same (Wm′, k′) as unbudgeted. Every other box point
-// totals no less than it would unbudgeted, so the fold's first argmin, and
-// the answer, stay the same under any schedule.
-func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, atQ MWKResult, pm PenaltyModel) (MQWKResult, error) {
+// With a Source the scan is budgeted by B, the best total penalty so far. A
+// box point whose γ·QPenalty alone exceeds B is skipped — its total cannot
+// be lower — and the others rank their samples only up to budget.rankCap.
+// Both tests are strict, so the first box point attaining the scan's
+// minimum is neither skipped nor capped short of its best candidate (whose
+// total is at most B and at least its floor): it finds the same (Wm′, k′)
+// as unbudgeted. Every other box point totals no less than it would
+// unbudgeted, so the first argmin, and the answer, stay the same.
+func mqwkResolved(ctx context.Context, src *Source, sc *rankScratch, qMin vec.Point, cands []dominance.Ref, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, atQ MWKResult, pm PenaltyModel) (MQWKResult, error) {
 	boxRng := getRng(seed + 1)
 	box := sample.Box(boxRng, qMin, q, qSampleSize)
 	putRng(boxRng)
 
-	// The fold's fixed candidates: the pure first solution (q' = q_min,
-	// Wm and k unchanged) and point 0 (q itself, the pure second solution).
-	firstPenalty := pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1)
-	atQPenalty := pm.Gamma*pm.QPenalty(q, q) + pm.Lambda*atQ.Penalty
-	var bound penaltyBound
-	bound.bits.Store(math.Float64bits(math.Inf(1)))
-	if src != nil {
-		bound.lower(firstPenalty)
-		bound.lower(atQPenalty)
-	}
-
-	// Lines 3-9: the box points, each on its own stream.
-	var next atomic.Int64
-	scan := func(ws *rankScratch) (mqwkPick, error) {
-		rng := getRng(seed) // reseeded per point
-		defer putRng(rng)
-		best := mqwkPick{penalty: math.Inf(1)}
-		for i := int(next.Add(1)); i <= len(box); i = int(next.Add(1)) {
-			if err := ctx.Err(); err != nil {
-				return best, err
-			}
-			qp := box[i-1]
-			bud := budget{qpen: pm.Gamma * pm.QPenalty(q, qp), bound: bound.load()}
-			if bud.qpen > bud.bound {
-				src.Routes.countSkipped()
-				continue
-			}
-			rng.Seed(seed + 1 + int64(i))
-			wk, err := mwkSearch(ctx, newRankEval(src, ws, cands, qp), k, wm, sampleSize, rng, pm, bud)
-			if err != nil {
-				return best, err
-			}
-			// The outcome aliases the scratch, which the next search
-			// overwrites: copy an adopted one out now.
-			p := bud.qpen + pm.Lambda*wk.Penalty
-			if p < best.penalty {
-				best = mqwkPick{idx: i, qp: qp, penalty: p, wm: cloneWeights(wk.refined), k: wk.RefinedK}
-			}
-			if src != nil {
-				bound.lower(p)
-			}
-		}
-		return best, nil
-	}
-
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	picks := make([]mqwkPick, max(1, min(workers, len(box))))
-	errs := make([]error, len(picks))
-	if len(picks) == 1 {
-		picks[0], errs[0] = scan(sc)
-	} else {
-		var wg sync.WaitGroup
-		for w := range picks {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Workers draw from the shared scratch pool, so repeated
-				// requests reuse warm classification/kernel/draw buffers.
-				ws := getRankScratch()
-				defer putRankScratch(ws)
-				ws.uni = sc.uni // the coordinator's, read-only from here on
-				picks[w], errs[w] = scan(ws)
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return MQWKResult{}, err
-		}
-	}
-	slices.SortFunc(picks, func(a, b mqwkPick) int { return a.idx - b.idx })
-
-	// The pure first solution, then point 0, then the box points in index
-	// order.
+	// The pure first solution (q' = q_min, Wm and k unchanged), then point
+	// 0 (q itself, the pure second solution).
 	best := MQWKResult{
 		RefinedQ:         qMin,
 		RefinedWm:        cloneWeights(wm),
 		RefinedK:         k,
-		Penalty:          firstPenalty,
+		Penalty:          pm.TotalPenalty(q, qMin, wm, wm, k, k, k+1),
 		QMin:             qMin,
 		CandidatesCached: sc.cacheSize(cands),
 		TreeTraversals:   2,
 	}
-	if atQPenalty < best.Penalty {
+	if p := pm.Gamma*pm.QPenalty(q, q) + pm.Lambda*atQ.Penalty; p < best.Penalty {
 		best.RefinedQ = vec.Clone(q)
 		best.RefinedWm = cloneWeights(atQ.RefinedWm)
 		best.RefinedK = atQ.RefinedK
-		best.Penalty = atQPenalty
+		best.Penalty = p
 	}
-	for _, p := range picks {
-		if p.penalty < best.Penalty {
-			best.RefinedQ = p.qp
-			best.RefinedWm = p.wm
-			best.RefinedK = p.k
-			best.Penalty = p.penalty
+
+	// Lines 3-9: the box points, box point i (1-based) on stream seed+1+i.
+	rng := getRng(seed) // reseeded per point
+	defer putRng(rng)
+	for i, qp := range box {
+		if err := ctx.Err(); err != nil {
+			return MQWKResult{}, err
+		}
+		bud := budget{qpen: pm.Gamma * pm.QPenalty(q, qp), bound: math.Inf(1)}
+		if src != nil {
+			bud.bound = best.Penalty
+		}
+		if bud.qpen > bud.bound {
+			src.Routes.countSkipped()
+			continue
+		}
+		rng.Seed(seed + 1 + int64(i+1))
+		wk, err := mwkSearch(ctx, newRankEval(src, sc, cands, qp), k, wm, sampleSize, rng, pm, bud)
+		if err != nil {
+			return MQWKResult{}, err
+		}
+		// The outcome aliases the scratch, which the next search
+		// overwrites: copy an adopted one out now.
+		if p := bud.qpen + pm.Lambda*wk.Penalty; p < best.Penalty {
+			best.RefinedQ = qp
+			best.RefinedWm = cloneWeights(wk.refined)
+			best.RefinedK = wk.RefinedK
+			best.Penalty = p
 		}
 	}
 	return best, nil

@@ -165,12 +165,12 @@ func (c *RouteCounters) countCapped() {
 	}
 }
 
-// rankScratch holds the buffers one sampling call (or one MQWK worker)
-// reuses across its sample query points: the call-fixed universe, one
-// query point's classification against it, the sampler's draw scratch, and
-// the per-search rank, sample and candidate arrays. Scratches are pooled
-// (getRankScratch/putRankScratch), so parallel MQWK workers and successive
-// calls share warm buffers instead of allocating per call.
+// rankScratch holds the buffers one sampling call reuses across its sample
+// query points: the call-fixed universe, one query point's classification
+// against it, the sampler's draw scratch, and the per-search rank, sample
+// and candidate arrays. Scratches are pooled (getRankScratch/
+// putRankScratch), so successive calls share warm buffers instead of
+// allocating per call.
 type rankScratch struct {
 	ks   kernel.Scratch // packed block buffers of the uncapped sweeps
 	draw sample.DrawScratch
@@ -193,11 +193,10 @@ type rankScratch struct {
 	cw      []vec.Weight
 	dist    []float64
 	bestCW  []vec.Weight
-	// own is this scratch's universe storage; uni points at the universe in
-	// force — own once prepared, a coordinator's when adopted by an MQWK
-	// worker (read-only after preparation), nil on the legacy route.
-	own universe
-	uni *universe
+	// uni is the call's universe, in force once prepared (prepareUniverse);
+	// on the legacy route it is never prepared.
+	uni      universe
+	prepared bool
 	// One query point's classification against uni (see classify): the
 	// positions of the dominating points, and the bitmap of the points that
 	// are *not* incomparable over the domain notDom (every position when
@@ -238,8 +237,8 @@ func putRankScratch(sc *rankScratch) {
 	if sc == nil {
 		return
 	}
-	sc.uni = nil
-	sc.own.release()
+	sc.prepared = false
+	sc.uni.release()
 	clear(sc.cw[:cap(sc.cw)])
 	clear(sc.bestCW[:cap(sc.bestCW)])
 	rankScratchPool.Put(sc)
@@ -287,10 +286,10 @@ type rankEval struct {
 // dominance.Classify otherwise — and returns the evaluator every ranking of
 // that query point goes through.
 func newRankEval(src *Source, sc *rankScratch, cands []dominance.Ref, qp vec.Point) *rankEval {
-	if sc.uni != nil {
+	if sc.prepared {
 		trusted := sc.classify(qp)
 		return &rankEval{qp: qp, base: 1 + len(sc.dPos), sc: sc, rc: src.Routes,
-			u: sc.uni, trusted: trusted, ct: src.Kernel}
+			u: &sc.uni, trusted: trusted, ct: src.Kernel}
 	}
 	sets := dominance.Classify(cands, qp)
 	return &rankEval{qp: qp, base: 1 + len(sets.D), sc: sc, sets: sets}
@@ -400,7 +399,7 @@ func (e *rankEval) sampleRankBlock(ws []vec.Weight, out []int, kMax int) {
 	capAt := kMax - e.base + len(e.dSub)
 	for i, w := range ws {
 		fq := vec.Score(w, e.qp)
-		cnt, n := kernel.CountBelowCapped(e.img, w, fq, capAt)
+		cnt, n := kernel.CountBelowCapped(e.img, w, fq, capAt, 0, e.img.Len())
 		scanned += n
 		if cnt > capAt {
 			// count(img) > kMax - base + |dSub| and count(dSub-part) <=

@@ -20,8 +20,8 @@ const nBuckets = 64
 // universe is the call-fixed state of one refinement call with a Source
 // (§4.4 reuse), at any dimensionality: everything that depends on the
 // call's reference point q and its sample box [q_min, q] but not on the
-// individual sample query point. It is built once by prepare and read-only
-// afterwards, so parallel MQWK workers share the coordinator's.
+// individual sample query point. It is built once by prepareUniverse and
+// read-only afterwards.
 //
 // Counting against the candidate superset is exact after subtracting the
 // D-beats: points the sample point dominates can never score strictly below
@@ -105,13 +105,13 @@ func (u *universe) trusted(qp vec.Point) bool {
 
 // prepareUniverse builds the scratch's call-fixed universe for reference
 // point q and sample box [qMin, q] (qMin nil: q alone) over the candidate
-// image already collected into sc.own (see candidates): the maybe list with
+// image already collected into sc.uni (see candidates): the maybe list with
 // its bitmap index (a real box only), the below-q score lists and k0 from
 // one scoring pass of wm at q, and the band trim. An empty candidate set
 // gets a zero-point universe: every rank over it is 1 and the sampler finds
 // no sample space.
 func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.Weight) {
-	u := &sc.own
+	u := &sc.uni
 	n := u.all.Len()
 	u.hi = q
 	u.lo = q
@@ -141,7 +141,7 @@ func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.
 	if qMin != nil {
 		u.buildBuckets()
 	}
-	sc.uni = u
+	sc.prepared = true
 
 	// k0: the first evaluation of the call, over the whole image.
 	sc.classify(q)
@@ -341,7 +341,7 @@ func (u *universe) buildTrim(counts []int32) {
 // everywhere and p != qp, is dominated or equal iff p >= qp everywhere,
 // and is incomparable otherwise.
 func (sc *rankScratch) classify(qp vec.Point) bool {
-	u := sc.uni
+	u := &sc.uni
 	trusted := u.trusted(qp)
 	if trusted {
 		sc.classifyBox(qp)
@@ -382,7 +382,7 @@ func (sc *rankScratch) notWords(nw int) []uint64 {
 // them that share qp's bucket on some coordinate and fail the exact test;
 // the points <= qp are among le, each tested exactly.
 func (sc *rankScratch) classifyBox(qp vec.Point) {
-	u := sc.uni
+	u := &sc.uni
 	x := sc.notWords(words(len(u.maybe)))
 	sc.notDom, sc.notAll = u.maybe, false
 	if len(u.ge) == 0 {
@@ -430,7 +430,7 @@ func (sc *rankScratch) classifyBox(qp vec.Point) {
 // classifyScan classifies an untrusted point by comparing it with every
 // candidate.
 func (sc *rankScratch) classifyScan(qp vec.Point) {
-	u := sc.uni
+	u := &sc.uni
 	n := u.all.Len()
 	x := sc.notWords(words(n))
 	clear(x)

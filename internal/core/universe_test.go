@@ -107,8 +107,8 @@ func TestUniverseMatchesClassify(t *testing.T) {
 		src := bandSource(ds.Points)
 		sc := getRankScratch()
 		sc.candidates(tr, src, q, qMin, wm)
-		u := sc.uni
-		if u == nil {
+		u := &sc.uni
+		if !sc.prepared {
 			t.Fatalf("case %d: no universe prepared", caseIdx)
 		}
 		if u.trimmed {

@@ -27,9 +27,8 @@ type WhyNotRefinements struct {
 //
 // MQP and MWK are bit-identical to their standalone entry points with the
 // same arguments (MWK handed getRng(seed)): the shared state is equal by
-// construction to what each would have recomputed. workers schedules
-// MQWK's box points as in MQWK and changes no result.
-func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, workers int, pm PenaltyModel) (WhyNotRefinements, error) {
+// construction to what each would have recomputed.
+func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, wm []vec.Weight, sampleSize, qSampleSize int, seed int64, pm PenaltyModel) (WhyNotRefinements, error) {
 	var out WhyNotRefinements
 	if err := validateInput(t, q, k, wm); err != nil {
 		return out, err
@@ -70,6 +69,6 @@ func WhyNotRefine(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, 
 
 	// Third solution (MQWK), reusing q_min, the candidate cache and — as
 	// its point 0 — the MWK search at q.
-	out.MQWK, err = mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, workers, out.MWK, pm)
+	out.MQWK, err = mqwkResolved(ctx, src, sc, mqp.RefinedQ, cands, q, k, wm, sampleSize, qSampleSize, seed, out.MWK, pm)
 	return out, err
 }

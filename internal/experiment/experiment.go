@@ -199,7 +199,7 @@ func (r *Runner) RunCell(figure string, xName string, x float64, p Params) (Cell
 	}
 
 	start = time.Now()
-	mqwk, err := core.MQWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, qSampleSize, p.Seed+13, 0, p.PM)
+	mqwk, err := core.MQWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, qSampleSize, p.Seed+13, p.PM)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiment: MQWK: %w", err)
 	}

@@ -126,9 +126,6 @@ func TestKernelWhyNotPenalties(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 16, Seed: seed}
-		if i%4 == 2 {
-			opts.Workers = 3
-		}
 		ds := dataset.Independent(n, d, seed+600000)
 		pts := make([][]float64, len(ds.Points))
 		for j, p := range ds.Points {
@@ -172,9 +169,6 @@ func TestWhyNotMatchesStandaloneRefinements(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 24, Seed: seed}
-		if i%3 == 2 {
-			opts.Workers = 2
-		}
 		ds := dataset.Independent(n, d, seed+700000)
 		pts := make([][]float64, len(ds.Points))
 		for j, p := range ds.Points {

@@ -35,12 +35,6 @@ type Options struct {
 	QuerySampleSize int
 	// Seed makes the sampling deterministic (default 1).
 	Seed int64
-	// Workers > 1 spreads the sample query points of ModifyAll (and of
-	// WhyNot's third refinement) over that many goroutines; Workers < 0
-	// uses GOMAXPROCS, and 0 or 1 runs them on the caller's goroutine. It
-	// changes time only: answers are identical for every value, 0
-	// included, at a fixed Seed.
-	Workers int
 }
 
 func (o Options) resolve() (core.PenaltyModel, int, int, int64, error) {

@@ -380,7 +380,7 @@ func (ix *Index) ModifyPreferencesCtx(ctx context.Context, req ModifyPreferences
 
 // ModifyAllCtx answers a ModifyAllRequest (Algorithm 3, MQWK) with
 // cooperative cancellation: ctx is polled before every sample query point
-// and inside every sampling loop, across all workers when parallel.
+// and inside every sampling loop.
 func (ix *Index) ModifyAllCtx(ctx context.Context, req ModifyAllRequest) (ModifyAllResponse, error) {
 	return serveModifyAll(ctx, ix, req)
 }
@@ -508,7 +508,7 @@ func runModifyPreferences(ctx context.Context, ix *Index, a *query) (any, error)
 }
 
 func runModifyAll(ctx context.Context, ix *Index, a *query) (any, error) {
-	res, err := core.MQWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, a.qs, a.seed, a.opts.Workers, a.pm)
+	res, err := core.MQWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, a.qs, a.seed, a.pm)
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +546,7 @@ func runWhyNot(ctx context.Context, ix *Index, a *query) (any, error) {
 		return nil, err
 	}
 	ref, err := core.WhyNotRefine(ctx, ix.tree, ix.coreSource(a.k),
-		a.q, a.k, missing, a.s, a.qs, a.seed, a.opts.Workers, a.pm)
+		a.q, a.k, missing, a.s, a.qs, a.seed, a.pm)
 	if err != nil {
 		return nil, err
 	}

@@ -166,9 +166,6 @@ func TestSkybandWhyNotPenalties(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		k := 1 + rng.Intn(6)
 		opts := Options{SampleSize: 16, Seed: seed}
-		if i%4 == 2 {
-			opts.Workers = 3
-		}
 		ds := dataset.Independent(n, d, seed+400000)
 		pts := make([][]float64, len(ds.Points))
 		for j, p := range ds.Points {

@@ -123,9 +123,8 @@ func TestTierCoverage(t *testing.T) {
 // dimensionalities of the paper's real datasets, Household (d = 6) and NBA
 // (d = 13). Each dataset.MakeWhyNot instance is answered by the product
 // path and compared field for field with the skyOff oracle and the
-// cellOff clone, sequentially and with Options.Workers = 2, and the two
-// worker counts must give the same answer; every refinement is re-verified
-// by topk.RankNaive; and the route is read off
+// cellOff clone; every refinement is re-verified by topk.RankNaive; and
+// the route is read off
 // the counters: one universe per call, every sample loop a sweep of it
 // (band-trimmed when k'max fits a trim band the data keeps small).
 func refinementTier(t *testing.T) {
@@ -171,108 +170,100 @@ func refinementTier(t *testing.T) {
 					t.Fatal(err)
 				}
 				wm := [][]float64{wl.Wm[0]}
-				var sequential *WhyNotAnswer
-				for _, workers := range []int{0, 2} {
-					req := WhyNotRequest{Q: wl.Q, K: wl.K, W: wm, Opts: Options{SampleSize: samples, Seed: int64(inst + 1), Workers: workers}}
-					before, skyBefore := ix.KernelStats(), ix.SkybandStats()
-					resp, err := ix.WhyNotCtx(t.Context(), req)
+				req := WhyNotRequest{Q: wl.Q, K: wl.K, W: wm, Opts: Options{SampleSize: samples, Seed: int64(inst + 1)}}
+				before, skyBefore := ix.KernelStats(), ix.SkybandStats()
+				resp, err := ix.WhyNotCtx(t.Context(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after, skyAfter := ix.KernelStats(), ix.SkybandStats()
+				got := resp.Answer
+				if len(got.Missing) != 1 {
+					t.Fatalf("instance %d: the why-not vector is not missing: %+v", inst, got.Missing)
+				}
+				for name, ref := range map[string]*Index{"skyband off": skyOff, "cell index off": cellOff} {
+					want, err := ref.WhyNotCtx(t.Context(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					after, skyAfter := ix.KernelStats(), ix.SkybandStats()
-					got := resp.Answer
-					if len(got.Missing) != 1 {
-						t.Fatalf("instance %d: the why-not vector is not missing: %+v", inst, got.Missing)
+					// RTA statistics legitimately differ (they report the
+					// candidate set each path pruned against); everything
+					// the question's answer consists of must not.
+					w := want.Answer
+					if !reflect.DeepEqual(got.Result, w.Result) || !reflect.DeepEqual(got.Missing, w.Missing) ||
+						!reflect.DeepEqual(got.Explanations, w.Explanations) ||
+						!reflect.DeepEqual(got.ModifiedQuery, w.ModifiedQuery) ||
+						!reflect.DeepEqual(got.ModifiedPreferences, w.ModifiedPreferences) ||
+						!reflect.DeepEqual(got.ModifiedAll, w.ModifiedAll) {
+						t.Fatalf("instance %d: product answer differs from %s:\n got %+v %+v %+v\nwant %+v %+v %+v", inst, name,
+							got.ModifiedQuery, got.ModifiedPreferences, got.ModifiedAll, w.ModifiedQuery, w.ModifiedPreferences, w.ModifiedAll)
 					}
-					if sequential == nil {
-						sequential = got
-					} else if !reflect.DeepEqual(got, sequential) {
-						t.Fatalf("instance %d: workers %d answer differs from the sequential one:\n got %+v\nwant %+v", inst, workers, got, sequential)
-					}
-					for name, ref := range map[string]*Index{"skyband off": skyOff, "cell index off": cellOff} {
-						want, err := ref.WhyNotCtx(t.Context(), req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// RTA statistics legitimately differ (they report the
-						// candidate set each path pruned against); everything
-						// the question's answer consists of must not.
-						w := want.Answer
-						if !reflect.DeepEqual(got.Result, w.Result) || !reflect.DeepEqual(got.Missing, w.Missing) ||
-							!reflect.DeepEqual(got.Explanations, w.Explanations) ||
-							!reflect.DeepEqual(got.ModifiedQuery, w.ModifiedQuery) ||
-							!reflect.DeepEqual(got.ModifiedPreferences, w.ModifiedPreferences) ||
-							!reflect.DeepEqual(got.ModifiedAll, w.ModifiedAll) {
-							t.Fatalf("instance %d workers %d: product answer differs from %s:\n got %+v %+v %+v\nwant %+v %+v %+v", inst, workers, name,
-								got.ModifiedQuery, got.ModifiedPreferences, got.ModifiedAll, w.ModifiedQuery, w.ModifiedPreferences, w.ModifiedAll)
-						}
-					}
+				}
 
-					within := func(q []float64, ws [][]float64, k int) bool {
-						for _, w := range ws {
-							if topk.RankNaive(ds.Points, w, vec.Score(w, q)) > k {
-								return false
-							}
+				within := func(q []float64, ws [][]float64, k int) bool {
+					for _, w := range ws {
+						if topk.RankNaive(ds.Points, w, vec.Score(w, q)) > k {
+							return false
 						}
-						return true
 					}
-					if !within(got.ModifiedQuery.Q, wm, wl.K) {
-						t.Fatalf("instance %d: MQP refinement does not rank within k", inst)
-					}
-					if mp := got.ModifiedPreferences; !within(wl.Q, mp.Wm, mp.K) {
-						t.Fatalf("instance %d: MWK refinement does not rank within k' = %d", inst, mp.K)
-					}
-					if ma := got.ModifiedAll; !within(ma.Q, ma.Wm, ma.K) {
-						t.Fatalf("instance %d: MQWK refinement does not rank within k' = %d", inst, ma.K)
-					}
+					return true
+				}
+				if !within(got.ModifiedQuery.Q, wm, wl.K) {
+					t.Fatalf("instance %d: MQP refinement does not rank within k", inst)
+				}
+				if mp := got.ModifiedPreferences; !within(wl.Q, mp.Wm, mp.K) {
+					t.Fatalf("instance %d: MWK refinement does not rank within k' = %d", inst, mp.K)
+				}
+				if ma := got.ModifiedAll; !within(ma.Q, ma.Wm, ma.K) {
+					t.Fatalf("instance %d: MQWK refinement does not rank within k' = %d", inst, ma.K)
+				}
 
-					rt := after.Refine
-					rt.Universes -= before.Refine.Universes
-					rt.UniversePoints -= before.Refine.UniversePoints
-					rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
-					rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
-					rt.SamplesDrawn -= before.Refine.SamplesDrawn
-					rt.PointsSkipped -= before.Refine.PointsSkipped
-					// q (MWK, and MQWK's point 0) and the |Q| box points,
-					// less those the penalty budget skipped; every evaluated
-					// point draws exactly |S| samples.
-					loops := int64(samples+1) - rt.PointsSkipped
-					if rt.SamplesDrawn != loops*samples {
-						t.Fatalf("instance %d workers %d: %d samples drawn, want %d", inst, workers, rt.SamplesDrawn, loops*samples)
-					}
-					if rt.Universes != 1 || rt.EvalsTrimmed+rt.EvalsUntrimmed != loops {
-						t.Fatalf("instance %d workers %d: every sample loop must sweep the one call-fixed universe: %+v", inst, workers, rt)
-					}
-					if rt.UniversePoints <= 8192 {
-						t.Fatalf("instance %d: universe of %d points does not reach past the old linear-scan cutoff", inst, rt.UniversePoints)
-					}
-					if tc.trimmed && got.ModifiedPreferences.KMax <= maxTrimBand && rt.EvalsTrimmed != loops {
-						t.Fatalf("instance %d workers %d: k'max %d fits a trim band, yet %d of %d loops swept untrimmed",
-							inst, workers, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, loops)
-					}
-					// A call that sweeps untrimmed says why: exactly one
-					// counted refusal (k'max past the band cap, or a band
-					// the data makes too large to be worth building).
-					refusedK := skyAfter.TrimRefusedK - skyBefore.TrimRefusedK
-					refusedBand := skyAfter.TrimRefusedBand - skyBefore.TrimRefusedBand
-					wantK, wantBand := int64(0), int64(0)
-					switch {
-					case got.ModifiedPreferences.KMax > maxTrimBand:
-						wantK = 1
-					case !tc.trimmed:
-						wantBand = 1
-					}
-					if refusedK != wantK || refusedBand != wantBand || skyAfter.TrimRefusedDataset != 0 ||
-						(rt.EvalsUntrimmed > 0) != (wantK+wantBand > 0) {
-						t.Fatalf("instance %d workers %d: k'max %d, %d untrimmed loops, refusals k=%d band=%d, want k=%d band=%d",
-							inst, workers, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, refusedK, refusedBand, wantK, wantBand)
-					}
-					// Every sample and every Wm ranking costs at most one
-					// sweep of the universe (capped sweeps and the trim make
-					// it far less), plus the k0 ranking of the preparation.
-					if swept, bound := after.Points-before.Points, (loops*(samples+1)+1)*rt.UniversePoints; swept > bound {
-						t.Fatalf("instance %d workers %d: swept %d points, bound %d", inst, workers, swept, bound)
-					}
+				rt := after.Refine
+				rt.Universes -= before.Refine.Universes
+				rt.UniversePoints -= before.Refine.UniversePoints
+				rt.EvalsTrimmed -= before.Refine.EvalsTrimmed
+				rt.EvalsUntrimmed -= before.Refine.EvalsUntrimmed
+				rt.SamplesDrawn -= before.Refine.SamplesDrawn
+				rt.PointsSkipped -= before.Refine.PointsSkipped
+				// q (MWK, and MQWK's point 0) and the |Q| box points,
+				// less those the penalty budget skipped; every evaluated
+				// point draws exactly |S| samples.
+				loops := int64(samples+1) - rt.PointsSkipped
+				if rt.SamplesDrawn != loops*samples {
+					t.Fatalf("instance %d: %d samples drawn, want %d", inst, rt.SamplesDrawn, loops*samples)
+				}
+				if rt.Universes != 1 || rt.EvalsTrimmed+rt.EvalsUntrimmed != loops {
+					t.Fatalf("instance %d: every sample loop must sweep the one call-fixed universe: %+v", inst, rt)
+				}
+				if rt.UniversePoints <= 8192 {
+					t.Fatalf("instance %d: universe of %d points does not reach past the old linear-scan cutoff", inst, rt.UniversePoints)
+				}
+				if tc.trimmed && got.ModifiedPreferences.KMax <= maxTrimBand && rt.EvalsTrimmed != loops {
+					t.Fatalf("instance %d: k'max %d fits a trim band, yet %d of %d loops swept untrimmed",
+						inst, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, loops)
+				}
+				// A call that sweeps untrimmed says why: exactly one
+				// counted refusal (k'max past the band cap, or a band
+				// the data makes too large to be worth building).
+				refusedK := skyAfter.TrimRefusedK - skyBefore.TrimRefusedK
+				refusedBand := skyAfter.TrimRefusedBand - skyBefore.TrimRefusedBand
+				wantK, wantBand := int64(0), int64(0)
+				switch {
+				case got.ModifiedPreferences.KMax > maxTrimBand:
+					wantK = 1
+				case !tc.trimmed:
+					wantBand = 1
+				}
+				if refusedK != wantK || refusedBand != wantBand || skyAfter.TrimRefusedDataset != 0 ||
+					(rt.EvalsUntrimmed > 0) != (wantK+wantBand > 0) {
+					t.Fatalf("instance %d: k'max %d, %d untrimmed loops, refusals k=%d band=%d, want k=%d band=%d",
+						inst, got.ModifiedPreferences.KMax, rt.EvalsUntrimmed, refusedK, refusedBand, wantK, wantBand)
+				}
+				// Every sample and every Wm ranking costs at most one
+				// sweep of the universe (capped sweeps and the trim make
+				// it far less), plus the k0 ranking of the preparation.
+				if swept, bound := after.Points-before.Points, (loops*(samples+1)+1)*rt.UniversePoints; swept > bound {
+					t.Fatalf("instance %d: swept %d points, bound %d", inst, swept, bound)
 				}
 			}
 		})
@@ -368,8 +359,7 @@ func TestRefinementDegenerateUniverses(t *testing.T) {
 // and changes no answer: some box points are skipped outright, some rank
 // their samples under a cap below k'max, and ModifyAll equals the skyOff
 // oracle's (the nil-Source path, which runs Algorithm 3 unbudgeted) field
-// for field at Workers 0 and 2 — the shared bound is lowered by whichever
-// worker finishes first, so the second run also exercises its races.
+// for field.
 func TestMQWKBudgetFires(t *testing.T) {
 	const samples = 200
 	ds := dataset.Independent(20000, 3, 1)
@@ -392,26 +382,23 @@ func TestMQWKBudgetFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2} {
-		req.Opts.Workers = workers
-		before := ix.KernelStats().Refine
-		got, err := ix.ModifyAllCtx(t.Context(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := ix.KernelStats().Refine
-		if !reflect.DeepEqual(got.Refinement, want.Refinement) {
-			t.Fatalf("workers %d: budgeted ModifyAll differs from the oracle:\n got %+v\nwant %+v", workers, got.Refinement, want.Refinement)
-		}
-		skipped := after.PointsSkipped - before.PointsSkipped
-		capped := after.PointsCapped - before.PointsCapped
-		evals := after.EvalsTrimmed + after.EvalsUntrimmed - before.EvalsTrimmed - before.EvalsUntrimmed
-		if skipped == 0 || capped == 0 {
-			t.Fatalf("workers %d: the budget skipped %d and capped %d of %d box points; want both to fire", workers, skipped, capped, samples)
-		}
-		// q (point 0) and every box point the budget did not skip.
-		if evals != samples+1-skipped || after.SamplesDrawn-before.SamplesDrawn != evals*samples {
-			t.Fatalf("workers %d: %d evaluations and %d draws for %d skipped points", workers, evals, after.SamplesDrawn-before.SamplesDrawn, skipped)
-		}
+	before := ix.KernelStats().Refine
+	got, err := ix.ModifyAllCtx(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ix.KernelStats().Refine
+	if !reflect.DeepEqual(got.Refinement, want.Refinement) {
+		t.Fatalf("budgeted ModifyAll differs from the oracle:\n got %+v\nwant %+v", got.Refinement, want.Refinement)
+	}
+	skipped := after.PointsSkipped - before.PointsSkipped
+	capped := after.PointsCapped - before.PointsCapped
+	evals := after.EvalsTrimmed + after.EvalsUntrimmed - before.EvalsTrimmed - before.EvalsUntrimmed
+	if skipped == 0 || capped == 0 {
+		t.Fatalf("the budget skipped %d and capped %d of %d box points; want both to fire", skipped, capped, samples)
+	}
+	// q (point 0) and every box point the budget did not skip.
+	if evals != samples+1-skipped || after.SamplesDrawn-before.SamplesDrawn != evals*samples {
+		t.Fatalf("%d evaluations and %d draws for %d skipped points", evals, after.SamplesDrawn-before.SamplesDrawn, skipped)
 	}
 }
