@@ -70,7 +70,7 @@ func cmdServe(args []string) error {
 	fsync := fs.String("fsync", "always", "WAL sync policy: always (sync per mutation), interval (periodic) or off (sync at rotation/close only)")
 	fsyncInterval := fs.Duration("fsync-interval", 0, "sync period under -fsync=interval (0 = default)")
 	checkpointBytes := fs.Int64("checkpoint-bytes", 0, "WAL size triggering a background checkpoint (0 = default, negative disables)")
-	admissionFlag := fs.String("admission", "on", "admission control (token buckets + adaptive concurrency + deadline shedding): on (default) or off")
+	admissionFlag := fs.String("admission", "on", "admission control (adaptive concurrency + deadline shedding): on (default) or off")
 	maxInflight := fs.Int("max-inflight", 0, "admission: hard per-class concurrency ceiling (0 = default)")
 	targetLatency := fs.Duration("target-latency", 0, "admission: latency target driving the adaptive window (0 = default)")
 	fs.Parse(args)

@@ -395,10 +395,10 @@ func TestServeHealthEndpoint(t *testing.T) {
 	wantGolden(t, rec, http.StatusOK, `{"live":true,"ready":true,"degraded":false}`+"\n")
 }
 
-// TestServeOverloaded503 exhausts the query class's token-bucket burst and
-// asserts the shed surface: 503 with a Retry-After header and the
-// machine-readable overloaded/rate_limit body, while earlier requests in
-// the burst answer 200.
+// TestServeOverloaded503 has the admission controller shed a run of
+// queries (its InjectErrors hook) and asserts the shed surface: 503 with a
+// Retry-After header and the machine-readable overloaded/fault_injected
+// body, while the requests before the run answer 200.
 func TestServeOverloaded503(t *testing.T) {
 	ix, err := wqrtq.NewIndex([][]float64{
 		{1, 8}, {2, 5}, {4, 3}, {8, 2}, {9, 1},
@@ -407,9 +407,8 @@ func TestServeOverloaded503(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{
-		Admission:          true,
-		AdmissionQueryRate: 1, // burst of 8, refill 1/s: the 9th request sheds
-		CacheSize:          -1,
+		Admission: true,
+		CacheSize: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,6 +418,9 @@ func TestServeOverloaded503(t *testing.T) {
 
 	var ok, shed int
 	for i := 0; i < 12; i++ {
+		if i == 8 {
+			e.Admission().InjectErrors(4) // the last four requests shed
+		}
 		rec := post(t, h, "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[[0.25,0.75],[0.75,0.25]]}`)
 		switch rec.Code {
 		case http.StatusOK:
@@ -436,15 +438,15 @@ func TestServeOverloaded503(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 				t.Fatalf("shed body not JSON: %s", rec.Body.String())
 			}
-			if body.Code != "overloaded" || body.Reason != "rate_limit" {
-				t.Fatalf("shed body code=%q reason=%q, want overloaded/rate_limit", body.Code, body.Reason)
+			if body.Code != "overloaded" || body.Reason != "fault_injected" {
+				t.Fatalf("shed body code=%q reason=%q, want overloaded/fault_injected", body.Code, body.Reason)
 			}
 		default:
 			t.Fatalf("status %d; body %s", rec.Code, rec.Body.String())
 		}
 	}
-	if ok == 0 || shed == 0 {
-		t.Fatalf("burst did not exercise both paths: ok %d, shed %d", ok, shed)
+	if ok != 8 || shed != 4 {
+		t.Fatalf("want 8 answered and 4 shed, got ok %d, shed %d", ok, shed)
 	}
 }
 
@@ -465,7 +467,6 @@ func TestServeDegraded503(t *testing.T) {
 		DataDir:         "data",
 		FS:              fs,
 		CheckpointBytes: -1,
-		WALRetryBackoff: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,12 +123,6 @@ type durable struct {
 	interval  time.Duration
 	threshold int64
 
-	// retries and backoff shape the append retry loop (appendRetry):
-	// retries attempts, each after a jittered exponential backoff
-	// starting at backoff, before the engine degrades to read-only.
-	retries int
-	backoff time.Duration
-
 	mu          sync.Mutex // guards w, lastLSN, snapLSN, appendsBase, syncsBase, closing, degReason
 	w           *wal.Writer
 	lastLSN     uint64
@@ -170,10 +164,12 @@ type durable struct {
 // transition the engine to read-only.
 const checkpointDegradeStreak = 3
 
-// Defaults for the WAL append retry loop.
+// The WAL append retry ladder (appendRetry): appendRetries attempts, each
+// after a jittered exponential backoff starting at appendBackoff, before
+// the engine degrades to read-only.
 const (
-	defaultWALRetries      = 3
-	defaultWALRetryBackoff = 2 * time.Millisecond
+	appendRetries = 3
+	appendBackoff = 2 * time.Millisecond
 )
 
 // recInfo summarizes one recovery pass.
@@ -357,8 +353,6 @@ func openDurable(seed *Index, cfg EngineConfig) (*Index, *durable, error) {
 		policyStr: policyStr,
 		interval:  cfg.FsyncInterval,
 		threshold: cfg.CheckpointBytes,
-		retries:   cfg.WALRetries,
-		backoff:   cfg.WALRetryBackoff,
 		stop:      make(chan struct{}),
 	}
 	if d.interval <= 0 {
@@ -366,14 +360,6 @@ func openDurable(seed *Index, cfg EngineConfig) (*Index, *durable, error) {
 	}
 	if d.threshold == 0 {
 		d.threshold = DefaultCheckpointBytes
-	}
-	if d.retries == 0 {
-		d.retries = defaultWALRetries
-	} else if d.retries < 0 {
-		d.retries = 0
-	}
-	if d.backoff <= 0 {
-		d.backoff = defaultWALRetryBackoff
 	}
 	if err := fs.MkdirAll(d.dir); err != nil {
 		return nil, nil, err
@@ -544,7 +530,7 @@ func (d *durable) appendDelete(id uint64) error {
 // appendRetry runs one WAL append through the bounded retry ladder:
 // attempt, and on failure — the writer is now poisoned — back off with
 // jitter, replace the writer via recoverWriter, and attempt again, up to
-// d.retries times. Exhausting the budget latches read-only degraded mode
+// appendRetries times. Exhausting the budget latches read-only degraded mode
 // and returns the typed *DegradedError; queries are never affected.
 // Called under e.mu with cur the published index the WAL position
 // corresponds to (the failed mutation is not yet published). appendRetry
@@ -558,9 +544,9 @@ func (d *durable) appendRetry(cur *Index, attempt func() error) error {
 	if err == nil {
 		return nil
 	}
-	for i := 0; i < d.retries; i++ {
+	for i := range appendRetries {
 		d.walRetries.Add(1)
-		sleepJittered(d.backoff << i)
+		sleepJittered(appendBackoff << i)
 		if rerr := d.recoverWriter(cur); rerr != nil {
 			err = rerr
 			continue

@@ -1,6 +1,6 @@
 // Package admission implements the serving engine's overload-control
-// front door: per-class token buckets, an AIMD adaptive concurrency
-// limiter, and deadline-aware early shedding.
+// front door: an AIMD adaptive concurrency limiter per class and
+// deadline-aware early shedding.
 //
 // Every request passes Admit before it is allowed to cost a queue slot or
 // an index traversal. A request is shed — with a machine-readable reason
@@ -9,21 +9,19 @@
 //   - its context's remaining budget is below the current p50 service
 //     time for its class ("doomed": it would almost certainly expire
 //     while queued, so rejecting it now is strictly cheaper for everyone);
-//   - its class's token bucket is empty ("rate": sustained arrival rate
-//     above the configured ceiling);
 //   - its class's adaptive concurrency limit is reached ("concurrency":
 //     the AIMD controller has concluded that more in-flight work pushes
 //     latency past the target).
 //
-// Queries and mutations are separate classes with independent buckets,
-// limits and latency statistics, so a query storm cannot starve writes
+// Queries and mutations are separate classes with independent limits and
+// latency statistics, so a query storm cannot starve writes
 // and vice versa.
 //
 // The AIMD loop is the classic TCP-shaped controller: every completed
 // request whose latency is at or under the target nudges the limit up
 // additively (+1 per limit's worth of successes); a completion over the
-// target cuts the limit multiplicatively (×0.9), at most once per decrease
-// interval so one slow burst does not collapse the window. The limit
+// target cuts the limit multiplicatively (×0.9), at most once per
+// decreaseInterval so one slow burst does not collapse the window. The limit
 // floats between 1 and MaxInflight.
 //
 // InjectLatency and InjectErrors are chaos hooks: they let the load
@@ -41,6 +39,10 @@ import (
 
 	"wqrtq/internal/feq"
 )
+
+// decreaseInterval bounds how often a class's limit can be cut
+// multiplicatively.
+const decreaseInterval = 100 * time.Millisecond
 
 // Class selects the admission class of a request.
 type Class int
@@ -67,16 +69,14 @@ const (
 	// ReasonDoomed: the request's remaining context budget is below the
 	// class's observed p50 service time.
 	ReasonDoomed = "doomed_deadline"
-	// ReasonRate: the class's token bucket is empty.
-	ReasonRate = "rate_limit"
 	// ReasonConcurrency: the class's adaptive in-flight limit is reached.
 	ReasonConcurrency = "concurrency_limit"
 	// ReasonInjected: a chaos hook (InjectErrors) forced the rejection.
 	ReasonInjected = "fault_injected"
 )
 
-// Config tunes a Controller. The zero value gives unlimited rate, a
-// 256-request concurrency ceiling and a 50ms latency target per class.
+// Config tunes a Controller. The zero value gives a 256-request
+// concurrency ceiling and a 50ms latency target per class.
 type Config struct {
 	// MaxInflight is the ceiling of each class's adaptive concurrency
 	// limit; <= 0 uses 256. The AIMD controller floats the effective limit
@@ -85,14 +85,6 @@ type Config struct {
 	// TargetLatency is the per-request latency the AIMD controller steers
 	// toward; <= 0 uses 50ms.
 	TargetLatency time.Duration
-	// QueryRate and MutationRate cap each class's sustained admission rate
-	// in requests/second (token bucket, burst = one second's worth, at
-	// least 8). <= 0 leaves the class unmetered.
-	QueryRate    float64
-	MutationRate float64
-	// DecreaseInterval bounds how often a class's limit can be cut
-	// multiplicatively; <= 0 uses 100ms.
-	DecreaseInterval time.Duration
 }
 
 // Shed describes one rejected admission.
@@ -100,8 +92,8 @@ type Shed struct {
 	Class  Class
 	Reason string
 	// RetryAfter is the controller's hint for when a retry has a real
-	// chance: the bucket refill time for rate sheds, the observed p50 for
-	// the rest (zero when no data exists yet).
+	// chance: the observed p50 (zero when no data exists yet), or the
+	// target for a concurrency shed before any data.
 	RetryAfter time.Duration
 }
 
@@ -131,14 +123,9 @@ func NewController(cfg Config) *Controller {
 	if target <= 0 {
 		target = 50 * time.Millisecond
 	}
-	decrease := cfg.DecreaseInterval
-	if decrease <= 0 {
-		decrease = 100 * time.Millisecond
-	}
 	c := &Controller{}
-	rates := [numClasses]float64{Query: cfg.QueryRate, Mutation: cfg.MutationRate}
 	for cl := Class(0); cl < numClasses; cl++ {
-		c.limiters[cl] = newLimiter(rates[cl], maxInflight, target, decrease)
+		c.limiters[cl] = newLimiter(maxInflight, target)
 	}
 	return c
 }
@@ -191,7 +178,8 @@ func (c *Controller) P50(class Class) time.Duration {
 // ClassStats is one class's admission counters, surfaced in /v1/stats.
 type ClassStats struct {
 	// Admitted counts requests that passed the door; Shed* count the
-	// rejections by reason.
+	// rejections by reason. ShedRate is always zero: no rate limit
+	// exists, and the field stays only for readers of the stats.
 	Admitted        int64 `json:"admitted"`
 	ShedDoomed      int64 `json:"shed_doomed"`
 	ShedRate        int64 `json:"shed_rate"`
@@ -217,24 +205,17 @@ func (c *Controller) Stats() map[string]ClassStats {
 	return out
 }
 
-// limiter is one class's token bucket + AIMD window + latency tracker.
+// limiter is one class's AIMD window + latency tracker.
 type limiter struct {
-	rate     float64 // tokens/second; 0 = unmetered
-	burst    float64
 	maxLimit float64
 	target   time.Duration
-	decrease time.Duration
 
-	bmu       sync.Mutex // guards tokens, lastFill
-	tokens    float64
-	lastFill  time.Time
 	limitBits atomic.Uint64 // float64 bits of the AIMD window
 	inflight  atomic.Int64
 	lastCut   atomic.Int64 // unixnano of the last multiplicative decrease
 
 	admitted        atomic.Int64
 	shedDoomed      atomic.Int64
-	shedRate        atomic.Int64
 	shedConcurrency atomic.Int64
 	shedInjected    atomic.Int64
 	cuts            atomic.Int64
@@ -242,18 +223,8 @@ type limiter struct {
 	lat latencyTracker
 }
 
-func newLimiter(rate float64, maxInflight int, target, decrease time.Duration) *limiter {
-	l := &limiter{
-		rate:     rate,
-		maxLimit: float64(maxInflight),
-		target:   target,
-		decrease: decrease,
-		lastFill: time.Now(),
-	}
-	if rate > 0 {
-		l.burst = math.Max(rate, 8)
-		l.tokens = l.burst
-	}
+func newLimiter(maxInflight int, target time.Duration) *limiter {
+	l := &limiter{maxLimit: float64(maxInflight), target: target}
 	// The window starts fully open: the controller learns the real
 	// capacity by observing latency, shrinking only on evidence.
 	l.limitBits.Store(math.Float64bits(l.maxLimit))
@@ -262,18 +233,12 @@ func newLimiter(rate float64, maxInflight int, target, decrease time.Duration) *
 
 func (l *limiter) limit() float64 { return math.Float64frombits(l.limitBits.Load()) }
 
-// admit runs the shed ladder: doomed deadline, token bucket, AIMD window.
+// admit runs the shed ladder: doomed deadline, then AIMD window.
 func (l *limiter) admit(ctx context.Context, class Class) (*Ticket, *Shed) {
 	if dl, ok := ctx.Deadline(); ok {
 		if p50 := l.lat.p50(); p50 > 0 && time.Until(dl) < p50 {
 			l.shedDoomed.Add(1)
 			return nil, &Shed{Class: class, Reason: ReasonDoomed, RetryAfter: p50}
-		}
-	}
-	if l.rate > 0 {
-		if wait := l.takeToken(); wait > 0 {
-			l.shedRate.Add(1)
-			return nil, &Shed{Class: class, Reason: ReasonRate, RetryAfter: wait}
 		}
 	}
 	limit := l.limit()
@@ -288,21 +253,6 @@ func (l *limiter) admit(ctx context.Context, class Class) (*Ticket, *Shed) {
 	}
 	l.admitted.Add(1)
 	return &Ticket{lim: l}, nil
-}
-
-// takeToken consumes one token, returning 0 on success or the time until
-// the bucket refills one token.
-func (l *limiter) takeToken() time.Duration {
-	l.bmu.Lock()
-	defer l.bmu.Unlock()
-	now := time.Now()
-	l.tokens = math.Min(l.burst, l.tokens+now.Sub(l.lastFill).Seconds()*l.rate)
-	l.lastFill = now
-	if l.tokens >= 1 {
-		l.tokens--
-		return 0
-	}
-	return time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
 }
 
 // Done releases the ticket's in-flight slot and drives the AIMD window
@@ -326,7 +276,7 @@ func (t *Ticket) Done(d time.Duration) {
 	// Multiplicative decrease, at most once per decrease interval.
 	now := time.Now().UnixNano()
 	last := l.lastCut.Load()
-	if now-last < int64(l.decrease) || !l.lastCut.CompareAndSwap(last, now) {
+	if now-last < int64(decreaseInterval) || !l.lastCut.CompareAndSwap(last, now) {
 		return
 	}
 	for {
@@ -345,7 +295,6 @@ func (l *limiter) stats() ClassStats {
 	return ClassStats{
 		Admitted:        l.admitted.Load(),
 		ShedDoomed:      l.shedDoomed.Load(),
-		ShedRate:        l.shedRate.Load(),
 		ShedConcurrency: l.shedConcurrency.Load(),
 		ShedInjected:    l.shedInjected.Load(),
 		Inflight:        l.inflight.Load(),

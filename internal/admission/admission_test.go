@@ -33,7 +33,7 @@ func TestClassesAreIndependent(t *testing.T) {
 }
 
 func TestAIMDDecreasesOnOverTargetLatency(t *testing.T) {
-	c := NewController(Config{MaxInflight: 64, TargetLatency: time.Millisecond, DecreaseInterval: time.Nanosecond})
+	c := NewController(Config{MaxInflight: 64, TargetLatency: time.Millisecond})
 	ctx := context.Background()
 	l := c.limiters[Query]
 	start := l.limit()
@@ -42,8 +42,7 @@ func TestAIMDDecreasesOnOverTargetLatency(t *testing.T) {
 		if shed != nil {
 			t.Fatalf("admit %d shed: %+v", i, shed)
 		}
-		tk.Done(10 * time.Millisecond) // 10x over target
-		time.Sleep(time.Microsecond)   // step past the decrease interval
+		tk.Done(10 * time.Millisecond) // 10x over target; the first cut is due at once
 	}
 	if got := l.limit(); got >= start {
 		t.Fatalf("limit did not decrease under sustained over-target latency: start %.1f, now %.1f", start, got)
@@ -103,37 +102,6 @@ func TestDoomedDeadlineShedding(t *testing.T) {
 		t.Fatalf("no-deadline admit shed: %+v", shed)
 	}
 	tk.Done(time.Millisecond)
-}
-
-func TestTokenBucketRateLimit(t *testing.T) {
-	c := NewController(Config{MaxInflight: 1024, QueryRate: 10}) // burst max(10, 8) = 10
-	ctx := context.Background()
-	admitted, shed := 0, 0
-	for i := 0; i < 50; i++ {
-		tk, s := c.Admit(ctx, Query)
-		if s != nil {
-			if s.Reason != ReasonRate {
-				t.Fatalf("admit %d: want rate shed, got %+v", i, s)
-			}
-			if s.RetryAfter <= 0 {
-				t.Fatalf("rate shed carries no RetryAfter: %+v", s)
-			}
-			shed++
-			continue
-		}
-		tk.Done(time.Microsecond)
-		admitted++
-	}
-	// The burst is 10 tokens; a tight loop of 50 must shed most of the rest.
-	if admitted > 15 || shed < 35 {
-		t.Fatalf("rate limiting too loose: admitted %d, shed %d of 50", admitted, shed)
-	}
-	// Mutations are unmetered in this config.
-	tk, s := c.Admit(ctx, Mutation)
-	if s != nil {
-		t.Fatalf("unmetered mutation shed: %+v", s)
-	}
-	tk.Done(time.Microsecond)
 }
 
 func TestInjectErrorsAndLatency(t *testing.T) {

@@ -33,8 +33,8 @@ var ErrDegraded = errors.New("wqrtq: engine degraded (read-only)")
 
 // ReasonQueueFull is the OverloadError reason for a request that passed
 // admission but found the worker queue full; the other reasons
-// (admission.ReasonDoomed, ReasonRate, ReasonConcurrency, ReasonInjected)
-// come from the admission controller.
+// (admission.ReasonDoomed, ReasonConcurrency, ReasonInjected) come from the
+// admission controller.
 const ReasonQueueFull = "queue_full"
 
 // OverloadError reports a request shed by admission control. It matches
@@ -42,8 +42,8 @@ const ReasonQueueFull = "queue_full"
 type OverloadError struct {
 	// Class is "query" or "mutation".
 	Class string
-	// Reason is machine-readable: doomed_deadline, rate_limit,
-	// concurrency_limit, queue_full or fault_injected.
+	// Reason is machine-readable: doomed_deadline, concurrency_limit,
+	// queue_full or fault_injected.
 	Reason string
 	// RetryAfter hints when a retry has a real chance (zero = no data).
 	RetryAfter time.Duration

@@ -98,9 +98,7 @@ func TestWALPersistentFailureDegradesReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := durCfg(fs)
-	cfg.WALRetryBackoff = 100 * time.Microsecond // keep the ladder fast under test
-	e, err := NewEngine(seed, cfg)
+	e, err := NewEngine(seed, durCfg(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +422,9 @@ func TestAdmissionDoomedDeadlineAtDoor(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Admission().Observe(admission.Query, 50*time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// 10ms of budget is doomed against that p50, and long enough that a
+	// descheduled caller still reaches the door before it expires.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, err = e.ReverseTopKCtx(ctx, ReverseTopKRequest{Q: []float64{0.5, 0.5, 0.5}, K: 3, W: [][]float64{{0.3, 0.3, 0.4}}})
 	var oe *OverloadError

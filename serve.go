@@ -73,9 +73,9 @@ type EngineConfig struct {
 	// simulate crashes, torn writes and bit rot.
 	FS storage.FS
 	// Admission enables the overload-control front door
-	// (internal/admission): per-class token buckets, an AIMD concurrency
-	// limiter steering accepted-request latency toward
-	// AdmissionTargetLatency, and deadline-aware early shedding. A
+	// (internal/admission): a per-class AIMD concurrency limiter steering
+	// accepted-request latency toward AdmissionTargetLatency, and
+	// deadline-aware early shedding. A
 	// rejected request fails with ErrOverloaded (an *OverloadError
 	// carrying class, reason and a Retry-After hint) instead of queueing;
 	// with admission on the engine never parks a caller behind a full
@@ -88,21 +88,6 @@ type EngineConfig struct {
 	// AdmissionTargetLatency is the accepted-request latency the AIMD
 	// controller steers toward; <= 0 uses 50ms.
 	AdmissionTargetLatency time.Duration
-	// AdmissionQueryRate and AdmissionMutationRate cap each class's
-	// sustained admission rate in requests/second; <= 0 leaves the class
-	// unmetered.
-	AdmissionQueryRate    float64
-	AdmissionMutationRate float64
-	// WALRetries bounds how many times a failed WAL append is retried —
-	// with jittered exponential backoff and a writer recovery
-	// (snapshot-then-rotate) between attempts — before the engine
-	// degrades to read-only (ErrDegraded on mutations, queries
-	// unaffected). 0 uses 3; negative disables retries so the first
-	// failure degrades.
-	WALRetries int
-	// WALRetryBackoff is the base backoff before the first WAL retry,
-	// doubled per attempt with ±50% jitter; <= 0 uses 2ms.
-	WALRetryBackoff time.Duration
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
@@ -223,8 +208,6 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 		e.adm = admission.NewController(admission.Config{
 			MaxInflight:   cfg.AdmissionMaxInflight,
 			TargetLatency: cfg.AdmissionTargetLatency,
-			QueryRate:     cfg.AdmissionQueryRate,
-			MutationRate:  cfg.AdmissionMutationRate,
 		})
 	}
 	e.pool = engine.NewPool(cfg.Workers, cfg.MaxBatch, e.dropReq, e.exec)
@@ -794,8 +777,7 @@ func appendVec(b []byte, v []float64) []byte {
 
 // appendOptions encodes what a refinement's answer depends on: the
 // resolved penalty model, sample sizes and seed (so Options{} and its
-// spelled-out defaults share a key), not Options.Workers, which only
-// schedules.
+// spelled-out defaults share a key).
 func appendOptions(b []byte, a *query) []byte {
 	for _, f := range []float64{a.pm.Alpha, a.pm.Beta, a.pm.Gamma, a.pm.Lambda} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
