@@ -160,23 +160,6 @@ func BichromaticNaive(points []vec.Point, W []vec.Weight, q vec.Point, k int) []
 	return result
 }
 
-// WhyNotCandidates returns the indices of W absent from the reverse top-k
-// result — the vectors eligible as why-not weighting vectors for WQBQ
-// (Definition 5 requires Wm ⊆ W \ BRTOPk(q)).
-func WhyNotCandidates(W []vec.Weight, result []int) []int {
-	in := make(map[int]bool, len(result))
-	for _, i := range result {
-		in[i] = true
-	}
-	var out []int
-	for i := range W {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Interval is a closed range [Lo, Hi] of the first weight component λ, with
 // the second component 1-λ, describing part of a 2-D monochromatic result.
 type Interval struct {

@@ -62,10 +62,6 @@ func TestBichromaticPaperExample(t *testing.T) {
 	if stats.Evaluated+stats.Pruned != 4 {
 		t.Errorf("stats %+v do not cover all 4 vectors", stats)
 	}
-	missing := WhyNotCandidates(paperWeights(), got)
-	if len(missing) != 2 || missing[0] != 0 || missing[1] != 3 {
-		t.Errorf("why-not candidates = %v, want [0 3] (Julia, Kevin)", missing)
-	}
 }
 
 func TestBichromaticAgainstNaiveQuick(t *testing.T) {
@@ -220,14 +216,6 @@ func TestMonochromatic2DRejectsBadDim(t *testing.T) {
 		}
 	}()
 	Monochromatic2D([]vec.Point{{1, 2, 3}}, vec.Point{1, 2, 3}, 1)
-}
-
-func TestWhyNotCandidatesEmptyResult(t *testing.T) {
-	W := paperWeights()
-	got := WhyNotCandidates(W, nil)
-	if len(got) != len(W) {
-		t.Errorf("all vectors should be why-not candidates, got %v", got)
-	}
 }
 
 func TestMonochromaticSampleMatches2DExact(t *testing.T) {
