@@ -159,15 +159,14 @@ type Grid struct {
 	// bounds-check-free. Unbuilt (simplex-unreachable) cells keep zero
 	// bounds, which no valid weight can satisfy.
 	bounds []float64
-	// cellOff[c] .. cellOff[c+1] delimit cell c's candidate rows in cols.
+	// cellOff[c] .. cellOff[c+1] delimit cell c's candidate rows in rows.
 	// Built cells are never empty (at least min(basisSize, k) candidates
 	// survive exclusion), so an empty range marks an unreachable cell.
 	cellOff []int32
-	// cols are the dim coordinate columns of the concatenated per-cell
-	// candidate segments, each segment sorted by hi-corner score ascending.
-	cols  [][]float64
+	// rows holds the concatenated per-cell candidate segments, each
+	// segment sorted by hi-corner score ascending.
+	rows  kernel.Coords
 	cells int // built (non-empty) cells
-	cands int // total stored candidate rows
 }
 
 // K returns the query parameter the grid was built for.
@@ -205,7 +204,7 @@ func (g *Grid) Cells(fn func(lo, hi []float64, cand [][]float64)) {
 			continue
 		}
 		for j := 0; j < g.dim; j++ {
-			cand[j] = g.cols[j][s:e]
+			cand[j] = g.rows.Col(j)[s:e]
 		}
 		b := g.bounds[c*2*g.dim : (c+1)*2*g.dim]
 		for j := 0; j < g.dim; j++ {
@@ -271,12 +270,13 @@ func (g *Grid) locate(w []float64) int {
 }
 
 // CountBelowCapped counts the candidates of w's cell scoring strictly
-// below fq, giving up once the count exceeds cap (the count is exact when
-// <= cap and cap+1 otherwise, exactly like kernel.CountBelowCapped).
-// scanned reports the candidate rows examined; ok is false when w could
-// not be located, in which case the caller must use a fallback path. The
-// scan allocates nothing and uses vec.Score's arithmetic order, so an
-// uncapped count is bit-identical to a scalar scan of the cell.
+// below fq, giving up once the count exceeds cap (kernel.CountBelowCapped
+// over the cell's rows: the count is exact when <= cap and cap+1
+// otherwise). scanned reports the candidate rows examined; ok is false
+// when w could not be located, in which case the caller must use a
+// fallback path. The scan allocates nothing and uses vec.Score's
+// arithmetic order, so an uncapped count is bit-identical to a scalar scan
+// of the cell.
 //
 //wqrtq:contract noescape(g,w) nobce noalloc
 func (g *Grid) CountBelowCapped(w []float64, fq float64, cap int) (count, scanned int, ok bool) {
@@ -292,73 +292,8 @@ func (g *Grid) CountBelowCapped(w []float64, fq float64, cap int) (count, scanne
 	if len(o) < 2 {
 		return 0, 0, false
 	}
-	s, e := int(o[0]), int(o[1])
-	// Each specialization slices every column to the [s,e) window under one
-	// guard; after that the windows share x's range-proved index. Dispatch
-	// is on len(cols) (== dim by construction) so the column fetches are
-	// bounds-check-free too.
-	cols := g.cols
-	switch len(cols) {
-	case 2:
-		x, y := cols[0], cols[1]
-		if s < 0 || e < s || e > len(x) || e > len(y) || len(w) < 2 {
-			return 0, 0, false
-		}
-		x, y = x[s:e], y[s:e]
-		w0, w1 := w[0], w[1]
-		for i, xi := range x {
-			sc := w0 * xi
-			sc += w1 * y[i]
-			if sc < fq {
-				count++
-				if count > cap {
-					return count, i + 1, true
-				}
-			}
-		}
-	case 3:
-		x, y, z := cols[0], cols[1], cols[2]
-		if s < 0 || e < s || e > len(x) || e > len(y) || e > len(z) || len(w) < 3 {
-			return 0, 0, false
-		}
-		x, y, z = x[s:e], y[s:e], z[s:e]
-		w0, w1, w2 := w[0], w[1], w[2]
-		for i, xi := range x {
-			sc := w0 * xi
-			sc += w1 * y[i]
-			sc += w2 * z[i]
-			if sc < fq {
-				count++
-				if count > cap {
-					return count, i + 1, true
-				}
-			}
-		}
-	case 4:
-		x, y, z, u := cols[0], cols[1], cols[2], cols[3]
-		if s < 0 || e < s || e > len(x) || e > len(y) || e > len(z) || e > len(u) || len(w) < 4 {
-			return 0, 0, false
-		}
-		x, y, z, u = x[s:e], y[s:e], z[s:e], u[s:e]
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		for i, xi := range x {
-			sc := w0 * xi
-			sc += w1 * y[i]
-			sc += w2 * z[i]
-			sc += w3 * u[i]
-			if sc < fq {
-				count++
-				if count > cap {
-					return count, i + 1, true
-				}
-			}
-		}
-	default:
-		// maxBaseCells admits only dim 2..4; an impossible shape falls
-		// back rather than panicking on the query path.
-		return 0, 0, false
-	}
-	return count, e - s, true
+	count, scanned = kernel.CountBelowCapped(&g.rows, w, fq, cap, int(o[0]), int(o[1]))
+	return count, scanned, true
 }
 
 // ReverseTopK answers the bichromatic reverse top-k over the grid: result
@@ -407,13 +342,14 @@ func build(b *skyband.Band, k, dim int) *Grid {
 		nBase:     nBase,
 		bounds:    make([]float64, nBase*2*dim),
 		cellOff:   make([]int32, nBase+1),
-		cols:      make([][]float64, dim),
 	}
+	g.rows.Reset(dim)
 	scores := make([]float64, 2*m) // lo-corner scores then hi-corner scores
 	sortedHi := make([]float64, m)
 	order := make([]int, 0, m)
 	wb := make([]float64, 2*dim)
 	lo, hi := wb[:dim], wb[dim:]
+	pt := make([]float64, dim)
 	for c := 0; c < nBase; c++ {
 		g.cellOff[c+1] = g.cellOff[c]
 		// Decode the cell digits and derive the per-coordinate bounds.
@@ -453,16 +389,15 @@ func build(b *skyband.Band, k, dim int) *Grid {
 			}
 		}
 		sort.Slice(order, func(a, b int) bool { return highs[order[a]] < highs[order[b]] })
-		if g.cands+len(order) > maxCandidates {
+		if g.rows.Len()+len(order) > maxCandidates {
 			return nil
 		}
-		for j := 0; j < dim; j++ {
-			col := basis.Col(j)
-			for _, i := range order {
-				g.cols[j] = append(g.cols[j], col[i])
+		for _, i := range order {
+			for j := range pt {
+				pt[j] = basis.Col(j)[i]
 			}
+			g.rows.Append(pt)
 		}
-		g.cands += len(order)
 		g.cellOff[c+1] = g.cellOff[c] + int32(len(order))
 		// wb keeps lo and hi contiguous for the two-weight ScoreBlock
 		// sweep; grid storage interleaves them per coordinate (see the
@@ -662,7 +597,7 @@ func (c *Cache) Stats() Stats {
 		if g := e.grid.Load(); g != nil {
 			s.Grids++
 			s.Cells += g.cells
-			s.Candidates += g.cands
+			s.Candidates += g.rows.Len()
 		}
 	}
 	return s

@@ -384,36 +384,40 @@ func countBelowGeneric(cols [][]float64, wb, fqs []float64, counts []int) {
 	}
 }
 
-// CountBelowCapped counts the points of c scoring strictly below fq under
-// the single weight w, abandoning the scan once the count exceeds cap: the
-// returned count is exact when <= cap and cap+1 otherwise, and scanned
-// reports how many points were examined. The sampling loops use it for
-// ranks that only matter while small — a sample whose rank exceeds k'max
-// is discarded whatever its exact value, so most discarded samples cost a
-// fraction of a full sweep. The scan order is the Coords order and the
-// arithmetic is vec.Score's, so an uncapped result is bit-identical to
-// CountBelowBlock's.
+// CountBelowCapped counts the points of c in the row window [lo, hi)
+// scoring strictly below fq under the single weight w, abandoning the scan
+// once the count exceeds cap: the returned count is exact when <= cap and
+// cap+1 otherwise, and scanned reports how many points of the window were
+// examined. The sampling loops use it for ranks that only matter while
+// small — a sample whose rank exceeds k'max is discarded whatever its
+// exact value, so most discarded samples cost a fraction of a full sweep —
+// and the cell index for one cell's candidate rows. The scan order is the
+// Coords order and the arithmetic is vec.Score's, so an uncapped result is
+// bit-identical to CountBelowBlock's over the same rows.
 //
 //wqrtq:contract noescape(c,w) nobce noalloc
-func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scanned int) {
+func CountBelowCapped(c *Coords, w []float64, fq float64, cap, lo, hi int) (count, scanned int) {
 	if cap < 0 {
 		return cap + 1, 0
 	}
-	n := c.n
-	if n <= 0 {
-		return 0, n
+	if lo < 0 || hi < lo || hi > c.n {
+		panic("kernel: row window out of range")
+	}
+	n := hi - lo
+	if n == 0 {
+		return 0, 0
 	}
 	// Each specialization pins the column lengths with one guard and
-	// re-slices to exactly n, after which every y[i]-style load shares x's
-	// range-proved index. The guards only fire on a corrupted Coords (the
-	// builder keeps all columns at length n).
+	// re-slices every column to the window, after which every y[i]-style
+	// load shares x's range-proved index. The guards only fire on a
+	// corrupted Coords (the builder keeps all columns at length c.n).
 	switch len(c.cols) {
 	case 2:
 		x, y := c.cols[0], c.cols[1]
-		if len(x) < n || len(y) < n || len(w) < 2 {
+		if len(x) < hi || len(y) < hi || len(w) < 2 {
 			panic("kernel: short columns or weight")
 		}
-		x, y = x[:n], y[:n]
+		x, y = x[lo:hi], y[lo:hi]
 		w0, w1 := w[0], w[1]
 		for i, xi := range x {
 			s := w0 * xi
@@ -427,10 +431,10 @@ func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scann
 		}
 	case 3:
 		x, y, z := c.cols[0], c.cols[1], c.cols[2]
-		if len(x) < n || len(y) < n || len(z) < n || len(w) < 3 {
+		if len(x) < hi || len(y) < hi || len(z) < hi || len(w) < 3 {
 			panic("kernel: short columns or weight")
 		}
-		x, y, z = x[:n], y[:n], z[:n]
+		x, y, z = x[lo:hi], y[lo:hi], z[lo:hi]
 		w0, w1, w2 := w[0], w[1], w[2]
 		for i, xi := range x {
 			s := w0 * xi
@@ -445,10 +449,10 @@ func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scann
 		}
 	case 4:
 		x, y, z, u := c.cols[0], c.cols[1], c.cols[2], c.cols[3]
-		if len(x) < n || len(y) < n || len(z) < n || len(u) < n || len(w) < 4 {
+		if len(x) < hi || len(y) < hi || len(z) < hi || len(u) < hi || len(w) < 4 {
 			panic("kernel: short columns or weight")
 		}
-		x, y, z, u = x[:n], y[:n], z[:n], u[:n]
+		x, y, z, u = x[lo:hi], y[lo:hi], z[lo:hi], u[lo:hi]
 		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
 		for i, xi := range x {
 			s := w0 * xi
@@ -463,7 +467,7 @@ func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scann
 			}
 		}
 	default:
-		return countBelowCappedGeneric(c, w, fq, cap)
+		return countBelowCappedGeneric(c, w, fq, cap, lo, hi)
 	}
 	return count, n
 }
@@ -471,10 +475,13 @@ func CountBelowCapped(c *Coords, w []float64, fq float64, cap int) (count, scann
 // countBelowCappedGeneric is the arbitrary-dimension tail of
 // CountBelowCapped, split out so the specialized cases can carry a nobce
 // contract: like countBelowGeneric, its slice-of-slices walk keeps
-// structural bounds checks no analysis can remove.
-func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap int) (count, scanned int) {
-	n, d := c.n, len(c.cols)
-	for i := 0; i < n; i++ {
+// structural bounds checks no analysis can remove. It must not be inlined,
+// or those checks would count against the caller's contract.
+//
+//go:noinline
+func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap, lo, hi int) (count, scanned int) {
+	d := len(c.cols)
+	for i := lo; i < hi; i++ {
 		s := w[0] * c.cols[0][i]
 		for j := 1; j < d; j++ {
 			s += w[j] * c.cols[j][i]
@@ -482,11 +489,11 @@ func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap int) (count
 		if s < fq {
 			count++
 			if count > cap {
-				return count, i + 1
+				return count, i - lo + 1
 			}
 		}
 	}
-	return count, n
+	return count, hi - lo
 }
 
 // ScoreBlock produces the score columns of a packed weight block in one

@@ -70,6 +70,35 @@ func TestCountBelowBlockMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestCountBelowCappedWindow checks the capped count over row windows
+// against the scalar reference, at every specialized dimension and a
+// generic one: an uncapped count is exact, a capped one is cap+1 and stops
+// at the point that exceeded the cap, and scanned is relative to the
+// window's first row.
+func TestCountBelowCappedWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{2, 3, 4, 5} {
+		pts := randPoints(rng, 97, d)
+		c := coordsOf(pts, d)
+		for _, win := range [][2]int{{0, 0}, {0, 97}, {5, 5}, {13, 60}, {96, 97}} {
+			lo, hi := win[0], win[1]
+			w := sample.RandSimplex(rng, d)
+			fq := rng.Float64()
+			want := refCountBelow(pts[lo:hi], w, fq)
+			if cnt, scanned := CountBelowCapped(c, w, fq, hi-lo, lo, hi); cnt != want || scanned != hi-lo {
+				t.Fatalf("d=%d [%d,%d): uncapped count %d scanned %d, want %d and %d", d, lo, hi, cnt, scanned, want, hi-lo)
+			}
+			if want == 0 {
+				continue
+			}
+			cnt, scanned := CountBelowCapped(c, w, fq, want-1, lo, hi)
+			if cnt != want || refCountBelow(pts[lo:lo+scanned], w, fq) != want || vec.Score(w, pts[lo+scanned-1]) >= fq {
+				t.Fatalf("d=%d [%d,%d): capped at %d: count %d after %d rows", d, lo, hi, want-1, cnt, scanned)
+			}
+		}
+	}
+}
+
 // TestScoreBlockBitIdentical checks that every blocked score equals
 // vec.Score bit for bit (not merely within epsilon): the kernel preserves
 // the multiply/add association order the differential suites rely on.
@@ -171,7 +200,7 @@ func TestCoordsPlacedFillAndPrefixView(t *testing.T) {
 			t.Fatalf("view of %d: len=%d dim=%d", n, view.Len(), view.Dim())
 		}
 		// Scores are 7, 6, ..., so the first n points hold those above 7-n.
-		cnt, scanned := CountBelowCapped(&view, w, 100, 100)
+		cnt, scanned := CountBelowCapped(&view, w, 100, 100, 0, view.Len())
 		if cnt != n || scanned != n {
 			t.Fatalf("view of %d swept %d points, counted %d", n, scanned, cnt)
 		}

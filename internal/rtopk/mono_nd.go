@@ -111,7 +111,7 @@ func MonochromaticND(g *cellindex.Grid, q vec.Point, k int) []MonoCell {
 				mid[j] = (lo[j] + hi[j]) / 2
 			}
 			fqMid := vec.Score(vec.Weight(mid), q)
-			cnt, _ := kernel.CountBelowCapped(g.Basis(), mid, fqMid, k-1)
+			cnt, _ := kernel.CountBelowCapped(g.Basis(), mid, fqMid, k-1, 0, g.Basis().Len())
 			cell.MidIn = cnt < k
 		}
 		out = append(out, cell)
