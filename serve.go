@@ -601,8 +601,8 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 			return v, snap.Epoch(), 0, nil
 		}
 	}
-	// The door: deadline-aware shedding, rate limiting and the AIMD
-	// concurrency window — all before the request costs a queue slot.
+	// The door: deadline-aware shedding and the AIMD concurrency window —
+	// both before the request costs a queue slot.
 	ticket, err := e.admit(ctx, admission.Query)
 	if err != nil {
 		return nil, 0, 0, err
