@@ -479,7 +479,9 @@ func BenchmarkWhyNotDims(b *testing.B) {
 // tree (UN d = 3 runs with cellOff, since the grid would otherwise answer;
 // the AC bands at d = 3 and 4 are past the grid's basis limit on their
 // own). "rta" is the paper's algorithm over the same band tree, the
-// reference DESIGN §9 quotes the product against.
+// reference DESIGN §9 quotes the product against, and "fulltree" the
+// product's count descent over the full tree instead of the band tree:
+// what the band buys the descent.
 func BenchmarkReverseTopKDims(b *testing.B) {
 	const queries, nW = 50, 1000
 	for _, c := range []struct {
@@ -556,6 +558,12 @@ func BenchmarkReverseTopKDims(b *testing.B) {
 			b.Run("rta", func(b *testing.B) {
 				run(b, func(q []float64) error {
 					_, _, err := rtopk.BichromaticCtx(context.Background(), band, ws, q, benchK)
+					return err
+				})
+			})
+			b.Run("fulltree", func(b *testing.B) {
+				run(b, func(q []float64) error {
+					_, _, err := rtopk.BichromaticCountCtx(context.Background(), ix.tree, ws, q, benchK)
 					return err
 				})
 			})

@@ -11,6 +11,7 @@ import (
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
+	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
 )
 
@@ -20,8 +21,8 @@ import (
 // vectors with zero components and a query point that may equal a data
 // point (so score ties, which q wins, are reached), the per-vector count
 // descent must return the same indices as the linear scan — on the full
-// tree and on a k-skyband tree, where it is the product path —
-// and account for every vector: the members counted to completion, the
+// tree and on k-skyband trees, among them one with the product path's
+// geometry (skyband.TreeOptions) — and account for every vector: the members counted to completion, the
 // rest stopped at their k-th beater. The uncapped blocked sweep, which only
 // the benchmark harness still calls, is held to the same answer.
 func FuzzBichromaticCount(f *testing.F) {
@@ -82,11 +83,14 @@ func FuzzBichromaticCount(f *testing.F) {
 			bandPts = append(bandPts, pts[m.Index])
 			bandIDs = append(bandIDs, int32(m.Index))
 		}
-		// Band trees are loaded with small pages (skyband.compute), so even
-		// a band of a few dozen points is several levels deep.
-		band := rtree.Bulk(bandPts, bandIDs, rtree.Options{PageSize: 1024})
+		// The band is loaded twice: with 1 KiB pages, so that even a band
+		// of a few dozen points is several levels deep (fanout 4 at d = 13,
+		// every four-wide group full), and with the geometry skyband.compute
+		// gives every band tree.
+		small := rtree.Bulk(bandPts, bandIDs, rtree.Options{PageSize: 1024})
+		band := rtree.Bulk(bandPts, bandIDs, skyband.TreeOptions(d))
 		ctx := context.Background()
-		for name, tr := range map[string]*rtree.Tree{"full tree": full, "k-skyband tree": band} {
+		for name, tr := range map[string]*rtree.Tree{"full tree": full, "k-skyband tree, small pages": small, "k-skyband tree": band} {
 			got, stats, err := BichromaticCountCtx(ctx, tr, W, q, k)
 			if err != nil {
 				t.Fatal(err)

@@ -77,6 +77,20 @@ type entry struct {
 	id    int32 // valid for leaf entries
 }
 
+// Node layout of the simulated page: a 16-byte header, then per entry 2·d
+// float64 for the MBR plus an 8-byte pointer/id.
+const nodeHeaderBytes = 16
+
+func entryBytes(dim int) int { return 16*dim + 8 }
+
+// PageSizeFor returns the smallest page size whose derived fanout at dim is
+// fanout: the inverse of New's derivation, for trees whose fanout is fixed
+// as a number of entries rather than by a simulated disk page. Fanouts
+// below New's floor of 4 still get 4.
+func PageSizeFor(dim, fanout int) int {
+	return nodeHeaderBytes + fanout*entryBytes(dim)
+}
+
 // New creates an empty tree for dim-dimensional points.
 func New(dim int, opts ...Options) *Tree {
 	if dim <= 0 {
@@ -87,10 +101,7 @@ func New(dim int, opts ...Options) *Tree {
 		o = opts[0]
 	}
 	o = o.withDefaults()
-	// Entry layout: 2*d float64 for the MBR plus an 8-byte pointer/id,
-	// 16 bytes of node header.
-	entryBytes := 16*dim + 8
-	maxFill := (o.PageSize - 16) / entryBytes
+	maxFill := (o.PageSize - nodeHeaderBytes) / entryBytes(dim)
 	if maxFill < 4 {
 		maxFill = 4
 	}

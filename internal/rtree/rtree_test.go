@@ -36,6 +36,19 @@ func TestFanoutFromPageSize(t *testing.T) {
 	if tiny.MaxEntries() < 4 {
 		t.Errorf("MaxEntries = %d, want >= 4", tiny.MaxEntries())
 	}
+	// PageSizeFor inverts the derivation: the page it names is the
+	// smallest with exactly that fanout.
+	for _, dim := range []int{1, 2, 3, 6, 13, 16} {
+		for _, f := range []int{4, 5, 7, 16, 18, 72} {
+			ps := PageSizeFor(dim, f)
+			if got := New(dim, Options{PageSize: ps}).MaxEntries(); got != f {
+				t.Errorf("d=%d: PageSizeFor(%d) = %d gives fanout %d", dim, f, ps, got)
+			}
+			if got := New(dim, Options{PageSize: ps - 1}).MaxEntries(); f > 4 && got != f-1 {
+				t.Errorf("d=%d: a page one byte below PageSizeFor(%d) gives fanout %d, want %d", dim, f, got, f-1)
+			}
+		}
+	}
 }
 
 func TestInsertSearchExactness(t *testing.T) {

@@ -569,11 +569,25 @@ func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 		bi[i] = ids[m.Index]
 		counts[bi[i]] = int32(m.Count)
 	}
-	// Band trees are memory-resident accelerators, not simulated disk
-	// pages: a small fanout makes each branch-and-bound expansion push
-	// far fewer heap entries, which is where band top-k time goes.
-	opts := rtree.Options{PageSize: 1024}
-	return &Band{k: k, tree: rtree.Bulk(bp, bi, opts), size: len(band), counts: counts}, complete
+	return &Band{k: k, tree: rtree.Bulk(bp, bi, TreeOptions(t.Dim())), size: len(band), counts: counts}, complete
+}
+
+// bandFanout is the number of entries per band-tree node, at every
+// dimensionality. Band trees are memory-resident accelerators, not
+// simulated disk pages, and their hot reader is the capped count descent
+// (topk.CountBelowCapped), whose cost is set by entries, not bytes: a
+// visited node scores each entry's lower corner, and deeper trees visit
+// more nodes. A fixed page gave fanout 18 at d = 3 but 4 at d = 13, where
+// the NBA-like band became a height-7 tree whose descents visited ~85
+// nodes. A BenchmarkCountBelowCapped sweep over fanouts 8–32 at d = 3, 6
+// and 13 (DESIGN §9) put 16 level with the best at d = 13 and within 1.2×
+// of it at d = 3 and 6, close to the old 18 at d = 3.
+const bandFanout = 16
+
+// TreeOptions is the geometry every band tree is bulk-loaded with at
+// dimensionality dim: bandFanout entries per node.
+func TreeOptions(dim int) rtree.Options {
+	return rtree.Options{PageSize: rtree.PageSizeFor(dim, bandFanout)}
 }
 
 // CountBelowCtx counts the points of t scoring strictly below fq under w,

@@ -13,6 +13,7 @@ package topk
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"wqrtq/internal/ctxcheck"
@@ -281,51 +282,19 @@ func Rank(t *rtree.Tree, w vec.Weight, fq float64) int {
 // RankCtx is Rank with cooperative cancellation: the count-pruned descent
 // polls ctx every checkInterval nodes.
 func RankCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, fq float64) (int, error) {
-	tick := ctxcheck.Every(ctx, checkInterval)
-	cnt, err := countBelow(t.Root(), w, fq, &tick)
+	cnt, err := CountBelowCtx(ctx, t, w, fq)
 	if err != nil {
 		return 0, err
 	}
 	return 1 + cnt, nil
 }
 
-func countBelow(n *rtree.Node, w vec.Weight, fq float64, tick *ctxcheck.Ticker) (int, error) {
-	if err := tick.Tick(); err != nil {
-		return 0, err
-	}
-	cnt := 0
-	if n.IsLeaf() {
-		//wqrtq:bounded leaf scan, at most one node fanout of entries
-		for i := 0; i < n.NumEntries(); i++ {
-			if vec.Score(w, n.Point(i)) < fq {
-				cnt++
-			}
-		}
-		return cnt, nil
-	}
-	for i := 0; i < n.NumEntries(); i++ {
-		r := n.EntryRect(i)
-		if r.MinScore(w) >= fq {
-			continue // nothing inside can beat fq
-		}
-		if r.MaxScore(w) < fq {
-			cnt += n.Child(i).Count() // everything inside beats fq
-			continue
-		}
-		sub, err := countBelow(n.Child(i), w, fq, tick)
-		if err != nil {
-			return 0, err
-		}
-		cnt += sub
-	}
-	return cnt, nil
-}
-
 // CountBelowCtx returns the number of indexed points scoring strictly below
-// fq under w (Rank minus one), with cooperative cancellation.
+// fq under w (Rank minus one), with cooperative cancellation. It is the
+// capped descent with a bound no count reaches.
 func CountBelowCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, fq float64) (int, error) {
 	tick := ctxcheck.Every(ctx, checkInterval)
-	return countBelow(t.Root(), w, fq, &tick)
+	return CountBelowCapped(t, w, fq, math.MaxInt, &tick)
 }
 
 // CountBelowCappedCtx counts points scoring strictly below fq under w,
@@ -351,8 +320,12 @@ func CountBelowCappedCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, fq fl
 // A loop of many short descents — reverse top-k membership, one per
 // weighting vector — shares one ticker across them, so ctx is polled on
 // the loop's interval as well as inside a long descent; a fresh ticker per
-// call would never reach its interval.
+// call would never reach its interval. It panics if w and t differ in
+// dimensionality, as vec.Score does.
 func CountBelowCapped(t *rtree.Tree, w vec.Weight, fq float64, bound int, tick *ctxcheck.Ticker) (int, error) {
+	if len(w) != t.Dim() {
+		panic("topk: count descent weight and tree dimensionality differ")
+	}
 	return countBelowCapped(t.Root(), w, fq, bound, tick)
 }
 
@@ -360,15 +333,37 @@ func CountBelowCapped(t *rtree.Tree, w vec.Weight, fq float64, bound int, tick *
 // entries MinScore could not reject (most rectangles of a band tree lie
 // wholly above fq, and at d = 13 each bound is a 13-term dot product).
 //
+// Lower corners and leaf points are scored four at a time by score4, whose
+// four sums are independent chains of adds that overlap in the pipeline
+// where one vec.Score is a single serial chain; each is bit-identical to
+// vec.Score's. The four are then consumed in index order, with the bound
+// checked after each, so the recursion, the ticks and the returned count
+// are the one-at-a-time descent's: a group that meets the bound has only
+// scored up to three entries too many.
+//
 //wqrtq:contract noalloc
 func countBelowCapped(n *rtree.Node, w vec.Weight, fq float64, bound int, tick *ctxcheck.Ticker) (int, error) {
 	if err := tick.Tick(); err != nil {
 		return 0, err
 	}
 	cnt := 0
+	ne := n.NumEntries()
+	i := 0
 	if n.IsLeaf() {
-		//wqrtq:bounded leaf scan, at most one node fanout of entries
-		for i := 0; i < n.NumEntries(); i++ {
+		//wqrtq:bounded leaf scan in groups of four, at most one node fanout of entries
+		for ; i+4 <= ne; i += 4 {
+			s0, s1, s2, s3 := score4(w, n.Point(i), n.Point(i+1), n.Point(i+2), n.Point(i+3))
+			for _, s := range [4]float64{s0, s1, s2, s3} {
+				if s < fq {
+					cnt++
+					if cnt >= bound {
+						return cnt, nil
+					}
+				}
+			}
+		}
+		//wqrtq:bounded leaf scan remainder, at most three entries
+		for ; i < ne; i++ {
 			if vec.Score(w, n.Point(i)) < fq {
 				cnt++
 				if cnt >= bound {
@@ -378,25 +373,69 @@ func countBelowCapped(n *rtree.Node, w vec.Weight, fq float64, bound int, tick *
 		}
 		return cnt, nil
 	}
-	for i := 0; i < n.NumEntries(); i++ {
-		r := n.EntryRect(i)
-		if r.MinScore(w) >= fq {
-			continue
-		}
-		if r.MaxScore(w) < fq {
-			cnt += n.Child(i).Count()
-		} else {
-			sub, err := countBelowCapped(n.Child(i), w, fq, bound-cnt, tick)
-			if err != nil {
+	//wqrtq:bounded lower corners in groups of four, at most one node fanout of entries
+	for ; i+4 <= ne; i += 4 {
+		s0, s1, s2, s3 := score4(w, n.EntryRect(i).Min, n.EntryRect(i+1).Min, n.EntryRect(i+2).Min, n.EntryRect(i+3).Min)
+		for j, s := range [4]float64{s0, s1, s2, s3} {
+			if s >= fq {
+				continue
+			}
+			var err error
+			if cnt, err = countEntry(n, i+j, w, fq, bound, cnt, tick); err != nil {
 				return 0, err
 			}
-			cnt += sub
+			if cnt >= bound {
+				return cnt, nil
+			}
+		}
+	}
+	//wqrtq:bounded lower-corner remainder, at most three entries
+	for ; i < ne; i++ {
+		if n.EntryRect(i).MinScore(w) >= fq {
+			continue
+		}
+		var err error
+		if cnt, err = countEntry(n, i, w, fq, bound, cnt, tick); err != nil {
+			return 0, err
 		}
 		if cnt >= bound {
 			return cnt, nil
 		}
 	}
 	return cnt, nil
+}
+
+// countEntry adds to cnt the beaters under entry i of the internal node n,
+// whose lower corner scores below fq: all of the child's points when its
+// upper corner does too, else what a capped descent into it finds.
+//
+//wqrtq:contract noalloc
+func countEntry(n *rtree.Node, i int, w vec.Weight, fq float64, bound, cnt int, tick *ctxcheck.Ticker) (int, error) {
+	if n.EntryRect(i).MaxScore(w) < fq {
+		return cnt + n.Child(i).Count(), nil
+	}
+	sub, err := countBelowCapped(n.Child(i), w, fq, bound-cnt, tick)
+	return cnt + sub, err
+}
+
+// score4 returns vec.Score(w, a), ..., vec.Score(w, d), each the same
+// products added left to right from 0 in the same order, so each is
+// bit-identical to vec.Score's. The one length guard lets every load in
+// the loop share w's range-proved index.
+//
+//wqrtq:contract noescape(w,a,b,c,d) nobce noalloc
+func score4(w vec.Weight, a, b, c, d vec.Point) (s0, s1, s2, s3 float64) {
+	if len(a) < len(w) || len(b) < len(w) || len(c) < len(w) || len(d) < len(w) {
+		panic("topk: point shorter than the weighting vector")
+	}
+	a, b, c, d = a[:len(w)], b[:len(w)], c[:len(w)], d[:len(w)]
+	for i, wi := range w {
+		s0 += wi * a[i]
+		s1 += wi * b[i]
+		s2 += wi * c[i]
+		s3 += wi * d[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // InTopK reports whether a query point with score f(w, q) belongs to the
