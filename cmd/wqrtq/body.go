@@ -18,8 +18,13 @@ package main
 //     field, so the last one wins — with encoding/json's reuse rule: a null
 //     element of a number array keeps the number its slot held before.
 //   - A wrong JSON type, an int written with a fraction or an exponent, and
-//     a number out of its type's range refuse the body. Numbers go through
-//     strconv.ParseFloat and ParseInt, as in encoding/json.
+//     a number out of its type's range refuse the body. An int goes through
+//     strconv.ParseInt, as in encoding/json. A float is converted in the
+//     scan that checks it, to strconv.ParseFloat's float64 bit for bit: up
+//     to 19 significant digits are rounded by Eisel–Lemire
+//     (eisel_lemire.go), which is exact or declines; a longer literal, and
+//     any decline, goes to strconv.ParseFloat, which also keeps its range
+//     errors.
 //
 // Allocation does not grow with the number of vectors: a [][]float64 is one
 // flat []float64 cut into vectors, and it and its vector list grow by
@@ -27,6 +32,7 @@ package main
 // the body.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -416,12 +422,9 @@ func (d *bodyDecoder) vector(flat *[]float64, old []float64, origin int) ([]floa
 		var x float64
 		switch c := d.peek(); {
 		case c == '-' || '0' <= c && c <= '9':
-			lit, err := d.number()
-			if err != nil {
+			var err error
+			if x, err = d.float(); err != nil {
 				return nil, err
-			}
-			if x, err = strconv.ParseFloat(bytesString(lit), 64); err != nil {
-				return nil, fmt.Errorf("offset %d: number %s out of range", d.off-len(lit), lit)
 			}
 		case c == 'n':
 			if err := d.literal("null"); err != nil {
@@ -480,13 +483,14 @@ func grow[T any](s []T, used, left int) []T {
 func (d *bodyDecoder) integer(bits int) (n int64, ok bool, err error) {
 	switch c := d.peek(); {
 	case c == '-' || '0' <= c && c <= '9':
-		lit, err := d.number()
-		if err != nil {
+		start := d.off
+		if _, _, _, err := d.number(); err != nil {
 			return 0, false, err
 		}
+		lit := d.b[start:d.off]
 		n, err := strconv.ParseInt(bytesString(lit), 10, bits)
 		if err != nil {
-			return 0, false, fmt.Errorf("offset %d: %s is not an integer of %d bits", d.off-len(lit), lit, bits)
+			return 0, false, fmt.Errorf("offset %d: %s is not an integer of %d bits", start, lit, bits)
 		}
 		return n, true, nil
 	case c == 'n':
@@ -551,7 +555,7 @@ func (d *bodyDecoder) skip(depth int) error {
 	case c == 'n':
 		return d.literal("null")
 	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
+		_, _, _, err := d.number()
 		return err
 	}
 	return d.fail("a value")
@@ -623,46 +627,128 @@ func isHex(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
-// number consumes a number of JSON's grammar and returns its literal.
-func (d *bodyDecoder) number() ([]byte, error) {
-	b, i := d.b, d.off
-	digits := func() bool {
-		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > j
+// float consumes a number and returns its value, the float64 that
+// strconv.ParseFloat returns for its literal.
+func (d *bodyDecoder) float() (float64, error) {
+	start := d.off
+	man, exp10, short, err := d.number()
+	if err != nil {
+		return 0, err
 	}
+	lit := d.b[start:d.off]
+	if short {
+		if x, ok := eiselLemire64(man, exp10, lit[0] == '-'); ok {
+			return x, nil
+		}
+	}
+	x, err := strconv.ParseFloat(bytesString(lit), 64)
+	if err != nil {
+		return 0, fmt.Errorf("offset %d: number %s out of range", start, lit)
+	}
+	return x, nil
+}
+
+// number consumes a number of JSON's grammar, reading it as strconv's
+// readFloat does: its significant digits (leading zeros skipped) into man,
+// and its decimal exponent, capped at 10 000, into exp10. short reports
+// that there are at most 19 significant digits, so that man × 10^exp10 is
+// the number; with more, man and exp10 mean nothing.
+func (d *bodyDecoder) number() (man uint64, exp10 int, short bool, err error) {
+	b, i := d.b, d.off
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	nd := 0 // significant digits read
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
-	case !digits():
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i, man, nd = digits(b, i, man, nd)
+	default:
 		d.off = i
-		return nil, d.fail("a digit")
+		return 0, 0, false, d.fail("a digit")
 	}
+	dp := nd // digits before the decimal point
 	if i < len(b) && b[i] == '.' {
 		i++
-		if !digits() {
+		j := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+			dp -= i - j
+		}
+		if i, man, nd = digits(b, i, man, nd); i == j {
 			d.off = i
-			return nil, d.fail("a digit after '.'")
+			return 0, 0, false, d.fail("a digit after '.'")
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		if !digits() {
-			d.off = i
-			return nil, d.fail("a digit in the exponent")
+		j, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		if i == j {
+			d.off = i
+			return 0, 0, false, d.fail("a digit in the exponent")
+		}
+		if neg {
+			e = -e
+		}
+		dp += e
 	}
-	lit := b[d.off:i]
 	d.off = i
-	return lit, nil
+	return man, dp - nd, nd <= 19, nil
+}
+
+// digits consumes the decimal digits at b[i:], appending them to man (mod
+// 2^64) and counting them in nd: eight at a time while eight follow, with
+// the SWAR test and conversion of Lemire's fast_float.
+func digits(b []byte, i int, man uint64, nd int) (int, uint64, int) {
+	for i+8 <= len(b) {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(v) {
+			break
+		}
+		man = man*100000000 + eightDigitsValue(v)
+		i += 8
+		nd += 8
+	}
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		man = man*10 + uint64(b[i]-'0')
+		nd++
+	}
+	return i, man, nd
+}
+
+// eightDigits reports whether the eight bytes of v, loaded little-endian,
+// are all ASCII digits: a byte above '9' sets its top bit in the sum, one
+// below '0' in the difference.
+//
+//wqrtq:contract inline
+func eightDigits(v uint64) bool {
+	return ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 == 0
+}
+
+// eightDigitsValue is the number the eight ASCII digits of v spell, the
+// first byte most significant: pairs, then quads, then the eight are
+// combined by multiplies that each add neighbours with their weights.
+//
+//wqrtq:contract inline
+func eightDigitsValue(v uint64) uint64 {
+	const mask = 0x000000FF000000FF
+	const mul1 = 100 + 1000000<<32
+	const mul2 = 1 + 10000<<32
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return uint64(uint32(((v&mask)*mul1 + ((v>>16)&mask)*mul2) >> 32))
 }
 
 // literal consumes the literal lit (true, false or null).

@@ -64,6 +64,10 @@ var decodeEdgeCases = []string{
 	`{"seed":9223372036854775808}`,
 	`{"q":[1e400]}`,
 	`{"q":[-0,0,-0.0,1e-400,4.9e-324,1.7976931348623157e308]}`,
+	`{"weights":[[0.5,1e400]]}`,
+	`{"weights":[[1e-400,-0,-0.0,4.9e-324,2.2250738585072011e-308,1E+05]]}`,
+	`{"weights":[[1234567890123456789,0.1234567890123456789,12345678901234567890,0.12345678901234567890123456789]]}`,
+	`{"weights":[[0.000000000123456789012345678,9007199254740993,1.00000000000000011102230246251565404236316680908203125]]}`,
 	`{"K":3}`,
 	`{"\u0071":[1,2]}`,
 	`{"\u212a":3}`,

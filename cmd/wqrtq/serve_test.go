@@ -232,6 +232,7 @@ var serveErrorCases = []struct {
 		"request body too large"},
 	{"fractional k", "/v1/topk", `{"w":[0.5,0.5],"k":2.5}`, "malformed request body"},
 	{"string in weights", "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[[0.5,"0.5"]]}`, "malformed request body"},
+	{"out-of-range weight", "/v1/rtopk", `{"q":[3,3],"k":2,"weights":[[0.5,1e400]]}`, "number 1e400 out of range"},
 }
 
 func TestServeErrorPaths(t *testing.T) {
