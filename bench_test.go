@@ -5,7 +5,8 @@ package wqrtq
 // reporting ns/op (the paper's "total running time") plus the achieved
 // penalty as a custom metric. Scales are reduced relative to Table 1 so the
 // whole suite runs in minutes; cmd/experiments reproduces the full sweeps
-// at configurable scale, and EXPERIMENTS.md records the shape comparison.
+// at configurable scale. EXPERIMENTS.md, the committed shape comparison, is
+// pending under ROADMAP item 4.
 //
 // Ablation benchmarks cover the design choices called out in DESIGN.md §6:
 // interior-point QP vs grid search, count-pruned rank counting vs scanning,

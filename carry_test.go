@@ -138,7 +138,7 @@ func TestCarryDifferential(t *testing.T) {
 						for _, k := range carryKs {
 							ix.band(k) // materialize what the mutation may carry
 						}
-						grid := ix.cellGrid(3) // nil at d=5
+						grid := ix.cellGrid(ix.band(3)) // nil at d=5
 						before := heldBands(ix, carryKs)
 						next := ix
 						if viaClone {
@@ -192,7 +192,7 @@ func TestCarryDifferential(t *testing.T) {
 							}
 						}
 						// A grid follows its basis band, pointer-identical.
-						if next.sky.Peek(3) != nil && next.cellGrid(3) != grid {
+						if b := next.sky.Peek(3); b != nil && next.cellGrid(b) != grid {
 							t.Fatalf("%s: band k=3 was carried but its grid was not", label)
 						}
 						checkBands(t, label, next, carryKs)
@@ -218,6 +218,9 @@ func TestCarryDifferential(t *testing.T) {
 					ct := ix.SkybandStats()
 					if ct.Carried != int64(identical) || ct.Dropped != int64(rebuilt) {
 						t.Fatalf("counters carried=%d dropped=%d, observed %d and %d", ct.Carried, ct.Dropped, identical, rebuilt)
+					}
+					if d <= 4 && ix.CellIndexStats().Lookups == 0 {
+						t.Fatal("the grid arm made no cell lookup")
 					}
 				})
 			}
@@ -393,7 +396,7 @@ func TestCarryEdgeCases(t *testing.T) {
 	t.Run("clone mutated, then parent mutated in place", func(t *testing.T) {
 		parent := carryIndex(t, 600, 3, 16)
 		clone := parent.Clone()
-		if clone.sky == parent.sky || clone.cells == parent.cells {
+		if clone.sky == parent.sky {
 			t.Fatal("clone shares its parent's cache objects")
 		}
 		for k, b := range heldBands(parent, carryKs) {
@@ -425,38 +428,55 @@ func TestCarryEdgeCases(t *testing.T) {
 		checkReverseTopK(t, "parent", parent, rng, 3, 10)
 	})
 
-	t.Run("grid follows its basis band", func(t *testing.T) {
+	t.Run("grid lives on its band", func(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 18)
-		g3, g10 := ix.cellGrid(3), ix.cellGrid(10)
+		g3, g10 := ix.cellGrid(ix.band(3)), ix.cellGrid(ix.band(10))
 		if g3 == nil || g10 == nil {
 			t.Fatal("grids did not build")
+		}
+		// A clone starts with every band, grid included: it builds and
+		// counts nothing.
+		clone := ix.Clone()
+		if clone.cellGrid(clone.band(3)) != g3 || clone.cellGrid(clone.band(10)) != g10 {
+			t.Fatal("the clone's bands did not bring their grids")
+		}
+		if st := clone.CellIndexStats(); st.Builds != 2 || st.Grids != 2 || st.Fallbacks != 0 {
+			t.Fatalf("clone: %+v", st)
 		}
 		id := memberWithCount(t, ix, 3, 10) // in the 10-band, not the 3-band
 		if ok, err := ix.Delete(id); !ok || err != nil {
 			t.Fatalf("delete: %t, %v", ok, err)
 		}
-		st := ix.CellIndexStats()
-		if st.Grids != 1 || st.Carried != 1 || st.Dropped != 1 {
+		b3 := ix.sky.Peek(3)
+		if b3 == nil || ix.sky.Peek(10) != nil {
+			t.Fatal("deleting a 10-band member must carry the 3-band and drop the 10-band")
+		}
+		if ix.cellGrid(b3) != g3 {
+			t.Fatal("the carried 3-band returned another grid")
+		}
+		if st := ix.CellIndexStats(); st.Grids != 1 || st.Builds != 2 {
 			t.Fatalf("after deleting a 10-band member: %+v", st)
 		}
-		if ix.cellGrid(3) != g3 {
-			t.Fatal("grid k=3 was not carried with its band")
+		g := ix.cellGrid(ix.band(10))
+		if g == nil || g == g10 || ix.cellGrid(ix.band(10)) != g {
+			t.Fatal("grid k=10 was not rebuilt once over the rebuilt band")
 		}
-		if g := ix.cellGrid(10); g == nil || g == g10 {
-			t.Fatal("grid k=10 was not rebuilt over the rebuilt band")
+		if st := ix.CellIndexStats(); st.Builds != 3 || st.Grids != 2 {
+			t.Fatalf("builds = %d, want the two originals plus one rebuild: %+v", st.Builds, st)
 		}
-		if st := ix.CellIndexStats(); st.Builds != 3 {
-			t.Fatalf("builds = %d, want the two originals plus one rebuild", st.Builds)
+		if clone.cellGrid(clone.band(10)) != g10 {
+			t.Fatal("a mutation of the parent reached the clone's grid")
 		}
 	})
 }
 
 // TestCarryConcurrentLazyBuild is the -race hammer for the carry: readers
-// lazily build bands and grids on published snapshots while a writer keeps
-// cloning the newest one, mutating the clone and publishing it, so Rebind,
-// AfterInsert/AfterDelete and Carry run against entries whose builds are
-// still in flight. Every answer is checked against the naive oracle of the
-// snapshot it was computed on.
+// lazily build bands, and grids in the bands' slots, on published
+// snapshots while a writer keeps cloning the newest one, mutating the
+// clone and publishing it, so Rebind and AfterInsert/AfterDelete run
+// against bands whose builds, or whose grids' builds, are still in flight.
+// Every answer is checked against the naive oracle of the snapshot it was
+// computed on.
 func TestCarryConcurrentLazyBuild(t *testing.T) {
 	const d = 3
 	ix, err := NewIndex(toRows(dataset.Independent(400, d, 61).Points))
@@ -543,6 +563,9 @@ func TestCarryConcurrentLazyBuild(t *testing.T) {
 	checkBands(t, "final", final, []int{1, 2, 3, 4, 5, 6, skyband.DefaultRankBand})
 	if st := final.SkybandStats(); st.Carried == 0 {
 		t.Fatalf("hammer never carried a band: %+v", st)
+	}
+	if st := final.CellIndexStats(); st.Builds == 0 || st.Lookups == 0 {
+		t.Fatalf("hammer never built or read a grid: %+v", st)
 	}
 }
 
@@ -651,6 +674,9 @@ func TestCarryWhyNot(t *testing.T) {
 					}
 					checkRefinements(t, fmt.Sprintf("step %d (%s)", step, op), next, q, k, W, opts)
 					ix = next
+				}
+				if d <= 4 && ix.CellIndexStats().Lookups == 0 {
+					t.Fatal("the grid arm made no cell lookup")
 				}
 			})
 		}

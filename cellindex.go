@@ -11,24 +11,25 @@ package wqrtq
 // the unexported cellOff field (the differential suite in cellindex_test.go
 // proves it end to end; see DESIGN.md §10 for the construction and the
 // count-preservation argument). The index rides on the skyband bands —
-// grids are built over them, so their lazy builds and cache hits tick the
+// each grid is built over its band and lives on it, so band reads tick the
 // skyband counters — and reports its scan work through the kernel
 // counters; under skyOff there is no grid either.
 
 import (
 	"wqrtq/internal/cellindex"
 	"wqrtq/internal/rtopk"
+	"wqrtq/internal/skyband"
 )
 
-// cellGrid returns the cell grid for parameter k, or nil when a test has
-// switched off either of the stacked sub-indexes or the configuration is
-// ineligible (cell budget, basis size, cache pressure) — callers then use
-// the count descent, which answers identically.
-func (ix *Index) cellGrid(k int) *cellindex.Grid {
-	if ix.cellOff || ix.skyOff || ix.cells == nil {
+// cellGrid returns the cell grid of band b (ix.band's answer, nil under
+// skyOff), or nil when a test has switched the cell index off or b has no
+// grid (cell budget, pass-through band, basis size) — callers then use the
+// count descent, which answers identically.
+func (ix *Index) cellGrid(b *skyband.Band) *cellindex.Grid {
+	if ix.cellOff || b == nil {
 		return nil
 	}
-	return ix.cells.Grid(k)
+	return cellindex.Of(b, ix.cct)
 }
 
 // MonoCell is one cell of a d >= 3 monochromatic reverse top-k answer:
@@ -48,8 +49,9 @@ type MonoCell struct {
 // returns the result region as grid cells (intervals is nil): every
 // weighting vector whose top-k contains q lies in a returned cell, full
 // cells are entirely inside the result, and partial cells carry a verified
-// midpoint decision. Beyond 2-D there is no exact fallback, so a declined
-// grid is an error.
+// midpoint decision. Beyond 2-D there is no exact fallback: where k is
+// served pass-through the grid is built over the whole dataset, uncached,
+// and a declined grid is an error.
 func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, error) {
 	if ix.Dim() == 2 {
 		ivs, err := ix.ReverseTopKMono2D(q, k)
@@ -61,7 +63,16 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 	if k <= 0 {
 		return nil, nil, errPositiveK
 	}
-	g := ix.cellGrid(k)
+	var g *cellindex.Grid
+	if b := ix.band(k); b != nil && b.Full() {
+		// A pass-through band carries no grid: build one over the whole
+		// dataset, uncached, when it is small enough to be a basis.
+		if !ix.cellOff && b.Size() <= cellindex.MaxBasis {
+			g = cellindex.Build(b.Coords(), k)
+		}
+	} else {
+		g = ix.cellGrid(b)
+	}
 	if g == nil {
 		return nil, nil, invalidArgf("exact monochromatic reverse top-k beyond 2-D requires the cell index (%d-D data, cell index eligible: %t)", ix.Dim(), !ix.cellOff && !ix.skyOff)
 	}
@@ -74,41 +85,8 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 }
 
 // CellIndexStats is a point-in-time view of the materialized cell index.
-type CellIndexStats struct {
-	// Grids, Cells and Candidates describe the grids the current snapshot
-	// holds (built on it or carried over with their basis band): how many
-	// there are, their total built cells, and the total candidate rows
-	// those cells store.
-	Grids      int `json:"grids"`
-	Cells      int `json:"cells"`
-	Candidates int `json:"candidates"`
-	// Builds and Hits count grid constructions and grid-cache hits over
-	// the index's whole lifetime (cumulative across snapshots). Lookups
-	// counts weighting vectors answered by cell lookups; Fallbacks counts
-	// queries that reached the cell path but fell back to a legacy
-	// algorithm (ineligible configuration or a failed point location).
-	Builds    int64 `json:"builds"`
-	Hits      int64 `json:"hits"`
-	Fallbacks int64 `json:"fallbacks"`
-	Lookups   int64 `json:"lookups"`
-	// Carried and Dropped count, per mutation and finished grid entry, the
-	// entries that followed their basis band into the next snapshot and
-	// the ones dropped with it (each costs one later build).
-	Carried int64 `json:"carried"`
-	Dropped int64 `json:"dropped"`
-}
+type CellIndexStats = cellindex.Stats
 
-// CellIndexStats reports the sub-index's cache contents and cumulative
-// counters.
-func (ix *Index) CellIndexStats() CellIndexStats {
-	var s CellIndexStats
-	if ix.cells == nil {
-		return s
-	}
-	cs := ix.cells.Stats()
-	s.Grids, s.Cells, s.Candidates = cs.Grids, cs.Cells, cs.Candidates
-	ct := ix.cct.Snapshot()
-	s.Builds, s.Hits, s.Fallbacks, s.Lookups = ct.Builds, ct.Hits, ct.Fallbacks, ct.Lookups
-	s.Carried, s.Dropped = ct.Carried, ct.Dropped
-	return s
-}
+// CellIndexStats reports the grids the snapshot's bands hold and the
+// cumulative counters.
+func (ix *Index) CellIndexStats() CellIndexStats { return ix.cct.Stats(ix.sky) }

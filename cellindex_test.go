@@ -5,7 +5,7 @@ package wqrtq
 // answer bit-identically to the cellOff reference — same reverse top-k
 // index sets, same ranks, and the same why-not answers down to the last
 // bit of every penalty — across UN/CO/AC workloads, skyband on/off, and
-// mutation streams that invalidate the per-epoch grid caches. The
+// mutation streams that drop bands and the grids they hold. The
 // reference is the tier below the grid, one capped count descent per
 // vector over the band tree (itself pinned to RTA and the linear scan in
 // kernel_test.go, tiers_test.go and internal/rtopk's FuzzBichromaticCount);
@@ -80,6 +80,11 @@ func TestCellIndexDifferential(t *testing.T) {
 						t.Fatalf("case %d sky=%v: ReverseTopK %v, ablation %v",
 							i, skybandOn, gotRTK, wantRTK)
 					}
+					// Guard against a vacuous suite: wherever a grid exists
+					// (a built band, d <= 4) it must have answered.
+					if skybandOn && 4*k < len(pts) && on.CellIndexStats().Lookups == 0 {
+						t.Fatalf("case %d: n=%d d=%d k=%d: the grid arm made no cell lookup", i, len(pts), d, k)
+					}
 					gotRank, _ := on.Rank(W[0], q)
 					wantRank, _ := off.Rank(W[0], q)
 					if gotRank != wantRank {
@@ -130,6 +135,9 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameWhyNot(t, "cellindex WhyNot", got, want)
+			if skybandOn && on.CellIndexStats().Lookups == 0 {
+				t.Fatalf("case %d: the grid arm made no cell lookup", i)
+			}
 		}
 	}
 }
@@ -137,8 +145,8 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 // TestCellIndexMutationInvalidation drives the same mutation stream into a
 // cellindex-on and a cellindex-off index, querying between mutations:
 // every answer must stay identical, which fails if a stale grid survives
-// an insert or delete (the grids cache per (snapshot, k) and must be
-// unreachable after the epoch moves).
+// an insert or delete (a grid lives on its band, and a band the mutation
+// changed must be unreachable from the next snapshot).
 func TestCellIndexMutationInvalidation(t *testing.T) {
 	const d = 3
 	ds := dataset.Independent(150, d, 47)
@@ -193,6 +201,9 @@ func TestCellIndexMutationInvalidation(t *testing.T) {
 	if err := on.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if on.CellIndexStats().Lookups == 0 {
+		t.Fatal("the grid arm made no cell lookup")
+	}
 }
 
 // TestCellIndexEngineStats exercises the engine integration: the cell
@@ -236,6 +247,7 @@ func TestCellIndexEngineStats(t *testing.T) {
 	// A mutation publishes a fresh snapshot that keeps every grid whose
 	// basis band it leaves unchanged: a point nearly everything dominates
 	// comes and goes without a rebuild, and the next query is a cache hit.
+	// The band counters report the grid's carry: it rides on its band.
 	builds, grids := st.CellIndex.Builds, st.CellIndex.Grids
 	id, _, err := eOn.Insert([]float64{0.99, 0.99, 0.99})
 	if err != nil {
@@ -244,15 +256,16 @@ func TestCellIndexEngineStats(t *testing.T) {
 	if ok, _, err := eOn.Delete(id); !ok || err != nil {
 		t.Fatalf("delete: %t, %v", ok, err)
 	}
-	mid := eOn.Stats().CellIndex
-	if mid.Grids != grids || mid.Builds != builds || mid.Carried != int64(2*grids) || mid.Dropped != 0 {
-		t.Fatalf("non-member insert+delete: before %+v after %+v", st.CellIndex, mid)
+	mid := eOn.Stats()
+	if mid.CellIndex.Grids != grids || mid.CellIndex.Builds != builds ||
+		mid.Skyband.Carried != st.Skyband.Carried+int64(2*st.Skyband.Bands) || mid.Skyband.Dropped != st.Skyband.Dropped {
+		t.Fatalf("non-member insert+delete: before %+v %+v after %+v %+v", st.Skyband, st.CellIndex, mid.Skyband, mid.CellIndex)
 	}
 	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eOn.Stats().CellIndex; got.Builds != builds || got.Hits <= mid.Hits {
-		t.Fatalf("query after carried mutations rebuilt its grid: %+v", got)
+	if got := eOn.Stats(); got.CellIndex.Builds != builds || got.Skyband.Hits <= mid.Skyband.Hits {
+		t.Fatalf("query after carried mutations rebuilt its grid: %+v %+v", got.Skyband, got.CellIndex)
 	}
 
 	// Deleting a member of the k=4 basis band drops exactly that grid,
@@ -266,9 +279,9 @@ func TestCellIndexEngineStats(t *testing.T) {
 	if ok, _, err := eOn.Delete(victim); !ok || err != nil {
 		t.Fatalf("delete: %t, %v", ok, err)
 	}
-	after := eOn.Stats().CellIndex
-	if after.Grids != grids-1 || after.Dropped != 1 || after.Builds != builds {
-		t.Fatalf("member delete: before %+v after %+v", mid, after)
+	after := eOn.Stats()
+	if after.CellIndex.Grids != grids-1 || after.Skyband.Dropped != mid.Skyband.Dropped+1 || after.CellIndex.Builds != builds {
+		t.Fatalf("member delete: before %+v %+v after %+v %+v", mid.Skyband, mid.CellIndex, after.Skyband, after.CellIndex)
 	}
 	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
 		t.Fatal(err)
@@ -281,8 +294,8 @@ func TestCellIndexEngineStats(t *testing.T) {
 // TestCellIndexConcurrentLazyBuild is the -race hammer for the shared
 // lazy-build lifecycle: many goroutines query overlapping k values on
 // every snapshot of a clone family while others read the stats, so
-// concurrent sync.Once builds, atomic grid publication and the stats peek
-// all run under the race detector.
+// concurrent builds in the band's grid slot, their atomic publication and
+// the stats peek all run under the race detector.
 func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 	ds := dataset.Independent(400, 3, 51)
 	pts := make([][]float64, len(ds.Points))
@@ -326,6 +339,11 @@ func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	for i, snap := range snaps {
+		if st := snap.CellIndexStats(); st.Grids == 0 || st.Lookups == 0 {
+			t.Fatalf("snapshot %d: no grid answered: %+v", i, st)
+		}
+	}
 	want, err := snaps[0].ReverseTopK(W, q, 3)
 	if err != nil {
 		t.Fatal(err)

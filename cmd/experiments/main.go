@@ -11,8 +11,8 @@
 // times the oracle path (nil core.Source), where the default Table-1 cell at
 // scale 1 costs about three minutes (MQWK 188 s, measured), so a full sweep
 // is hours; the product path answers the same cell in 0.34 s (ROADMAP item
-// 4, which decides which path the figures report). EXPERIMENTS.md records
-// the committed runs.
+// 4, which decides which path the figures report). EXPERIMENTS.md, the
+// committed runs, is pending under that item.
 package main
 
 import (

@@ -77,7 +77,7 @@ func TestServeRTopKGolden(t *testing.T) {
 	h := serveTestHandler(t)
 	rec := post(t, h, "/v1/rtopk",
 		`{"q":[3,3],"k":2,"weights":[[0.25,0.75],[0.75,0.25],[0.5,0.5]]}`)
-	wantGolden(t, rec, http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5}}`+"\n")
+	wantGolden(t, rec, http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":2,"pruned":1,"candidate_set_size":5}}`+"\n")
 }
 
 func TestServeWhyNotGolden(t *testing.T) {
@@ -93,7 +93,7 @@ func TestServeWhyNotGolden(t *testing.T) {
 	// t = (w·q − s)/‖w‖² = 0.25/0.625 = 0.4, to (2.7, 2.9); penalty
 	// ‖(0.3, 0.1)‖/‖(3, 3)‖ = √0.1/√18. The snap into vec.Score's
 	// arithmetic leaves each coordinate a few ulps below.
-	golden := `{"epoch":0,"result":[0,2],"missing":[1],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5},"explanations":[[{"id":0,"point":[1,8],"score":2.75},{"id":1,"point":[2,5],"score":2.75}]],"modify_query":{"q":[2.6999999999999997,2.8999999999999995],"penalty":0.0745355992499931},"modify_preferences":{"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.025253813613805257},"modify_all":{"q":[3,3],"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.012626906806902628}}`
+	golden := `{"epoch":0,"result":[0,2],"missing":[1],"rta":{"evaluated":2,"pruned":1,"candidate_set_size":5},"explanations":[[{"id":0,"point":[1,8],"score":2.75},{"id":1,"point":[2,5],"score":2.75}]],"modify_query":{"q":[2.6999999999999997,2.8999999999999995],"penalty":0.0745355992499931},"modify_preferences":{"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.025253813613805257},"modify_all":{"q":[3,3],"wm":[[0.7142857142857143,0.2857142857142857]],"k":2,"penalty":0.012626906806902628}}`
 	if got := rec.Body.String(); got != golden+"\n" {
 		t.Fatalf("response mismatch\n got: %s\nwant: %s", got, golden)
 	}
@@ -286,7 +286,7 @@ func TestServeBodyDecoding(t *testing.T) {
 		http.StatusOK, topk)
 	wantGolden(t, post(t, h, "/v1/rtopk",
 		`{"q":[3,3],"pad":[{"x":[1,[2,[3]]]},"y",0],"k":2,"weights":[[0.25,0.75],[0.75,0.25],[0.5,0.5]]}`),
-		http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":3,"pruned":0,"candidate_set_size":5}}`+"\n")
+		http.StatusOK, `{"epoch":0,"result":[0,2],"rta":{"evaluated":2,"pruned":1,"candidate_set_size":5}}`+"\n")
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/topk", strings.NewReader(`{"w":[0.25,0.75],"k":3}`))
 	req.ContentLength = 1 << 40
@@ -510,12 +510,14 @@ func TestServeDegraded503(t *testing.T) {
 }
 
 // TestServeKernelStats pins the kernel section of /v1/stats: the
-// blocked-sweep counters are populated after a reverse top-k. (That the
+// blocked-sweep counters are populated after a reverse top-k that a cell
+// grid answers. k = 1 keeps 4k below the five points, so the skyline band
+// is built and holds a grid (a pass-through band holds none). (That the
 // kernel and its references answer bit-identically is kernel_test.go's
 // job, in package wqrtq.)
 func TestServeKernelStats(t *testing.T) {
 	h := serveTestHandler(t)
-	rec := post(t, h, "/v1/rtopk", `{"q":[3,4],"k":2,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`)
+	rec := post(t, h, "/v1/rtopk", `{"q":[3,4],"k":1,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("rtopk status %d; body %s", rec.Code, rec.Body.String())
 	}
@@ -541,7 +543,9 @@ func TestServeKernelStats(t *testing.T) {
 // TestServeCarryStats pins the skyband and cellindex sections of /v1/stats
 // across mutations: an insert every band member dominates is carried (no
 // build on the next read), a delete of a band member drops that band and
-// its grid, and the next read rebuilds both.
+// its grid, and the next read rebuilds both. The grid lives on its band,
+// so the band's counters report its carry, and a read of a held band —
+// grid included — is a skyband hit.
 func TestServeCarryStats(t *testing.T) {
 	pts := make([][]float64, 0, 36)
 	for i := 0; i < 6; i++ {
@@ -586,17 +590,17 @@ func TestServeCarryStats(t *testing.T) {
 	}
 	rtopk()
 	want("first read builds the 2-band and its grid", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":260,"builds":1,"hits":0,"fallbacks":0,"lookups":2,"carried":0,"dropped":0}`)
+{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":2}`)
 	post(t, h, "/v1/insert", `{"point":[9,9]}`)
 	rtopk()
-	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":260,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":0}`)
+	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":1,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":4}`)
 	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
-	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":0,"cells":0,"candidates":0,"builds":1,"hits":1,"fallbacks":0,"lookups":4,"carried":1,"dropped":1}`)
+	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":1,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":0,"cells":0,"candidates":0,"builds":1,"fallbacks":0,"lookups":4}`)
 	rtopk()
-	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":0,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":262,"builds":2,"hits":1,"fallbacks":0,"lookups":6,"carried":1,"dropped":1}`)
+	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":1,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":262,"builds":2,"fallbacks":0,"lookups":6}`)
 }
 
 // routeStats is what the refinement tests read of /v1/stats: kernel.refine

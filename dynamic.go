@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"wqrtq/internal/dominance"
-	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
 )
 
@@ -22,7 +21,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	}
 	id := ix.ids.Append(vec.Point(p))
 	ix.tree.Insert(p, int32(id))
-	ix.carry(ix.sky.AfterInsert(ix.tree, p))
+	ix.sky = ix.sky.AfterInsert(ix.tree, p)
 	return id, nil
 }
 
@@ -41,17 +40,8 @@ func (ix *Index) Delete(id int) (bool, error) {
 		return false, nil
 	}
 	ix.ids.Clear(id)
-	ix.carry(ix.sky.AfterDelete(ix.tree, int32(id)))
+	ix.sky = ix.sky.AfterDelete(ix.tree, int32(id))
 	return true, nil
-}
-
-// carry installs sky — the skyband cache of the snapshot one mutation has
-// just produced, holding the bands the mutation left unchanged — and moves
-// the cell grids along with their basis bands. Everything else was dropped
-// and is rebuilt lazily by the next reader that asks (DESIGN.md §8, §10).
-func (ix *Index) carry(sky *skyband.Cache) {
-	ix.sky = sky
-	ix.cells = ix.cells.Carry(sky, true)
 }
 
 // Clone returns a copy-on-write snapshot of the index in O(n/512): it
@@ -59,10 +49,11 @@ func (ix *Index) carry(sky *skyband.Cache) {
 // the receiver share all index structure; a later Insert or Delete on
 // either side copies the tree nodes and the one id page it touches first,
 // so the other side is never affected. The clone starts with every band
-// and grid the receiver has materialized — in sub-index caches of its own,
-// bound to its own tree, so the two sides invalidate independently. Clones
-// are how mutations coexist with concurrent queries: publish a Clone, keep
-// querying it from any number of goroutines, and mutate the other copy.
+// (with its grid) the receiver has materialized — in a band cache of its
+// own, bound to its own tree, so the two sides invalidate independently.
+// Clones are how mutations coexist with concurrent queries: publish a
+// Clone, keep querying it from any number of goroutines, and mutate the
+// other copy.
 //
 // Clone and mutations of indexes in the same clone family must be
 // externally serialized with each other; queries need no synchronization.
@@ -77,7 +68,6 @@ func (ix *Index) Clone() *Index {
 		cellOff: ix.cellOff,
 	}
 	c.sky = ix.sky.Rebind(c.tree)
-	c.cells = ix.cells.Carry(c.sky, false)
 	return c
 }
 

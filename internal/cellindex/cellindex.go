@@ -59,23 +59,20 @@
 //
 // # Lifecycle
 //
-// A Cache owns the grids of one snapshot, mirroring skyband.Cache: grids
-// build lazily, once per k, shared by all readers via sync.Once. A grid is
-// a pure function of its basis band (and k, and the dimensionality), so it
-// is valid exactly as long as that band is: Carry builds the next
-// snapshot's Cache over the next snapshot's skyband cache and keeps every
-// finished entry — grid or recorded decline — whose basis band was itself
-// carried there, pointer-identical. Whatever the skyband layer dropped
-// (see internal/skyband for the two lemmas) drops the grid with it, to be
-// rebuilt lazily over the rebuilt band; nothing is patched in place.
-// Cumulative counters survive across snapshots through the shared
-// Counters.
+// A grid is a pure function of its basis band and k (the dimensionality
+// is the band's), so it is valid exactly as long as that band is. It
+// therefore lives on the band: Of builds it once in the band's derived-
+// state slot (skyband.Band.Derived), shared by every reader. A band the
+// skyband layer carries to the next snapshot carries its grid
+// pointer-identical; a band it drops takes the grid with it, to be rebuilt
+// lazily over the rebuilt band. Grids per snapshot are bounded by the
+// skyband cache's bands, and each grid by maxCandidates and maxBaseCells.
+// Pass-through bands (full tree, shared across k) carry no grid.
 package cellindex
 
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"wqrtq/internal/kernel"
@@ -85,18 +82,13 @@ import (
 
 // MaxBasis is the largest basis (k-skyband band) size a grid is built
 // over: beyond it the per-cell supersets stop being "tiny" and the build
-// cost stops amortizing, so Grid declines and the caller counts each
+// cost stops amortizing, so Build declines and the caller counts each
 // vector by a descent of the band tree instead.
 const MaxBasis = 4096
 
-// maxGrids caps how many distinct k values one snapshot caches grids for;
-// requests beyond the cap fall back rather than grow the cache without
-// bound (mirrors skyband's maxBands).
-const maxGrids = 8
-
 // maxCandidates bounds the total candidate storage of one grid. A build
 // that would exceed it (large k relative to the basis makes every cell
-// hold nearly the whole basis) aborts and the cache serves nil — the
+// hold nearly the whole basis) aborts and Build returns nil — the
 // fallback paths answer identically, just without the cell win.
 const maxCandidates = 1 << 20
 
@@ -148,10 +140,10 @@ func baseCells(d int) int {
 // Grid is the materialized cell index of one (basis band, k). Grids are
 // immutable after construction and safe for concurrent use.
 type Grid struct {
-	k, dim, res int
-	basisSize   int
-	basis       *kernel.Coords // the flattened band, shared with the blocked kernel
-	nBase       int            // res^(dim-1) base cells over the first dim-1 coordinates
+	dim, res  int
+	basisSize int
+	basis     *kernel.Coords // the flattened band, shared with the blocked kernel
+	nBase     int            // res^(dim-1) base cells over the first dim-1 coordinates
 	// bounds holds per base cell 2*dim floats, interleaved per coordinate:
 	// lo_0, hi_0, lo_1, hi_1, …, lo_{dim-1}, hi_{dim-1}. The interleaving
 	// lets locate's bounds re-check walk one slice in constant-stride
@@ -168,9 +160,6 @@ type Grid struct {
 	rows  kernel.Coords
 	cells int // built (non-empty) cells
 }
-
-// K returns the query parameter the grid was built for.
-func (g *Grid) K() int { return g.k }
 
 // Dim returns the dimensionality.
 func (g *Grid) Dim() int { return g.dim }
@@ -322,21 +311,22 @@ func (g *Grid) ReverseTopK(ctx context.Context, W []vec.Weight, q vec.Point, k i
 	return result, scanned, true, nil
 }
 
-// build constructs the grid over basis band b, or returns nil when the
-// configuration is ineligible (a cell count over budget, basis too large,
-// or candidate storage would blow past maxCandidates). Its per-cell scratch
-// is sized once per build; TestCellIndexAllocsPerOp bounds what it
-// allocates per built cell.
-func build(b *skyband.Band, k, dim int) *Grid {
+// Build constructs the grid of parameter k over basis, or returns nil when
+// the configuration is ineligible (a cell count over budget, basis empty or
+// beyond MaxBasis, or candidate storage that would blow past
+// maxCandidates). The basis is a count-preserving candidate set for k: a
+// k-skyband band, or a whole dataset. Its per-cell scratch is sized once
+// per build; TestCellIndexAllocsPerOp bounds what it allocates per built
+// cell.
+func Build(basis *kernel.Coords, k int) *Grid {
+	dim, m := basis.Dim(), basis.Len()
 	nBase := baseCells(dim)
-	if nBase == 0 || b.Size() == 0 || b.Size() > MaxBasis {
+	if nBase == 0 || m == 0 || m > MaxBasis {
 		return nil
 	}
-	basis := b.Coords()
-	m := basis.Len()
 	res := resolutionFor(dim)
 	g := &Grid{
-		k: k, dim: dim, res: res,
+		dim: dim, res: res,
 		basisSize: m,
 		basis:     basis,
 		nBase:     nBase,
@@ -411,23 +401,71 @@ func build(b *skyband.Band, k, dim int) *Grid {
 	return g
 }
 
+// Of returns the grid of band b, built on first use in the band's derived-
+// state slot and shared by every reader for as long as the band lives, or
+// nil when b has none: a dimensionality over the cell budget (rejected
+// before anything is built), a pass-through band, or a declined build
+// (see Build). Callers then use the per-vector count descent, which
+// answers identically. ct counts the builds and, at an eligible
+// dimensionality, every nil as a fallback.
+func Of(b *skyband.Band, ct *Counters) *Grid {
+	if baseCells(b.Tree().Dim()) == 0 {
+		return nil
+	}
+	var g *Grid
+	if !b.Full() {
+		g, _ = b.Derived(func(b *skyband.Band) any {
+			g := build(b)
+			if g != nil {
+				ct.builds.Add(1)
+			}
+			return g
+		}).(*Grid)
+	}
+	if g == nil {
+		ct.CountFallback()
+	}
+	return g
+}
+
+// build is Build over band b, checking its size before flattening it.
+func build(b *skyband.Band) *Grid {
+	if b.Size() > MaxBasis {
+		return nil
+	}
+	return Build(b.Coords(), b.K())
+}
+
+// Cache, NewCache and Grid are kept only for bench/replay.go, which times
+// one grid build through them, until ROADMAP item 6 rewrites that harness.
+// Grid builds afresh on every call, uncached, so the harness times a
+// build, and returns nil where Of would; dim and ct are ignored.
+type Cache struct{ sky *skyband.Cache }
+
+func NewCache(sky *skyband.Cache, dim int, ct *Counters) *Cache { return &Cache{sky: sky} }
+
+func (c *Cache) Grid(k int) *Grid {
+	b := c.sky.Band(k)
+	if b.Full() || baseCells(b.Tree().Dim()) == 0 {
+		return nil
+	}
+	return build(b)
+}
+
 // Counters accumulates cell-index activity across snapshots. One Counters
-// is shared by every Cache in a clone family, mirroring the skyband
+// is shared by every snapshot in a clone family, mirroring the skyband
 // counters.
 type Counters struct {
 	builds    atomic.Int64
-	hits      atomic.Int64
 	fallbacks atomic.Int64
 	lookups   atomic.Int64
-	carried   atomic.Int64
-	dropped   atomic.Int64
 }
 
 // NewCounters creates a zeroed counter set.
 func NewCounters() *Counters { return &Counters{} }
 
 // CountFallback records one query that could not be answered from a grid
-// (ineligible configuration, failed point location) and ran a legacy path.
+// (no grid for its band, failed point location) and ran a legacy path.
 func (c *Counters) CountFallback() {
 	if c != nil {
 		c.fallbacks.Add(1)
@@ -441,164 +479,35 @@ func (c *Counters) CountLookups(n int) {
 	}
 }
 
-// CountersSnapshot is a point-in-time copy of the cumulative counters.
-type CountersSnapshot struct {
-	Builds    int64 `json:"builds"`
-	Hits      int64 `json:"hits"`
-	Fallbacks int64 `json:"fallbacks"`
-	Lookups   int64 `json:"lookups"`
-	// Carried and Dropped count (mutation, finished grid entry) pairs:
-	// entries a mutation handed to the next snapshot with their basis band,
-	// and entries it invalidated.
-	Carried int64 `json:"carried"`
-	Dropped int64 `json:"dropped"`
-}
-
-// Snapshot copies the counters.
-func (c *Counters) Snapshot() CountersSnapshot {
-	if c == nil {
-		return CountersSnapshot{}
-	}
-	return CountersSnapshot{
-		Builds:    c.builds.Load(),
-		Hits:      c.hits.Load(),
-		Fallbacks: c.fallbacks.Load(),
-		Lookups:   c.lookups.Load(),
-		Carried:   c.carried.Load(),
-		Dropped:   c.dropped.Load(),
-	}
-}
-
-// Cache lazily computes and retains the grids of one snapshot. It is safe
-// for concurrent use; concurrent requests for the same k share one build.
-// Like skyband.Cache, construction takes no context: a grid is shared
-// cache state for every reader of the snapshot, so one request's
-// cancellation must not poison the build its co-readers wait on.
-type Cache struct {
-	sky  *skyband.Cache
-	dim  int
-	ct   *Counters
-	mu   sync.Mutex
-	ents map[int]*gridEntry
-}
-
-type gridEntry struct {
-	once sync.Once
-	// grid is stored atomically so Stats can peek at entries another
-	// goroutine is still building without racing the once.Do write. It
-	// stays nil when the build declined (ineligible configuration).
-	grid atomic.Pointer[Grid]
-	// basis is the band the build ran over, stored once the build has
-	// finished (after grid), declined or not: it marks the entry finished
-	// and ties its validity to that band.
-	basis atomic.Pointer[skyband.Band]
-}
-
-// NewCache creates an empty cache whose grids build over sky's bands (so
-// the skyband cache's build/hit accounting ticks for every grid basis).
-// ct carries the cumulative counters shared across the clone family; nil
-// allocates a private set.
-func NewCache(sky *skyband.Cache, dim int, ct *Counters) *Cache {
-	if ct == nil {
-		ct = NewCounters()
-	}
-	return &Cache{sky: sky, dim: dim, ct: ct, ents: make(map[int]*gridEntry)}
-}
-
-// Carry returns the cache of the next snapshot, building over sky (that
-// snapshot's skyband cache), with every finished entry of c whose basis
-// band sky holds pointer-identically; the rest — basis dropped or served
-// pass-through, build still in flight — is left behind and rebuilt lazily.
-// Entries are shared, not copied: a finished entry is immutable. mutation
-// selects whether the step counts toward Carried/Dropped (a clone is not
-// a mutation).
-func (c *Cache) Carry(sky *skyband.Cache, mutation bool) *Cache {
-	nc := NewCache(sky, c.dim, c.ct)
-	finished := 0
-	c.mu.Lock()
-	//wqrtq:unordered each entry is judged on its own; the carried set is order-free
-	for k, e := range c.ents {
-		b := e.basis.Load()
-		if b == nil {
-			continue
-		}
-		finished++
-		if sky.Peek(k) == b {
-			nc.ents[k] = e
-		}
-	}
-	c.mu.Unlock()
-	if mutation {
-		c.ct.carried.Add(int64(len(nc.ents)))
-		c.ct.dropped.Add(int64(finished - len(nc.ents)))
-	}
-	return nc
-}
-
-// Grid returns the cell index for parameter k, building it on first use,
-// or nil when the configuration is ineligible (a cell count over
-// maxBaseCells, basis beyond MaxBasis, k-diversity beyond maxGrids,
-// oversized candidate storage) — callers then use the per-vector count
-// descent, which answers identically.
-func (c *Cache) Grid(k int) *Grid {
-	if c == nil || c.sky == nil || baseCells(c.dim) == 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	c.mu.Lock()
-	e, ok := c.ents[k]
-	if !ok {
-		if len(c.ents) >= maxGrids {
-			c.mu.Unlock()
-			c.ct.fallbacks.Add(1)
-			return nil
-		}
-		e = &gridEntry{}
-		c.ents[k] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.ct.hits.Add(1)
-	}
-	e.once.Do(func() {
-		b := c.sky.Band(k)
-		if g := build(b, k, c.dim); g != nil {
-			e.grid.Store(g)
-			c.ct.builds.Add(1)
-		}
-		e.basis.Store(b)
-	})
-	g := e.grid.Load()
-	if g == nil {
-		c.ct.fallbacks.Add(1)
-	}
-	return g
-}
-
-// Stats is a point-in-time view of one cache's contents.
+// Stats is a point-in-time view of the cell index: the grids one
+// snapshot's bands hold, and the counters of its clone family.
 type Stats struct {
-	// Grids is the number of grids materialized for this snapshot.
-	Grids int `json:"grids"`
-	// Cells and Candidates total the built cells and stored candidate
-	// rows across those grids.
+	// Grids, Cells and Candidates describe the grids the snapshot's bands
+	// hold (built on it or carried over with their band): how many there
+	// are, their total built cells, and the candidate rows those cells
+	// store.
+	Grids      int `json:"grids"`
 	Cells      int `json:"cells"`
 	Candidates int `json:"candidates"`
+	// Builds counts grid constructions over the family's whole lifetime
+	// (grid reads count as skyband hits). Lookups counts weighting vectors
+	// answered by cell lookups; Fallbacks counts queries that reached the
+	// cell path but fell back to the count descent (no grid for the band,
+	// or a failed point location).
+	Builds    int64 `json:"builds"`
+	Fallbacks int64 `json:"fallbacks"`
+	Lookups   int64 `json:"lookups"`
 }
 
-// Stats reports the cache's current contents.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var s Stats
-	//wqrtq:unordered summing int counters; result is order-free
-	for _, e := range c.ents {
-		if g := e.grid.Load(); g != nil {
+// Stats reports the counters and the grids held by the bands of sky.
+func (c *Counters) Stats(sky *skyband.Cache) Stats {
+	s := Stats{Builds: c.builds.Load(), Fallbacks: c.fallbacks.Load(), Lookups: c.lookups.Load()}
+	sky.EachDerived(func(v any) {
+		if g, _ := v.(*Grid); g != nil {
 			s.Grids++
 			s.Cells += g.cells
 			s.Candidates += g.rows.Len()
 		}
-	}
+	})
 	return s
 }

@@ -3,8 +3,10 @@ package cellindex
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/skyband"
@@ -23,15 +25,20 @@ func testPoints(rng *rand.Rand, n, d int) []vec.Point {
 	return pts
 }
 
-func testGrid(t *testing.T, pts []vec.Point, k int) (*Grid, *Cache) {
+// testGrid builds the grid of parameter k over all of pts — a
+// count-preserving basis whatever k is, so small inputs build too.
+func testGrid(t *testing.T, pts []vec.Point, k int) *Grid {
 	t.Helper()
-	tree := rtree.Bulk(pts, nil)
-	c := NewCache(skyband.NewCache(tree, nil), len(pts[0]), nil)
-	g := c.Grid(k)
+	var basis kernel.Coords
+	basis.Reset(len(pts[0]))
+	for _, p := range pts {
+		basis.Append(p)
+	}
+	g := Build(&basis, k)
 	if g == nil {
 		t.Fatalf("grid declined for n=%d d=%d k=%d", len(pts), len(pts[0]), k)
 	}
-	return g, c
+	return g
 }
 
 // naiveCount counts the basis points scoring strictly below fq under w,
@@ -59,7 +66,7 @@ func TestGridCountMatchesBasis(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + d)))
 		pts := testPoints(rng, 150+rng.Intn(200), d)
 		for _, k := range []int{1, 3, 9} {
-			g, _ := testGrid(t, pts, k)
+			g := testGrid(t, pts, k)
 			q := pts[rng.Intn(len(pts))]
 			for i := 0; i < 300; i++ {
 				w := sample.RandSimplex(rng, d)
@@ -85,45 +92,38 @@ func TestGridCountMatchesBasis(t *testing.T) {
 	}
 }
 
-// TestGridEligibility pins the decline paths: unsupported dimensionality
-// is silently nil, k-diversity beyond maxGrids falls back and counts it,
-// and repeated requests for one k share a single build.
+// TestGridEligibility pins the decline paths of Of: an unsupported
+// dimensionality is nil before anything is built or counted, a
+// pass-through band has no grid and counts a fallback, and repeated
+// requests on one band share a single build.
 func TestGridEligibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pts := testPoints(rng, 120, 3)
-	tree := rtree.Bulk(pts, nil)
-
 	ct := NewCounters()
-	if c := NewCache(skyband.NewCache(tree, nil), 5, ct); c.Grid(3) != nil {
+	sky5 := skyband.NewCache(rtree.Bulk(testPoints(rng, 120, 5), nil), nil)
+	if Of(sky5.Band(3), ct) != nil {
 		t.Fatal("5-D grid must decline")
 	}
-	if s := ct.Snapshot(); s.Builds != 0 {
-		t.Fatalf("dimension gate built something: %+v", s)
+	if s := ct.Stats(sky5); s != (Stats{}) {
+		t.Fatalf("dimension gate built or counted something: %+v", s)
 	}
 
-	ct = NewCounters()
-	c := NewCache(skyband.NewCache(tree, nil), 3, ct)
-	for k := 1; k <= maxGrids; k++ {
-		if c.Grid(k) == nil {
-			t.Fatalf("grid %d of %d declined", k, maxGrids)
-		}
+	sky := skyband.NewCache(rtree.Bulk(testPoints(rng, 120, 3), nil), nil)
+	if b := sky.Band(30); !b.Full() || Of(b, ct) != nil {
+		t.Fatal("a pass-through band must have no grid")
 	}
-	if c.Grid(maxGrids+1) != nil {
-		t.Fatal("grid beyond maxGrids must decline")
+	if s := ct.Stats(sky); s.Builds != 0 || s.Fallbacks != 1 {
+		t.Fatalf("pass-through band: %+v", s)
 	}
-	s := ct.Snapshot()
-	if s.Builds != int64(maxGrids) || s.Fallbacks != 1 {
-		t.Fatalf("unexpected counters after cache-pressure decline: %+v", s)
+	g := Of(sky.Band(3), ct)
+	if g == nil {
+		t.Fatal("grid declined")
 	}
-	if c.Grid(1) == nil {
-		t.Fatal("cached grid lost")
+	if Of(sky.Band(3), ct) != g {
+		t.Fatal("a second read of the band rebuilt its grid")
 	}
-	if s = ct.Snapshot(); s.Hits != 1 || s.Builds != int64(maxGrids) {
-		t.Fatalf("repeat request did not hit the cache: %+v", s)
-	}
-	st := c.Stats()
-	if st.Grids != maxGrids || st.Cells < 1 || st.Candidates < 1 {
-		t.Fatalf("stats not populated: %+v", st)
+	s := ct.Stats(sky)
+	if s.Builds != 1 || s.Grids != 1 || s.Cells != g.NumCells() || s.Candidates < 1 {
+		t.Fatalf("stats after one build and one read: %+v", s)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestGridEligibility(t *testing.T) {
 func TestGridReverseTopKEmptyAndCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := testPoints(rng, 80, 2)
-	g, _ := testGrid(t, pts, 3)
+	g := testGrid(t, pts, 3)
 	q := pts[0]
 	res, scanned, ok, err := g.ReverseTopK(context.Background(), nil, q, 3)
 	if err != nil || !ok || res != nil || scanned != 0 {
@@ -146,15 +146,16 @@ func TestGridReverseTopKEmptyAndCancel(t *testing.T) {
 	}
 }
 
-// TestCellIndexAllocsPerOp guards the cell-lookup hot path — point
-// location plus the capped candidate scan must not allocate — and bounds
+// TestCellIndexAllocsPerOp guards the cell-lookup hot path — reading the
+// band's grid, point location and the capped candidate scan must not
+// allocate — and bounds
 // what a grid build allocates per built cell.
 func TestCellIndexAllocsPerOp(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		rng := rand.New(rand.NewSource(int64(40 + d)))
 		pts := testPoints(rng, 300, d)
 		k := 5
-		g, _ := testGrid(t, pts, k)
+		g := testGrid(t, pts, k)
 		q := pts[0]
 		ws := make([]vec.Weight, 64)
 		fqs := make([]float64, len(ws))
@@ -170,67 +171,84 @@ func TestCellIndexAllocsPerOp(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("d=%d: CountBelowCapped allocates %.1f per op", d, allocs)
 		}
+		// Reading a built grid off its band, once per request, is free too.
+		band, ct := skyband.NewCache(rtree.Bulk(pts, nil), nil).Band(k), NewCounters()
+		if Of(band, ct) == nil {
+			t.Fatalf("d=%d: band grid declined", d)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Of(band, ct) }); allocs != 0 {
+			t.Fatalf("d=%d: Of allocates %.1f per read of a built grid", d, allocs)
+		}
 		// build sizes its per-cell scratch once and grows the candidate
 		// columns amortized, so beyond that it allocates only sort.Slice's
 		// two objects per built cell (measured 2·cells + 30–110). A slice
 		// grown afresh in every cell costs at least six.
-		band := skyband.NewCache(rtree.Bulk(pts, nil), nil).Band(k)
-		band.Coords()
+		basis := g.Basis()
 		cells := g.NumCells()
-		if allocs := testing.AllocsPerRun(3, func() { build(band, k, d) }); allocs > float64(3*cells) {
+		if allocs := testing.AllocsPerRun(3, func() { Build(basis, k) }); allocs > float64(3*cells) {
 			t.Fatalf("d=%d: build allocates %.0f objects for %d cells, want <= %d", d, allocs, cells, 3*cells)
 		}
 	}
 }
 
-// TestCarryFollowsBasis pins the grid lifecycle: a finished entry — grid
-// or recorded decline — moves to the next snapshot's cache exactly when
-// that snapshot's skyband cache holds the entry's basis band,
-// pointer-identical; an entry still building is left behind uncounted.
-func TestCarryFollowsBasis(t *testing.T) {
+// TestGridFollowsBand pins the grid lifecycle at band level: the grid is
+// state of its band, so a band the skyband cache carries — across a
+// clone or a mutation that leaves it unchanged — returns the
+// pointer-identical grid without a build, and a dropped band's successor
+// builds a new grid exactly once, however many readers race for it.
+func TestGridFollowsBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := testPoints(rng, 400, 3)
 	tree := rtree.Bulk(pts, nil)
 	sky := skyband.NewCache(tree, nil)
-	c := NewCache(sky, 3, nil)
-	g2, g5 := c.Grid(2), c.Grid(5)
+	ct := NewCounters()
+	g2, g5 := Of(sky.Band(2), ct), Of(sky.Band(5), ct)
 	if g2 == nil || g5 == nil {
 		t.Fatal("grids did not build")
 	}
-	// A recorded decline over the 7-band, and an entry still in flight.
-	declined := &gridEntry{}
-	declined.basis.Store(sky.Band(7))
-	c.ents[7] = declined
-	c.ents[9] = &gridEntry{}
 
-	// A clone keeps everything finished and counts nothing.
-	nc := c.Carry(sky.Rebind(tree.Clone()), false)
-	if nc.Grid(2) != g2 || nc.Grid(5) != g5 || nc.ents[7] != declined || nc.ents[9] != nil {
-		t.Fatal("rebind did not carry exactly the finished entries")
+	// A clone carries every band, and every grid with it.
+	clone := sky.Rebind(tree.Clone())
+	if Of(clone.Band(2), ct) != g2 || Of(clone.Band(5), ct) != g5 {
+		t.Fatal("rebind did not carry the grids with their bands")
 	}
-	if s := c.ct.Snapshot(); s.Carried != 0 || s.Dropped != 0 || s.Builds != 2 {
-		t.Fatalf("clone counted as a mutation or rebuilt: %+v", s)
+	if s := ct.Stats(clone); s.Builds != 2 || s.Grids != 2 {
+		t.Fatalf("clone rebuilt or lost a grid: %+v", s)
 	}
 
 	// Deleting a point of the 5-band that is not in the 2-band drops the
-	// 5- and 7-band, so their entries go; the 2-grid stays.
+	// 5-band; the 2-band and its grid stay.
 	keep2, keep5 := sky.Band(2).Keep(2), sky.Band(5).Keep(5)
 	victim := int32(0)
 	for !keep5(victim) || keep2(victim) {
 		victim++
 	}
 	nsky := sky.AfterDelete(tree, victim)
-	if nsky.Peek(2) == nil || nsky.Peek(5) != nil || nsky.Peek(7) != nil {
+	if nsky.Peek(2) != sky.Peek(2) || nsky.Peek(5) != nil {
 		t.Fatal("skyband carry did not split the bands as constructed")
 	}
-	nc = c.Carry(nsky, true)
-	if len(nc.ents) != 1 || nc.Grid(2) != g2 {
-		t.Fatalf("carry kept %d entries, want only the 2-grid", len(nc.ents))
+	if s := ct.Stats(nsky); s.Grids != 1 {
+		t.Fatalf("the dropped band's grid is still reported: %+v", s)
 	}
-	if s := c.ct.Snapshot(); s.Carried != 1 || s.Dropped != 2 {
-		t.Fatalf("three finished entries counted carried=%d dropped=%d", s.Carried, s.Dropped)
+	if Of(nsky.Band(2), ct) != g2 {
+		t.Fatal("the carried band did not keep its grid")
 	}
-	if st := nc.Stats(); st.Grids != 1 {
-		t.Fatalf("stats after carry: %+v", st)
+	var wg sync.WaitGroup
+	got := make([]*Grid, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = Of(nsky.Band(5), ct)
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range got {
+		if g == nil || g == g5 || g != got[0] {
+			t.Fatal("the dropped band's grid was not rebuilt once, shared by every reader")
+		}
+	}
+	if s := ct.Stats(nsky); s.Builds != 3 || s.Grids != 2 {
+		t.Fatalf("after the rebuild: %+v", s)
 	}
 }

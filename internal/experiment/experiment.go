@@ -11,8 +11,8 @@
 // the sample size while MQP is unaffected, and all penalties stay small.
 //
 // A Scale factor shrinks cardinality and sample sizes proportionally so the
-// full suite runs in laptop time; EXPERIMENTS.md records the scale used for
-// the committed results.
+// full suite runs in laptop time. EXPERIMENTS.md, the committed results
+// and the scale they used, is pending under ROADMAP item 4.
 //
 // Every algorithm is called with a nil core.Source, so the harness times the
 // oracle path (full-tree scans), not the skyband/kernel product path that
@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"wqrtq/internal/core"
@@ -189,7 +188,7 @@ func (r *Runner) RunCell(figure string, xName string, x float64, p Params) (Cell
 	}
 
 	start := time.Now()
-	mwk, err := core.MWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, rand.New(rand.NewSource(p.Seed+7)), p.PM)
+	mwk, err := core.MWK(context.Background(), b.tr, nil, wl.Q, wl.K, wl.Wm, sampleSize, core.NewRand(p.Seed+7), p.PM)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiment: MWK: %w", err)
 	}

@@ -6,16 +6,15 @@ import (
 	"reflect"
 	"testing"
 
-	"wqrtq/internal/cellindex"
-	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
-	"wqrtq/internal/skyband"
 	"wqrtq/internal/vec"
 )
 
 // FuzzCellIndex feeds arbitrary byte-derived points, weights and k through
-// the materialized cell index and requires bit-identical reverse top-k
-// membership against the linear-scan oracle. The weight set
+// the materialized cell index, built over all the points (so small inputs,
+// whose k is served pass-through in the product, fuzz the grid math too),
+// and requires bit-identical reverse top-k membership against the
+// linear-scan oracle. The weight set
 // mixes simplex samples with adversarial vectors pinned exactly on cell
 // edges (dyadic c/res coordinates), where the floor point-location and the
 // closed-bounds re-check are most likely to disagree. A whole-query
@@ -46,10 +45,9 @@ func FuzzCellIndex(f *testing.F) {
 			pts[i] = p
 		}
 		q := append(vec.Point(nil), pts[n-1]...)
-		tree := rtree.Bulk(pts, nil)
-		g := cellindex.NewCache(skyband.NewCache(tree, nil), d, nil).Grid(k)
+		g := gridOver(pts, k)
 		if g == nil {
-			t.Skip() // ineligible configuration — nothing to differentiate
+			t.Fatalf("n=%d d=%d k=%d: a grid over at most 64 points declined", n, d, k)
 		}
 		rng := rand.New(rand.NewSource(int64(kb)*257 + int64(db) + int64(n)))
 		W := make([]vec.Weight, 0, 12)

@@ -5,12 +5,24 @@ import (
 	"testing"
 
 	"wqrtq/internal/cellindex"
+	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
-	"wqrtq/internal/skyband"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
 )
+
+// gridOver builds the cell grid of parameter k over all of pts, a
+// count-preserving basis for every k, so inputs too small for a k-skyband
+// band (4k >= n) still exercise the grid.
+func gridOver(pts []vec.Point, k int) *cellindex.Grid {
+	var basis kernel.Coords
+	basis.Reset(len(pts[0]))
+	for _, p := range pts {
+		basis.Append(p)
+	}
+	return cellindex.Build(&basis, k)
+}
 
 // TestMonochromaticNDWitness3D cross-checks the d=3 cell answer against
 // Monte Carlo witnesses: every sampled weighting vector whose top-k
@@ -29,7 +41,7 @@ func TestMonochromaticNDWitness3D(t *testing.T) {
 		base := pts[rng.Intn(n)]
 		q := vec.Point{base[0] * 0.9, base[1] * 0.9, base[2] * 0.9}
 		tree := rtree.Bulk(pts, nil)
-		g := cellindex.NewCache(skyband.NewCache(tree, nil), 3, nil).Grid(k)
+		g := gridOver(pts, k)
 		if g == nil {
 			t.Fatalf("case %d: grid declined", c)
 		}
@@ -94,7 +106,7 @@ func TestMonochromaticNDSampleConsistency(t *testing.T) {
 		}
 		q := vec.Point{rng.Float64() * 0.6, rng.Float64() * 0.6, rng.Float64() * 0.6}
 		tree := rtree.Bulk(pts, nil)
-		g := cellindex.NewCache(skyband.NewCache(tree, nil), 3, nil).Grid(k)
+		g := gridOver(pts, k)
 		if g == nil {
 			t.Fatalf("case %d: grid declined", c)
 		}

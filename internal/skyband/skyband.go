@@ -12,7 +12,9 @@
 // shrinks, and the shrinkage provably never removes an answer).
 //
 // A Cache owns the bands of one snapshot. Bands are computed lazily, once
-// per k, and shared by all readers; they are never mutated. Every snapshot
+// per k, and shared by all readers; they are never mutated, and state
+// derived from one (the cell grid) lives in the band itself (Band.Derived),
+// so it follows the band wherever the rules below take it. Every snapshot
 // has its own Cache bound to its own tree, but a band outlives the
 // snapshot it was computed on for as long as it stays the k-skyband:
 // invalidation is a membership test, not the epoch bump. Rebind (clone),
@@ -139,32 +141,41 @@ func (c *Counters) CountTrimRefusal(why TrimRefusal) {
 	}
 }
 
-// CountersSnapshot is a point-in-time copy of the cumulative counters.
-type CountersSnapshot struct {
+// Stats is a point-in-time view of the sub-index: the bands one cache
+// holds and its clone family's cumulative counters.
+type Stats struct {
+	// Bands and Points describe the bands the cache holds, computed or
+	// carried (pass-through bands hold no state and are not counted).
+	Bands  int `json:"bands"`
+	Points int `json:"points"`
+	// Builds and Hits count band computations and cache hits (one per
+	// reverse top-k on a built band, grid or tree); Fallbacks counts rank
+	// queries that exceeded their band bound and fell back to a full tree.
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
 	// Carried and Dropped count (mutation, materialized band) pairs: bands
-	// a mutation handed to the next snapshot unchanged, and bands it
-	// invalidated.
+	// a mutation handed to the next snapshot unchanged, grid included, and
+	// bands it invalidated (each costs one later build).
 	Carried int64 `json:"carried"`
 	Dropped int64 `json:"dropped"`
 	// Declines counts trim-band builds abandoned as too large; the
-	// TrimRefused fields count refused trim requests by reason (a request
-	// answered from a cached decline counts under Band without a new
-	// Declines tick).
+	// TrimRefused fields count refused trim requests by reason: k'max over
+	// the trim-band cap, a dataset too small for the band to prune, or the
+	// band declined or pass-through (a request answered from a cached
+	// decline counts under Band without a new Declines tick).
 	Declines           int64 `json:"declines"`
 	TrimRefusedK       int64 `json:"trim_refused_k"`
 	TrimRefusedDataset int64 `json:"trim_refused_dataset"`
 	TrimRefusedBand    int64 `json:"trim_refused_band"`
 }
 
-// Snapshot copies the counters.
-func (c *Counters) Snapshot() CountersSnapshot {
+// Snapshot copies the counters; the Bands and Points gauges stay zero.
+func (c *Counters) Snapshot() Stats {
 	if c == nil {
-		return CountersSnapshot{}
+		return Stats{}
 	}
-	return CountersSnapshot{
+	return Stats{
 		Builds:    c.builds.Load(),
 		Hits:      c.hits.Load(),
 		Fallbacks: c.fallbacks.Load(),
@@ -198,6 +209,11 @@ type Band struct {
 	coordsOnce  sync.Once
 	coordsReady atomic.Bool
 	coords      kernel.Coords
+	// derived is the slot for state derived from the band (Derived),
+	// guarded like coords.
+	derivedOnce  sync.Once
+	derivedReady atomic.Bool
+	derived      any
 }
 
 // K returns the band parameter.
@@ -242,6 +258,21 @@ func (b *Band) coordsSlow() *kernel.Coords {
 		b.coordsReady.Store(true)
 	})
 	return &b.coords
+}
+
+// Derived returns the state derived from the band, calling build on first
+// use only and sharing its result with every reader. The state lives
+// exactly as long as the band: carried with it pointer-identical, dropped
+// with it. The slot is opaque and holds one kind of state (the cell grid):
+// every caller must pass the same build.
+func (b *Band) Derived(build func(*Band) any) any {
+	if !b.derivedReady.Load() {
+		b.derivedOnce.Do(func() {
+			b.derived = build(b)
+			b.derivedReady.Store(true)
+		})
+	}
+	return b.derived
 }
 
 // Counts returns each record's exact dominance count indexed by record id:
@@ -424,8 +455,8 @@ func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *
 
 // Peek returns the materialized band for parameter k, or nil when there is
 // none (never requested, still building, served pass-through). It builds
-// nothing and counts nothing; the cell index uses it to decide which grids
-// follow their basis band into the next snapshot.
+// nothing and counts nothing, so tests use it to see which bands a step
+// carried.
 func (c *Cache) Peek(k int) *Band {
 	c.mu.Lock()
 	e := c.ents[k]
@@ -612,20 +643,11 @@ func CountBelowCtx(ctx context.Context, c *Cache, t *rtree.Tree, w vec.Weight, f
 	return topk.CountBelowCtx(ctx, t, w, fq)
 }
 
-// Stats is a point-in-time view of one cache's contents.
-type Stats struct {
-	// Bands is the number of bands materialized for this snapshot.
-	Bands int `json:"bands"`
-	// Points is the total point count across those bands.
-	Points int `json:"points"`
-}
-
-// Stats reports the cache's current contents (pass-through bands are not
-// counted; they hold no state).
+// Stats reports the cache's bands and its family's counters.
 func (c *Cache) Stats() Stats {
+	s := c.ct.Snapshot()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var s Stats
 	//wqrtq:unordered summing int counters; result is order-free
 	for _, e := range c.ents {
 		if b := e.band.Load(); b != nil {
@@ -634,4 +656,18 @@ func (c *Cache) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// EachDerived calls fn with the derived state of every band the cache
+// holds whose slot is filled (see Band.Derived). It builds nothing and
+// counts nothing.
+func (c *Cache) EachDerived(fn func(any)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	//wqrtq:unordered each band's state is reported on its own; callers sum
+	for _, e := range c.ents {
+		if b := e.band.Load(); b != nil && b.derivedReady.Load() {
+			fn(b.derived)
+		}
+	}
 }

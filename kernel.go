@@ -16,18 +16,15 @@ package wqrtq
 
 import (
 	"wqrtq/internal/core"
+	"wqrtq/internal/kernel"
 )
 
-// KernelStats is a point-in-time view of the blocked scoring kernel.
+// KernelStats is a point-in-time view of the blocked scoring kernel. The
+// embedded counters are cumulative across snapshots of the clone family;
+// Weights/Blocks is the achieved blocking factor — how many scans each
+// memory pass amortized.
 type KernelStats struct {
-	// Blocks counts blocked sweeps over a flattened candidate set;
-	// Weights the weighting vectors they evaluated; Points the candidate
-	// points per sweep, summed. Weights/Blocks is the achieved blocking
-	// factor — how many scans each memory pass amortized. All counters
-	// are cumulative across snapshots of the clone family.
-	Blocks  int64 `json:"blocks"`
-	Weights int64 `json:"weights"`
-	Points  int64 `json:"points"`
+	kernel.CountersSnapshot
 	// Refine says how the refinement loops (MWK/MQWK) ranked their
 	// samples: how many call-fixed candidate universes were prepared, how
 	// far the band trim cut them, how many sample loops swept the trimmed
@@ -38,9 +35,5 @@ type KernelStats struct {
 
 // KernelStats reports the kernel's cumulative counters.
 func (ix *Index) KernelStats() KernelStats {
-	var s KernelStats
-	cs := ix.kct.Snapshot()
-	s.Blocks, s.Weights, s.Points = cs.Blocks, cs.Weights, cs.Points
-	s.Refine = ix.rct.Snapshot()
-	return s
+	return KernelStats{CountersSnapshot: ix.kct.Snapshot(), Refine: ix.rct.Snapshot()}
 }

@@ -452,9 +452,11 @@ func runReverseTopK(ctx context.Context, ix *Index, a *query) (any, error) {
 // one capped count descent (rtopk.BichromaticCountCtx) over the k-skyband's
 // tree — the k smallest scores under any vector are achieved inside the
 // band — which is the full tree for a pass-through band and under skyOff.
-// Nothing here reads the dimensionality or the band's size.
+// The band is looked up once and serves both tiers; nothing here reads the
+// dimensionality or the band's size.
 func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k int) ([]int, rtopk.Stats, error) {
-	if g := ix.cellGrid(k); g != nil {
+	b := ix.band(k)
+	if g := ix.cellGrid(b); g != nil {
 		res, scanned, ok, err := g.ReverseTopK(ctx, W, q, k)
 		if err != nil {
 			return nil, rtopk.Stats{}, err
@@ -467,7 +469,7 @@ func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k
 		ix.cct.CountFallback()
 	}
 	t := ix.tree
-	if b := ix.band(k); b != nil {
+	if b != nil {
 		t = b.Tree()
 	}
 	return rtopk.BichromaticCountCtx(ctx, t, W, q, k)

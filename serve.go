@@ -482,15 +482,16 @@ type EngineStats struct {
 	CacheLen       int   `json:"cache_len"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	// Skyband describes the k-skyband sub-index: the bands cached on the
-	// current snapshot and the cumulative build/hit/fallback counters.
+	// current snapshot and the cumulative build/hit/fallback/carry
+	// counters, which cover the grids the bands hold.
 	Skyband SkybandStats `json:"skyband"`
 	// Kernel describes the blocked scoring kernel: the cumulative
 	// blocked-sweep counters (blocks, weights ranked, candidate points
 	// swept).
 	Kernel KernelStats `json:"kernel"`
 	// CellIndex describes the materialized reverse-top-k cell index: the
-	// grids cached on the current snapshot and the cumulative
-	// build/hit/lookup/fallback counters.
+	// grids the current snapshot's bands hold and the cumulative
+	// build/lookup/fallback counters.
 	CellIndex CellIndexStats `json:"cellindex"`
 	// RTA aggregates reverse top-k pruning work per endpoint ("rtopk",
 	// "whynot"), so the skyband candidate-set win is observable in

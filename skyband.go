@@ -92,51 +92,11 @@ const maxTrimBand = 128
 const fullBandTrim = 64
 
 // SkybandStats is a point-in-time view of the skyband sub-index.
-type SkybandStats struct {
-	// Bands and Points describe the bands the current snapshot holds,
-	// whether it computed them or a mutation carried them over.
-	Bands  int `json:"bands"`
-	Points int `json:"points"`
-	// Builds and Hits count band computations and band-cache hits over the
-	// index's whole lifetime (cumulative across snapshots). Fallbacks
-	// counts rank queries that exceeded their band bound and fell back to
-	// a full tree.
-	Builds    int64 `json:"builds"`
-	Hits      int64 `json:"hits"`
-	Fallbacks int64 `json:"fallbacks"`
-	// Carried and Dropped count, per mutation and materialized band, the
-	// bands the mutation provably left unchanged and handed to the next
-	// snapshot, and the ones it invalidated (each costs one later build):
-	// a slow first read after a write shows up as a Dropped tick.
-	Carried int64 `json:"carried"`
-	Dropped int64 `json:"dropped"`
-	// Declines counts sample-loop trim bands abandoned mid-build as too
-	// large to pay (the decline is cached and carried like a band). The
-	// TrimRefused counters say why refinement calls went without a trim:
-	// k'max beyond the trim-band cap, a dataset too small for that band
-	// to prune, or the band itself declined or served pass-through.
-	Declines           int64 `json:"declines"`
-	TrimRefusedK       int64 `json:"trim_refused_k"`
-	TrimRefusedDataset int64 `json:"trim_refused_dataset"`
-	TrimRefusedBand    int64 `json:"trim_refused_band"`
-}
+type SkybandStats = skyband.Stats
 
-// SkybandStats reports the sub-index's cache contents and cumulative
+// SkybandStats reports the bands the snapshot holds and the cumulative
 // counters.
-func (ix *Index) SkybandStats() SkybandStats {
-	var s SkybandStats
-	if ix.sky == nil {
-		return s
-	}
-	cs := ix.sky.Stats()
-	s.Bands, s.Points = cs.Bands, cs.Points
-	ct := ix.sky.Counters().Snapshot()
-	s.Builds, s.Hits, s.Fallbacks = ct.Builds, ct.Hits, ct.Fallbacks
-	s.Carried, s.Dropped = ct.Carried, ct.Dropped
-	s.Declines = ct.Declines
-	s.TrimRefusedK, s.TrimRefusedDataset, s.TrimRefusedBand = ct.TrimRefusedK, ct.TrimRefusedDataset, ct.TrimRefusedBand
-	return s
-}
+func (ix *Index) SkybandStats() SkybandStats { return ix.sky.Stats() }
 
 // RTAStats reports the work of one reverse top-k evaluation (the name and
 // the "rta" JSON block date from when RTA, the paper's [31], served it).

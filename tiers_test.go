@@ -24,14 +24,15 @@ func TestTierCoverage(t *testing.T) {
 		name   string
 		ds     *dataset.Dataset
 		k      int
-		cell   bool // the cell index answers (d <= 4)
+		cell   bool // the cell index answers (d <= 4 on a built band)
 		banded bool // a k-skyband is built (4k < n)
 		prunes bool // ... and it is smaller than the dataset
 	}{
 		{"d=3 cell index over the band", dataset.Independent(2000, 3, 900), 10, true, true, true},
 		{"d=5 count descent over the band tree", dataset.Independent(2000, 5, 901), 10, false, true, true},
 		{"d=5 4k>=n count descent over the full tree", dataset.Independent(32, 5, 902), 10, false, false, false},
-		{"d=3 4k>=n cell index over the full set", dataset.Independent(32, 3, 903), 10, true, false, false},
+		// A pass-through band carries no grid, whatever d.
+		{"d=3 4k>=n count descent over the full tree", dataset.Independent(32, 3, 903), 10, false, false, false},
 		{"NBA-like n=17265 d=13 count descent over the band tree", dataset.NBALike(17265, 904), 10, false, true, true},
 		// Household-like data is so anticorrelated at d = 6 that its
 		// 10-skyband is the whole dataset: the band tree prunes nothing.
@@ -84,7 +85,7 @@ func TestTierCoverage(t *testing.T) {
 				}
 			} else {
 				if cell.Builds != 0 || cell.Lookups != 0 || kern.Blocks != 0 {
-					t.Fatalf("d=%d must skip the cell index and sweep nothing: %+v %+v", d, cell, kern)
+					t.Fatalf("d=%d, 4k<n %t must skip the cell index and sweep nothing: %+v %+v", d, tc.banded, cell, kern)
 				}
 				// Only the members are counted to completion; every other
 				// descent stops at its k-th beater.

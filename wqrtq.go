@@ -93,10 +93,11 @@ type Index struct {
 	// copies the one it writes.
 	ids *idtable.Table
 	// sky is the snapshot's k-skyband sub-index cache (skyband.go): bands
-	// are computed lazily per k and shared by all readers. Clone, Insert
-	// and Delete give the next snapshot a cache of its own that carries
-	// every band the step provably leaves unchanged (dynamic.go), so stale
-	// bands are unreachable.
+	// are computed lazily per k and shared by all readers, and each holds
+	// its own cell grid (cellindex.go). Clone, Insert and Delete give the
+	// next snapshot a cache of its own that carries every band the step
+	// provably leaves unchanged, grid included (dynamic.go), so stale
+	// bands and grids are unreachable.
 	sky *skyband.Cache
 	// kct carries the blocked scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters (kernel.go).
@@ -104,12 +105,9 @@ type Index struct {
 	// rct records which route ranked the refinement loops' samples,
 	// shared across the clone family like kct.
 	rct *core.RouteCounters
-	// cells is the snapshot's materialized reverse-top-k cell-index cache
-	// (cellindex.go): grids build lazily per k over the skyband bands and
-	// follow their basis band from snapshot to snapshot. cct carries the
-	// clone family's cumulative counters.
-	cells *cellindex.Cache
-	cct   *cellindex.Counters
+	// cct carries the cell index's cumulative counters, shared across the
+	// clone family like kct.
+	cct *cellindex.Counters
 	// skyOff and cellOff route queries around a sub-index, onto the path
 	// it accelerates: the full tree (and core's nil-Source oracle for the
 	// refinements), and the count descent over the band tree (the reverse
@@ -151,9 +149,7 @@ func NewIndex(points [][]float64) (*Index, error) {
 // (its parts come from verified durable state, so it skips validation and
 // bulk load).
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	ix := &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
-	ix.cells = cellindex.NewCache(ix.sky, tree.Dim(), ix.cct)
-	return ix
+	return &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 }
 
 // Len returns the number of indexed points.

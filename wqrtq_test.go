@@ -115,26 +115,40 @@ func TestReverseTopKMono2DFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, k := []float64{0.1, 0.1, 0.1}, 5
-	ndIvs, cells, err = ixND.ReverseTopKMonoND(q, k)
-	if err != nil || ndIvs != nil || len(cells) == 0 {
-		t.Fatalf("ReverseTopKMonoND (3-D) = %v, %d cells, %v; want no intervals, cells, no error", ndIvs, len(cells), err)
+	checkCells := func(label string, ix *Index) {
+		t.Helper()
+		ndIvs, cells, err := ix.ReverseTopKMonoND(q, k)
+		if err != nil || ndIvs != nil || len(cells) == 0 {
+			t.Fatalf("ReverseTopKMonoND (%s) = %v, %d cells, %v; want no intervals, cells, no error", label, ndIvs, len(cells), err)
+		}
+		full := 0
+		for _, c := range cells {
+			if !c.Full {
+				continue
+			}
+			full++
+			mid := make(vec.Weight, 3)
+			for j := range mid {
+				mid[j] = (c.Lo[j] + c.Hi[j]) / 2
+			}
+			if !topk.InTopK(ix.tree, mid, q, k) {
+				t.Errorf("%s: Full cell [%v, %v]: midpoint %v does not have q in its top-%d", label, c.Lo, c.Hi, mid, k)
+			}
+		}
+		if full == 0 {
+			t.Errorf("%s: no Full cell to check", label)
+		}
 	}
-	full := 0
-	for _, c := range cells {
-		if !c.Full {
-			continue
-		}
-		full++
-		mid := make(vec.Weight, 3)
-		for j := range mid {
-			mid[j] = (c.Lo[j] + c.Hi[j]) / 2
-		}
-		if !topk.InTopK(ixND.tree, mid, q, k) {
-			t.Errorf("Full cell [%v, %v]: midpoint %v does not have q in its top-%d", c.Lo, c.Hi, mid, k)
-		}
+	checkCells("3-D", ixND)
+	// With 4k >= n the band is pass-through and carries no grid: the
+	// answer comes from a grid over the whole dataset, built uncached.
+	ixSmall, err := NewIndex(pts[:4*k-1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if full == 0 {
-		t.Error("no Full cell to check")
+	checkCells("3-D, 4k >= n", ixSmall)
+	if st := ixSmall.CellIndexStats(); st.Grids != 0 || st.Builds != 0 {
+		t.Errorf("a pass-through band's grid was cached: %+v", st)
 	}
 
 	// Invalid arguments, and a 3-D query with the cell index off.
