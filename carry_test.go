@@ -428,7 +428,7 @@ func TestCarryEdgeCases(t *testing.T) {
 		checkReverseTopK(t, "parent", parent, rng, 3, 10)
 	})
 
-	t.Run("grid lives on its band", func(t *testing.T) {
+	t.Run("grid follows its basis band", func(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 18)
 		g3, g10 := ix.cellGrid(ix.band(3)), ix.cellGrid(ix.band(10))
 		if g3 == nil || g10 == nil {
