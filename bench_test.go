@@ -246,7 +246,7 @@ func BenchmarkAblationRankCounting(b *testing.B) {
 	})
 	b.Run("ProgressiveScan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it := topk.NewIterator(e.tr, w)
+			it := topk.NewIteratorCtx(context.Background(), e.tr, w)
 			r := 1
 			for {
 				res, ok := it.Next()
@@ -303,7 +303,7 @@ func BenchmarkAblationRTA(b *testing.B) {
 	}
 	b.Run("RTA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rtopk.Bichromatic(e.tr, W, e.wl.Q, e.wl.K)
+			rtopk.BichromaticCtx(context.Background(), e.tr, W, e.wl.Q, e.wl.K)
 		}
 	})
 	b.Run("Naive", func(b *testing.B) {

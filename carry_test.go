@@ -5,7 +5,7 @@ package wqrtq
 // that the step provably leaves unchanged. After every mutation of every
 // stream below, each band the index serves — carried or rebuilt — must be
 // indistinguishable from one computed from scratch on the same tree (member
-// ids, Size, Keep(bound) for every bound <= k over the whole id space), and
+// ids, Size, the dominance count of every id in the whole id space), and
 // ReverseTopK must agree with the naive oracle. The edge cases the two
 // carry rules turn on are forced by construction in TestCarryEdgeCases.
 
@@ -58,12 +58,10 @@ func checkBands(t *testing.T, label string, ix *Index, ks []int) {
 		if g, w := bandMembers(got), bandMembers(want); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s k=%d: member ids differ\n got %v\nwant %v", label, k, g, w)
 		}
-		for bound := 1; bound <= k; bound++ {
-			kg, kw := got.Keep(bound), want.Keep(bound)
-			for id := int32(0); int(id) < ix.NumIDs()+2; id++ {
-				if kg(id) != kw(id) {
-					t.Fatalf("%s k=%d: Keep(%d)(%d) = %t, from scratch %t", label, k, bound, id, kg(id), kw(id))
-				}
+		// Equal counts mean equal bound-skybands for every bound <= k.
+		for id := int32(0); int(id) < ix.NumIDs()+2; id++ {
+			if cg, cw := bandCount(got, id), bandCount(want, id); cg != cw {
+				t.Fatalf("%s k=%d: id %d has count %d, from scratch %d", label, k, id, cg, cw)
 			}
 		}
 	}
@@ -97,14 +95,36 @@ func checkReverseTopK(t *testing.T, label string, ix *Index, rng *rand.Rand, ks 
 	}
 }
 
-// heldBands returns, per k, the band ix's cache holds right now (nil when
-// it holds none), without building anything.
-func heldBands(ix *Index, ks []int) map[int]*skyband.Band {
+// bandCount is id's dominance count in b, or -1 when id is no member
+// (count >= b.K(), or an id allocated after b was computed).
+func bandCount(b *skyband.Band, id int32) int32 {
+	if c := b.Counts(); int(id) < len(c) {
+		return c[id]
+	}
+	return -1
+}
+
+// bands returns ix's band for each k.
+func bands(ix *Index, ks []int) map[int]*skyband.Band {
 	m := make(map[int]*skyband.Band, len(ks))
 	for _, k := range ks {
-		m[k] = ix.sky.Peek(k)
+		m[k] = ix.band(k)
 	}
 	return m
+}
+
+// heldBand returns ix's band for k and whether its cache held it: a held
+// band comes back without a build, and one the cache dropped (or never
+// had) builds exactly once.
+func heldBand(t *testing.T, ix *Index, k int) (*skyband.Band, bool) {
+	t.Helper()
+	builds := ix.SkybandStats().Builds
+	b := ix.band(k)
+	n := ix.SkybandStats().Builds - builds
+	if n > 1 {
+		t.Fatalf("k=%d: one band read built %d bands", k, n)
+	}
+	return b, n == 0
 }
 
 func toRows(ps []vec.Point) [][]float64 {
@@ -139,7 +159,7 @@ func TestCarryDifferential(t *testing.T) {
 							ix.band(k) // materialize what the mutation may carry
 						}
 						grid := ix.cellGrid(ix.band(3)) // nil at d=5
-						before := heldBands(ix, carryKs)
+						before := bands(ix, carryKs)
 						next := ix
 						if viaClone {
 							next = ix.Clone()
@@ -178,21 +198,24 @@ func TestCarryDifferential(t *testing.T) {
 							t.Fatalf("step %d %s: %v", step, op, err)
 						}
 						label := fmt.Sprintf("step %d (%s)", step, op)
-						for k, b := range heldBands(next, carryKs) {
+						carried := make(map[int]bool, len(carryKs))
+						for _, k := range carryKs {
+							b, held := heldBand(t, next, k)
 							switch {
-							case b != nil && b != before[k]:
+							case held && b != before[k]:
 								t.Fatalf("%s k=%d: cache holds a band that is neither carried nor absent", label, k)
-							case !changed && b == nil:
+							case !changed && !held:
 								t.Fatalf("%s k=%d: a refused mutation dropped a band", label, k)
 							case !changed:
-							case b == nil:
+							case !held:
 								rebuilt++
 							default:
 								identical++
 							}
+							carried[k] = held
 						}
 						// A grid follows its basis band, pointer-identical.
-						if b := next.sky.Peek(3); b != nil && next.cellGrid(b) != grid {
+						if carried[3] && next.cellGrid(next.band(3)) != grid {
 							t.Fatalf("%s: band k=3 was carried but its grid was not", label)
 						}
 						checkBands(t, label, next, carryKs)
@@ -273,11 +296,11 @@ func TestCarryEdgeCases(t *testing.T) {
 	expect := func(t *testing.T, ix *Index, before map[int]*skyband.Band, carried func(k int) bool) {
 		t.Helper()
 		for _, k := range carryKs {
-			got := ix.sky.Peek(k)
-			if carried(k) && got != before[k] {
+			got, held := heldBand(t, ix, k)
+			if carried(k) && (!held || got != before[k]) {
 				t.Fatalf("k=%d: band should have been carried", k)
 			}
-			if !carried(k) && got != nil {
+			if !carried(k) && held {
 				t.Fatalf("k=%d: band should have been dropped", k)
 			}
 		}
@@ -288,7 +311,7 @@ func TestCarryEdgeCases(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 11)
 		id := memberWithCount(t, ix, 3, 10)
 		c := dominators(ix, ix.Point(id))
-		before := heldBands(ix, carryKs)
+		before := bands(ix, carryKs)
 		// Duplicates do not dominate each other: the copy has exactly the
 		// original's c dominators, so it joins every band with k > c and
 		// leaves every band with k <= c alone.
@@ -304,7 +327,7 @@ func TestCarryEdgeCases(t *testing.T) {
 
 	t.Run("insert that joins the band and evicts members", func(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 12)
-		before := heldBands(ix, carryKs)
+		before := bands(ix, carryKs)
 		sizes := map[int]int{}
 		for k, b := range before {
 			sizes[k] = b.Size()
@@ -322,7 +345,7 @@ func TestCarryEdgeCases(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 13)
 		id := memberWithCount(t, ix, 3, 10)
 		c := dominators(ix, ix.Point(id))
-		before := heldBands(ix, carryKs)
+		before := bands(ix, carryKs)
 		if ok, err := ix.Delete(id); !ok || err != nil {
 			t.Fatalf("delete: %t, %v", ok, err)
 		}
@@ -331,7 +354,7 @@ func TestCarryEdgeCases(t *testing.T) {
 
 	t.Run("delete of an id inserted after the bands were built", func(t *testing.T) {
 		ix := carryIndex(t, 600, 3, 14)
-		before := heldBands(ix, carryKs)
+		before := bands(ix, carryKs)
 		id, err := ix.Insert([]float64{0.999, 0.999, 0.999}) // dominated by nearly everything
 		if err != nil {
 			t.Fatal(err)
@@ -362,13 +385,14 @@ func TestCarryEdgeCases(t *testing.T) {
 		for ix.Len() > 38 {
 			// Delete non-members of the 10-band only, so nothing but the
 			// shrinking n can invalidate it.
-			keep := ix.sky.Peek(3).Keep(3)
-			if b := ix.sky.Peek(10); b != nil {
-				keep = b.Keep(10)
+			b10 := ix.band(10)
+			keep := b10
+			if b10.Full() {
+				keep = ix.band(3)
 			}
 			victim := -1
 			for id := 0; id < ix.NumIDs(); id++ {
-				if ix.Point(id) != nil && !keep(int32(id)) {
+				if ix.Point(id) != nil && bandCount(keep, int32(id)) < 0 {
 					victim = id
 					break
 				}
@@ -376,14 +400,14 @@ func TestCarryEdgeCases(t *testing.T) {
 			if victim < 0 {
 				t.Fatal("ran out of non-members")
 			}
-			held := ix.sky.Peek(10)
 			if _, err := ix.Delete(victim); err != nil {
 				t.Fatal(err)
 			}
-			if want := ix.Len() > 40; (ix.sky.Peek(10) != nil) != want || (want && ix.sky.Peek(10) != held) {
-				t.Fatalf("n=%d: 10-band held=%t, want %t", ix.Len(), ix.sky.Peek(10) != nil, want)
+			b, held := heldBand(t, ix, 10)
+			if want := ix.Len() > 40; b.Full() == want || (want && (!held || b != b10)) {
+				t.Fatalf("n=%d: 10-band held=%t full=%t, want held=%t", ix.Len(), held && b == b10, b.Full(), want)
 			}
-			if ix.sky.Peek(3) == nil {
+			if _, held := heldBand(t, ix, 3); !held {
 				t.Fatalf("n=%d: 3-band dropped by a non-member delete", ix.Len())
 			}
 			checkBands(t, fmt.Sprintf("n=%d", ix.Len()), ix, ks)
@@ -399,8 +423,8 @@ func TestCarryEdgeCases(t *testing.T) {
 		if clone.sky == parent.sky {
 			t.Fatal("clone shares its parent's cache objects")
 		}
-		for k, b := range heldBands(parent, carryKs) {
-			if clone.sky.Peek(k) != b {
+		for k, b := range bands(parent, carryKs) {
+			if got, held := heldBand(t, clone, k); !held || got != b {
 				t.Fatalf("k=%d: clone did not start with the parent's band", k)
 			}
 		}
@@ -447,8 +471,8 @@ func TestCarryEdgeCases(t *testing.T) {
 		if ok, err := ix.Delete(id); !ok || err != nil {
 			t.Fatalf("delete: %t, %v", ok, err)
 		}
-		b3 := ix.sky.Peek(3)
-		if b3 == nil || ix.sky.Peek(10) != nil {
+		b3, held3 := heldBand(t, ix, 3)
+		if _, held10 := heldBand(t, ix, 10); !held3 || held10 {
 			t.Fatal("deleting a 10-band member must carry the 3-band and drop the 10-band")
 		}
 		if ix.cellGrid(b3) != g3 {
@@ -636,7 +660,7 @@ func TestCarryWhyNot(t *testing.T) {
 					t.Fatal(err)
 				}
 				q, k, W := []float64(wl.Q), wl.K, [][]float64{wl.Wm[0]}
-				opts := Options{SampleSize: 16, QuerySampleSize: 6, Seed: seed}
+				opts := Options{SampleSize: 16, Seed: seed}
 				rng := rand.New(rand.NewSource(seed))
 				checkRefinements(t, "initial", ix, q, k, W, opts)
 				for step := 0; step < 12; step++ {
@@ -699,7 +723,7 @@ func TestWhyNotConcurrentLazyBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, k, W := []float64(wl.Q), wl.K, [][]float64{wl.Wm[0]}
-	opts := Options{SampleSize: 12, QuerySampleSize: 4, Seed: 3}
+	opts := Options{SampleSize: 12, Seed: 3}
 	rng := rand.New(rand.NewSource(73))
 	// Clone family: each snapshot diverges by one mutation, all made
 	// before the concurrent phase, per the serialization contract.

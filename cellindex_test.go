@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/dominance"
 	"wqrtq/internal/sample"
 )
 
@@ -270,12 +271,9 @@ func TestCellIndexEngineStats(t *testing.T) {
 
 	// Deleting a member of the k=4 basis band drops exactly that grid,
 	// and the next query rebuilds it over the rebuilt band.
-	snap := eOn.Snapshot()
-	keep := snap.band(4).Keep(4)
-	victim := 0
-	for !keep(int32(victim)) {
-		victim++
-	}
+	live, ids := eOn.Snapshot().livePoints()
+	band, _ := dominance.KSkybandLimit(live, 4, len(live))
+	victim := ids[band[0].Index]
 	if ok, _, err := eOn.Delete(victim); !ok || err != nil {
 		t.Fatalf("delete: %t, %v", ok, err)
 	}

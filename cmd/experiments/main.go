@@ -12,7 +12,8 @@
 // scale 1 costs about three minutes (MQWK 188 s, measured), so a full sweep
 // is hours; the product path answers the same cell in 0.34 s (ROADMAP item
 // 4, which decides which path the figures report). EXPERIMENTS.md, the
-// committed runs, is pending under that item.
+// committed runs, is pending under that item. After the table and the CSV
+// it exits 1 if a shape check (the paper's qualitative claims) failed.
 package main
 
 import (
@@ -57,18 +58,25 @@ func main() {
 	}
 
 	experiment.PrintTable(os.Stdout, rows)
-	experiment.CheckShapes(rows).Print(os.Stdout)
+	shapes := experiment.CheckShapes(rows)
+	shapes.Print(os.Stdout)
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := experiment.WriteCSV(f, rows); err != nil {
+		err = experiment.WriteCSV(f, rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(rows), *csvPath)
+	}
+	if !shapes.AllPass() {
+		os.Exit(1)
 	}
 }

@@ -9,23 +9,27 @@ import (
 	"sort"
 
 	"wqrtq/internal/analysis/contract"
+	"wqrtq/internal/analysis/deadapi"
 	"wqrtq/internal/analysis/load"
 )
 
 // gateResult is one gate run: the contracts found, the violations against
-// them, and the raw diagnostic stream (kept for the CI failure artifact).
+// them, the dead-API pass's findings, and the raw diagnostic stream (kept
+// for the CI failure artifact).
 type gateResult struct {
 	Contracts  []contract.Contract
 	Violations []contract.Violation
+	Dead       []deadapi.Violation
 	Stream     []byte
 }
 
 // runGate executes the full gate pipeline over moduleDir: type-check the
 // compiled file set `go list` reports, collect //wqrtq:contract annotations
 // from exactly those files (so a build-tagged-out file drops its contracts
-// instead of failing them), compile with gc diagnostics, parse the stream
-// and check. Both compiles reuse the build cache — gc replays its stderr on
-// cache hits — so a warm gate run costs roughly a `go list`.
+// instead of failing them), run the dead-API pass over the same packages,
+// compile with gc diagnostics, parse the stream and check. Both compiles
+// reuse the build cache — gc replays its stderr on cache hits — so a warm
+// gate run costs roughly a `go list`.
 func runGate(moduleDir string, patterns []string) (gateResult, error) {
 	var res gateResult
 	pkgs, err := load.Module(moduleDir, patterns...)
@@ -33,6 +37,10 @@ func runGate(moduleDir string, patterns []string) (gateResult, error) {
 		return res, err
 	}
 	res.Contracts, err = contract.Collect(moduleDir, pkgs)
+	if err != nil {
+		return res, err
+	}
+	res.Dead, err = deadapi.Check(moduleDir, pkgs)
 	if err != nil {
 		return res, err
 	}

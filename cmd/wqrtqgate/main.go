@@ -5,14 +5,17 @@
 // against every //wqrtq:contract annotation (internal/analysis/contract,
 // DESIGN.md §12). A noalloc contract also reads the function's typed body
 // for the allocations gc reports no heap fact for: append, go statements,
-// string concatenation and string/slice conversions.
+// string concatenation and string/slice conversions. Over the same
+// packages it runs the dead-API pass (internal/analysis/deadapi): every
+// exported identifier under internal/ has a non-test caller, and every
+// option field a setter, or an entry in the module's deadapi.allow.
 //
 //	wqrtqgate [-C dir] [-diag file] [patterns...]
 //
 // Patterns default to ./... relative to the module root. -diag writes the
 // raw diagnostic stream to a file (CI uploads it as an artifact when the
 // gate fails). Exit status mirrors wqrtqlint: 0 clean, 1 tool or build
-// failure, 2 contract violations.
+// failure, 2 contract violations or dead API.
 //
 // The gate makes the compiler's optimization decisions part of the checked
 // interface: a refactor that re-introduces a heap escape or a bounds check
@@ -53,9 +56,12 @@ func main() {
 	for _, v := range res.Violations {
 		fmt.Fprintf(os.Stderr, "%s\n", v)
 	}
-	if n := len(res.Violations); n > 0 {
-		fmt.Fprintf(os.Stderr, "wqrtqgate: %d contract violation(s) across %d contract(s)\n", n, len(res.Contracts))
+	for _, v := range res.Dead {
+		fmt.Fprintf(os.Stderr, "%s\n", v)
+	}
+	if n, d := len(res.Violations), len(res.Dead); n+d > 0 {
+		fmt.Fprintf(os.Stderr, "wqrtqgate: %d contract violation(s) across %d contract(s), %d dead-API finding(s)\n", n, len(res.Contracts), d)
 		os.Exit(2)
 	}
-	fmt.Printf("wqrtqgate: %d contract(s) hold\n", len(res.Contracts))
+	fmt.Printf("wqrtqgate: %d contract(s) hold, no dead API\n", len(res.Contracts))
 }

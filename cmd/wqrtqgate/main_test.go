@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"wqrtq/internal/analysis/deadapi"
 )
 
 // TestGateModuleClean is the CI invariant: every //wqrtq:contract in the
-// module holds against the compiler's actual diagnostic stream.
+// module holds against the compiler's actual diagnostic stream, and every
+// exported identifier under internal/ has a non-test caller or one of at
+// most 20 allowlist entries.
 func TestGateModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the module with gc diagnostics")
@@ -21,6 +27,141 @@ func TestGateModuleClean(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)
+	}
+	for _, v := range res.Dead {
+		t.Errorf("%s", v)
+	}
+	f, err := os.Open(filepath.Join("../..", deadapi.AllowFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
+			entries++
+		}
+	}
+	if entries > 20 {
+		t.Errorf("%s has %d entries, want at most 20", deadapi.AllowFile, entries)
+	}
+}
+
+// TestSeededDeadAPICaught seeds a throwaway module with one case per rule
+// of the dead-API pass and checks each is reported, or not, as the rule
+// says: an unused exported func, a method only a standard-library
+// interface calls, a method nothing calls, an identifier only a test uses,
+// an allowlisted oracle, a used identifier, an option field set only in
+// its own package, and allowlist entries that are stale or give an unknown
+// reason.
+func TestSeededDeadAPICaught(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a throwaway module with gc diagnostics")
+	}
+	dir := t.TempDir()
+	write := func(name, content string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module gatetest\n\ngo 1.24\n")
+	write("internal/lib/lib.go", `package lib
+
+// Unused has no caller at all.
+func Unused() {}
+
+// Mystery has no caller; its allowlist entry gives an unknown reason.
+func Mystery() {}
+
+// TestOnly is called only from lib_test.go.
+func TestOnly() int { return 1 }
+
+// Oracle is called only from lib_test.go, and allowlisted.
+func Oracle() int { return 2 }
+
+// Used is called by the command.
+func Used() int { return helper() }
+
+func helper() int { return 3 }
+
+// Kind is printed by the command: fmt calls String through fmt.Stringer.
+type Kind int
+
+func (k Kind) String() string { return "kind" }
+
+// Extra serves no interface and has no caller.
+func (k Kind) Extra() {}
+`)
+	write("internal/lib/lib_test.go", `package lib
+
+import "testing"
+
+func TestOracle(t *testing.T) {
+	if TestOnly() != 1 || Oracle() != 2 {
+		t.Fatal()
+	}
+}
+`)
+	write("options.go", `package gatetest
+
+// Options has one field a caller sets and one only its own package does.
+type Options struct{ Set, Unset int }
+
+// Resolve fills in the defaults.
+func Resolve(o Options) Options {
+	o.Unset = 1
+	return o
+}
+`)
+	write("cmd/app/main.go", `package main
+
+import (
+	"fmt"
+
+	"gatetest"
+	"gatetest/internal/lib"
+)
+
+func main() {
+	fmt.Println(lib.Used(), lib.Kind(1), gatetest.Resolve(gatetest.Options{Set: 2}))
+}
+`)
+	write(deadapi.AllowFile, `# seeded allowlist
+lib.Oracle  oracle   TestOracle
+lib.Gone    testhook no such identifier
+lib.Used    bench    has a caller
+lib.Mystery mystery  not a reason
+`)
+	res, err := runGate(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("runGate: %v", err)
+	}
+	got := make(map[string]string)
+	for _, v := range res.Dead {
+		got[v.File+" "+v.Name] = v.Msg
+	}
+	for _, want := range []string{
+		"internal/lib/lib.go lib.Unused",
+		"internal/lib/lib.go lib.Mystery",
+		"internal/lib/lib.go lib.TestOnly",
+		"internal/lib/lib.go lib.Kind.Extra",
+		"options.go gatetest.Options.Unset",
+		deadapi.AllowFile + " lib.Gone",
+		deadapi.AllowFile + " lib.Used",
+		deadapi.AllowFile + " lib.Mystery",
+	} {
+		if _, ok := got[want]; !ok {
+			t.Errorf("seeded finding %q not reported", want)
+		}
+		delete(got, want)
+	}
+	for k, msg := range got {
+		t.Errorf("false positive %s: %s", k, msg)
 	}
 }
 

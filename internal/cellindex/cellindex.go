@@ -164,9 +164,6 @@ type Grid struct {
 // Dim returns the dimensionality.
 func (g *Grid) Dim() int { return g.dim }
 
-// Res returns the grid resolution per gridded coordinate.
-func (g *Grid) Res() int { return g.res }
-
 // BasisSize returns the size of the basis candidate set (the k-skyband
 // band the grid was built over).
 func (g *Grid) BasisSize() int { return g.basisSize }
@@ -174,9 +171,6 @@ func (g *Grid) BasisSize() int { return g.basisSize }
 // Basis returns the flattened basis coordinates (band visit order, shared
 // with the blocked kernel paths).
 func (g *Grid) Basis() *kernel.Coords { return g.basis }
-
-// NumCells returns the number of built cells.
-func (g *Grid) NumCells() int { return g.cells }
 
 // Cells iterates the built cells in flat index order: lo and hi are the
 // cell's per-coordinate bounds (len dim, de-interleaved from grid storage

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"wqrtq/internal/dominance"
 	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/sample"
@@ -122,7 +123,7 @@ func TestGridEligibility(t *testing.T) {
 		t.Fatal("a second read of the band rebuilt its grid")
 	}
 	s := ct.Stats(sky)
-	if s.Builds != 1 || s.Grids != 1 || s.Cells != g.NumCells() || s.Candidates < 1 {
+	if s.Builds != 1 || s.Grids != 1 || s.Cells != g.cells || s.Candidates < 1 {
 		t.Fatalf("stats after one build and one read: %+v", s)
 	}
 }
@@ -184,7 +185,7 @@ func TestCellIndexAllocsPerOp(t *testing.T) {
 		// two objects per built cell (measured 2·cells + 30–110). A slice
 		// grown afresh in every cell costs at least six.
 		basis := g.Basis()
-		cells := g.NumCells()
+		cells := g.cells
 		if allocs := testing.AllocsPerRun(3, func() { Build(basis, k) }); allocs > float64(3*cells) {
 			t.Fatalf("d=%d: build allocates %.0f objects for %d cells, want <= %d", d, allocs, cells, 3*cells)
 		}
@@ -218,13 +219,17 @@ func TestGridFollowsBand(t *testing.T) {
 
 	// Deleting a point of the 5-band that is not in the 2-band drops the
 	// 5-band; the 2-band and its grid stay.
-	keep2, keep5 := sky.Band(2).Keep(2), sky.Band(5).Keep(5)
-	victim := int32(0)
-	for !keep5(victim) || keep2(victim) {
-		victim++
+	band5, _ := dominance.KSkybandLimit(pts, 5, len(pts))
+	victim := int32(-1)
+	for _, m := range band5 {
+		if m.Count >= 2 {
+			victim = int32(m.Index)
+			break
+		}
 	}
 	nsky := sky.AfterDelete(tree, victim)
-	if nsky.Peek(2) != sky.Peek(2) || nsky.Peek(5) != nil {
+	builds := nsky.Stats().Builds
+	if nsky.Stats().Bands != 1 || nsky.Band(2) != sky.Band(2) || nsky.Stats().Builds != builds {
 		t.Fatal("skyband carry did not split the bands as constructed")
 	}
 	if s := ct.Stats(nsky); s.Grids != 1 {
@@ -247,6 +252,9 @@ func TestGridFollowsBand(t *testing.T) {
 		if g == nil || g == g5 || g != got[0] {
 			t.Fatal("the dropped band's grid was not rebuilt once, shared by every reader")
 		}
+	}
+	if n := nsky.Stats().Builds - builds; n != 1 {
+		t.Fatalf("the dropped 5-band was built %d times, want once", n)
 	}
 	if s := ct.Stats(nsky); s.Builds != 3 || s.Grids != 2 {
 		t.Fatalf("after the rebuild: %+v", s)

@@ -460,9 +460,25 @@ func TestMQWKInputValidation(t *testing.T) {
 
 // --- Explanations (first aspect, §3) ---------------------------------------
 
+// explain answers the first aspect of a why-not question for every why-not
+// vector, as the request path does: ex[i] lists, in rank order, the points
+// scoring strictly better than q under wm[i].
+func explain(t *testing.T, tr *rtree.Tree, q vec.Point, wm []vec.Weight) [][]topk.Result {
+	t.Helper()
+	out := make([][]topk.Result, len(wm))
+	for i, w := range wm {
+		ex, err := topk.ExplainCtx(context.Background(), tr, w, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = ex
+	}
+	return out
+}
+
 func TestExplainPaperExample(t *testing.T) {
 	tr := paperTree()
-	ex := Explain(tr, paperQ, paperWm)
+	ex := explain(t, tr, paperQ, paperWm)
 	if len(ex) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(ex))
 	}

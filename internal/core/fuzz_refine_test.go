@@ -14,6 +14,17 @@ import (
 	"wqrtq/internal/vec"
 )
 
+// renormalize scales w in place so its components sum to 1.
+func renormalize(w vec.Weight) {
+	s := 0.0
+	for _, v := range w {
+		s += v
+	}
+	for i := range w {
+		w[i] /= s
+	}
+}
+
 // bandBackedSource is bandSource plus the KthPoint hook served from the
 // k-skyband's own tree, the way Index.coreSource wires a Source. The trim
 // counts are exact at every bound, so — unlike the Index, which refuses a
@@ -93,7 +104,7 @@ func FuzzRefineDims(f *testing.F) {
 			wm[i] = sample.RandSimplex(rng, d)
 			if rng.Intn(4) == 0 {
 				wm[i][rng.Intn(d)] = 0
-				wm[i], _ = vec.NormalizeWeight(wm[i])
+				renormalize(wm[i])
 			}
 		}
 		q := make(vec.Point, d)

@@ -15,6 +15,7 @@ package core
 // rather than a particular tie order.
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -189,7 +190,7 @@ func TestOracleReverseTopK(t *testing.T) {
 				for j := range W {
 					W[j] = sample.RandSimplex(c.rng, c.d)
 				}
-				got, _ := rtopk.Bichromatic(tr, W, q, c.k)
+				got, _, _ := rtopk.BichromaticCtx(context.Background(), tr, W, q, c.k)
 				want := bruteReverseTopK(c.ds.Points, W, q, c.k)
 				if len(got) != len(want) {
 					t.Fatalf("case %d: result %v, oracle %v (n=%d d=%d k=%d)",
@@ -216,7 +217,7 @@ func TestOracleExplain(t *testing.T) {
 				for j := range Wm {
 					Wm[j] = sample.RandSimplex(c.rng, c.d)
 				}
-				exps := Explain(tr, q, Wm)
+				exps := explain(t, tr, q, Wm)
 				if len(exps) != len(Wm) {
 					t.Fatalf("case %d: %d explanations for %d vectors", i, len(exps), len(Wm))
 				}

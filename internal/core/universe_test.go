@@ -134,8 +134,12 @@ func TestUniverseMatchesClassify(t *testing.T) {
 				t.Fatalf("case %d: below-q list of wm[%d] has %d scores, want %d", caseIdx, i, len(u.below[i]), len(want))
 			}
 		}
-		setsQ := dominance.Classify(cands, q)
-		if wantK0 := setsQ.MaxRank(wm, q); u.k0 != wantK0 {
+		// k0 is k'max of Lemma 4: q's worst actual rank over wm.
+		setsQ, wantK0 := dominance.Classify(cands, q), 0
+		for _, w := range wm {
+			wantK0 = max(wantK0, setsQ.Rank(w, q))
+		}
+		if u.k0 != wantK0 {
 			t.Fatalf("case %d: k0 = %d, want %d", caseIdx, u.k0, wantK0)
 		}
 		if u.trimmed {
@@ -231,7 +235,7 @@ func TestUniverseMatchesClassify(t *testing.T) {
 				ws[i] = sample.RandSimplex(rng, d)
 				if i%4 == 0 {
 					ws[i][rng.Intn(d)] = 0 // zero components: dominating points may tie
-					ws[i], _ = vec.NormalizeWeight(ws[i])
+					renormalize(ws[i])
 				}
 			}
 			out := make([]int, len(ws))

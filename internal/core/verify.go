@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
@@ -22,27 +20,4 @@ func VerifyRefinement(t *rtree.Tree, q vec.Point, k int, wm []vec.Weight) bool {
 		}
 	}
 	return true
-}
-
-// Explain answers the first aspect of a why-not question (§3) for every
-// why-not vector: Explanations[i] lists, in rank order, the points scoring
-// strictly better than q under wm[i]. When q is missing from the reverse
-// top-k result under wm[i], those are the at-least-k points responsible.
-func Explain(t *rtree.Tree, q vec.Point, wm []vec.Weight) [][]topk.Result {
-	out, _ := ExplainCtx(context.Background(), t, q, wm)
-	return out
-}
-
-// ExplainCtx is Explain with cooperative cancellation via the progressive
-// scan's heap-loop poll.
-func ExplainCtx(ctx context.Context, t *rtree.Tree, q vec.Point, wm []vec.Weight) ([][]topk.Result, error) {
-	out := make([][]topk.Result, len(wm))
-	for i, w := range wm {
-		ex, err := topk.ExplainCtx(ctx, t, w, q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ex
-	}
-	return out, nil
 }

@@ -121,21 +121,3 @@ func (s *Sets) Rank(w vec.Weight, q vec.Point) int {
 	}
 	return r
 }
-
-// MaxRank returns k'max per Lemma 4: the maximum actual ranking of q over
-// the given why-not weighting vectors.
-func (s *Sets) MaxRank(ws []vec.Weight, q vec.Point) int {
-	max := 0
-	for _, w := range ws {
-		if r := s.Rank(w, q); r > max {
-			max = r
-		}
-	}
-	return max
-}
-
-// RankRange returns the possible rankings of q per §4.3: from |D|+1 to
-// |D|+|I|+1.
-func (s *Sets) RankRange() (lo, hi int) {
-	return len(s.D) + 1, len(s.D) + len(s.I) + 1
-}

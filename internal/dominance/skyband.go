@@ -15,9 +15,9 @@ type BandPoint struct {
 	Count int
 }
 
-// KSkyband returns the k-skyband of the point set: every point dominated by
-// fewer than k other points, with its exact dominance count, sorted by input
-// index. The 1-skyband is the skyline.
+// KSkybandLimit returns the k-skyband of the point set: every point
+// dominated by fewer than k other points, with its exact dominance count,
+// sorted by input index, and true. The 1-skyband is the skyline.
 //
 // Why this set matters (Vlachou et al., "Reverse top-k queries"): under any
 // weighting vector w (non-negative, summing to 1) a point p with dominance
@@ -36,16 +36,12 @@ type BandPoint struct {
 // Conversely a point with >= k dominators always sees at least k kept ones —
 // order its dominators by sum; the i-th has at most i-1 dominators — so the
 // filter never keeps a non-member.
-func KSkyband(points []vec.Point, k int) []BandPoint {
-	band, _ := KSkybandLimit(points, k, len(points))
-	return band
-}
-
-// KSkybandLimit is KSkyband that gives up once the band is known to hold
-// more than limit points: it then returns the members found so far — every
-// one a true member with its exact count, by the sort-filter argument
-// above, so the partial result is evidence that the band exceeds limit —
-// and false. The filter costs one dominance test per (point, kept member)
+//
+// It gives up once the band is known to hold more than limit points
+// (limit = len(points) never does): it then returns the members found so
+// far — every one a true member with its exact count, by the sort-filter
+// argument above, so the partial result is evidence that the band exceeds
+// limit — and false. The filter costs one dominance test per (point, kept member)
 // pair, so abandoning at limit bounds the work by about n·limit tests
 // whatever the band's final size would have been; internal/skyband uses it
 // for bands that are only worth having while they stay small.

@@ -48,6 +48,12 @@ func genPoints(shape string, n, d int, rng *rand.Rand) []vec.Point {
 	return pts
 }
 
+// kSkyband is the whole k-skyband: KSkybandLimit with no limit.
+func kSkyband(pts []vec.Point, k int) []BandPoint {
+	band, _ := KSkybandLimit(pts, k, len(pts))
+	return band
+}
+
 // TestKSkybandMatchesNaive validates the sort-filter against the quadratic
 // reference — membership and exact dominance counts — across shapes,
 // sizes, dimensions and k, including k beyond n.
@@ -59,13 +65,13 @@ func TestKSkybandMatchesNaive(t *testing.T) {
 			d := 2 + rng.Intn(3)
 			k := 1 + rng.Intn(20)
 			pts := genPoints(shape, n, d, rng)
-			got := KSkyband(pts, k)
+			got := kSkyband(pts, k)
 			want := KSkybandNaive(pts, k)
 			if len(want) == 0 {
 				want = nil
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s case %d (n=%d d=%d k=%d): KSkyband %v, naive %v",
+				t.Fatalf("%s case %d (n=%d d=%d k=%d): kSkyband %v, naive %v",
 					shape, caseIdx, n, d, k, got, want)
 			}
 		}
@@ -73,7 +79,7 @@ func TestKSkybandMatchesNaive(t *testing.T) {
 }
 
 // TestKSkybandLimit checks the self-limiting filter: within the limit it is
-// KSkyband; past it, it stops at limit+1 members, each a true member with
+// the whole band; past it, it stops at limit+1 members, each a true member with
 // its exact count.
 func TestKSkybandLimit(t *testing.T) {
 	for _, shape := range []string{"UN", "CO", "AC"} {
@@ -123,37 +129,37 @@ func TestKSkybandDuplicates(t *testing.T) {
 		{2, 2},             // dominated by all three copies
 		{0.5, 3}, {3, 0.5}, // incomparable with everything above
 	}
-	band := KSkyband(pts, 2)
+	band := kSkyband(pts, 2)
 	want := []BandPoint{
 		{Index: 0, Count: 0}, {Index: 1, Count: 0}, {Index: 2, Count: 0},
 		{Index: 4, Count: 0}, {Index: 5, Count: 0},
 	}
 	if !reflect.DeepEqual(band, want) {
-		t.Fatalf("KSkyband = %v, want %v", band, want)
+		t.Fatalf("kSkyband = %v, want %v", band, want)
 	}
 	// With k = 4 the dominated point (3 dominators) re-enters.
-	band4 := KSkyband(pts, 4)
+	band4 := kSkyband(pts, 4)
 	if len(band4) != 6 || band4[3].Index != 3 || band4[3].Count != 3 {
-		t.Fatalf("KSkyband(k=4) = %v, want all six points with counts", band4)
+		t.Fatalf("kSkyband(k=4) = %v, want all six points with counts", band4)
 	}
 }
 
 // TestKSkybandEdges covers the empty and degenerate inputs.
 func TestKSkybandEdges(t *testing.T) {
-	if got := KSkyband(nil, 3); got != nil {
-		t.Fatalf("KSkyband(nil) = %v", got)
+	if got := kSkyband(nil, 3); got != nil {
+		t.Fatalf("kSkyband(nil) = %v", got)
 	}
-	if got := KSkyband([]vec.Point{{1, 2}}, 0); got != nil {
-		t.Fatalf("KSkyband(k=0) = %v", got)
+	if got := kSkyband([]vec.Point{{1, 2}}, 0); got != nil {
+		t.Fatalf("kSkyband(k=0) = %v", got)
 	}
-	one := KSkyband([]vec.Point{{1, 2}}, 1)
+	one := kSkyband([]vec.Point{{1, 2}}, 1)
 	if !reflect.DeepEqual(one, []BandPoint{{Index: 0, Count: 0}}) {
-		t.Fatalf("KSkyband(single) = %v", one)
+		t.Fatalf("kSkyband(single) = %v", one)
 	}
 	// The 1-skyband is the skyline.
 	rng := rand.New(rand.NewSource(7))
 	pts := genPoints("UN", 120, 3, rng)
-	band := KSkyband(pts, 1)
+	band := kSkyband(pts, 1)
 	sky := Skyline(pts)
 	if len(band) != len(sky) {
 		t.Fatalf("1-skyband has %d members, skyline %d", len(band), len(sky))

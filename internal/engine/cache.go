@@ -50,31 +50,13 @@ func (c *LRU[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Add stores a value, evicting the least recently used entry if full.
-func (c *LRU[K, V]) Add(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry[K, V]).val = v
-		return
-	}
-	el := c.ll.PushFront(&lruEntry[K, V]{key: k, val: v})
-	c.items[k] = el
-	if c.ll.Len() > c.capacity {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*lruEntry[K, V]).key)
-		c.evictions++
-	}
-}
-
 // AddIf stores a value only when keep(k) still holds, evaluated under the
-// cache lock, and reports whether the entry was deposited. It closes the
-// race Add leaves open against a concurrent EvictIf: a computation keyed
-// by a snapshot epoch can be superseded between finishing and depositing,
-// and a plain Add would then strand an entry the sweep has already run
-// past. With AddIf the predicate (typically "k's epoch is still current")
+// cache lock, evicting the least recently used entry if full, and reports
+// whether the entry was deposited. The predicate closes a race against a
+// concurrent EvictIf: a computation keyed by a snapshot epoch can be
+// superseded between finishing and depositing, and an unconditional add
+// would then strand an entry the sweep has already run past. With AddIf
+// the predicate (typically "k's epoch is still current")
 // and the insertion are atomic with respect to the sweep, so a deposit
 // either lands while its epoch is live — and a later sweep removes it — or
 // does not land at all.

@@ -32,7 +32,7 @@ func TestPoolProcessesEverything(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				if !p.Submit(1) {
+				if !submit(p, 1) {
 					t.Error("Submit returned false before Close")
 					return
 				}
@@ -67,10 +67,10 @@ func TestPoolDrainsQueuedIntoBatches(t *testing.T) {
 			served.Add(int64(v))
 		}
 	})
-	p.Submit(0)
+	submit(p, 0)
 	<-started
 	for i := 0; i < 32; i++ {
-		p.Submit(1)
+		submit(p, 1)
 	}
 	close(release)
 	p.Close()
@@ -94,9 +94,9 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 		<-release
 		served.Add(int64(len(b)))
 	})
-	p.Submit(1)
+	submit(p, 1)
 	<-started
-	p.Submit(2) // queued behind the in-flight batch
+	submit(p, 2) // queued behind the in-flight batch
 	done := make(chan struct{})
 	go func() {
 		p.Close()
@@ -107,7 +107,7 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 	if served.Load() != 2 {
 		t.Fatalf("Close dropped queued work: served %d, want 2", served.Load())
 	}
-	if p.Submit(3) {
+	if submit(p, 3) {
 		t.Fatal("Submit accepted a request after Close")
 	}
 	p.Close() // idempotent
@@ -166,7 +166,7 @@ func TestPoolDropShedsStaleRequests(t *testing.T) {
 		}
 	})
 	for i := 0; i < 20; i++ {
-		p.Submit(req{stale: i%2 == 0, v: 1})
+		submit(p, req{stale: i%2 == 0, v: 1})
 	}
 	p.Close()
 	if got := dropped.Load(); got != 10 {
@@ -177,14 +177,25 @@ func TestPoolDropShedsStaleRequests(t *testing.T) {
 	}
 }
 
+// submit enqueues r with no deadline, reporting false once p is closed.
+func submit[R any](p *Pool[R], r R) bool {
+	ok, _ := p.SubmitCtx(context.Background(), r)
+	return ok
+}
+
+// add stores an entry unconditionally.
+func add[K comparable, V any](c *LRU[K, V], k K, v V) {
+	c.AddIf(k, v, func(K) bool { return true })
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	c := NewLRU[int, string](2)
-	c.Add(1, "a")
-	c.Add(2, "b")
+	add(c, 1, "a")
+	add(c, 2, "b")
 	if _, ok := c.Get(1); !ok {
 		t.Fatal("1 missing")
 	}
-	c.Add(3, "c") // evicts 2 (least recently used)
+	add(c, 3, "c") // evicts 2 (least recently used)
 	if _, ok := c.Get(2); ok {
 		t.Fatal("2 should have been evicted")
 	}
@@ -205,8 +216,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestLRUOverwrite(t *testing.T) {
 	c := NewLRU[string, int](2)
-	c.Add("k", 1)
-	c.Add("k", 2)
+	add(c, "k", 1)
+	add(c, "k", 2)
 	if v, _ := c.Get("k"); v != 2 {
 		t.Fatalf("overwrite lost: %d", v)
 	}

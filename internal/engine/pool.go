@@ -19,7 +19,7 @@ type Pool[R any] struct {
 
 	mu      sync.RWMutex // guards closed vs sender registration
 	closed  bool
-	senders sync.WaitGroup // in-flight Submit sends; Close waits before close(ch)
+	senders sync.WaitGroup // in-flight SubmitCtx sends; Close waits before close(ch)
 	wg      sync.WaitGroup
 }
 
@@ -55,16 +55,9 @@ func NewPool[R any](workers, maxBatch int, drop func(R) bool, run func([]R)) *Po
 	return p
 }
 
-// Submit enqueues a request, blocking while the queue is full. It reports
-// false (dropping the request) once the pool is closed.
-func (p *Pool[R]) Submit(r R) bool {
-	ok, _ := p.SubmitCtx(context.Background(), r)
-	return ok
-}
-
-// SubmitCtx enqueues like Submit but gives up if ctx ends while the queue
-// is full, so a deadline-bounded caller is never pinned behind a backlog.
-// It returns (false, ctx.Err()) on cancellation and (false, nil) once the
+// SubmitCtx enqueues a request, blocking while the queue is full, but
+// gives up if ctx ends while it waits, so a deadline-bounded caller is
+// never pinned behind a backlog. It returns (false, ctx.Err()) on cancellation and (false, nil) once the
 // pool is closed.
 func (p *Pool[R]) SubmitCtx(ctx context.Context, r R) (bool, error) {
 	// Register as a sender under the read lock, then send with no lock

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Dense {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
 // mulT returns A Bᵀ.
 func mulT(a, b *Dense) *Dense {
 	out := New(a.Rows, b.Rows)
@@ -62,7 +71,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
 	}
@@ -93,7 +102,7 @@ func TestSolveSPDQuick(t *testing.T) {
 }
 
 func TestSolveSPDKnown(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	x, err := SolveSPD(a, []float64{10, 9})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +114,7 @@ func TestSolveSPDKnown(t *testing.T) {
 }
 
 func TestMulVecTMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	y := a.MulVec([]float64{1, 1, 1})
 	if maxAbsDiff(y, []float64{6, 15}) > 0 {
 		t.Errorf("MulVec = %v", y)
@@ -117,7 +126,7 @@ func TestMulVecTMulVec(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -125,19 +134,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestCholeskyJitterRecoversNearSingular(t *testing.T) {
 	// A singular matrix with a consistent RHS: the jittered factorization
 	// still produces a usable solve.
-	a := FromRows([][]float64{{2, 4}, {4, 8}})
+	a := fromRows([][]float64{{2, 4}, {4, 8}})
 	l, err := CholeskyJitter(a)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestCholeskyJitterRecoversNearSingular(t *testing.T) {
 		t.Errorf("A·x = %v, want [2 4]", b)
 	}
 	// SPD input factors without jitter and matches Cholesky.
-	spd := FromRows([][]float64{{4, 2}, {2, 3}})
+	spd := fromRows([][]float64{{4, 2}, {2, 3}})
 	l1, err := CholeskyJitter(spd)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,15 @@ import (
 	"wqrtq/internal/mat"
 )
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *mat.Dense {
+	m := mat.New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
 // distProblem builds min ||x - t||² = ½ xᵀ(2I)x + (-2t)ᵀx + const.
 func distProblem(t []float64) Problem {
 	n := len(t)
@@ -121,7 +130,7 @@ func TestHalfspaceKnown(t *testing.T) {
 	// min (x1-2)² + (x2-2)² s.t. x1 + x2 <= 2 → projection onto the line:
 	// (1, 1).
 	p := distProblem([]float64{2, 2})
-	p.G = mat.FromRows([][]float64{{1, 1}})
+	p.G = fromRows([][]float64{{1, 1}})
 	p.Hv = []float64{2}
 	x, err := Solve(p, Options{})
 	if err != nil {
@@ -135,7 +144,7 @@ func TestHalfspaceKnown(t *testing.T) {
 func TestInactiveConstraint(t *testing.T) {
 	// Constraint far away: solution stays at the unconstrained optimum.
 	p := distProblem([]float64{0.25, 0.25})
-	p.G = mat.FromRows([][]float64{{1, 1}})
+	p.G = fromRows([][]float64{{1, 1}})
 	p.Hv = []float64{100}
 	x, err := Solve(p, Options{})
 	if err != nil {
@@ -149,7 +158,7 @@ func TestInactiveConstraint(t *testing.T) {
 func TestInfeasibleInequalities(t *testing.T) {
 	// x <= -1 and x >= 2 simultaneously.
 	p := distProblem([]float64{0})
-	p.G = mat.FromRows([][]float64{{1}, {-1}})
+	p.G = fromRows([][]float64{{1}, {-1}})
 	p.Hv = []float64{-1, -2}
 	if _, err := Solve(p, Options{}); err == nil {
 		t.Fatal("expected infeasibility error")
@@ -270,7 +279,7 @@ func TestPaperMQPGeometry(t *testing.T) {
 	p7 := []float64{3, 7} // f(julia, p7) = 3.4
 
 	p := distProblem(q)
-	p.G = mat.FromRows([][]float64{
+	p.G = fromRows([][]float64{
 		kevin,
 		julia,
 		{1, 0}, {0, 1}, // x <= q

@@ -2,6 +2,7 @@ package rtopk
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -54,7 +55,9 @@ func FuzzCellIndex(f *testing.F) {
 		for i := 0; i < 8; i++ {
 			W = append(W, sample.RandSimplex(rng, d))
 		}
-		res := float64(g.Res())
+		// Every cell spans 1/res of each gridded coordinate.
+		var res float64
+		g.Cells(func(lo, hi []float64, _ [][]float64) { res = math.Round(1 / (hi[0] - lo[0])) })
 		for i := 0; i < 4; i++ {
 			// Exactly on a cell edge: dyadic first coordinates, remainder
 			// on the last. Dyadic sums keep the weight exactly valid.

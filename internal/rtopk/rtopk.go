@@ -83,16 +83,11 @@ func BichromaticCountCtx(ctx context.Context, t *rtree.Tree, W []vec.Weight, q v
 	return result, stats, nil
 }
 
-// Bichromatic returns the indices into W of the weighting vectors whose
-// top-k contains q (ties won by q), along with pruning statistics.
-func Bichromatic(t *rtree.Tree, W []vec.Weight, q vec.Point, k int) ([]int, Stats) {
-	res, stats, _ := BichromaticCtx(context.Background(), t, W, q, k)
-	return res, stats
-}
-
-// BichromaticCtx is Bichromatic with cooperative cancellation: the RTA loop
-// polls ctx every checkInterval vectors, and each underlying top-k
-// evaluation polls on its heap loop, so a canceled query unwinds mid-batch.
+// BichromaticCtx returns, by RTA, the indices into W of the weighting
+// vectors whose top-k contains q (ties won by q), along with pruning
+// statistics. The RTA loop polls ctx every checkInterval vectors, and each
+// underlying top-k evaluation polls on its heap loop, so a canceled query
+// unwinds mid-batch.
 func BichromaticCtx(ctx context.Context, t *rtree.Tree, W []vec.Weight, q vec.Point, k int) ([]int, Stats, error) {
 	stats := Stats{CandidateSetSize: t.Len()}
 	if len(W) == 0 {

@@ -1,6 +1,7 @@
 package rtopk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,7 +55,7 @@ func TestBichromaticPaperExample(t *testing.T) {
 	// §1/§3: BRTOP3(q) = {w2 (Tony), w3 (Anna)}; Kevin and Julia are missing.
 	tr := rtree.Bulk(paperPoints(), nil, rtree.Options{PageSize: 128})
 	q := vec.Point{4, 4}
-	got, stats := Bichromatic(tr, paperWeights(), q, 3)
+	got, stats, _ := BichromaticCtx(context.Background(), tr, paperWeights(), q, 3)
 	want := []int{1, 2}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("BRTOP3 = %v, want %v", got, want)
@@ -78,7 +79,7 @@ func TestBichromaticAgainstNaiveQuick(t *testing.T) {
 		for i := range W {
 			W[i] = randWeight(r, d)
 		}
-		got, _ := Bichromatic(tr, W, q, k)
+		got, _, _ := BichromaticCtx(context.Background(), tr, W, q, k)
 		want := BichromaticNaive(pts, W, q, k)
 		if len(got) != len(want) {
 			return false
@@ -107,7 +108,7 @@ func TestBichromaticPruningHappens(t *testing.T) {
 		lam := 0.3 + 0.4*float64(i)/200
 		W[i] = vec.Weight{lam, 1 - lam}
 	}
-	got, stats := Bichromatic(tr, W, q, 10)
+	got, stats, _ := BichromaticCtx(context.Background(), tr, W, q, 10)
 	if len(got) != 0 {
 		t.Fatalf("expected empty result, got %v", got)
 	}

@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"fmt"
-
-	"wqrtq/internal/vec"
-)
+import "fmt"
 
 // CheckInvariants verifies the structural invariants of the tree and returns
 // the first violation found. It is exported for use by tests (including
@@ -74,16 +70,4 @@ func (t *Tree) checkNode(n *Node, depth int, leafDepth *int, isRoot bool) (int, 
 		return 0, fmt.Errorf("rtree: node count %d != reachable %d", n.count, total)
 	}
 	return total, nil
-}
-
-// AllPoints returns every (id, point) pair in the tree, in traversal order.
-// Intended for tests and debugging.
-func (t *Tree) AllPoints() ([]int32, []vec.Point) {
-	var ids []int32
-	var pts []vec.Point
-	t.Visit(nil, func(id int32, p vec.Point) {
-		ids = append(ids, id)
-		pts = append(pts, p)
-	})
-	return ids, pts
 }

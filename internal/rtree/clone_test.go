@@ -10,7 +10,7 @@ import (
 
 // contents returns the tree's points as a sorted id list plus an id→point map.
 func contents(t *Tree) ([]int, map[int32]vec.Point) {
-	ids, pts := t.AllPoints()
+	ids, pts := allPoints(t)
 	m := make(map[int32]vec.Point, len(ids))
 	out := make([]int, len(ids))
 	for i, id := range ids {
@@ -130,7 +130,7 @@ func TestCloneChain(t *testing.T) {
 		snaps = append(snaps, snap{tr.Clone(), tr.Len()})
 		insertSome(tr, 80)
 		// Delete a few live points from the working tree.
-		ids, pts := tr.AllPoints()
+		ids, pts := allPoints(tr)
 		for i := 0; i < 20; i++ {
 			j := rng.Intn(len(ids))
 			tr.Delete(pts[j], ids[j])
@@ -189,7 +189,7 @@ func TestCloneOfBulkLoadedTree(t *testing.T) {
 	if snap.Len() != 1000 {
 		t.Fatalf("snapshot Len = %d, want 1000", snap.Len())
 	}
-	ids, _ := snap.AllPoints()
+	ids, _ := allPoints(snap)
 	if len(ids) != 1000 {
 		t.Fatalf("snapshot reachable points = %d, want 1000", len(ids))
 	}
@@ -228,8 +228,8 @@ func TestCloneDeleteCopiesOnlyThePath(t *testing.T) {
 	for i, p := range pts {
 		tr.Insert(p, int32(i))
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("height %d: tree too shallow to exercise backtracking", tr.Height())
+	if height(tr) < 3 {
+		t.Fatalf("height %d: tree too shallow to exercise backtracking", height(tr))
 	}
 	ref := tr.Clone()
 	leafOf := map[int32]*Node{}
@@ -259,7 +259,7 @@ func TestCloneDeleteCopiesOnlyThePath(t *testing.T) {
 		}
 		if !condenses {
 			checked++
-			if got, h := ownedNodes(c), c.Height(); got > h {
+			if got, h := ownedNodes(c), height(c); got > h {
 				t.Fatalf("deleting id %d copied %d nodes, tree height %d", id, got, h)
 			}
 		}
@@ -275,7 +275,7 @@ func TestCloneDeleteCopiesOnlyThePath(t *testing.T) {
 	}
 	equalContents(t, tr, ref)
 	for id := int32(0); id < int32(len(pts)); id += 97 {
-		got := tr.Search(PointRect(pts[id]), nil)
+		got := search(tr, PointRect(pts[id]))
 		found := false
 		for _, g := range got {
 			found = found || g == id

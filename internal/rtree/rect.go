@@ -47,16 +47,6 @@ func (r Rect) ContainsPoint(p vec.Point) bool {
 	return true
 }
 
-// Intersects reports whether r and s overlap (inclusive).
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Min {
-		if s.Min[i] > r.Max[i] || s.Max[i] < r.Min[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Area returns the d-dimensional volume of r.
 func (r Rect) Area() float64 {
 	a := 1.0

@@ -138,15 +138,6 @@ func (t *Tree) MinEntries() int { return t.minFill }
 // Root returns the root node for read-only traversal.
 func (t *Tree) Root() *Node { return t.root }
 
-// Height returns the number of levels (1 for a tree that is a single leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
-		h++
-	}
-	return h
-}
-
 // IsLeaf reports whether the node stores data points.
 func (n *Node) IsLeaf() bool { return n.leaf }
 
@@ -484,25 +475,6 @@ func countNodes(n *Node) int {
 		c += countNodes(n.entries[i].child)
 	}
 	return c
-}
-
-// Search appends the record ids of all points inside r to dst and returns it.
-func (t *Tree) Search(r Rect, dst []int32) []int32 {
-	return searchNode(t.root, r, dst)
-}
-
-func searchNode(n *Node, r Rect, dst []int32) []int32 {
-	for i := range n.entries {
-		if !r.Intersects(n.entries[i].rect) {
-			continue
-		}
-		if n.leaf {
-			dst = append(dst, n.entries[i].id)
-		} else {
-			dst = searchNode(n.entries[i].child, r, dst)
-		}
-	}
-	return dst
 }
 
 // Visit walks the tree depth-first. descend is called on every internal

@@ -10,6 +10,37 @@ import (
 	"wqrtq/internal/vec"
 )
 
+// allPoints returns every (id, point) pair in the tree, in traversal order.
+func allPoints(t *Tree) ([]int32, []vec.Point) {
+	var ids []int32
+	var pts []vec.Point
+	t.Visit(nil, func(id int32, p vec.Point) {
+		ids = append(ids, id)
+		pts = append(pts, p)
+	})
+	return ids, pts
+}
+
+// height is the number of levels (1 for a tree that is a single leaf).
+func height(t *Tree) int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.entries[0].child {
+		h++
+	}
+	return h
+}
+
+// search returns the ids of all points inside r, by a full scan.
+func search(t *Tree, r Rect) []int32 {
+	var ids []int32
+	t.Visit(nil, func(id int32, p vec.Point) {
+		if r.ContainsPoint(p) {
+			ids = append(ids, id)
+		}
+	})
+	return ids
+}
+
 func randPoints(r *rand.Rand, n, d int) []vec.Point {
 	pts := make([]vec.Point, n)
 	for i := range pts {
@@ -70,7 +101,7 @@ func TestInsertSearchExactness(t *testing.T) {
 			lo := vec.Point{r.Float64() * 80, r.Float64() * 80}
 			hi := vec.Point{lo[0] + r.Float64()*30, lo[1] + r.Float64()*30}
 			q := Rect{Min: lo, Max: hi}
-			got := tr.Search(q, nil)
+			got := search(tr, q)
 			var want []int32
 			for i, p := range pts {
 				if q.ContainsPoint(p) {
@@ -100,7 +131,7 @@ func TestBulkMatchesInsertResults(t *testing.T) {
 			}
 			// Every point must be findable.
 			for i, p := range pts {
-				got := bt.Search(PointRect(p), nil)
+				got := search(bt, PointRect(p))
 				found := false
 				for _, id := range got {
 					if id == int32(i) {
@@ -122,8 +153,8 @@ func TestBulkNodeCountMatchesStructure(t *testing.T) {
 	if got, want := tr.NodeCount(), countNodes(tr.Root()); got != want {
 		t.Errorf("NodeCount = %d, structural count = %d", got, want)
 	}
-	if tr.Height() < 2 {
-		t.Errorf("Height = %d, want >= 2 for 4000 points", tr.Height())
+	if height(tr) < 2 {
+		t.Errorf("Height = %d, want >= 2 for 4000 points", height(tr))
 	}
 }
 
@@ -232,7 +263,7 @@ func TestMixedInsertDeleteQuick(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			return false
 		}
-		ids, _ := tr.AllPoints()
+		ids, _ := allPoints(tr)
 		if len(ids) != len(live) {
 			return false
 		}
@@ -280,13 +311,7 @@ func TestRectOperations(t *testing.T) {
 	if got := a.EnlargedArea(b); got != 9 {
 		t.Errorf("EnlargedArea = %v", got)
 	}
-	if !a.Intersects(b) {
-		t.Error("Intersects = false")
-	}
 	c := Rect{Min: []float64{5, 5}, Max: []float64{6, 6}}
-	if a.Intersects(c) {
-		t.Error("disjoint rects intersect")
-	}
 	if a.OverlapArea(c) != 0 {
 		t.Error("disjoint overlap != 0")
 	}
@@ -340,7 +365,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.Search(PointRect(p), nil)
+	got := search(tr, PointRect(p))
 	if len(got) != 100 {
 		t.Fatalf("found %d duplicates, want 100", len(got))
 	}
@@ -362,7 +387,7 @@ func TestBulkLargeBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	// STR over 100K points with fanout 72 should give height 3.
-	if h := tr.Height(); h != 3 {
+	if h := height(tr); h != 3 {
 		t.Errorf("Height = %d, want 3", h)
 	}
 }

@@ -19,7 +19,6 @@ package sample
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"wqrtq/internal/feq"
 
@@ -82,9 +81,6 @@ func NewWeightSampler(q vec.Point, inc []vec.Point) (*WeightSampler, error) {
 	}
 	return s, nil
 }
-
-// NumPlanes returns the number of usable hyperplanes.
-func (s *WeightSampler) NumPlanes() int { return len(s.planes) }
 
 // Sample draws one weighting vector: a hyperplane is chosen uniformly and a
 // Dirichlet(1,...,1)-weighted convex combination of its vertices is
@@ -157,18 +153,6 @@ func NewLazyWeightSampler(q vec.Point, n int, at func(int) vec.Point) (*LazyWeig
 	return &LazyWeightSampler{q: q, n: n, at: at}, nil
 }
 
-// Sample draws one weighting vector, bit-identically to
-// (*WeightSampler).Sample over the same point sequence.
-func (s *LazyWeightSampler) Sample(rng *rand.Rand) vec.Weight {
-	idx := rng.Intn(s.n)
-	c := vec.Sub(s.at(idx), s.q)
-	vs := HyperplaneVertices(c)
-	if len(vs) == 0 {
-		panic("sample: LazyWeightSampler over a point not incomparable with q")
-	}
-	return combineVertices(vs, rng)
-}
-
 // DrawScratch holds the per-draw temporaries of SampleInto — the
 // hyperplane coefficients, the vertex set and the Dirichlet coefficients —
 // so a sampling loop's draws allocate nothing. The zero value is ready for
@@ -180,10 +164,10 @@ type DrawScratch struct {
 	coef []float64
 }
 
-// SampleInto is Sample with caller-owned memory: it draws the exact same
-// weighting vector — same rand.Rand consumption, same float values — into
-// dst (len d), reusing sc's buffers for every intermediate. The blocked
-// sampling loops of internal/core carve dst out of a per-block arena and
+// SampleInto draws one weighting vector into dst (len d), bit-identically
+// to (*WeightSampler).Sample over the same point sequence — same rand.Rand
+// consumption, same float values — reusing sc's buffers for every
+// intermediate. The blocked sampling loops of internal/core carve dst out of a per-block arena and
 // copy out only the samples they keep, so a discarded draw leaves no
 // garbage at all.
 func (s *LazyWeightSampler) SampleInto(rng *rand.Rand, sc *DrawScratch, dst vec.Weight) {
@@ -297,10 +281,4 @@ func Box(rng *rand.Rand, lo, hi vec.Point, n int) []vec.Point {
 		out[i] = p
 	}
 	return out
-}
-
-// ValidateOnPlane reports the absolute hyperplane residual |c·w| of a
-// sample; exported for tests and debugging.
-func ValidateOnPlane(c []float64, w vec.Weight) float64 {
-	return math.Abs(vec.Dot(c, w))
 }

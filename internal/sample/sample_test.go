@@ -9,6 +9,15 @@ import (
 	"wqrtq/internal/vec"
 )
 
+// onPlane is the absolute hyperplane residual |c·w| of a sample.
+func onPlane(c []float64, w vec.Weight) float64 {
+	s := 0.0
+	for i := range c {
+		s += c[i] * w[i]
+	}
+	return math.Abs(s)
+}
+
 func TestHyperplaneVertices2D(t *testing.T) {
 	// c = p - q with p=(9,3), q=(4,4): c=(5,-1). The unique simplex point
 	// satisfies 5λ - (1-λ) = 0 → λ = 1/6.
@@ -40,7 +49,7 @@ func TestHyperplaneVerticesZeroComponent(t *testing.T) {
 		if err := vec.ValidateWeight(v); err != nil {
 			t.Errorf("vertex %v invalid: %v", v, err)
 		}
-		if r := ValidateOnPlane([]float64{0, 1, -1}, v); r > 1e-12 {
+		if r := onPlane([]float64{0, 1, -1}, v); r > 1e-12 {
 			t.Errorf("vertex %v off plane by %v", v, r)
 		}
 	}
@@ -58,7 +67,7 @@ func TestHyperplaneVerticesPropertiesQuick(t *testing.T) {
 			if vec.ValidateWeight(v) != nil {
 				return false
 			}
-			if ValidateOnPlane(c, v) > 1e-9 {
+			if onPlane(c, v) > 1e-9 {
 				return false
 			}
 		}
@@ -77,8 +86,8 @@ func TestWeightSamplerSamplesSatisfyConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumPlanes() != 3 {
-		t.Fatalf("NumPlanes = %d, want 3", s.NumPlanes())
+	if len(s.planes) != 3 {
+		t.Fatalf("%d usable planes, want 3", len(s.planes))
 	}
 	for i := 0; i < 500; i++ {
 		w := s.Sample(rng)
@@ -88,7 +97,7 @@ func TestWeightSamplerSamplesSatisfyConstraints(t *testing.T) {
 		// The sample must lie on at least one of the hyperplanes.
 		on := false
 		for _, p := range inc {
-			if ValidateOnPlane(vec.Sub(p, q), w) < 1e-9 {
+			if onPlane(vec.Sub(p, q), w) < 1e-9 {
 				on = true
 				break
 			}
@@ -212,18 +221,13 @@ func drawBoth(t *testing.T, label string, q vec.Point, inc []vec.Point, n int) {
 	}
 	rngE := rand.New(rand.NewSource(42))
 	rngL := rand.New(rand.NewSource(42))
-	rngS := rand.New(rand.NewSource(42))
 	var sc DrawScratch
 	for i := 0; i < n; i++ {
 		we := eager.Sample(rngE)
-		wl := lazy.Sample(rngL)
-		ws := make(vec.Weight, len(q))
-		lazy.SampleInto(rngS, &sc, ws)
+		wl := make(vec.Weight, len(q))
+		lazy.SampleInto(rngL, &sc, wl)
 		if !vec.Equal(vec.Point(we), vec.Point(wl)) {
 			t.Fatalf("%s: draw %d diverged: eager %v, lazy %v", label, i, we, wl)
-		}
-		if !vec.Equal(vec.Point(wl), vec.Point(ws)) {
-			t.Fatalf("%s: draw %d diverged: lazy %v, scratch %v", label, i, wl, ws)
 		}
 	}
 }
@@ -257,22 +261,13 @@ func TestLazySampler1D(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lazy constructor is O(1) and cannot pre-check planes: %v", err)
 	}
-	for _, scratch := range []bool{false, true} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("lazy draw (scratch=%v) over a non-incomparable point must panic", scratch)
-				}
-			}()
-			rng := rand.New(rand.NewSource(1))
-			if scratch {
-				var sc DrawScratch
-				lazy.SampleInto(rng, &sc, make(vec.Weight, len(q)))
-			} else {
-				lazy.Sample(rng)
-			}
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("lazy draw over a non-incomparable point must panic")
+		}
+	}()
+	var sc DrawScratch
+	lazy.SampleInto(rand.New(rand.NewSource(1)), &sc, make(vec.Weight, len(q)))
 }
 
 // TestLazySamplerDuplicateHyperplanes pins duplicate planes: repeated

@@ -2,10 +2,10 @@
 // every reverse-top-k-shaped evaluation.
 //
 // Only points dominated by fewer than k others (the k-skyband,
-// dominance.KSkyband) can ever appear in a top-k result under a monotone
-// linear scoring function; the k smallest scores of the dataset — and any
-// strict-beat count below k — are always achieved within that set. A Band
-// therefore bulk-loads the skyband points of one snapshot into a compact
+// dominance.KSkybandLimit) can ever appear in a top-k result under a
+// monotone linear scoring function; the k smallest scores of the dataset —
+// and any strict-beat count below k — are always achieved within that set.
+// A Band therefore bulk-loads the skyband points of one snapshot into a compact
 // R-tree, and branch-and-bound top-k, reverse top-k membership counts and
 // capped rank counting run against it with results bit-identical to the full tree
 // (every score is computed by vec.Score either way; only the candidate set
@@ -24,10 +24,10 @@
 //
 //   - inserting p leaves the k-band unchanged iff at least k of its members
 //     dominate p. A point with >= k dominators has >= k of them inside the
-//     k-skyband (dominance.KSkyband's sort-filter argument), so the test
+//     k-skyband (dominance.KSkybandLimit's sort-filter argument), so the test
 //     sees them; such a p is no member, and it dominates no member either
 //     (its k dominators would dominate that member too), so the members'
-//     exact counts — and Keep(bound) for every bound <= k — stay exact.
+//     exact counts — and so the bound-skyband for every bound <= k — stay exact.
 //   - deleting id leaves the k-band unchanged iff id is no member. Every
 //     dominator of a member is a member, so a non-member dominates no
 //     member, and each non-member it dominated keeps >= k dominators (it
@@ -283,25 +283,6 @@ func (b *Band) Derived(build func(*Band) any) any {
 // must not be modified.
 func (b *Band) Counts() []int32 { return b.counts }
 
-// Keep returns a membership test for the bound-skyband, bound <= K(): the
-// returned function reports whether the record's dominance count is below
-// bound (non-members of this band have count >= K() >= bound). nil for
-// pass-through bands, which carry no counts.
-func (b *Band) Keep(bound int) func(id int32) bool {
-	if b.counts == nil || bound > b.k {
-		return nil
-	}
-	counts := b.counts
-	lim := int32(bound)
-	return func(id int32) bool {
-		if int(id) >= len(counts) {
-			return false
-		}
-		c := counts[id]
-		return c >= 0 && c < lim
-	}
-}
-
 // member reports whether record id belongs to the band. Ids allocated
 // after the band was computed lie beyond counts and are no members.
 func (b *Band) member(id int32) bool {
@@ -309,7 +290,7 @@ func (b *Band) member(id int32) bool {
 }
 
 // excludes reports whether at least K() band members dominate p, under the
-// predicate dominance.KSkyband counts with: p is then outside the band and
+// predicate dominance.KSkybandLimit counts with: p is then outside the band and
 // dominates none of its members. Only subtrees whose lower corner is <= p can hold a
 // dominator, and the walk stops at the k-th.
 func (b *Band) excludes(p vec.Point) bool {
@@ -451,20 +432,6 @@ func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *
 		c.ct.dropped.Add(int64(finished - kept))
 	}
 	return nc
-}
-
-// Peek returns the materialized band for parameter k, or nil when there is
-// none (never requested, still building, served pass-through). It builds
-// nothing and counts nothing, so tests use it to see which bands a step
-// carried.
-func (c *Cache) Peek(k int) *Band {
-	c.mu.Lock()
-	e := c.ents[k]
-	c.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	return e.band.Load()
 }
 
 // Band returns the band for parameter k, computing it on first use. k

@@ -3,9 +3,11 @@ package skyband
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"wqrtq/internal/dominance"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
@@ -174,9 +176,10 @@ func TestCacheCountersAndSharing(t *testing.T) {
 	}
 }
 
-// TestBandKeep validates the dominance-count membership test against the
-// stored band counts, including out-of-range ids and bounds above K.
-func TestBandKeep(t *testing.T) {
+// TestBandCounts validates the stored dominance counts against the
+// sort-filter's and, for one bound, against a direct count of dominators,
+// including ids beyond the table.
+func TestBandCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := randPoints(600, 3, rng)
 	tr := rtree.Bulk(pts, nil)
@@ -185,18 +188,25 @@ func TestBandKeep(t *testing.T) {
 	if b.Full() {
 		t.Skip("band unexpectedly passed through")
 	}
-	if b.Keep(b.K()+1) != nil {
-		t.Fatalf("Keep above the band bound must be nil")
+	want := make([]int32, len(pts))
+	for i := range want {
+		want[i] = -1
 	}
-	keep := b.Keep(5)
+	band, _ := dominance.KSkybandLimit(pts, 16, len(pts))
+	for _, m := range band {
+		want[m.Index] = int32(m.Count)
+	}
+	if !slices.Equal(b.Counts(), want) {
+		t.Fatal("band counts differ from dominance.KSkybandLimit's")
+	}
 	cnt := 0
-	for id := int32(0); id < int32(len(pts)); id++ {
-		if keep(id) {
+	for _, c := range b.Counts() {
+		if c >= 0 && c < 5 {
 			cnt++
 		}
 	}
 	// Cross-check against a direct count of dominators.
-	want := 0
+	direct := 0
 	for i, p := range pts {
 		dom := 0
 		for j, o := range pts {
@@ -205,21 +215,34 @@ func TestBandKeep(t *testing.T) {
 			}
 		}
 		if dom < 5 {
-			want++
+			direct++
 		}
 	}
-	if cnt != want {
-		t.Fatalf("Keep(5) admits %d ids, want %d", cnt, want)
+	if cnt != direct {
+		t.Fatalf("the 5-skyband has %d ids by the counts, want %d", cnt, direct)
 	}
-	if keep(int32(len(pts) + 10)) {
-		t.Fatalf("Keep must reject out-of-range ids")
+	if len(b.Counts()) > len(pts) {
+		t.Fatalf("count table covers ids beyond the %d points", len(pts))
 	}
+}
+
+// peek returns the materialized band for parameter k, or nil when there is
+// none (never requested, still building, served pass-through). It builds
+// nothing and counts nothing.
+func peek(c *Cache, k int) *Band {
+	c.mu.Lock()
+	e := c.ents[k]
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	return e.band.Load()
 }
 
 // TestCarryRules checks the two invalidation lemmas at the cache level
 // against exact dominance counts, and the lifecycle edges around them: a
 // build still in flight is left behind uncounted, a rebind (clone) carries
-// everything and counts nothing, and Peek never builds.
+// everything and counts nothing, and peek never builds.
 func TestCarryRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randPoints(700, 3, rng)
@@ -235,8 +258,8 @@ func TestCarryRules(t *testing.T) {
 		return c
 	}
 	c := NewCache(tr, nil)
-	if c.Peek(4) != nil || c.Stats().Bands != 0 {
-		t.Fatal("Peek built a band")
+	if peek(c, 4) != nil || c.Stats().Bands != 0 {
+		t.Fatal("peek built a band")
 	}
 	for _, k := range ks {
 		c.Band(k)
@@ -244,7 +267,7 @@ func TestCarryRules(t *testing.T) {
 	// An entry whose build has not finished: present in the map, no band.
 	c.ents[50] = &cacheEntry{}
 
-	if nc := c.Rebind(tr.Clone()); nc == c || nc.Peek(50) != nil || nc.Stats().Bands != len(ks) {
+	if nc := c.Rebind(tr.Clone()); nc == c || peek(nc, 50) != nil || nc.Stats().Bands != len(ks) {
 		t.Fatalf("rebind carried %d bands, want the %d finished ones in a cache of its own", nc.Stats().Bands, len(ks))
 	}
 	if s := c.Counters().Snapshot(); s.Carried != 0 || s.Dropped != 0 {
@@ -264,12 +287,12 @@ func TestCarryRules(t *testing.T) {
 		carried := 0
 		for _, k := range ks {
 			want := dom >= k
-			if got := nc.Peek(k) != nil; got != want {
+			if got := peek(nc, k) != nil; got != want {
 				t.Fatalf("insert with %d dominators: band k=%d carried=%t, want %t", dom, k, got, want)
 			}
 			if want {
 				carried++
-				if nc.Peek(k) != c.Peek(k) {
+				if peek(nc, k) != peek(c, k) {
 					t.Fatalf("band k=%d was copied, not carried", k)
 				}
 			}
@@ -279,7 +302,7 @@ func TestCarryRules(t *testing.T) {
 			t.Fatalf("insert over %d finished bands counted carried=%d dropped=%d",
 				len(ks), after.Carried-before.Carried, after.Dropped-before.Dropped)
 		}
-		if nc.Peek(50) != nil {
+		if peek(nc, 50) != nil {
 			t.Fatal("in-flight entry was carried")
 		}
 
@@ -291,7 +314,7 @@ func TestCarryRules(t *testing.T) {
 		}
 		nc = c.AfterDelete(tr, id)
 		for _, k := range ks {
-			if got, want := nc.Peek(k) != nil, dom >= k; got != want {
+			if got, want := peek(nc, k) != nil, dom >= k; got != want {
 				t.Fatalf("delete of id %d with %d dominators: band k=%d carried=%t, want %t", id, dom, k, got, want)
 			}
 		}
@@ -300,7 +323,7 @@ func TestCarryRules(t *testing.T) {
 	// A snapshot too small for k to prune holds no band for it.
 	small := rtree.Bulk(pts[:fullBandFactor*9], nil)
 	nc := c.AfterDelete(small, int32(len(pts)+1))
-	if nc.Peek(9) != nil || nc.Peek(20) != nil || nc.Peek(4) == nil {
+	if peek(nc, 9) != nil || peek(nc, 20) != nil || peek(nc, 4) == nil {
 		t.Fatal("pass-through threshold not applied to the carried set")
 	}
 }
@@ -333,7 +356,7 @@ func TestTrimBandDeclines(t *testing.T) {
 		t.Fatalf("TrimBand built a %d-point band past the %d-point limit", b.Size(), limit)
 	}
 	s := c.Counters().Snapshot()
-	if s.Declines != 1 || s.Builds != 0 || c.Stats().Bands != 0 || c.Peek(8) != nil {
+	if s.Declines != 1 || s.Builds != 0 || c.Stats().Bands != 0 || peek(c, 8) != nil {
 		t.Fatalf("after one decline: %+v, stats %+v", s, c.Stats())
 	}
 	ev := c.ents[8].decline.Load()
@@ -451,7 +474,7 @@ func TestTrimBandDeclines(t *testing.T) {
 	if full == nil || full.Full() || full.Size() <= limit {
 		t.Fatalf("Band over a declined entry: %+v", full)
 	}
-	if c.TrimBand(8) != full || c.Peek(8) != full {
+	if c.TrimBand(8) != full || peek(c, 8) != full {
 		t.Fatal("TrimBand must share the materialized band")
 	}
 	if s := c.Counters().Snapshot(); s.Builds != 2 || s.Declines != 1 {

@@ -142,14 +142,9 @@ type Iterator struct {
 	err     error // first context error observed; Next reports false after
 }
 
-// NewIterator starts a progressive ranked scan of t under w.
-func NewIterator(t *rtree.Tree, w vec.Weight) *Iterator {
-	return NewIteratorCtx(context.Background(), t, w)
-}
-
-// NewIteratorCtx is NewIterator with cooperative cancellation: the heap loop
-// polls ctx every checkInterval pops. When the context ends, Next returns
-// ok=false and Err reports the context's error.
+// NewIteratorCtx starts a progressive ranked scan of t under w. The heap
+// loop polls ctx every checkInterval pops; when the context ends, Next
+// returns ok=false and Err reports the context's error.
 func NewIteratorCtx(ctx context.Context, t *rtree.Tree, w vec.Weight) *Iterator {
 	it := &Iterator{w: w, tick: ctxcheck.Every(ctx, checkInterval)}
 	h := heapPool.Get().(*minHeap)
@@ -214,9 +209,6 @@ func (it *Iterator) Next() (Result, bool) {
 	}
 	return Result{}, false
 }
-
-// NodesVisited returns the number of R-tree nodes expanded so far.
-func (it *Iterator) NodesVisited() int { return it.visited }
 
 // TopK returns the k best points of t under w in rank order (fewer if the
 // tree holds fewer than k points).
@@ -445,18 +437,12 @@ func InTopK(t *rtree.Tree, w vec.Weight, q vec.Point, k int) bool {
 	return Rank(t, w, vec.Score(w, q)) <= k
 }
 
-// Explain answers the first aspect of a why-not question (§3): it returns,
-// in rank order, the points that score strictly better than q under w.
-// Those are exactly the points "responsible for excluding the why-not
-// weighting vector from the query result". The scan is progressive and
-// stops as soon as q's score is reached.
-func Explain(t *rtree.Tree, w vec.Weight, q vec.Point) []Result {
-	out, _ := ExplainCtx(context.Background(), t, w, q)
-	return out
-}
-
-// ExplainCtx is Explain with cooperative cancellation via the iterator's
-// heap-loop poll.
+// ExplainCtx answers the first aspect of a why-not question (§3): it
+// returns, in rank order, the points that score strictly better than q
+// under w. Those are exactly the points "responsible for excluding the
+// why-not weighting vector from the query result". The scan is progressive,
+// stops as soon as q's score is reached, and cancels cooperatively via the
+// iterator's heap-loop poll.
 func ExplainCtx(ctx context.Context, t *rtree.Tree, w vec.Weight, q vec.Point) ([]Result, error) {
 	fq := vec.Score(w, q)
 	it := NewIteratorCtx(ctx, t, w)

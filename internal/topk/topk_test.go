@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,7 +117,7 @@ func TestExplainPaperExample(t *testing.T) {
 	// For Kevin, p1, p2, p4 are responsible for excluding q (§3).
 	tr := paperTree()
 	q := vec.Point{4, 4}
-	got := Explain(tr, vec.Weight{0.1, 0.9}, q)
+	got, _ := ExplainCtx(context.Background(), tr, vec.Weight{0.1, 0.9}, q)
 	if len(got) != 3 {
 		t.Fatalf("explanation size = %d, want 3", len(got))
 	}
@@ -178,7 +179,7 @@ func TestIteratorEmitsAscendingScores(t *testing.T) {
 	pts := randPoints(r, 1000, 3)
 	tr := rtree.Bulk(pts, nil)
 	w := randWeight(r, 3)
-	it := NewIterator(tr, w)
+	it := NewIteratorCtx(context.Background(), tr, w)
 	prev := -1.0
 	count := 0
 	for {
@@ -195,8 +196,8 @@ func TestIteratorEmitsAscendingScores(t *testing.T) {
 	if count != 1000 {
 		t.Fatalf("iterator emitted %d points, want 1000", count)
 	}
-	if it.NodesVisited() == 0 {
-		t.Error("NodesVisited = 0 after full scan")
+	if it.visited == 0 {
+		t.Error("no node visited after a full scan")
 	}
 }
 
@@ -205,15 +206,15 @@ func TestIteratorEarlyTerminationVisitsFewNodes(t *testing.T) {
 	pts := randPoints(r, 50000, 2)
 	tr := rtree.Bulk(pts, nil)
 	w := randWeight(r, 2)
-	it := NewIterator(tr, w)
+	it := NewIteratorCtx(context.Background(), tr, w)
 	for i := 0; i < 10; i++ {
 		if _, ok := it.Next(); !ok {
 			t.Fatal("iterator exhausted early")
 		}
 	}
-	if it.NodesVisited() > tr.NodeCount()/4 {
+	if it.visited > tr.NodeCount()/4 {
 		t.Errorf("visited %d of %d nodes for top-10; expected strong pruning",
-			it.NodesVisited(), tr.NodeCount())
+			it.visited, tr.NodeCount())
 	}
 }
 

@@ -48,12 +48,6 @@ func Dominates(a, b Point) bool {
 	return strict
 }
 
-// Incomparable reports whether neither point dominates the other and the
-// points are not identical.
-func Incomparable(a, b Point) bool {
-	return !Equal(a, b) && !Dominates(a, b) && !Dominates(b, a)
-}
-
 // Equal reports exact element-wise equality.
 //
 //wqrtq:floatcmp
@@ -116,20 +110,6 @@ func WeightDist(a, b Weight) float64 {
 	return Dist(Point(a), Point(b))
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// MaxWeightDist is the largest possible Euclidean distance between two
-// weighting vectors on the d-dimensional standard simplex (between two
-// distinct vertices): sqrt(2). The paper cites this bound below Lemma 4.
-const MaxWeightDist = math.Sqrt2
-
 // ErrBadWeight is returned by ValidateWeight for vectors that are not on the
 // standard simplex.
 var ErrBadWeight = errors.New("vec: weighting vector must be non-negative and sum to 1")
@@ -154,26 +134,6 @@ func ValidateWeight(w Weight) error {
 		return fmt.Errorf("%w (sum = %v)", ErrBadWeight, sum)
 	}
 	return nil
-}
-
-// NormalizeWeight scales a non-negative vector so its components sum to 1.
-// It returns an error if the vector is zero or has negative components.
-func NormalizeWeight(w Weight) (Weight, error) {
-	sum := 0.0
-	for _, v := range w {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, ErrBadWeight
-		}
-		sum += v
-	}
-	if sum <= 0 {
-		return nil, ErrBadWeight
-	}
-	out := make(Weight, len(w))
-	for i, v := range w {
-		out[i] = v / sum
-	}
-	return out, nil
 }
 
 // ValidatePoint checks that p is finite and non-negative, the data-space

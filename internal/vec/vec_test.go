@@ -71,6 +71,12 @@ func TestDominates(t *testing.T) {
 	}
 }
 
+// incomparable reports whether neither point dominates the other and the
+// points are not identical.
+func incomparable(a, b Point) bool {
+	return !Equal(a, b) && !Dominates(a, b) && !Dominates(b, a)
+}
+
 func TestIncomparablePaperFigure2(t *testing.T) {
 	// Paper §4.3: "the query point q is dominated by p1, and it is
 	// incomparable with p3".
@@ -80,7 +86,7 @@ func TestIncomparablePaperFigure2(t *testing.T) {
 	if !Dominates(p1, q) {
 		t.Error("p1 should dominate q")
 	}
-	if !Incomparable(p3, q) {
+	if !incomparable(p3, q) {
 		t.Error("p3 should be incomparable with q")
 	}
 }
@@ -135,7 +141,7 @@ func TestDominancePropertiesQuick(t *testing.T) {
 		if Dominates(b, a) {
 			n++
 		}
-		if Incomparable(a, b) {
+		if incomparable(a, b) {
 			n++
 		}
 		return n == 1
@@ -194,25 +200,6 @@ func TestValidateWeight(t *testing.T) {
 	}
 	if err := ValidateWeight(Weight{math.NaN(), 1}); err == nil {
 		t.Error("NaN accepted")
-	}
-}
-
-func TestNormalizeWeight(t *testing.T) {
-	w, err := NormalizeWeight(Weight{2, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Weight{0.2, 0.3, 0.5}
-	for i := range w {
-		if !almostEqual(w[i], want[i], 1e-12) {
-			t.Errorf("NormalizeWeight[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-	if _, err := NormalizeWeight(Weight{0, 0}); err == nil {
-		t.Error("zero vector accepted")
-	}
-	if _, err := NormalizeWeight(Weight{-1, 2}); err == nil {
-		t.Error("negative component accepted")
 	}
 }
 
@@ -289,14 +276,11 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestDotAndWeightDist(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
+func TestWeightDist(t *testing.T) {
 	// Max simplex distance is between two vertices: sqrt(2).
 	a := Weight{1, 0}
 	b := Weight{0, 1}
-	if got := WeightDist(a, b); !almostEqual(got, MaxWeightDist, 1e-12) {
+	if got := WeightDist(a, b); !almostEqual(got, math.Sqrt2, 1e-12) {
 		t.Errorf("WeightDist = %v, want sqrt(2)", got)
 	}
 }

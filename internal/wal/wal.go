@@ -94,7 +94,6 @@ type Writer struct {
 	mu      sync.Mutex
 	f       storage.File
 	policy  Policy
-	base    uint64
 	bytes   int64
 	appends int64
 	syncs   int64
@@ -125,11 +124,8 @@ func Create(fs storage.FS, dir, name string, base uint64, policy Policy) (*Write
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, policy: policy, base: base, bytes: int64(headerSize), syncs: 1}, nil
+	return &Writer{f: f, policy: policy, bytes: int64(headerSize), syncs: 1}, nil
 }
-
-// Base returns the segment's base LSN.
-func (w *Writer) Base() uint64 { return w.base }
 
 // Bytes returns the segment size written so far, including the header.
 func (w *Writer) Bytes() int64 {

@@ -87,7 +87,6 @@ func TestValidationSameOnBothPaths(t *testing.T) {
 		{"k zero", func(s kindSpec) bool { return s.k }, func(a *query) { a.k = 0 }},
 		{"k negative", func(s kindSpec) bool { return s.k }, func(a *query) { a.k = -2 }},
 		{"negative SampleSize", func(s kindSpec) bool { return s.opts }, func(a *query) { a.opts.SampleSize = -1 }},
-		{"negative QuerySampleSize", func(s kindSpec) bool { return s.opts }, func(a *query) { a.opts.QuerySampleSize = -1 }},
 		{"penalty weights off the simplex", func(s kindSpec) bool { return s.opts }, func(a *query) { a.opts.Penalty = PenaltyModel{Alpha: 0.9, Beta: 0.9} }},
 		{"penalty weight negative", func(s kindSpec) bool { return s.opts }, func(a *query) { a.opts.Penalty = PenaltyModel{Gamma: -0.5, Lambda: 1.5} }},
 	}

@@ -27,17 +27,15 @@ type Options struct {
 	// Penalty is the penalty model; zero value = paper defaults.
 	Penalty PenaltyModel
 	// SampleSize is |S|, the number of weighting-vector samples used by
-	// ModifyPreferences and ModifyAll (default 800, Table 1).
+	// ModifyPreferences and ModifyAll (default 800, Table 1). ModifyAll
+	// also draws |Q| = |S| query-point samples, as in §5.1 ("the sample
+	// sizes of weighting vectors and |Q| are identical in our experiments").
 	SampleSize int
-	// QuerySampleSize is |Q|, the number of query-point samples used by
-	// ModifyAll; defaults to SampleSize as in §5.1 ("the sample sizes of
-	// weighting vectors and |Q| are identical in our experiments").
-	QuerySampleSize int
 	// Seed makes the sampling deterministic (default 1).
 	Seed int64
 }
 
-func (o Options) resolve() (core.PenaltyModel, int, int, int64, error) {
+func (o Options) resolve() (core.PenaltyModel, int, int64, error) {
 	pm := core.PenaltyModel{
 		Alpha: o.Penalty.Alpha, Beta: o.Penalty.Beta,
 		Gamma: o.Penalty.Gamma, Lambda: o.Penalty.Lambda,
@@ -50,27 +48,20 @@ func (o Options) resolve() (core.PenaltyModel, int, int, int64, error) {
 		pm.Gamma, pm.Lambda = 0.5, 0.5
 	}
 	if err := pm.Validate(); err != nil {
-		return pm, 0, 0, 0, invalidArg(err)
+		return pm, 0, 0, invalidArg(err)
 	}
 	s := o.SampleSize
 	if s == 0 {
 		s = 800
 	}
 	if s < 0 {
-		return pm, 0, 0, 0, invalidArgf("negative sample size %d", s)
-	}
-	qs := o.QuerySampleSize
-	if qs == 0 {
-		qs = s
-	}
-	if qs < 0 {
-		return pm, 0, 0, 0, invalidArgf("negative query sample size %d", qs)
+		return pm, 0, 0, invalidArgf("negative sample size %d", s)
 	}
 	seed := o.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return pm, s, qs, seed, nil
+	return pm, s, seed, nil
 }
 
 // QueryRefinement is the answer of ModifyQuery (solution 1, MQP).

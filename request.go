@@ -228,10 +228,10 @@ type query struct {
 	opts Options
 
 	// Set by Index.validate: set as typed vectors, opts resolved.
-	ws    []vec.Weight
-	pm    core.PenaltyModel
-	s, qs int
-	seed  int64
+	ws   []vec.Weight
+	pm   core.PenaltyModel
+	s    int
+	seed int64
 }
 
 // validate is the one request-boundary check of every kind on both serving
@@ -259,7 +259,7 @@ func (ix *Index) validate(a *query) (err error) {
 		return errPositiveK
 	}
 	if spec.opts {
-		a.pm, a.s, a.qs, a.seed, err = a.opts.resolve()
+		a.pm, a.s, a.seed, err = a.opts.resolve()
 	}
 	return err
 }
@@ -510,7 +510,7 @@ func runModifyPreferences(ctx context.Context, ix *Index, a *query) (any, error)
 }
 
 func runModifyAll(ctx context.Context, ix *Index, a *query) (any, error) {
-	res, err := core.MQWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, a.qs, a.seed, a.pm)
+	res, err := core.MQWK(ctx, ix.tree, ix.coreSource(a.k), a.q, a.k, a.ws, a.s, a.s, a.seed, a.pm)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +548,7 @@ func runWhyNot(ctx context.Context, ix *Index, a *query) (any, error) {
 		return nil, err
 	}
 	ref, err := core.WhyNotRefine(ctx, ix.tree, ix.coreSource(a.k),
-		a.q, a.k, missing, a.s, a.qs, a.seed, a.pm)
+		a.q, a.k, missing, a.s, a.s, a.seed, a.pm)
 	if err != nil {
 		return nil, err
 	}

@@ -789,7 +789,6 @@ func appendOptions(b []byte, a *query) []byte {
 	}
 	b = binary.LittleEndian.AppendUint64(b, flags)
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.s)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.qs)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.seed))
 	return b
 }

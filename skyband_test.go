@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"wqrtq/internal/dataset"
+	"wqrtq/internal/dominance"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/skyband"
 )
@@ -355,12 +356,13 @@ func TestSkybandEngineStats(t *testing.T) {
 	// a point the rank band (k=32) holds with more than 16 dominators, out
 	// of reach of the query's 4-band.
 	snap := eOn.Snapshot()
-	rank := snap.band(skyband.DefaultRankBand)
-	keep17, keep32 := rank.Keep(17), rank.Keep(skyband.DefaultRankBand)
+	snap.band(skyband.DefaultRankBand) // materialize the rank band
+	live, ids := snap.livePoints()
+	rank, _ := dominance.KSkybandLimit(live, skyband.DefaultRankBand, len(live))
 	victim := -1
-	for id := 0; id < snap.NumIDs(); id++ {
-		if snap.Point(id) != nil && !keep17(int32(id)) && keep32(int32(id)) {
-			victim = id
+	for _, m := range rank {
+		if m.Count >= 17 {
+			victim = ids[m.Index]
 			break
 		}
 	}
@@ -375,9 +377,10 @@ func TestSkybandEngineStats(t *testing.T) {
 	if st4.Bands != st3.Bands-1 || st4.Dropped != st3.Dropped+1 || st4.Carried != st3.Carried+int64(st3.Bands-1) {
 		t.Fatalf("member delete: before %+v after %+v", st3, st4)
 	}
-	if eOn.Snapshot().sky.Peek(4) == nil || eOn.Snapshot().sky.Peek(skyband.DefaultRankBand) != nil {
+	if _, held := heldBand(t, eOn.Snapshot(), 4); !held {
 		t.Fatal("member delete dropped the wrong band")
 	}
+	// The rank band is the one dropped: the next rank request builds it.
 	if _, err := eOn.RankCtx(t.Context(), RankRequest{W: W[0], Q: q}); err != nil {
 		t.Fatal(err)
 	}
