@@ -155,8 +155,9 @@ func objKey(obj types.Object, prefix func(string) string) string {
 	}
 	name := obj.Name()
 	if fn, ok := obj.(*types.Func); ok {
-		obj = fn.Origin() // an instance is not the declared object
-		if recv := fn.Origin().Signature().Recv(); recv != nil {
+		fn = fn.Origin() // an instance is not the declared object
+		obj = fn
+		if recv := fn.Signature().Recv(); recv != nil {
 			named, ok := deref(recv.Type()).(*types.Named)
 			if !ok {
 				return ""

@@ -83,11 +83,6 @@ func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	return d
 }
 
-func parseDirective(text string) (name string, ok bool) {
-	name, _, ok = ParseDirectiveArg(text)
-	return name, ok
-}
-
 // ParseDirectiveArg splits a //wqrtq: directive comment into its name and
 // the trailing argument text (trimmed; empty when the directive stands
 // alone). The argument carries free-text rationales

@@ -110,15 +110,6 @@ func combine(a, b Rect) Rect {
 	return r
 }
 
-// center returns the rectangle's center point (fresh slice).
-func (r Rect) center() []float64 {
-	c := make([]float64, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
-}
-
 // MinScore returns the smallest possible linear score f(w, p) of any point p
 // inside r, which for non-negative weights is the score of the lower corner.
 func (r Rect) MinScore(w vec.Weight) float64 {
