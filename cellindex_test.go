@@ -271,9 +271,9 @@ func TestCellIndexEngineStats(t *testing.T) {
 
 	// Deleting a member of the k=4 basis band drops exactly that grid,
 	// and the next query rebuilds it over the rebuilt band.
-	live, ids := eOn.Snapshot().livePoints()
-	band, _ := dominance.KSkybandLimit(live, 4, len(live))
-	victim := ids[band[0].Index]
+	snap := eOn.Snapshot()
+	band, _ := dominance.KSkyband(snap.tree, 4, snap.tree.Len())
+	victim := int(band[0].ID)
 	if ok, _, err := eOn.Delete(victim); !ok || err != nil {
 		t.Fatalf("delete: %t, %v", ok, err)
 	}

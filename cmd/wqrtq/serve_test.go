@@ -15,6 +15,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -545,7 +547,9 @@ func TestServeKernelStats(t *testing.T) {
 // build on the next read), a delete of a band member drops that band and
 // its grid, and the next read rebuilds both. The grid lives on its band,
 // so the band's counters report its carry, and a read of a held band —
-// grid included — is a skyband hit.
+// grid included — is a skyband hit. The band-build time (build_ns, shown
+// as T) is positive after the first build and grows only when a band is
+// built.
 func TestServeCarryStats(t *testing.T) {
 	pts := make([][]float64, 0, 36)
 	for i := 0; i < 6; i++ {
@@ -563,6 +567,8 @@ func TestServeCarryStats(t *testing.T) {
 	}
 	t.Cleanup(func() { e.Close() })
 	h := newServeHandler(e, 0)
+	buildNS := regexp.MustCompile(`"build_ns":(\d+)`)
+	var times []int64
 	sections := func() string {
 		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 		rec := httptest.NewRecorder()
@@ -574,7 +580,13 @@ func TestServeCarryStats(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 			t.Fatalf("stats not JSON: %v", err)
 		}
-		return string(st.Skyband) + "\n" + string(st.CellIndex)
+		m := buildNS.FindSubmatch(st.Skyband)
+		if m == nil {
+			t.Fatalf("no build_ns in %s", st.Skyband)
+		}
+		ns, _ := strconv.ParseInt(string(m[1]), 10, 64)
+		times = append(times, ns)
+		return string(buildNS.ReplaceAll(st.Skyband, []byte(`"build_ns":T`))) + "\n" + string(st.CellIndex)
 	}
 	want := func(step, golden string) {
 		t.Helper()
@@ -589,18 +601,21 @@ func TestServeCarryStats(t *testing.T) {
 		}
 	}
 	rtopk()
-	want("first read builds the 2-band and its grid", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+	want("first read builds the 2-band and its grid", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"build_ns":T,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":2}`)
 	post(t, h, "/v1/insert", `{"point":[9,9]}`)
 	rtopk()
-	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":1,"fallbacks":0,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":4}`)
 	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
-	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":1,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"grids":0,"cells":0,"candidates":0,"builds":1,"fallbacks":0,"lookups":4}`)
 	rtopk()
-	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":1,"fallbacks":0,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
 {"grids":1,"cells":128,"candidates":262,"builds":2,"fallbacks":0,"lookups":6}`)
+	if times[0] <= 0 || times[1] != times[0] || times[2] != times[0] || times[3] <= times[2] {
+		t.Fatalf("build_ns over the four steps: %v", times)
+	}
 }
 
 // routeStats is what the refinement tests read of /v1/stats: kernel.refine

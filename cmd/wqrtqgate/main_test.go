@@ -51,9 +51,11 @@ func TestGateModuleClean(t *testing.T) {
 // of the dead-API pass and checks each is reported, or not, as the rule
 // says: an unused exported func, a method only a standard-library
 // interface calls, a method nothing calls, an identifier only a test uses,
-// an allowlisted oracle, a used identifier, an option field set only in
-// its own package, and allowlist entries that are stale or give an unknown
-// reason.
+// an allowlisted oracle and the exported helper only it uses, a used
+// identifier, a dead chain (a func only a dead func calls, a type only its
+// dead constructor and a dead type's field name), an option field set only
+// in its own package, and allowlist entries that are stale or give an
+// unknown reason.
 func TestSeededDeadAPICaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a throwaway module with gc diagnostics")
@@ -82,7 +84,24 @@ func Mystery() {}
 func TestOnly() int { return 1 }
 
 // Oracle is called only from lib_test.go, and allowlisted.
-func Oracle() int { return 2 }
+func Oracle() int { return OracleHelper() }
+
+// OracleHelper is called only by Oracle.
+func OracleHelper() int { return 2 }
+
+// Chain heads a dead chain: nothing calls it.
+func Chain() int { return Link() }
+
+// Link is called only by Chain.
+func Link() int { return 4 }
+
+// Ghost is named only by its dead constructor and a dead type's field.
+type Ghost struct{}
+
+// NewGhost has no caller.
+func NewGhost() *Ghost { return &Ghost{} }
+
+type ghostFile struct{ g *Ghost }
 
 // Used is called by the command.
 func Used() int { return helper() }
@@ -150,6 +169,10 @@ lib.Mystery mystery  not a reason
 		"internal/lib/lib.go lib.Mystery",
 		"internal/lib/lib.go lib.TestOnly",
 		"internal/lib/lib.go lib.Kind.Extra",
+		"internal/lib/lib.go lib.Chain",
+		"internal/lib/lib.go lib.Link",
+		"internal/lib/lib.go lib.Ghost",
+		"internal/lib/lib.go lib.NewGhost",
 		"options.go gatetest.Options.Unset",
 		deadapi.AllowFile + " lib.Gone",
 		deadapi.AllowFile + " lib.Used",

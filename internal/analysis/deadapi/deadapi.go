@@ -1,8 +1,16 @@
 // Package deadapi is cmd/wqrtqgate's dead-API pass (DESIGN.md §12): every
-// exported identifier under internal/ needs a non-test use, and every root
-// EngineConfig and Options field a non-test setter outside the root
-// package, or a `<pkg>.<[Recv.]Name> oracle|testhook|bench <note>` line in
-// the module's deadapi.allow that covers a finding.
+// exported identifier under internal/ needs a non-test use from live code,
+// and every root EngineConfig and Options field a non-test setter outside
+// the root package, or a `<pkg>.<[Recv.]Name> oracle|testhook|bench <note>`
+// line in the module's deadapi.allow that covers a finding.
+//
+// Live code is what the non-test code outside internal/ reaches through
+// the package-level declarations each refers to, so a chain of dead
+// identifiers, or a dead type that only its own constructor names, is
+// reported whole in one run. A type reaches its methods that implement an
+// interface (those may be called dynamically), init functions and blank
+// package-level variables are reached always, and an allowlisted
+// identifier is reached too: what it uses is kept with it.
 package deadapi
 
 import (
@@ -53,11 +61,20 @@ func Check(moduleDir string, pkgs []*load.Package) ([]Violation, error) {
 		return ""
 	}
 
+	allowed, out, err := readAllow(moduleDir)
+	if err != nil {
+		return nil, err
+	}
+	ifaces := interfaces(pkgs)
+	refs, roots, kept := declGraph(mod, pkgs, ifaces, func(obj types.Object) bool {
+		key, typ := reportKeys(obj, prefix)
+		return allowed[key] > 0 || allowed[typ] > 0
+	})
+	live := reach(refs, roots)
+	liveKept := reach(refs, append(roots, kept...))
+
 	used := make(map[string]bool)
 	for _, pkg := range pkgs {
-		for _, obj := range pkg.Info.Uses {
-			used[objKey(obj, prefix)] = true
-		}
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				for _, k := range fieldSets(pkg.Info, n, prefix) {
@@ -68,24 +85,20 @@ func Check(moduleDir string, pkgs []*load.Package) ([]Violation, error) {
 		}
 	}
 
-	allowed, out, err := readAllow(moduleDir)
-	if err != nil {
-		return nil, err
-	}
 	covered := make(map[string]bool)
 	report := func(pkg *load.Package, key, typ string, obj types.Object, msg string) {
 		switch {
-		case used[key]:
+		case used[key] || live[declKey(obj)]:
 		case allowed[key] > 0 || allowed[typ] > 0: // an entry for a type covers its members
 			covered[key], covered[typ] = true, true
+		case liveKept[declKey(obj)]: // used by an allowlisted identifier
 		default:
 			pos := pkg.Fset.Position(obj.Pos())
 			file, _ := filepath.Rel(abs, pos.Filename)
 			out = append(out, Violation{filepath.ToSlash(file), pos.Line, key, msg})
 		}
 	}
-	const unused = "exported, but no non-test file of the module uses it"
-	ifaces := interfaces(pkgs)
+	const unused = "exported, but no live non-test code of the module uses it"
 	for _, pkg := range pkgs {
 		pre := prefix(pkg.Path)
 		for _, n := range pkg.Types.Scope().Names() {
@@ -169,6 +182,107 @@ func objKey(obj types.Object, prefix func(string) string) string {
 		return ""
 	}
 	return prefix(obj.Pkg().Path()) + "." + name
+}
+
+// reportKeys returns obj's allowlist key and, for a method, its receiver
+// type's.
+func reportKeys(obj types.Object, prefix func(string) string) (key, typ string) {
+	key = objKey(obj, prefix)
+	if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+		if named, ok := deref(fn.Signature().Recv().Type()).(*types.Named); ok {
+			typ = objKey(named.Obj(), prefix)
+		}
+	}
+	return key, typ
+}
+
+// declKey is the graph key of a package-level object or a method: objKey
+// with the full package path.
+func declKey(obj types.Object) string {
+	return objKey(obj, func(path string) string { return path })
+}
+
+// declGraph maps each package-level declaration and method of pkgs, by
+// declKey, to the declarations its source refers to, and each named type
+// also to its methods that implement one of ifaces. roots are the
+// declarations of packages outside mod's internal/, init functions and
+// blank variables; kept are the declarations isKept accepts.
+func declGraph(mod string, pkgs []*load.Package, ifaces map[string][]*types.Interface, isKept func(types.Object) bool) (refs map[string][]string, roots, kept []string) {
+	refs = make(map[string][]string)
+	for _, pkg := range pkgs {
+		outside := !strings.HasPrefix(pkg.Path, mod+"/internal/")
+		def := func(id *ast.Ident, body ast.Node, root bool) {
+			obj := pkg.Info.Defs[id]
+			key := declKey(obj)
+			if id.Name == "_" {
+				key, root = pkg.Path+"._", true
+			}
+			switch {
+			case key == "":
+				return
+			case outside || root:
+				roots = append(roots, key)
+			case isKept(obj):
+				kept = append(kept, key)
+			}
+			ast.Inspect(body, func(n ast.Node) bool {
+				if use, ok := n.(*ast.Ident); ok {
+					if k := declKey(pkg.Info.Uses[use]); k != "" {
+						refs[key] = append(refs[key], k)
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					def(fd.Name, fd, fd.Recv == nil && fd.Name.Name == "init")
+					continue
+				}
+				for _, spec := range decl.(*ast.GenDecl).Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						def(s.Name, s, false)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							def(id, s, false)
+						}
+					}
+				}
+			}
+		}
+		for _, n := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for m := range named.Methods() {
+					if implements(named, m.Name(), ifaces) {
+						refs[declKey(tn)] = append(refs[declKey(tn)], declKey(m))
+					}
+				}
+			}
+		}
+	}
+	return refs, roots, kept
+}
+
+// reach returns the keys reachable from roots through refs.
+func reach(refs map[string][]string, roots []string) map[string]bool {
+	seen := make(map[string]bool, len(refs))
+	stack := slices.Clone(roots)
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		stack = append(stack, refs[k]...)
+	}
+	return seen
 }
 
 // fieldSets returns the keys of the struct fields n writes: the keys of a

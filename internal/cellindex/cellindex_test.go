@@ -219,11 +219,11 @@ func TestGridFollowsBand(t *testing.T) {
 
 	// Deleting a point of the 5-band that is not in the 2-band drops the
 	// 5-band; the 2-band and its grid stay.
-	band5, _ := dominance.KSkybandLimit(pts, 5, len(pts))
+	band5, _ := dominance.KSkyband(tree, 5, tree.Len())
 	victim := int32(-1)
 	for _, m := range band5 {
 		if m.Count >= 2 {
-			victim = int32(m.Index)
+			victim = m.ID
 			break
 		}
 	}

@@ -1,10 +1,13 @@
 package dominance
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"wqrtq/internal/rtree"
 	"wqrtq/internal/vec"
 )
 
@@ -48,13 +51,30 @@ func genPoints(shape string, n, d int, rng *rand.Rand) []vec.Point {
 	return pts
 }
 
-// kSkyband is the whole k-skyband: KSkybandLimit with no limit.
+// treeBand runs KSkyband over pts bulk-loaded at the given fanout, so
+// record ids are input positions, and reports its members as BandPoints in
+// input order.
+func treeBand(pts []vec.Point, k, limit, fanout int) ([]BandPoint, bool) {
+	tr := rtree.New(1)
+	if len(pts) > 0 {
+		tr = rtree.Bulk(pts, nil, rtree.Options{PageSize: rtree.PageSizeFor(len(pts[0]), fanout)})
+	}
+	ms, complete := KSkyband(tr, k, limit)
+	var out []BandPoint
+	for _, m := range ms {
+		out = append(out, BandPoint{Index: int(m.ID), Count: m.Count})
+	}
+	slices.SortFunc(out, func(a, b BandPoint) int { return a.Index - b.Index })
+	return out, complete
+}
+
+// kSkyband is the whole k-skyband: KSkyband with no limit.
 func kSkyband(pts []vec.Point, k int) []BandPoint {
-	band, _ := KSkybandLimit(pts, k, len(pts))
+	band, _ := treeBand(pts, k, len(pts), 8)
 	return band
 }
 
-// TestKSkybandMatchesNaive validates the sort-filter against the quadratic
+// TestKSkybandMatchesNaive validates the tree build against the quadratic
 // reference — membership and exact dominance counts — across shapes,
 // sizes, dimensions and k, including k beyond n.
 func TestKSkybandMatchesNaive(t *testing.T) {
@@ -78,7 +98,7 @@ func TestKSkybandMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestKSkybandLimit checks the self-limiting filter: within the limit it is
+// TestKSkybandLimit checks the self-limiting build: within the limit it is
 // the whole band; past it, it stops at limit+1 members, each a true member with
 // its exact count.
 func TestKSkybandLimit(t *testing.T) {
@@ -93,7 +113,7 @@ func TestKSkybandLimit(t *testing.T) {
 				if limit < 0 {
 					continue
 				}
-				got, complete := KSkybandLimit(pts, k, limit)
+				got, complete := treeBand(pts, k, limit, 4+caseIdx%5)
 				if complete != (len(want) <= limit) {
 					t.Fatalf("%s case %d limit %d: complete = %t for a band of %d", shape, caseIdx, limit, complete, len(want))
 				}
@@ -169,4 +189,91 @@ func TestKSkybandEdges(t *testing.T) {
 			t.Fatalf("1-skyband member %d = %v, skyline index %d", i, m, sky[i])
 		}
 	}
+}
+
+// TestKSkybandRoundingTie pins the walk order on a rounded-sum tie:
+// (1e-17, 1) dominates (2e-17, 1), yet both sums round to 1, so an order
+// breaking that tie by position alone would keep the victim before its
+// dominator and count it no dominator.
+func TestKSkybandRoundingTie(t *testing.T) {
+	pts := []vec.Point{{2e-17, 1}, {1e-17, 1}}
+	want := []BandPoint{{Index: 1, Count: 0}}
+	if got := KSkybandNaive(pts, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("naive 1-skyband = %v, want %v", got, want)
+	}
+	if got := kSkyband(pts, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("1-skyband = %v, want %v", got, want)
+	}
+}
+
+// fuzzValues are the coordinates FuzzKSkyband draws from: zeros of both
+// signs, values whose sums round together (1e-17 and 2e-17 beside 1) and a
+// coarse grid, so duplicates, ties and dominance are all common.
+var fuzzValues = []float64{0, math.Copysign(0, -1), 1e-17, 2e-17, 0.25, 0.5, 1, 1, 2, 3}
+
+// FuzzKSkyband holds KSkyband to KSkybandNaive on small point sets at
+// every k up to n+1 and every limit up to n: members and exact counts, the
+// tree's leaf order, and past a limit exactly limit+1 true members. Bits of
+// flat pin coordinates to one value (zero-width columns); fan sets the
+// fanout, and its top bit deletes and re-inserts a third of the points so
+// the walk also runs over an insertion-built structure.
+func FuzzKSkyband(f *testing.F) {
+	f.Add([]byte{3, 6, 2, 6}, uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 6, 6, 6, 6}, uint8(2), uint8(2), uint8(0x81))
+	f.Fuzz(func(t *testing.T, data []byte, dim, flat, fan uint8) {
+		d := 1 + int(dim%5)
+		n := min(len(data)/d, 48)
+		if n == 0 {
+			return
+		}
+		pts := make([]vec.Point, n)
+		for i := range pts {
+			p := make(vec.Point, d)
+			for j := range p {
+				p[j] = 0.5
+				if flat>>j&1 == 0 {
+					p[j] = fuzzValues[int(data[i*d+j])%len(fuzzValues)]
+				}
+			}
+			pts[i] = p
+		}
+		tr := rtree.Bulk(pts, nil, rtree.Options{PageSize: rtree.PageSizeFor(d, 4+int(fan%8))})
+		if fan&0x80 != 0 {
+			for i := 0; i < n; i += 3 {
+				if !tr.Delete(pts[i], int32(i)) {
+					t.Fatalf("point %d not found", i)
+				}
+			}
+			for i := 0; i < n; i += 3 {
+				tr.Insert(pts[i], int32(i))
+			}
+		}
+		leafPos := make([]int, n)
+		pos := 0
+		tr.Visit(nil, func(id int32, _ vec.Point) { leafPos[id] = pos; pos++ })
+		for k := 1; k <= n+1; k++ {
+			want := KSkybandNaive(pts, k)
+			exact := make(map[int32]int, len(want))
+			for _, m := range want {
+				exact[int32(m.Index)] = m.Count
+			}
+			for limit := 0; limit <= n; limit++ {
+				got, complete := KSkyband(tr, k, limit)
+				if complete != (len(want) <= limit) {
+					t.Fatalf("k=%d limit=%d: complete = %t for a band of %d", k, limit, complete, len(want))
+				}
+				if size := min(len(want), limit+1); len(got) != size {
+					t.Fatalf("k=%d limit=%d: %d members, want %d", k, limit, len(got), size)
+				}
+				for i, m := range got {
+					if c, ok := exact[m.ID]; !ok || c != m.Count || !vec.Equal(m.Point, pts[m.ID]) {
+						t.Fatalf("k=%d limit=%d: member %+v is no exact member of %v", k, limit, m, want)
+					}
+					if i > 0 && leafPos[got[i-1].ID] >= leafPos[m.ID] {
+						t.Fatalf("k=%d limit=%d: members out of leaf order", k, limit)
+					}
+				}
+			}
+		}
+	})
 }

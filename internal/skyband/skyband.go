@@ -2,7 +2,7 @@
 // every reverse-top-k-shaped evaluation.
 //
 // Only points dominated by fewer than k others (the k-skyband,
-// dominance.KSkybandLimit) can ever appear in a top-k result under a
+// dominance.KSkyband) can ever appear in a top-k result under a
 // monotone linear scoring function; the k smallest scores of the dataset —
 // and any strict-beat count below k — are always achieved within that set.
 // A Band therefore bulk-loads the skyband points of one snapshot into a compact
@@ -24,7 +24,7 @@
 //
 //   - inserting p leaves the k-band unchanged iff at least k of its members
 //     dominate p. A point with >= k dominators has >= k of them inside the
-//     k-skyband (dominance.KSkybandLimit's sort-filter argument), so the test
+//     k-skyband (the argument in dominance.KSkyband's comment), so the test
 //     sees them; such a p is no member, and it dominates no member either
 //     (its k dominators would dominate that member too), so the members'
 //     exact counts — and so the bound-skyband for every bound <= k — stay exact.
@@ -58,6 +58,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wqrtq/internal/dominance"
 	"wqrtq/internal/kernel"
@@ -83,13 +84,13 @@ const maxBands = 16
 const fullBandFactor = 4
 
 // trimBandFrac bounds the bands TrimBand will finish: a rank-trim band is
-// abandoned once it holds more than n/trimBandFrac points. The sort-filter
-// costs one dominance test per (point, kept member) pair, so a band of m
-// members costs on the order of m²/2 tests at the least — past n/16 that is
-// over half a second at n = 100k (anticorrelated data reaches 32k members
-// and 12 s at k = 128) — while the candidate universe it would trim is
-// typically a quarter of the dataset, so a larger band removes less than
-// three quarters of a sweep that costs a nanosecond per point.
+// abandoned once it holds more than n/trimBandFrac points. The limit is
+// about payoff, not build cost: the candidate universe a band trims is
+// typically a quarter of the dataset, so a band past n/16 removes less than
+// three quarters of a sweep that costs a nanosecond per point, yet it holds
+// a tree and a count table per k. At n = 100k a finished band of that size
+// costs a few hundred milliseconds (anticorrelated d = 3 at k = 128: 32k
+// members, 0.45 s) and an abandoned one 30–80 ms.
 const trimBandFrac = 16
 
 // TrimRefusal names why a rank-trim band request was refused.
@@ -119,6 +120,7 @@ type Counters struct {
 	carried   atomic.Int64
 	dropped   atomic.Int64
 	declines  atomic.Int64
+	buildNS   atomic.Int64
 	refused   [numTrimRefusals]atomic.Int64
 }
 
@@ -154,6 +156,10 @@ type Stats struct {
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
+	// BuildTime is the wall time spent computing bands, finished (Builds)
+	// or abandoned (Declines): what a first request after a write may have
+	// waited on.
+	BuildTime time.Duration `json:"build_ns"`
 	// Carried and Dropped count (mutation, materialized band) pairs: bands
 	// a mutation handed to the next snapshot unchanged, grid included, and
 	// bands it invalidated (each costs one later build).
@@ -182,6 +188,7 @@ func (c *Counters) Snapshot() Stats {
 		Carried:   c.carried.Load(),
 		Dropped:   c.dropped.Load(),
 		Declines:  c.declines.Load(),
+		BuildTime: time.Duration(c.buildNS.Load()),
 
 		TrimRefusedK:       c.refused[TrimRefusedK].Load(),
 		TrimRefusedDataset: c.refused[TrimRefusedDataset].Load(),
@@ -290,7 +297,7 @@ func (b *Band) member(id int32) bool {
 }
 
 // excludes reports whether at least K() band members dominate p, under the
-// predicate dominance.KSkybandLimit counts with: p is then outside the band and
+// predicate dominance.KSkyband counts with: p is then outside the band and
 // dominates none of its members. Only subtrees whose lower corner is <= p can hold a
 // dominator, and the walk stops at the k-th.
 func (b *Band) excludes(p vec.Point) bool {
@@ -442,8 +449,8 @@ func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *
 // Construction deliberately takes no context: a band is shared cache state
 // for every reader of the snapshot (like the engine's result cache), so
 // one request's cancellation must not abort or poison the build its
-// co-readers are waiting on. The work is bounded — one tree walk plus the
-// sort-filter — and paid once per k until a mutation changes that band.
+// co-readers are waiting on. The work is bounded — one best-first walk of
+// the tree — and paid once per k until a mutation changes that band.
 func (c *Cache) Band(k int) *Band {
 	if k < 1 {
 		k = 1
@@ -456,7 +463,7 @@ func (c *Cache) Band(k int) *Band {
 		return b
 	}
 	build := func() {
-		b, _ := compute(c.tree, k, c.tree.Len())
+		b, _ := c.buildBand(k, c.tree.Len())
 		e.band.Store(b)
 		c.ct.builds.Add(1)
 	}
@@ -485,7 +492,7 @@ func (c *Cache) TrimBand(k int) *Band {
 		return nil
 	}
 	e.once.Do(func() {
-		b, complete := compute(c.tree, k, c.tree.Len()/trimBandFrac)
+		b, complete := c.buildBand(k, c.tree.Len()/trimBandFrac)
 		if complete {
 			e.band.Store(b)
 			c.ct.builds.Add(1)
@@ -534,40 +541,35 @@ func (c *Cache) passBand() *Band {
 	return b
 }
 
-// compute collects the snapshot's live points, filters them to the
-// k-skyband and bulk-loads the result, preserving original record ids. The
-// filter gives up past limit members (dominance.KSkybandLimit); the Band
-// then holds the members found so far and complete reports false.
+// compute builds the snapshot's k-skyband straight from its tree
+// (dominance.KSkyband) and bulk-loads the members, in the tree's leaf order
+// and with their original record ids. The build gives up past limit
+// members; the Band then holds the members found so far and complete
+// reports false.
 func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
-	n := t.Len()
-	pts := make([]vec.Point, 0, n)
-	ids := make([]int32, 0, n)
-	t.Visit(
-		func(rtree.Rect, *rtree.Node) bool { return true },
-		func(id int32, p vec.Point) {
-			pts = append(pts, p)
-			ids = append(ids, id)
-		},
-	)
-	band, complete := dominance.KSkybandLimit(pts, k, limit)
-	bp := make([]vec.Point, len(band))
-	bi := make([]int32, len(band))
+	band, complete := dominance.KSkyband(t, k, limit)
 	maxID := int32(-1)
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
+	t.Visit(nil, func(id int32, _ vec.Point) { maxID = max(maxID, id) })
 	counts := make([]int32, maxID+1)
 	for i := range counts {
 		counts[i] = -1
 	}
+	bp := make([]vec.Point, len(band))
+	bi := make([]int32, len(band))
 	for i, m := range band {
-		bp[i] = pts[m.Index]
-		bi[i] = ids[m.Index]
-		counts[bi[i]] = int32(m.Count)
+		bp[i], bi[i] = m.Point, m.ID
+		counts[m.ID] = int32(m.Count)
 	}
 	return &Band{k: k, tree: rtree.Bulk(bp, bi, TreeOptions(t.Dim())), size: len(band), counts: counts}, complete
+}
+
+// buildBand runs compute over the cache's tree and adds its wall time to
+// the family's BuildTime.
+func (c *Cache) buildBand(k, limit int) (*Band, bool) {
+	start := time.Now()
+	b, complete := compute(c.tree, k, limit)
+	c.ct.buildNS.Add(int64(time.Since(start)))
+	return b, complete
 }
 
 // bandFanout is the number of entries per band-tree node, at every

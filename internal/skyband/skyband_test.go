@@ -177,7 +177,7 @@ func TestCacheCountersAndSharing(t *testing.T) {
 }
 
 // TestBandCounts validates the stored dominance counts against the
-// sort-filter's and, for one bound, against a direct count of dominators,
+// quadratic oracle's and, for one bound, against a direct count of dominators,
 // including ids beyond the table.
 func TestBandCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -192,12 +192,11 @@ func TestBandCounts(t *testing.T) {
 	for i := range want {
 		want[i] = -1
 	}
-	band, _ := dominance.KSkybandLimit(pts, 16, len(pts))
-	for _, m := range band {
+	for _, m := range dominance.KSkybandNaive(pts, 16) {
 		want[m.Index] = int32(m.Count)
 	}
 	if !slices.Equal(b.Counts(), want) {
-		t.Fatal("band counts differ from dominance.KSkybandLimit's")
+		t.Fatal("band counts differ from dominance.KSkybandNaive's")
 	}
 	cnt := 0
 	for _, c := range b.Counts() {

@@ -83,8 +83,8 @@ func (ix *Index) coreSource(k int) *core.Source {
 
 // maxTrimBand caps the band parameter of sample-loop trims. 128 covers the
 // paper's default question (Table 1: actual rank 101); on uniform data at
-// n = 100k, d = 3 that band holds 4% of the points and builds in a quarter
-// of a second, once per snapshot lineage.
+// n = 100k, d = 3 that band holds 4% of the points and builds in about
+// 60 ms, once per snapshot lineage.
 const maxTrimBand = 128
 
 // fullBandTrim rejects sample-loop trim bands whose k is large relative to

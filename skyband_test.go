@@ -357,12 +357,11 @@ func TestSkybandEngineStats(t *testing.T) {
 	// of reach of the query's 4-band.
 	snap := eOn.Snapshot()
 	snap.band(skyband.DefaultRankBand) // materialize the rank band
-	live, ids := snap.livePoints()
-	rank, _ := dominance.KSkybandLimit(live, skyband.DefaultRankBand, len(live))
+	rank, _ := dominance.KSkyband(snap.tree, skyband.DefaultRankBand, snap.tree.Len())
 	victim := -1
 	for _, m := range rank {
 		if m.Count >= 17 {
-			victim = ids[m.Index]
+			victim = int(m.ID)
 			break
 		}
 	}
