@@ -608,8 +608,6 @@ func BenchmarkEngineReverseTopK(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			e, err := NewEngine(ix.Clone(), EngineConfig{
-				Workers:   1,
-				MaxBatch:  64,
 				CacheSize: -1, // exclude memoization from the measurement
 			})
 			if err != nil {

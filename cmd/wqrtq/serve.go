@@ -39,7 +39,7 @@ package main
 // most maxBodyBytes (8 MiB, past the first JSON value too), and decoded in
 // one pass by body.go, which accepts exactly what encoding/json would and
 // builds the same structs (FuzzDecodeBody); encoding/json only encodes
-// answers. The flags size the pool, the cache, durability and admission;
+// answers. The flags size the cache, durability and admission;
 // which index structures answer a query is not configurable (the product
 // has one path).
 
@@ -62,8 +62,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	data := fs.String("data", "", "dataset CSV path")
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "query workers (0 = GOMAXPROCS)")
-	maxBatch := fs.Int("batch", 32, "max requests coalesced per batch")
 	cacheSize := fs.Int("cache", 4096, "result cache entries (negative disables)")
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables); expired queries answer 503")
 	dataDir := fs.String("data-dir", "", "durable data directory: WAL + snapshots; existing state overrides -data (empty = in-memory)")
@@ -91,8 +89,6 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("wqrtq serve: need -data (dataset CSV) or -data-dir (durable state)")
 	}
 	eng, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{
-		Workers:                *workers,
-		MaxBatch:               *maxBatch,
 		CacheSize:              *cacheSize,
 		DataDir:                *dataDir,
 		Fsync:                  *fsync,
@@ -129,8 +125,8 @@ func cmdServe(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err = srv.Shutdown(ctx) // stop accepting, wait for in-flight handlers
-	// Then drain the engine's queue and settle durability; a WAL flush
-	// failure at shutdown must not be swallowed.
+	// Then wait out the engine's computations and settle durability; a WAL
+	// flush failure at shutdown must not be swallowed.
 	if cerr := eng.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -417,7 +413,7 @@ func retryAfterSeconds(d time.Duration) string {
 // dimension mismatches, bad k) → 400, context deadline → 503, context
 // canceled (client went away) → 499, a closed engine → 503
 // "engine_closed", anything else — an internal failure, not the client's
-// fault — → 500. Overload sheds (admission control or a full queue) → 503
+// fault — → 500. Overload sheds (admission control) → 503
 // "overloaded" and a degraded (read-only) engine refusing a mutation →
 // 503 "degraded"; both carry a Retry-After header and a machine-readable
 // reason so clients can back off intelligently, and are distinct from

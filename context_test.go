@@ -4,14 +4,12 @@ package wqrtq
 // return promptly at every layer, a deadline set mid-refinement aborts the
 // MQWK sampling loops within one check interval, a reverse top-k canceled
 // between two of its thousands of count descents stops at the poll that
-// says so, and a canceled waiter of a deduplicated request never aborts
-// its co-waiters.
+// says so, on the Index and through the engine alike.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,10 +187,9 @@ func (c *tripCtx) Err() error {
 // of many short descents (a query point deep in the data: each descent
 // meets its k-th beater within a node or two, far below any per-descent
 // interval) and one of long descents (a competitive query point) must both
-// return ctx.Err() at the poll that reports it on the Index. Through the
-// engine's executor, a deduplicated pair whose waiters are both gone
-// aborts its one shared run, answers each waiter with context.Canceled,
-// and adds nothing to the reverse top-k totals.
+// return ctx.Err() at the poll that reports it, on the Index and through
+// the engine, whose run polls the caller's own context; the canceled
+// engine run adds nothing to the reverse top-k totals.
 func TestReverseTopKCancelMidCountDescents(t *testing.T) {
 	const k, trip = 10, 50
 	ds := dataset.NBALike(17265, 11)
@@ -218,7 +215,6 @@ func TestReverseTopKCancelMidCountDescents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	snap := e.Snapshot()
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, q := range map[string][]float64{"short descents": pts[0], "long descents": top[k-1].Point} {
@@ -230,129 +226,21 @@ func TestReverseTopKCancelMidCountDescents(t *testing.T) {
 			t.Fatalf("%s: %d of %d vectors in the result", name, len(full.Result), len(W))
 		}
 
-		ctx := &tripCtx{Context: live, trip: trip}
-		if _, err := ix.ReverseTopKCtx(ctx, ReverseTopKRequest{Q: q, K: k, W: W}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: Index error = %v, want context.Canceled", name, err)
+		if _, err := e.ReverseTopKCtx(context.Background(), ReverseTopKRequest{Q: q, K: k, W: W}); err != nil {
+			t.Fatal(err) // builds the engine snapshot's band, outside the polls counted below
 		}
-		if got := ctx.polls.Load(); got != trip {
-			t.Fatalf("%s: Index polled ctx %d times, want to stop at poll %d", name, got, trip)
+		before := e.Stats().RTA["rtopk"]
+		for path, run := range map[string]func(context.Context, ReverseTopKRequest) (ReverseTopKResponse, error){"Index": ix.ReverseTopKCtx, "Engine": e.ReverseTopKCtx} {
+			ctx := &tripCtx{Context: live, trip: trip}
+			if _, err := run(ctx, ReverseTopKRequest{Q: q, K: k, W: W}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: %s error = %v, want context.Canceled", name, path, err)
+			}
+			if got := ctx.polls.Load(); got != trip {
+				t.Fatalf("%s: %s polled ctx %d times, want to stop at poll %d", name, path, got, trip)
+			}
 		}
-
-	}
-
-	// Two identical requests, one run. Each waiter's context passes the
-	// executor's shed check (its first poll) with its Done already closed,
-	// so the shared context's watcher cancels the run once it is scheduled.
-	// A pair's run polls that shared context, not any waiter's, so there is
-	// no exact poll to pin here; the long-descent point keeps the run
-	// (~40 ms uncanceled on a 2-vCPU Xeon) well past the scheduler's
-	// 10 ms preemption, so the watcher always lands mid-run.
-	q := top[k-1].Point
-	pair := []*engineReq{batchReq(t, snap, deadTrip(), q, k, W), batchReq(t, snap, deadTrip(), q, k, W)}
-	before := e.Stats().RTA["rtopk"]
-	e.exec(pair)
-	for _, r := range pair {
-		resp := <-r.done
-		if resp.val != nil || !errors.Is(resp.err, context.Canceled) {
-			t.Fatalf("deduplicated waiter got (%v, %v), want context.Canceled", resp.val, resp.err)
+		if after := e.Stats().RTA["rtopk"]; after != before {
+			t.Fatalf("%s: canceled run was added to the totals: %+v -> %+v", name, before, after)
 		}
-		if got := r.ctx.(*tripCtx).polls.Load(); got != 2 {
-			t.Fatalf("waiter ctx polled %d times, want 2 (shed check, own error)", got)
-		}
-	}
-	if after := e.Stats().RTA["rtopk"]; after != before {
-		t.Fatalf("canceled run was added to the totals: %+v -> %+v", before, after)
-	}
-}
-
-// deadTrip returns a context whose Done is already closed but whose first
-// Err poll still reports it live: a waiter the executor admits into a batch
-// and that is gone for the whole of the run that follows.
-func deadTrip() *tripCtx {
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	return &tripCtx{Context: dead, trip: 2}
-}
-
-// batchReq validates a reverse top-k request on snap and wraps it as the
-// executor receives it from the pool.
-func batchReq(t *testing.T, snap *Index, ctx context.Context, q []float64, k int, W [][]float64) *engineReq {
-	t.Helper()
-	a := query{kind: kindRTopK, set: W, q: q, k: k}
-	if err := snap.validate(&a); err != nil {
-		t.Fatal(err)
-	}
-	return &engineReq{query: a, ctx: ctx, key: argKey(&a), done: make(chan engineResp, 1)}
-}
-
-// TestDedupedBatchSurvivesCoWaiterCancel verifies the all-waiters-cancel
-// rule on one batch holding two identical reverse top-k requests: they run
-// once, and the waiter that is gone before the run starts does not abort
-// it — the survivor receives the correct answer. (The gone waiter's caller
-// has already returned its own ctx.Err() from Engine.serve's select.)
-func TestDedupedBatchSurvivesCoWaiterCancel(t *testing.T) {
-	ix, req := testWorkload(t, 2000)
-	e, err := NewEngine(ix.Clone(), EngineConfig{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	want, err := ix.ReverseTopK(req.W, req.Q, req.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	live, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	snap := e.Snapshot()
-	gone := batchReq(t, snap, deadTrip(), req.Q, req.K, req.W)
-	survivor := batchReq(t, snap, live, req.Q, req.K, req.W)
-	before := e.Stats().RTA["rtopk"].Runs
-	e.exec([]*engineReq{gone, survivor})
-
-	resp := <-survivor.done
-	if resp.err != nil {
-		t.Fatalf("surviving waiter error = %v, want success", resp.err)
-	}
-	if got := resp.val.(rtopkVal).res; !reflect.DeepEqual(got, want) {
-		t.Fatalf("survivor result %v, want %v", got, want)
-	}
-	if gone.ctx.Err() == nil {
-		t.Fatal("the gone waiter's context still reports live")
-	}
-	if runs := e.Stats().RTA["rtopk"].Runs - before; runs != 1 {
-		t.Fatalf("two identical requests ran %d times, want 1", runs)
-	}
-}
-
-// TestCompCtxCancelsOnlyWhenAllWaitersCancel exercises the shared-
-// computation context directly: it must stay live while any waiter is live,
-// cancel soon after the last waiter cancels, and collapse to the never-
-// canceled Background when any waiter cannot cancel.
-func TestCompCtxCancelsOnlyWhenAllWaitersCancel(t *testing.T) {
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	cctx, stop := compCtx([]*engineReq{{ctx: ctx1}, {ctx: ctx2}})
-	defer stop()
-
-	cancel1()
-	select {
-	case <-cctx.Done():
-		t.Fatal("computation context canceled while a waiter was still live")
-	case <-time.After(20 * time.Millisecond):
-	}
-	cancel2()
-	select {
-	case <-cctx.Done():
-	case <-time.After(time.Second):
-		t.Fatal("computation context not canceled after all waiters canceled")
-	}
-
-	// One uncancelable waiter pins the computation alive.
-	cctx2, stop2 := compCtx([]*engineReq{{ctx: ctx1}, {ctx: context.Background()}})
-	defer stop2()
-	if cctx2.Done() != nil {
-		t.Fatal("computation with an uncancelable waiter must never cancel")
 	}
 }

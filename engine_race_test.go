@@ -43,7 +43,7 @@ func bruteTopK(snap *Index, w []float64, k int) []Ranked {
 }
 
 func TestEngineConcurrentSnapshotIsolation(t *testing.T) {
-	engineHammer(t, EngineConfig{Workers: 2, MaxBatch: 8, CacheSize: 256})
+	engineHammer(t, EngineConfig{CacheSize: 256})
 }
 
 func engineHammer(t *testing.T, cfg EngineConfig) {

@@ -2,10 +2,12 @@ package wqrtq
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"wqrtq/internal/dataset"
 	"wqrtq/internal/sample"
@@ -265,9 +267,9 @@ func TestEngineCacheKeysResolvedOptions(t *testing.T) {
 
 func TestEngineBatchMergeCorrectness(t *testing.T) {
 	// Many concurrent ReverseTopK requests share (q, k) but carry different
-	// weight sets, so batches mix them; each must get exactly its own
-	// per-request result.
-	e, ix := testEngine(t, 2000, 3, EngineConfig{Workers: 2, MaxBatch: 16, CacheSize: -1})
+	// weight sets, so they contend for the compute slots together; each
+	// must get exactly its own per-request result.
+	e, ix := testEngine(t, 2000, 3, EngineConfig{CacheSize: -1})
 	q := []float64{0.02, 0.03, 0.02}
 	const clients, reqs = 8, 20
 	rng := rand.New(rand.NewSource(9))
@@ -320,9 +322,78 @@ func TestEngineBatchMergeCorrectness(t *testing.T) {
 	}
 }
 
+// TestEngineIdenticalConcurrentRequests sends 64 identical cold reverse
+// top-k requests at once, plus 16 more whose callers give up while they
+// wait for a compute slot. Every surviving caller gets the Index's answer,
+// and the survivors run at most one computation per slot: the first run
+// deposits before it gives its slot back, so every later holder finds the
+// answer in the cache.
+func TestEngineIdenticalConcurrentRequests(t *testing.T) {
+	e, ix := testEngine(t, 2000, 3, EngineConfig{Admission: true})
+	req := ReverseTopKRequest{Q: []float64{0.02, 0.03, 0.02}, K: 10, W: [][]float64{{0.2, 0.3, 0.5}, {0.6, 0.2, 0.2}, {0.1, 0.1, 0.8}}}
+	want, err := ix.ReverseTopK(req.W, req.Q, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const survivors, quitters = 64, 16
+	release := takeSlots(e)
+	gone, cancel := context.WithCancel(context.Background())
+	quit := make(chan error, quitters)
+	for range quitters {
+		go func() {
+			_, err := e.ReverseTopKCtx(gone, req)
+			quit <- err
+		}()
+	}
+	got := make([]ReverseTopKResponse, survivors)
+	errs := make([]error, survivors)
+	var wg sync.WaitGroup
+	for i := range survivors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = e.ReverseTopKCtx(context.Background(), req)
+		}()
+	}
+	waitAdmitted(e, survivors+quitters)
+	cancel()
+	for range quitters {
+		if err := <-quit; !errors.Is(err, context.Canceled) {
+			t.Fatalf("caller gone while waiting: err = %v, want context.Canceled", err)
+		}
+	}
+	release()
+	wg.Wait()
+	for i := range survivors {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i].Result, want) {
+			t.Fatalf("request %d: result %v, want %v", i, got[i].Result, want)
+		}
+	}
+	if runs := e.Stats().RTA["rtopk"].Runs; runs < 1 || runs > int64(cap(e.slots)) {
+		t.Fatalf("%d identical requests ran %d times, want 1 to %d (the slot count)", survivors, runs, cap(e.slots))
+	}
+}
+
+// TestEngineClose: Close waits for the computations in flight, and every
+// later call fails with ErrEngineClosed.
 func TestEngineClose(t *testing.T) {
 	e, _ := testEngine(t, 50, 2, EngineConfig{})
-	e.Close()
+	<-e.slots // a computation in flight
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a computation held its slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	e.slots <- struct{}{}
+	<-closed
 	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 1}); err != ErrEngineClosed {
 		t.Fatalf("TopK after close: %v", err)
 	}

@@ -2,13 +2,13 @@
 // front door: an AIMD adaptive concurrency limiter per class and
 // deadline-aware early shedding.
 //
-// Every request passes Admit before it is allowed to cost a queue slot or
-// an index traversal. A request is shed — with a machine-readable reason
+// Every request passes Admit before it is allowed to wait for a compute
+// slot or cost an index traversal. A request is shed — with a machine-readable reason
 // and a Retry-After hint — when:
 //
 //   - its context's remaining budget is below the current p50 service
 //     time for its class ("doomed": it would almost certainly expire
-//     while queued, so rejecting it now is strictly cheaper for everyone);
+//     while it waits, so rejecting it now is strictly cheaper for everyone);
 //   - its class's adaptive concurrency limit is reached ("concurrency":
 //     the AIMD controller has concluded that more in-flight work pushes
 //     latency past the target).

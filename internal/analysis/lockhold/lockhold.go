@@ -1,7 +1,7 @@
 // Package lockhold forbids blocking operations — channel sends/receives,
 // select, sync.WaitGroup.Wait, time.Sleep, and I/O package calls — while
 // an engine mutex is held. The serving engine's liveness argument
-// (batch pool progress, cancellation shedding, snapshot publication) rests
+// (compute-slot progress, cancellation, snapshot publication) rests
 // on those critical sections being short and non-blocking; the -race
 // hammers exercise it at runtime, this analyzer enforces it at vet time.
 //

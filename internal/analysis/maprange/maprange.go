@@ -18,7 +18,7 @@ import (
 )
 
 // OrderedPackages are the packages where map iteration order can reach an
-// answer: the engine batch/assembly layer, the HTTP response assembly in
+// answer: the engine's serve path, the HTTP response assembly in
 // the root package, and every scoring/evaluation package.
 var OrderedPackages = map[string]bool{
 	"wqrtq":                    true,

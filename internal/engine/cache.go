@@ -119,8 +119,8 @@ func (c *LRU[K, V]) Len() int {
 }
 
 // Stats returns the lookup hit/miss counters. Lookups, not requests: a
-// request that misses the engine's pre-submit fast path and again at batch
-// execution counts two misses.
+// request that misses the engine's fast path and again once it holds a
+// compute slot counts two misses.
 func (c *LRU[K, V]) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -47,8 +47,7 @@ type Outcome int
 const (
 	// OK: the request was served; counts toward goodput.
 	OK Outcome = iota
-	// Shed: the server rejected it at the door (admission, queue-full,
-	// degraded). Shed work is cheap by design and tracked separately.
+	// Shed: the server rejected it at the door (admission, degraded). Shed work is cheap by design and tracked separately.
 	Shed
 	// Failed: an unexpected error — transport failure, 5xx that is not a
 	// shed, malformed response.

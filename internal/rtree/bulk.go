@@ -1,8 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"wqrtq/internal/vec"
 )
@@ -112,9 +113,7 @@ func (t *Tree) strPack(entries []entry, axis int, leaf bool) []*Node {
 }
 
 func sortEntriesByCenter(es []entry, axis int) {
-	sort.Slice(es, func(i, j int) bool {
-		ci := es[i].rect.Min[axis] + es[i].rect.Max[axis]
-		cj := es[j].rect.Min[axis] + es[j].rect.Max[axis]
-		return ci < cj
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Compare(a.rect.Min[axis]+a.rect.Max[axis], b.rect.Min[axis]+b.rect.Max[axis])
 	})
 }

@@ -15,9 +15,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"wqrtq/internal/feq"
 
 	"wqrtq/internal/vec"
@@ -336,12 +337,11 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 }
 
 func sortEntries(es []entry, axis int, byUpper bool) {
-	sort.Slice(es, func(i, j int) bool {
-		if byUpper {
-			return es[i].rect.Max[axis] < es[j].rect.Max[axis]
-		}
-		return es[i].rect.Min[axis] < es[j].rect.Min[axis]
-	})
+	if byUpper {
+		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.rect.Max[axis], b.rect.Max[axis]) })
+		return
+	}
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.rect.Min[axis], b.rect.Min[axis]) })
 }
 
 func coverRect(es []entry) Rect {

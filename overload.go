@@ -3,10 +3,11 @@ package wqrtq
 // Overload and degradation surfaces of the serving engine (see also
 // internal/admission and durability.go):
 //
-//   - ErrOverloaded / OverloadError: the admission front door (or a full
-//     worker queue) rejected the request before it cost index work. The
-//     error carries the class, a machine-readable reason and a
-//     Retry-After hint, which the HTTP layer maps to 503 + Retry-After.
+//   - ErrOverloaded / OverloadError: the admission front door (or the
+//     deadline check after the compute-slot wait) rejected the request
+//     before it cost index work. The error carries the class, a
+//     machine-readable reason and a Retry-After hint, which the HTTP
+//     layer maps to 503 + Retry-After.
 //   - ErrDegraded / DegradedError: the durability layer hit persistent
 //     I/O failures and the engine is serving read-only. Queries keep
 //     answering from the immutable snapshot; mutations fail with this
@@ -31,19 +32,13 @@ var ErrOverloaded = errors.New("wqrtq: engine overloaded")
 // read-only degraded mode. The concrete error is always a *DegradedError.
 var ErrDegraded = errors.New("wqrtq: engine degraded (read-only)")
 
-// ReasonQueueFull is the OverloadError reason for a request that passed
-// admission but found the worker queue full; the other reasons
-// (admission.ReasonDoomed, ReasonConcurrency, ReasonInjected) come from the
-// admission controller.
-const ReasonQueueFull = "queue_full"
-
 // OverloadError reports a request shed by admission control. It matches
 // ErrOverloaded under errors.Is.
 type OverloadError struct {
 	// Class is "query" or "mutation".
 	Class string
-	// Reason is machine-readable: doomed_deadline, concurrency_limit,
-	// queue_full or fault_injected.
+	// Reason is machine-readable: doomed_deadline, concurrency_limit or
+	// fault_injected (the Reason constants of internal/admission).
 	Reason string
 	// RetryAfter hints when a retry has a real chance (zero = no data).
 	RetryAfter time.Duration

@@ -8,10 +8,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
+	"wqrtq/internal/admission"
 	"wqrtq/internal/engine"
 )
 
@@ -134,44 +134,24 @@ func endpointDelta(e *Engine, name string, f func()) engine.CounterSnapshot {
 	}
 }
 
-// gateCtx is a request context whose Err blocks until the gate opens: the
-// pool's drop check calls it on dequeue, so a gated request pins the worker
-// that took it — deterministically, with no index work — and is shed when
-// the gate opens.
-type gateCtx struct {
-	context.Context
-	gate    chan struct{}
-	entered chan struct{}
-	once    *sync.Once
-}
-
-func (g gateCtx) Err() error {
-	g.once.Do(func() { close(g.entered) })
-	<-g.gate
-	return context.Canceled
-}
-
-// blockWorker pins the engine's single worker behind a gate and returns the
-// function that releases it.
-func blockWorker(t *testing.T, e *Engine) (release func()) {
-	t.Helper()
-	g := gateCtx{Context: context.Background(), gate: make(chan struct{}), entered: make(chan struct{}), once: new(sync.Once)}
-	if queued, open := e.pool.TrySubmit(&engineReq{ctx: g, done: make(chan engineResp, 1)}); !queued || !open {
-		t.Fatal("could not queue the gate request")
+// takeSlots holds every compute slot of e, so a request that reaches the
+// slot wait stays there, and returns the function that gives them back.
+func takeSlots(e *Engine) (release func()) {
+	for range cap(e.slots) {
+		<-e.slots
 	}
-	<-g.entered
-	return func() { close(g.gate) }
+	return func() {
+		for range cap(e.slots) {
+			e.slots <- struct{}{}
+		}
+	}
 }
 
-// fillQueue fills every remaining slot of the worker queue with requests
-// the drop check will shed.
-func fillQueue(e *Engine) {
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	for {
-		if queued, _ := e.pool.TrySubmit(&engineReq{ctx: dead, done: make(chan engineResp, 1)}); !queued {
-			return
-		}
+// waitAdmitted blocks until n query-class requests are past the admission
+// door: from there each reaches the slot wait with nothing left to block on.
+func waitAdmitted(e *Engine, n int64) {
+	for e.Stats().Admission["query"].Inflight < n {
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -199,7 +179,7 @@ func TestEngineObservesEveryExitOnce(t *testing.T) {
 	cancel()
 
 	t.Run("admission on", func(t *testing.T) {
-		e, _ := testEngine(t, 200, 3, EngineConfig{Admission: true, Workers: 1, MaxBatch: 1})
+		e, _ := testEngine(t, 200, 3, EngineConfig{Admission: true})
 		ctx := context.Background()
 
 		// Invalid argument at the door, for every kind: the one validate
@@ -243,30 +223,36 @@ func TestEngineObservesEveryExitOnce(t *testing.T) {
 			}
 		}), 1, 0)
 
-		release := blockWorker(t, e)
-		want(t, "canceled while queued", endpointDelta(e, "topk", func() {
+		release := takeSlots(e)
+		want(t, "context ended while waiting for a slot", endpointDelta(e, "topk", func() {
 			cctx, ccancel := context.WithCancel(ctx)
 			done := make(chan error, 1)
 			go func() { done <- topk(cctx, e, fresh(2)) }()
-			// Admitted means past the door: from there the request reaches
-			// its wait, where the cancellation finds it.
-			for e.Stats().Admission["query"].Inflight == 0 {
-				time.Sleep(100 * time.Microsecond)
-			}
+			waitAdmitted(e, 1)
 			ccancel()
 			if err := <-done; !errors.Is(err, context.Canceled) {
-				t.Errorf("canceled while queued: err = %v", err)
+				t.Errorf("canceled while waiting: err = %v", err)
 			}
 		}), 1, 1)
 
-		fillQueue(e)
-		want(t, "queue full", endpointDelta(e, "topk", func() {
+		// Doomed after the slot wait: the door passes a 10 s budget while
+		// the class has no median yet; the tracker then learns a 20 s one,
+		// and the check that follows the wait sheds the request.
+		want(t, "doomed after the slot wait", endpointDelta(e, "topk", func() {
+			dctx, dcancel := context.WithTimeout(ctx, 10*time.Second)
+			defer dcancel()
+			done := make(chan error, 1)
+			go func() { done <- topk(dctx, e, fresh(3)) }()
+			waitAdmitted(e, 1)
+			for range 256 { // a whole tracker ring, so the median is 20 s
+				e.Admission().Observe(admission.Query, 20*time.Second)
+			}
+			release()
 			var oe *OverloadError
-			if err := topk(ctx, e, fresh(3)); !errors.As(err, &oe) || oe.Reason != ReasonQueueFull {
-				t.Errorf("queue full: err = %v", err)
+			if err := <-done; !errors.As(err, &oe) || oe.Reason != admission.ReasonDoomed {
+				t.Errorf("doomed after the slot wait: err = %v", err)
 			}
 		}), 1, 0)
-		release()
 
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -283,18 +269,17 @@ func TestEngineObservesEveryExitOnce(t *testing.T) {
 	})
 
 	t.Run("admission off", func(t *testing.T) {
-		e, _ := testEngine(t, 200, 3, EngineConfig{Workers: 1, MaxBatch: 1})
+		e, _ := testEngine(t, 200, 3, EngineConfig{})
 		ctx := context.Background()
 
-		// Without admission a full queue parks the caller until its
-		// context ends.
-		release := blockWorker(t, e)
-		fillQueue(e)
-		want(t, "context ended on a full queue", endpointDelta(e, "topk", func() {
+		// Without admission a caller waits for a slot until its context
+		// ends.
+		release := takeSlots(e)
+		want(t, "context ended while waiting for a slot", endpointDelta(e, "topk", func() {
 			tctx, tcancel := context.WithTimeout(ctx, 20*time.Millisecond)
 			defer tcancel()
 			if err := topk(tctx, e, okW); !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("full queue: err = %v", err)
+				t.Errorf("slots held: err = %v", err)
 			}
 		}), 1, 1)
 		release()

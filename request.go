@@ -12,8 +12,8 @@ package wqrtq
 // Index.validate), whether Options enter its cache key, and its executor.
 // Both serving paths are written once over that table — Index.serve
 // (validate → ctx.Err → answer → stamp) here and Engine.serve (validate →
-// key → cache → admit → submit → wait → observe) in serve.go, whose batch
-// executor calls the same Index.answer — and the sixteen typed *Ctx
+// key → cache → admit → slot → cache → answer → deposit → observe) in
+// serve.go, which calls the same Index.answer — and the sixteen typed *Ctx
 // methods only pack a request into a query and unpack the answer.
 //
 // Cancellation is cooperative: the long-running layers — the branch-and-
@@ -47,7 +47,7 @@ type TopKResponse struct {
 	// Epoch identifies the snapshot that produced the result.
 	Epoch uint64
 	// Elapsed is the wall-clock time the query spent inside the callee
-	// (for Engine requests this includes queueing and batching time).
+	// (for Engine requests this includes the compute-slot wait).
 	Elapsed time.Duration
 	// Result holds the k best points in rank order.
 	Result []Ranked
@@ -217,8 +217,8 @@ var kinds = [numKinds]kindSpec{
 // query is one request of any kind: the union of the typed request structs'
 // fields, plus what validation derives from them. A query validated on one
 // snapshot is valid on every snapshot of the clone family — dimensionality
-// never changes — so the engine validates at its door and its workers
-// answer without validating again.
+// never changes — so the engine validates at its door and answers without
+// validating again.
 type query struct {
 	kind kind
 	w    []float64   // the one weighting vector of topk and rank
@@ -236,7 +236,7 @@ type query struct {
 
 // validate is the one request-boundary check of every kind on both serving
 // paths: each failure is tagged ErrInvalidArgument and found before the
-// request costs a queue slot or a band build. internal/core keeps its own
+// request costs a compute slot or a band build. internal/core keeps its own
 // validateInput as the internal packages' guard.
 func (ix *Index) validate(a *query) (err error) {
 	spec := &kinds[a.kind]

@@ -1,23 +1,24 @@
 package wqrtq
 
 // The concurrent query-serving engine: copy-on-write snapshots let
-// Insert/Delete proceed while queries run from any number of goroutines, a
-// bounded worker pool drains already-queued queries into batches (identical
-// requests in a batch run once), and an LRU cache keyed by (snapshot epoch,
-// query) serves repeated traffic without touching the index. The
-// concurrency substrate (pool, cache, metrics) lives in internal/engine;
-// this file binds it to the Index.
+// Insert/Delete proceed while queries run from any number of goroutines,
+// each query computes on its caller's goroutine under one of GOMAXPROCS
+// compute slots, and an LRU cache keyed by (snapshot epoch, query) serves
+// repeated traffic without touching the index. The cache and the metrics
+// live in internal/engine; this file binds them to the Index.
 //
 // Every query of every kind takes the one path Engine.serve — validate on
-// the snapshot → key → cache → admit → submit → wait → observe — and every
-// mutation the one path Engine.mutate; what a kind is (fields, validation,
-// cache key, metrics name, executor) is the kinds table of request.go.
+// the snapshot → key → cache → admit → slot → cache → answer → deposit →
+// observe — and every mutation the one path Engine.mutate; what a kind is
+// (fields, validation, cache key, metrics name, executor) is the kinds
+// table of request.go.
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,18 +33,12 @@ import (
 var ErrEngineClosed = errors.New("wqrtq: engine is closed")
 
 // EngineConfig tunes the serving engine. The zero value is a sensible
-// latency-oriented default. It sizes the pool, the cache, durability and
-// admission; which index structures answer a query is not configurable —
-// the skyband, kernel and cell-index layers always serve.
+// latency-oriented default. It sizes the cache, durability and admission;
+// how many queries compute at once (GOMAXPROCS) and which index structures
+// answer a query are not configurable — the skyband, kernel and cell-index
+// layers always serve.
 type EngineConfig struct {
-	// Workers is the number of query worker goroutines; <= 0 uses
-	// GOMAXPROCS.
-	Workers int
-	// MaxBatch caps how many concurrent requests one worker coalesces into
-	// a batch; <= 0 uses 32.
-	MaxBatch int
-	// Deprecated: ignored; a worker batches only requests already queued
-	// and never waits for more.
+	// Deprecated: ignored; the engine does not batch requests.
 	BatchLinger time.Duration
 	// CacheSize is the capacity of the (epoch, query)-keyed LRU result
 	// cache. 0 uses 4096; negative disables caching.
@@ -75,12 +70,11 @@ type EngineConfig struct {
 	// Admission enables the overload-control front door
 	// (internal/admission): a per-class AIMD concurrency limiter steering
 	// accepted-request latency toward AdmissionTargetLatency, and
-	// deadline-aware early shedding. A
-	// rejected request fails with ErrOverloaded (an *OverloadError
-	// carrying class, reason and a Retry-After hint) instead of queueing;
-	// with admission on the engine never parks a caller behind a full
-	// worker queue. Off by default, so the pure library behaves exactly
-	// as before; `wqrtq serve` enables it (the -admission flag).
+	// deadline-aware early shedding. A rejected request fails with
+	// ErrOverloaded (an *OverloadError carrying class, reason and a
+	// Retry-After hint) instead of waiting for a compute slot. Off by
+	// default, so the pure library behaves exactly as before; `wqrtq
+	// serve` enables it (the -admission flag).
 	Admission bool
 	// AdmissionMaxInflight caps each class's adaptive concurrency window;
 	// <= 0 uses 256.
@@ -91,9 +85,6 @@ type EngineConfig struct {
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
@@ -114,7 +105,10 @@ type Engine struct {
 	cfg     EngineConfig
 	mu      sync.Mutex // serializes mutations
 	current atomic.Pointer[Index]
-	pool    *engine.Pool[*engineReq]
+	// slots holds one token per query allowed to compute at once
+	// (GOMAXPROCS at NewEngine); a query takes one after admission and
+	// gives it back once its answer is deposited.
+	slots   chan struct{}
 	cache   *engine.LRU[cacheKey, any] // nil when disabled
 	metrics *engine.Metrics
 	closed  atomic.Bool
@@ -125,13 +119,12 @@ type Engine struct {
 	dur       *durable
 	closeOnce sync.Once
 	closeErr  error
-	// keepEpoch is the deposit guard for AddIf: allocated once so the
-	// batch executor's deposit does not build a closure per result.
+	// keepEpoch is the deposit guard for AddIf: allocated once so a
+	// deposit does not build a closure per result.
 	keepEpoch func(cacheKey) bool
 	// Per-kind RTA totals (the kinds with a kindSpec.rta: rtopk and
 	// whynot), accumulated when a computation actually runs — cache hits
-	// and deduplicated co-waiters share the producing run's statistics
-	// without re-counting them.
+	// share the producing run's statistics without re-counting them.
 	rta [numKinds]rtaTotals
 }
 
@@ -153,8 +146,8 @@ func (t *rtaTotals) add(s RTAStats) {
 // RTATotals is the cumulative reverse top-k work of one endpoint, as
 // surfaced in EngineStats and /v1/stats.
 type RTATotals struct {
-	// Runs counts the evaluations actually executed (cache hits and
-	// deduplicated co-waiters do not add runs).
+	// Runs counts the evaluations actually executed (cache hits do not
+	// add runs).
 	Runs int64 `json:"runs"`
 	// Evaluated and Pruned total the per-run vector counts (see RTAStats).
 	Evaluated int64 `json:"evaluated"`
@@ -198,7 +191,10 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 		}
 		ix, dur = rix, d
 	}
-	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur}
+	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	for range cap(e.slots) {
+		e.slots <- struct{}{}
+	}
 	e.current.Store(ix)
 	e.keepEpoch = func(k cacheKey) bool { return k.epoch == e.current.Load().Epoch() }
 	if cfg.CacheSize > 0 {
@@ -210,7 +206,6 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 			TargetLatency: cfg.AdmissionTargetLatency,
 		})
 	}
-	e.pool = engine.NewPool(cfg.Workers, cfg.MaxBatch, e.dropReq, e.exec)
 	return e, nil
 }
 
@@ -219,45 +214,26 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 // the load harness and degraded-mode tests drive.
 func (e *Engine) Admission() *admission.Controller { return e.adm }
 
-// dropReq sheds a queued request that is no longer worth running: one
-// whose context ended while it waited (the waiter has already unblocked
-// via its own ctx select and is answered with the context's error), and —
-// with admission on — one whose remaining deadline budget has fallen
-// below the query class's observed p50 service time. The second case is
-// queued-but-doomed work the admission door could not catch, because the
-// backlog grew after it was admitted; shedding it at dequeue is the last
-// moment it can still cost nothing.
-func (e *Engine) dropReq(r *engineReq) bool {
-	if r.ctx == nil {
-		return false
-	}
-	if err := r.ctx.Err(); err != nil {
-		r.done <- engineResp{err: err}
-		return true
-	}
-	if e.adm != nil {
-		if dl, ok := r.ctx.Deadline(); ok {
-			if p50 := e.adm.P50(admission.Query); p50 > 0 && time.Until(dl) < p50 {
-				r.done <- engineResp{err: &OverloadError{Class: "query", Reason: admission.ReasonDoomed, RetryAfter: p50}}
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Close stops the engine: in-flight and already-queued requests finish,
-// later calls — mutations included — fail with ErrEngineClosed. With a
-// data directory, Close then settles durability: the WAL is flushed and
-// fsynced regardless of policy (every mutation acknowledged before Close
-// is durable once Close returns), and an in-flight background checkpoint
-// is either completed or cleanly abandoned (its temp file is removed at
-// the next startup; the sealed WAL still covers every mutation). Close is
+// Close stops the engine: computations in flight finish, later calls —
+// mutations included — fail with ErrEngineClosed. With a data directory,
+// Close then settles durability: the WAL is flushed and fsynced regardless
+// of policy (every mutation acknowledged before Close is durable once
+// Close returns), and an in-flight background checkpoint is either
+// completed or cleanly abandoned (its temp file is removed at the next
+// startup; the sealed WAL still covers every mutation). Close is
 // idempotent and every call returns the first close's error.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		e.pool.Close()
+		// Barrier: holding every compute slot means no computation is in
+		// flight. They go back at once; a request that takes one from here
+		// on sees closed and fails.
+		for range cap(e.slots) {
+			<-e.slots
+		}
+		for range cap(e.slots) {
+			e.slots <- struct{}{}
+		}
 		// Barrier: a mutation that passed its closed check before the
 		// store above may still be inside e.mu appending to the WAL or
 		// triggering a checkpoint. Taking the lock here waits it out, and
@@ -394,7 +370,7 @@ func (e *Engine) mutate(name string, apply func(cur *Index) (next *Index, logTo 
 // longer reachable by any lookup, since lookups always key on the current
 // epoch — would linger until capacity pressure pushed them out, silently
 // halving the effective cache under mutation-heavy load. Deposits cannot
-// race past it: batch execution deposits through AddIf with an
+// race past it: Engine.serve deposits through AddIf with an
 // epoch-is-still-current guard evaluated under the cache lock, so a result
 // computed against a superseded snapshot is dropped instead of stranding a
 // dead-epoch entry until the next mutation.
@@ -407,11 +383,11 @@ func (e *Engine) sweepCache(current uint64) {
 	})
 }
 
-// TopKCtx serves a TopKRequest, batched and cached, with cooperative
-// cancellation: a request whose context ends while queued is shed without
-// index work, and one canceled mid-evaluation unwinds within one check
-// interval. The response's Elapsed includes queueing and batching time, and
-// its Epoch identifies the snapshot that produced the result.
+// TopKCtx serves a TopKRequest, cached, with cooperative cancellation: a
+// request whose context ends while it waits for a compute slot returns
+// without index work, and one canceled mid-evaluation unwinds within one
+// check interval. The response's Elapsed includes the slot wait, and its
+// Epoch identifies the snapshot that produced the result.
 func (e *Engine) TopKCtx(ctx context.Context, req TopKRequest) (TopKResponse, error) {
 	return serveTopK(ctx, e, req)
 }
@@ -422,10 +398,6 @@ func (e *Engine) RankCtx(ctx context.Context, req RankRequest) (RankResponse, er
 }
 
 // ReverseTopKCtx serves a ReverseTopKRequest with cooperative cancellation.
-// Identical concurrent calls that land in one batch run once. That shared
-// run is aborted only when every waiter's context is done: one canceled
-// waiter unblocks immediately with its context's error while the run keeps
-// going for the rest.
 func (e *Engine) ReverseTopKCtx(ctx context.Context, req ReverseTopKRequest) (ReverseTopKResponse, error) {
 	return serveReverseTopK(ctx, e, req)
 }
@@ -443,19 +415,19 @@ func (e *Engine) WhyNotCtx(ctx context.Context, req WhyNotRequest) (WhyNotRespon
 }
 
 // ModifyQueryCtx serves a ModifyQueryRequest (MQP) through the engine:
-// batched, cached under the snapshot epoch, and cancelable.
+// cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyQueryCtx(ctx context.Context, req ModifyQueryRequest) (ModifyQueryResponse, error) {
 	return serveModifyQuery(ctx, e, req)
 }
 
 // ModifyPreferencesCtx serves a ModifyPreferencesRequest (MWK) through the
-// engine: batched, cached under the snapshot epoch, and cancelable.
+// engine: cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyPreferencesCtx(ctx context.Context, req ModifyPreferencesRequest) (ModifyPreferencesResponse, error) {
 	return serveModifyPreferences(ctx, e, req)
 }
 
 // ModifyAllCtx serves a ModifyAllRequest (MQWK) through the engine:
-// batched, cached under the snapshot epoch, and cancelable.
+// cached under the snapshot epoch, and cancelable.
 func (e *Engine) ModifyAllCtx(ctx context.Context, req ModifyAllRequest) (ModifyAllResponse, error) {
 	return serveModifyAll(ctx, e, req)
 }
@@ -541,38 +513,19 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
-// engineReq is one queued query. key is the exact binary encoding of the
-// arguments (without the epoch, which is prefixed at execution time). ctx is
-// the caller's context: the pool sheds the request if it ends while queued,
-// and a running computation is canceled only when the contexts of all its
-// waiters are done.
-type engineReq struct {
-	query
-	ctx  context.Context
-	key  string
-	done chan engineResp
-}
-
-type engineResp struct {
-	val   any
-	epoch uint64
-	err   error
-}
-
 // isCtxErr reports whether err is a context cancellation or deadline error.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // serve is the Engine request path, the one place a request of any kind
-// opens and closes: validate on the current snapshot → key → cache fast
-// path → admission door → submit to the worker pool → wait → observe.
-// Every exit is observed exactly once (the first defer) and the admission
-// ticket is released exactly once (the second). The caller unblocks as soon
-// as ctx ends, even if the request is still queued (the pool then sheds it
-// without work). With admission on, a request that cannot get a queue slot
-// immediately is shed with ErrOverloaded instead of parking the caller
-// behind a backlog.
+// opens and closes, all on the caller's goroutine: validate on the current
+// snapshot → key → cache fast path → admission door → compute slot → cache
+// again → answer on the validated snapshot → deposit. Every exit is
+// observed exactly once (the first defer), and the admission ticket and the
+// slot are released exactly once. The slot wait ends with ctx. The second
+// cache look finds the answer of an identical request that held a slot
+// first, since a run deposits before it gives its slot back.
 func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, elapsed time.Duration, err error) {
 	start := time.Now()
 	name := kinds[a.kind].name
@@ -590,157 +543,68 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 	if err = ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	r := &engineReq{query: a, ctx: ctx, key: argKey(&a)}
+	key := cacheKey{epoch: snap.Epoch(), key: argKey(&a)}
 	if e.cache != nil {
-		if v, ok := e.cacheGet(snap.Epoch(), r.key); ok {
+		if v, ok := e.cacheGet(key.epoch, key.key); ok {
 			if e.adm != nil {
 				// Cache hits bypass admission but still shape the class's
 				// service-time estimate: under cache-heavy traffic the
 				// median service time really is a cache hit.
 				e.adm.Observe(admission.Query, time.Since(start))
 			}
-			return v, snap.Epoch(), 0, nil
+			return v, key.epoch, 0, nil
 		}
 	}
 	// The door: deadline-aware shedding and the AIMD concurrency window —
-	// both before the request costs a queue slot.
+	// both before the request waits for a slot.
 	ticket, err := e.admit(ctx, admission.Query)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	r.done = make(chan engineResp, 1)
 	if ticket != nil {
 		defer func() { ticket.Done(time.Since(start)) }()
-		queued, open := e.pool.TrySubmit(r)
-		if !open {
-			return nil, 0, 0, ErrEngineClosed
-		}
-		if !queued {
-			return nil, 0, 0, &OverloadError{Class: "query", Reason: ReasonQueueFull, RetryAfter: e.adm.P50(admission.Query)}
-		}
-	} else {
-		ok, err := e.pool.SubmitCtx(ctx, r)
-		if err != nil {
-			// The queue was full when the context ended; no work was queued.
-			return nil, 0, 0, err
-		}
-		if !ok {
-			return nil, 0, 0, ErrEngineClosed
-		}
 	}
 	select {
-	case resp := <-r.done:
-		return resp.val, resp.epoch, 0, resp.err
+	case <-e.slots:
 	case <-ctx.Done():
-		// The queued request is shed by the pool's drop check or answered
-		// into the buffered done channel; nothing leaks.
 		return nil, 0, 0, ctx.Err()
 	}
-}
-
-// compCtx returns the context a deduplicated computation runs
-// under: canceled only once every waiter's context is done, so one canceled
-// waiter never aborts co-waiters sharing the work. The returned stop must be
-// called when the computation finishes to release the watcher goroutine.
-func compCtx(reqs []*engineReq) (context.Context, context.CancelFunc) {
-	if len(reqs) == 1 {
-		// Sole waiter: its own context is exactly the right computation
-		// context, with no watcher goroutine. This is the hot path — most
-		// batch entries are not deduplicated.
-		if ctx := reqs[0].ctx; ctx != nil {
-			return ctx, func() {}
-		}
-		return context.Background(), func() {}
+	defer func() { e.slots <- struct{}{} }()
+	if e.closed.Load() {
+		return nil, 0, 0, ErrEngineClosed
 	}
-	for _, r := range reqs {
-		if r.ctx == nil || r.ctx.Done() == nil {
-			// At least one waiter can never cancel: the computation always
-			// runs to completion and the watcher is unnecessary.
-			return context.Background(), func() {}
-		}
+	if err = ctx.Err(); err != nil {
+		return nil, 0, 0, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for _, r := range reqs {
-			select {
-			case <-r.ctx.Done():
-			case <-ctx.Done():
-				return
+	if e.adm != nil {
+		// The slot wait may have eaten the budget the door let through:
+		// a deadline now closer than the class's median service time is
+		// shed before it costs index work.
+		if dl, ok := ctx.Deadline(); ok {
+			if p50 := e.adm.P50(admission.Query); p50 > 0 && time.Until(dl) < p50 {
+				return nil, 0, 0, &OverloadError{Class: "query", Reason: admission.ReasonDoomed, RetryAfter: p50}
 			}
 		}
-		cancel()
-	}()
-	return ctx, cancel
-}
-
-// exec serves one batch: it loads the snapshot once (the batch's
-// linearization point), answers cache hits, sheds requests whose context
-// already ended, runs each distinct request once through run, and fans
-// results back out to identical requests. A deduplicated computation runs
-// under a context that cancels only when every waiter's context is done.
-func (e *Engine) exec(batch []*engineReq) {
-	snap := e.current.Load()
-	epoch := snap.Epoch()
-
-	waiters := make(map[cacheKey][]*engineReq, len(batch))
-	var unique []*engineReq
-	for _, r := range batch {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.done <- engineResp{epoch: epoch, err: err}
-				continue
-			}
-		}
-		full := cacheKey{epoch: epoch, key: r.key}
-		if e.cache != nil {
-			if v, ok := e.cache.Get(full); ok {
-				r.done <- engineResp{val: v, epoch: epoch}
-				continue
-			}
-		}
-		if _, dup := waiters[full]; dup {
-			waiters[full] = append(waiters[full], r)
-			continue
-		}
-		waiters[full] = []*engineReq{r}
-		unique = append(unique, r)
 	}
-
-	for _, r := range unique {
-		full := cacheKey{epoch: epoch, key: r.key}
-		cctx, stop := compCtx(waiters[full])
-		val, err := e.run(cctx, snap, r)
-		stop()
-		if err == nil && e.cache != nil {
-			// Epoch-guarded deposit: if a mutation published a newer
-			// snapshot while this result was computing, the sweep has
-			// already run and depositing would strand a dead-epoch entry;
-			// AddIf checks under the cache lock and drops it instead.
-			e.cache.AddIf(full, val, e.keepEpoch)
-		}
-		for _, w := range waiters[full] {
-			werr := err
-			if err != nil && isCtxErr(err) && w.ctx != nil {
-				// A shared computation only aborts once every waiter is
-				// canceled; report each waiter's own context error.
-				if own := w.ctx.Err(); own != nil {
-					werr = own
-				}
-			}
-			w.done <- engineResp{val: val, epoch: epoch, err: werr}
+	if e.cache != nil {
+		if v, ok := e.cache.Get(key); ok {
+			return v, key.epoch, 0, nil
 		}
 	}
-}
-
-// run executes one validated request against the batch's snapshot — the
-// same Index.answer the Index path calls — and adds an executed RTA stage
-// to its kind's totals.
-func (e *Engine) run(ctx context.Context, snap *Index, r *engineReq) (any, error) {
-	val, err := snap.answer(ctx, &r.query)
-	if rta := kinds[r.kind].rta; rta != nil && err == nil {
-		e.rta[r.kind].add(rta(val))
+	if val, err = snap.answer(ctx, &a); err != nil {
+		return nil, 0, 0, err
 	}
-	return val, err
+	if rta := kinds[a.kind].rta; rta != nil {
+		e.rta[a.kind].add(rta(val))
+	}
+	if e.cache != nil {
+		// Epoch-guarded deposit: if a mutation published a newer snapshot
+		// while this answer was computing, the sweep has already run and
+		// depositing would strand a dead-epoch entry; AddIf checks under
+		// the cache lock and drops it instead.
+		e.cache.AddIf(key, val, e.keepEpoch)
+	}
+	return val, key.epoch, 0, nil
 }
 
 // argKey encodes a validated query's kind and arguments exactly (no

@@ -37,9 +37,8 @@
 // Insert and Delete require external serialization against queries. To mix
 // mutations with live query traffic, wrap the index in an Engine: it
 // publishes copy-on-write snapshots (Index.Clone) so mutations never
-// disturb in-flight queries, batches the queries already queued (running
-// each distinct request once and sharing its answer among identical
-// ones), and caches results under (snapshot epoch, query) keys. The
+// disturb in-flight queries, runs at most GOMAXPROCS queries at once, and
+// caches results under (snapshot epoch, query) keys. The
 // wqrtq command's serve subcommand exposes the engine over JSON/HTTP.
 package wqrtq
 
