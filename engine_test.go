@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -372,8 +373,8 @@ func TestEngineIdenticalConcurrentRequests(t *testing.T) {
 			t.Fatalf("request %d: result %v, want %v", i, got[i].Result, want)
 		}
 	}
-	if runs := e.Stats().RTA["rtopk"].Runs; runs < 1 || runs > int64(cap(e.slots)) {
-		t.Fatalf("%d identical requests ran %d times, want 1 to %d (the slot count)", survivors, runs, cap(e.slots))
+	if runs := e.Stats().RTA["rtopk"].Runs; runs < 1 || runs > int64(runtime.GOMAXPROCS(0)) {
+		t.Fatalf("%d identical requests ran %d times, want 1 to %d (the slot count)", survivors, runs, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -381,7 +382,9 @@ func TestEngineIdenticalConcurrentRequests(t *testing.T) {
 // later call fails with ErrEngineClosed.
 func TestEngineClose(t *testing.T) {
 	e, _ := testEngine(t, 50, 2, EngineConfig{})
-	<-e.slots // a computation in flight
+	if err := e.pool.Acquire(context.Background()); err != nil { // a computation in flight
+		t.Fatal(err)
+	}
 	closed := make(chan struct{})
 	go func() {
 		e.Close()
@@ -392,7 +395,7 @@ func TestEngineClose(t *testing.T) {
 		t.Fatal("Close returned while a computation held its slot")
 	case <-time.After(20 * time.Millisecond):
 	}
-	e.slots <- struct{}{}
+	e.pool.Release()
 	<-closed
 	if _, err := e.TopKCtx(context.Background(), TopKRequest{W: []float64{0.5, 0.5}, K: 1}); err != ErrEngineClosed {
 		t.Fatalf("TopK after close: %v", err)

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -137,12 +138,14 @@ func endpointDelta(e *Engine, name string, f func()) engine.CounterSnapshot {
 // takeSlots holds every compute slot of e, so a request that reaches the
 // slot wait stays there, and returns the function that gives them back.
 func takeSlots(e *Engine) (release func()) {
-	for range cap(e.slots) {
-		<-e.slots
+	for range runtime.GOMAXPROCS(0) {
+		if err := e.pool.Acquire(context.Background()); err != nil {
+			panic(err)
+		}
 	}
 	return func() {
-		for range cap(e.slots) {
-			e.slots <- struct{}{}
+		for range runtime.GOMAXPROCS(0) {
+			e.pool.Release()
 		}
 	}
 }

@@ -105,10 +105,10 @@ type Engine struct {
 	cfg     EngineConfig
 	mu      sync.Mutex // serializes mutations
 	current atomic.Pointer[Index]
-	// slots holds one token per query allowed to compute at once
+	// pool holds one slot per query allowed to compute at once
 	// (GOMAXPROCS at NewEngine); a query takes one after admission and
 	// gives it back once its answer is deposited.
-	slots   chan struct{}
+	pool    *engine.SlotPool
 	cache   *engine.LRU[cacheKey, any] // nil when disabled
 	metrics *engine.Metrics
 	closed  atomic.Bool
@@ -191,10 +191,7 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 		}
 		ix, dur = rix, d
 	}
-	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
-	for range cap(e.slots) {
-		e.slots <- struct{}{}
-	}
+	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur, pool: engine.NewSlotPool(runtime.GOMAXPROCS(0))}
 	e.current.Store(ix)
 	e.keepEpoch = func(k cacheKey) bool { return k.epoch == e.current.Load().Epoch() }
 	if cfg.CacheSize > 0 {
@@ -225,15 +222,9 @@ func (e *Engine) Admission() *admission.Controller { return e.adm }
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		// Barrier: holding every compute slot means no computation is in
-		// flight. They go back at once; a request that takes one from here
-		// on sees closed and fails.
-		for range cap(e.slots) {
-			<-e.slots
-		}
-		for range cap(e.slots) {
-			e.slots <- struct{}{}
-		}
+		// Barrier: the pool's Close waits out every computation holding a
+		// slot; a request that takes one from here on fails.
+		e.pool.Close()
 		// Barrier: a mutation that passed its closed check before the
 		// store above may still be inside e.mu appending to the WAL or
 		// triggering a checkpoint. Taking the lock here waits it out, and
@@ -564,18 +555,13 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 	if ticket != nil {
 		defer func() { ticket.Done(time.Since(start)) }()
 	}
-	select {
-	case <-e.slots:
-	case <-ctx.Done():
-		return nil, 0, 0, ctx.Err()
-	}
-	defer func() { e.slots <- struct{}{} }()
-	if e.closed.Load() {
-		return nil, 0, 0, ErrEngineClosed
-	}
-	if err = ctx.Err(); err != nil {
+	if err = e.pool.Acquire(ctx); err != nil {
+		if errors.Is(err, engine.ErrPoolClosed) {
+			err = ErrEngineClosed
+		}
 		return nil, 0, 0, err
 	}
+	defer e.pool.Release()
 	if e.adm != nil {
 		// The slot wait may have eaten the budget the door let through:
 		// a deadline now closer than the class's median service time is
