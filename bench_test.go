@@ -572,6 +572,100 @@ func BenchmarkReverseTopKDims(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstQuery times what a request pays on a cold index: the first
+// ReverseTopK (|W| = 1 000, k = 10, a query point ranked k-th under one of
+// the vectors) and the first Table-1 WhyNot (k = 10, actual rank 101,
+// |Wm| = 1, |S| = |Q| = 24) on a fresh NewIndex, against warm ones, asked
+// once every band and grid the earlier reads started has landed. Each
+// "first" op builds its index outside the timer and lets the index's
+// background builds finish, also outside it. The cells are UN n = 100k
+// d = 3, NBA-like n = 17 265 d = 13 and household-like n = 100k d = 6
+// (whose 10-band is the whole dataset).
+func BenchmarkFirstQuery(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ds   func() *dataset.Dataset
+	}{
+		{"UN-d3", func() *dataset.Dataset { return dataset.Independent(100000, 3, 1) }},
+		{"nba-d13", func() *dataset.Dataset { return dataset.NBALike(17265, 1) }},
+		{"household-d6", func() *dataset.Dataset { return dataset.HouseholdLike(100000, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := c.ds()
+			pts := make([][]float64, len(ds.Points))
+			for i, p := range ds.Points {
+				pts[i] = p
+			}
+			newIndex := func(b *testing.B) *Index {
+				ix, err := NewIndex(pts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return ix
+			}
+			rng := rand.New(rand.NewSource(3))
+			W := make([][]float64, 1000)
+			for i := range W {
+				W[i] = sample.RandSimplex(rng, ds.Dim)
+			}
+			top, err := newIndex(b).TopK(W[0], benchK)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rtopkReq := ReverseTopKRequest{Q: top[benchK-1].Point, K: benchK, W: W}
+			var whyNotReq WhyNotRequest
+			for seed := int64(1); whyNotReq.W == nil; seed++ {
+				if wl, err := dataset.MakeWhyNot(ds, benchK, benchRank, 1, seed); err == nil {
+					whyNotReq = WhyNotRequest{Q: wl.Q, K: wl.K, W: [][]float64{wl.Wm[0]}, Opts: Options{SampleSize: 24, Seed: 1}}
+				}
+			}
+			for _, kind := range []struct {
+				name string
+				ask  func(ix *Index) error
+			}{
+				{"rtopk", func(ix *Index) error {
+					_, err := ix.ReverseTopKCtx(context.Background(), rtopkReq)
+					return err
+				}},
+				{"whynot", func(ix *Index) error {
+					_, err := ix.WhyNotCtx(context.Background(), whyNotReq)
+					return err
+				}},
+			} {
+				b.Run(kind.name+"/first", func(b *testing.B) {
+					b.StopTimer()
+					for i := 0; i < b.N; i++ {
+						ix := newIndex(b)
+						b.StartTimer()
+						if err := kind.ask(ix); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						settle(ix)
+					}
+				})
+				b.Run(kind.name+"/warm", func(b *testing.B) {
+					ix := newIndex(b)
+					// Full tree → band tree → grid: each read starts the
+					// next tier's build.
+					for range 3 {
+						if err := kind.ask(ix); err != nil {
+							b.Fatal(err)
+						}
+						settle(ix)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := kind.ask(ix); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkEngineReverseTopK measures serving-engine throughput for
 // bichromatic reverse top-k requests at 1, 4 and 16 concurrent clients over
 // the UN (independent) dataset. Each request carries its own small
@@ -590,10 +684,6 @@ func BenchmarkEngineReverseTopK(b *testing.B) {
 	for i, p := range ds.Points {
 		pts[i] = p
 	}
-	ix, err := NewIndex(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	q := []float64{0.02, 0.03, 0.02}
 	const vectorsPerRequest = 2
 	rng := rand.New(rand.NewSource(11))
@@ -607,7 +697,13 @@ func BenchmarkEngineReverseTopK(b *testing.B) {
 	}
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			e, err := NewEngine(ix.Clone(), EngineConfig{
+			// An index of its own: Close stops the background builds of
+			// the engine's whole clone family.
+			ix, err := NewIndex(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := NewEngine(ix, EngineConfig{
 				CacheSize: -1, // exclude memoization from the measurement
 			})
 			if err != nil {

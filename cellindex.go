@@ -1,8 +1,7 @@
 package wqrtq
 
 // The materialized reverse-top-k cell index (internal/cellindex) bound to
-// the Index: eligible bichromatic reverse top-k evaluations — ReverseTopK
-// itself and the membership stage of the fused why-not pipeline — answer each
+// the Index: eligible bichromatic reverse top-k evaluations answer each
 // weighting vector from a point-located grid cell's precomputed candidate
 // superset instead of sweeping the whole k-skyband, and monochromatic
 // reverse top-k gets an exact algorithm at d = 3 and 4 (ReverseTopKMonoND).
@@ -11,9 +10,9 @@ package wqrtq
 // the unexported cellOff field (the differential suite in cellindex_test.go
 // proves it end to end; see DESIGN.md §10 for the construction and the
 // count-preservation argument). The index rides on the skyband bands —
-// each grid is built over its band and lives on it, so band reads tick the
-// skyband counters — and reports its scan work through the kernel
-// counters; under skyOff there is no grid either.
+// each grid is built in the background over its band and lives on it, so
+// band reads tick the skyband counters — and reports its scan work through
+// the kernel counters; under skyOff there is no grid either.
 
 import (
 	"wqrtq/internal/cellindex"
@@ -22,14 +21,26 @@ import (
 )
 
 // cellGrid returns the cell grid of band b (ix.band's answer, nil under
-// skyOff), or nil when a test has switched the cell index off or b has no
-// grid (cell budget, pass-through band, basis size) — callers then use the
-// count descent, which answers identically.
+// skyOff), waiting for its build, or nil when a test has switched the cell
+// index off or b has no grid (cell budget, pass-through band, basis size).
+// Only the exact monochromatic query, which has no tier below the grid,
+// waits; the request path uses readyGrid.
 func (ix *Index) cellGrid(b *skyband.Band) *cellindex.Grid {
 	if ix.cellOff || b == nil {
 		return nil
 	}
 	return cellindex.Of(b, ix.cct)
+}
+
+// readyGrid returns the cell grid of band b once built, and nil when the
+// cell index is off, b has no grid, or the grid is still building in the
+// background — callers then use the count descent over b's tree, which
+// answers identically.
+func (ix *Index) readyGrid(b *skyband.Band) *cellindex.Grid {
+	if ix.cellOff {
+		return nil
+	}
+	return cellindex.Ready(b, ix.cct)
 }
 
 // MonoCell is one cell of a d >= 3 monochromatic reverse top-k answer:

@@ -69,6 +69,7 @@ func TestCellIndexDifferential(t *testing.T) {
 				}
 				for _, skybandOn := range []bool{true, false} {
 					on, off := cellPair(t, pts, skybandOn)
+					warm(on, k)
 					gotRTK, err := on.ReverseTopK(W, q, k)
 					if err != nil {
 						t.Fatal(err)
@@ -83,7 +84,7 @@ func TestCellIndexDifferential(t *testing.T) {
 					}
 					// Guard against a vacuous suite: wherever a grid exists
 					// (a built band, d <= 4) it must have answered.
-					if skybandOn && 4*k < len(pts) && on.CellIndexStats().Lookups == 0 {
+					if skybandOn && !on.band(k).Full() && on.CellIndexStats().Lookups == 0 {
 						t.Fatalf("case %d: n=%d d=%d k=%d: the grid arm made no cell lookup", i, len(pts), d, k)
 					}
 					gotRank, _ := on.Rank(W[0], q)
@@ -100,9 +101,9 @@ func TestCellIndexDifferential(t *testing.T) {
 
 // TestCellIndexWhyNotPenalties runs the full why-not pipeline with
 // identical seeds on cellindex-on and cellindex-off indexes and requires
-// bit-identical answers, penalties included, across the sequential and
-// parallel MQWK paths and skyband on/off (the fused pipeline's RTA
-// stage is where the cell grids serve).
+// bit-identical answers, penalties included, with skyband on and off. The
+// pipeline's membership stage is a count descent over the full tree, so a
+// why-not builds no k-band and no grid and makes no cell lookup.
 func TestCellIndexWhyNotPenalties(t *testing.T) {
 	const cases = 8
 	for i := 0; i < cases; i++ {
@@ -136,8 +137,8 @@ func TestCellIndexWhyNotPenalties(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameWhyNot(t, "cellindex WhyNot", got, want)
-			if skybandOn && on.CellIndexStats().Lookups == 0 {
-				t.Fatalf("case %d: the grid arm made no cell lookup", i)
+			if st := on.CellIndexStats(); on.sky.Peek(k) != nil || st.Builds != 0 || st.Lookups != 0 {
+				t.Fatalf("case %d: a why-not built the %d-band or a grid: %+v", i, k, st)
 			}
 		}
 	}
@@ -163,7 +164,9 @@ func TestCellIndexMutationInvalidation(t *testing.T) {
 	}
 	for i := 0; i < 80; i++ {
 		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		// Warm the grid caches so the mutation has something to invalidate.
+		// Warm the band and its grid so the mutation has something to
+		// invalidate.
+		warm(on, 5)
 		if _, err := on.ReverseTopK(W, q, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -224,6 +227,7 @@ func TestCellIndexEngineStats(t *testing.T) {
 	for j := range W {
 		W[j] = sample.RandSimplex(rng, 3)
 	}
+	warm(eOn.Snapshot(), 4)
 	respOn, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +274,8 @@ func TestCellIndexEngineStats(t *testing.T) {
 	}
 
 	// Deleting a member of the k=4 basis band drops exactly that grid,
-	// and the next query rebuilds it over the rebuilt band.
+	// and the next queries rebuild it in the background: the band first,
+	// then its grid.
 	snap := eOn.Snapshot()
 	band, _ := dominance.KSkyband(snap.tree, 4, snap.tree.Len())
 	victim := int(band[0].ID)
@@ -281,19 +286,23 @@ func TestCellIndexEngineStats(t *testing.T) {
 	if after.CellIndex.Grids != grids-1 || after.Skyband.Dropped != mid.Skyband.Dropped+1 || after.CellIndex.Builds != builds {
 		t.Fatalf("member delete: before %+v %+v after %+v %+v", mid.Skyband, mid.CellIndex, after.Skyband, after.CellIndex)
 	}
-	if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W}); err != nil {
+			t.Fatal(err)
+		}
+		settle(eOn.Snapshot())
 	}
 	if got := eOn.Stats().CellIndex; got.Builds != builds+1 || got.Grids != grids {
-		t.Fatalf("dropped grid was not rebuilt lazily: %+v", got)
+		t.Fatalf("dropped grid was not rebuilt in the background: %+v", got)
 	}
 }
 
 // TestCellIndexConcurrentLazyBuild is the -race hammer for the shared
-// lazy-build lifecycle: many goroutines query overlapping k values on
-// every snapshot of a clone family while others read the stats, so
-// concurrent builds in the band's grid slot, their atomic publication and
-// the stats peek all run under the race detector.
+// background-build lifecycle: many goroutines query overlapping k values
+// on every snapshot of a clone family, over rounds that each wait for the
+// builds the last one started, while they read the stats, so concurrent
+// starts of band and grid builds, their publication and the stats peek
+// all run under the race detector.
 func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 	ds := dataset.Independent(400, 3, 51)
 	pts := make([][]float64, len(ds.Points))
@@ -327,12 +336,17 @@ func TestCellIndexConcurrentLazyBuild(t *testing.T) {
 			wg.Add(1)
 			go func(snap *Index) {
 				defer wg.Done()
-				for k := 1; k <= 4; k++ {
-					if _, err := snap.ReverseTopK(W, q, k); err != nil {
-						t.Error(err)
+				// Rounds: the full tree while the bands build, the band
+				// trees while the grids build, then the grids.
+				for range 3 {
+					for k := 1; k <= 4; k++ {
+						if _, err := snap.ReverseTopK(W, q, k); err != nil {
+							t.Error(err)
+						}
 					}
+					_ = snap.CellIndexStats()
+					settle(snap)
 				}
-				_ = snap.CellIndexStats()
 			}(snap)
 		}
 	}

@@ -513,18 +513,27 @@ func TestServeDegraded503(t *testing.T) {
 
 // TestServeKernelStats pins the kernel section of /v1/stats: the
 // blocked-sweep counters are populated after a reverse top-k that a cell
-// grid answers. k = 1 keeps 4k below the five points, so the skyline band
-// is built and holds a grid (a pass-through band holds none). (That the
-// kernel and its references answer bit-identically is kernel_test.go's
-// job, in package wqrtq.)
+// grid answers. The five points are all on the skyline, so a sixth that
+// they dominate keeps the skyline band short of the whole dataset (a whole
+// band is served pass-through, and holds no grid); k = 1 keeps 4k below
+// the six points, so the band is built and holds a grid. The third of
+// three reads, each after the builds the last one started, reads it.
+// (That the kernel and its references answer bit-identically is
+// kernel_test.go's job, in package wqrtq.)
 func TestServeKernelStats(t *testing.T) {
 	h := serveTestHandler(t)
-	rec := post(t, h, "/v1/rtopk", `{"q":[3,4],"k":1,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("rtopk status %d; body %s", rec.Code, rec.Body.String())
+	if rec := post(t, h, "/v1/insert", `{"point":[10,10]}`); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d; body %s", rec.Code, rec.Body.String())
+	}
+	for _, q := range []string{"[3,4]", "[3,4.5]", "[3,5]"} {
+		rec := post(t, h, "/v1/rtopk", `{"q":`+q+`,"k":1,"weights":[[0.25,0.75],[0.5,0.5],[0.75,0.25]]}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("rtopk status %d; body %s", rec.Code, rec.Body.String())
+		}
+		waitBuilds(t, h)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
@@ -543,13 +552,16 @@ func TestServeKernelStats(t *testing.T) {
 }
 
 // TestServeCarryStats pins the skyband and cellindex sections of /v1/stats
-// across mutations: an insert every band member dominates is carried (no
-// build on the next read), a delete of a band member drops that band and
-// its grid, and the next read rebuilds both. The grid lives on its band,
-// so the band's counters report its carry, and a read of a held band —
-// grid included — is a skyband hit. The band-build time (build_ns, shown
-// as T) is positive after the first build and grows only when a band is
-// built.
+// across mutations: a cold read answers from the full tree and starts the
+// band's build in the background, the next from the band tree while the
+// grid builds (one cell fallback), and the third from the grid; an insert
+// every band member dominates is carried (no build on the next read), a
+// delete of a band member drops that band and its grid, and the next reads
+// rebuild both the same way. The grid lives on its band, so the band's
+// counters report its carry, and a read of a held band — grid included —
+// is a skyband hit. The band-build time (build_ns, shown as T) is positive
+// after the first build and grows only when a band is built. The result
+// cache is off: the test repeats one request to walk it up the tiers.
 func TestServeCarryStats(t *testing.T) {
 	pts := make([][]float64, 0, 36)
 	for i := 0; i < 6; i++ {
@@ -561,7 +573,7 @@ func TestServeCarryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{})
+	e, err := wqrtq.NewEngine(ix, wqrtq.EngineConfig{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,20 +613,51 @@ func TestServeCarryStats(t *testing.T) {
 		}
 	}
 	rtopk()
-	want("first read builds the 2-band and its grid", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"build_ns":T,"carried":0,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":2}`)
+	waitBuilds(t, h)
+	want("first read builds the 2-band", `{"bands":1,"points":3,"builds":1,"hits":0,"fallbacks":0,"build_ns":T,"carried":0,"dropped":0,"declines":{"trim_limit":0,"whole":0},"pending":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":0,"cells":0,"candidates":0,"builds":0,"fallbacks":0,"lookups":0,"pending":0}`)
+	rtopk()
+	waitBuilds(t, h)
+	rtopk()
+	want("second read builds its grid, third reads it", `{"bands":1,"points":3,"builds":1,"hits":2,"fallbacks":0,"build_ns":T,"carried":0,"dropped":0,"declines":{"trim_limit":0,"whole":0},"pending":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":1,"lookups":2,"pending":0}`)
 	post(t, h, "/v1/insert", `{"point":[9,9]}`)
 	rtopk()
-	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":0,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":0,"lookups":4}`)
+	want("dominated insert is carried", `{"bands":1,"points":3,"builds":1,"hits":3,"fallbacks":0,"build_ns":T,"carried":1,"dropped":0,"declines":{"trim_limit":0,"whole":0},"pending":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":260,"builds":1,"fallbacks":1,"lookups":4,"pending":0}`)
 	post(t, h, "/v1/delete", `{"id":0}`) // (1,1), the skyline
-	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":0,"cells":0,"candidates":0,"builds":1,"fallbacks":0,"lookups":4}`)
+	want("member delete drops band and grid", `{"bands":0,"points":0,"builds":1,"hits":3,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":{"trim_limit":0,"whole":0},"pending":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":0,"cells":0,"candidates":0,"builds":1,"fallbacks":1,"lookups":4,"pending":0}`)
+	for range 2 {
+		rtopk()
+		waitBuilds(t, h)
+	}
 	rtopk()
-	want("next read rebuilds both", `{"bands":1,"points":4,"builds":2,"hits":1,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
-{"grids":1,"cells":128,"candidates":262,"builds":2,"fallbacks":0,"lookups":6}`)
-	if times[0] <= 0 || times[1] != times[0] || times[2] != times[0] || times[3] <= times[2] {
-		t.Fatalf("build_ns over the four steps: %v", times)
+	want("next reads rebuild both", `{"bands":1,"points":4,"builds":2,"hits":5,"fallbacks":0,"build_ns":T,"carried":1,"dropped":1,"declines":{"trim_limit":0,"whole":0},"pending":0,"trim_refused_k":0,"trim_refused_dataset":0,"trim_refused_band":0}
+{"grids":1,"cells":128,"candidates":262,"builds":2,"fallbacks":2,"lookups":6,"pending":0}`)
+	if times[0] <= 0 || times[1] != times[0] || times[2] != times[0] || times[3] != times[0] || times[4] <= times[3] {
+		t.Fatalf("build_ns over the five steps: %v", times)
+	}
+}
+
+// waitBuilds waits until /v1/stats shows no band or grid build in flight.
+func waitBuilds(t *testing.T, h http.Handler) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st struct {
+			Skyband, CellIndex struct{ Pending int64 }
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("stats not JSON: %v", err)
+		}
+		if st.Skyband.Pending == 0 && st.CellIndex.Pending == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("builds still pending: %s", rec.Body.String())
+		}
 	}
 }
 
@@ -625,7 +668,10 @@ type routeStats struct {
 		Refine json.RawMessage `json:"refine"`
 	} `json:"kernel"`
 	Skyband struct {
-		Declines           int64 `json:"declines"`
+		Declines struct {
+			TrimLimit int64 `json:"trim_limit"`
+			Whole     int64 `json:"whole"`
+		} `json:"declines"`
 		TrimRefusedK       int64 `json:"trim_refused_k"`
 		TrimRefusedDataset int64 `json:"trim_refused_dataset"`
 		TrimRefusedBand    int64 `json:"trim_refused_band"`
@@ -700,7 +746,8 @@ func TestServeWhyNotWideDataset(t *testing.T) {
 // count descent over the band tree: 200, body byte-equal to the in-process
 // answer, and an "rta" block that says so — evaluated is the size of the
 // result, pruned the descents stopped at their k-th beater, and the
-// candidate set the 10-skyband.
+// candidate set the 10-skyband. Both sides answer warm: a first read
+// starts the band's build, and the measured one follows it.
 func TestServeReverseTopKWideDataset(t *testing.T) {
 	const k = 10
 	ds := dataset.NBALike(2000, 7)
@@ -726,7 +773,16 @@ func TestServeReverseTopKWideDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := top[k/2].Point // mid-ranked under W[0]: in some of the 60 top-k sets, not all
-	inproc, err := twin.ReverseTopKCtx(t.Context(), wqrtq.ReverseTopKRequest{Q: q, K: k, W: W})
+	req := wqrtq.ReverseTopKRequest{Q: q, K: k, W: W}
+	if _, err := twin.ReverseTopKCtx(t.Context(), req); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); twin.SkybandStats().Pending > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the band build did not finish")
+		}
+	}
+	inproc, err := twin.ReverseTopKCtx(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,6 +804,14 @@ func TestServeReverseTopKWideDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The warm-up read differs from the measured one (a cached answer
+	// would carry the cold read's statistics).
+	warmBody, err := json.Marshal(map[string]any{"q": q, "k": k, "weights": W[1:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post(t, h, "/v1/rtopk", string(warmBody))
+	waitBuilds(t, h)
 	wantGolden(t, post(t, h, "/v1/rtopk", string(body)), http.StatusOK, string(want)+"\n")
 	const golden = `"rta":{"evaluated":19,"pruned":41,"candidate_set_size":1104}}`
 	if !strings.HasSuffix(string(want), golden) || inproc.RTA.Evaluated != len(inproc.Result) {
@@ -787,7 +851,7 @@ func TestServeRefineRouteStats(t *testing.T) {
 	if got := string(st.Kernel.Refine); got != golden {
 		t.Fatalf("kernel.refine\n got: %s\nwant: %s", got, golden)
 	}
-	if sb := st.Skyband; sb.TrimRefusedDataset != 1 || sb.TrimRefusedK != 0 || sb.TrimRefusedBand != 0 || sb.Declines != 0 {
+	if sb := st.Skyband; sb.TrimRefusedDataset != 1 || sb.TrimRefusedK != 0 || sb.TrimRefusedBand != 0 || sb.Declines.TrimLimit != 0 || sb.Declines.Whole != 0 {
 		t.Fatalf("skyband refusal counters: %+v", sb)
 	}
 }

@@ -20,6 +20,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 		return 0, err
 	}
 	id := ix.ids.Append(vec.Point(p))
+	ix.detach()
 	ix.tree.Insert(p, int32(id))
 	ix.sky = ix.sky.AfterInsert(ix.tree, p)
 	return id, nil
@@ -36,12 +37,23 @@ func (ix *Index) Delete(id int) (bool, error) {
 	if p == nil {
 		return false, nil // already deleted
 	}
+	ix.detach()
 	if !ix.tree.Delete(p, int32(id)) {
 		return false, nil
 	}
 	ix.ids.Clear(id)
 	ix.sky = ix.sky.AfterDelete(ix.tree, int32(id))
 	return true, nil
+}
+
+// detach gives ix a tree of its own, copy-on-write, when a background band
+// build is still reading the current one, so that the in-place mutation
+// that follows cannot race it. Queries start builds and are serialized
+// with mutations, so none can start in between.
+func (ix *Index) detach() {
+	if ix.sky.Reading() {
+		ix.tree = ix.tree.Clone()
+	}
 }
 
 // Clone returns a copy-on-write snapshot of the index in O(n/512): it
@@ -62,6 +74,7 @@ func (ix *Index) Clone() *Index {
 		tree:    ix.tree.Clone(),
 		ids:     ix.ids.Clone(),
 		skyOff:  ix.skyOff,
+		bg:      ix.bg,
 		kct:     ix.kct,
 		rct:     ix.rct,
 		cct:     ix.cct,

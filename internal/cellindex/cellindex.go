@@ -61,17 +61,21 @@
 //
 // A grid is a pure function of its basis band and k (the dimensionality
 // is the band's), so it is valid exactly as long as that band is. It
-// therefore lives on the band: Of builds it once in the band's derived-
-// state slot (skyband.Band.Derived), shared by every reader. A band the
+// therefore lives on the band: it is built once in the band's derived-
+// state slot (skyband.Band.Derived), shared by every reader. Ready, the
+// request path's lookup, never waits: a missing grid gets one background
+// build, and the lookup answers nil until it lands. A band the
 // skyband layer carries to the next snapshot carries its grid
-// pointer-identical; a band it drops takes the grid with it, to be rebuilt
-// lazily over the rebuilt band. Grids per snapshot are bounded by the
-// skyband cache's bands, and each grid by maxCandidates and maxBaseCells.
-// Pass-through bands (full tree, shared across k) carry no grid.
+// pointer-identical, a build in flight included; a band it drops takes the
+// grid with it, to be rebuilt over the rebuilt band. Grids per snapshot are
+// bounded by the skyband cache's bands, and each grid by maxCandidates and
+// maxBaseCells. Pass-through bands (full tree, shared across k) carry no
+// grid.
 package cellindex
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -329,7 +333,7 @@ func Build(basis *kernel.Coords, k int) *Grid {
 	}
 	g.rows.Reset(dim)
 	scores := make([]float64, 2*m) // lo-corner scores then hi-corner scores
-	sortedHi := make([]float64, m)
+	hiSel := make([]float64, m)
 	order := make([]int, 0, m)
 	wb := make([]float64, 2*dim)
 	lo, hi := wb[:dim], wb[dim:]
@@ -361,14 +365,19 @@ func Build(basis *kernel.Coords, k int) *Grid {
 		}
 		// Score the basis at both corners in one blocked sweep, then apply
 		// the exclusion rule: p is out iff >= k points' hi-corner scores
-		// sit strictly below p's lo-corner score.
+		// sit strictly below p's lo-corner score — iff the k-th smallest
+		// hi-corner score does, so one selection replaces a sort and a
+		// search per point.
 		kernel.ScoreBlock(basis, wb, 2, scores)
 		lows, highs := scores[:m], scores[m:]
-		copy(sortedHi, highs)
-		sort.Float64s(sortedHi)
+		kth := math.Inf(1)
+		if k <= m {
+			copy(hiSel, highs)
+			kth = kthSmallest(hiSel, k)
+		}
 		order = order[:0]
 		for i := 0; i < m; i++ {
-			if sort.SearchFloat64s(sortedHi, lows[i]) < k {
+			if !(kth < lows[i]) {
 				order = append(order, i)
 			}
 		}
@@ -395,29 +404,85 @@ func Build(basis *kernel.Coords, k int) *Grid {
 	return g
 }
 
+// kthSmallest returns the k-th smallest of v, 1 <= k <= len(v), by
+// quickselect; it reorders v. Values that compare equal (-0 and +0) are
+// interchangeable to every caller, which compares the result with <.
+func kthSmallest(v []float64, k int) float64 {
+	lo, hi, t := 0, len(v)-1, k-1
+	for lo < hi {
+		p := v[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for p < v[j] {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case t <= j:
+			hi = j
+		case t >= i:
+			lo = i
+		default:
+			return v[t]
+		}
+	}
+	return v[t]
+}
+
 // Of returns the grid of band b, built on first use in the band's derived-
-// state slot and shared by every reader for as long as the band lives, or
-// nil when b has none: a dimensionality over the cell budget (rejected
-// before anything is built), a pass-through band, or a declined build
-// (see Build). Callers then use the per-vector count descent, which
-// answers identically. ct counts the builds and, at an eligible
-// dimensionality, every nil as a fallback.
+// state slot — or waited for, when a Ready started it — and shared by every
+// reader for as long as the band lives, or nil when b has none: a
+// dimensionality over the cell budget (rejected before anything is built),
+// a pass-through band, or a declined build (see Build). It is for callers
+// the grid is the only engine of (the exact monochromatic query). ct
+// counts the builds and, at an eligible dimensionality, every nil as a
+// fallback.
 func Of(b *skyband.Band, ct *Counters) *Grid {
 	if baseCells(b.Tree().Dim()) == 0 {
 		return nil
 	}
 	var g *Grid
 	if !b.Full() {
-		g, _ = b.Derived(func(b *skyband.Band) any {
-			g := build(b)
-			if g != nil {
-				ct.builds.Add(1)
-			}
-			return g
-		}).(*Grid)
+		g, _ = b.Derived(ct.build).(*Grid)
 	}
 	if g == nil {
 		ct.CountFallback()
+	}
+	return g
+}
+
+// Ready is Of for the request path, which never waits: it returns the
+// grid of b once built, and otherwise nil, having started one background
+// build unless one is in flight. Callers then use the per-vector count
+// descent, which answers identically; ct counts as Of does.
+func Ready(b *skyband.Band, ct *Counters) *Grid {
+	if baseCells(b.Tree().Dim()) == 0 {
+		return nil
+	}
+	var g *Grid
+	if !b.Full() {
+		v, _ := b.TryDerived(ct.build)
+		g, _ = v.(*Grid)
+	}
+	if g == nil {
+		ct.CountFallback()
+	}
+	return g
+}
+
+// build is the derived-state build of a band's grid, counted.
+func (c *Counters) build(b *skyband.Band) any {
+	g := build(b)
+	if g != nil {
+		c.builds.Add(1)
 	}
 	return g
 }
@@ -487,15 +552,17 @@ type Stats struct {
 	// (grid reads count as skyband hits). Lookups counts weighting vectors
 	// answered by cell lookups; Fallbacks counts queries that reached the
 	// cell path but fell back to the count descent (no grid for the band,
-	// or a failed point location).
+	// none yet, or a failed point location).
 	Builds    int64 `json:"builds"`
 	Fallbacks int64 `json:"fallbacks"`
 	Lookups   int64 `json:"lookups"`
+	// Pending counts the grid builds in flight across the family.
+	Pending int64 `json:"pending"`
 }
 
 // Stats reports the counters and the grids held by the bands of sky.
 func (c *Counters) Stats(sky *skyband.Cache) Stats {
-	s := Stats{Builds: c.builds.Load(), Fallbacks: c.fallbacks.Load(), Lookups: c.lookups.Load()}
+	s := Stats{Builds: c.builds.Load(), Fallbacks: c.fallbacks.Load(), Lookups: c.lookups.Load(), Pending: sky.Counters().DerivedPending()}
 	sky.EachDerived(func(v any) {
 		if g, _ := v.(*Grid); g != nil {
 			s.Grids++

@@ -11,16 +11,26 @@
 // (every score is computed by vec.Score either way; only the candidate set
 // shrinks, and the shrinkage provably never removes an answer).
 //
-// A Cache owns the bands of one snapshot. Bands are computed lazily, once
-// per k, and shared by all readers; they are never mutated, and state
-// derived from one (the cell grid) lives in the band itself (Band.Derived),
-// so it follows the band wherever the rules below take it. Every snapshot
-// has its own Cache bound to its own tree, but a band outlives the
-// snapshot it was computed on for as long as it stays the k-skyband:
-// invalidation is a membership test, not the epoch bump. Rebind (clone),
-// AfterInsert and AfterDelete (one mutation) build the next snapshot's
-// Cache and hand it, pointer-identical, every finished band the step
-// provably leaves unchanged:
+// A Cache owns the bands of one snapshot. Bands are computed once per k and
+// shared by all readers; they are never mutated, and state derived from one
+// (the cell grid) lives in the band itself (Band.Derived), so it follows
+// the band wherever the rules below take it. A reader on the request path
+// never waits for a build: TryBand and TrimBand return nil while the band
+// is missing, having started one background build (through the spawn of
+// the family's Counters) that every later reader shares, and the caller
+// answers from the tier below, which decides identically. Band waits for
+// the build, for the callers that have no tier below.
+//
+// A finished band that kept every point of its snapshot prunes nothing, so
+// it is declined with reason whole: its tree is dropped and k is served
+// pass-through, like a k too large to prune.
+//
+// Every snapshot has its own Cache bound to its own tree, but a band
+// outlives the snapshot it was computed on for as long as it stays the
+// k-skyband: invalidation is a membership test, not the epoch bump. Rebind
+// (clone), AfterInsert and AfterDelete (one mutation) build the next
+// snapshot's Cache and hand it, pointer-identical, every finished band the
+// step provably leaves unchanged:
 //
 //   - inserting p leaves the k-band unchanged iff at least k of its members
 //     dominate p. A point with >= k dominators has >= k of them inside the
@@ -34,9 +44,13 @@
 //     inherits all of the deleted point's).
 //
 // Anything else — p joins the band, a member is deleted, the dataset
-// shrinks to where k is served pass-through, a build still in flight — is
-// dropped and recomputed lazily by the next reader; there is deliberately
-// no incremental patch path, and a mutation never waits for a build. A
+// shrinks to where k is served pass-through — is dropped and recomputed by
+// the next reader; there is deliberately no incremental patch path. A
+// build still in flight is carried too, and a mutation never waits for it:
+// the next snapshot's entry waits on the same build, and when it finishes
+// the same rules judge its band against every step it was carried across,
+// handing it on unchanged or leaving the later entries empty. A whole
+// decline is carried by a clone only (a delete always removes a member). A
 // stale band is unreachable by construction: the only way into a Cache is
 // through those three functions. Cumulative counters survive across
 // snapshots through the shared Counters, which the serving engine
@@ -103,29 +117,48 @@ const (
 	// TrimRefusedDataset: k is too large relative to the dataset for a
 	// band to prune.
 	TrimRefusedDataset
-	// TrimRefusedBand: the band itself declined — abandoned as too large,
-	// served pass-through, or beyond the cache's k-diversity cap.
+	// TrimRefusedBand: the band itself is not there — still building,
+	// abandoned as too large, whole, served pass-through, or beyond the
+	// cache's k-diversity cap.
 	TrimRefusedBand
 	numTrimRefusals
 )
 
-// Counters accumulates band-cache activity across snapshots. One Counters
-// is shared by every Cache in a clone family, so the serving engine
-// reports cumulative numbers over the index's whole lifetime, not just the
-// current epoch.
+// Counters accumulates band-cache activity across snapshots and starts
+// the family's background builds. One Counters is shared by every Cache in
+// a clone family, so the serving engine reports cumulative numbers over
+// the index's whole lifetime, not just the current epoch.
 type Counters struct {
-	builds    atomic.Int64
-	hits      atomic.Int64
-	fallbacks atomic.Int64
-	carried   atomic.Int64
-	dropped   atomic.Int64
-	declines  atomic.Int64
-	buildNS   atomic.Int64
-	refused   [numTrimRefusals]atomic.Int64
+	builds        atomic.Int64
+	hits          atomic.Int64
+	fallbacks     atomic.Int64
+	carried       atomic.Int64
+	dropped       atomic.Int64
+	trimDeclines  atomic.Int64
+	wholeDeclines atomic.Int64
+	buildNS       atomic.Int64
+	refused       [numTrimRefusals]atomic.Int64
+	// pending and derivedPending count the band builds and the derived-
+	// state builds (Band.TryDerived) started and not yet finished.
+	pending        atomic.Int64
+	derivedPending atomic.Int64
+	spawn          func(fn func()) bool
 }
 
-// NewCounters creates a zeroed counter set.
-func NewCounters() *Counters { return &Counters{} }
+// NewCounters creates a zeroed counter set whose background builds start
+// through spawn: it runs fn off the caller's goroutine, or runs nothing and
+// reports false once the family takes no more builds. nil spawns a
+// goroutine for every build.
+func NewCounters(spawn func(fn func()) bool) *Counters { return &Counters{spawn: spawn} }
+
+// start runs fn in the background through the family's spawn.
+func (c *Counters) start(fn func()) bool {
+	if c.spawn == nil {
+		go fn()
+		return true
+	}
+	return c.spawn(fn)
+}
 
 // CountFallback records one rank query that exceeded its band bound and
 // fell back to the full tree.
@@ -143,6 +176,10 @@ func (c *Counters) CountTrimRefusal(why TrimRefusal) {
 	}
 }
 
+// DerivedPending reports the derived-state builds in flight across the
+// family.
+func (c *Counters) DerivedPending() int64 { return c.derivedPending.Load() }
+
 // Stats is a point-in-time view of the sub-index: the bands one cache
 // holds and its clone family's cumulative counters.
 type Stats struct {
@@ -150,30 +187,39 @@ type Stats struct {
 	// carried (pass-through bands hold no state and are not counted).
 	Bands  int `json:"bands"`
 	Points int `json:"points"`
-	// Builds and Hits count band computations and cache hits (one per
-	// reverse top-k on a built band, grid or tree); Fallbacks counts rank
-	// queries that exceeded their band bound and fell back to a full tree.
+	// Builds and Hits count band computations and reads that found their
+	// band built; Fallbacks counts rank queries that exceeded their band
+	// bound and fell back to a full tree.
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Fallbacks int64 `json:"fallbacks"`
 	// BuildTime is the wall time spent computing bands, finished (Builds)
-	// or abandoned (Declines): what a first request after a write may have
-	// waited on.
+	// or declined (Declines), all of it off the request path.
 	BuildTime time.Duration `json:"build_ns"`
 	// Carried and Dropped count (mutation, materialized band) pairs: bands
 	// a mutation handed to the next snapshot unchanged, grid included, and
-	// bands it invalidated (each costs one later build).
+	// bands it invalidated (each costs one later build). A build in flight
+	// counts once it finishes and is judged.
 	Carried int64 `json:"carried"`
 	Dropped int64 `json:"dropped"`
-	// Declines counts trim-band builds abandoned as too large; the
-	// TrimRefused fields count refused trim requests by reason: k'max over
-	// the trim-band cap, a dataset too small for the band to prune, or the
-	// band declined or pass-through (a request answered from a cached
-	// decline counts under Band without a new Declines tick).
-	Declines           int64 `json:"declines"`
+	// Declines counts the builds that left no band to serve, by reason;
+	// Pending the band builds in flight.
+	Declines Declines `json:"declines"`
+	Pending  int64    `json:"pending"`
+	// The TrimRefused fields count refused trim requests by reason: k'max
+	// over the trim-band cap, a dataset too small for the band to prune, or
+	// no band to serve (see TrimRefusedBand).
 	TrimRefusedK       int64 `json:"trim_refused_k"`
 	TrimRefusedDataset int64 `json:"trim_refused_dataset"`
 	TrimRefusedBand    int64 `json:"trim_refused_band"`
+}
+
+// Declines splits the declined band builds by reason: TrimLimit counts
+// trim-band builds abandoned past n/trimBandFrac members, Whole finished
+// bands that kept every point and are served pass-through.
+type Declines struct {
+	TrimLimit int64 `json:"trim_limit"`
+	Whole     int64 `json:"whole"`
 }
 
 // Snapshot copies the counters; the Bands and Points gauges stay zero.
@@ -187,7 +233,8 @@ func (c *Counters) Snapshot() Stats {
 		Fallbacks: c.fallbacks.Load(),
 		Carried:   c.carried.Load(),
 		Dropped:   c.dropped.Load(),
-		Declines:  c.declines.Load(),
+		Declines:  Declines{TrimLimit: c.trimDeclines.Load(), Whole: c.wholeDeclines.Load()},
+		Pending:   c.pending.Load(),
 		BuildTime: time.Duration(c.buildNS.Load()),
 
 		TrimRefusedK:       c.refused[TrimRefusedK].Load(),
@@ -207,6 +254,9 @@ type Band struct {
 	// id (-1 for non-members, whose count is >= k). nil for pass-through
 	// bands.
 	counts []int32
+	// ct is the family that built the band, whose spawn TryDerived
+	// starts its build through; nil for pass-through bands.
+	ct *Counters
 	// coords is the lazily built column-major image of the band points for
 	// the blocked scoring kernel; one sync.Once-guarded flatten shared by
 	// every reader of the band. coordsReady fronts the Once with one atomic
@@ -217,8 +267,10 @@ type Band struct {
 	coordsReady atomic.Bool
 	coords      kernel.Coords
 	// derived is the slot for state derived from the band (Derived),
-	// guarded like coords.
-	derivedOnce  sync.Once
+	// fronted by derivedReady like coords. derivedRun is closed when the
+	// build in flight finishes, nil while none is; derivedMu guards it.
+	derivedMu    sync.Mutex
+	derivedRun   chan struct{}
 	derivedReady atomic.Bool
 	derived      any
 }
@@ -234,7 +286,8 @@ func (b *Band) Tree() *rtree.Tree { return b.tree }
 func (b *Band) Size() int { return b.size }
 
 // Full reports a pass-through band: k was too large for the skyband to
-// prune, so the band tree is the snapshot's full tree.
+// prune, or its band kept every point, so the band tree is the snapshot's
+// full tree.
 func (b *Band) Full() bool { return b.full }
 
 // Coords returns the band's flattened column-major coordinates for the
@@ -268,18 +321,69 @@ func (b *Band) coordsSlow() *kernel.Coords {
 }
 
 // Derived returns the state derived from the band, calling build on first
-// use only and sharing its result with every reader. The state lives
-// exactly as long as the band: carried with it pointer-identical, dropped
-// with it. The slot is opaque and holds one kind of state (the cell grid):
-// every caller must pass the same build.
+// use only — or waiting for the build a TryDerived started — and sharing
+// its result with every reader. The state lives exactly as long as the
+// band: carried with it pointer-identical, dropped with it. The slot is
+// opaque and holds one kind of state (the cell grid): every caller must
+// pass the same build.
 func (b *Band) Derived(build func(*Band) any) any {
-	if !b.derivedReady.Load() {
-		b.derivedOnce.Do(func() {
-			b.derived = build(b)
-			b.derivedReady.Store(true)
-		})
+	for !b.derivedReady.Load() {
+		b.derivedMu.Lock()
+		run := b.derivedRun
+		if run == nil && !b.derivedReady.Load() {
+			run = make(chan struct{})
+			b.derivedRun = run
+			b.derivedMu.Unlock()
+			b.fillDerived(build, run)
+			break
+		}
+		b.derivedMu.Unlock()
+		if run != nil {
+			<-run
+		}
 	}
 	return b.derived
+}
+
+// TryDerived is Derived for the request path: it returns the derived state
+// and true once built, and otherwise nil and false, having started one
+// background build through the family's spawn unless one is in flight.
+func (b *Band) TryDerived(build func(*Band) any) (any, bool) {
+	if b.derivedReady.Load() {
+		return b.derived, true
+	}
+	b.derivedMu.Lock()
+	if b.derivedReady.Load() || b.derivedRun != nil {
+		b.derivedMu.Unlock()
+		return nil, false
+	}
+	run := make(chan struct{})
+	b.derivedRun = run
+	b.derivedMu.Unlock()
+	ct := b.ct
+	ct.derivedPending.Add(1)
+	if !ct.start(func() {
+		b.fillDerived(build, run)
+		ct.derivedPending.Add(-1)
+	}) {
+		ct.derivedPending.Add(-1)
+		b.derivedMu.Lock()
+		b.derivedRun = nil
+		b.derivedMu.Unlock()
+		close(run)
+	}
+	return nil, false
+}
+
+// fillDerived runs build into the slot and ends the run.
+func (b *Band) fillDerived(build func(*Band) any, run chan struct{}) {
+	v := build(b)
+	b.derivedMu.Lock()
+	b.derived = v
+	b.derivedReady.Store(true)
+	b.derivedRun = nil
+	b.derivedMu.Unlock()
+	close(run)
 }
 
 // Counts returns each record's exact dominance count indexed by record id:
@@ -323,8 +427,8 @@ func (b *Band) excludes(p vec.Point) bool {
 	return found >= k
 }
 
-// Cache lazily computes and retains the bands of one snapshot. It is safe
-// for concurrent use; concurrent requests for the same k share one
+// Cache computes and retains the bands of one snapshot. It is safe for
+// concurrent use; concurrent requests for the same k share one
 // computation.
 type Cache struct {
 	tree *rtree.Tree
@@ -335,40 +439,127 @@ type Cache struct {
 	// cannot prune (or exceeds the cache cap); allocated once so the
 	// per-query hot paths of small datasets stay allocation-free.
 	passthrough atomic.Pointer[Band]
+	// reading counts the band builds in flight over tree (see Reading).
+	reading atomic.Int32
 }
 
+// cacheEntry is one k of a cache: what its builds left, and the build in
+// flight. band and whole, once set, never change, so an entry holding
+// either is shared by every snapshot it is carried to.
 type cacheEntry struct {
-	// once guards the entry's first build: the whole band when the first
-	// requester was Band, a size-limited attempt when it was TrimBand.
-	once sync.Once
-	// band is stored atomically so Stats can peek at entries that another
-	// goroutine is still building without racing the once.Do write.
-	band atomic.Pointer[Band]
-	// decline is the evidence of an abandoned limited build: a Band over
-	// the members found before giving up (K() is the entry's k; the counts
-	// were exact at the build and mark membership since), never handed to
-	// readers. full completes such an entry when a reader arrives that
-	// needs the band whatever its size.
+	// band is the finished band. decline is the evidence of an abandoned
+	// limited build: a Band over the members found before giving up (K()
+	// is the entry's k; the counts were exact at the build and mark
+	// membership since), never handed to readers; a reader that needs the
+	// band whatever its size completes such an entry. whole marks a band
+	// that kept every point, served pass-through.
+	band    atomic.Pointer[Band]
 	decline atomic.Pointer[Band]
-	full    sync.Once
+	whole   atomic.Bool
+
+	mu sync.Mutex
+	// run is the build the entry waits on, nil when none is: its own, or
+	// an earlier snapshot's that a step carried to it (see Cache.next).
+	run *run
+	// carries are the entries of later snapshots waiting on run.
+	carries []carry
 }
 
-// declinedEntry returns a fresh entry holding the decline evidence b, its
-// first build already spent: TrimBand answers nil from it and Band completes
-// it from its own cache's tree.
+// run is one build in flight; done closes once its entry has settled.
+type run struct {
+	done    chan struct{}
+	limited bool // a TrimBand attempt, which may end in a decline
+}
+
+// outcome is what a build leaves its entry: a band, decline evidence, or
+// the whole mark. The zero outcome leaves the entry empty, for the next
+// reader to build.
+type outcome struct {
+	band, decline *Band
+	whole         bool
+}
+
+// carry hands a build in flight on to the entry of a later snapshot of n
+// points, across a step judged by unchanged once the build finishes.
+type carry struct {
+	to        *cacheEntry
+	k, n      int
+	mutation  bool
+	unchanged func(*Band) bool
+}
+
+// declinedEntry returns a fresh entry holding the decline evidence b:
+// TrimBand answers nil from it and Band completes it from its own cache's
+// tree.
 func declinedEntry(b *Band) *cacheEntry {
 	e := &cacheEntry{}
-	e.once.Do(func() {})
 	e.decline.Store(b)
 	return e
 }
 
+// outcome reports what the entry's finished builds left.
+func (e *cacheEntry) outcome() outcome {
+	return outcome{band: e.band.Load(), decline: e.decline.Load(), whole: e.whole.Load()}
+}
+
+// settle stores o, ends the entry's run and hands o on to every entry the
+// run was carried to, each judged across its own step.
+func (e *cacheEntry) settle(o outcome, ct *Counters) {
+	e.mu.Lock()
+	switch {
+	case o.band != nil:
+		e.band.Store(o.band)
+	case o.whole:
+		e.whole.Store(true)
+	case o.decline != nil:
+		e.decline.Store(o.decline)
+	}
+	r, carries := e.run, e.carries
+	e.run, e.carries = nil, nil
+	e.mu.Unlock()
+	close(r.done)
+	for _, c := range carries {
+		c.to.settle(ct.judge(o, c.k, c.n, c.mutation, c.unchanged), ct)
+	}
+}
+
+// judge applies the carry rules to o, what k's build left, across one step
+// to a snapshot of n points, and returns what that snapshot inherits: a
+// band the step leaves unchanged (counted as carried or dropped when the
+// step is a mutation), decline evidence the step leaves standing that
+// still outnumbers n/trimBandFrac, and a whole mark across a clone;
+// nothing once n is small enough for k to be served pass-through.
+func (c *Counters) judge(o outcome, k, n int, mutation bool, unchanged func(*Band) bool) outcome {
+	pass := fullBandFactor*k >= n
+	switch {
+	case o.band != nil:
+		if !pass && unchanged(o.band) {
+			if mutation {
+				c.carried.Add(1)
+			}
+			return o
+		}
+		if mutation {
+			c.dropped.Add(1)
+		}
+	case o.whole:
+		if !pass && !mutation {
+			return o
+		}
+	case o.decline != nil:
+		if !pass && o.decline.size > n/trimBandFrac && unchanged(o.decline) {
+			return outcome{decline: o.decline}
+		}
+	}
+	return outcome{}
+}
+
 // NewCache creates an empty cache over the snapshot tree t. ct carries the
 // cumulative counters shared across the clone family; nil allocates a
-// private set.
+// private set whose builds each spawn a goroutine.
 func NewCache(t *rtree.Tree, ct *Counters) *Cache {
 	if ct == nil {
-		ct = NewCounters()
+		ct = NewCounters(nil)
 	}
 	return &Cache{tree: t, ct: ct, ents: make(map[int]*cacheEntry)}
 }
@@ -377,74 +568,70 @@ func NewCache(t *rtree.Tree, ct *Counters) *Cache {
 func (c *Cache) Counters() *Counters { return c.ct }
 
 // Rebind returns a cache over t, a clone of c's tree holding the same
-// points, that starts with every finished band of c. The clone must not
-// share c itself: lazy builds read the cache's tree, and the parent may
-// later mutate its tree in place.
+// points, that starts with every band of c, finished or in flight. The
+// clone must not share c itself: builds read the cache's tree, and the
+// parent may later mutate its tree in place.
 func (c *Cache) Rebind(t *rtree.Tree) *Cache {
 	return c.next(t, false, func(*Band) bool { return true })
 }
 
 // AfterInsert returns the cache of snapshot t — c's snapshot plus the
-// point p — carrying every finished band that at least k members dominate
-// p in (see the package comment); the others are dropped.
+// point p — carrying every band that at least k members dominate p in (see
+// the package comment); the others are dropped.
 func (c *Cache) AfterInsert(t *rtree.Tree, p vec.Point) *Cache {
 	return c.next(t, true, func(b *Band) bool { return b.excludes(p) })
 }
 
 // AfterDelete returns the cache of snapshot t — c's snapshot minus record
-// id — carrying every finished band id is no member of.
+// id — carrying every band id is no member of.
 func (c *Cache) AfterDelete(t *rtree.Tree, id int32) *Cache {
 	return c.next(t, true, func(b *Band) bool { return !b.member(id) })
 }
 
-// next builds the cache of snapshot t from the finished entries of c that
-// pass unchanged. An entry holding its band is shared, not copied: it is
-// immutable from then on. A decline is not — Band completes it from the
-// tree of whichever cache asks, and the two snapshots' full bands can
-// differ where their evidence agrees (a deleted non-evidence member) — so
-// its evidence moves into a fresh entry that the new cache completes on its
-// own. The evidence stays a set of true members across both carry rules,
-// hence a proof that the band holds at least that many points; it is
-// honoured only while that is still more than n/trimBandFrac of the new
-// snapshot, so a dataset that outgrew the decline gets its build attempted
-// again. A k the new snapshot would serve pass-through is dropped, so the
-// cache holds exactly what it serves; entries still building are left
-// behind uncounted — a mutation never waits for a build. mutation selects
-// whether the step counts toward Carried/Dropped (a clone is not a
-// mutation).
+// next builds the cache of snapshot t from the entries of c, by
+// Counters.judge. An entry holding its band or the whole mark is shared,
+// not copied: it is immutable from then on. A decline is not — Band
+// completes it from the tree of whichever cache asks, and the two
+// snapshots' full bands can differ where their evidence agrees (a deleted
+// non-evidence member) — so its evidence moves into a fresh entry that the
+// new cache completes on its own. An entry whose build is in flight gets a
+// fresh entry that waits on the same build, judged when it finishes (see
+// settle); the mutation does not wait. mutation selects whether the step
+// counts toward Carried/Dropped (a clone is not a mutation).
 func (c *Cache) next(t *rtree.Tree, mutation bool, unchanged func(*Band) bool) *Cache {
 	nc := NewCache(t, c.ct)
 	n := t.Len()
-	finished, kept := 0, 0
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	//wqrtq:unordered each entry is judged on its own; the carried set is order-free
 	for k, e := range c.ents {
-		if b := e.band.Load(); b != nil {
-			finished++
-			if fullBandFactor*k < n && unchanged(b) {
-				nc.ents[k] = e
-				kept++
+		e.mu.Lock()
+		if r := e.run; r != nil {
+			if fullBandFactor*k < n {
+				to := &cacheEntry{run: &run{done: make(chan struct{}), limited: r.limited}}
+				e.carries = append(e.carries, carry{to: to, k: k, n: n, mutation: mutation, unchanged: unchanged})
+				nc.ents[k] = to
 			}
+			e.mu.Unlock()
 			continue
 		}
-		// Declines ride along uncounted: Carried/Dropped are about
-		// materialized bands, whose loss costs a rebuild.
-		if b := e.decline.Load(); b != nil && fullBandFactor*k < n && b.size > n/trimBandFrac && unchanged(b) {
-			nc.ents[k] = declinedEntry(b)
+		e.mu.Unlock()
+		switch o := c.ct.judge(e.outcome(), k, n, mutation, unchanged); {
+		case o.band != nil || o.whole:
+			nc.ents[k] = e
+		case o.decline != nil:
+			nc.ents[k] = declinedEntry(o.decline)
 		}
-	}
-	c.mu.Unlock()
-	if mutation {
-		c.ct.carried.Add(int64(kept))
-		c.ct.dropped.Add(int64(finished - kept))
 	}
 	return nc
 }
 
-// Band returns the band for parameter k, computing it on first use. k
-// values that cannot prune (fullBandFactor*k >= n) and requests beyond the
-// cache's k-diversity cap are served as pass-through bands over the full
-// tree, costing nothing.
+// Band returns the band for parameter k, computing it on first use or
+// waiting for the build in flight. k values that cannot prune
+// (fullBandFactor*k >= n), whole bands and requests beyond the cache's
+// k-diversity cap are served as pass-through bands over the full tree.
+// Band is for callers with no tier below it (the exact monochromatic query,
+// the benchmark harness); the request path uses TryBand.
 //
 // Construction deliberately takes no context: a band is shared cache state
 // for every reader of the snapshot (like the engine's result cache), so
@@ -460,29 +647,59 @@ func (c *Cache) Band(k int) *Band {
 		return c.passBand()
 	}
 	if b := e.band.Load(); b != nil {
+		c.ct.hits.Add(1)
 		return b
 	}
-	build := func() {
-		b, _ := c.buildBand(k, c.tree.Len())
-		e.band.Store(b)
-		c.ct.builds.Add(1)
+	for {
+		if b := e.band.Load(); b != nil {
+			return b
+		}
+		if e.whole.Load() {
+			return c.passBand()
+		}
+		e.mu.Lock()
+		r := e.run
+		if r == nil {
+			r = c.begin(e, false)
+			e.mu.Unlock()
+			c.build(e, k, r)
+			continue
+		}
+		e.mu.Unlock()
+		<-r.done
 	}
-	e.once.Do(build)
-	if e.band.Load() == nil {
-		// The entry's first build was a TrimBand attempt that declined;
-		// this reader needs the band regardless of its size.
-		e.full.Do(build)
+}
+
+// TryBand returns the band for parameter k if it is built — a pass-through
+// band where Band would serve one — and otherwise nil, having started one
+// background build unless one is in flight. It never waits.
+func (c *Cache) TryBand(k int) *Band {
+	if k < 1 {
+		k = 1
 	}
-	return e.band.Load()
+	e := c.entry(k)
+	if e == nil {
+		return c.passBand()
+	}
+	if b := e.band.Load(); b != nil {
+		c.ct.hits.Add(1)
+		return b
+	}
+	if e.whole.Load() {
+		return c.passBand()
+	}
+	c.spawn(e, k, false)
+	return nil
 }
 
 // TrimBand returns the band for parameter k if it is worth trimming rank
-// scans with — at most n/trimBandFrac points — and nil otherwise. A band
-// some reader already materialized is returned whatever its size (the
-// caller's own payoff test judges it); otherwise the build is abandoned
-// once membership passes the limit, and the decline is cached and carried
-// like a band, so the abandoned work is paid once per k and lineage, not
-// per request. nil also covers the cases Band serves pass-through.
+// scans with, and nil otherwise; it never waits. A band some reader
+// already materialized is returned whatever its size (the caller's own
+// payoff test judges it). A missing one gets a background build that is
+// abandoned once membership passes n/trimBandFrac; the decline is cached
+// and carried like a band, so the abandoned work is paid once per k and
+// lineage, not per request. nil also covers the cases Band serves
+// pass-through.
 func (c *Cache) TrimBand(k int) *Band {
 	if k < 1 {
 		k = 1
@@ -491,40 +708,105 @@ func (c *Cache) TrimBand(k int) *Band {
 	if e == nil {
 		return nil
 	}
-	e.once.Do(func() {
-		b, complete := c.buildBand(k, c.tree.Len()/trimBandFrac)
-		if complete {
-			e.band.Store(b)
-			c.ct.builds.Add(1)
-		} else {
-			e.decline.Store(b)
-			c.ct.declines.Add(1)
-		}
-	})
+	if b := e.band.Load(); b != nil {
+		c.ct.hits.Add(1)
+		return b
+	}
+	c.spawn(e, k, true)
+	return nil
+}
+
+// Peek returns the finished band for parameter k, or nil when there is
+// none (never requested, still building, declined, served pass-through).
+// It starts nothing and counts nothing.
+func (c *Cache) Peek(k int) *Band {
+	c.mu.Lock()
+	e := c.ents[k]
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
 	return e.band.Load()
+}
+
+// begin records a build of e in flight; the caller holds e.mu. end
+// records its end.
+func (c *Cache) begin(e *cacheEntry, limited bool) *run {
+	e.run = &run{done: make(chan struct{}), limited: limited}
+	c.ct.pending.Add(1)
+	c.reading.Add(1)
+	return e.run
+}
+
+func (c *Cache) end() {
+	c.reading.Add(-1)
+	c.ct.pending.Add(-1)
+}
+
+// Reading reports whether a band build is still reading the cache's tree.
+// Builds run in the background, so a caller about to mutate that tree in
+// place must first give itself a tree of its own (rtree.Tree.Clone).
+func (c *Cache) Reading() bool { return c.reading.Load() > 0 }
+
+// spawn starts a background build of k on e unless one is in flight or e
+// needs none: a limited one only while e holds no decline, a full one only
+// while it holds neither band nor whole mark. A build the family's spawn
+// refuses leaves the entry as it was.
+func (c *Cache) spawn(e *cacheEntry, k int, limited bool) {
+	e.mu.Lock()
+	if e.run != nil || e.band.Load() != nil || e.whole.Load() || limited && e.decline.Load() != nil {
+		e.mu.Unlock()
+		return
+	}
+	r := c.begin(e, limited)
+	e.mu.Unlock()
+	if !c.ct.start(func() { c.build(e, k, r) }) {
+		c.end()
+		e.settle(outcome{}, c.ct)
+	}
+}
+
+// build runs r, the build of k on e, over the cache's tree — a limited one
+// gives up past n/trimBandFrac members — and settles e with the result.
+func (c *Cache) build(e *cacheEntry, k int, r *run) {
+	n := c.tree.Len()
+	limit := n
+	if r.limited {
+		limit = n / trimBandFrac
+	}
+	b, complete := c.buildBand(k, limit)
+	var o outcome
+	switch {
+	case !complete:
+		o.decline = b
+		c.ct.trimDeclines.Add(1)
+	case b.size == n:
+		o.whole = true
+		c.ct.wholeDeclines.Add(1)
+	default:
+		o.band = b
+		c.ct.builds.Add(1)
+	}
+	e.settle(o, c.ct)
+	c.end()
 }
 
 // entry returns the cache entry for k, creating it on first request, or
 // nil when k is served pass-through: it cannot prune (fullBandFactor*k >=
-// n) or the cache already holds maxBands distinct k values. A request that
-// finds an existing entry counts as a hit.
+// n) or the cache already holds maxBands distinct k values.
 func (c *Cache) entry(k int) *cacheEntry {
 	if fullBandFactor*k >= c.tree.Len() {
 		return nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.ents[k]
 	if !ok {
 		if len(c.ents) >= maxBands {
-			c.mu.Unlock()
 			return nil
 		}
 		e = &cacheEntry{}
 		c.ents[k] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.ct.hits.Add(1)
 	}
 	return e
 }
@@ -563,11 +845,12 @@ func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 	return &Band{k: k, tree: rtree.Bulk(bp, bi, TreeOptions(t.Dim())), size: len(band), counts: counts}, complete
 }
 
-// buildBand runs compute over the cache's tree and adds its wall time to
-// the family's BuildTime.
+// buildBand runs compute over the cache's tree, binds the band to the
+// family and adds its wall time to the family's BuildTime.
 func (c *Cache) buildBand(k, limit int) (*Band, bool) {
 	start := time.Now()
 	b, complete := compute(c.tree, k, limit)
+	b.ct = c.ct
 	c.ct.buildNS.Add(int64(time.Since(start)))
 	return b, complete
 }
@@ -594,11 +877,12 @@ func TreeOptions(dim int) rtree.Options {
 // band-first: the DefaultRankBand-skyband count is exact whenever it stays
 // below the band bound (any dataset with >= K beaters has >= K of them
 // inside the K-skyband); a capped count falls back to the count-pruned
-// full tree and is tallied in the cache's fallback counter. A nil cache —
-// the skyband-off ablation — goes straight to the full tree.
+// full tree and is tallied in the cache's fallback counter, and a band
+// still building sends the count there untallied. A nil cache — the skyband-off ablation — goes
+// straight to the full tree.
 func CountBelowCtx(ctx context.Context, c *Cache, t *rtree.Tree, w vec.Weight, fq float64) (int, error) {
 	if c != nil {
-		if b := c.Band(DefaultRankBand); !b.Full() {
+		if b := c.TryBand(DefaultRankBand); b != nil && !b.Full() {
 			cnt, capped, err := topk.CountBelowCappedCtx(ctx, b.Tree(), w, fq, b.K())
 			if err != nil {
 				return 0, err

@@ -140,7 +140,7 @@ func TestCacheCountersAndSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := randPoints(800, 3, rng)
 	tr := rtree.Bulk(pts, nil)
-	ct := NewCounters()
+	ct := NewCounters(nil)
 	c := NewCache(tr, ct)
 	var wg sync.WaitGroup
 	bands := make([]*Band, 8)
@@ -225,23 +225,37 @@ func TestBandCounts(t *testing.T) {
 	}
 }
 
-// peek returns the materialized band for parameter k, or nil when there is
-// none (never requested, still building, served pass-through). It builds
-// nothing and counts nothing.
-func peek(c *Cache, k int) *Band {
+// trimWait is TrimBand waited out: it starts the build TrimBand would,
+// waits for it to settle, and asks again.
+func trimWait(c *Cache, k int) *Band {
+	if b := c.TrimBand(k); b != nil {
+		return b
+	}
+	waitEntry(c, k)
+	return c.TrimBand(k)
+}
+
+// waitEntry waits until the build in flight for k, if any, has settled.
+func waitEntry(c *Cache, k int) {
 	c.mu.Lock()
 	e := c.ents[k]
 	c.mu.Unlock()
 	if e == nil {
-		return nil
+		return
 	}
-	return e.band.Load()
+	e.mu.Lock()
+	r := e.run
+	e.mu.Unlock()
+	if r != nil {
+		<-r.done
+	}
 }
 
 // TestCarryRules checks the two invalidation lemmas at the cache level
-// against exact dominance counts, and the lifecycle edges around them: a
-// build still in flight is left behind uncounted, a rebind (clone) carries
-// everything and counts nothing, and peek never builds.
+// against exact dominance counts, and the lifecycle edges around them: an
+// entry with neither a band nor a build in flight is left behind
+// uncounted, a rebind (clone) carries everything and counts nothing, and
+// Peek never builds. TestCarryInFlight covers builds in flight.
 func TestCarryRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randPoints(700, 3, rng)
@@ -257,16 +271,17 @@ func TestCarryRules(t *testing.T) {
 		return c
 	}
 	c := NewCache(tr, nil)
-	if peek(c, 4) != nil || c.Stats().Bands != 0 {
+	if c.Peek(4) != nil || c.Stats().Bands != 0 {
 		t.Fatal("peek built a band")
 	}
 	for _, k := range ks {
 		c.Band(k)
 	}
-	// An entry whose build has not finished: present in the map, no band.
+	// An entry with nothing to carry: present in the map, no band, no
+	// build in flight.
 	c.ents[50] = &cacheEntry{}
 
-	if nc := c.Rebind(tr.Clone()); nc == c || peek(nc, 50) != nil || nc.Stats().Bands != len(ks) {
+	if nc := c.Rebind(tr.Clone()); nc == c || nc.Peek(50) != nil || nc.Stats().Bands != len(ks) {
 		t.Fatalf("rebind carried %d bands, want the %d finished ones in a cache of its own", nc.Stats().Bands, len(ks))
 	}
 	if s := c.Counters().Snapshot(); s.Carried != 0 || s.Dropped != 0 {
@@ -286,12 +301,12 @@ func TestCarryRules(t *testing.T) {
 		carried := 0
 		for _, k := range ks {
 			want := dom >= k
-			if got := peek(nc, k) != nil; got != want {
+			if got := nc.Peek(k) != nil; got != want {
 				t.Fatalf("insert with %d dominators: band k=%d carried=%t, want %t", dom, k, got, want)
 			}
 			if want {
 				carried++
-				if peek(nc, k) != peek(c, k) {
+				if nc.Peek(k) != c.Peek(k) {
 					t.Fatalf("band k=%d was copied, not carried", k)
 				}
 			}
@@ -301,7 +316,7 @@ func TestCarryRules(t *testing.T) {
 			t.Fatalf("insert over %d finished bands counted carried=%d dropped=%d",
 				len(ks), after.Carried-before.Carried, after.Dropped-before.Dropped)
 		}
-		if peek(nc, 50) != nil {
+		if nc.Peek(50) != nil {
 			t.Fatal("in-flight entry was carried")
 		}
 
@@ -313,7 +328,7 @@ func TestCarryRules(t *testing.T) {
 		}
 		nc = c.AfterDelete(tr, id)
 		for _, k := range ks {
-			if got, want := peek(nc, k) != nil, dom >= k; got != want {
+			if got, want := nc.Peek(k) != nil, dom >= k; got != want {
 				t.Fatalf("delete of id %d with %d dominators: band k=%d carried=%t, want %t", id, dom, k, got, want)
 			}
 		}
@@ -322,7 +337,7 @@ func TestCarryRules(t *testing.T) {
 	// A snapshot too small for k to prune holds no band for it.
 	small := rtree.Bulk(pts[:fullBandFactor*9], nil)
 	nc := c.AfterDelete(small, int32(len(pts)+1))
-	if peek(nc, 9) != nil || peek(nc, 20) != nil || peek(nc, 4) == nil {
+	if nc.Peek(9) != nil || nc.Peek(20) != nil || nc.Peek(4) == nil {
 		t.Fatal("pass-through threshold not applied to the carried set")
 	}
 }
@@ -344,6 +359,12 @@ func TestTrimBandDeclines(t *testing.T) {
 		a, b := rng.Float64(), rng.Float64()
 		wide[i] = vec.Point{a, b, 1.5 - (a+b)/2 + 0.01*rng.Float64()}
 	}
+	// A tail every other point dominates keeps the band short of the whole
+	// dataset, which Band would decline as whole.
+	for i := 0; i < 16; i++ {
+		wide = append(wide, vec.Point{2, 2, 2 + float64(i)})
+	}
+	n = len(wide)
 	tr := rtree.Bulk(wide, nil)
 	c := NewCache(tr, nil)
 	limit := n / trimBandFrac
@@ -351,11 +372,11 @@ func TestTrimBandDeclines(t *testing.T) {
 		t.Fatalf("fixture: 8-band holds %d points, need more than %d", c.Band(8).Size(), limit)
 	}
 	c = NewCache(tr, nil)
-	if b := c.TrimBand(8); b != nil {
+	if b := trimWait(c, 8); b != nil {
 		t.Fatalf("TrimBand built a %d-point band past the %d-point limit", b.Size(), limit)
 	}
 	s := c.Counters().Snapshot()
-	if s.Declines != 1 || s.Builds != 0 || c.Stats().Bands != 0 || peek(c, 8) != nil {
+	if s.Declines.TrimLimit != 1 || s.Builds != 0 || c.Stats().Bands != 0 || c.Peek(8) != nil {
 		t.Fatalf("after one decline: %+v, stats %+v", s, c.Stats())
 	}
 	ev := c.ents[8].decline.Load()
@@ -377,10 +398,10 @@ func TestTrimBandDeclines(t *testing.T) {
 			t.Fatalf("evidence member %d: count %d, true %d", id, cnt, dom)
 		}
 	}
-	if c.TrimBand(8) != nil {
+	if c.TrimBand(8) != nil || c.Counters().Snapshot().Pending != 0 {
 		t.Fatal("a cached decline was retried")
 	}
-	if s := c.Counters().Snapshot(); s.Declines != 1 || s.Builds != 0 {
+	if s := c.Counters().Snapshot(); s.Declines.TrimLimit != 1 || s.Builds != 0 {
 		t.Fatalf("repeat requests rebuilt: %+v", s)
 	}
 
@@ -426,7 +447,7 @@ func TestTrimBandDeclines(t *testing.T) {
 	if s := c.Counters().Snapshot(); s.Carried != 0 || s.Dropped != 0 {
 		t.Fatalf("declines counted as bands: %+v", s)
 	}
-	if s := c.Counters().Snapshot(); s.Declines != 1 || s.Builds != 0 {
+	if s := c.Counters().Snapshot(); s.Declines.TrimLimit != 1 || s.Builds != 0 {
 		t.Fatalf("carrying a decline rebuilt: %+v", s)
 	}
 
@@ -473,17 +494,17 @@ func TestTrimBandDeclines(t *testing.T) {
 	if full == nil || full.Full() || full.Size() <= limit {
 		t.Fatalf("Band over a declined entry: %+v", full)
 	}
-	if c.TrimBand(8) != full || peek(c, 8) != full {
+	if c.TrimBand(8) != full || c.Peek(8) != full {
 		t.Fatal("TrimBand must share the materialized band")
 	}
-	if s := c.Counters().Snapshot(); s.Builds != 2 || s.Declines != 1 {
+	if s := c.Counters().Snapshot(); s.Builds != 2 || s.Declines.TrimLimit != 1 {
 		t.Fatalf("completion counters (one build per snapshot): %+v", s)
 	}
 
 	// Uniform data: the band is small, TrimBand builds it and Band shares it.
 	pts := randPoints(6000, 3, rng)
 	c2 := NewCache(rtree.Bulk(pts, nil), nil)
-	b := c2.TrimBand(8)
+	b := trimWait(c2, 8)
 	if b == nil || b.Size() > len(pts)/trimBandFrac {
 		t.Fatalf("uniform 8-band declined or oversized: %+v", b)
 	}
@@ -507,5 +528,129 @@ func TestTrimBandDeclines(t *testing.T) {
 	}
 	if want != b.Size() {
 		t.Fatalf("band size %d, want %d", b.Size(), want)
+	}
+}
+
+// heldCounters returns a counter set whose background builds each wait for
+// a value on the returned channel before running.
+func heldCounters() (*Counters, chan<- struct{}) {
+	gate := make(chan struct{})
+	return NewCounters(func(fn func()) bool {
+		go func() {
+			<-gate
+			fn()
+		}()
+		return true
+	}), gate
+}
+
+// TestCarryInFlight carries a band build in flight across chains of steps
+// — a clone, then a mutation, then another — and checks that when it
+// finishes every later entry gets exactly what the carry rules give a
+// finished band: the band itself across steps that leave it unchanged,
+// nothing from the first step that changes it on, and the counters as if
+// the band had been finished before the first step.
+func TestCarryInFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pts := randPoints(500, 3, rng)
+	tr := rtree.Bulk(pts, nil)
+	const k = 6
+	ref := NewCache(tr, nil).Band(k)
+	var member, other int32 = -1, -1
+	for id := range pts {
+		if ref.member(int32(id)) {
+			member = int32(id)
+		} else {
+			other = int32(id)
+		}
+	}
+	dominated, dominating := vec.Point{2, 2, 2}, vec.Point{0, 0, 0}
+	for _, tc := range []struct {
+		name             string
+		steps            []func(*Cache) *Cache
+		kept             []bool // after each step
+		carried, dropped int64
+	}{
+		{"clone, dominated insert, non-member delete", []func(*Cache) *Cache{
+			func(c *Cache) *Cache { return c.Rebind(tr.Clone()) },
+			func(c *Cache) *Cache { return c.AfterInsert(tr, dominated) },
+			func(c *Cache) *Cache { return c.AfterDelete(tr, other) },
+		}, []bool{true, true, true}, 2, 0},
+		{"member delete, then dominated insert", []func(*Cache) *Cache{
+			func(c *Cache) *Cache { return c.AfterDelete(tr, member) },
+			func(c *Cache) *Cache { return c.AfterInsert(tr, dominated) },
+		}, []bool{false, false}, 0, 1},
+		{"dominated insert, then dominating insert", []func(*Cache) *Cache{
+			func(c *Cache) *Cache { return c.AfterInsert(tr, dominated) },
+			func(c *Cache) *Cache { return c.AfterInsert(tr, dominating) },
+		}, []bool{true, false}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct, gate := heldCounters()
+			c := NewCache(tr, ct)
+			if c.TryBand(k) != nil {
+				t.Fatal("a cold TryBand served a band")
+			}
+			caches := []*Cache{c}
+			for _, step := range tc.steps {
+				caches = append(caches, step(caches[len(caches)-1]))
+			}
+			if s := ct.Snapshot(); s.Pending != 1 || s.Carried+s.Dropped != 0 {
+				t.Fatalf("steps waited for or judged the build: %+v", s)
+			}
+			gate <- struct{}{}
+			waitEntry(c, k)
+			band := c.Peek(k)
+			if band == nil {
+				t.Fatal("the build did not land")
+			}
+			for i, nc := range caches[1:] {
+				waitEntry(nc, k)
+				got := nc.Peek(k)
+				if (got != nil) != tc.kept[i] || got != nil && got != band {
+					t.Fatalf("step %d: band %p, want kept=%t (%p)", i, got, tc.kept[i], band)
+				}
+				if got == nil && nc.TryBand(k) != nil {
+					t.Fatal("an empty entry served a band")
+				}
+			}
+			if s := ct.Snapshot(); s.Carried != tc.carried || s.Dropped != tc.dropped || s.Builds != 1 {
+				t.Fatalf("counters %+v, want carried=%d dropped=%d builds=1", s, tc.carried, tc.dropped)
+			}
+		})
+	}
+}
+
+// TestWholeBandDeclined pins the whole decline: a finished band that kept
+// every point is served pass-through, holds no tree of its own, counts a
+// decline with reason whole and no build, is refused as a trim band, and
+// is carried by a clone but not by a mutation.
+func TestWholeBandDeclined(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	pts := make([]vec.Point, 400)
+	for i := range pts {
+		a := rng.Float64()
+		pts[i] = vec.Point{a, 1 - a} // an antichain: nobody dominates anybody
+	}
+	tr := rtree.Bulk(pts, nil)
+	c := NewCache(tr, nil)
+	if b := c.Band(8); !b.Full() || b.Tree() != tr {
+		t.Fatalf("whole band not served pass-through: full=%t", b.Full())
+	}
+	s := c.Stats()
+	if s.Declines.Whole != 1 || s.Builds != 0 || s.Bands != 0 || c.Peek(8) != nil {
+		t.Fatalf("whole decline: %+v", s)
+	}
+	if b := c.TryBand(8); b == nil || !b.Full() || c.TrimBand(8) != nil {
+		t.Fatal("whole decline must serve pass-through and refuse the trim")
+	}
+	if nc := c.Rebind(tr.Clone()); nc.ents[8] != c.ents[8] || !nc.TryBand(8).Full() {
+		t.Fatal("a clone dropped the whole decline")
+	}
+	if nc := c.AfterInsert(tr, vec.Point{2, 2}); nc.ents[8] != nil {
+		t.Fatal("a mutation carried the whole decline")
+	}
+	if s := c.Stats(); s.Declines.Whole != 1 || s.Pending != 0 {
+		t.Fatalf("reads of a whole decline rebuilt it: %+v", s)
 	}
 }

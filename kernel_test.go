@@ -303,6 +303,7 @@ func TestKernelEngineStats(t *testing.T) {
 	for j := range W {
 		W[j] = sample.RandSimplex(rng, 3)
 	}
+	warm(eOn.Snapshot(), 4)
 	respOn, err := eOn.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: 4, W: W})
 	if err != nil {
 		t.Fatal(err)

@@ -445,31 +445,32 @@ func runReverseTopK(ctx context.Context, ix *Index, a *query) (any, error) {
 }
 
 // bichromatic answers a validated bichromatic reverse top-k query through
-// one of two tiers, which decide membership identically. With the cell
-// index available, each vector is counted against its grid cell's candidate
-// superset (see internal/cellindex's count-preservation argument). When
-// there is no grid for this k or it declines the query, each vector pays
-// one capped count descent (rtopk.BichromaticCountCtx) over the k-skyband's
-// tree — the k smallest scores under any vector are achieved inside the
-// band — which is the full tree for a pass-through band and under skyOff.
-// The band is looked up once and serves both tiers; nothing here reads the
+// one of three tiers, which decide membership identically, and never waits
+// on a build. With the k-skyband and its cell grid built, each vector is
+// counted against its grid cell's candidate superset (see
+// internal/cellindex's count-preservation argument). Without a grid —
+// none for this band, none yet, or one that declines the query — each
+// vector pays one capped count descent (rtopk.BichromaticCountCtx) over the
+// band's tree, since the k smallest scores under any vector are achieved
+// inside the band; without a band — pass-through, skyOff, or still
+// building — over the full tree. A missing band or grid starts its build
+// in the background (readyBand, readyGrid). Nothing here reads the
 // dimensionality or the band's size.
 func (ix *Index) bichromatic(ctx context.Context, W []vec.Weight, q vec.Point, k int) ([]int, rtopk.Stats, error) {
-	b := ix.band(k)
-	if g := ix.cellGrid(b); g != nil {
-		res, scanned, ok, err := g.ReverseTopK(ctx, W, q, k)
-		if err != nil {
-			return nil, rtopk.Stats{}, err
-		}
-		if ok {
-			ix.kct.Add(len(W), scanned)
-			ix.cct.CountLookups(len(W))
-			return res, rtopk.Stats{Evaluated: len(W), CandidateSetSize: g.BasisSize()}, nil
-		}
-		ix.cct.CountFallback()
-	}
 	t := ix.tree
-	if b != nil {
+	if b := ix.readyBand(k); b != nil {
+		if g := ix.readyGrid(b); g != nil {
+			res, scanned, ok, err := g.ReverseTopK(ctx, W, q, k)
+			if err != nil {
+				return nil, rtopk.Stats{}, err
+			}
+			if ok {
+				ix.kct.Add(len(W), scanned)
+				ix.cct.CountLookups(len(W))
+				return res, rtopk.Stats{Evaluated: len(W), CandidateSetSize: g.BasisSize()}, nil
+			}
+			ix.cct.CountFallback()
+		}
 		t = b.Tree()
 	}
 	return rtopk.BichromaticCountCtx(ctx, t, W, q, k)
@@ -524,8 +525,11 @@ func whyNotRTA(val any) RTAStats { return val.(*WhyNotAnswer).RTA }
 // one candidate traversal serves both sampling solutions and MQWK reuses
 // the MQP optimum — all three refinements, each bit-identical to its
 // standalone kind. With nothing missing only Result and RTA are populated.
+// Membership is one capped count descent per why-not vector over the full
+// tree: a question names a handful of vectors, so it never asks for the
+// k-band or its grid, which would cost more to build than they save it.
 func runWhyNot(ctx context.Context, ix *Index, a *query) (any, error) {
-	res, stats, err := ix.bichromatic(ctx, a.ws, a.q, a.k)
+	res, stats, err := rtopk.BichromaticCountCtx(ctx, ix.tree, a.ws, a.q, a.k)
 	if err != nil {
 		return nil, err
 	}

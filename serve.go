@@ -212,7 +212,10 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 func (e *Engine) Admission() *admission.Controller { return e.adm }
 
 // Close stops the engine: computations in flight finish, later calls —
-// mutations included — fail with ErrEngineClosed. With a data directory,
+// mutations and cache hits included — fail with ErrEngineClosed, and the
+// background band and grid builds of the index's clone family stop (Close
+// waits out the running ones, so none outlives it; clones of the index
+// taken before NewEngine belong to the family too). With a data directory,
 // Close then settles durability: the WAL is flushed and fsynced regardless
 // of policy (every mutation acknowledged before Close is durable once
 // Close returns), and an in-flight background checkpoint is either
@@ -234,7 +237,9 @@ func (e *Engine) Close() error {
 		e.mu.Lock()
 		barrier := e.current.Load()
 		e.mu.Unlock()
-		_ = barrier
+		// Every snapshot shares its family's builds: stop them, and wait
+		// out the ones running, before the engine counts as closed.
+		barrier.bg.close()
 		if e.dur != nil {
 			e.closeErr = e.dur.close()
 		}
@@ -510,9 +515,9 @@ func isCtxErr(err error) bool {
 }
 
 // serve is the Engine request path, the one place a request of any kind
-// opens and closes, all on the caller's goroutine: validate on the current
-// snapshot → key → cache fast path → admission door → compute slot → cache
-// again → answer on the validated snapshot → deposit. Every exit is
+// opens and closes, all on the caller's goroutine: closed → validate on the
+// current snapshot → key → cache fast path → admission door → compute slot
+// → cache again → answer on the validated snapshot → deposit. Every exit is
 // observed exactly once (the first defer), and the admission ticket and the
 // slot are released exactly once. The slot wait ends with ctx. The second
 // cache look finds the answer of an identical request that held a slot
@@ -527,6 +532,9 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 			e.metrics.ObserveCanceled(name)
 		}
 	}()
+	if e.closed.Load() {
+		return nil, 0, 0, ErrEngineClosed
+	}
 	snap := e.Snapshot()
 	if err = snap.validate(&a); err != nil {
 		return nil, 0, 0, err

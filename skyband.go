@@ -1,10 +1,12 @@
 package wqrtq
 
-// The k-skyband sub-index (internal/skyband) bound to the Index: every
-// reverse-top-k-shaped evaluation — the membership counts behind ReverseTopK
-// and WhyNot, rank counting, MQP's top k-th searches, and the MWK/MQWK sampling
-// loops — runs against a lazily computed k-skyband candidate set, cached
-// for as long as mutations leave it unchanged, instead of the full dataset. Only points dominated by fewer than k
+// The k-skyband sub-index (internal/skyband) bound to the Index: the
+// reverse-top-k-shaped evaluations — the membership counts behind
+// ReverseTopK, rank counting, MQP's top k-th searches, and the MWK/MQWK
+// sampling loops — run against a k-skyband candidate set, built in the
+// background on first use and cached for as long as mutations leave it
+// unchanged, instead of the full dataset (until it lands, the full tree
+// answers). Only points dominated by fewer than k
 // others can appear in any top-k result, so results are bit-identical to
 // the full-tree paths (the differential suite in skyband_test.go proves it
 // end to end, reaching the full-tree oracle through the unexported skyOff
@@ -13,6 +15,7 @@ package wqrtq
 
 import (
 	"context"
+	"sync"
 
 	"wqrtq/internal/core"
 	"wqrtq/internal/rtopk"
@@ -21,8 +24,10 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// band returns the k-skyband of the current snapshot, or nil when a test
-// has switched the sub-index off (skyOff) to get the full-tree oracle.
+// band returns the k-skyband of the current snapshot, waiting for its
+// build, or nil when a test has switched the sub-index off (skyOff) to get
+// the full-tree oracle. Only the exact monochromatic query, whose grid has
+// no tier below it, waits on a band; the request path uses readyBand.
 func (ix *Index) band(k int) *skyband.Band {
 	if ix.skyOff || ix.sky == nil {
 		return nil
@@ -30,12 +35,23 @@ func (ix *Index) band(k int) *skyband.Band {
 	return ix.sky.Band(k)
 }
 
+// readyBand returns the k-skyband of the current snapshot if it is built
+// (a pass-through band where band would serve one), and nil under skyOff
+// or while it builds in the background — the caller then answers from the
+// full tree, which decides identically.
+func (ix *Index) readyBand(k int) *skyband.Band {
+	if ix.skyOff || ix.sky == nil {
+		return nil
+	}
+	return ix.sky.TryBand(k)
+}
+
 // coreSource builds the acceleration hooks the refinement algorithms run
 // through for parameter k, or nil — core's oracle path — under skyOff. The
-// hooks are bit-compatible with the legacy scans (see core.Source). Every
-// band resolves lazily inside its hook, so an algorithm that never calls a
-// hook (MWK never needs KthPoint) never pays a band construction, and none
-// is built before core's own input guard has passed.
+// hooks are bit-compatible with the legacy scans (see core.Source). Neither
+// waits on a build: KthPoint uses the k-band only when some reverse top-k
+// has already built it, and BandCounts a trim band once its background
+// build has landed, so a why-not never asks for the k-band or its grid.
 func (ix *Index) coreSource(k int) *core.Source {
 	if ix.skyOff || ix.sky == nil {
 		return nil
@@ -45,7 +61,7 @@ func (ix *Index) coreSource(k int) *core.Source {
 		Routes: ix.rct,
 		KthPoint: func(ctx context.Context, w vec.Weight, kk int) (topk.Result, bool, error) {
 			if kk == k {
-				if b := ix.band(k); b != nil && !b.Full() {
+				if b := ix.sky.Peek(k); b != nil {
 					return topk.KthPointCtx(ctx, b.Tree(), w, kk)
 				}
 			}
@@ -79,6 +95,71 @@ func (ix *Index) coreSource(k int) *core.Source {
 			return bb.Counts()
 		},
 	}
+}
+
+// builds runs the background band and grid builds of one clone family
+// (skyband.NewCounters' spawn) and lets Engine.Close stop them: after
+// close no build starts, and close returns once the running ones have
+// finished. A build is bounded work — one tree walk, or one grid — and
+// takes no context, so close waits rather than cancels.
+type builds struct {
+	mu      sync.Mutex
+	idle    sync.Cond // signalled when running drops to zero
+	running int
+	closed  bool
+	// hold, when set, runs on each build's goroutine before the build:
+	// the tests' way to hold a build in flight.
+	hold func()
+}
+
+func newBuilds() *builds {
+	b := &builds{}
+	b.idle.L = &b.mu
+	return b
+}
+
+// spawn runs fn on a goroutine of its own unless the family is closed.
+func (b *builds) spawn(fn func()) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	b.running++
+	hold := b.hold
+	go func() {
+		defer b.done()
+		if hold != nil {
+			hold()
+		}
+		fn()
+	}()
+	return true
+}
+
+func (b *builds) done() {
+	b.mu.Lock()
+	if b.running--; b.running == 0 {
+		b.idle.Broadcast()
+	}
+	b.mu.Unlock()
+}
+
+// wait returns once no build is running.
+func (b *builds) wait() {
+	b.mu.Lock()
+	for b.running > 0 {
+		b.idle.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// close refuses every later build and waits out the running ones.
+func (b *builds) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.wait()
 }
 
 // maxTrimBand caps the band parameter of sample-loop trims. 128 covers the

@@ -25,18 +25,19 @@ func TestTierCoverage(t *testing.T) {
 		ds     *dataset.Dataset
 		k      int
 		cell   bool // the cell index answers (d <= 4 on a built band)
-		banded bool // a k-skyband is built (4k < n)
-		prunes bool // ... and it is smaller than the dataset
+		banded bool // a k-skyband smaller than the dataset is built (4k < n)
+		whole  bool // ... or declined, since it would keep every point
 	}{
-		{"d=3 cell index over the band", dataset.Independent(2000, 3, 900), 10, true, true, true},
-		{"d=5 count descent over the band tree", dataset.Independent(2000, 5, 901), 10, false, true, true},
+		{"d=3 cell index over the band", dataset.Independent(2000, 3, 900), 10, true, true, false},
+		{"d=5 count descent over the band tree", dataset.Independent(2000, 5, 901), 10, false, true, false},
 		{"d=5 4k>=n count descent over the full tree", dataset.Independent(32, 5, 902), 10, false, false, false},
 		// A pass-through band carries no grid, whatever d.
 		{"d=3 4k>=n count descent over the full tree", dataset.Independent(32, 3, 903), 10, false, false, false},
-		{"NBA-like n=17265 d=13 count descent over the band tree", dataset.NBALike(17265, 904), 10, false, true, true},
+		{"NBA-like n=17265 d=13 count descent over the band tree", dataset.NBALike(17265, 904), 10, false, true, false},
 		// Household-like data is so anticorrelated at d = 6 that its
-		// 10-skyband is the whole dataset: the band tree prunes nothing.
-		{"household-like n=20k d=6 count descent over a band of everything", dataset.HouseholdLike(20000, 905), 10, false, true, false},
+		// 10-skyband is the whole dataset: that band is declined as whole
+		// and the count descent runs over the full tree.
+		{"household-like n=20k d=6 count descent over a band of everything", dataset.HouseholdLike(20000, 905), 10, false, false, true},
 	}
 	t.Run("refinement", refinementTier)
 	for ci, tc := range cases {
@@ -66,6 +67,7 @@ func TestTierCoverage(t *testing.T) {
 			}
 			q := top[tc.k-1].Point
 
+			warm(ix, tc.k)
 			resp, err := ix.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: q, K: tc.k, W: W})
 			if err != nil {
 				t.Fatal(err)
@@ -94,11 +96,14 @@ func TestTierCoverage(t *testing.T) {
 				}
 			}
 			if tc.banded {
-				if sky.Builds != 1 || sky.Points != resp.RTA.CandidateSetSize || (sky.Points < n) != tc.prunes {
-					t.Fatalf("band (prunes: %t): %+v, candidate set %d of %d", tc.prunes, sky, resp.RTA.CandidateSetSize, n)
+				if sky.Builds != 1 || sky.Points != resp.RTA.CandidateSetSize || sky.Points >= n {
+					t.Fatalf("band: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, n)
 				}
 			} else if sky.Builds != 0 || resp.RTA.CandidateSetSize != n {
-				t.Fatalf("4k >= n must pass the full set through: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, n)
+				t.Fatalf("4k >= n or a whole band must pass the full set through: %+v, candidate set %d of %d", sky, resp.RTA.CandidateSetSize, n)
+			}
+			if whole := sky.Declines.Whole == 1; whole != tc.whole || sky.Declines.Whole > 1 {
+				t.Fatalf("whole declines %d, want one: %t", sky.Declines.Whole, tc.whole)
 			}
 
 			for _, w := range W[:8] {
@@ -172,6 +177,12 @@ func refinementTier(t *testing.T) {
 				}
 				wm := [][]float64{wl.Wm[0]}
 				req := WhyNotRequest{Q: wl.Q, K: wl.K, W: wm, Opts: Options{SampleSize: samples, Seed: int64(inst + 1)}}
+				// A warm server holds the trim bands: a first answer starts
+				// the builds of the ones missing.
+				if _, err := ix.WhyNotCtx(t.Context(), req); err != nil {
+					t.Fatal(err)
+				}
+				settle(ix)
 				before, skyBefore := ix.KernelStats(), ix.SkybandStats()
 				resp, err := ix.WhyNotCtx(t.Context(), req)
 				if err != nil {

@@ -92,12 +92,15 @@ type Index struct {
 	// copies the one it writes.
 	ids *idtable.Table
 	// sky is the snapshot's k-skyband sub-index cache (skyband.go): bands
-	// are computed lazily per k and shared by all readers, and each holds
-	// its own cell grid (cellindex.go). Clone, Insert and Delete give the
-	// next snapshot a cache of its own that carries every band the step
-	// provably leaves unchanged, grid included (dynamic.go), so stale
+	// are computed in the background per k and shared by all readers, and
+	// each holds its own cell grid (cellindex.go). Clone, Insert and Delete
+	// give the next snapshot a cache of its own that carries every band the
+	// step provably leaves unchanged, grid included (dynamic.go), so stale
 	// bands and grids are unreachable.
 	sky *skyband.Cache
+	// bg runs the clone family's background band and grid builds
+	// (skyband.go), shared across the family like the counters.
+	bg *builds
 	// kct carries the blocked scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters (kernel.go).
 	kct *kernel.Counters
@@ -148,7 +151,8 @@ func NewIndex(points [][]float64) (*Index, error) {
 // (its parts come from verified durable state, so it skips validation and
 // bulk load).
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
-	return &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, nil), kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
+	bg := newBuilds()
+	return &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, skyband.NewCounters(bg.spawn)), bg: bg, kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 }
 
 // Len returns the number of indexed points.
