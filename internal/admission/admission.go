@@ -1,21 +1,14 @@
 // Package admission implements the serving engine's overload-control
-// front door: an AIMD adaptive concurrency limiter per class and
-// deadline-aware early shedding.
+// front door: an AIMD adaptive concurrency limiter per class.
 //
 // Every request passes Admit before it is allowed to wait for a compute
-// slot or cost an index traversal. A request is shed — with a machine-readable reason
-// and a Retry-After hint — when:
-//
-//   - its context's remaining budget is below the current p50 service
-//     time for its class ("doomed": it would almost certainly expire
-//     while it waits, so rejecting it now is strictly cheaper for everyone);
-//   - its class's adaptive concurrency limit is reached ("concurrency":
-//     the AIMD controller has concluded that more in-flight work pushes
-//     latency past the target).
-//
-// Queries and mutations are separate classes with independent limits and
-// latency statistics, so a query storm cannot starve writes
-// and vice versa.
+// slot or cost an index traversal. It is shed, with a machine-readable
+// reason and a Retry-After hint, when its class's adaptive concurrency
+// limit is reached: the AIMD controller has concluded that more in-flight
+// work pushes latency past the target. Queries and mutations are separate
+// classes with independent limits, so a query storm cannot starve writes
+// and vice versa. The doomed-deadline check is the engine's, which reads
+// its per-kind latency histograms; the controller only counts its sheds.
 //
 // The AIMD loop is the classic TCP-shaped controller: every completed
 // request whose latency is at or under the target nudges the limit up
@@ -32,8 +25,6 @@ package admission
 import (
 	"context"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,7 +58,7 @@ func (c Class) String() string {
 // Shed reasons, surfaced in OverloadError and /v1/stats.
 const (
 	// ReasonDoomed: the request's remaining context budget is below the
-	// class's observed p50 service time.
+	// observed p50 service time of its kind (the engine decides this).
 	ReasonDoomed = "doomed_deadline"
 	// ReasonConcurrency: the class's adaptive in-flight limit is reached.
 	ReasonConcurrency = "concurrency_limit"
@@ -89,11 +80,10 @@ type Config struct {
 
 // Shed describes one rejected admission.
 type Shed struct {
-	Class  Class
 	Reason string
 	// RetryAfter is the controller's hint for when a retry has a real
-	// chance: the observed p50 (zero when no data exists yet), or the
-	// target for a concurrency shed before any data.
+	// chance: the target for a concurrency shed, zero for an injected one.
+	// The engine replaces it with the observed p50 once it has one.
 	RetryAfter time.Duration
 }
 
@@ -124,8 +114,12 @@ func NewController(cfg Config) *Controller {
 		target = 50 * time.Millisecond
 	}
 	c := &Controller{}
-	for cl := Class(0); cl < numClasses; cl++ {
-		c.limiters[cl] = newLimiter(maxInflight, target)
+	for cl := range c.limiters {
+		l := &limiter{maxLimit: float64(maxInflight), target: target}
+		// The window starts fully open: the controller learns the real
+		// capacity by observing latency, shrinking only on evidence.
+		l.limitBits.Store(math.Float64bits(l.maxLimit))
+		c.limiters[cl] = l
 	}
 	return c
 }
@@ -133,46 +127,39 @@ func NewController(cfg Config) *Controller {
 // InjectLatency makes every subsequent Admit stall d before deciding —
 // the admission-layer latency fault for chaos testing. d <= 0 clears it.
 func (c *Controller) InjectLatency(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.injDelayNs.Store(int64(d))
+	c.injDelayNs.Store(int64(max(d, 0)))
 }
 
 // InjectErrors makes the next n Admit calls shed with ReasonInjected.
 // n <= 0 clears any remaining budget.
 func (c *Controller) InjectErrors(n int) {
-	if n <= 0 {
-		n = 0
-	}
-	c.injErrs.Store(int64(n))
+	c.injErrs.Store(int64(max(n, 0)))
 }
 
 // Admit decides whether a request of the given class may proceed. A nil
 // Shed means admitted; the caller must then call Ticket.Done exactly once.
-func (c *Controller) Admit(ctx context.Context, class Class) (*Ticket, *Shed) {
+// ctx is not read: deadlines are the engine's to judge.
+func (c *Controller) Admit(_ context.Context, class Class) (*Ticket, *Shed) {
 	if d := c.injDelayNs.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
+	l := c.limiters[class]
 	if c.injErrs.Load() > 0 && c.injErrs.Add(-1) >= 0 {
-		l := c.limiters[class]
 		l.shedInjected.Add(1)
-		return nil, &Shed{Class: class, Reason: ReasonInjected, RetryAfter: l.lat.p50()}
+		return nil, &Shed{Reason: ReasonInjected}
 	}
-	return c.limiters[class].admit(ctx, class)
+	if v := l.inflight.Add(1); float64(v) > l.limit() {
+		l.inflight.Add(-1)
+		l.shedConcurrency.Add(1)
+		return nil, &Shed{Reason: ReasonConcurrency, RetryAfter: l.target}
+	}
+	l.admitted.Add(1)
+	return &Ticket{lim: l}, nil
 }
 
-// Observe feeds a completed request's latency into a class's statistics
-// without an admission ticket — how the engine keeps p50 current while
-// admission is disabled or bypassed (cache hits).
-func (c *Controller) Observe(class Class, d time.Duration) {
-	c.limiters[class].lat.observe(d)
-}
-
-// P50 returns the class's current median service-time estimate (zero
-// until enough completions have been observed).
-func (c *Controller) P50(class Class) time.Duration {
-	return c.limiters[class].lat.p50()
+// ShedDoomed counts one request of class the engine shed as ReasonDoomed.
+func (c *Controller) ShedDoomed(class Class) {
+	c.limiters[class].shedDoomed.Add(1)
 }
 
 // ClassStats is one class's admission counters, surfaced in /v1/stats.
@@ -190,22 +177,26 @@ type ClassStats struct {
 	Inflight  int64   `json:"inflight"`
 	Limit     float64 `json:"limit"`
 	Decreases int64   `json:"decreases"`
-	// P50Micros and P99Micros are the class's observed service-time
-	// quantiles in microseconds (0 until enough data).
-	P50Micros int64 `json:"p50_micros"`
-	P99Micros int64 `json:"p99_micros"`
 }
 
 // Stats returns both classes' counters keyed by class name.
 func (c *Controller) Stats() map[string]ClassStats {
 	out := make(map[string]ClassStats, numClasses)
-	for cl := Class(0); cl < numClasses; cl++ {
-		out[cl.String()] = c.limiters[cl].stats()
+	for cl, l := range c.limiters {
+		out[Class(cl).String()] = ClassStats{
+			Admitted:        l.admitted.Load(),
+			ShedDoomed:      l.shedDoomed.Load(),
+			ShedConcurrency: l.shedConcurrency.Load(),
+			ShedInjected:    l.shedInjected.Load(),
+			Inflight:        l.inflight.Load(),
+			Limit:           l.limit(),
+			Decreases:       l.cuts.Load(),
+		}
 	}
 	return out
 }
 
-// limiter is one class's AIMD window + latency tracker.
+// limiter is one class's AIMD window and shed counters.
 type limiter struct {
 	maxLimit float64
 	target   time.Duration
@@ -219,59 +210,23 @@ type limiter struct {
 	shedConcurrency atomic.Int64
 	shedInjected    atomic.Int64
 	cuts            atomic.Int64
-
-	lat latencyTracker
-}
-
-func newLimiter(maxInflight int, target time.Duration) *limiter {
-	l := &limiter{maxLimit: float64(maxInflight), target: target}
-	// The window starts fully open: the controller learns the real
-	// capacity by observing latency, shrinking only on evidence.
-	l.limitBits.Store(math.Float64bits(l.maxLimit))
-	return l
 }
 
 func (l *limiter) limit() float64 { return math.Float64frombits(l.limitBits.Load()) }
 
-// admit runs the shed ladder: doomed deadline, then AIMD window.
-func (l *limiter) admit(ctx context.Context, class Class) (*Ticket, *Shed) {
-	if dl, ok := ctx.Deadline(); ok {
-		if p50 := l.lat.p50(); p50 > 0 && time.Until(dl) < p50 {
-			l.shedDoomed.Add(1)
-			return nil, &Shed{Class: class, Reason: ReasonDoomed, RetryAfter: p50}
-		}
-	}
-	limit := l.limit()
-	if v := l.inflight.Add(1); float64(v) > limit {
-		l.inflight.Add(-1)
-		l.shedConcurrency.Add(1)
-		retry := l.lat.p50()
-		if retry == 0 {
-			retry = l.target
-		}
-		return nil, &Shed{Class: class, Reason: ReasonConcurrency, RetryAfter: retry}
-	}
-	l.admitted.Add(1)
-	return &Ticket{lim: l}, nil
-}
-
 // Done releases the ticket's in-flight slot and drives the AIMD window
-// with the request's observed latency.
+// with the request's latency d. Done on a nil Ticket does nothing.
 func (t *Ticket) Done(d time.Duration) {
+	if t == nil {
+		return
+	}
 	l := t.lim
 	l.inflight.Add(-1)
-	l.lat.observe(d)
 	if d <= l.target {
 		// Additive increase: +1 per window's worth of under-target
-		// completions, CAS so concurrent completions never lose updates.
-		for {
-			old := l.limitBits.Load()
-			cur := math.Float64frombits(old)
-			next := math.Min(l.maxLimit, cur+1/math.Max(cur, 1))
-			if feq.Eq(next, cur) || l.limitBits.CompareAndSwap(old, math.Float64bits(next)) {
-				return
-			}
-		}
+		// completions.
+		l.update(func(cur float64) float64 { return math.Min(l.maxLimit, cur+1/math.Max(cur, 1)) })
+		return
 	}
 	// Multiplicative decrease, at most once per decrease interval.
 	now := time.Now().UnixNano()
@@ -279,70 +234,19 @@ func (t *Ticket) Done(d time.Duration) {
 	if now-last < int64(decreaseInterval) || !l.lastCut.CompareAndSwap(last, now) {
 		return
 	}
+	l.update(func(cur float64) float64 { return math.Max(1, cur*0.9) })
+	l.cuts.Add(1)
+}
+
+// update sets the AIMD window to f of itself by CAS, so concurrent
+// completions never lose updates.
+func (l *limiter) update(f func(float64) float64) {
 	for {
 		old := l.limitBits.Load()
 		cur := math.Float64frombits(old)
-		next := math.Max(1, cur*0.9)
+		next := f(cur)
 		if feq.Eq(next, cur) || l.limitBits.CompareAndSwap(old, math.Float64bits(next)) {
-			l.cuts.Add(1)
 			return
 		}
 	}
-}
-
-func (l *limiter) stats() ClassStats {
-	p50, p99 := l.lat.quantiles()
-	return ClassStats{
-		Admitted:        l.admitted.Load(),
-		ShedDoomed:      l.shedDoomed.Load(),
-		ShedConcurrency: l.shedConcurrency.Load(),
-		ShedInjected:    l.shedInjected.Load(),
-		Inflight:        l.inflight.Load(),
-		Limit:           l.limit(),
-		Decreases:       l.cuts.Load(),
-		P50Micros:       p50.Microseconds(),
-		P99Micros:       p99.Microseconds(),
-	}
-}
-
-// latencyTracker keeps a ring of recent service times and a cached
-// p50/p99, recomputed every recomputeEvery observations so the hot
-// admission path only ever loads two atomics.
-type latencyTracker struct {
-	mu    sync.Mutex
-	ring  [trackerRing]int64
-	n     int // total observations
-	p50Ns atomic.Int64
-	p99Ns atomic.Int64
-}
-
-const (
-	trackerRing    = 256
-	recomputeEvery = 32
-)
-
-func (t *latencyTracker) observe(d time.Duration) {
-	t.mu.Lock()
-	t.ring[t.n%trackerRing] = int64(d)
-	t.n++
-	if t.n%recomputeEvery == 0 {
-		filled := t.n
-		if filled > trackerRing {
-			filled = trackerRing
-		}
-		buf := make([]int64, filled)
-		copy(buf, t.ring[:filled])
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-		t.p50Ns.Store(buf[filled/2])
-		t.p99Ns.Store(buf[(filled*99)/100])
-	}
-	t.mu.Unlock()
-}
-
-func (t *latencyTracker) p50() time.Duration {
-	return time.Duration(t.p50Ns.Load())
-}
-
-func (t *latencyTracker) quantiles() (p50, p99 time.Duration) {
-	return time.Duration(t.p50Ns.Load()), time.Duration(t.p99Ns.Load())
 }

@@ -65,45 +65,6 @@ func TestAIMDDecreasesOnOverTargetLatency(t *testing.T) {
 	}
 }
 
-func TestDoomedDeadlineShedding(t *testing.T) {
-	c := NewController(Config{MaxInflight: 64})
-	// Teach the tracker a ~20ms p50.
-	for i := 0; i < recomputeEvery*2; i++ {
-		c.Observe(Query, 20*time.Millisecond)
-	}
-	if p50 := c.P50(Query); p50 != 20*time.Millisecond {
-		t.Fatalf("p50 = %v, want 20ms", p50)
-	}
-
-	// A request with 1ms of budget left is doomed and must be shed at the
-	// door with a retry hint.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	_, shed := c.Admit(ctx, Query)
-	if shed == nil || shed.Reason != ReasonDoomed {
-		t.Fatalf("want doomed shed, got %+v", shed)
-	}
-	if shed.RetryAfter != 20*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want the p50", shed.RetryAfter)
-	}
-
-	// A request with ample budget passes.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	tk, shed := c.Admit(ctx2, Query)
-	if shed != nil {
-		t.Fatalf("ample-budget admit shed: %+v", shed)
-	}
-	tk.Done(time.Millisecond)
-
-	// No deadline at all: never doomed.
-	tk, shed = c.Admit(context.Background(), Query)
-	if shed != nil {
-		t.Fatalf("no-deadline admit shed: %+v", shed)
-	}
-	tk.Done(time.Millisecond)
-}
-
 func TestInjectErrorsAndLatency(t *testing.T) {
 	c := NewController(Config{})
 	ctx := context.Background()

@@ -1,6 +1,6 @@
 // Package engine provides the serving substrate of the query engine
 // (wqrtq.Engine): a generic LRU result cache, per-endpoint latency
-// counters, and the slot pool that bounds how many queries compute at once.
+// histograms, and the slot pool that bounds how many queries compute at once.
 //
 // The pieces are deliberately generic and free of query semantics — the
 // root package assembles them around an Index. Keeping the substrate here

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -50,35 +53,39 @@ func TestLRUOverwrite(t *testing.T) {
 }
 
 func TestMetrics(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("topk", 10*time.Millisecond, false)
-	m.Observe("topk", 30*time.Millisecond, true)
-	m.Observe("rank", 5*time.Millisecond, false)
+	m := NewMetrics("topk", "rank")
+	m.Observe(0, 10*time.Millisecond, nil)
+	m.Observe(0, 30*time.Millisecond, errors.New("failed"))
+	m.Observe(0, 50*time.Millisecond, fmt.Errorf("run: %w", context.DeadlineExceeded))
 	s := m.Snapshot()
 	tk := s["topk"]
-	if tk.Count != 2 || tk.Errors != 1 {
-		t.Fatalf("topk count/errors = %d/%d", tk.Count, tk.Errors)
+	if tk.Count != 3 || tk.Errors != 2 || tk.Canceled != 1 || tk.Total != 90*time.Millisecond {
+		t.Fatalf("topk count/errors/canceled/total = %d/%d/%d/%v", tk.Count, tk.Errors, tk.Canceled, tk.Total)
 	}
-	if tk.Max != 30*time.Millisecond {
-		t.Fatalf("topk max = %v", tk.Max)
+	// Only the success enters the quantiles.
+	for _, p := range []time.Duration{tk.P50, tk.P95, tk.P99} {
+		if bucketOf(p) != bucketOf(10*time.Millisecond) {
+			t.Fatalf("topk quantiles %v/%v/%v, want 10ms's bucket", tk.P50, tk.P95, tk.P99)
+		}
 	}
-	if tk.Avg != 20*time.Millisecond {
-		t.Fatalf("topk avg = %v", tk.Avg)
-	}
-	if s["rank"].Count != 1 {
-		t.Fatalf("rank count = %d", s["rank"].Count)
+	if r, ok := s["rank"]; !ok || r != (CounterSnapshot{}) {
+		t.Fatalf("rank = %+v, %v; want a zero entry", r, ok)
 	}
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetrics("e")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.Observe("e", time.Microsecond, i%10 == 0)
+				var err error
+				if i%10 == 0 {
+					err = errors.New("failed")
+				}
+				m.Observe(0, time.Microsecond, err)
 			}
 		}()
 	}

@@ -1,101 +1,81 @@
 package engine
 
 import (
-	"sync"
+	"context"
+	"errors"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics aggregates per-endpoint latency counters. Observe is safe for
-// concurrent use and allocation-free on the hot path once an endpoint's
-// counter exists.
+// Metrics is the per-endpoint request table. Its endpoints are fixed when
+// it is built, so recording a request takes no lock.
 type Metrics struct {
-	mu       sync.RWMutex
-	counters map[string]*counter
+	names []string
+	eps   []endpoint
 }
 
-type counter struct {
+type endpoint struct {
 	count    atomic.Int64
 	errors   atomic.Int64
 	canceled atomic.Int64
 	totalNs  atomic.Int64
-	maxNs    atomic.Int64
+	ok       Histogram // latencies of the successful exits
 }
 
 // CounterSnapshot is a point-in-time copy of one endpoint's counters.
 type CounterSnapshot struct {
-	Count int64 `json:"count"`
-	// Errors counts all failed requests, Canceled the subset that failed
-	// because the caller's context was canceled or its deadline expired.
+	// Count and Total cover every exit. Errors counts the failed requests,
+	// Canceled the subset that failed because the caller's context was
+	// canceled or its deadline expired.
+	Count    int64         `json:"count"`
 	Errors   int64         `json:"errors"`
 	Canceled int64         `json:"canceled"`
 	Total    time.Duration `json:"total_ns"`
-	Max      time.Duration `json:"max_ns"`
-	Avg      time.Duration `json:"avg_ns"`
+	// P50, P95 and P99 cover the last 256–512 successful exits; 0 before.
+	P50 time.Duration `json:"p50_ns"`
+	P95 time.Duration `json:"p95_ns"`
+	P99 time.Duration `json:"p99_ns"`
 }
 
-// NewMetrics creates an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{counters: make(map[string]*counter)}
+// NewMetrics returns a table whose endpoint i is names[i].
+func NewMetrics(names ...string) *Metrics {
+	return &Metrics{names: names, eps: make([]endpoint, len(names))}
 }
 
-func (m *Metrics) counterFor(endpoint string) *counter {
-	m.mu.RLock()
-	c := m.counters[endpoint]
-	m.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c = m.counters[endpoint]; c == nil {
-		c = &counter{}
-		m.counters[endpoint] = c
-	}
-	return c
-}
-
-// Observe records one request against the endpoint.
-func (m *Metrics) Observe(endpoint string, d time.Duration, isErr bool) {
-	c := m.counterFor(endpoint)
-	c.count.Add(1)
-	if isErr {
-		c.errors.Add(1)
-	}
-	ns := d.Nanoseconds()
-	c.totalNs.Add(ns)
-	for {
-		cur := c.maxNs.Load()
-		if ns <= cur || c.maxNs.CompareAndSwap(cur, ns) {
-			break
-		}
+// Observe records one request of endpoint ep that took d and returned err.
+func (m *Metrics) Observe(ep int, d time.Duration, err error) {
+	e := &m.eps[ep]
+	e.count.Add(1)
+	e.totalNs.Add(d.Nanoseconds())
+	switch {
+	case err == nil:
+		e.ok.Observe(d)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		e.canceled.Add(1)
+		fallthrough
+	default:
+		e.errors.Add(1)
 	}
 }
 
-// ObserveCanceled marks the endpoint's most recent error as a context
-// cancellation (callers invoke it alongside Observe with isErr=true).
-func (m *Metrics) ObserveCanceled(endpoint string) {
-	m.counterFor(endpoint).canceled.Add(1)
-}
+// Latency returns endpoint ep's histogram of successful latencies.
+func (m *Metrics) Latency(ep int) *Histogram { return &m.eps[ep].ok }
 
-// Snapshot copies all counters.
+// Snapshot copies every endpoint's counters, keyed by name.
 func (m *Metrics) Snapshot() map[string]CounterSnapshot {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]CounterSnapshot, len(m.counters))
-	//wqrtq:unordered map-to-map copy; destination is itself unordered
-	for name, c := range m.counters {
-		s := CounterSnapshot{
-			Count:    c.count.Load(),
-			Errors:   c.errors.Load(),
-			Canceled: c.canceled.Load(),
-			Total:    time.Duration(c.totalNs.Load()),
-			Max:      time.Duration(c.maxNs.Load()),
+	out := make(map[string]CounterSnapshot, len(m.eps))
+	for i := range m.eps {
+		e := &m.eps[i]
+		lat := e.ok.Counts()
+		out[m.names[i]] = CounterSnapshot{
+			Count:    e.count.Load(),
+			Errors:   e.errors.Load(),
+			Canceled: e.canceled.Load(),
+			Total:    time.Duration(e.totalNs.Load()),
+			P50:      lat.Quantile(0.50),
+			P95:      lat.Quantile(0.95),
+			P99:      lat.Quantile(0.99),
 		}
-		if s.Count > 0 {
-			s.Avg = s.Total / time.Duration(s.Count)
-		}
-		out[name] = s
 	}
 	return out
 }

@@ -3,9 +3,9 @@ package wqrtq
 // Overload and degradation surfaces of the serving engine (see also
 // internal/admission and durability.go):
 //
-//   - ErrOverloaded / OverloadError: the admission front door (or the
-//     deadline check after the compute-slot wait) rejected the request
-//     before it cost index work. The error carries the class, a
+//   - ErrOverloaded / OverloadError: the admission front door or the
+//     doomed-deadline check (at the door and after the compute-slot wait)
+//     rejected the request before it cost index work. The error carries the class, a
 //     machine-readable reason and a Retry-After hint, which the HTTP
 //     layer maps to 503 + Retry-After.
 //   - ErrDegraded / DegradedError: the durability layer hit persistent
@@ -95,16 +95,36 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// admit maps an engine request through the admission controller,
-// translating a shed decision into the public error type. A nil ticket
-// with nil error means admission is disabled.
-func (e *Engine) admit(ctx context.Context, class admission.Class) (*admission.Ticket, error) {
+// admit maps a request of metrics endpoint ep through the admission
+// controller, translating a shed into the public error type with ep's p50,
+// once it has one, as Retry-After. A nil ticket with nil error means
+// admission is disabled.
+func (e *Engine) admit(ctx context.Context, class admission.Class, ep int) (*admission.Ticket, error) {
 	if e.adm == nil {
 		return nil, nil
 	}
 	t, shed := e.adm.Admit(ctx, class)
 	if shed != nil {
-		return nil, &OverloadError{Class: shed.Class.String(), Reason: shed.Reason, RetryAfter: shed.RetryAfter}
+		if p50 := e.metrics.Latency(ep).Counts().Quantile(0.5); p50 > 0 {
+			shed.RetryAfter = p50
+		}
+		return nil, &OverloadError{Class: class.String(), Reason: shed.Reason, RetryAfter: shed.RetryAfter}
 	}
 	return t, nil
+}
+
+// doomed is the one doomed-deadline check, run at the door and again after
+// the slot wait. With admission on, it sheds a query whose deadline is
+// closer than its kind's median recent successful latency: it would most
+// likely expire before it answers, so refusing it now is cheaper for all.
+func (e *Engine) doomed(ctx context.Context, k kind) error {
+	dl, ok := ctx.Deadline()
+	if e.adm == nil || !ok {
+		return nil
+	}
+	if p50 := e.metrics.Latency(int(k)).Counts().Quantile(0.5); p50 > 0 && time.Until(dl) < p50 {
+		e.adm.ShedDoomed(admission.Query)
+		return &OverloadError{Class: admission.Query.String(), Reason: admission.ReasonDoomed, RetryAfter: p50}
+	}
+	return nil
 }

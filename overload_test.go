@@ -403,9 +403,10 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 	}
 }
 
-// TestAdmissionDoomedDeadlineAtDoor: once the query class has an observed
-// p50, a request arriving with less remaining budget than that is rejected
-// at the door with ErrOverloaded before it waits for a compute slot.
+// TestAdmissionDoomedDeadlineAtDoor: once a kind has an observed p50, a
+// request of that kind arriving with less remaining budget than that is
+// rejected at the door with ErrOverloaded before it waits for a compute
+// slot.
 func TestAdmissionDoomedDeadlineAtDoor(t *testing.T) {
 	pts := basePoints("independent", 100, 3, 17)
 	ix, err := NewIndex(pts)
@@ -418,10 +419,8 @@ func TestAdmissionDoomedDeadlineAtDoor(t *testing.T) {
 	}
 	defer e.Close()
 
-	// Teach the tracker a 10s p50 through the chaos hook.
-	for i := 0; i < 64; i++ {
-		e.Admission().Observe(admission.Query, 10*time.Second)
-	}
+	// One successful 10s reverse top-k is a 10s p50 for the kind.
+	e.metrics.Observe(int(kindRTopK), 10*time.Second, nil)
 	// 1s of budget is doomed against that p50, and long enough that a
 	// descheduled caller still reaches the door before it expires.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -443,6 +442,84 @@ func TestAdmissionDoomedDeadlineAtDoor(t *testing.T) {
 	defer cancel2()
 	if _, err := e.ReverseTopKCtx(ctx2, ReverseTopKRequest{Q: []float64{0.5, 0.5, 0.5}, K: 3, W: [][]float64{{0.3, 0.3, 0.4}}}); err != nil {
 		t.Fatalf("ample-budget query: %v", err)
+	}
+}
+
+// TestDoomedDeadlineShedding: a request with 1ms of budget left, against
+// its kind's 20ms p50, is shed at the door with the p50 as its retry hint
+// and counted once in shed_doomed; an ample budget is admitted, and a
+// request without a deadline is never doomed.
+func TestDoomedDeadlineShedding(t *testing.T) {
+	e, _ := testEngine(t, 100, 3, EngineConfig{Admission: true})
+	e.metrics.Observe(int(kindTopK), 20*time.Millisecond, nil)
+	p50 := e.metrics.Latency(int(kindTopK)).Counts().Quantile(0.5)
+	if p50 < 17500*time.Microsecond || p50 > 22500*time.Microsecond {
+		t.Fatalf("p50 = %v after one 20ms success, want within an eighth of it", p50)
+	}
+	topk := func(ctx context.Context, i int) error {
+		_, err := e.TopKCtx(ctx, TopKRequest{W: []float64{0.2 + 0.01*float64(i), 0.3, 0.5 - 0.01*float64(i)}, K: 3})
+		return err
+	}
+
+	before := e.Stats().Admission["query"]
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	var oe *OverloadError
+	if err := topk(ctx, 1); !errors.As(err, &oe) || oe.Reason != admission.ReasonDoomed {
+		t.Fatalf("1ms of budget: got %v, want a doomed_deadline shed", err)
+	}
+	if oe.RetryAfter != p50 {
+		t.Fatalf("RetryAfter = %v, want the p50 %v", oe.RetryAfter, p50)
+	}
+	after := e.Stats().Admission["query"]
+	if after.ShedDoomed != before.ShedDoomed+1 || after.Admitted != before.Admitted {
+		t.Fatalf("doomed shed moved shed_doomed %d -> %d and admitted %d -> %d, want +1 and +0 (shed at the door)",
+			before.ShedDoomed, after.ShedDoomed, before.Admitted, after.Admitted)
+	}
+
+	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
+	defer cancel2()
+	if err := topk(ctx2, 2); err != nil {
+		t.Fatalf("ample-budget request: %v", err)
+	}
+	if err := topk(context.Background(), 3); err != nil {
+		t.Fatalf("no-deadline request: %v", err)
+	}
+}
+
+// TestDoomedDeadlinePerKind: a kind's p50 exists from its first successful
+// observation, the doomed check reads the p50 of the request's own kind,
+// and the p50 follows a shift in service time.
+func TestDoomedDeadlinePerKind(t *testing.T) {
+	e, _ := testEngine(t, 100, 3, EngineConfig{Admission: true})
+	topk := func(i int) error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_, err := e.TopKCtx(ctx, TopKRequest{W: []float64{0.2 + 0.01*float64(i), 0.3, 0.5 - 0.01*float64(i)}, K: 3})
+		return err
+	}
+	e.metrics.Observe(int(kindWhyNot), 10*time.Second, nil)
+	if err := topk(1); err != nil {
+		t.Fatalf("a 10s why-not p50 shed a 1s top-k: %v", err)
+	}
+	// topk now holds that fast success and one 10s one; the upper median
+	// of the two is 10s.
+	e.metrics.Observe(int(kindTopK), 10*time.Second, nil)
+	var oe *OverloadError
+	if err := topk(2); !errors.As(err, &oe) || oe.Reason != admission.ReasonDoomed {
+		t.Fatalf("1s top-k against a 10s top-k p50: got %v, want a doomed_deadline shed", err)
+	}
+	for range 512 {
+		e.metrics.Observe(int(kindTopK), 20*time.Second, nil)
+	}
+	for range 512 {
+		e.metrics.Observe(int(kindTopK), time.Millisecond, nil)
+	}
+	if p50 := e.metrics.Latency(int(kindTopK)).Counts().Quantile(0.5); p50 > 2*time.Millisecond {
+		t.Fatalf("p50 = %v after 512 successes of 20s and then 512 of 1ms, want <= 2ms", p50)
+	}
+	if err := topk(3); err != nil {
+		t.Fatalf("1s top-k once the p50 fell to 1ms: %v", err)
 	}
 }
 

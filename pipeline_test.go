@@ -239,16 +239,19 @@ func TestEngineObservesEveryExitOnce(t *testing.T) {
 		}), 1, 1)
 
 		// Doomed after the slot wait: the door passes a 10 s budget while
-		// the class has no median yet; the tracker then learns a 20 s one,
-		// and the check that follows the wait sheds the request.
+		// topk's median is the microseconds of its two successes above;
+		// then three 20 s latencies enter topk's histogram (and nothing
+		// else), so the median is 20 s, and the check that follows the wait
+		// sheds the request, counted once in shed_doomed.
+		doomedBefore := e.Stats().Admission["query"].ShedDoomed
 		want(t, "doomed after the slot wait", endpointDelta(e, "topk", func() {
 			dctx, dcancel := context.WithTimeout(ctx, 10*time.Second)
 			defer dcancel()
 			done := make(chan error, 1)
 			go func() { done <- topk(dctx, e, fresh(3)) }()
 			waitAdmitted(e, 1)
-			for range 256 { // a whole tracker ring, so the median is 20 s
-				e.Admission().Observe(admission.Query, 20*time.Second)
+			for range 3 {
+				e.metrics.Latency(int(kindTopK)).Observe(20 * time.Second)
 			}
 			release()
 			var oe *OverloadError
@@ -256,6 +259,9 @@ func TestEngineObservesEveryExitOnce(t *testing.T) {
 				t.Errorf("doomed after the slot wait: err = %v", err)
 			}
 		}), 1, 0)
+		if d := e.Stats().Admission["query"].ShedDoomed - doomedBefore; d != 1 {
+			t.Errorf("doomed after the slot wait moved shed_doomed by %d, want 1", d)
+		}
 
 		if err := e.Close(); err != nil {
 			t.Fatal(err)

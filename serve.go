@@ -8,10 +8,10 @@ package wqrtq
 // live in internal/engine; this file binds them to the Index.
 //
 // Every query of every kind takes the one path Engine.serve — validate on
-// the snapshot → key → cache → admit → slot → cache → answer → deposit →
-// observe — and every mutation the one path Engine.mutate; what a kind is
-// (fields, validation, cache key, metrics name, executor) is the kinds
-// table of request.go.
+// the snapshot → key → cache → doomed check → admit → slot → doomed check
+// → cache → answer → deposit → observe — and every mutation the one path
+// Engine.mutate; what a kind is (fields, validation, cache key, metrics
+// name, executor) is the kinds table of request.go.
 
 import (
 	"context"
@@ -69,8 +69,8 @@ type EngineConfig struct {
 	FS storage.FS
 	// Admission enables the overload-control front door
 	// (internal/admission): a per-class AIMD concurrency limiter steering
-	// accepted-request latency toward AdmissionTargetLatency, and
-	// deadline-aware early shedding. A rejected request fails with
+	// accepted-request latency toward AdmissionTargetLatency, and the
+	// engine's deadline-aware early shedding (Engine.doomed). A rejected request fails with
 	// ErrOverloaded (an *OverloadError carrying class, reason and a
 	// Retry-After hint) instead of waiting for a compute slot. Off by
 	// default, so the pure library behaves exactly as before; `wqrtq
@@ -110,7 +110,7 @@ type Engine struct {
 	// gives it back once its answer is deposited.
 	pool    *engine.SlotPool
 	cache   *engine.LRU[cacheKey, any] // nil when disabled
-	metrics *engine.Metrics
+	metrics *engine.Metrics            // endpoint k is kinds[k], then epInsert and epDelete
 	closed  atomic.Bool
 	// adm is the admission controller (overload.go, internal/admission);
 	// nil when cfg.Admission is off.
@@ -127,6 +127,12 @@ type Engine struct {
 	// share the producing run's statistics without re-counting them.
 	rta [numKinds]rtaTotals
 }
+
+// The mutation endpoints of Engine.metrics, after the query kinds.
+const (
+	epInsert = int(numKinds) + iota
+	epDelete
+)
 
 // rtaTotals accumulates reverse top-k evaluation statistics for one endpoint.
 type rtaTotals struct {
@@ -191,7 +197,11 @@ func NewEngine(ix *Index, cfg EngineConfig) (*Engine, error) {
 		}
 		ix, dur = rix, d
 	}
-	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(), dur: dur, pool: engine.NewSlotPool(runtime.GOMAXPROCS(0))}
+	names := []string{epInsert: "insert", epDelete: "delete"}
+	for k := range kinds {
+		names[k] = kinds[k].name
+	}
+	e := &Engine{cfg: cfg, metrics: engine.NewMetrics(names...), dur: dur, pool: engine.NewSlotPool(runtime.GOMAXPROCS(0))}
 	e.current.Store(ix)
 	e.keepEpoch = func(k cacheKey) bool { return k.epoch == e.current.Load().Epoch() }
 	if cfg.CacheSize > 0 {
@@ -259,7 +269,7 @@ func (e *Engine) Epoch() uint64 { return e.current.Load().Epoch() }
 // id and the epoch of the snapshot that includes it.
 func (e *Engine) Insert(p []float64) (int, uint64, error) {
 	var id int
-	epoch, err := e.mutate("insert", func(cur *Index) (*Index, func() error, error) {
+	epoch, err := e.mutate(epInsert, func(cur *Index) (*Index, func() error, error) {
 		if err := cur.checkPoint(p); err != nil {
 			return nil, nil, err
 		}
@@ -281,7 +291,7 @@ func (e *Engine) Insert(p []float64) (int, uint64, error) {
 // snapshot without it.
 func (e *Engine) Delete(id int) (bool, uint64, error) {
 	deleted := false
-	epoch, err := e.mutate("delete", func(cur *Index) (*Index, func() error, error) {
+	epoch, err := e.mutate(epDelete, func(cur *Index) (*Index, func() error, error) {
 		if id < 0 || id >= cur.NumIDs() {
 			_, err := cur.Delete(id) // delegate for the canonical error
 			return nil, nil, err
@@ -302,16 +312,21 @@ func (e *Engine) Delete(id int) (bool, uint64, error) {
 
 // mutate is the one write path: closed → degraded → admit → lock → closed
 // again → apply → WAL append (+fsync, with retry) → publish → sweep →
-// checkpoint, observed under name. apply turns the current snapshot into
+// checkpoint, observed under endpoint ep. apply turns the current snapshot into
 // the next one — on a Clone, so a failure leaves the engine state unchanged
 // — and returns the WAL append that logs the change (called only with
 // durability on); a nil next means there is nothing to publish, because
 // apply rejected the mutation (err) or found it a no-op. The returned epoch
 // is the published snapshot's, the current one's when nothing was
 // published, or 0 when the mutation was turned away before the lock.
-func (e *Engine) mutate(name string, apply func(cur *Index) (next *Index, logTo func() error, err error)) (epoch uint64, err error) {
+func (e *Engine) mutate(ep int, apply func(cur *Index) (next *Index, logTo func() error, err error)) (epoch uint64, err error) {
 	start := time.Now()
-	defer func() { e.metrics.Observe(name, time.Since(start), err != nil) }()
+	var ticket *admission.Ticket
+	defer func() {
+		d := time.Since(start)
+		ticket.Done(d)
+		e.metrics.Observe(ep, d, err)
+	}()
 	if e.closed.Load() {
 		return 0, ErrEngineClosed
 	}
@@ -324,13 +339,8 @@ func (e *Engine) mutate(name string, apply func(cur *Index) (next *Index, logTo 
 			return 0, derr
 		}
 	}
-	ticket, err := e.admit(context.Background(), admission.Mutation)
-	if err != nil {
+	if ticket, err = e.admit(context.Background(), admission.Mutation, ep); err != nil {
 		return 0, err
-	}
-	if ticket != nil {
-		admitted := time.Now()
-		defer func() { ticket.Done(time.Since(admitted)) }()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -435,8 +445,8 @@ type EngineStats struct {
 	// Live points and allocated ids in the current snapshot.
 	Live   int `json:"live"`
 	NumIDs int `json:"num_ids"`
-	// Per-endpoint latency counters (topk, rank, rtopk, explain, whynot,
-	// modify_query, modify_preferences, modify_all, insert, delete).
+	// Per-endpoint counters and latency quantiles (the eight query kinds,
+	// insert, delete).
 	Endpoints map[string]engine.CounterSnapshot `json:"endpoints"`
 	// Canceled totals, across endpoints, the requests that failed because
 	// the caller's context was canceled or its deadline expired (each
@@ -509,28 +519,22 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
-// isCtxErr reports whether err is a context cancellation or deadline error.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // serve is the Engine request path, the one place a request of any kind
 // opens and closes, all on the caller's goroutine: closed → validate on the
-// current snapshot → key → cache fast path → admission door → compute slot
-// → cache again → answer on the validated snapshot → deposit. Every exit is
-// observed exactly once (the first defer), and the admission ticket and the
-// slot are released exactly once. The slot wait ends with ctx. The second
-// cache look finds the answer of an identical request that held a slot
-// first, since a run deposits before it gives its slot back.
+// current snapshot → key → cache fast path → doomed check → admission door
+// → compute slot → doomed check again → cache again → answer on the
+// validated snapshot → deposit. Every exit, cache hits included, is timed
+// once by the first defer, which closes the admission ticket and observes
+// the request; the slot is released exactly once. The slot wait ends with ctx. The second cache
+// look finds the answer of an identical request that held a slot first,
+// since a run deposits before it gives its slot back.
 func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, elapsed time.Duration, err error) {
 	start := time.Now()
-	name := kinds[a.kind].name
+	var ticket *admission.Ticket
 	defer func() {
 		elapsed = time.Since(start)
-		e.metrics.Observe(name, elapsed, err != nil)
-		if err != nil && isCtxErr(err) {
-			e.metrics.ObserveCanceled(name)
-		}
+		ticket.Done(elapsed)
+		e.metrics.Observe(int(a.kind), elapsed, err)
 	}()
 	if e.closed.Load() {
 		return nil, 0, 0, ErrEngineClosed
@@ -545,23 +549,16 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 	key := cacheKey{epoch: snap.Epoch(), key: argKey(&a)}
 	if e.cache != nil {
 		if v, ok := e.cacheGet(key.epoch, key.key); ok {
-			if e.adm != nil {
-				// Cache hits bypass admission but still shape the class's
-				// service-time estimate: under cache-heavy traffic the
-				// median service time really is a cache hit.
-				e.adm.Observe(admission.Query, time.Since(start))
-			}
 			return v, key.epoch, 0, nil
 		}
 	}
 	// The door: deadline-aware shedding and the AIMD concurrency window —
 	// both before the request waits for a slot.
-	ticket, err := e.admit(ctx, admission.Query)
-	if err != nil {
+	if err = e.doomed(ctx, a.kind); err != nil {
 		return nil, 0, 0, err
 	}
-	if ticket != nil {
-		defer func() { ticket.Done(time.Since(start)) }()
+	if ticket, err = e.admit(ctx, admission.Query, int(a.kind)); err != nil {
+		return nil, 0, 0, err
 	}
 	if err = e.pool.Acquire(ctx); err != nil {
 		if errors.Is(err, engine.ErrPoolClosed) {
@@ -570,15 +567,9 @@ func (e *Engine) serve(ctx context.Context, a query) (val any, epoch uint64, ela
 		return nil, 0, 0, err
 	}
 	defer e.pool.Release()
-	if e.adm != nil {
-		// The slot wait may have eaten the budget the door let through:
-		// a deadline now closer than the class's median service time is
-		// shed before it costs index work.
-		if dl, ok := ctx.Deadline(); ok {
-			if p50 := e.adm.P50(admission.Query); p50 > 0 && time.Until(dl) < p50 {
-				return nil, 0, 0, &OverloadError{Class: "query", Reason: admission.ReasonDoomed, RetryAfter: p50}
-			}
-		}
+	// The slot wait may have eaten the budget the door let through.
+	if err = e.doomed(ctx, a.kind); err != nil {
+		return nil, 0, 0, err
 	}
 	if e.cache != nil {
 		if v, ok := e.cache.Get(key); ok {
