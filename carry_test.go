@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -98,8 +99,9 @@ func checkReverseTopK(t *testing.T, label string, ix *Index, rng *rand.Rand, ks 
 // bandCount is id's dominance count in b, or -1 when id is no member
 // (count >= b.K(), or an id allocated after b was computed).
 func bandCount(b *skyband.Band, id int32) int32 {
-	if c := b.Counts(); int(id) < len(c) {
-		return c[id]
+	ids, counts := b.Members()
+	if i := slices.Index(ids, id); i >= 0 {
+		return counts[i]
 	}
 	return -1
 }

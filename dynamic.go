@@ -9,7 +9,8 @@ import (
 )
 
 // Insert adds a point to the index and returns its id (the position it
-// would have had in the NewIndex input). The point slice is retained.
+// would have had in the NewIndex input). The point is copied: the caller
+// may reuse p.
 //
 // Mutations are not safe concurrently with queries or other mutations on the
 // same Index; queries from multiple goroutines remain safe between
@@ -19,7 +20,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
-	id := ix.ids.Append(vec.Point(p))
+	id := ix.ids.Append(vec.Clone(p))
 	ix.detach()
 	ix.tree.Insert(p, int32(id))
 	ix.sky = ix.sky.AfterInsert(ix.tree, p)

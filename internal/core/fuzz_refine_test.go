@@ -30,7 +30,7 @@ func renormalize(w vec.Weight) {
 // counts are exact at every bound, so — unlike the Index, which refuses a
 // trim band on datasets this small — the band trim runs at fuzz scale.
 func bandBackedSource(tr *rtree.Tree, pts []vec.Point, k int) *Source {
-	src := bandSource(pts)
+	src := bandSource(tr, naiveCounts(pts))
 	var bandPts []vec.Point
 	var ids []int32
 	for _, m := range dominance.KSkybandNaive(pts, k) {

@@ -134,11 +134,8 @@ func sampleLoopAllocs(t *testing.T, d int, q vec.Point) {
 	// A warm universe build — the node walk collecting the candidates and
 	// prepareUniverse with its bitmap index, below-q lists and band trim —
 	// allocates nothing either.
-	counts := make([]int32, len(ds.Points))
-	for _, m := range dominance.KSkybandNaive(ds.Points, len(ds.Points)) {
-		counts[m.Index] = int32(m.Count) // exact for every point: valid at any bound
-	}
-	src.BandCounts = func(int) []int32 { return counts }
+	band := imageOf(tr, naiveCounts(ds.Points), len(ds.Points)+1) // every point, counted exactly: valid at any bound
+	src.Band = func(int) (BandImage, bool) { return band, true }
 	sc.candidates(tr, src, q, qMin, wm)
 	if allocs := testing.AllocsPerRun(20, func() {
 		sc.candidates(tr, src, q, qMin, wm)

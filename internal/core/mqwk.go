@@ -75,12 +75,14 @@ func MQWK(ctx context.Context, t *rtree.Tree, src *Source, q vec.Point, k int, w
 // and not equal to q, with the number of nodes expanded. Without a Source
 // it is dominance.Candidates' list; with one the walk collects the points
 // straight into the call-fixed universe for the sample box [qMin, q] (qMin
-// nil: q alone), and the list is nil: the universe holds the points.
+// nil: q alone), classifying them against the box as it goes, and the list
+// is nil: the universe holds the points.
 func (sc *rankScratch) candidates(t *rtree.Tree, src *Source, q, qMin vec.Point, wm []vec.Weight) ([]dominance.Ref, int) {
 	if src == nil {
 		return dominance.Candidates(t, q)
 	}
-	visited := sc.uni.collect(t, q)
+	sc.uni.setBox(q, qMin)
+	visited := sc.uni.collect(t)
 	sc.prepareUniverse(src, q, qMin, wm)
 	return nil, visited
 }

@@ -38,28 +38,41 @@ import (
 // points not dominated by and not equal to the reference query point — by
 // capped sweeps of a call-fixed column-major image of it (see universe), at
 // every dimensionality and every candidate-set size, the empty one
-// included. The call collects that image by one node walk that copies
-// each surviving leaf entry straight into its columns (see collect): the
-// same nodes, points and order as dominance.Candidates. Nothing touches the
-// tree per sample.
+// included. The call collects that image by one node walk that reads each
+// leaf's block and compacts the survivors straight into its columns (see
+// collect): the same nodes, points and order as dominance.Candidates.
+// Nothing touches the tree per sample.
 type Source struct {
 	KthPoint func(ctx context.Context, w vec.Weight, k int) (topk.Result, bool, error)
-	// BandCounts returns exact dominance counts covering the bound-skyband
-	// of the whole dataset, indexed by record id — counts[id] in [0, bound)
-	// iff id belongs to it; negative, larger, or beyond the slice otherwise
-	// — or nil when no such table is available. The sampling loops use it
-	// to shrink the per-sample sweep to the k'max-skyband: a sample's rank
-	// is needed exactly only while it is <= k'max, every strict beater of a
-	// point ranked <= k'max lies in the k'max-skyband, and a trimmed count
-	// that reaches k'max proves the true rank exceeds it — so trimming
-	// never changes a kept sample's rank or a discard decision.
-	BandCounts func(bound int) []int32
+	// Band returns the image of a skyband of the whole dataset that
+	// covers the bound-skyband — every member with its exact dominance
+	// count, so the bound-skyband is exactly the members counted below
+	// bound — and true, or false when none is available. The sampling
+	// loops use it to shrink the per-sample sweep to the k'max-skyband: a
+	// sample's rank is needed exactly only while it is <= k'max, every
+	// strict beater of a point ranked <= k'max lies in the k'max-skyband,
+	// and a trimmed count that reaches k'max proves the true rank exceeds
+	// it — so trimming never changes a kept sample's rank or a discard
+	// decision.
+	Band func(bound int) (BandImage, bool)
 	// Kernel, when non-nil, records the points the sampling loops' sweeps
 	// of the candidate image examined (internal/kernel's counters). It
 	// selects nothing: the sweeps run the same with or without it.
 	Kernel *kernel.Counters
 	// Routes, when non-nil, records how the samples were ranked.
 	Routes *RouteCounters
+}
+
+// BandImage is a skyband as the trim reads it: the members' coordinates
+// column-major, and each position's record id and exact dominance count.
+// The members may come in any order; the trim keeps theirs within each
+// count, so an image in the order the universe's walk meets the points —
+// the tree's depth-first leaf order, dominance.KSkyband's — gives a trim
+// in universe order.
+type BandImage struct {
+	Coords *kernel.Coords
+	IDs    []int32
+	Counts []int32
 }
 
 // RouteCounters accumulates, across the calls of one clone family, how
@@ -198,13 +211,15 @@ type rankScratch struct {
 	uni      universe
 	prepared bool
 	// One query point's classification against uni (see classify): the
-	// positions of the dominating points, and the bitmap of the points that
+	// positions of the dominating points (with, for a trusted point, their
+	// indices into uni.le in dLe), and the bitmap of the points that
 	// are *not* incomparable over the domain notDom (every position when
 	// notAll), with its per-word prefix counts notPre; incPre[w] counts the
 	// incomparable positions before word w's first domain index. The
 	// incomparable set is the complement. geMaps and gtMaps hold the query
 	// point's bitmaps of the universe's index.
 	dPos   []int32
+	dLe    []int32
 	notX   []uint64
 	notPre []int32
 	incPre []int32
@@ -354,7 +369,7 @@ func (e *rankEval) forSamples(kMax int) {
 	if e.trusted && u.trimmed && kMax <= u.k0 {
 		n := int(u.cum[kMax])
 		e.sc.view.PrefixOf(&u.trim, n)
-		e.sc.dSub = u.inTrim(e.sc.dPos, n, e.sc.dSub[:0])
+		e.sc.dSub = u.inTrim(e.sc.dLe, n, e.sc.dSub[:0])
 		e.img, e.dSub = &e.sc.view, e.sc.dSub
 		e.rc.countEval(evalTrimmed)
 		return

@@ -31,9 +31,8 @@ const nBuckets = 64
 type universe struct {
 	// all is the column-major image of the candidate superset — every point
 	// not dominated by and not equal to q — in traversal order, collected
-	// by the node walk (collect), and ids their record ids in step.
+	// by the node walk (collect).
 	all kernel.Coords
-	ids []int32
 	// lo and hi bound the sample box: hi is q, lo the coordinate-wise
 	// minimum of q_min and q. A query point inside the box is trusted: the
 	// bounds below were derived for it.
@@ -45,9 +44,13 @@ type universe struct {
 	// point dominated by or equal to q' is >= q' >= lo). Every other
 	// candidate has a coordinate above q >= q' and one below lo <= q', so
 	// it is incomparable with every trusted q' and never needs looking at.
-	// le lists, as indices into maybe, the ones <= q everywhere.
+	// le lists, as indices into maybe, the ones <= q everywhere — D(q),
+	// fewer than k0 points — and leIDs their record ids. The walk fills
+	// all three as it collects the points.
 	maybe []int32
 	le    []int32
+	leIDs []int32
+	cls   []uint8 // one leaf's classes, the walk's scratch
 	// ge, built only for a real box (q_min given), is the range-encoded
 	// bitmap index of maybe: for coordinate j and t in [0, nBuckets+1], the
 	// bitmap geMap(j, t) over maybe indices holds the points whose
@@ -71,17 +74,23 @@ type universe struct {
 	// Wm rankings are binary searches.
 	below [][]float64
 	// trim, when trimmed is set, is the image of (k0-skyband ∩ all)
-	// ordered by dominance count, trimOf maps a position in all to its
-	// position in trim (-1 outside), and cum[c] counts the trim points with
-	// dominance count < c: the first cum[c] points of trim are exactly the
-	// c-skyband's share of the universe, for every c <= k0. One band
-	// lookup and one filter per call thus serve every sample query point
-	// its own tightest trim as a prefix.
+	// ordered by dominance count, trimOf maps each le point (by its index
+	// into le) to its position in trim — every point of D(q) is in the
+	// k0-skyband — and cum[c] counts the trim points with dominance count
+	// < c: the first cum[c] points of trim are exactly the c-skyband's
+	// share of the universe, for every c <= k0. One band lookup and one
+	// filter per call thus serve every sample query point its own tightest
+	// trim as a prefix. slot and dTrim are buildTrim's scratch.
 	trimmed bool
 	trim    kernel.Coords
 	trimOf  []int32
 	cum     []int32
+	slot    []int32
+	dTrim   []idPos
 }
+
+// idPos is a record id with a position.
+type idPos struct{ id, pos int32 }
 
 // release drops the universe's references into snapshot data and caller
 // slices, keeping the pointer-free backing arrays.
@@ -103,16 +112,9 @@ func (u *universe) trusted(qp vec.Point) bool {
 	return true
 }
 
-// prepareUniverse builds the scratch's call-fixed universe for reference
-// point q and sample box [qMin, q] (qMin nil: q alone) over the candidate
-// image already collected into sc.uni (see candidates): the maybe list with
-// its bitmap index (a real box only), the below-q score lists and k0 from
-// one scoring pass of wm at q, and the band trim. An empty candidate set
-// gets a zero-point universe: every rank over it is 1 and the sampler finds
-// no sample space.
-func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.Weight) {
-	u := &sc.uni
-	n := u.all.Len()
+// setBox sets the call's reference point q and sample box [qMin, q] (qMin
+// nil: q alone), which the walk classifies against.
+func (u *universe) setBox(q, qMin vec.Point) {
 	u.hi = q
 	u.lo = q
 	if qMin != nil {
@@ -122,21 +124,18 @@ func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.
 		}
 		u.lo = u.loBuf
 	}
-	u.maybe, u.le = u.maybe[:0], u.le[:0]
-	var box [boxChunk]uint8
-	//wqrtq:bounded one pass over the call's candidate list, like the Fill above
-	for base := 0; base < n; base += boxChunk {
-		b := box[:min(boxChunk, n-base)]
-		boxBits(&u.all, base, u.lo, u.hi, b)
-		for i, c := range b {
-			if c != 0 {
-				if c&1 != 0 {
-					u.le = append(u.le, int32(len(u.maybe)))
-				}
-				u.maybe = append(u.maybe, int32(base+i))
-			}
-		}
-	}
+}
+
+// prepareUniverse builds the rest of the scratch's call-fixed universe for
+// reference point q and sample box [qMin, q] (qMin nil: q alone) over the
+// candidate image and maybe list already collected into sc.uni (see
+// candidates): the bitmap index of maybe (a real box only), the below-q
+// score lists and k0 from one scoring pass of wm at q, and the band trim.
+// An empty candidate set gets a zero-point universe: every rank over it is
+// 1 and the sampler finds no sample space.
+func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.Weight) {
+	u := &sc.uni
+	n := u.all.Len()
 	u.ge = u.ge[:0]
 	if qMin != nil {
 		u.buildBuckets()
@@ -148,9 +147,9 @@ func (sc *rankScratch) prepareUniverse(src *Source, q, qMin vec.Point, wm []vec.
 	u.rankQ(sc, src.Kernel, q, wm)
 
 	u.trimmed = false
-	if n >= trimMinUniverse && src.BandCounts != nil {
-		if counts := src.BandCounts(u.k0); counts != nil {
-			u.buildTrim(counts)
+	if n >= trimMinUniverse && src.Band != nil {
+		if img, ok := src.Band(u.k0); ok {
+			u.buildTrim(img)
 		}
 	}
 	trimmed := 0
@@ -271,34 +270,39 @@ func (u *universe) rankQ(sc *rankScratch, ct *kernel.Counters, q vec.Point, wm [
 	u.wmFor = wm
 }
 
-// buildTrim filters the universe through the band's dominance counts, read
-// at the gathered ids, keeping the k0-skyband, and lays the survivors out
-// by count (a counting sort), so that every c-skyband for c <= k0 is a
-// prefix of the image. The trim is
-// dropped when it keeps three quarters of the universe or more: it would
-// not pay for its D-filtering.
-func (u *universe) buildTrim(counts []int32) {
-	n, d, k0 := u.all.Len(), u.all.Dim(), u.k0
+// buildTrim cuts the trim from the band image: the members counted below
+// k0 that lie in the universe (below q on some coordinate), laid out by
+// count (a counting sort, stable in the image's order), so that every
+// c-skyband for c <= k0 is a prefix of the trim. It scans the band's few
+// thousand members in order rather than looking up each universe point's
+// count. The trim is dropped when it keeps three quarters of the universe
+// or more: it would not pay for its D-filtering.
+func (u *universe) buildTrim(img BandImage) {
+	n, d, k0, q := u.all.Len(), u.all.Dim(), u.k0, u.hi
+	m := img.Coords.Len()
 	if cap(u.cum) < k0+1 {
 		u.cum = make([]int32, k0+1)
 	}
 	cum := u.cum[:k0+1]
 	clear(cum)
-	if cap(u.trimOf) < n {
-		u.trimOf = make([]int32, n)
+	if cap(u.slot) < m {
+		u.slot = make([]int32, m)
 	}
-	trimOf := u.trimOf[:n]
-	// Pass 1: each kept point's count, parked in trimOf, and the histogram
-	// (cum[c+1] = points with count c).
-	//wqrtq:bounded one pass over the call's candidate list
-	for i, id := range u.ids {
-		c := int32(-1)
-		if int(id) < len(counts) && counts[id] < int32(k0) {
-			c = counts[id]
+	slot := u.slot[:m]
+	// Pass 1: each kept member's count, parked in slot (-1: not kept), and
+	// the histogram (cum[c+1] = members with count c).
+	//wqrtq:bounded one pass over the band's members
+	for i, c := range img.Counts[:m] {
+		slot[i] = -1
+		if c >= int32(k0) {
+			continue
 		}
-		trimOf[i] = c
-		if c >= 0 {
-			cum[c+1]++
+		for j, v := range q {
+			if img.Coords.Col(j)[i] < v {
+				slot[i] = c
+				cum[c+1]++
+				break
+			}
 		}
 	}
 	for c := 1; c <= k0; c++ {
@@ -308,26 +312,53 @@ func (u *universe) buildTrim(counts []int32) {
 	if kept*4 >= n*3 {
 		return
 	}
-	// Pass 2: place every kept point at the next free slot of its count's
+	// Pass 2: place every kept member at the next free slot of its count's
 	// run. cum[c] is advanced as run c fills and so ends up holding the
 	// run's end — which is cum[c+1]'s start value — so one shift restores
-	// the prefix sums.
+	// the prefix sums. The members <= q everywhere, D(q), note where they
+	// went; each has fewer than |D(q)| = len(le) dominators, all in D(q).
 	u.trim.Resize(d, kept)
-	//wqrtq:bounded second pass of the same list
-	for i := range trimOf {
-		c := trimOf[i]
+	dTrim, nd := u.dTrim[:0], int32(len(u.le))
+	//wqrtq:bounded second pass of the same members
+	for i, c := range slot {
 		if c < 0 {
 			continue
 		}
 		t := cum[c]
 		cum[c]++
-		trimOf[i] = t
-		u.trim.Put(int(t), &u.all, i)
+		u.trim.Put(int(t), img.Coords, i)
+		if c < nd && leRow(img.Coords, i, q) {
+			dTrim = append(dTrim, idPos{img.IDs[i], t})
+		}
 	}
 	copy(cum[1:], cum[:k0])
 	cum[0] = 0
+	u.dTrim = dTrim
+	// Each le point's trim position, matched by id: both sides are D(q).
+	if cap(u.trimOf) < len(u.le) {
+		u.trimOf = make([]int32, len(u.le))
+	}
+	trimOf := u.trimOf[:len(u.le)]
+	//wqrtq:bounded D(q) has fewer than k0 members
+	for l, id := range u.leIDs {
+		at := slices.IndexFunc(dTrim, func(e idPos) bool { return e.id == id })
+		if at < 0 {
+			return // a band missing a point of D(q): no trim rather than a wrong one
+		}
+		trimOf[l] = dTrim[at].pos
+	}
 	u.trimOf, u.cum = trimOf, cum
 	u.trimmed = true
+}
+
+// leRow reports whether point i of c is <= q everywhere.
+func leRow(c *kernel.Coords, i int, q vec.Point) bool {
+	for j, v := range q {
+		if !(c.Col(j)[i] <= v) {
+			return false
+		}
+	}
+	return true
 }
 
 // classify splits the universe against qp and reports whether qp is
@@ -412,19 +443,20 @@ func (sc *rankScratch) classifyBox(qp vec.Point) {
 			x[w] = a
 		}
 	}
-	dPos := sc.dPos[:0]
+	dPos, dLe := sc.dPos[:0], sc.dLe[:0]
 	//wqrtq:bounded D(q) has fewer than k0 members
-	for _, m := range u.le {
+	for l, m := range u.le {
 		p := int(u.maybe[m])
-		if !u.leAt(p, qp) {
+		if !leRow(&u.all, p, qp) {
 			continue
 		}
 		x[m>>6] |= 1 << (m & 63)
 		if !u.geAt(p, qp) {
 			dPos = append(dPos, int32(p))
+			dLe = append(dLe, int32(l))
 		}
 	}
-	sc.dPos = dPos
+	sc.dPos, sc.dLe = dPos, dLe
 }
 
 // classifyScan classifies an untrusted point by comparing it with every
@@ -452,16 +484,7 @@ func (sc *rankScratch) classifyScan(qp vec.Point) {
 	sc.dPos = dPos
 }
 
-// leAt and geAt report whether universe point p is <= (>=) qp everywhere.
-func (u *universe) leAt(p int, qp vec.Point) bool {
-	for j, v := range qp {
-		if !(u.all.Col(j)[p] <= v) {
-			return false
-		}
-	}
-	return true
-}
-
+// geAt reports whether universe point p is >= qp everywhere (leRow: <=).
 func (u *universe) geAt(p int, qp vec.Point) bool {
 	for j, v := range qp {
 		if !(u.all.Col(j)[p] >= v) {
@@ -566,11 +589,11 @@ func (sc *rankScratch) incAt(i int) vec.Point {
 	return p
 }
 
-// inTrim appends to out the trim positions of those universe positions in
-// pos that fall within the first limit points of the trim.
-func (u *universe) inTrim(pos []int32, limit int, out []int32) []int32 {
-	for _, p := range pos {
-		if t := u.trimOf[p]; t >= 0 && int(t) < limit {
+// inTrim appends to out the trim positions of the le points dLe (indices
+// into le) that fall within the first limit points of the trim.
+func (u *universe) inTrim(dLe []int32, limit int, out []int32) []int32 {
+	for _, l := range dLe {
+		if t := u.trimOf[l]; int(t) < limit {
 			out = append(out, t)
 		}
 	}

@@ -25,6 +25,7 @@ const (
 // which an estimate tolerates). The zero value is ready to use.
 type Histogram struct {
 	n    atomic.Uint64
+	p50  atomic.Int64 // see P50
 	gens [3][numBuckets]atomic.Uint32
 }
 
@@ -34,18 +35,37 @@ type Histogram struct {
 func (h *Histogram) Observe(d time.Duration) {
 	i := h.n.Add(1) - 1
 	g := i / generationSize
-	if i%generationSize == 0 {
+	if i%generationSize == 0 && g > 0 {
+		// Generations g-1 and g-2 are complete, and the slot of g-2 is
+		// about to be cleared: their median is the next window's P50.
+		h.p50.Store(int64(h.merged(g - 1).Quantile(0.5)))
 		for b := range h.gens[(g+1)%3] {
 			h.gens[(g+1)%3][b].Store(0)
 		}
 	}
 	h.gens[g%3][bucketOf(d)].Add(1)
+	if g == 0 {
+		h.p50.Store(int64(h.merged(0).Quantile(0.5)))
+	}
 }
+
+// P50 returns the median of the observations as of the last generation
+// change, the first generation's as of its latest observation (0 before
+// the first): one atomic load, for the readers on every request's path.
+// Until the first change it equals Counts().Quantile(0.5); from then on it
+// covers the 512 observations before the latest change, and trails the
+// live window by at most one generation.
+func (h *Histogram) P50() time.Duration { return time.Duration(h.p50.Load()) }
 
 // Counts returns the merged buckets of the newest two generations.
 func (h *Histogram) Counts() Counts {
+	return h.merged((h.n.Load() - 1) / generationSize) // n = 0 wraps; every slot is empty then
+}
+
+// merged returns the buckets of generation g merged with those of the one
+// before.
+func (h *Histogram) merged(g uint64) Counts {
 	var c, prev Counts
-	g := (h.n.Load() - 1) / generationSize // n = 0 wraps; every slot is empty then
 	for b := range c {
 		c[b], prev[b] = uint64(h.gens[g%3][b].Load()), uint64(h.gens[(g+2)%3][b].Load())
 	}

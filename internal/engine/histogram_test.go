@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -131,6 +132,35 @@ func TestHistogramFollowsShift(t *testing.T) {
 	}
 	if p50 := h.Counts().Quantile(0.5); p50 > 2*time.Millisecond {
 		t.Fatalf("p50 = %v after 512 more of 1ms, want <= 2ms", p50)
+	}
+}
+
+// TestHistogramP50 holds the cached median to its definition: through the
+// first generation it is the live window's median after every
+// observation, and from then on, at every generation change, the median
+// of the two generations just completed; in between it does not move.
+func TestHistogramP50(t *testing.T) {
+	var h Histogram
+	if h.P50() != 0 {
+		t.Fatalf("empty histogram's P50 = %v, want 0", h.P50())
+	}
+	rng := rand.New(rand.NewSource(3))
+	var atChange Counts
+	for i := range 5 * generationSize {
+		if i%generationSize == 0 {
+			atChange = h.Counts() // the two generations about to complete
+		}
+		h.Observe(time.Duration(rng.Int63n(int64(time.Second))))
+		switch {
+		case i < generationSize:
+			if got, want := h.P50(), h.Counts().Quantile(0.5); got != want {
+				t.Fatalf("observation %d: P50 = %v, live median %v", i, got, want)
+			}
+		default:
+			if got, want := h.P50(), atChange.Quantile(0.5); got != want {
+				t.Fatalf("observation %d: P50 = %v, median at the last change %v", i, got, want)
+			}
+		}
 	}
 }
 

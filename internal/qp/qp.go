@@ -122,6 +122,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 		}
 		return nil, err
 	}
+	var rp0, mu0 float64
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		// Residuals.
 		gtz := g.TMulVec(z)
@@ -174,10 +175,22 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 		if err != nil {
 			return nil, fmt.Errorf("qp: newton system: %w", err)
 		}
-		// Fixed-σ path following toward sᵢzᵢ = σμ, complementarity target
+		// Path following toward sᵢzᵢ = σμ, complementarity target
 		// rc = s∘z − σμ: dx from (H + GᵀDG)dx = -rd - Gᵀ[(-rc + z∘rp)/s],
-		// then ds = -rp - G dx and dz = (-rc - z∘ds)/s.
-		const sigma = 0.1
+		// then ds = -rp - G dx and dz = (-rc - z∘ds)/s. σ is 0.1 while the
+		// primal residual falls at least as fast as μ, relative to where
+		// both started. From an infeasible start it can lag: μ then drops
+		// a hundredfold per step while the slacks run into the boundary
+		// ahead of rp, the steps collapse, and a feasible problem would be
+		// reported infeasible. A lagging residual raises σ by the lag, up
+		// to 0.9, so the slacks stay off the boundary until rp catches up.
+		sigma := 0.1
+		if iter == 1 {
+			rp0, mu0 = maxRp, mu
+		}
+		if maxRp > opt.Tol*scale && maxRp/rp0 > mu/mu0 {
+			sigma = math.Min(0.9, 0.1*(maxRp/rp0)/(mu/mu0))
+		}
 		for i := 0; i < m; i++ {
 			rc[i] = s[i]*z[i] - sigma*mu
 			v[i] = (-rc[i] + z[i]*rp[i]) / s[i]

@@ -165,9 +165,11 @@ func TestInfeasibleInequalities(t *testing.T) {
 	}
 }
 
-func TestOptimalityAgainstFeasibleSamplesQuick(t *testing.T) {
-	// Convexity implies the returned optimum scores no worse than any
-	// feasible sample.
+// optimalAgainstFeasibleSamples draws a random strictly convex QP around
+// a known interior point from seed and reports whether Solve's optimum is
+// feasible and scores no worse than any feasible sample, as convexity
+// implies.
+func optimalAgainstFeasibleSamples(seed int64) bool {
 	obj := func(h *mat.Dense, c, x []float64) float64 {
 		hx := h.MulVec(x)
 		s := 0.0
@@ -176,73 +178,86 @@ func TestOptimalityAgainstFeasibleSamplesQuick(t *testing.T) {
 		}
 		return s
 	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(5)
-		m := 1 + r.Intn(6)
-		// Random SPD H.
-		b := mat.New(n, n)
-		for i := range b.Data {
-			b.Data[i] = r.NormFloat64()
+	r := rand.New(rand.NewSource(seed))
+	n := 1 + r.Intn(5)
+	m := 1 + r.Intn(6)
+	// Random SPD H.
+	b := mat.New(n, n)
+	for i := range b.Data {
+		b.Data[i] = r.NormFloat64()
+	}
+	h := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			h.Set(i, j, dotVec(b.Row(i), b.Row(j)))
 		}
-		h := mat.New(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				h.Set(i, j, dotVec(b.Row(i), b.Row(j)))
-			}
-			h.Set(i, i, h.At(i, i)+float64(n))
+		h.Set(i, i, h.At(i, i)+float64(n))
+	}
+	c := make([]float64, n)
+	for i := range c {
+		c[i] = r.NormFloat64()
+	}
+	// Constraints built around a known interior point x0.
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = r.NormFloat64()
+	}
+	g := mat.New(m, n)
+	hv := make([]float64, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			g.Set(i, j, r.NormFloat64())
 		}
-		c := make([]float64, n)
-		for i := range c {
-			c[i] = r.NormFloat64()
-		}
-		// Constraints built around a known interior point x0.
-		x0 := make([]float64, n)
-		for i := range x0 {
-			x0[i] = r.NormFloat64()
-		}
-		g := mat.New(m, n)
-		hv := make([]float64, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				g.Set(i, j, r.NormFloat64())
-			}
-			hv[i] = dotVec(g.Row(i), x0) + 0.5 + r.Float64()
-		}
-		x, err := Solve(Problem{H: h, C: c, G: g, Hv: hv}, Options{})
-		if err != nil {
+		hv[i] = dotVec(g.Row(i), x0) + 0.5 + r.Float64()
+	}
+	x, err := Solve(Problem{H: h, C: c, G: g, Hv: hv}, Options{})
+	if err != nil {
+		return false
+	}
+	// Optimum must be feasible.
+	gx := g.MulVec(x)
+	for i := range gx {
+		if gx[i] > hv[i]+1e-6 {
 			return false
 		}
-		// Optimum must be feasible.
-		gx := g.MulVec(x)
-		for i := range gx {
-			if gx[i] > hv[i]+1e-6 {
-				return false
-			}
-		}
-		fx := obj(h, c, x)
-		// Sample feasible points near x0 and on segments toward x.
-		for trial := 0; trial < 30; trial++ {
-			y := make([]float64, n)
-			for i := range y {
-				y[i] = x0[i] + r.NormFloat64()*0.5
-			}
-			feasible := true
-			gy := g.MulVec(y)
-			for i := range gy {
-				if gy[i] > hv[i] {
-					feasible = false
-					break
-				}
-			}
-			if feasible && obj(h, c, y) < fx-1e-6 {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	fx := obj(h, c, x)
+	// Sample feasible points near x0 and on segments toward x.
+	for trial := 0; trial < 30; trial++ {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = x0[i] + r.NormFloat64()*0.5
+		}
+		feasible := true
+		gy := g.MulVec(y)
+		for i := range gy {
+			if gy[i] > hv[i] {
+				feasible = false
+				break
+			}
+		}
+		if feasible && obj(h, c, y) < fx-1e-6 {
+			return false
+		}
+	}
+	return true
+}
+
+func TestOptimalityAgainstFeasibleSamplesQuick(t *testing.T) {
+	if err := quick.Check(optimalAgainstFeasibleSamples, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOptimalityAgainstFeasibleSamplesRegressions keeps the seeds the
+// quick check once drew and Solve failed: n = 4, m = 1 problems whose one
+// constraint the unconstrained minimizer violates, which the fixed-σ
+// iteration reported infeasible although x0 is strictly interior.
+func TestOptimalityAgainstFeasibleSamplesRegressions(t *testing.T) {
+	for _, seed := range []int64{-1363535363490868885, 8994962149242606200} {
+		if !optimalAgainstFeasibleSamples(seed) {
+			t.Errorf("seed %d: no optimum, or one infeasible or worse than a feasible sample", seed)
+		}
 	}
 }
 

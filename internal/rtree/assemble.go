@@ -25,7 +25,13 @@ type Assembler struct {
 	nodes    []*Node
 	children [][]int // child indexes per internal node, linked in Finish
 	filled   []bool
+	slab     []float64 // the unused rest of the chunk leaf blocks are cut from
 }
+
+// slabSize is how many coordinates one chunk of leaf blocks holds: blocks
+// cut one after another from shared chunks lie in memory in the order the
+// leaves are added, as Bulk's lie in one array.
+const slabSize = 1 << 14
 
 // NewAssembler prepares assembly of a tree with the given geometry and
 // exactly nodeCount nodes.
@@ -64,9 +70,10 @@ func (a *Assembler) claim(idx, entries int) error {
 }
 
 // AddLeaf installs leaf node idx holding the given record ids and their
-// points. The point slices are retained, not copied: each leaf entry's
-// degenerate rectangle aliases the caller's point exactly as Insert
-// aliases its point.
+// points. The points are copied, in entry order, into the leaf's block
+// (Node.Rows); the input is not retained. Blocks are cut from chunks in
+// the order the leaves are added, so a decoder that adds them in the
+// tree's depth-first order gets Bulk's layout.
 func (a *Assembler) AddLeaf(idx int, ids []int32, pts []vec.Point) error {
 	if len(ids) != len(pts) {
 		return fmt.Errorf("rtree: assemble: leaf %d: %d ids, %d points", idx, len(ids), len(pts))
@@ -74,13 +81,20 @@ func (a *Assembler) AddLeaf(idx int, ids []int32, pts []vec.Point) error {
 	if err := a.claim(idx, len(ids)); err != nil {
 		return err
 	}
-	n := &Node{leaf: true, count: len(ids)}
+	d, size := a.dim, len(ids)*a.dim
+	if len(a.slab) < size {
+		a.slab = make([]float64, max(size, slabSize))
+	}
+	n := &Node{leaf: true, count: len(ids), rows: a.slab[:size:size]}
+	a.slab = a.slab[size:]
 	n.entries = make([]entry, len(ids))
 	for i := range ids {
-		if len(pts[i]) != a.dim {
-			return fmt.Errorf("rtree: assemble: leaf %d entry %d: dimension %d, want %d", idx, i, len(pts[i]), a.dim)
+		if len(pts[i]) != d {
+			return fmt.Errorf("rtree: assemble: leaf %d entry %d: dimension %d, want %d", idx, i, len(pts[i]), d)
 		}
-		n.entries[i] = entry{rect: PointRect(pts[i]), id: ids[i]}
+		p := n.rows[i*d : (i+1)*d : (i+1)*d]
+		copy(p, pts[i])
+		n.entries[i] = entry{rect: PointRect(p), id: ids[i]}
 	}
 	a.nodes[idx] = n
 	return nil

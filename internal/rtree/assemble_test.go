@@ -108,9 +108,9 @@ func TestAssembleRoundTrip(t *testing.T) {
 		if d1, d2 := dump(tr.Root()), dump(got.Root()); d1 != d2 {
 			t.Fatalf("n=%d: structure differs\n orig: %s\n rebuilt: %s", n, d1, d2)
 		}
-		// Leaf rects must alias the point slices AddLeaf was handed —
-		// disassemble hands it the original tree's — exactly like Insert
-		// aliases its point.
+		// AddLeaf copies the points it was handed — disassemble hands it
+		// the original tree's — into the leaves' blocks (CheckInvariants
+		// holds the entries to those): no leaf point aliases its source.
 		handed := map[int32]vec.Point{}
 		tr.Visit(nil, func(id int32, p vec.Point) { handed[id] = p })
 		var checkAlias func(n *Node)
@@ -119,8 +119,8 @@ func TestAssembleRoundTrip(t *testing.T) {
 				for i := 0; i < nd.NumEntries(); i++ {
 					p := nd.Point(i)
 					q := handed[nd.PointID(i)]
-					if len(p) > 0 && len(q) > 0 && &p[0] != &q[0] {
-						t.Fatalf("n=%d: leaf point id %d does not alias source slice", n, nd.PointID(i))
+					if !vec.Equal(p, q) || &p[0] == &q[0] {
+						t.Fatalf("n=%d: leaf point id %d is not a copy of its source", n, nd.PointID(i))
 					}
 				}
 				return

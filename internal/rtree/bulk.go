@@ -12,10 +12,9 @@ import (
 // packing, producing near-full nodes and a balanced structure in O(n log n).
 // ids[i] is the record id of points[i]; if ids is nil the point index is
 // used. The points are copied, in depth-first leaf order, into one backing
-// array: a walk over the leaves then reads the coordinates in memory order
-// instead of chasing one allocation per point, which dominates leaf scans
-// such as the why-not candidate walk. Points inserted later keep their own
-// allocations; no mutation rebuilds the layout.
+// array, which is sliced into the leaves' blocks (Node.Rows): a walk over
+// the leaves then reads the coordinates in memory order. The input is not
+// retained. A leaf a later mutation changes gets a fresh block of its own.
 func Bulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 	if len(points) == 0 {
 		panic("rtree: Bulk requires at least one point")
@@ -47,7 +46,8 @@ func Bulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 }
 
 // relocate copies the points of n's subtree, in depth-first leaf order, to
-// the front of *coords and advances it past them.
+// the front of *coords, makes each leaf's share its block, and advances
+// *coords past them.
 func (n *Node) relocate(coords *[]float64, dim int) {
 	if !n.leaf {
 		for _, e := range n.entries {
@@ -55,9 +55,11 @@ func (n *Node) relocate(coords *[]float64, dim int) {
 		}
 		return
 	}
+	size := len(n.entries) * dim
+	n.rows = (*coords)[:size:size]
+	*coords = (*coords)[size:]
 	for i := range n.entries {
-		p := (*coords)[:dim:dim]
-		*coords = (*coords)[dim:]
+		p := n.rows[i*dim : (i+1)*dim : (i+1)*dim]
 		copy(p, n.entries[i].rect.Min)
 		n.entries[i].rect = PointRect(p)
 	}

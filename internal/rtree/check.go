@@ -13,6 +13,8 @@ import "fmt"
 //     (bulk-loaded trees may have one trailing underfull node per level, so
 //     only the upper bound is enforced strictly);
 //   - per-node point counts are consistent;
+//   - every leaf's entries alias its block (Rows) in order: entry i's
+//     point is the block's i-th row, and the block holds nothing else;
 //   - Len() equals the number of stored points.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
@@ -45,6 +47,9 @@ func (t *Tree) checkNode(n *Node, depth int, leafDepth *int, isRoot bool) (int, 
 		if n.count != len(n.entries) {
 			return 0, fmt.Errorf("rtree: leaf count %d != entries %d", n.count, len(n.entries))
 		}
+		if err := t.checkRows(n); err != nil {
+			return 0, err
+		}
 		return len(n.entries), nil
 	}
 	total := 0
@@ -70,4 +75,20 @@ func (t *Tree) checkNode(n *Node, depth int, leafDepth *int, isRoot bool) (int, 
 		return 0, fmt.Errorf("rtree: node count %d != reachable %d", n.count, total)
 	}
 	return total, nil
+}
+
+// checkRows verifies that leaf n's entries alias its block in order.
+func (t *Tree) checkRows(n *Node) error {
+	d := t.dim
+	if len(n.rows) != len(n.entries)*d {
+		return fmt.Errorf("rtree: leaf block holds %d coordinates for %d entries of dimension %d", len(n.rows), len(n.entries), d)
+	}
+	for i := range n.entries {
+		r := n.entries[i].rect
+		row := n.rows[i*d : (i+1)*d]
+		if len(r.Min) != d || len(r.Max) != d || &r.Min[0] != &row[0] || &r.Max[0] != &row[0] {
+			return fmt.Errorf("rtree: leaf entry %d (id %d) does not alias row %d of its block", i, n.entries[i].id, i)
+		}
+	}
+	return nil
 }

@@ -53,14 +53,14 @@ func (t *Tree) Clone() *Tree {
 
 // own returns a node the current epoch may mutate, copying it when it is
 // shared with another tree of the clone family. Internal entry rectangles
-// are deep-copied because chooseLeaf extends them in place; leaf entry
-// rectangles are degenerate point rects that are never mutated in place, so
-// they stay shared with the data points.
+// are deep-copied because chooseLeaf extends them in place; a leaf's copy
+// shares the leaf's block, which is never written: the mutation that
+// follows gives the copy a fresh one (reblock).
 func (t *Tree) own(n *Node) *Node {
 	if n.epoch == t.epoch {
 		return n
 	}
-	cp := &Node{leaf: n.leaf, count: n.count, epoch: t.epoch}
+	cp := &Node{leaf: n.leaf, rows: n.rows, count: n.count, epoch: t.epoch}
 	cp.entries = make([]entry, len(n.entries))
 	copy(cp.entries, n.entries)
 	if !n.leaf {

@@ -12,6 +12,14 @@
 // Every node carries the number of data points beneath it, which the top-k
 // rank-counting search (internal/topk) uses to count dominated subtrees
 // without descending into them.
+//
+// Every leaf owns its points as one row-major block of coordinates (Rows),
+// in entry order, after the node-as-one-blob layout of SQLite's r-tree: a
+// scan of a leaf reads one contiguous stretch of memory instead of chasing
+// one allocation per point. A leaf entry's point is a window of that
+// block. Blocks are immutable once their leaf is published: a mutation that
+// changes a leaf's entries gives the leaf a fresh block, so a clone that
+// still shares the old leaf keeps reading the old coordinates.
 package rtree
 
 import (
@@ -68,8 +76,12 @@ type Tree struct {
 type Node struct {
 	leaf    bool
 	entries []entry
-	count   int    // data points in this subtree
-	epoch   uint64 // epoch of the tree that owns (may mutate) this node
+	// rows is a leaf's block: entry i's point is rows[i*d:(i+1)*d], and
+	// the entry's degenerate rectangle aliases exactly that window. nil
+	// for internal nodes.
+	rows  []float64
+	count int    // data points in this subtree
+	epoch uint64 // epoch of the tree that owns (may mutate) this node
 }
 
 type entry struct {
@@ -159,31 +171,54 @@ func (n *Node) PointID(i int) int32 { return n.entries[i].id }
 // storage; callers must not modify it).
 func (n *Node) Point(i int) vec.Point { return vec.Point(n.entries[i].rect.Min) }
 
+// Rows returns a leaf's coordinate block, row-major in entry order: entry
+// i's point is Rows()[i*d:(i+1)*d] for the tree's dimensionality d. It is
+// nil for an internal node. The block is shared and never written once
+// its leaf is published; callers must not modify it.
+func (n *Node) Rows() []float64 { return n.rows }
+
 // Count returns the number of data points in the node's subtree.
 func (n *Node) Count() int { return n.count }
 
-// Insert adds a point with the given record id. The point slice is retained
-// (not copied); callers must not mutate it afterwards.
+// Insert adds a point with the given record id. The point is copied into
+// its leaf's block: the caller may reuse p.
 func (t *Tree) Insert(p vec.Point, id int32) {
 	if len(p) != t.dim {
 		panic(fmt.Sprintf("rtree: point dimension %d, want %d", len(p), t.dim))
 	}
-	t.insertEntry(entry{rect: PointRect(p), id: id}, true)
+	t.insertEntry(entry{rect: PointRect(p), id: id})
 	t.size++
 }
 
-// insertEntry inserts a leaf entry (isPoint true) or a subtree entry.
-func (t *Tree) insertEntry(e entry, isPoint bool) {
-	leafLevelOnly := isPoint
-	n, path := t.chooseLeaf(e.rect, leafLevelOnly)
+// insertEntry inserts a point entry into the leaf chooseLeaf picks. The
+// leaf (or, when it overflows, each half of its split) gets a fresh block
+// holding the new point's coordinates.
+func (t *Tree) insertEntry(e entry) {
+	n, path := t.chooseLeaf(e.rect)
 	n.entries = append(n.entries, e)
-	n.count += entryCount(e)
+	n.count++
 	for _, p := range path {
-		p.count += entryCount(e)
+		p.count++
 	}
 	if len(n.entries) > t.maxFill {
 		t.splitUpward(n, path)
+		return
 	}
+	t.reblock(n)
+}
+
+// reblock gives leaf n a fresh block holding its entries' points, in entry
+// order, and points the entries at it. The old block is left as it was:
+// a clone may still read it.
+func (t *Tree) reblock(n *Node) {
+	d := t.dim
+	rows := make([]float64, len(n.entries)*d)
+	for i := range n.entries {
+		p := rows[i*d : (i+1)*d : (i+1)*d]
+		copy(p, n.entries[i].rect.Min)
+		n.entries[i].rect = PointRect(p)
+	}
+	n.rows = rows
 }
 
 func entryCount(e entry) int {
@@ -196,7 +231,7 @@ func entryCount(e entry) int {
 // chooseLeaf descends to the leaf best suited for the rectangle, returning
 // the leaf and the path of ancestors (root first). Every node on the path is
 // owned (copied on write if shared with a clone) before it is mutated.
-func (t *Tree) chooseLeaf(r Rect, _ bool) (*Node, []*Node) {
+func (t *Tree) chooseLeaf(r Rect) (*Node, []*Node) {
 	var path []*Node
 	t.root = t.own(t.root)
 	n := t.root
@@ -333,6 +368,10 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 	for _, e := range right.entries {
 		right.count += entryCount(e)
 	}
+	if n.leaf {
+		t.reblock(n)
+		t.reblock(right)
+	}
 	return n, right
 }
 
@@ -380,6 +419,7 @@ func (t *Tree) Delete(p vec.Point, id int32) bool {
 			break
 		}
 	}
+	t.reblock(leaf)
 	leaf.count--
 	for _, a := range path {
 		a.count--
@@ -397,7 +437,7 @@ func (t *Tree) Delete(p vec.Point, id int32) bool {
 		t.nodeCount--
 	}
 	for _, e := range orphans {
-		t.insertEntry(e, true)
+		t.insertEntry(e)
 	}
 	return true
 }

@@ -70,6 +70,7 @@ package skyband
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,19 +251,20 @@ type Band struct {
 	tree *rtree.Tree
 	size int
 	full bool // the band is the whole dataset (pass-through, no separate tree)
-	// counts holds each member's exact dominance count indexed by record
-	// id (-1 for non-members, whose count is >= k). nil for pass-through
-	// bands.
-	counts []int32
+	// ids and counts hold each member's record id and exact dominance
+	// count, position by position of coords. nil for pass-through bands.
+	ids, counts []int32
 	// ct is the family that built the band, whose spawn TryDerived
 	// starts its build through; nil for pass-through bands.
 	ct *Counters
-	// coords is the lazily built column-major image of the band points for
-	// the blocked scoring kernel; one sync.Once-guarded flatten shared by
-	// every reader of the band. coordsReady fronts the Once with one atomic
-	// load so the steady-state Coords call stays inlinable (sync.Once.Do
-	// alone costs more than the inlining budget); the Store inside the Do
-	// publishes the flatten to every reader that observes true.
+	// coords is the column-major image of the band points: the members in
+	// dominance.KSkyband's order, laid out when the band is computed. A
+	// pass-through band's image is the whole tree, flattened on first use
+	// by one sync.Once shared by every reader. coordsReady fronts the Once
+	// with one atomic load so the steady-state Coords call stays inlinable
+	// (sync.Once.Do alone costs more than the inlining budget); the Store
+	// inside the Do publishes the flatten to every reader that observes
+	// true.
 	coordsOnce  sync.Once
 	coordsReady atomic.Bool
 	coords      kernel.Coords
@@ -290,13 +292,15 @@ func (b *Band) Size() int { return b.size }
 // full tree.
 func (b *Band) Full() bool { return b.full }
 
-// Coords returns the band's flattened column-major coordinates for the
-// blocked scoring kernel, built lazily on first use and shared by all
-// readers (bands are immutable, so the image never goes stale). The point
-// order is the band tree's visit order; blocked counting is order-
-// independent, so consumers see the same counts as a tree evaluation.
-// Callers should bound the band size themselves before flattening a
-// pass-through band, whose image is the whole dataset.
+// Coords returns the band's column-major image for the blocked scoring
+// kernel, the cell grid and the why-not trim, shared by all readers (bands
+// are immutable, so the image never goes stale). The point order is
+// dominance.KSkyband's: the depth-first leaf order of the tree the band
+// was computed on, which Members follows position by position. Blocked
+// counting is order-independent, so consumers see the same counts as a
+// tree evaluation. A pass-through band's image is the whole dataset in
+// its tree's visit order, flattened on first use: callers should bound the
+// band size themselves before asking for it.
 //
 //wqrtq:contract inline noalloc
 func (b *Band) Coords() *kernel.Coords {
@@ -386,19 +390,14 @@ func (b *Band) fillDerived(build func(*Band) any, run chan struct{}) {
 	close(run)
 }
 
-// Counts returns each record's exact dominance count indexed by record id:
-// -1 for non-members (count >= K()), and ids at or beyond the slice — ones
-// allocated after the band was computed — are non-members too. The
-// bound-skyband for any bound <= K() is exactly the ids with
-// 0 <= count < bound. nil for pass-through bands. The slice is shared and
-// must not be modified.
-func (b *Band) Counts() []int32 { return b.counts }
+// Members returns the record id and the exact dominance count of the
+// member at each position of Coords. The bound-skyband for any bound <=
+// K() is exactly the members with count < bound. Both are nil for
+// pass-through bands; the slices are shared and must not be modified.
+func (b *Band) Members() (ids, counts []int32) { return b.ids, b.counts }
 
-// member reports whether record id belongs to the band. Ids allocated
-// after the band was computed lie beyond counts and are no members.
-func (b *Band) member(id int32) bool {
-	return id >= 0 && int(id) < len(b.counts) && b.counts[id] >= 0
-}
+// member reports whether record id belongs to the band.
+func (b *Band) member(id int32) bool { return slices.Contains(b.ids, id) }
 
 // excludes reports whether at least K() band members dominate p, under the
 // predicate dominance.KSkyband counts with: p is then outside the band and
@@ -824,25 +823,21 @@ func (c *Cache) passBand() *Band {
 }
 
 // compute builds the snapshot's k-skyband straight from its tree
-// (dominance.KSkyband) and bulk-loads the members, in the tree's leaf order
-// and with their original record ids. The build gives up past limit
-// members; the Band then holds the members found so far and complete
-// reports false.
+// (dominance.KSkyband): the members' image with their original record ids
+// and counts, in the tree's leaf order, and a tree bulk-loaded over them.
+// The build gives up past limit members; the Band then holds the members
+// found so far and complete reports false.
 func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 	band, complete := dominance.KSkyband(t, k, limit)
-	maxID := int32(-1)
-	t.Visit(nil, func(id int32, _ vec.Point) { maxID = max(maxID, id) })
-	counts := make([]int32, maxID+1)
-	for i := range counts {
-		counts[i] = -1
-	}
+	b = &Band{k: k, size: len(band), ids: make([]int32, len(band)), counts: make([]int32, len(band))}
 	bp := make([]vec.Point, len(band))
-	bi := make([]int32, len(band))
 	for i, m := range band {
-		bp[i], bi[i] = m.Point, m.ID
-		counts[m.ID] = int32(m.Count)
+		bp[i], b.ids[i], b.counts[i] = m.Point, m.ID, int32(m.Count)
 	}
-	return &Band{k: k, tree: rtree.Bulk(bp, bi, TreeOptions(t.Dim())), size: len(band), counts: counts}, complete
+	b.coords.Fill(t.Dim(), len(band), func(i int) []float64 { return bp[i] })
+	b.coordsReady.Store(true)
+	b.tree = rtree.Bulk(bp, b.ids, TreeOptions(t.Dim()))
+	return b, complete
 }
 
 // buildBand runs compute over the cache's tree, binds the band to the

@@ -176,9 +176,25 @@ func TestCacheCountersAndSharing(t *testing.T) {
 	}
 }
 
-// TestBandCounts validates the stored dominance counts against the
-// quadratic oracle's and, for one bound, against a direct count of dominators,
-// including ids beyond the table.
+// countsByID returns b's member counts indexed by record id over ids
+// [0, n): -1 for non-members.
+func countsByID(b *Band, n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	ids, counts := b.Members()
+	for i, id := range ids {
+		out[id] = counts[i]
+	}
+	return out
+}
+
+// TestBandCounts validates the band's image against the quadratic
+// oracle's members and, for one bound, against a direct count of
+// dominators: every member once, with its exact count, position by
+// position of Coords in the tree's depth-first leaf order
+// (dominance.KSkyband's).
 func TestBandCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := randPoints(600, 3, rng)
@@ -195,12 +211,29 @@ func TestBandCounts(t *testing.T) {
 	for _, m := range dominance.KSkybandNaive(pts, 16) {
 		want[m.Index] = int32(m.Count)
 	}
-	if !slices.Equal(b.Counts(), want) {
+	if !slices.Equal(countsByID(b, len(pts)), want) {
 		t.Fatal("band counts differ from dominance.KSkybandNaive's")
 	}
+	ids, counts := b.Members()
+	img := b.Coords()
+	if len(ids) != b.Size() || len(counts) != b.Size() || img.Len() != b.Size() {
+		t.Fatalf("image of %d points, %d ids, %d counts for a band of %d", img.Len(), len(ids), len(counts), b.Size())
+	}
+	pos := map[int32]int{}
+	tr.Visit(nil, func(id int32, _ vec.Point) { pos[id] = len(pos) })
+	for i, id := range ids {
+		if i > 0 && pos[ids[i-1]] >= pos[id] {
+			t.Fatalf("members %d and %d out of the tree's leaf order", ids[i-1], id)
+		}
+		for j, v := range pts[id] {
+			if img.Col(j)[i] != v {
+				t.Fatalf("image position %d does not hold point %d", i, id)
+			}
+		}
+	}
 	cnt := 0
-	for _, c := range b.Counts() {
-		if c >= 0 && c < 5 {
+	for _, c := range counts {
+		if c < 5 {
 			cnt++
 		}
 	}
@@ -218,10 +251,7 @@ func TestBandCounts(t *testing.T) {
 		}
 	}
 	if cnt != direct {
-		t.Fatalf("the 5-skyband has %d ids by the counts, want %d", cnt, direct)
-	}
-	if len(b.Counts()) > len(pts) {
-		t.Fatalf("count table covers ids beyond the %d points", len(pts))
+		t.Fatalf("the 5-skyband has %d members by the counts, want %d", cnt, direct)
 	}
 }
 
@@ -368,7 +398,7 @@ func TestTrimBandDeclines(t *testing.T) {
 	tr := rtree.Bulk(wide, nil)
 	c := NewCache(tr, nil)
 	limit := n / trimBandFrac
-	if got := len(c.Band(8).counts); got == 0 || c.Band(8).Size() <= limit {
+	if got := len(c.Band(8).ids); got == 0 || c.Band(8).Size() <= limit {
 		t.Fatalf("fixture: 8-band holds %d points, need more than %d", c.Band(8).Size(), limit)
 	}
 	c = NewCache(tr, nil)
@@ -384,10 +414,8 @@ func TestTrimBandDeclines(t *testing.T) {
 		t.Fatalf("decline evidence: %+v", ev)
 	}
 	// Evidence members are true members with exact counts.
-	for id, cnt := range ev.counts {
-		if cnt < 0 {
-			continue
-		}
+	for i, id := range ev.ids {
+		cnt := ev.counts[i]
 		dom := 0
 		for _, o := range wide {
 			if vec.Dominates(o, wide[id]) {
@@ -411,7 +439,7 @@ func TestTrimBandDeclines(t *testing.T) {
 	// deleting an evidence member drops it. None of it counts as a carried
 	// or dropped band.
 	var evID, otherID int32 = -1, -1
-	for id, cnt := range ev.counts {
+	for id, cnt := range countsByID(ev, len(wide)) {
 		if cnt >= 0 && evID < 0 {
 			evID = int32(id)
 		}
@@ -457,7 +485,7 @@ func TestTrimBandDeclines(t *testing.T) {
 	// new tree.
 	whole := NewCache(tr, nil).Band(8)
 	victim := int32(-1)
-	for id, cnt := range whole.counts {
+	for id, cnt := range countsByID(whole, len(wide)) {
 		if cnt >= 0 && !ev.member(int32(id)) {
 			victim = int32(id)
 			break
@@ -482,9 +510,10 @@ func TestTrimBandDeclines(t *testing.T) {
 		t.Fatalf("band completed after the carry: %d points (victim member: %t), from scratch %d",
 			got.Size(), got.member(victim), scratch.Size())
 	}
-	for id := range scratch.counts {
-		if got.counts[id] != scratch.counts[id] {
-			t.Fatalf("carried-decline band: count[%d] = %d, from scratch %d", id, got.counts[id], scratch.counts[id])
+	gotCounts, scratchCounts := countsByID(got, len(wide)), countsByID(scratch, len(wide))
+	for id := range scratchCounts {
+		if gotCounts[id] != scratchCounts[id] {
+			t.Fatalf("carried-decline band: count[%d] = %d, from scratch %d", id, gotCounts[id], scratchCounts[id])
 		}
 	}
 
@@ -512,7 +541,7 @@ func TestTrimBandDeclines(t *testing.T) {
 		t.Fatal("Band rebuilt what TrimBand built")
 	}
 	want := 0
-	for id, cnt := range b.Counts() {
+	for id, cnt := range countsByID(b, len(pts)) {
 		dom := 0
 		for _, o := range pts {
 			if vec.Dominates(o, pts[id]) {
@@ -520,7 +549,7 @@ func TestTrimBandDeclines(t *testing.T) {
 			}
 		}
 		if (dom < 8) != (cnt >= 0) || (cnt >= 0 && int(cnt) != dom) {
-			t.Fatalf("Counts()[%d] = %d, true dominators %d", id, cnt, dom)
+			t.Fatalf("member %d counted %d, true dominators %d", id, cnt, dom)
 		}
 		if dom < 8 {
 			want++

@@ -105,7 +105,7 @@ func (e *Engine) admit(ctx context.Context, class admission.Class, ep int) (*adm
 	}
 	t, shed := e.adm.Admit(ctx, class)
 	if shed != nil {
-		if p50 := e.metrics.Latency(ep).Counts().Quantile(0.5); p50 > 0 {
+		if p50 := e.metrics.Latency(ep).P50(); p50 > 0 {
 			shed.RetryAfter = p50
 		}
 		return nil, &OverloadError{Class: class.String(), Reason: shed.Reason, RetryAfter: shed.RetryAfter}
@@ -122,7 +122,7 @@ func (e *Engine) doomed(ctx context.Context, k kind) error {
 	if e.adm == nil || !ok {
 		return nil
 	}
-	if p50 := e.metrics.Latency(int(k)).Counts().Quantile(0.5); p50 > 0 && time.Until(dl) < p50 {
+	if p50 := e.metrics.Latency(int(k)).P50(); p50 > 0 && time.Until(dl) < p50 {
 		e.adm.ShedDoomed(admission.Query)
 		return &OverloadError{Class: admission.Query.String(), Reason: admission.ReasonDoomed, RetryAfter: p50}
 	}

@@ -50,8 +50,8 @@ func (ix *Index) readyBand(k int) *skyband.Band {
 // through for parameter k, or nil — core's oracle path — under skyOff. The
 // hooks are bit-compatible with the legacy scans (see core.Source). Neither
 // waits on a build: KthPoint uses the k-band only when some reverse top-k
-// has already built it, and BandCounts a trim band once its background
-// build has landed, so a why-not never asks for the k-band or its grid.
+// has already built it, and Band a trim band once its background build
+// has landed, so a why-not never asks for the k-band or its grid.
 func (ix *Index) coreSource(k int) *core.Source {
 	if ix.skyOff || ix.sky == nil {
 		return nil
@@ -67,7 +67,7 @@ func (ix *Index) coreSource(k int) *core.Source {
 			}
 			return topk.KthPointCtx(ctx, ix.tree, w, kk)
 		},
-		BandCounts: func(bound int) []int32 {
+		Band: func(bound int) (core.BandImage, bool) {
 			// Round the band parameter up to a power of two so the
 			// per-request k'max values (which vary query to query) map
 			// onto a handful of cached bands per snapshot. What bounds the
@@ -81,20 +81,26 @@ func (ix *Index) coreSource(k int) *core.Source {
 			ct := ix.sky.Counters()
 			if bandK > maxTrimBand {
 				ct.CountTrimRefusal(skyband.TrimRefusedK)
-				return nil
+				return core.BandImage{}, false
 			}
 			if fullBandTrim*bandK >= ix.tree.Len() {
 				ct.CountTrimRefusal(skyband.TrimRefusedDataset)
-				return nil
+				return core.BandImage{}, false
 			}
 			bb := ix.sky.TrimBand(bandK)
 			if bb == nil {
 				ct.CountTrimRefusal(skyband.TrimRefusedBand)
-				return nil
+				return core.BandImage{}, false
 			}
-			return bb.Counts()
+			return bandImage(bb), true
 		},
 	}
+}
+
+// bandImage is band b's image as the why-not trim reads it.
+func bandImage(b *skyband.Band) core.BandImage {
+	ids, counts := b.Members()
+	return core.BandImage{Coords: b.Coords(), IDs: ids, Counts: counts}
 }
 
 // builds runs the background band and grid builds of one clone family

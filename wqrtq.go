@@ -138,19 +138,18 @@ func NewIndex(points [][]float64) (*Index, error) {
 		}
 		ps[i] = p
 	}
-	tree := rtree.Bulk(ps, nil)
-	// The tree holds its own copies, laid out in leaf order; the id table
-	// shares them rather than keeping the input alive beside them.
-	tree.Visit(nil, func(id int32, p vec.Point) { ps[id] = p })
-	return newIndexFromParts(tree, ps), nil
+	return newIndexFromParts(rtree.Bulk(ps, nil), ps), nil
 }
 
 // newIndexFromParts wires a tree and the id-indexed points it holds
 // (points[id] nil for deleted ids) into an Index with fresh sub-index
 // caches and counters: NewIndex's tail, and recovery's whole constructor
 // (its parts come from verified durable state, so it skips validation and
-// bulk load).
+// bulk load). The tree holds its own copies of the points, in its leaves'
+// blocks; the id table is repointed to share them rather than keep the
+// given copies alive beside them.
 func newIndexFromParts(tree *rtree.Tree, points []vec.Point) *Index {
+	tree.Visit(nil, func(id int32, p vec.Point) { points[id] = p })
 	bg := newBuilds()
 	return &Index{tree: tree, ids: idtable.FromPoints(points), sky: skyband.NewCache(tree, skyband.NewCounters(bg.spawn)), bg: bg, kct: kernel.NewCounters(), rct: new(core.RouteCounters), cct: cellindex.NewCounters()}
 }
