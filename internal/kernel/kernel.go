@@ -90,14 +90,14 @@ func (c *Coords) Append(p []float64) {
 // is >= lo everywhere. It returns the OR of the classes. Each point is
 // written at the next free row of every column, and the row cursor
 // advances by a 0/1 flag: a point not kept is overwritten by the next, and
-// no comparison becomes a branch. Dimensions 2–4 run specializations with
-// the box in registers.
+// no comparison becomes a branch. Dimension 3, the why-not workloads'
+// dimensionality, runs a specialization with the box in registers.
 func (c *Coords) AppendBelow(rows, lo, hi []float64, cls []uint8) uint8 {
 	return c.appendBelow(rows, lo, hi, cls, len(c.cols))
 }
 
-// appendBelow is AppendBelow through the specialization for dimension
-// spec, the generic loop when there is none (spec 0: always).
+// appendBelow is AppendBelow through the d = 3 specialization when spec
+// is 3 and the generic loop otherwise (spec 0: always).
 func (c *Coords) appendBelow(rows, lo, hi []float64, cls []uint8, spec int) uint8 {
 	d := len(c.cols)
 	m := len(rows) / d
@@ -110,14 +110,9 @@ func (c *Coords) appendBelow(rows, lo, hi []float64, cls []uint8, spec int) uint
 		c.cols[j] = slices.Grow(col[:n], m)[:n+m]
 	}
 	var or uint8
-	switch spec {
-	case 2:
-		n, or = appendBelow2(c.cols[0], c.cols[1], n, rows, lo, hi, cls)
-	case 3:
+	if spec == 3 {
 		n, or = appendBelow3(c.cols[0], c.cols[1], c.cols[2], n, rows, lo, hi, cls)
-	case 4:
-		n, or = appendBelow4(c.cols[0], c.cols[1], c.cols[2], c.cols[3], n, rows, lo, hi, cls)
-	default:
+	} else {
 		n, or = appendBelowGeneric(c.cols, n, rows, lo, hi, cls)
 	}
 	for j, col := range c.cols {
@@ -138,44 +133,6 @@ func appendBelow3(x, y, z []float64, n int, rows, lo, hi []float64, cls []uint8)
 		keep := b01(a < h0) | b01(b < h1) | b01(c < h2)
 		le := b01(a <= h0) & b01(b <= h1) & b01(c <= h2)
 		ge := b01(a >= l0) & b01(b >= l1) & b01(c >= l2)
-		cl := keep * (1 | le<<1 | ge<<2)
-		cls[k] = cl
-		or |= cl
-		n += int(keep)
-	}
-	return n, or
-}
-
-func appendBelow2(x, y []float64, n int, rows, lo, hi []float64, cls []uint8) (int, uint8) {
-	h0, h1 := hi[0], hi[1]
-	l0, l1 := lo[0], lo[1]
-	var or uint8
-	for k := range cls {
-		p := rows[2*k : 2*k+2 : 2*k+2]
-		a, b := p[0], p[1]
-		x[n], y[n] = a, b
-		keep := b01(a < h0) | b01(b < h1)
-		le := b01(a <= h0) & b01(b <= h1)
-		ge := b01(a >= l0) & b01(b >= l1)
-		cl := keep * (1 | le<<1 | ge<<2)
-		cls[k] = cl
-		or |= cl
-		n += int(keep)
-	}
-	return n, or
-}
-
-func appendBelow4(x, y, z, u []float64, n int, rows, lo, hi []float64, cls []uint8) (int, uint8) {
-	h0, h1, h2, h3 := hi[0], hi[1], hi[2], hi[3]
-	l0, l1, l2, l3 := lo[0], lo[1], lo[2], lo[3]
-	var or uint8
-	for k := range cls {
-		p := rows[4*k : 4*k+4 : 4*k+4]
-		a, b, c, e := p[0], p[1], p[2], p[3]
-		x[n], y[n], z[n], u[n] = a, b, c, e
-		keep := b01(a < h0) | b01(b < h1) | b01(c < h2) | b01(e < h3)
-		le := b01(a <= h0) & b01(b <= h1) & b01(c <= h2) & b01(e <= h3)
-		ge := b01(a >= l0) & b01(b >= l1) & b01(c >= l2) & b01(e >= l3)
 		cl := keep * (1 | le<<1 | ge<<2)
 		cls[k] = cl
 		or |= cl

@@ -53,7 +53,8 @@ func (t *Tree) Clone() *Tree {
 
 // own returns a node the current epoch may mutate, copying it when it is
 // shared with another tree of the clone family. Internal entry rectangles
-// are deep-copied because chooseLeaf extends them in place; a leaf's copy
+// are deep-copied, into one block per node, because chooseLeaf extends
+// them in place; a leaf's copy
 // shares the leaf's block, which is never written: the mutation that
 // follows gives the copy a fresh one (reblock).
 func (t *Tree) own(n *Node) *Node {
@@ -64,8 +65,15 @@ func (t *Tree) own(n *Node) *Node {
 	cp.entries = make([]entry, len(n.entries))
 	copy(cp.entries, n.entries)
 	if !n.leaf {
+		d := t.dim
+		buf := make([]float64, 2*d*len(cp.entries))
 		for i := range cp.entries {
-			cp.entries[i].rect = CloneRect(cp.entries[i].rect)
+			r := &cp.entries[i].rect
+			mn, mx := buf[:d:d], buf[d:2*d:2*d]
+			buf = buf[2*d:]
+			copy(mn, r.Min)
+			copy(mx, r.Max)
+			r.Min, r.Max = mn, mx
 		}
 	}
 	return cp

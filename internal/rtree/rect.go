@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"math"
-
-	"wqrtq/internal/vec"
-)
+import "wqrtq/internal/vec"
 
 // Rect is a d-dimensional axis-aligned minimum bounding rectangle.
 // A point is stored as a degenerate Rect whose Min and Max alias the same
@@ -66,12 +62,20 @@ func (r Rect) Margin() float64 {
 	return m
 }
 
-// EnlargedArea returns the volume of r extended to cover s.
+// EnlargedArea returns the volume of r extended to cover s. Like
+// OverlapArea it compares instead of calling math.Min and math.Max, which
+// differ only on NaN and signed zeros, neither of which changes a volume
+// of finite coordinates.
 func (r Rect) EnlargedArea(s Rect) float64 {
 	a := 1.0
 	for i := range r.Min {
-		lo := math.Min(r.Min[i], s.Min[i])
-		hi := math.Max(r.Max[i], s.Max[i])
+		lo, hi := r.Min[i], r.Max[i]
+		if s.Min[i] < lo {
+			lo = s.Min[i]
+		}
+		if s.Max[i] > hi {
+			hi = s.Max[i]
+		}
 		a *= hi - lo
 	}
 	return a
@@ -81,8 +85,13 @@ func (r Rect) EnlargedArea(s Rect) float64 {
 func (r Rect) OverlapArea(s Rect) float64 {
 	a := 1.0
 	for i := range r.Min {
-		lo := math.Max(r.Min[i], s.Min[i])
-		hi := math.Min(r.Max[i], s.Max[i])
+		lo, hi := r.Min[i], r.Max[i]
+		if s.Min[i] > lo {
+			lo = s.Min[i]
+		}
+		if s.Max[i] < hi {
+			hi = s.Max[i]
+		}
 		if hi <= lo {
 			return 0
 		}
@@ -101,13 +110,6 @@ func (r *Rect) extend(s Rect) {
 			r.Max[i] = s.Max[i]
 		}
 	}
-}
-
-// combine returns a fresh rectangle covering both arguments.
-func combine(a, b Rect) Rect {
-	r := CloneRect(a)
-	r.extend(b)
-	return r
 }
 
 // MinScore returns the smallest possible linear score f(w, p) of any point p

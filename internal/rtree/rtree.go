@@ -186,14 +186,19 @@ func (t *Tree) Insert(p vec.Point, id int32) {
 	if len(p) != t.dim {
 		panic(fmt.Sprintf("rtree: point dimension %d, want %d", len(p), t.dim))
 	}
-	t.insertEntry(entry{rect: PointRect(p), id: id})
+	n, right := t.insertEntry(entry{rect: PointRect(p), id: id})
+	t.reblock(n)
+	if right != nil {
+		t.reblock(right)
+	}
 	t.size++
 }
 
-// insertEntry inserts a point entry into the leaf chooseLeaf picks. The
-// leaf (or, when it overflows, each half of its split) gets a fresh block
-// holding the new point's coordinates.
-func (t *Tree) insertEntry(e entry) {
+// insertEntry inserts a point entry into the leaf chooseLeaf picks and
+// returns that leaf and, when it overflowed, the leaf split off from it
+// (nil otherwise). Both still point into their old blocks, or e's: the
+// caller gives them fresh ones (reblock) once its last insert is done.
+func (t *Tree) insertEntry(e entry) (n, right *Node) {
 	n, path := t.chooseLeaf(e.rect)
 	n.entries = append(n.entries, e)
 	n.count++
@@ -201,10 +206,9 @@ func (t *Tree) insertEntry(e entry) {
 		p.count++
 	}
 	if len(n.entries) > t.maxFill {
-		t.splitUpward(n, path)
-		return
+		right = t.splitUpward(n, path)
 	}
-	t.reblock(n)
+	return n, right
 }
 
 // reblock gives leaf n a fresh block holding its entries' points, in entry
@@ -251,6 +255,11 @@ func (t *Tree) chooseLeaf(r Rect) (*Node, []*Node) {
 // enlargement. Ties break toward smaller area.
 func (t *Tree) chooseSubtree(n *Node, r Rect) int {
 	childrenAreLeaves := n.entries[0].child.leaf
+	var grown Rect
+	if childrenAreLeaves {
+		buf := make([]float64, 2*t.dim)
+		grown = Rect{Min: buf[:t.dim:t.dim], Max: buf[t.dim:]}
+	}
 	best := 0
 	bestOverlap := math.Inf(1)
 	bestEnl := math.Inf(1)
@@ -261,7 +270,9 @@ func (t *Tree) chooseSubtree(n *Node, r Rect) int {
 		enl := er.EnlargedArea(r) - area
 		overlap := 0.0
 		if childrenAreLeaves {
-			grown := combine(er, r)
+			copy(grown.Min, er.Min)
+			copy(grown.Max, er.Max)
+			grown.extend(r)
 			for j := range n.entries {
 				if j == i {
 					continue
@@ -278,10 +289,14 @@ func (t *Tree) chooseSubtree(n *Node, r Rect) int {
 	return best
 }
 
-// splitUpward splits an overfull node and propagates along the stored path.
-func (t *Tree) splitUpward(n *Node, path []*Node) {
+// splitUpward splits an overfull node and propagates along the stored
+// path. It returns the node split off from n itself.
+func (t *Tree) splitUpward(n *Node, path []*Node) (split *Node) {
 	for {
 		left, right := t.split(n)
+		if split == nil {
+			split = right
+		}
 		if len(path) == 0 {
 			// Grow a new root.
 			root := t.newNode(false)
@@ -291,7 +306,7 @@ func (t *Tree) splitUpward(n *Node, path []*Node) {
 			)
 			root.count = left.count + right.count
 			t.root = root
-			return
+			return split
 		}
 		parent := path[len(path)-1]
 		path = path[:len(path)-1]
@@ -306,7 +321,7 @@ func (t *Tree) splitUpward(n *Node, path []*Node) {
 		parent.entries[idx] = entry{rect: nodeRect(left), child: left}
 		parent.entries = append(parent.entries, entry{rect: nodeRect(right), child: right})
 		if len(parent.entries) <= t.maxFill {
-			return
+			return split
 		}
 		n = parent
 	}
@@ -325,16 +340,16 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 		overlap float64
 		areaSum float64
 	}
+	cv := newSplitCovers(t.dim, len(entries))
 	bestAxis, bestAxisMargin := -1, math.Inf(1)
 	// Pass 1: choose split axis by minimum total margin.
 	for axis := 0; axis < t.dim; axis++ {
 		for _, byUpper := range []bool{false, true} {
 			sortEntries(entries, axis, byUpper)
+			cv.fill(entries)
 			margin := 0.0
 			for k := m; k <= len(entries)-m; k++ {
-				lr := coverRect(entries[:k])
-				rr := coverRect(entries[k:])
-				margin += lr.Margin() + rr.Margin()
+				margin += cv.left(k).Margin() + cv.right(k).Margin()
 			}
 			if margin < bestAxisMargin {
 				bestAxisMargin = margin
@@ -346,9 +361,9 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 	best := dist{overlap: math.Inf(1), areaSum: math.Inf(1)}
 	for _, byUpper := range []bool{false, true} {
 		sortEntries(entries, bestAxis, byUpper)
+		cv.fill(entries)
 		for k := m; k <= len(entries)-m; k++ {
-			lr := coverRect(entries[:k])
-			rr := coverRect(entries[k:])
+			lr, rr := cv.left(k), cv.right(k)
 			ov := lr.OverlapArea(rr)
 			as := lr.Area() + rr.Area()
 			if ov < best.overlap || (feq.Eq(ov, best.overlap) && as < best.areaSum) {
@@ -368,12 +383,58 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 	for _, e := range right.entries {
 		right.count += entryCount(e)
 	}
-	if n.leaf {
-		t.reblock(n)
-		t.reblock(right)
-	}
 	return n, right
 }
+
+// splitCovers holds, for one order of a split's entries, the cover of
+// every prefix and of every suffix, so each candidate distribution reads
+// its two rectangles instead of rebuilding them. The sweeps make
+// coverRect's comparisons, so every cover is coverRect's rectangle (a
+// suffix's may differ in the sign of a zero, which no volume or margin
+// compared here tells apart).
+type splitCovers struct {
+	d        int
+	pre, suf []float64 // 2d floats per prefix or suffix: Min, then Max
+}
+
+func newSplitCovers(d, n int) *splitCovers {
+	return &splitCovers{d: d, pre: make([]float64, 2*d*(n+1)), suf: make([]float64, 2*d*(n+1))}
+}
+
+// fill sweeps es once each way: left(k) then covers es[:k] and right(k)
+// covers es[k:], for 0 < k < len(es).
+func (c *splitCovers) fill(es []entry) {
+	n := len(es)
+	for k := 1; k <= n; k++ {
+		c.cover(c.pre, k, k-1, k == 1, es[k-1].rect)
+	}
+	for k := n - 1; k >= 0; k-- {
+		c.cover(c.suf, k, k+1, k == n-1, es[k].rect)
+	}
+}
+
+// cover sets rectangle at of buf to rectangle from extended by r, or to r
+// itself when first.
+func (c *splitCovers) cover(buf []float64, at, from int, first bool, r Rect) {
+	dst := c.rect(buf, at)
+	if first {
+		copy(dst.Min, r.Min)
+		copy(dst.Max, r.Max)
+		return
+	}
+	src := c.rect(buf, from)
+	copy(dst.Min, src.Min)
+	copy(dst.Max, src.Max)
+	dst.extend(r)
+}
+
+func (c *splitCovers) rect(buf []float64, k int) Rect {
+	o, d := 2*c.d*k, c.d
+	return Rect{Min: buf[o : o+d : o+d], Max: buf[o+d : o+2*d : o+2*d]}
+}
+
+func (c *splitCovers) left(k int) Rect  { return c.rect(c.pre, k) }
+func (c *splitCovers) right(k int) Rect { return c.rect(c.suf, k) }
 
 func sortEntries(es []entry, axis int, byUpper bool) {
 	if byUpper {
@@ -419,7 +480,6 @@ func (t *Tree) Delete(p vec.Point, id int32) bool {
 			break
 		}
 	}
-	t.reblock(leaf)
 	leaf.count--
 	for _, a := range path {
 		a.count--
@@ -436,8 +496,18 @@ func (t *Tree) Delete(p vec.Point, id int32) bool {
 		t.root = t.newNode(true)
 		t.nodeCount--
 	}
+	// One fresh block per changed leaf, however many orphans it took.
+	stale := []*Node{leaf}
 	for _, e := range orphans {
-		t.insertEntry(e)
+		n, right := t.insertEntry(e)
+		for _, c := range [2]*Node{n, right} {
+			if c != nil && !slices.Contains(stale, c) {
+				stale = append(stale, c)
+			}
+		}
+	}
+	for _, n := range stale {
+		t.reblock(n)
 	}
 	return true
 }

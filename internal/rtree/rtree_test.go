@@ -323,6 +323,42 @@ func TestRectOperations(t *testing.T) {
 	}
 }
 
+// TestSplitCoversMatchCoverRect holds split's prefix and suffix sweeps to
+// the covers coverRect builds from scratch, over point and box entries
+// whose coordinates tie.
+func TestSplitCoversMatchCoverRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for d := 1; d <= 4; d++ {
+		for trial := 0; trial < 50; trial++ {
+			es := make([]entry, 2+rng.Intn(30))
+			for i := range es {
+				lo, hi := make([]float64, d), make([]float64, d)
+				for j := range lo {
+					lo[j] = float64(rng.Intn(6)) / 4
+					hi[j] = lo[j]
+					if i%2 == 1 {
+						hi[j] += float64(rng.Intn(3)) / 4
+					}
+				}
+				es[i] = entry{rect: Rect{Min: lo, Max: hi}}
+			}
+			cv := newSplitCovers(d, len(es))
+			cv.fill(es)
+			for k := 1; k < len(es); k++ {
+				for _, c := range []struct {
+					got, want Rect
+				}{{cv.left(k), coverRect(es[:k])}, {cv.right(k), coverRect(es[k:])}} {
+					for j := 0; j < d; j++ {
+						if c.got.Min[j] != c.want.Min[j] || c.got.Max[j] != c.want.Max[j] {
+							t.Fatalf("d=%d n=%d k=%d: cover %v, want %v", d, len(es), k, c.got, c.want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRectScoreBounds(t *testing.T) {
 	r := Rect{Min: []float64{1, 2}, Max: []float64{3, 5}}
 	w := vec.Weight{0.5, 0.5}

@@ -252,8 +252,9 @@ type Band struct {
 	size int
 	full bool // the band is the whole dataset (pass-through, no separate tree)
 	// ids and counts hold each member's record id and exact dominance
-	// count, position by position of coords. nil for pass-through bands.
-	ids, counts []int32
+	// count, position by position of coords; sorted is ids in ascending
+	// order, for member's binary search. nil for pass-through bands.
+	ids, counts, sorted []int32
 	// ct is the family that built the band, whose spawn TryDerived
 	// starts its build through; nil for pass-through bands.
 	ct *Counters
@@ -397,7 +398,10 @@ func (b *Band) fillDerived(build func(*Band) any, run chan struct{}) {
 func (b *Band) Members() (ids, counts []int32) { return b.ids, b.counts }
 
 // member reports whether record id belongs to the band.
-func (b *Band) member(id int32) bool { return slices.Contains(b.ids, id) }
+func (b *Band) member(id int32) bool {
+	_, ok := slices.BinarySearch(b.sorted, id)
+	return ok
+}
 
 // excludes reports whether at least K() band members dominate p, under the
 // predicate dominance.KSkyband counts with: p is then outside the band and
@@ -834,6 +838,8 @@ func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 	for i, m := range band {
 		bp[i], b.ids[i], b.counts[i] = m.Point, m.ID, int32(m.Count)
 	}
+	b.sorted = slices.Clone(b.ids)
+	slices.Sort(b.sorted)
 	b.coords.Fill(t.Dim(), len(band), func(i int) []float64 { return bp[i] })
 	b.coordsReady.Store(true)
 	b.tree = rtree.Bulk(bp, b.ids, TreeOptions(t.Dim()))
