@@ -14,9 +14,13 @@ package wqrtq
 // naive reverse top-k, and STR bulk loading vs one-by-one insertion.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -332,6 +336,46 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 	})
 }
 
+// BenchmarkLoadCSV times what a server pays to load its dataset before it
+// serves, the in-process counterpart of the scoreboard's setup_s: reading
+// a 100k × 3 UN CSV (the shape of the un3 workloads' data) with
+// dataset.ReadCSV, and NewIndex over its rows, as cmd/wqrtq's loadIndex
+// does. read_ms and index_ms split the op.
+func BenchmarkLoadCSV(b *testing.B) {
+	var buf bytes.Buffer
+	if err := dataset.Independent(100000, 3, 1).WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "data.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	var read, index time.Duration
+	for b.Loop() {
+		start := time.Now()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := dataset.ReadCSV(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		pts := make([][]float64, len(ds.Points))
+		for i, p := range ds.Points {
+			pts[i] = p
+		}
+		if _, err := NewIndex(pts); err != nil {
+			b.Fatal(err)
+		}
+		read += mid.Sub(start)
+		index += time.Since(mid)
+	}
+	b.ReportMetric(read.Seconds()*1e3/float64(b.N), "read_ms")
+	b.ReportMetric(index.Seconds()*1e3/float64(b.N), "index_ms")
+}
+
 // --- Micro-benchmarks of the substrates -------------------------------------
 
 // TestTopKAllocsPerOp guards the heap-loop allocation work: the branch-
@@ -434,6 +478,9 @@ func BenchmarkWhyNotDims(b *testing.B) {
 			var reqs []WhyNotRequest
 			for seed := int64(1); len(reqs) < questions; seed++ {
 				wl, err := dataset.MakeWhyNot(ds, benchK, benchRank, 1, seed)
+				if errors.Is(err, dataset.ErrOriginAnchor) {
+					b.Fatal(err) // no seed can succeed
+				}
 				if err != nil {
 					continue // no point of this rank under the drawn vector
 				}
@@ -615,7 +662,11 @@ func BenchmarkFirstQuery(b *testing.B) {
 			rtopkReq := ReverseTopKRequest{Q: top[benchK-1].Point, K: benchK, W: W}
 			var whyNotReq WhyNotRequest
 			for seed := int64(1); whyNotReq.W == nil; seed++ {
-				if wl, err := dataset.MakeWhyNot(ds, benchK, benchRank, 1, seed); err == nil {
+				wl, err := dataset.MakeWhyNot(ds, benchK, benchRank, 1, seed)
+				if errors.Is(err, dataset.ErrOriginAnchor) {
+					b.Fatal(err) // no seed can succeed
+				}
+				if err == nil {
 					whyNotReq = WhyNotRequest{Q: wl.Q, K: wl.K, W: [][]float64{wl.Wm[0]}, Opts: Options{SampleSize: 24, Seed: 1}}
 				}
 			}

@@ -189,12 +189,13 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a dataset written by WriteCSV (or any numeric CSV with one
-// point per row).
+// point per row). Every row is parsed into one array, from which the
+// points are cut: one allocation for the coordinates, not one per row.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
-	var pts []vec.Point
-	dim := -1
+	var coords []float64
+	dim, rows := 0, 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -203,23 +204,22 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if dim == -1 {
-			dim = len(rec)
-		} else if len(rec) != dim {
-			return nil, errors.New("dataset: ragged CSV rows")
-		}
-		p := make(vec.Point, dim)
-		for j, s := range rec {
+		dim = len(rec)
+		rows++
+		for _, s := range rec {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				return nil, fmt.Errorf("dataset: row %d: %w", len(pts)+1, err)
+				return nil, fmt.Errorf("dataset: row %d: %w", rows, err)
 			}
-			p[j] = v
+			coords = append(coords, v)
 		}
-		pts = append(pts, p)
 	}
-	if len(pts) == 0 {
+	if rows == 0 {
 		return nil, errors.New("dataset: empty CSV")
+	}
+	pts := make([]vec.Point, rows)
+	for i := range pts {
+		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return &Dataset{Dim: dim, Points: pts, Name: "csv"}, nil
 }

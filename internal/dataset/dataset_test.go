@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -169,6 +171,14 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRaggedIsFieldCount pins who rejects a ragged row: the csv
+// reader, which fixes the field count at the first row's.
+func TestReadCSVRaggedIsFieldCount(t *testing.T) {
+	if _, err := ReadCSV(strings.NewReader("1,2\n3\n")); !errors.Is(err, csv.ErrFieldCount) {
+		t.Errorf("ragged CSV: err = %v, want csv.ErrFieldCount", err)
+	}
+}
+
 func TestMakeWhyNotControlsRank(t *testing.T) {
 	ds := Independent(5000, 3, 11)
 	for _, target := range []int{11, 101, 501} {
@@ -208,6 +218,33 @@ func TestMakeWhyNotValidation(t *testing.T) {
 	}
 	if _, err := MakeWhyNot(ds, 10, 50, 0, 1); err == nil {
 		t.Error("nWm = 0 accepted")
+	}
+}
+
+// TestMakeWhyNotOriginAnchor: with targetRank or more points at the
+// origin, the anchor is the origin under every base preference, so
+// MakeWhyNot returns ErrOriginAnchor at once, for every seed; with fewer,
+// it still synthesizes the workload.
+func TestMakeWhyNotOriginAnchor(t *testing.T) {
+	ds := Independent(2000, 3, 4)
+	for i := 0; i < 120; i++ {
+		ds.Points[i] = make(vec.Point, 3)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		if _, err := MakeWhyNot(ds, 10, 101, 1, seed); !errors.Is(err, ErrOriginAnchor) {
+			t.Errorf("seed %d, 120 points at the origin, rank 101: err = %v, want ErrOriginAnchor", seed, err)
+		}
+	}
+	wl, err := MakeWhyNot(ds, 10, 301, 1, 1)
+	if err != nil {
+		t.Fatalf("120 points at the origin, rank 301: %v", err)
+	}
+	if got := topk.RankNaive(ds.Points, wl.BaseWeight, vec.Score(wl.BaseWeight, wl.Q)); got < 300 || got > 302 {
+		t.Errorf("rank 301: base rank = %d", got)
+	}
+	co := Correlated(100000, 3, 1)
+	if _, err := MakeWhyNot(co, 10, 101, 1, 1); !errors.Is(err, ErrOriginAnchor) {
+		t.Errorf("correlated n = 100k, rank 101: err = %v, want ErrOriginAnchor", err)
 	}
 }
 

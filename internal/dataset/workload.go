@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"wqrtq/internal/feq"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
@@ -23,11 +25,17 @@ type Workload struct {
 	ActualRanks []int // rank of Q under each Wm[i]
 }
 
+// ErrOriginAnchor reports that at least targetRank points of the dataset
+// lie at the origin: the targetRank-th point under every base preference
+// is then the origin, which cannot be shrunk into a query point.
+var ErrOriginAnchor = errors.New("dataset: at least target-rank points lie at the origin, so no query point can be synthesized at that rank")
+
 // MakeWhyNot builds a workload over ds with the given k, target ranking and
 // why-not set size. The query point is synthesized next to the point ranked
 // targetRank-th under a random base preference, then the why-not vectors
 // are small perturbations of that preference, accepted only when q is
-// genuinely missing from their top-k (rank > k).
+// genuinely missing from their top-k (rank > k). It returns ErrOriginAnchor,
+// whatever the seed, when targetRank or more points are all zero.
 func MakeWhyNot(ds *Dataset, k, targetRank, nWm int, seed int64) (Workload, error) {
 	if targetRank <= k {
 		return Workload{}, fmt.Errorf("dataset: target rank %d must exceed k %d", targetRank, k)
@@ -37,6 +45,9 @@ func MakeWhyNot(ds *Dataset, k, targetRank, nWm int, seed int64) (Workload, erro
 	}
 	if nWm <= 0 {
 		return Workload{}, errors.New("dataset: need at least one why-not vector")
+	}
+	if atOrigin(ds.Points) >= targetRank {
+		return Workload{}, ErrOriginAnchor
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for attempt := 0; attempt < 32; attempt++ {
@@ -65,6 +76,17 @@ func MakeWhyNot(ds *Dataset, k, targetRank, nWm int, seed int64) (Workload, erro
 		return Workload{Q: q, Wm: wm, K: k, BaseWeight: base, ActualRanks: ranks}, nil
 	}
 	return Workload{}, errors.New("dataset: failed to synthesize a why-not workload; try a larger dataset or smaller target rank")
+}
+
+// atOrigin counts the points whose every coordinate is zero.
+func atOrigin(pts []vec.Point) int {
+	n := 0
+	for _, p := range pts {
+		if !slices.ContainsFunc(p, func(v float64) bool { return !feq.Zero(v) }) {
+			n++
+		}
+	}
+	return n
 }
 
 // synthesizeAtRank returns a fresh point whose ranking under w is exactly

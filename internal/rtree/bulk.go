@@ -5,7 +5,7 @@ import (
 	"math"
 	"slices"
 
-	"wqrtq/internal/vec"
+	"wqrtq/internal/feq"
 )
 
 // Bulk builds a tree over the given points with Sort-Tile-Recursive (STR)
@@ -15,107 +15,277 @@ import (
 // array, which is sliced into the leaves' blocks (Node.Rows): a walk over
 // the leaves then reads the coordinates in memory order. The input is not
 // retained. A leaf a later mutation changes gets a fresh block of its own.
-func Bulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
+// A point may be of any type whose underlying type is []float64.
+func Bulk[P ~[]float64](points []P, ids []int32, opts ...Options) *Tree {
 	if len(points) == 0 {
 		panic("rtree: Bulk requires at least one point")
 	}
 	t := New(len(points[0]), opts...)
 	t.nodeCount = 0 // discard the initial empty leaf
-	entries := make([]entry, len(points))
-	for i, p := range points {
-		id := int32(i)
-		if ids != nil {
-			id = ids[i]
+	d := t.dim
+	p := &strPacker{t: t, perm: make([]int32, len(points)), buf: make([]keyed, 2*len(points))}
+	p.keys = func(axis int, items []int32, dst []keyed) {
+		for j, i := range items {
+			x := points[i][axis]
+			dst[j] = keyed{key: sortKey(x + x), item: i}
 		}
-		entries[i] = entry{rect: PointRect(p), id: id}
 	}
-	leaves := t.strPack(entries, 0, true)
-	level := leaves
-	for len(level) > 1 {
-		up := make([]entry, len(level))
-		for i, n := range level {
-			up[i] = entry{rect: nodeRect(n), child: n}
+	// A leaf's entries hold their items' indices until relocate gives
+	// them their points and ids.
+	p.cut = func(run []int32, lo, hi []float64) *Node {
+		n := t.newNode(true)
+		n.entries = make([]entry, len(run))
+		for j, i := range run {
+			n.entries[j].id = i
+			extendCover(lo, hi, points[i], points[i], j == 0)
 		}
-		level = t.strPack(up, 0, false)
+		n.count = len(run)
+		return n
+	}
+	level, lo, hi := p.pack(len(points))
+	for len(level) > 1 {
+		level, lo, hi = p.packNodes(level, lo, hi)
 	}
 	t.root = level[0]
 	t.size = len(points)
-	coords := make([]float64, len(points)*t.dim)
-	t.root.relocate(&coords, t.dim)
+	coords := make([]float64, len(points)*d)
+	relocate(t.root, &coords, d, points, ids)
 	return t
 }
 
 // relocate copies the points of n's subtree, in depth-first leaf order, to
 // the front of *coords, makes each leaf's share its block, and advances
-// *coords past them.
-func (n *Node) relocate(coords *[]float64, dim int) {
+// *coords past them. A leaf entry's id is the index of its point in
+// points on entry, and ids[index] (the index itself if ids is nil) on
+// return.
+func relocate[P ~[]float64](n *Node, coords *[]float64, dim int, points []P, ids []int32) {
 	if !n.leaf {
 		for _, e := range n.entries {
-			e.child.relocate(coords, dim)
+			relocate(e.child, coords, dim, points, ids)
 		}
 		return
 	}
 	size := len(n.entries) * dim
 	n.rows = (*coords)[:size:size]
 	*coords = (*coords)[size:]
-	for i := range n.entries {
-		p := n.rows[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(p, n.entries[i].rect.Min)
-		n.entries[i].rect = PointRect(p)
+	for j := range n.entries {
+		e := &n.entries[j]
+		p, src := n.rows[j*dim:(j+1)*dim:(j+1)*dim], points[e.id]
+		for k := range p {
+			p[k] = src[k]
+		}
+		e.rect = PointRect(p)
+		if ids != nil {
+			e.id = ids[e.id]
+		}
 	}
 }
 
-// strPack tiles entries into nodes of up to maxFill entries by recursively
-// sorting on successive dimensions and slicing into vertical "slabs".
-func (t *Tree) strPack(entries []entry, axis int, leaf bool) []*Node {
-	if len(entries) <= t.maxFill {
-		n := t.newNode(leaf)
-		n.entries = append(n.entries, entries...)
-		for _, e := range n.entries {
-			n.count += entryCount(e)
-		}
-		return []*Node{n}
+// extendCover sets the rectangle (lo, hi) to (slo, shi) when first, and
+// otherwise extends it to cover (slo, shi): the cover coverRect computes
+// when fed the same rectangles in the same order.
+func extendCover(lo, hi, slo, shi []float64, first bool) {
+	if first {
+		copy(lo, slo)
+		copy(hi, shi)
+		return
 	}
-	nodesNeeded := int(math.Ceil(float64(len(entries)) / float64(t.maxFill)))
-	if axis >= t.dim-1 {
-		// Final axis: sort and chop into consecutive runs.
-		sortEntriesByCenter(entries, axis)
-		out := make([]*Node, 0, nodesNeeded)
-		for start := 0; start < len(entries); start += t.maxFill {
-			end := start + t.maxFill
-			if end > len(entries) {
-				end = len(entries)
-			}
-			n := t.newNode(leaf)
-			n.entries = append(n.entries, entries[start:end]...)
-			for _, e := range n.entries {
-				n.count += entryCount(e)
-			}
-			out = append(out, n)
+	r := Rect{Min: lo, Max: hi}
+	r.extend(Rect{Min: slo, Max: shi})
+}
+
+// strPacker tiles one tree level at a time. A level's items are numbered
+// 0..n-1; keys writes the sort key of each of a run of items at one axis,
+// the centre lo[axis]+hi[axis] of the item's rectangle, and cut makes a
+// node of a run of items and writes the node's cover to lo and hi. The
+// items are never moved: each axis sorts a range of perm, and entries
+// exist only once cut makes a node.
+type strPacker struct {
+	t    *Tree
+	keys func(axis int, items []int32, dst []keyed)
+	cut  func(run []int32, lo, hi []float64) *Node
+	perm []int32
+	buf  []keyed // two halves of at least n each: the sort's source and scratch
+	out  []*Node
+	// lo and hi hold the covers of out's nodes, dim floats each, in
+	// out's order.
+	lo, hi []float64
+}
+
+// keyed is an item with its sort key at the current axis.
+type keyed struct {
+	key  uint64
+	item int32
+}
+
+// pack tiles items 0..n-1 into nodes and returns them in the order cut
+// made them, with their covers.
+func (p *strPacker) pack(n int) (nodes []*Node, lo, hi []float64) {
+	perm := p.perm[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	full := (n + p.t.maxFill - 1) / p.t.maxFill
+	p.out = make([]*Node, 0, full)
+	p.lo = make([]float64, 0, full*p.t.dim)
+	p.hi = make([]float64, 0, full*p.t.dim)
+	p.tile(perm, 0)
+	return p.out, p.lo, p.hi
+}
+
+// packNodes packs the level above nodes, whose covers are lo and hi: each
+// node becomes an entry whose rectangle is its cover, a window of the two
+// blocks.
+func (p *strPacker) packNodes(nodes []*Node, lo, hi []float64) ([]*Node, []float64, []float64) {
+	d := p.t.dim
+	p.keys = func(axis int, items []int32, dst []keyed) {
+		for j, i := range items {
+			o := int(i)*d + axis
+			dst[j] = keyed{key: sortKey(lo[o] + hi[o]), item: i}
 		}
-		return out
+	}
+	p.cut = func(run []int32, clo, chi []float64) *Node {
+		n := p.t.newNode(false)
+		n.entries = make([]entry, len(run))
+		for j, i := range run {
+			o := int(i) * d
+			r := Rect{Min: lo[o : o+d : o+d], Max: hi[o : o+d : o+d]}
+			n.entries[j] = entry{rect: r, child: nodes[i]}
+			n.count += nodes[i].count
+			extendCover(clo, chi, r.Min, r.Max, j == 0)
+		}
+		return n
+	}
+	return p.pack(len(nodes))
+}
+
+// cutNode cuts a node from run and appends its cover to p.lo and p.hi.
+func (p *strPacker) cutNode(run []int32) {
+	d := p.t.dim
+	at := len(p.lo)
+	p.lo, p.hi = slices.Grow(p.lo, d)[:at+d], slices.Grow(p.hi, d)[:at+d]
+	p.out = append(p.out, p.cut(run, p.lo[at:], p.hi[at:]))
+}
+
+// tile packs a run of items into nodes of up to maxFill entries by
+// sorting on successive axes and slicing into vertical "slabs".
+func (p *strPacker) tile(items []int32, axis int) {
+	maxFill := p.t.maxFill
+	if len(items) <= maxFill {
+		p.cutNode(items)
+		return
+	}
+	nodesNeeded := int(math.Ceil(float64(len(items)) / float64(maxFill)))
+	p.sort(items, axis)
+	if axis >= p.t.dim-1 {
+		// Final axis: chop into consecutive runs.
+		for start := 0; start < len(items); start += maxFill {
+			p.cutNode(items[start:min(start+maxFill, len(items))])
+		}
+		return
 	}
 	// Slab count: ceil(nodesNeeded^(1/(remaining dims))).
-	remaining := t.dim - axis
+	remaining := p.t.dim - axis
 	slabs := int(math.Ceil(math.Pow(float64(nodesNeeded), 1/float64(remaining))))
 	if slabs < 1 {
 		slabs = 1
 	}
-	sortEntriesByCenter(entries, axis)
-	per := int(math.Ceil(float64(len(entries)) / float64(slabs)))
-	var out []*Node
-	for start := 0; start < len(entries); start += per {
-		end := start + per
-		if end > len(entries) {
-			end = len(entries)
-		}
-		out = append(out, t.strPack(entries[start:end], axis+1, leaf)...)
+	per := int(math.Ceil(float64(len(items)) / float64(slabs)))
+	for start := 0; start < len(items); start += per {
+		p.tile(items[start:min(start+per, len(items))], axis+1)
 	}
-	return out
 }
 
-func sortEntriesByCenter(es []entry, axis int) {
-	slices.SortFunc(es, func(a, b entry) int {
-		return cmp.Compare(a.rect.Min[axis]+a.rect.Max[axis], b.rect.Min[axis]+b.rect.Max[axis])
-	})
+// radixMin is the shortest run sort radix-sorts; shorter runs go straight
+// to slices.SortFunc.
+const radixMin = 64
+
+// sort reorders items by their key at axis into exactly the order
+// slices.SortFunc gives when it compares the keys with cmp.Compare. Keys
+// without ties have one sorted order, which a stable LSD radix sort finds.
+// Tied keys are left in an order that depends on pdqsort's swaps, which
+// depend only on the length and on the comparisons' results: so a run with
+// a tie is sorted again by slices.SortFunc, from the order it had before,
+// comparing the same keys.
+func (p *strPacker) sort(items []int32, axis int) {
+	n := len(items)
+	src := p.buf[:n]
+	p.keys(axis, items, src)
+	if n >= radixMin {
+		sorted := radixSort(src, p.buf[n:2*n])
+		if !hasTie(sorted) {
+			for j := range sorted {
+				items[j] = sorted[j].item
+			}
+			return
+		}
+		p.keys(axis, items, src)
+	}
+	slices.SortFunc(src, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for j := range src {
+		items[j] = src[j].item
+	}
+}
+
+// sortKey maps x to a key whose unsigned order is cmp.Compare's order of
+// floats: every NaN is 0, below −Inf, and −0 is +0. A non-negative float
+// gets its sign bit set, a negative one all its bits flipped.
+func sortKey(x float64) uint64 {
+	if feq.Ne(x, x) {
+		return 0
+	}
+	if feq.Zero(x) {
+		x = 0 // −0 → +0
+	}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixSort sorts a by key with a stable LSD radix sort over the key's
+// eight bytes, least significant first, using b as scratch, and returns
+// whichever of the two holds the result. A byte on which every key agrees
+// is skipped.
+func radixSort(a, b []keyed) []keyed {
+	var counts [8][256]uint32
+	for _, e := range a {
+		k := e.key
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := a[0].key
+	for s := range counts {
+		c := &counts[s]
+		if int(c[byte(first>>(8*s))]) == len(a) {
+			continue
+		}
+		pos := uint32(0)
+		for i, v := range c {
+			c[i] = pos
+			pos += v
+		}
+		shift := 8 * uint(s)
+		for _, e := range a {
+			d := byte(e.key >> shift)
+			b[c[d]] = e
+			c[d]++
+		}
+		a, b = b, a
+	}
+	return a
+}
+
+// hasTie reports whether two neighbours of a sorted run have one key.
+func hasTie(sorted []keyed) bool {
+	for j := 1; j < len(sorted); j++ {
+		if sorted[j].key == sorted[j-1].key {
+			return true
+		}
+	}
+	return false
 }

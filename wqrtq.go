@@ -128,7 +128,6 @@ func NewIndex(points [][]float64) (*Index, error) {
 		return nil, invalidArgf("empty dataset")
 	}
 	d := len(points[0])
-	ps := make([]vec.Point, len(points))
 	for i, p := range points {
 		if len(p) != d {
 			return nil, invalidArgf("point %d has dimension %d, want %d", i, len(p), d)
@@ -136,9 +135,8 @@ func NewIndex(points [][]float64) (*Index, error) {
 		if err := vec.ValidatePoint(p); err != nil {
 			return nil, invalidArgf("point %d: %v", i, err)
 		}
-		ps[i] = p
 	}
-	return newIndexFromParts(rtree.Bulk(ps, nil), ps), nil
+	return newIndexFromParts(rtree.Bulk(points, nil), make([]vec.Point, len(points))), nil
 }
 
 // newIndexFromParts wires a tree and the id-indexed points it holds
