@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"wqrtq/internal/feq"
+	"wqrtq/internal/vec"
 )
 
 // Bulk builds a tree over the given points with Sort-Tile-Recursive (STR)
@@ -22,7 +23,6 @@ func Bulk[P ~[]float64](points []P, ids []int32, opts ...Options) *Tree {
 	}
 	t := New(len(points[0]), opts...)
 	t.nodeCount = 0 // discard the initial empty leaf
-	d := t.dim
 	p := &strPacker{t: t, perm: make([]int32, len(points)), buf: make([]keyed, 2*len(points))}
 	p.keys = func(axis int, items []int32, dst []keyed) {
 		for j, i := range items {
@@ -30,86 +30,62 @@ func Bulk[P ~[]float64](points []P, ids []int32, opts ...Options) *Tree {
 			dst[j] = keyed{key: sortKey(x + x), item: i}
 		}
 	}
-	// A leaf's entries hold their items' indices until relocate gives
-	// them their points and ids.
-	p.cut = func(run []int32, lo, hi []float64) *Node {
+	p.cut = func(run []int32) *Node {
 		n := t.newNode(true)
 		n.entries = make([]entry, len(run))
 		for j, i := range run {
-			n.entries[j].id = i
-			extendCover(lo, hi, points[i], points[i], j == 0)
+			id := i
+			if ids != nil {
+				id = ids[i]
+			}
+			n.entries[j] = entry{rect: PointRect(vec.Point(points[i])), id: id}
 		}
 		n.count = len(run)
 		return n
 	}
-	level, lo, hi := p.pack(len(points))
+	level := p.pack(len(points))
 	for len(level) > 1 {
-		level, lo, hi = p.packNodes(level, lo, hi)
+		level = p.packNodes(level)
 	}
 	t.root = level[0]
 	t.size = len(points)
-	coords := make([]float64, len(points)*d)
-	relocate(t.root, &coords, d, points, ids)
+	coords := make([]float64, len(points)*t.dim)
+	t.root.relocate(&coords, t.dim)
 	return t
 }
 
 // relocate copies the points of n's subtree, in depth-first leaf order, to
 // the front of *coords, makes each leaf's share its block, and advances
-// *coords past them. A leaf entry's id is the index of its point in
-// points on entry, and ids[index] (the index itself if ids is nil) on
-// return.
-func relocate[P ~[]float64](n *Node, coords *[]float64, dim int, points []P, ids []int32) {
+// *coords past them.
+func (n *Node) relocate(coords *[]float64, dim int) {
 	if !n.leaf {
 		for _, e := range n.entries {
-			relocate(e.child, coords, dim, points, ids)
+			e.child.relocate(coords, dim)
 		}
 		return
 	}
 	size := len(n.entries) * dim
 	n.rows = (*coords)[:size:size]
 	*coords = (*coords)[size:]
-	for j := range n.entries {
-		e := &n.entries[j]
-		p, src := n.rows[j*dim:(j+1)*dim:(j+1)*dim], points[e.id]
-		for k := range p {
-			p[k] = src[k]
-		}
-		e.rect = PointRect(p)
-		if ids != nil {
-			e.id = ids[e.id]
-		}
+	for i := range n.entries {
+		p := n.rows[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(p, n.entries[i].rect.Min)
+		n.entries[i].rect = PointRect(p)
 	}
-}
-
-// extendCover sets the rectangle (lo, hi) to (slo, shi) when first, and
-// otherwise extends it to cover (slo, shi): the cover coverRect computes
-// when fed the same rectangles in the same order.
-func extendCover(lo, hi, slo, shi []float64, first bool) {
-	if first {
-		copy(lo, slo)
-		copy(hi, shi)
-		return
-	}
-	r := Rect{Min: lo, Max: hi}
-	r.extend(Rect{Min: slo, Max: shi})
 }
 
 // strPacker tiles one tree level at a time. A level's items are numbered
 // 0..n-1; keys writes the sort key of each of a run of items at one axis,
 // the centre lo[axis]+hi[axis] of the item's rectangle, and cut makes a
-// node of a run of items and writes the node's cover to lo and hi. The
-// items are never moved: each axis sorts a range of perm, and entries
-// exist only once cut makes a node.
+// node of a run of items. The items are never moved: each axis sorts a
+// range of perm, and entries exist only once cut makes a node.
 type strPacker struct {
 	t    *Tree
 	keys func(axis int, items []int32, dst []keyed)
-	cut  func(run []int32, lo, hi []float64) *Node
+	cut  func(run []int32) *Node
 	perm []int32
 	buf  []keyed // two halves of at least n each: the sort's source and scratch
 	out  []*Node
-	// lo and hi hold the covers of out's nodes, dim floats each, in
-	// out's order.
-	lo, hi []float64
 }
 
 // keyed is an item with its sort key at the current axis.
@@ -119,52 +95,53 @@ type keyed struct {
 }
 
 // pack tiles items 0..n-1 into nodes and returns them in the order cut
-// made them, with their covers.
-func (p *strPacker) pack(n int) (nodes []*Node, lo, hi []float64) {
+// made them.
+func (p *strPacker) pack(n int) []*Node {
 	perm := p.perm[:n]
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	full := (n + p.t.maxFill - 1) / p.t.maxFill
-	p.out = make([]*Node, 0, full)
-	p.lo = make([]float64, 0, full*p.t.dim)
-	p.hi = make([]float64, 0, full*p.t.dim)
+	p.out = make([]*Node, 0, (n+p.t.maxFill-1)/p.t.maxFill)
 	p.tile(perm, 0)
-	return p.out, p.lo, p.hi
+	return p.out
 }
 
-// packNodes packs the level above nodes, whose covers are lo and hi: each
-// node becomes an entry whose rectangle is its cover, a window of the two
-// blocks.
-func (p *strPacker) packNodes(nodes []*Node, lo, hi []float64) ([]*Node, []float64, []float64) {
+// packNodes packs the level above nodes: each becomes an entry whose
+// rectangle covers the node's entries. The covers are computed once, into
+// one array (rect i is covers[2di:2d(i+1)], lower corner first), and
+// copied, when a node is cut, into one block per node in entry order:
+// the layout own gives a node it copies.
+func (p *strPacker) packNodes(nodes []*Node) []*Node {
 	d := p.t.dim
-	p.keys = func(axis int, items []int32, dst []keyed) {
-		for j, i := range items {
-			o := int(i)*d + axis
-			dst[j] = keyed{key: sortKey(lo[o] + hi[o]), item: i}
+	covers := make([]float64, 2*d*len(nodes))
+	for i, n := range nodes {
+		o := 2 * d * i
+		r := Rect{Min: covers[o : o+d], Max: covers[o+d : o+2*d]} // coverRect(n.entries), in place
+		copy(r.Min, n.entries[0].rect.Min)
+		copy(r.Max, n.entries[0].rect.Max)
+		for _, e := range n.entries[1:] {
+			r.extend(e.rect)
 		}
 	}
-	p.cut = func(run []int32, clo, chi []float64) *Node {
+	p.keys = func(axis int, items []int32, dst []keyed) {
+		for j, i := range items {
+			o := 2*d*int(i) + axis
+			dst[j] = keyed{key: sortKey(covers[o] + covers[o+d]), item: i}
+		}
+	}
+	p.cut = func(run []int32) *Node {
 		n := p.t.newNode(false)
 		n.entries = make([]entry, len(run))
+		block := make([]float64, 2*d*len(run))
 		for j, i := range run {
-			o := int(i) * d
-			r := Rect{Min: lo[o : o+d : o+d], Max: hi[o : o+d : o+d]}
-			n.entries[j] = entry{rect: r, child: nodes[i]}
+			r := block[2*d*j : 2*d*(j+1)]
+			copy(r, covers[2*d*int(i):2*d*(int(i)+1)])
+			n.entries[j] = entry{rect: Rect{Min: r[:d:d], Max: r[d : 2*d : 2*d]}, child: nodes[i]}
 			n.count += nodes[i].count
-			extendCover(clo, chi, r.Min, r.Max, j == 0)
 		}
 		return n
 	}
 	return p.pack(len(nodes))
-}
-
-// cutNode cuts a node from run and appends its cover to p.lo and p.hi.
-func (p *strPacker) cutNode(run []int32) {
-	d := p.t.dim
-	at := len(p.lo)
-	p.lo, p.hi = slices.Grow(p.lo, d)[:at+d], slices.Grow(p.hi, d)[:at+d]
-	p.out = append(p.out, p.cut(run, p.lo[at:], p.hi[at:]))
 }
 
 // tile packs a run of items into nodes of up to maxFill entries by
@@ -172,7 +149,7 @@ func (p *strPacker) cutNode(run []int32) {
 func (p *strPacker) tile(items []int32, axis int) {
 	maxFill := p.t.maxFill
 	if len(items) <= maxFill {
-		p.cutNode(items)
+		p.out = append(p.out, p.cut(items))
 		return
 	}
 	nodesNeeded := int(math.Ceil(float64(len(items)) / float64(maxFill)))
@@ -180,7 +157,7 @@ func (p *strPacker) tile(items []int32, axis int) {
 	if axis >= p.t.dim-1 {
 		// Final axis: chop into consecutive runs.
 		for start := 0; start < len(items); start += maxFill {
-			p.cutNode(items[start:min(start+maxFill, len(items))])
+			p.out = append(p.out, p.cut(items[start:min(start+maxFill, len(items))]))
 		}
 		return
 	}

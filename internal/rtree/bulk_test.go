@@ -36,25 +36,8 @@ func oracleBulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 	t.root = level[0]
 	t.size = len(points)
 	coords := make([]float64, len(points)*t.dim)
-	t.root.oracleRelocate(&coords, t.dim)
+	t.root.relocate(&coords, t.dim)
 	return t
-}
-
-func (n *Node) oracleRelocate(coords *[]float64, dim int) {
-	if !n.leaf {
-		for _, e := range n.entries {
-			e.child.oracleRelocate(coords, dim)
-		}
-		return
-	}
-	size := len(n.entries) * dim
-	n.rows = (*coords)[:size:size]
-	*coords = (*coords)[size:]
-	for i := range n.entries {
-		p := n.rows[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(p, n.entries[i].rect.Min)
-		n.entries[i].rect = PointRect(p)
-	}
 }
 
 func (t *Tree) oracleSTR(entries []entry, axis int, leaf bool) []*Node {

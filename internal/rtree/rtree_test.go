@@ -184,6 +184,30 @@ func TestBulkCopiesInLeafOrder(t *testing.T) {
 	}
 }
 
+// TestBulkInternalRectBlocks pins where Bulk puts an internal node's
+// rectangles: in one block per node, entry j's lower corner and then its
+// upper corner at 2·d·j, the layout own gives a node it copies.
+func TestBulkInternalRectBlocks(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, d := range []int{2, 3, 13} {
+		tr := Bulk(randPoints(r, 5000, d), nil, Options{PageSize: PageSizeFor(d, 8)})
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			if n.leaf {
+				return
+			}
+			base := unsafe.Pointer(&n.entries[0].rect.Min[0])
+			for j, e := range n.entries {
+				if unsafe.Pointer(&e.rect.Min[0]) != unsafe.Add(base, 8*2*d*j) || unsafe.Pointer(&e.rect.Max[0]) != unsafe.Add(base, 8*(2*d*j+d)) {
+					t.Fatalf("d=%d: entry %d's rectangle is not at 2·d·%d of its node's block", d, j, j)
+				}
+				walk(e.child)
+			}
+		}
+		walk(tr.root)
+	}
+}
+
 func TestDeleteMaintainsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	pts := randPoints(r, 800, 3)
