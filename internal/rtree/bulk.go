@@ -115,13 +115,9 @@ func (p *strPacker) packNodes(nodes []*Node) []*Node {
 	d := p.t.dim
 	covers := make([]float64, 2*d*len(nodes))
 	for i, n := range nodes {
-		o := 2 * d * i
-		r := Rect{Min: covers[o : o+d], Max: covers[o+d : o+2*d]} // coverRect(n.entries), in place
-		copy(r.Min, n.entries[0].rect.Min)
-		copy(r.Max, n.entries[0].rect.Max)
-		for _, e := range n.entries[1:] {
-			r.extend(e.rect)
-		}
+		r := coverRect(n.entries)
+		copy(covers[2*d*i:], r.Min)
+		copy(covers[2*d*i+d:], r.Max)
 	}
 	p.keys = func(axis int, items []int32, dst []keyed) {
 		for j, i := range items {
@@ -224,6 +220,8 @@ func sortKey(x float64) uint64 {
 // is skipped.
 func radixSort(a, b []keyed) []keyed {
 	var counts [8][256]uint32
+	// Unrolled: as a loop over the eight byte positions this pass made
+	// BenchmarkAblationBulkLoad/STR about a quarter slower.
 	for _, e := range a {
 		k := e.key
 		counts[0][byte(k)]++

@@ -11,9 +11,9 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// oracleBulk is Bulk as it was before it sorted a permutation of the
-// items: STR over entries, sorted in place by pdqsort on their centres at
-// each axis. Bulk must build the same tree, bit for bit.
+// oracleBulk is STR in its plainest form: entries sorted in place by
+// pdqsort on their centres at each axis, and every level's rectangles
+// computed by coverRect. Bulk must build the same tree, bit for bit.
 func oracleBulk(points []vec.Point, ids []int32, opts ...Options) *Tree {
 	t := New(len(points[0]), opts...)
 	t.nodeCount = 0
@@ -154,16 +154,6 @@ func bulkInput(rng *rand.Rand, shape, n, d int) []vec.Point {
 	return pts
 }
 
-// checkBulk builds the tree both ways and compares them.
-func checkBulk(t *testing.T, pts []vec.Point, ids []int32, opts Options, label string) {
-	t.Helper()
-	want := oracleBulk(pts, ids, opts)
-	got := Bulk(pts, ids, opts)
-	if err := sameTree(got, want); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-}
-
 // FuzzBulk holds Bulk's permutation sort to the entry-sorting oracle, node
 // for node, over duplicates, signed zeros, integer grids and non-finite
 // values, fanouts 4 to 72, d in [2, 16], with and without ids.
@@ -185,7 +175,9 @@ func FuzzBulk(f *testing.F) {
 			}
 		}
 		opts := Options{PageSize: PageSizeFor(dim, 4+int(fanout)%69)}
-		checkBulk(t, pts, ids, opts, fmt.Sprintf("n=%d d=%d fanout=%d shape=%d ids=%v", size, dim, 4+int(fanout)%69, shape%5, withIDs))
+		if err := sameTree(Bulk(pts, ids, opts), oracleBulk(pts, ids, opts)); err != nil {
+			t.Fatalf("n=%d d=%d fanout=%d shape=%d ids=%v: %v", size, dim, 4+int(fanout)%69, shape%5, withIDs, err)
+		}
 	})
 }
 
