@@ -136,6 +136,7 @@ func NewIndex(points [][]float64) (*Index, error) {
 			return nil, invalidArgf("point %d: %v", i, err)
 		}
 	}
+	// The id table is filled from the tree's own copies of the points.
 	return newIndexFromParts(rtree.Bulk(points, nil), make([]vec.Point, len(points))), nil
 }
 
