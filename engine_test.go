@@ -266,7 +266,7 @@ func TestEngineCacheKeysResolvedOptions(t *testing.T) {
 	}
 }
 
-func TestEngineBatchMergeCorrectness(t *testing.T) {
+func TestEngineConcurrentDistinctWeightSets(t *testing.T) {
 	// Many concurrent ReverseTopK requests share (q, k) but carry different
 	// weight sets, so they contend for the compute slots together; each
 	// must get exactly its own per-request result.
@@ -304,12 +304,12 @@ func TestEngineBatchMergeCorrectness(t *testing.T) {
 					return
 				}
 				if len(got) != len(want) {
-					t.Errorf("batched result %v, want %v", got, want)
+					t.Errorf("result %v, want %v", got, want)
 					return
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Errorf("batched result %v, want %v", got, want)
+						t.Errorf("result %v, want %v", got, want)
 						return
 					}
 				}

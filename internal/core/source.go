@@ -185,7 +185,7 @@ func (c *RouteCounters) countCapped() {
 // putRankScratch), so successive calls share warm buffers instead of
 // allocating per call.
 type rankScratch struct {
-	ks   kernel.Scratch // packed block buffers of the uncapped sweeps
+	ks   kernel.Scratch // packed block buffers of rankQ's ScoreBlock passes
 	draw sample.DrawScratch
 	// Per-block buffers of the sample loop: warena backs the drawn weights
 	// of one block (wblock's headers point into it), so a discarded draw
@@ -378,7 +378,7 @@ func (e *rankEval) forSamples(kMax int) {
 	e.rc.countEval(evalUntrimmed)
 }
 
-// rankBlock ranks every weight of ws by uncapped blocked sweeps of img — a
+// rankBlock ranks every weight of ws by one uncapped count of img each — a
 // superset image of I(qp) whose dominating points sit at positions dSub —
 // writing the ranks into out.
 func (e *rankEval) rankBlock(img *kernel.Coords, dSub []int32, ws []vec.Weight, out []int) {
@@ -394,7 +394,7 @@ func (e *rankEval) rankBlock(img *kernel.Coords, dSub []int32, ws []vec.Weight, 
 	for i, w := range ws {
 		fqs[i] = vec.Score(w, e.qp)
 	}
-	kernel.CountBelowWeights(img, len(ws), func(i int) []float64 { return ws[i] }, fqs, counts, &sc.ks, e.ct)
+	kernel.CountBelowWeights(img, len(ws), func(i int) []float64 { return ws[i] }, fqs, counts, nil, e.ct)
 	for i, w := range ws {
 		out[i] = e.base + counts[i] - countBeatsAt(img, dSub, w, fqs[i])
 	}

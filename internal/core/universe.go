@@ -232,7 +232,7 @@ func (u *universe) rankQ(sc *rankScratch, ct *kernel.Counters, q vec.Point, wm [
 	//wqrtq:bounded one pass over the call's candidate list per BlockSize why-not vectors
 	for base := 0; base < len(wm); base += kernel.BlockSize {
 		nb := min(kernel.BlockSize, len(wm)-base)
-		wb, fqs, _ := sc.ks.Block(nb, d)
+		wb, fqs := sc.ks.Block(nb, d)
 		for b := range nb {
 			copy(wb[b*d:(b+1)*d], wm[base+b])
 			fqs[b] = vec.Score(wm[base+b], q)

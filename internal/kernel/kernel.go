@@ -1,51 +1,50 @@
-// Package kernel implements the blocked structure-of-arrays scoring kernel
-// behind the "many weights × one point set" computations of the framework:
-// the per-sample rank evaluations of the MWK/MQWK refinement loops, and the
-// candidate counting of reverse top-k over a k-skyband.
+// Package kernel implements the structure-of-arrays scoring kernel behind
+// the "many weights × one point set" computations of the framework: the
+// per-sample rank counts of the MWK/MQWK refinement loops, the below-q
+// score lists of the why-not vectors, and the cell-local counts of the
+// reverse top-k grid.
 //
 // # Layout
 //
 // A Coords holds a candidate set flattened column-major (d coordinate
-// columns of length n, one per dimension). The blocked entry points take a
-// block of B weighting vectors packed row-major (weight b occupying
-// wb[b*d : (b+1)*d]) and sweep the candidate columns once, evaluating all B
-// scores per point while the point's coordinates sit in registers. The
-// scalar alternative — B independent sweeps, one per weight — reads every
-// candidate coordinate B times from memory; the blocked sweep reads it
-// once, so a 100-sample refinement pays one memory pass instead of one
-// hundred.
+// columns of length n, one per dimension). A count is one weight's sweep
+// of the columns: CountBelowCapped counts the points of a row window
+// scoring strictly below a threshold and stops once the count passes a
+// cap: a sampled rank matters only while it is at most k'max, and reverse
+// top-k asks only whether a count reaches k. CountBelowWeights is the same
+// loop with no reachable cap, for many weights.
+// ScoreBlock writes the score columns of a packed block of weights (weight
+// b at wb[b*d : (b+1)*d]) for callers that keep scores rather than counts.
 //
 // # Bit-identicality
 //
 // Every score is evaluated with the same sequence of multiplies and
-// left-to-right adds as vec.Score (s := w0*p0; s += w1*p1; ...). Float
-// addition of a product chain is association-order dependent, and the
-// framework's differential guarantees (kernel-on vs kernel-off answers must
-// match bit for bit) hinge on this order being preserved; the register-
-// blocked inner loops below change only which weight is applied when, never
-// the arithmetic within one (weight, point) score.
+// left-to-right adds as vec.Score (s := w0*p0; s += w1*p1; ...), and every
+// count compares with the same strict <. Float addition of a product chain
+// is association-order dependent, and the framework's differential
+// guarantees (kernel-on vs kernel-off answers must match bit for bit)
+// hinge on this order being preserved.
 //
-// # Blocking factor
+// # Dimensions
 //
-// BlockSize bounds how many weights one packed sweep carries: the packed
-// block (BlockSize×d float64s) plus the threshold and counter arrays must
-// stay L1-resident alongside the streamed coordinate columns, and 64
-// weights × 4 dims × 8 bytes = 2 KiB leaves that comfortably true on
-// every current core. Within a block, the inner loops are additionally
-// register-blocked in groups of four weights, amortizing each point load
-// over four score evaluations without spilling the accumulators.
+// Dimension 3, that of the why-not and reverse top-k workloads, runs
+// specialized loops: the columns are re-sliced to one range, so the
+// compiler drops every bounds check, and the weight sits in registers.
+// Every other dimension runs one generic loop.
 package kernel
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// BlockSize is the number of weighting vectors one packed sweep evaluates;
-// callers with more weights chunk them (CountBelowWeights does this
-// internally).
+// BlockSize is the most weighting vectors one packed block carries: a
+// ScoreBlock caller's block of 64 weights stays L1-resident beside the
+// streamed columns. CountBelowWeights counts in chunks of this size, so a
+// canceled CountBelowWeightsCtx unwinds within one chunk.
 const BlockSize = 64
 
 // Coords is a candidate point set flattened column-major: Col(j)[i] is
@@ -225,252 +224,6 @@ func (c *Coords) SliceOf(src *Coords, lo, hi int) {
 	c.n = hi - lo
 }
 
-// CountBelowBlock counts, for each weight b in the packed block wb (len(fqs)
-// weights, row-major d values each), the points of c scoring strictly below
-// fqs[b], writing the counts into counts[b]. It performs no allocation.
-// Dimensions 2–4 run register-blocked specializations; other dimensions use
-// the generic sweep. Counts are exact and identical to a scalar scan: each
-// score is computed with vec.Score's arithmetic order, and the comparison
-// is the same strict <.
-//
-//wqrtq:contract noescape(c,wb,fqs,counts) nobce noalloc
-func CountBelowBlock(c *Coords, wb []float64, fqs []float64, counts []int) {
-	if len(counts) < len(fqs) {
-		panic("kernel: counts shorter than fqs")
-	}
-	if c.n == 0 {
-		for b := range fqs {
-			counts[b] = 0
-		}
-		return
-	}
-	switch len(c.cols) {
-	case 2:
-		countBelow2(c.cols[0], c.cols[1], wb, fqs, counts)
-	case 3:
-		countBelow3(c.cols[0], c.cols[1], c.cols[2], wb, fqs, counts)
-	case 4:
-		countBelow4(c.cols[0], c.cols[1], c.cols[2], c.cols[3], wb, fqs, counts)
-	default:
-		countBelowGeneric(c.cols, wb, fqs, counts)
-	}
-}
-
-// The dimension-specialized sweeps below walk the packed block in lockstep
-// slice form — every group of weights consumes a constant-length prefix of
-// wb/fqs/counts and the loop re-slices all three past it — because that is
-// the shape the prove pass eliminates every bounds check for: the loop
-// condition (`len(wb) >= 8 && ...`) dominates each constant index and each
-// advancing re-slice. The classical `wb[b*2 : b*2+8]` form keeps its slice
-// check, since prove cannot reason through the multiplication. The entry
-// guards make the lockstep walk cover exactly len(fqs) weights, preserving
-// the fail-loud behavior the indexed form had on short buffers.
-
-//wqrtq:contract noescape(x,y,wb,fqs,counts) nobce noalloc
-func countBelow2(x, y, wb, fqs []float64, counts []int) {
-	if len(y) < len(x) {
-		panic("kernel: ragged coordinate columns")
-	}
-	if len(wb) < 2*len(fqs) || len(counts) < len(fqs) {
-		panic("kernel: packed block shorter than its weight count")
-	}
-	y = y[:len(x)]
-	for len(fqs) >= 4 && len(wb) >= 8 && len(counts) >= 4 {
-		w := wb[:8]
-		w00, w01 := w[0], w[1]
-		w10, w11 := w[2], w[3]
-		w20, w21 := w[4], w[5]
-		w30, w31 := w[6], w[7]
-		f0, f1, f2, f3 := fqs[0], fqs[1], fqs[2], fqs[3]
-		var c0, c1, c2, c3 int
-		for i, xi := range x {
-			yi := y[i]
-			s := w00 * xi
-			s += w01 * yi
-			if s < f0 {
-				c0++
-			}
-			s = w10 * xi
-			s += w11 * yi
-			if s < f1 {
-				c1++
-			}
-			s = w20 * xi
-			s += w21 * yi
-			if s < f2 {
-				c2++
-			}
-			s = w30 * xi
-			s += w31 * yi
-			if s < f3 {
-				c3++
-			}
-		}
-		counts[0], counts[1], counts[2], counts[3] = c0, c1, c2, c3
-		wb, fqs, counts = wb[8:], fqs[4:], counts[4:]
-	}
-	for len(fqs) >= 1 && len(wb) >= 2 && len(counts) >= 1 {
-		w0, w1 := wb[0], wb[1]
-		fq := fqs[0]
-		cnt := 0
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			if s < fq {
-				cnt++
-			}
-		}
-		counts[0] = cnt
-		wb, fqs, counts = wb[2:], fqs[1:], counts[1:]
-	}
-}
-
-//wqrtq:contract noescape(x,y,z,wb,fqs,counts) nobce noalloc
-func countBelow3(x, y, z, wb, fqs []float64, counts []int) {
-	if len(y) < len(x) || len(z) < len(x) {
-		panic("kernel: ragged coordinate columns")
-	}
-	if len(wb) < 3*len(fqs) || len(counts) < len(fqs) {
-		panic("kernel: packed block shorter than its weight count")
-	}
-	y = y[:len(x)]
-	z = z[:len(x)]
-	for len(fqs) >= 4 && len(wb) >= 12 && len(counts) >= 4 {
-		w := wb[:12]
-		w00, w01, w02 := w[0], w[1], w[2]
-		w10, w11, w12 := w[3], w[4], w[5]
-		w20, w21, w22 := w[6], w[7], w[8]
-		w30, w31, w32 := w[9], w[10], w[11]
-		f0, f1, f2, f3 := fqs[0], fqs[1], fqs[2], fqs[3]
-		var c0, c1, c2, c3 int
-		for i, xi := range x {
-			yi, zi := y[i], z[i]
-			s := w00 * xi
-			s += w01 * yi
-			s += w02 * zi
-			if s < f0 {
-				c0++
-			}
-			s = w10 * xi
-			s += w11 * yi
-			s += w12 * zi
-			if s < f1 {
-				c1++
-			}
-			s = w20 * xi
-			s += w21 * yi
-			s += w22 * zi
-			if s < f2 {
-				c2++
-			}
-			s = w30 * xi
-			s += w31 * yi
-			s += w32 * zi
-			if s < f3 {
-				c3++
-			}
-		}
-		counts[0], counts[1], counts[2], counts[3] = c0, c1, c2, c3
-		wb, fqs, counts = wb[12:], fqs[4:], counts[4:]
-	}
-	for len(fqs) >= 1 && len(wb) >= 3 && len(counts) >= 1 {
-		w0, w1, w2 := wb[0], wb[1], wb[2]
-		fq := fqs[0]
-		cnt := 0
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			s += w2 * z[i]
-			if s < fq {
-				cnt++
-			}
-		}
-		counts[0] = cnt
-		wb, fqs, counts = wb[3:], fqs[1:], counts[1:]
-	}
-}
-
-//wqrtq:contract noescape(x,y,z,u,wb,fqs,counts) nobce noalloc
-func countBelow4(x, y, z, u, wb, fqs []float64, counts []int) {
-	if len(y) < len(x) || len(z) < len(x) || len(u) < len(x) {
-		panic("kernel: ragged coordinate columns")
-	}
-	if len(wb) < 4*len(fqs) || len(counts) < len(fqs) {
-		panic("kernel: packed block shorter than its weight count")
-	}
-	y = y[:len(x)]
-	z = z[:len(x)]
-	u = u[:len(x)]
-	for len(fqs) >= 2 && len(wb) >= 8 && len(counts) >= 2 {
-		w := wb[:8]
-		w00, w01, w02, w03 := w[0], w[1], w[2], w[3]
-		w10, w11, w12, w13 := w[4], w[5], w[6], w[7]
-		f0, f1 := fqs[0], fqs[1]
-		var c0, c1 int
-		for i, xi := range x {
-			yi, zi, ui := y[i], z[i], u[i]
-			s := w00 * xi
-			s += w01 * yi
-			s += w02 * zi
-			s += w03 * ui
-			if s < f0 {
-				c0++
-			}
-			s = w10 * xi
-			s += w11 * yi
-			s += w12 * zi
-			s += w13 * ui
-			if s < f1 {
-				c1++
-			}
-		}
-		counts[0], counts[1] = c0, c1
-		wb, fqs, counts = wb[8:], fqs[2:], counts[2:]
-	}
-	for len(fqs) >= 1 && len(wb) >= 4 && len(counts) >= 1 {
-		w0, w1, w2, w3 := wb[0], wb[1], wb[2], wb[3]
-		fq := fqs[0]
-		cnt := 0
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			s += w2 * z[i]
-			s += w3 * u[i]
-			if s < fq {
-				cnt++
-			}
-		}
-		counts[0] = cnt
-		wb, fqs, counts = wb[4:], fqs[1:], counts[1:]
-	}
-}
-
-// countBelowGeneric carries no nobce clause deliberately: the inner
-// cols[j][i] walk indexes a slice of slices whose lengths the prove pass
-// cannot relate, so its checks are structural. Dimensions 2–4 never reach
-// it; the paper's real datasets (Household d = 6, NBA d = 13) do.
-//
-//wqrtq:contract noescape(cols,wb,fqs,counts) noalloc
-func countBelowGeneric(cols [][]float64, wb, fqs []float64, counts []int) {
-	d := len(cols)
-	n := len(cols[0])
-	for b := range fqs {
-		w := wb[b*d : (b+1)*d]
-		fq := fqs[b]
-		cnt := 0
-		for i := 0; i < n; i++ {
-			s := w[0] * cols[0][i]
-			for j := 1; j < d; j++ {
-				s += w[j] * cols[j][i]
-			}
-			if s < fq {
-				cnt++
-			}
-		}
-		counts[b] = cnt
-	}
-}
-
 // CountBelowCapped counts the points of c in the row window [lo, hi)
 // scoring strictly below fq under the single weight w, abandoning the scan
 // once the count exceeds cap: the returned count is exact when <= cap and
@@ -479,8 +232,8 @@ func countBelowGeneric(cols [][]float64, wb, fqs []float64, counts []int) {
 // small — a sample whose rank exceeds k'max is discarded whatever its
 // exact value, so most discarded samples cost a fraction of a full sweep —
 // and the cell index for one cell's candidate rows. The scan order is the
-// Coords order and the arithmetic is vec.Score's, so an uncapped result is
-// bit-identical to CountBelowBlock's over the same rows.
+// Coords order and the arithmetic is vec.Score's, so a count with no
+// reachable cap (math.MaxInt, as CountBelowWeights passes) is exact.
 //
 //wqrtq:contract noescape(c,w) nobce noalloc
 func CountBelowCapped(c *Coords, w []float64, fq float64, cap, lo, hi int) (count, scanned int) {
@@ -494,76 +247,38 @@ func CountBelowCapped(c *Coords, w []float64, fq float64, cap, lo, hi int) (coun
 	if n == 0 {
 		return 0, 0
 	}
-	// Each specialization pins the column lengths with one guard and
-	// re-slices every column to the window, after which every y[i]-style
-	// load shares x's range-proved index. The guards only fire on a
-	// corrupted Coords (the builder keeps all columns at length c.n).
-	switch len(c.cols) {
-	case 2:
-		x, y := c.cols[0], c.cols[1]
-		if len(x) < hi || len(y) < hi || len(w) < 2 {
-			panic("kernel: short columns or weight")
-		}
-		x, y = x[lo:hi], y[lo:hi]
-		w0, w1 := w[0], w[1]
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			if s < fq {
-				count++
-				if count > cap {
-					return count, i + 1
-				}
-			}
-		}
-	case 3:
-		x, y, z := c.cols[0], c.cols[1], c.cols[2]
-		if len(x) < hi || len(y) < hi || len(z) < hi || len(w) < 3 {
-			panic("kernel: short columns or weight")
-		}
-		x, y, z = x[lo:hi], y[lo:hi], z[lo:hi]
-		w0, w1, w2 := w[0], w[1], w[2]
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			s += w2 * z[i]
-			if s < fq {
-				count++
-				if count > cap {
-					return count, i + 1
-				}
-			}
-		}
-	case 4:
-		x, y, z, u := c.cols[0], c.cols[1], c.cols[2], c.cols[3]
-		if len(x) < hi || len(y) < hi || len(z) < hi || len(u) < hi || len(w) < 4 {
-			panic("kernel: short columns or weight")
-		}
-		x, y, z, u = x[lo:hi], y[lo:hi], z[lo:hi], u[lo:hi]
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		for i, xi := range x {
-			s := w0 * xi
-			s += w1 * y[i]
-			s += w2 * z[i]
-			s += w3 * u[i]
-			if s < fq {
-				count++
-				if count > cap {
-					return count, i + 1
-				}
-			}
-		}
-	default:
+	if len(c.cols) != 3 {
 		return countBelowCappedGeneric(c, w, fq, cap, lo, hi)
+	}
+	// The d = 3 loop pins the column lengths with one guard and re-slices
+	// every column to the window, after which every y[i]-style load shares
+	// x's range-proved index. The guard only fires on a corrupted Coords
+	// (the builder keeps all columns at length c.n).
+	x, y, z := c.cols[0], c.cols[1], c.cols[2]
+	if len(x) < hi || len(y) < hi || len(z) < hi || len(w) < 3 {
+		panic("kernel: short columns or weight")
+	}
+	x, y, z = x[lo:hi], y[lo:hi], z[lo:hi]
+	w0, w1, w2 := w[0], w[1], w[2]
+	for i, xi := range x {
+		s := w0 * xi
+		s += w1 * y[i]
+		s += w2 * z[i]
+		if s < fq {
+			count++
+			if count > cap {
+				return count, i + 1
+			}
+		}
 	}
 	return count, n
 }
 
 // countBelowCappedGeneric is the arbitrary-dimension tail of
-// CountBelowCapped, split out so the specialized cases can carry a nobce
-// contract: like countBelowGeneric, its slice-of-slices walk keeps
-// structural bounds checks no analysis can remove. It must not be inlined,
-// or those checks would count against the caller's contract.
+// CountBelowCapped, split out so the d = 3 loop can carry a nobce
+// contract: its slice-of-slices walk keeps structural bounds checks no
+// analysis can remove. It must not be inlined, or those checks would
+// count against the caller's contract.
 //
 //go:noinline
 func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap, lo, hi int) (count, scanned int) {
@@ -583,8 +298,8 @@ func countBelowCappedGeneric(c *Coords, w []float64, fq float64, cap, lo, hi int
 	return count, hi - lo
 }
 
-// ScoreBlock produces the score columns of a packed weight block in one
-// sweep over the candidate columns: out[b*n+i] is the score of point i
+// ScoreBlock writes the score columns of a packed weight block, one sweep
+// of the candidate columns per weight: out[b*n+i] is the score of point i
 // under weight b (n = c.Len(), len(out) >= B*n). It performs no allocation.
 // Scores are bit-identical to vec.Score.
 //
@@ -601,70 +316,33 @@ func ScoreBlock(c *Coords, wb []float64, nWeights int, out []float64) {
 	if len(wb) < nWeights*d {
 		panic("kernel: packed block shorter than its weight count")
 	}
-	// Like the count sweeps, the weight loop walks wb and out in lockstep
-	// slice form so every index inside it is covered by the loop condition.
-	switch d {
-	case 2:
-		x, y := c.cols[0], c.cols[1]
-		if len(x) < n || len(y) < n {
-			panic("kernel: short columns")
-		}
-		x, y = x[:n], y[:n]
-		wrem, orem := wb, out
-		for nw := nWeights; nw > 0 && len(wrem) >= 2 && len(orem) >= n; nw-- {
-			w0, w1 := wrem[0], wrem[1]
-			col := orem[:n]
-			for i, xi := range x {
-				s := w0 * xi
-				s += w1 * y[i]
-				col[i] = s
-			}
-			wrem, orem = wrem[2:], orem[n:]
-		}
-	case 3:
-		x, y, z := c.cols[0], c.cols[1], c.cols[2]
-		if len(x) < n || len(y) < n || len(z) < n {
-			panic("kernel: short columns")
-		}
-		x, y, z = x[:n], y[:n], z[:n]
-		wrem, orem := wb, out
-		for nw := nWeights; nw > 0 && len(wrem) >= 3 && len(orem) >= n; nw-- {
-			w0, w1, w2 := wrem[0], wrem[1], wrem[2]
-			col := orem[:n]
-			for i, xi := range x {
-				s := w0 * xi
-				s += w1 * y[i]
-				s += w2 * z[i]
-				col[i] = s
-			}
-			wrem, orem = wrem[3:], orem[n:]
-		}
-	case 4:
-		x, y, z, u := c.cols[0], c.cols[1], c.cols[2], c.cols[3]
-		if len(x) < n || len(y) < n || len(z) < n || len(u) < n {
-			panic("kernel: short columns")
-		}
-		x, y, z, u = x[:n], y[:n], z[:n], u[:n]
-		wrem, orem := wb, out
-		for nw := nWeights; nw > 0 && len(wrem) >= 4 && len(orem) >= n; nw-- {
-			w0, w1, w2, w3 := wrem[0], wrem[1], wrem[2], wrem[3]
-			col := orem[:n]
-			for i, xi := range x {
-				s := w0 * xi
-				s += w1 * y[i]
-				s += w2 * z[i]
-				s += w3 * u[i]
-				col[i] = s
-			}
-			wrem, orem = wrem[4:], orem[n:]
-		}
-	default:
+	if d != 3 {
 		scoreBlockGeneric(c, wb, nWeights, out)
+		return
+	}
+	x, y, z := c.cols[0], c.cols[1], c.cols[2]
+	if len(x) < n || len(y) < n || len(z) < n {
+		panic("kernel: short columns")
+	}
+	x, y, z = x[:n], y[:n], z[:n]
+	// The weight loop walks wb and out in lockstep slice form, so every
+	// index inside it is covered by the loop condition.
+	wrem, orem := wb, out
+	for nw := nWeights; nw > 0 && len(wrem) >= 3 && len(orem) >= n; nw-- {
+		w0, w1, w2 := wrem[0], wrem[1], wrem[2]
+		col := orem[:n]
+		for i, xi := range x {
+			s := w0 * xi
+			s += w1 * y[i]
+			s += w2 * z[i]
+			col[i] = s
+		}
+		wrem, orem = wrem[3:], orem[n:]
 	}
 }
 
 // scoreBlockGeneric is ScoreBlock's arbitrary-dimension tail, split out so
-// the specialized cases can carry a nobce contract (see
+// the d = 3 loop can carry a nobce contract (see
 // countBelowCappedGeneric).
 func scoreBlockGeneric(c *Coords, wb []float64, nWeights int, out []float64) {
 	d := len(c.cols)
@@ -682,33 +360,28 @@ func scoreBlockGeneric(c *Coords, wb []float64, nWeights int, out []float64) {
 	}
 }
 
-// Scratch holds the reusable buffers of one blocked evaluation site: the
-// SoA image of the scanned candidate set and the packed per-block weight,
-// threshold and count arrays. Obtain one with GetScratch and return it with
-// PutScratch; in steady state a pooled Scratch makes the blocked paths
-// allocation-free.
+// Scratch holds the reusable buffers of one evaluation site: the SoA image
+// of the scanned candidate set and a packed block's weight and threshold
+// arrays. Obtain one with GetScratch and return it with PutScratch; in
+// steady state a pooled Scratch costs no allocation.
 type Scratch struct {
 	// Uni is the SoA image of the candidate set of one call.
 	Uni Coords
-	// WB, Fqs and Counts are the packed block buffers.
-	WB     []float64
-	Fqs    []float64
-	Counts []int
+	// WB and Fqs are the packed block buffers.
+	WB  []float64
+	Fqs []float64
 }
 
 // Block ensures the packed buffers hold at least b weights of dimension d
 // and returns them sliced to exactly b.
-func (s *Scratch) Block(b, d int) (wb, fqs []float64, counts []int) {
+func (s *Scratch) Block(b, d int) (wb, fqs []float64) {
 	if cap(s.WB) < b*d {
 		s.WB = make([]float64, b*d)
 	}
 	if cap(s.Fqs) < b {
 		s.Fqs = make([]float64, b)
 	}
-	if cap(s.Counts) < b {
-		s.Counts = make([]int, b)
-	}
-	return s.WB[:b*d], s.Fqs[:b], s.Counts[:b]
+	return s.WB[:b*d], s.Fqs[:b]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -723,9 +396,12 @@ func PutScratch(s *Scratch) {
 	}
 }
 
-// Counters accumulates blocked-kernel activity. One Counters is shared by
-// every snapshot in a clone family (like the skyband counters), so the
-// serving engine reports cumulative numbers over the index's lifetime.
+// Counters accumulates the kernel's work, one tick per batch of weights a
+// caller counted or scored over one candidate set (a CountBelowWeights
+// chunk, a ScoreBlock block, a block of samples, a grid query's vectors).
+// One Counters is shared by every snapshot in a clone family (like the
+// skyband counters), so the serving engine reports cumulative numbers over
+// the index's lifetime.
 type Counters struct {
 	blocks  atomic.Int64
 	weights atomic.Int64
@@ -735,8 +411,8 @@ type Counters struct {
 // NewCounters creates a zeroed counter set.
 func NewCounters() *Counters { return &Counters{} }
 
-// Add records one blocked sweep evaluating nWeights weights over nPoints
-// candidate points.
+// Add records one batch of nWeights weights over nPoints candidate
+// points.
 func (c *Counters) Add(nWeights, nPoints int) {
 	if c == nil {
 		return
@@ -748,10 +424,8 @@ func (c *Counters) Add(nWeights, nPoints int) {
 
 // CountersSnapshot is a point-in-time copy of the cumulative counters.
 type CountersSnapshot struct {
-	// Blocks counts blocked sweeps; Weights the weighting vectors they
-	// evaluated; Points the candidate points per sweep, summed — so
-	// Weights*Points/Blocks approximates the score evaluations amortized
-	// per sweep.
+	// Blocks counts batches; Weights the weighting vectors they evaluated;
+	// Points the candidate points per batch, summed.
 	Blocks  int64 `json:"blocks"`
 	Weights int64 `json:"weights"`
 	Points  int64 `json:"points"`
@@ -769,36 +443,31 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	}
 }
 
-// CountBelowWeights evaluates count-below for an arbitrary number of
-// weights, chunking them into BlockSize packed sweeps through sc's buffers:
-// for every i, counts[i] = |{p in c : f(ws[i], p) < fqs[i]}|. ws is indexed
-// through at (avoiding a []vec.Weight dependency); ct, when non-nil,
-// records the blocked work.
+// CountBelowWeights counts, for every i < nWeights, the points of c scoring
+// strictly below fqs[i] under the weight at(i): counts[i] = |{p in c :
+// f(w_i, p) < fqs[i]}|, exact. The weights are indexed through at (avoiding
+// a []vec.Weight dependency); ct, when non-nil, records each chunk of
+// BlockSize weights. sc is unused: the parameter stays only because the
+// benchmark harness (bench/replay.go) calls this signature, and it goes
+// with ROADMAP item 6(c).
 func CountBelowWeights(c *Coords, nWeights int, at func(int) []float64, fqs []float64, counts []int, sc *Scratch, ct *Counters) {
-	_ = CountBelowWeightsCtx(context.Background(), c, nWeights, at, fqs, counts, sc, ct)
+	_ = CountBelowWeightsCtx(context.Background(), c, nWeights, at, fqs, counts, ct)
 }
 
 // CountBelowWeightsCtx is CountBelowWeights with cooperative cancellation:
-// ctx is polled before every blocked sweep, so a canceled caller unwinds
-// within one BlockSize chunk.
-func CountBelowWeightsCtx(ctx context.Context, c *Coords, nWeights int, at func(int) []float64, fqs []float64, counts []int, sc *Scratch, ct *Counters) error {
-	d := c.Dim()
+// ctx is polled before every chunk of BlockSize weights. Each weight is
+// one CountBelowCapped sweep with no reachable cap.
+func CountBelowWeightsCtx(ctx context.Context, c *Coords, nWeights int, at func(int) []float64, fqs []float64, counts []int, ct *Counters) error {
+	n := c.Len()
 	for base := 0; base < nWeights; base += BlockSize {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		nb := nWeights - base
-		if nb > BlockSize {
-			nb = BlockSize
+		nb := min(BlockSize, nWeights-base)
+		for j := base; j < base+nb; j++ {
+			counts[j], _ = CountBelowCapped(c, at(j), fqs[j], math.MaxInt, 0, n)
 		}
-		wb, bf, bc := sc.Block(nb, d)
-		for j := 0; j < nb; j++ {
-			copy(wb[j*d:(j+1)*d], at(base+j))
-			bf[j] = fqs[base+j]
-		}
-		CountBelowBlock(c, wb, bf, bc)
-		copy(counts[base:base+nb], bc)
-		ct.Add(nb, c.Len())
+		ct.Add(nb, n)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,29 +40,26 @@ func coordsOf(pts []vec.Point, d int) *Coords {
 	return &c
 }
 
-// TestCountBelowBlockMatchesScalar checks the blocked counts against the
-// scalar reference for every specialized dimension, a generic dimension,
-// block sizes around the register-blocking boundaries, and empty inputs.
-func TestCountBelowBlockMatchesScalar(t *testing.T) {
+// TestCountBelowWeightsMatchesScalar checks the uncapped counts against
+// the scalar reference for the specialized dimension, generic ones on
+// either side of it, weight counts up to one chunk, and empty inputs.
+func TestCountBelowWeightsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range []int{2, 3, 4, 5, 7} {
 		for _, n := range []int{0, 1, 3, 64, 257} {
 			pts := randPoints(rng, n, d)
 			c := coordsOf(pts, d)
 			for _, nw := range []int{1, 2, 3, 4, 5, 8, 9, 63, 64} {
-				wb := make([]float64, nw*d)
 				fqs := make([]float64, nw)
 				ws := make([]vec.Weight, nw)
 				for b := 0; b < nw; b++ {
-					w := sample.RandSimplex(rng, d)
-					ws[b] = w
-					copy(wb[b*d:(b+1)*d], w)
+					ws[b] = sample.RandSimplex(rng, d)
 					// Thresholds spread around the score distribution so
 					// counts are neither all-0 nor all-n.
 					fqs[b] = rng.Float64() * float64(d)
 				}
 				counts := make([]int, nw)
-				CountBelowBlock(c, wb, fqs, counts)
+				CountBelowWeights(c, nw, func(i int) []float64 { return ws[i] }, fqs, counts, nil, nil)
 				for b := 0; b < nw; b++ {
 					if want := refCountBelow(pts, ws[b], fqs[b]); counts[b] != want {
 						t.Fatalf("d=%d n=%d nw=%d b=%d: count %d, scalar %d", d, n, nw, b, counts[b], want)
@@ -73,10 +71,10 @@ func TestCountBelowBlockMatchesScalar(t *testing.T) {
 }
 
 // TestCountBelowCappedWindow checks the capped count over row windows
-// against the scalar reference, at every specialized dimension and a
-// generic one: an uncapped count is exact, a capped one is cap+1 and stops
-// at the point that exceeded the cap, and scanned is relative to the
-// window's first row.
+// against the scalar reference, at the specialized dimension and generic
+// ones on either side of it: an uncapped count is exact, a capped one is
+// cap+1 and stops at the point that exceeded the cap, and scanned is
+// relative to the window's first row.
 func TestCountBelowCappedWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{2, 3, 4, 5} {
@@ -143,10 +141,8 @@ func TestCountBelowWeightsChunking(t *testing.T) {
 		fqs[i] = rng.Float64() * 2
 	}
 	counts := make([]int, nw)
-	sc := GetScratch()
-	defer PutScratch(sc)
 	ct := NewCounters()
-	CountBelowWeights(c, nw, func(i int) []float64 { return ws[i] }, fqs, counts, sc, ct)
+	CountBelowWeights(c, nw, func(i int) []float64 { return ws[i] }, fqs, counts, nil, ct)
 	for i := range ws {
 		if want := refCountBelow(pts, ws[i], fqs[i]); counts[i] != want {
 			t.Fatalf("weight %d: count %d, scalar %d", i, counts[i], want)
@@ -216,10 +212,10 @@ func TestCoordsPlacedFillAndPrefixView(t *testing.T) {
 }
 
 // TestKernelAllocsPerOp guards the acceptance requirement of zero
-// allocations per op in the kernel inner loops: with warmed scratch,
-// CountBelowBlock, ScoreBlock and the chunking wrapper must not allocate,
-// and neither may refilling a Coords through Reset and Append once its
-// columns have grown.
+// allocations per op in the kernel inner loops: the chunked counts, with
+// and without counters and through the ctx entry point, and ScoreBlock
+// must not allocate, and neither may refilling a Coords through Reset and
+// Append once its columns have grown.
 func TestKernelAllocsPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const d, n, nw = 3, 512, BlockSize
@@ -237,16 +233,14 @@ func TestKernelAllocsPerOp(t *testing.T) {
 	}
 	counts := make([]int, nw)
 	out := make([]float64, nw*n)
-	sc := GetScratch()
-	defer PutScratch(sc)
 	ct := NewCounters()
 	at := func(i int) []float64 { return ws[i] }
-	CountBelowWeights(c, nw, at, fqs, counts, sc, ct) // warm sc's block buffers
+	ctx := context.Background()
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		CountBelowBlock(c, wb, fqs, counts)
+		_ = CountBelowWeightsCtx(ctx, c, nw, at, fqs, counts, nil)
 	}); allocs != 0 {
-		t.Fatalf("CountBelowBlock allocates %.1f objects per op, want 0", allocs)
+		t.Fatalf("CountBelowWeightsCtx allocates %.1f objects per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		ScoreBlock(c, wb, nw, out)
@@ -254,7 +248,7 @@ func TestKernelAllocsPerOp(t *testing.T) {
 		t.Fatalf("ScoreBlock allocates %.1f objects per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		CountBelowWeights(c, nw, at, fqs, counts, sc, ct)
+		CountBelowWeights(c, nw, at, fqs, counts, nil, ct)
 	}); allocs != 0 {
 		t.Fatalf("CountBelowWeights allocates %.1f objects per op, want 0", allocs)
 	}
@@ -271,25 +265,24 @@ func TestKernelAllocsPerOp(t *testing.T) {
 	}
 }
 
-// BenchmarkCountBelow compares the blocked sweep against the equivalent
-// scalar scans at the refinement loop's typical shape.
+// BenchmarkCountBelow compares the kernel's uncapped counts against the
+// equivalent vec.Score scans at the refinement loop's typical shape.
 func BenchmarkCountBelow(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	const d, n, nw = 3, 1024, BlockSize
 	pts := randPoints(rng, n, d)
 	c := coordsOf(pts, d)
-	wb := make([]float64, nw*d)
 	fqs := make([]float64, nw)
 	ws := make([]vec.Weight, nw)
 	for i := range ws {
 		ws[i] = sample.RandSimplex(rng, d)
-		copy(wb[i*d:(i+1)*d], ws[i])
 		fqs[i] = rng.Float64()
 	}
 	counts := make([]int, nw)
-	b.Run("blocked", func(b *testing.B) {
+	at := func(i int) []float64 { return ws[i] }
+	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CountBelowBlock(c, wb, fqs, counts)
+			CountBelowWeights(c, nw, at, fqs, counts, nil, nil)
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {

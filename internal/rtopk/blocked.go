@@ -7,8 +7,9 @@ import (
 	"wqrtq/internal/vec"
 )
 
-// BichromaticCoordsCtx answers the bichromatic reverse top-k query by
-// blocked counting over a flattened candidate set: w belongs to the result
+// BichromaticCoordsCtx answers the bichromatic reverse top-k query by one
+// uncapped count per weight over a flattened candidate set
+// (kernel.CountBelowWeightsCtx): w belongs to the result
 // iff fewer than k candidates score strictly below f(w, q) (ties won by q,
 // Definition 2).
 //
@@ -20,7 +21,7 @@ import (
 // as the full dataset would. BichromaticCountCtx rests on the same
 // argument.
 //
-// No query is routed here any more. The sweep is uncapped — every weight
+// No query is routed here any more. The count is uncapped — every weight
 // pays for every candidate — and used to serve d <= 4 bands of at most
 // CoordsCutoff = 8192 points; the capped count descent beat it at every
 // such shape (DESIGN.md §9), so the cutoff and the route are gone. The
@@ -34,15 +35,13 @@ func BichromaticCoordsCtx(ctx context.Context, c *kernel.Coords, W []vec.Weight,
 		return nil, stats, ctx.Err()
 	}
 	stats.Evaluated = len(W)
-	sc := kernel.GetScratch()
-	defer kernel.PutScratch(sc)
 	fqs := make([]float64, len(W))
 	counts := make([]int, len(W))
-	//wqrtq:bounded one Score per weight; the blocked count sweep below carries ctx
+	//wqrtq:bounded one Score per weight; the count below carries ctx
 	for i, w := range W {
 		fqs[i] = vec.Score(w, q)
 	}
-	err := kernel.CountBelowWeightsCtx(ctx, c, len(W), func(i int) []float64 { return W[i] }, fqs, counts, sc, ct)
+	err := kernel.CountBelowWeightsCtx(ctx, c, len(W), func(i int) []float64 { return W[i] }, fqs, counts, ct)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,6 +1,7 @@
 package rtopk
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -166,5 +167,61 @@ func TestMono2DRandomizedContinuous(t *testing.T) {
 		q := vec.Point{rng.Float64()*2 + 1, rng.Float64()*2 + 1}
 		k := 1 + rng.Intn(6)
 		checkMono2D(t, "continuous", points, q, k)
+	}
+}
+
+// TestMono2DCapBoundary pins the segment test at its cap: each segment's
+// count stops at k-1, so a segment with exactly k-1 strict beaters must be
+// a member and its neighbour with exactly k must not. k-1 points beat q
+// everywhere, p1 beats it only for λ > 1/2 and p2 only for λ < 1/3, so the
+// segments [0, 1/3], [1/3, 1/2] and [1/2, 1] have k, k-1 and k beaters.
+func TestMono2DCapBoundary(t *testing.T) {
+	q := vec.Point{2, 2}
+	p1, p2 := vec.Point{1, 3}, vec.Point{3, 1.5}
+	breakAt := func(p vec.Point) float64 {
+		a, b := p[0]-q[0], p[1]-q[1]
+		return b / (b - a)
+	}
+	lo, hi := breakAt(p2), breakAt(p1)
+	for k := 1; k <= 5; k++ {
+		points := []vec.Point{p1, {5, 5}, p2}
+		for range k - 1 {
+			points = append(points, vec.Point{1, 1})
+		}
+		bounds := []float64{0, lo, hi, 1}
+		wantRank := []int{k + 1, k, k + 1}
+		for i, want := range wantRank {
+			mid := (bounds[i] + bounds[i+1]) / 2
+			if r := MonoRank(points, q, mid); r != want {
+				t.Fatalf("k=%d: rank %d at λ=%v, want %d", k, r, mid, want)
+			}
+		}
+		ivs := Monochromatic2D(points, q, k)
+		if len(ivs) != 1 || ivs[0] != (Interval{Lo: lo, Hi: hi}) {
+			t.Fatalf("k=%d: %v, want [{%v %v}]", k, ivs, lo, hi)
+		}
+		checkMono2D(t, fmt.Sprintf("cap-boundary k=%d", k), points, q, k)
+	}
+}
+
+// BenchmarkMonochromatic2D times the exact 2-D monochromatic reverse
+// top-k over uniform points at k = 10. q sits at the left edge with a
+// middling y, so about half the points cross it (a segment each), q is in
+// the top-k only for λ near 1, and most segments are decided by a count
+// that stops at its k-th beater.
+func BenchmarkMonochromatic2D(b *testing.B) {
+	const k = 10
+	q := vec.Point{0.0005, 0.5}
+	for _, n := range []int{2000, 10000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		points := make([]vec.Point, n)
+		for i := range points {
+			points[i] = vec.Point{rng.Float64(), rng.Float64()}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Monochromatic2D(points, q, k)
+			}
+		})
 	}
 }

@@ -176,11 +176,10 @@ type Interval struct {
 // re-evaluated tie could break either way, letting the event arithmetic
 // drift from what score evaluation at any concrete λ reports. Midpoint
 // evaluation makes the answer agree with MonoRank at every segment
-// midpoint by construction. The counts run through the blocked scoring
-// kernel — all segment midpoints are scored against the flattened point
-// set in BlockSize sweeps — so the robust evaluation stays cheap: O(n·s/B)
-// memory passes for s segments instead of the sweep's O(n log n), with the
-// point image read once per B midpoints.
+// midpoint by construction. Membership asks only whether the count reaches
+// k, so each segment's count is kernel.CountBelowCapped at cap k-1 over
+// the flattened point set: a non-member segment stops at its k-th beater,
+// and only member segments scan all n points.
 func Monochromatic2D(points []vec.Point, q vec.Point, k int) []Interval {
 	if len(q) != 2 {
 		panic("rtopk: Monochromatic2D requires 2-dimensional data")
@@ -211,36 +210,23 @@ func Monochromatic2D(points []vec.Point, q vec.Point, k int) []Interval {
 		bounds = append(bounds, 1)
 	}
 
-	// Score every segment midpoint through the blocked kernel.
-	sc := kernel.GetScratch()
-	defer kernel.PutScratch(sc)
-	sc.Uni.Fill(2, len(points), func(i int) []float64 { return points[i] })
-	nSeg := len(bounds) - 1
-	mids := make([]float64, nSeg)
-	fqs := make([]float64, nSeg)
-	counts := make([]int, nSeg)
-	for i := 0; i < nSeg; i++ {
-		mid := (bounds[i] + bounds[i+1]) / 2
-		mids[i] = mid
-		// f(w, q) with w = (mid, 1-mid), in vec.Score order.
-		fq := mid * q[0]
-		fq += (1 - mid) * q[1]
-		fqs[i] = fq
-	}
-	var wpair [2]float64
-	kernel.CountBelowWeights(&sc.Uni, nSeg, func(i int) []float64 {
-		wpair[0] = mids[i]
-		wpair[1] = 1 - mids[i]
-		return wpair[:]
-	}, fqs, counts, sc, nil)
-
-	// Merge consecutive member segments (count < k ⇔ rank <= k, ties won
+	// Decide every segment by the strict-beat count at its midpoint, and
+	// merge consecutive member segments (count < k ⇔ rank <= k, ties won
 	// by q) into maximal closed intervals; single-breakpoint memberships
 	// between two non-member segments have empty interior and are not
 	// representable, matching the documented contract.
+	sc := kernel.GetScratch()
+	defer kernel.PutScratch(sc)
+	sc.Uni.Fill(2, len(points), func(i int) []float64 { return points[i] })
+	var w [2]float64
 	var out []Interval
-	for i := 0; i < nSeg; i++ {
-		if counts[i] >= k {
+	for i := 0; i+1 < len(bounds); i++ {
+		mid := (bounds[i] + bounds[i+1]) / 2
+		w[0], w[1] = mid, 1-mid
+		// f(w, q) in vec.Score order.
+		fq := mid * q[0]
+		fq += (1 - mid) * q[1]
+		if cnt, _ := kernel.CountBelowCapped(&sc.Uni, w[:], fq, k-1, 0, len(points)); cnt >= k {
 			continue
 		}
 		if n := len(out); n > 0 && feq.Eq(out[n-1].Hi, bounds[i]) {

@@ -293,12 +293,12 @@ func (b *Band) Size() int { return b.size }
 // full tree.
 func (b *Band) Full() bool { return b.full }
 
-// Coords returns the band's column-major image for the blocked scoring
-// kernel, the cell grid and the why-not trim, shared by all readers (bands
+// Coords returns the band's column-major image for the scoring kernel,
+// the cell grid and the why-not trim, shared by all readers (bands
 // are immutable, so the image never goes stale). The point order is
 // dominance.KSkyband's: the depth-first leaf order of the tree the band
-// was computed on, which Members follows position by position. Blocked
-// counting is order-independent, so consumers see the same counts as a
+// was computed on, which Members follows position by position. Counting
+// is order-independent, so consumers see the same counts as a
 // tree evaluation. A pass-through band's image is the whole dataset in
 // its tree's visit order, flattened on first use: callers should bound the
 // band size themselves before asking for it.

@@ -1,14 +1,13 @@
 package wqrtq
 
-// The blocked SoA scoring kernel (internal/kernel) bound to the Index:
-// the "many weights × one candidate set" evaluations — the per-sample rank
-// counting of the MWK/MQWK refinement loops, and the cell-local counts of
-// the reverse top-k grid, which report their scan work through the same
-// counters — run as cache-friendly blocked sweeps over column-major
-// flattened coordinates instead of one scalar scan per weighting vector.
-// Every score is the same multiply/add chain as vec.Score, only evaluated
-// block-at-a-time, so results are bit-identical to the references: for the
-// refinement loops, which sweep at every d, core's nil-Source oracle,
+// The SoA scoring kernel (internal/kernel) bound to the Index: the "many
+// weights × one candidate set" evaluations — the per-sample rank counting
+// of the MWK/MQWK refinement loops, and the cell-local counts of the
+// reverse top-k grid, which report their scan work through the same
+// counters — run as capped counts and score passes over column-major
+// flattened coordinates. Every score is the same multiply/add chain as
+// vec.Score, so results are bit-identical to the references: for the
+// refinement loops, which count at every d, core's nil-Source oracle,
 // reached through skyOff (see DESIGN.md §9 for the cost model). The kernel
 // rides on the skyband candidate sets: under skyOff there is nothing to
 // flatten. Reverse top-k below the grid does not sweep: membership there is
@@ -19,10 +18,10 @@ import (
 	"wqrtq/internal/kernel"
 )
 
-// KernelStats is a point-in-time view of the blocked scoring kernel. The
+// KernelStats is a point-in-time view of the scoring kernel. The
 // embedded counters are cumulative across snapshots of the clone family;
-// Weights/Blocks is the achieved blocking factor — how many scans each
-// memory pass amortized.
+// Weights/Blocks is the mean number of weights per recorded batch, each
+// weight one count or score pass of its own.
 type KernelStats struct {
 	kernel.CountersSnapshot
 	// Refine says how the refinement loops (MWK/MQWK) ranked their

@@ -463,9 +463,8 @@ type EngineStats struct {
 	// current snapshot and the cumulative build/hit/fallback/carry
 	// counters, which cover the grids the bands hold.
 	Skyband SkybandStats `json:"skyband"`
-	// Kernel describes the blocked scoring kernel: the cumulative
-	// blocked-sweep counters (blocks, weights ranked, candidate points
-	// swept).
+	// Kernel describes the scoring kernel: the cumulative work counters
+	// (batches, weights ranked, candidate points swept).
 	Kernel KernelStats `json:"kernel"`
 	// CellIndex describes the materialized reverse-top-k cell index: the
 	// grids the current snapshot's bands hold and the cumulative

@@ -101,7 +101,7 @@ type Index struct {
 	// bg runs the clone family's background band and grid builds
 	// (skyband.go), shared across the family like the counters.
 	bg *builds
-	// kct carries the blocked scoring kernel's cumulative counters, shared
+	// kct carries the scoring kernel's cumulative counters, shared
 	// across the clone family like the skyband counters (kernel.go).
 	kct *kernel.Counters
 	// rct records which route ranked the refinement loops' samples,
