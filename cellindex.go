@@ -16,8 +16,10 @@ package wqrtq
 
 import (
 	"wqrtq/internal/cellindex"
+	"wqrtq/internal/kernel"
 	"wqrtq/internal/rtopk"
 	"wqrtq/internal/skyband"
+	"wqrtq/internal/vec"
 )
 
 // cellGrid returns the cell grid of band b (ix.band's answer, nil under
@@ -77,9 +79,13 @@ func (ix *Index) ReverseTopKMonoND(q []float64, k int) ([]Interval, []MonoCell, 
 	var g *cellindex.Grid
 	if b := ix.band(k); b != nil && b.Full() {
 		// A pass-through band carries no grid: build one over the whole
-		// dataset, uncached, when it is small enough to be a basis.
+		// dataset, flattened in the tree's visit order, uncached, when it
+		// is small enough to be a basis.
 		if !ix.cellOff && b.Size() <= cellindex.MaxBasis {
-			g = cellindex.Build(b.Coords(), k)
+			var basis kernel.Coords
+			basis.Reset(ix.Dim())
+			ix.tree.Visit(nil, func(_ int32, p vec.Point) { basis.Append(p) })
+			g = cellindex.Build(&basis, k)
 		}
 	} else {
 		g = ix.cellGrid(b)

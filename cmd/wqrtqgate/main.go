@@ -1,21 +1,30 @@
-// Command wqrtqgate is the compiler-contract gate: it compiles the module
-// with gc diagnostics enabled (-gcflags='-m=2 -d=ssa/check_bce'), parses
-// the position-tagged diagnostic stream into per-function facts (escape
-// verdicts, inlining decisions, surviving bounds checks) and checks them
-// against every //wqrtq:contract annotation (internal/analysis/contract,
-// DESIGN.md §12). A noalloc contract also reads the function's typed body
-// for the allocations gc reports no heap fact for: append, go statements,
-// string concatenation and string/slice conversions. Over the same
-// packages it runs the dead-API pass (internal/analysis/deadapi): every
-// exported identifier under internal/ has a non-test caller, and every
-// option field a setter, or an entry in the module's deadapi.allow.
+// Command wqrtqgate is the module's one static gate. It type-checks the
+// module's non-test files once and runs three checks over them.
+//
+// The five invariant analyzers (DESIGN.md §11) are snapshotmut, ctxloop,
+// maprange, floateq and lockhold; each finding prints as
+// file:line:col: message (analyzer).
+//
+// The compiler-contract gate (internal/analysis/contract, DESIGN.md §12)
+// compiles the module with gc diagnostics enabled
+// (-gcflags='-m=2 -d=ssa/check_bce'), parses the position-tagged
+// diagnostic stream into per-function facts (escape verdicts, inlining
+// decisions, surviving bounds checks) and checks them against every
+// //wqrtq:contract annotation. A noalloc contract also reads the
+// function's typed body for the allocations gc reports no heap fact for:
+// append, go statements, string concatenation and string/slice
+// conversions.
+//
+// The dead-API pass (internal/analysis/deadapi) requires every exported
+// identifier under internal/ to have a non-test caller, and every option
+// field a setter, or an entry in the module's deadapi.allow.
 //
 //	wqrtqgate [-C dir] [-diag file] [patterns...]
 //
 // Patterns default to ./... relative to the module root. -diag writes the
 // raw diagnostic stream to a file (CI uploads it as an artifact when the
-// gate fails). Exit status mirrors wqrtqlint: 0 clean, 1 tool or build
-// failure, 2 contract violations or dead API.
+// gate fails). Exit status: 0 clean, 1 tool or build failure, 2 analyzer
+// findings, contract violations or dead API.
 //
 // The gate makes the compiler's optimization decisions part of the checked
 // interface: a refactor that re-introduces a heap escape or a bounds check
@@ -53,15 +62,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wqrtqgate: %v\n", err)
 		os.Exit(1)
 	}
+	for _, f := range res.Findings {
+		fmt.Fprintf(os.Stderr, "%s\n", f)
+	}
 	for _, v := range res.Violations {
 		fmt.Fprintf(os.Stderr, "%s\n", v)
 	}
 	for _, v := range res.Dead {
 		fmt.Fprintf(os.Stderr, "%s\n", v)
 	}
-	if n, d := len(res.Violations), len(res.Dead); n+d > 0 {
-		fmt.Fprintf(os.Stderr, "wqrtqgate: %d contract violation(s) across %d contract(s), %d dead-API finding(s)\n", n, len(res.Contracts), d)
+	if f, n, d := len(res.Findings), len(res.Violations), len(res.Dead); f+n+d > 0 {
+		fmt.Fprintf(os.Stderr, "wqrtqgate: %d analyzer finding(s), %d contract violation(s) across %d contract(s), %d dead-API finding(s)\n", f, n, len(res.Contracts), d)
 		os.Exit(2)
 	}
-	fmt.Printf("wqrtqgate: %d contract(s) hold, no dead API\n", len(res.Contracts))
+	fmt.Printf("wqrtqgate: %d analyzers clean, %d contract(s) hold, no dead API\n", len(analyzers), len(res.Contracts))
 }

@@ -10,10 +10,26 @@ import (
 	"wqrtq/internal/analysis/deadapi"
 )
 
-// TestGateModuleClean is the CI invariant: every //wqrtq:contract in the
-// module holds against the compiler's actual diagnostic stream, and every
-// exported identifier under internal/ has a non-test caller or one of at
-// most 20 allowlist entries.
+// writeModule returns a throwaway directory and a function writing one
+// file of a module rooted there.
+func writeModule(t *testing.T) (string, func(name, content string)) {
+	dir := t.TempDir()
+	return dir, func(name, content string) {
+		t.Helper()
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestGateModuleClean is the CI invariant: no invariant analyzer reports
+// anything in the module, every //wqrtq:contract holds against the
+// compiler's actual diagnostic stream, and every exported identifier under
+// internal/ has a non-test caller or one of at most 20 allowlist entries.
 func TestGateModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the module with gc diagnostics")
@@ -21,6 +37,9 @@ func TestGateModuleClean(t *testing.T) {
 	res, err := runGate("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("runGate: %v", err)
+	}
+	for _, f := range res.Findings {
+		t.Errorf("%s", f)
 	}
 	if len(res.Contracts) == 0 {
 		t.Fatal("no contracts collected — the noalloc kernel contracts are gone")
@@ -53,24 +72,15 @@ func TestGateModuleClean(t *testing.T) {
 // interface calls, a method nothing calls, an identifier only a test uses,
 // an allowlisted oracle and the exported helper only it uses, a used
 // identifier, a dead chain (a func only a dead func calls, a type only its
-// dead constructor and a dead type's field name), an option field set only
-// in its own package, and allowlist entries that are stale or give an
-// unknown reason.
+// dead constructor and a dead type's field name), a root option field set
+// only in its own package, an internal option field set outside its
+// package and one set only inside it, and allowlist entries that are stale
+// or give an unknown reason.
 func TestSeededDeadAPICaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a throwaway module with gc diagnostics")
 	}
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir, write := writeModule(t)
 	write("go.mod", "module gatetest\n\ngo 1.24\n")
 	write("internal/lib/lib.go", `package lib
 
@@ -137,6 +147,17 @@ func Resolve(o Options) Options {
 	return o
 }
 `)
+	write("internal/lib/options.go", `package lib
+
+// Options has one field the command sets and one only this package does.
+type Options struct{ Outside, Inside int }
+
+// Fill fills in the defaults.
+func Fill(o Options) Options {
+	o.Inside = 1
+	return o
+}
+`)
 	write("cmd/app/main.go", `package main
 
 import (
@@ -147,7 +168,7 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Used(), lib.Kind(1), gatetest.Resolve(gatetest.Options{Set: 2}))
+	fmt.Println(lib.Used(), lib.Kind(1), gatetest.Resolve(gatetest.Options{Set: 2}), lib.Fill(lib.Options{Outside: 3}))
 }
 `)
 	write(deadapi.AllowFile, `# seeded allowlist
@@ -174,6 +195,7 @@ lib.Mystery mystery  not a reason
 		"internal/lib/lib.go lib.Ghost",
 		"internal/lib/lib.go lib.NewGhost",
 		"options.go gatetest.Options.Unset",
+		"internal/lib/options.go lib.Options.Inside",
 		deadapi.AllowFile + " lib.Gone",
 		deadapi.AllowFile + " lib.Used",
 		deadapi.AllowFile + " lib.Mystery",
@@ -198,13 +220,7 @@ func TestSeededContractViolationsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a throwaway module with gc diagnostics")
 	}
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir, write := writeModule(t)
 	write("go.mod", "module gatetest\n\ngo 1.24\n")
 	write("seed.go", `package gatetest
 
@@ -373,6 +389,88 @@ func StackOnly(n int) int {
 		}
 		if !found {
 			t.Errorf("seeded %s violation in %s not caught; %s violations: %v", kind, fn, fn, byFunc[fn])
+		}
+	}
+}
+
+// TestSeededViolationsCaught seeds one violation per invariant analyzer
+// into a throwaway module at the real gated import paths and checks the
+// gate reports every analyzer. This is the end-to-end proof that the suite
+// as wired into the gate catches regressions, not just that each analyzer
+// passes its own fixtures.
+func TestSeededViolationsCaught(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a throwaway module with gc diagnostics")
+	}
+	dir, write := writeModule(t)
+	write("go.mod", "module wqrtq\n\ngo 1.24\n")
+	// ctxloop, maprange, floateq, snapshotmut: all gate on (or ignore
+	// gating) at wqrtq/internal/topk.
+	write("internal/rtree/rtree.go", `package rtree
+
+type Node struct {
+	Scores []float64
+}
+`)
+	write("internal/topk/bad.go", `package topk
+
+import (
+	"context"
+
+	"wqrtq/internal/rtree"
+)
+
+func Clobber(n *rtree.Node) {
+	n.Scores[0] = 0
+}
+
+func work(x int) int { return x + 1 }
+
+func Unchecked(ctx context.Context, xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += work(x)
+	}
+	return s
+}
+
+func Assemble(m map[string]int) int {
+	s := 0
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+
+func Tie(a, b float64) bool { return a == b }
+`)
+	// lockhold gates on wqrtq/internal/engine.
+	write("internal/engine/bad.go", `package engine
+
+import "sync"
+
+type E struct {
+	mu sync.Mutex
+	ch chan int
+}
+
+func (e *E) Send(v int) {
+	e.mu.Lock()
+	e.ch <- v
+	e.mu.Unlock()
+}
+`)
+	res, err := runGate(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("runGate: %v", err)
+	}
+	caught := make(map[string]int)
+	for _, f := range res.Findings {
+		caught[f.Analyzer]++
+	}
+	for _, a := range analyzers {
+		if caught[a.Name] == 0 {
+			t.Errorf("seeded violation for %s was not caught; findings: %v", a.Name, res.Findings)
 		}
 	}
 }

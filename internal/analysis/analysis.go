@@ -1,8 +1,8 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis surface used by the wqrtqlint invariant
-// suite. The container this repository grows in must build with the standard
-// library alone, so rather than importing x/tools we mirror the small subset
-// the suite needs: an Analyzer is a named Run function over a type-checked
+// golang.org/x/tools/go/analysis surface used by the invariant analyzers
+// cmd/wqrtqgate runs. The module builds with the standard library alone,
+// so rather than importing x/tools we mirror the small subset the
+// analyzers need: an Analyzer is a named Run function over a type-checked
 // package (a Pass), and diagnostics are (position, message) pairs reported
 // through the Pass.
 //

@@ -1,8 +1,9 @@
 // Package deadapi is cmd/wqrtqgate's dead-API pass (DESIGN.md §12): every
 // exported identifier under internal/ needs a non-test use from live code,
-// and every root EngineConfig and Options field a non-test setter outside
-// the root package, or a `<pkg>.<[Recv.]Name> oracle|testhook|bench <note>`
-// line in the module's deadapi.allow that covers a finding.
+// and every exported field of a struct named Options, Config or
+// EngineConfig a non-test setter outside its own package, or a
+// `<pkg>.<[Recv.]Name> oracle|testhook|bench <note>` line in the module's
+// deadapi.allow that covers a finding.
 //
 // Live code is what the non-test code outside internal/ reaches through
 // the package-level declarations each refers to, so a chain of dead
@@ -77,8 +78,8 @@ func Check(moduleDir string, pkgs []*load.Package) ([]Violation, error) {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				for _, k := range fieldSets(pkg.Info, n, prefix) {
-					used[k] = used[k] || pkg.Path != mod // an option set in its own package has no caller
+				for _, k := range fieldSets(pkg, n, prefix) {
+					used[k] = true
 				}
 				return true
 			})
@@ -107,14 +108,15 @@ func Check(moduleDir string, pkgs []*load.Package) ([]Violation, error) {
 			named, isNamed := obj.Type().(*types.Named)
 			isNamed = isNamed && isType && !tn.IsAlias()
 			st, isStruct := obj.Type().Underlying().(*types.Struct)
-			switch key := pre + "." + n; {
-			case pre == mod && isNamed && isStruct && (n == "EngineConfig" || n == "Options"):
+			key := pre + "." + n
+			if pre != "" && isNamed && isStruct && (n == "EngineConfig" || n == "Config" || n == "Options") {
 				for f := range st.Fields() {
 					if f.Exported() {
 						report(pkg, key+"."+f.Name(), key, f, "option field, but no non-test code outside its package sets it")
 					}
 				}
-			case pre != mod && pre != "":
+			}
+			if pre != mod && pre != "" {
 				if obj.Exported() {
 					report(pkg, key, key, obj, unused)
 				}
@@ -285,12 +287,15 @@ func reach(refs map[string][]string, roots []string) map[string]bool {
 	return seen
 }
 
-// fieldSets returns the keys of the struct fields n writes: the keys of a
-// composite literal, or selector assignment targets.
-func fieldSets(info *types.Info, n ast.Node, prefix func(string) string) []string {
+// fieldSets returns the keys of the struct fields that n, in pkg, writes
+// on types declared outside pkg: the keys of a composite literal, or
+// selector assignment targets. An option set in its own package has no
+// caller.
+func fieldSets(pkg *load.Package, n ast.Node, prefix func(string) string) []string {
+	info := pkg.Info
 	var out []string
 	set := func(owner types.Type, field *ast.Ident) {
-		if named, ok := deref(owner).(*types.Named); ok {
+		if named, ok := deref(owner).(*types.Named); ok && named.Obj().Pkg().Path() != pkg.Path {
 			out = append(out, objKey(named.Obj(), prefix)+"."+field.Name)
 		}
 	}

@@ -1,14 +1,13 @@
-// Package load type-checks Go packages for the wqrtqlint analyzers without
-// depending on golang.org/x/tools/go/packages.
+// Package load type-checks Go packages for cmd/wqrtqgate's analyzers and
+// passes without depending on golang.org/x/tools/go/packages.
 //
-// Two loading modes cover the suite's needs:
+// Two loading modes cover the gate's needs:
 //
 //   - Module loads packages of the enclosing module by shelling out to
 //     `go list -deps -export -json`, which compiles dependencies into the
 //     build cache and hands back export-data files. Imports are then
 //     resolved through the compiler ("gc") importer with a lookup into
-//     that file map — the same arrangement `go vet` sets up for vet tools,
-//     so standalone runs and -vettool runs see identical type information.
+//     that file map — the same arrangement `go vet` sets up for vet tools.
 //
 //   - Dir loads GOPATH-style fixture trees (testdata/src/...) for the
 //     analysistest harness: local packages are parsed and type-checked

@@ -6,12 +6,12 @@
 // scores — but scattering raw == over float64 makes each site a question
 // ("was a tolerance intended here?") and leaves NaN behavior implicit.
 //
-// The floateq analyzer in wqrtqlint forbids direct ==/!= on floats outside
-// //wqrtq:floatcmp-annotated helpers; these are those helpers. All of them
-// are exact IEEE-754 comparisons, inlined by the compiler to the same
-// instruction as the raw operator: routing through feq changes no bits,
-// it only centralizes intent. A future tolerance or NaN policy change has
-// exactly one file to edit.
+// The floateq analyzer, run by cmd/wqrtqgate, forbids direct ==/!= on
+// floats outside //wqrtq:floatcmp-annotated helpers; these are those
+// helpers. All of them are exact IEEE-754 comparisons, inlined by the
+// compiler to the same instruction as the raw operator: routing through
+// feq changes no bits, it only centralizes intent. A future tolerance or
+// NaN policy change has exactly one file to edit.
 package feq
 
 // Eq reports a == b exactly (IEEE-754: false when either is NaN).

@@ -396,12 +396,13 @@ func PutScratch(s *Scratch) {
 	}
 }
 
-// Counters accumulates the kernel's work, one tick per batch of weights a
+// Counters accumulates the kernel's work over the batches of weights a
 // caller counted or scored over one candidate set (a CountBelowWeights
-// chunk, a ScoreBlock block, a block of samples, a grid query's vectors).
-// One Counters is shared by every snapshot in a clone family (like the
-// skyband counters), so the serving engine reports cumulative numbers over
-// the index's lifetime.
+// chunk, a ScoreBlock block, a block of samples, a grid query's vectors),
+// in blocks of at most BlockSize weights: a batch of n weights is
+// ⌈n/BlockSize⌉ blocks. One Counters is shared by every snapshot in a
+// clone family (like the skyband counters), so the serving engine reports
+// cumulative numbers over the index's lifetime.
 type Counters struct {
 	blocks  atomic.Int64
 	weights atomic.Int64
@@ -412,20 +413,21 @@ type Counters struct {
 func NewCounters() *Counters { return &Counters{} }
 
 // Add records one batch of nWeights weights over nPoints candidate
-// points.
+// points: ⌈nWeights/BlockSize⌉ blocks.
 func (c *Counters) Add(nWeights, nPoints int) {
 	if c == nil {
 		return
 	}
-	c.blocks.Add(1)
+	c.blocks.Add(int64((nWeights + BlockSize - 1) / BlockSize))
 	c.weights.Add(int64(nWeights))
 	c.points.Add(int64(nPoints))
 }
 
 // CountersSnapshot is a point-in-time copy of the cumulative counters.
 type CountersSnapshot struct {
-	// Blocks counts batches; Weights the weighting vectors they evaluated;
-	// Points the candidate points per batch, summed.
+	// Blocks counts blocks of at most BlockSize weights; Weights the
+	// weighting vectors they evaluated; Points the candidate points per
+	// batch, summed.
 	Blocks  int64 `json:"blocks"`
 	Weights int64 `json:"weights"`
 	Points  int64 `json:"points"`

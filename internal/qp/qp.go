@@ -32,21 +32,13 @@ type Problem struct {
 	Hv []float64  // length m right-hand side of G x ≤ h
 }
 
-// Options tunes the interior-point iteration.
-type Options struct {
-	MaxIter int     // maximum Newton iterations (default 100)
-	Tol     float64 // convergence tolerance on residuals and duality gap (default 1e-9)
-}
+// Options is Solve's options; the iteration has none to tune.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	return o
-}
+const (
+	maxIter = 100  // maximum Newton iterations
+	tol     = 1e-9 // convergence tolerance on residuals and duality gap
+)
 
 // ErrInfeasible is returned when the iteration cannot reduce the primal
 // residual, indicating an empty feasible region (or numerical breakdown).
@@ -57,8 +49,7 @@ var ErrInfeasible = errors.New("qp: problem appears infeasible")
 var ErrMaxIter = errors.New("qp: maximum iterations reached without convergence")
 
 // Solve returns the minimizer of the problem.
-func Solve(p Problem, opt Options) ([]float64, error) {
-	opt = opt.withDefaults()
+func Solve(p Problem, _ Options) ([]float64, error) {
 	n := len(p.C)
 	if p.H == nil || p.H.Rows != n || p.H.Cols != n {
 		return nil, fmt.Errorf("qp: H must be %d×%d", n, n)
@@ -66,12 +57,12 @@ func Solve(p Problem, opt Options) ([]float64, error) {
 	if p.G != nil && (p.G.Cols != n || len(p.Hv) != p.G.Rows) {
 		return nil, errors.New("qp: inconsistent inequality dimensions")
 	}
-	return solveInequality(p.H, p.C, p.G, p.Hv, opt)
+	return solveInequality(p.H, p.C, p.G, p.Hv)
 }
 
 // solveInequality runs the primal–dual interior-point iteration on
 // min ½xᵀHx + cᵀx subject to Gx ≤ h.
-func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt Options) ([]float64, error) {
+func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64) ([]float64, error) {
 	n := len(c)
 	// Start from the unconstrained minimizer; slacks pushed strictly positive.
 	negc := make([]float64, n)
@@ -123,7 +114,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 		return nil, err
 	}
 	var rp0, mu0 float64
-	for iter := 1; iter <= opt.MaxIter; iter++ {
+	for iter := 1; iter <= maxIter; iter++ {
 		// Residuals.
 		gtz := g.TMulVec(z)
 		hx := h.MulVec(x)
@@ -148,7 +139,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 			bestMerit = merit
 			copy(bestX, x)
 		}
-		if maxRd <= opt.Tol*scale && maxRp <= opt.Tol*scale && mu <= opt.Tol*scale {
+		if maxRd <= tol*scale && maxRp <= tol*scale && mu <= tol*scale {
 			return x, nil
 		}
 
@@ -188,7 +179,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64, opt 
 		if iter == 1 {
 			rp0, mu0 = maxRp, mu
 		}
-		if maxRp > opt.Tol*scale && maxRp/rp0 > mu/mu0 {
+		if maxRp > tol*scale && maxRp/rp0 > mu/mu0 {
 			sigma = math.Min(0.9, 0.1*(maxRp/rp0)/(mu/mu0))
 		}
 		for i := 0; i < m; i++ {

@@ -40,20 +40,11 @@ type Options struct {
 	// PageSize is the simulated disk page in bytes; fanout is derived from
 	// it. Defaults to DefaultPageSize.
 	PageSize int
-	// MinFill is the minimum node utilization as a fraction of the fanout
-	// (classic R*-tree value 0.4). Defaults to 0.4.
-	MinFill float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.PageSize <= 0 {
-		o.PageSize = DefaultPageSize
-	}
-	if o.MinFill <= 0 || o.MinFill > 0.5 {
-		o.MinFill = 0.4
-	}
-	return o
-}
+// minFillFrac is the minimum node utilization as a fraction of the fanout
+// (the classic R*-tree value).
+const minFillFrac = 0.4
 
 // Tree is an in-memory R-tree over d-dimensional points.
 type Tree struct {
@@ -109,16 +100,15 @@ func New(dim int, opts ...Options) *Tree {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
 	}
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
+	pageSize := DefaultPageSize
+	if len(opts) > 0 && opts[0].PageSize > 0 {
+		pageSize = opts[0].PageSize
 	}
-	o = o.withDefaults()
-	maxFill := (o.PageSize - nodeHeaderBytes) / entryBytes(dim)
+	maxFill := (pageSize - nodeHeaderBytes) / entryBytes(dim)
 	if maxFill < 4 {
 		maxFill = 4
 	}
-	minFill := int(float64(maxFill) * o.MinFill)
+	minFill := int(float64(maxFill) * minFillFrac)
 	if minFill < 2 {
 		minFill = 2
 	}

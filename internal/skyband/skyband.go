@@ -259,19 +259,13 @@ type Band struct {
 	// starts its build through; nil for pass-through bands.
 	ct *Counters
 	// coords is the column-major image of the band points: the members in
-	// dominance.KSkyband's order, laid out when the band is computed. A
-	// pass-through band's image is the whole tree, flattened on first use
-	// by one sync.Once shared by every reader. coordsReady fronts the Once
-	// with one atomic load so the steady-state Coords call stays inlinable
-	// (sync.Once.Do alone costs more than the inlining budget); the Store
-	// inside the Do publishes the flatten to every reader that observes
-	// true.
-	coordsOnce  sync.Once
-	coordsReady atomic.Bool
-	coords      kernel.Coords
+	// dominance.KSkyband's order, laid out when the band is computed.
+	// Empty for pass-through bands.
+	coords kernel.Coords
 	// derived is the slot for state derived from the band (Derived),
-	// fronted by derivedReady like coords. derivedRun is closed when the
-	// build in flight finishes, nil while none is; derivedMu guards it.
+	// fronted by derivedReady, one atomic load once it is filled.
+	// derivedRun is closed when the build in flight finishes, nil while
+	// none is; derivedMu guards it.
 	derivedMu    sync.Mutex
 	derivedRun   chan struct{}
 	derivedReady atomic.Bool
@@ -299,31 +293,11 @@ func (b *Band) Full() bool { return b.full }
 // dominance.KSkyband's: the depth-first leaf order of the tree the band
 // was computed on, which Members follows position by position. Counting
 // is order-independent, so consumers see the same counts as a
-// tree evaluation. A pass-through band's image is the whole dataset in
-// its tree's visit order, flattened on first use: callers should bound the
-// band size themselves before asking for it.
+// tree evaluation. A pass-through band has no image: its Coords is empty,
+// and a caller that needs the whole dataset flattens the band's tree.
 //
 //wqrtq:contract inline noalloc
-func (b *Band) Coords() *kernel.Coords {
-	if b.coordsReady.Load() {
-		return &b.coords
-	}
-	return b.coordsSlow()
-}
-
-// coordsSlow is Coords' first-use path: one once-guarded flatten, after
-// which the ready flag routes every reader through the inlined fast path.
-func (b *Band) coordsSlow() *kernel.Coords {
-	b.coordsOnce.Do(func() {
-		b.coords.Reset(b.tree.Dim())
-		b.tree.Visit(
-			func(rtree.Rect, *rtree.Node) bool { return true },
-			func(_ int32, p vec.Point) { b.coords.Append(p) },
-		)
-		b.coordsReady.Store(true)
-	})
-	return &b.coords
-}
+func (b *Band) Coords() *kernel.Coords { return &b.coords }
 
 // Derived returns the state derived from the band, calling build on first
 // use only — or waiting for the build a TryDerived started — and sharing
@@ -841,7 +815,6 @@ func compute(t *rtree.Tree, k, limit int) (b *Band, complete bool) {
 	b.sorted = slices.Clone(b.ids)
 	slices.Sort(b.sorted)
 	b.coords.Fill(t.Dim(), len(band), func(i int) []float64 { return bp[i] })
-	b.coordsReady.Store(true)
 	b.tree = rtree.Bulk(bp, b.ids, TreeOptions(t.Dim()))
 	return b, complete
 }

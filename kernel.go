@@ -20,8 +20,9 @@ import (
 
 // KernelStats is a point-in-time view of the scoring kernel. The
 // embedded counters are cumulative across snapshots of the clone family;
-// Weights/Blocks is the mean number of weights per recorded batch, each
-// weight one count or score pass of its own.
+// Weights/Blocks is the mean number of weights per block, at most
+// kernel.BlockSize (a grid-answered reverse top-k over |W| weights records
+// ⌈|W|/BlockSize⌉ blocks), each weight one count or score pass of its own.
 type KernelStats struct {
 	kernel.CountersSnapshot
 	// Refine says how the refinement loops (MWK/MQWK) ranked their

@@ -347,3 +347,41 @@ func TestKernelEngineStats(t *testing.T) {
 		t.Fatalf("new snapshot did not add kernel work: %+v", got)
 	}
 }
+
+// TestKernelBlocksPerGridQuery pins the unit of Kernel.Blocks: a
+// grid-answered reverse top-k over |W| = 1 000 weights records
+// ⌈1000/kernel.BlockSize⌉ = 16 blocks, the unit the refinement loops'
+// blocks of at most BlockSize samples count in.
+func TestKernelBlocksPerGridQuery(t *testing.T) {
+	const k, nW = 10, 1000
+	ds := dataset.Independent(2000, 3, 77)
+	pts := make([][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		pts[i] = p
+	}
+	ix, err := NewIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(78))
+	W := make([][]float64, nW)
+	for j := range W {
+		W[j] = sample.RandSimplex(rng, 3)
+	}
+	top, err := ix.TopK(W[0], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm(ix, k)
+	kern, cell := ix.KernelStats(), ix.CellIndexStats()
+	if _, err := ix.ReverseTopKCtx(t.Context(), ReverseTopKRequest{Q: top[k-1].Point, K: k, W: W}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.CellIndexStats().Lookups - cell.Lookups; got != nW {
+		t.Fatalf("the grid answered %d lookups, want %d", got, nW)
+	}
+	after := ix.KernelStats()
+	if blocks, weights := after.Blocks-kern.Blocks, after.Weights-kern.Weights; blocks != 16 || weights != nW {
+		t.Fatalf("kernel recorded %d blocks of %d weights, want 16 of %d", blocks, weights, nW)
+	}
+}
