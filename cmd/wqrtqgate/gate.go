@@ -14,7 +14,6 @@ import (
 	"wqrtq/internal/analysis/contract"
 	"wqrtq/internal/analysis/ctxloop"
 	"wqrtq/internal/analysis/deadapi"
-	"wqrtq/internal/analysis/floateq"
 	"wqrtq/internal/analysis/load"
 	"wqrtq/internal/analysis/lockhold"
 	"wqrtq/internal/analysis/maprange"
@@ -27,7 +26,6 @@ var analyzers = []*analysis.Analyzer{
 	snapshotmut.Analyzer,
 	ctxloop.Analyzer,
 	maprange.Analyzer,
-	floateq.Analyzer,
 	lockhold.Analyzer,
 }
 

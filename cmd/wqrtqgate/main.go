@@ -1,8 +1,8 @@
 // Command wqrtqgate is the module's one static gate. It type-checks the
 // module's non-test files once and runs three checks over them.
 //
-// The five invariant analyzers (DESIGN.md §11) are snapshotmut, ctxloop,
-// maprange, floateq and lockhold; each finding prints as
+// The four invariant analyzers (DESIGN.md §11) are snapshotmut, ctxloop,
+// maprange and lockhold; each finding prints as
 // file:line:col: message (analyzer).
 //
 // The compiler-contract gate (internal/analysis/contract, DESIGN.md §12)

@@ -270,8 +270,11 @@ func Clean(p []int) int {
 `)
 	// One noalloc function per allocation class. Grow, Launch, Concat,
 	// ConcatAssign and ToBytes allocate without any heap fact in gc's
-	// stream; the rest allocate because a value escapes, which gc reports.
+	// stream; the rest allocate because a value escapes, which gc reports,
+	// CloneKey inside an inlined callee.
 	write("alloc.go", `package gatetest
+
+import "strings"
 
 type T struct{ a, b int }
 
@@ -335,6 +338,16 @@ func Box(n int) {
 	boxed = n
 }
 
+var keys map[string]int
+
+// CloneKey allocates inside an inlined standard-library callee, which gc
+// reports at the call's line.
+//
+//wqrtq:contract noalloc
+func CloneKey(k string) int {
+	return keys[strings.Clone(k)]
+}
+
 // StackOnly uses every construct that allocates only when it escapes —
 // make, new, literals, a closure, boxing — and keeps each on the stack, so
 // it holds its contract.
@@ -356,7 +369,7 @@ func StackOnly(n int) int {
 	if err != nil {
 		t.Fatalf("runGate: %v", err)
 	}
-	if got, want := len(res.Contracts), 17; got != want {
+	if got, want := len(res.Contracts), 18; got != want {
 		t.Fatalf("collected %d contracts, want %d", got, want)
 	}
 	byFunc := make(map[string][]string)
@@ -382,6 +395,7 @@ func StackOnly(n int) int {
 		"SliceLit":     "noalloc",
 		"Closure":      "noalloc",
 		"Box":          "noalloc",
+		"CloneKey":     "noalloc",
 	} {
 		found := false
 		for _, k := range byFunc[fn] {
@@ -404,7 +418,7 @@ func TestSeededViolationsCaught(t *testing.T) {
 	}
 	dir, write := writeModule(t)
 	write("go.mod", "module wqrtq\n\ngo 1.24\n")
-	// ctxloop, maprange, floateq, snapshotmut: all gate on (or ignore
+	// ctxloop, maprange, snapshotmut: all gate on (or ignore
 	// gating) at wqrtq/internal/topk.
 	write("internal/rtree/rtree.go", `package rtree
 
@@ -441,8 +455,6 @@ func Assemble(m map[string]int) int {
 	}
 	return s
 }
-
-func Tie(a, b float64) bool { return a == b }
 `)
 	// lockhold gates on wqrtq/internal/engine.
 	write("internal/engine/bad.go", `package engine

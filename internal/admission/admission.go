@@ -27,8 +27,6 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-
-	"wqrtq/internal/feq"
 )
 
 // decreaseInterval bounds how often a class's limit can be cut
@@ -245,7 +243,7 @@ func (l *limiter) update(f func(float64) float64) {
 		old := l.limitBits.Load()
 		cur := math.Float64frombits(old)
 		next := f(cur)
-		if feq.Eq(next, cur) || l.limitBits.CompareAndSwap(old, math.Float64bits(next)) {
+		if next == cur || l.limitBits.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}

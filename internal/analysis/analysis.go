@@ -6,14 +6,15 @@
 // package (a Pass), and diagnostics are (position, message) pairs reported
 // through the Pass.
 //
-// The five analyzers under internal/analysis/... encode the invariants the
+// The four analyzers under internal/analysis/... encode the invariants the
 // paper's correctness argument rests on — snapshot immutability outside the
-// builder packages, cooperative cancellation, deterministic iteration,
-// centralized float comparison, and no blocking under the engine mutexes —
-// as compile-time checks. Each is the static twin of a runtime guard (the
-// differential suites, the -race hammers); see DESIGN.md §11 for the
-// mapping. Allocation-freedom is not an analyzer: it is the `noalloc`
-// clause of the compiler-contract gate (internal/analysis/contract).
+// builder packages, cooperative cancellation, deterministic iteration, and
+// no blocking under the engine mutexes — as compile-time checks. Each is
+// the static twin of a runtime guard (the differential suites, the -race
+// hammers), and each catches a regression its twin misses; see DESIGN.md
+// §11 for the audit. Allocation-freedom is not an analyzer: it is the
+// `noalloc` clause of the compiler-contract gate
+// (internal/analysis/contract).
 package analysis
 
 import (
@@ -77,9 +78,9 @@ func (p *Pass) Directives() *Directives {
 
 // IsTestFile reports whether the file containing pos is a _test.go file.
 // go vet type-checks test variants of packages; the invariants enforced
-// here are production-code discipline (tests legitimately compare floats
-// exactly, range over maps, and allocate), so every analyzer skips test
-// files through this helper.
+// here are production-code discipline (tests legitimately range over
+// maps, block and allocate), so every analyzer skips test files through
+// this helper.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -87,15 +88,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // TypeOf returns the type of expression e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
-}
-
-// IsFloat reports whether t's core type is a floating-point scalar.
-func IsFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }
 
 // FuncFor resolves the *types.Func called by e, following method values and

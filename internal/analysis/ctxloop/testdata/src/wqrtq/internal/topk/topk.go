@@ -122,3 +122,63 @@ func Closure(ctx context.Context, xs []int) (int, error) {
 	}
 	return s, nil
 }
+
+// DrawThenRank mirrors a sample loop's block step (core.drawRankedSamples):
+// the rank step ticks, so the block loop as a whole is clean, but the draw
+// step lost its tick. The test suite passes without it.
+func DrawThenRank(tick *ctxcheck.Ticker, n int, draw func([]int)) error {
+	block := make([]int, 4)
+	for done := 0; done < n; done += len(block) {
+		for j := range block { // want `loop in query-path function DrawThenRank does per-iteration work but never checks cancellation`
+			draw(block[j:])
+		}
+		for j := range block {
+			if err := tick.Tick(); err != nil {
+				return err
+			}
+			block[j] = work(block[j])
+		}
+	}
+	return nil
+}
+
+type heap []int
+
+func (h *heap) pop() int {
+	s := *h
+	v := s[len(s)-1]
+	*h = s[:len(s)-1]
+	return v
+}
+
+// Scan carries its ticker in a field, as topk.Iterator does.
+type Scan struct {
+	tick *ctxcheck.Ticker
+	h    *heap
+}
+
+// Next is topk.Iterator.Next without its heap-loop tick: calls on the
+// receiver's other fields are not delegation. The test suite passes
+// without it.
+func (s *Scan) Next() (int, bool) {
+	for len(*s.h) > 0 { // want `loop in query-path function Next does per-iteration work but never checks cancellation`
+		if v := s.h.pop(); v >= 0 {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// SampleSearch mirrors MWK's sample loop (core.mwkSearch) without its
+// tick: the inner loop is bounded, the outer one is not. The test suite
+// passes without it.
+func SampleSearch(tick *ctxcheck.Ticker, samples [][]int, wm []int) int {
+	best := 0
+	for _, s := range samples { // want `loop in query-path function SampleSearch does per-iteration work but never checks cancellation`
+		//wqrtq:bounded one distance per why-not vector
+		for i := range wm {
+			best = max(best, work(s[i]))
+		}
+	}
+	return best
+}

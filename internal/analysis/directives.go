@@ -21,11 +21,6 @@ const (
 	// Goes on the loop line or the line above.
 	DirBounded = "bounded"
 
-	// DirFloatCmp marks an approved float comparator helper inside which
-	// direct ==/!= on floats is the point (checked by floateq). Goes on
-	// the function's doc comment.
-	DirFloatCmp = "floatcmp"
-
 	// DirContract declares compiler-level guarantees for a function:
 	// `//wqrtq:contract noescape(p,…) inline nobce noalloc`, checked by
 	// cmd/wqrtqgate against the gc diagnostic stream and the function's

@@ -28,3 +28,24 @@ func SumSlice(xs []int) int {
 	}
 	return s
 }
+
+// WalkGroups is the audit's plant in rtopk.BichromaticCtx (DESIGN.md
+// §11): the weights are grouped by their heaviest coordinate and the
+// groups walked in map order. The result is sorted afterwards, so only
+// the pruning counts follow the order, and the test suite passes.
+func WalkGroups(ws [][]float64) (order []int) {
+	groups := make(map[int][]int)
+	for i, w := range ws {
+		g := 0
+		for j, v := range w {
+			if v > w[g] {
+				g = j
+			}
+		}
+		groups[g] = append(groups[g], i)
+	}
+	for _, g := range groups { // want `map iteration order is randomized`
+		order = append(order, g...)
+	}
+	return order
+}

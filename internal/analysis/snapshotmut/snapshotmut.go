@@ -121,19 +121,23 @@ func (c *checker) assign(n *ast.AssignStmt) {
 			}
 		}
 	}
-	if len(n.Lhs) == len(n.Rhs) {
-		for i, lhs := range n.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj, ok := c.objOf(id)
-			if !ok {
-				continue
-			}
-			if c.derived(n.Rhs[i]) && refShaped(c.pass.TypeOf(n.Rhs[i])) {
-				c.tainted[obj] = true
-			}
+	for i, lhs := range n.Lhs {
+		// Each local takes its own right-hand side, or its element of a
+		// multi-value call: ids, counts := band.Members().
+		rhs := n.Rhs[0]
+		var t types.Type
+		if len(n.Lhs) == len(n.Rhs) {
+			rhs = n.Rhs[i]
+			t = c.pass.TypeOf(rhs)
+		} else if tup, ok := c.pass.TypeOf(rhs).(*types.Tuple); ok {
+			t = tup.At(i).Type()
+		}
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			continue
+		}
+		if obj, ok := c.objOf(id); ok && refShaped(t) && c.derived(rhs) {
+			c.tainted[obj] = true
 		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package snapuser exercises snapshotmut outside the builder package.
 package snapuser
 
-import "rtree"
+import (
+	"rtree"
+	"skyband"
+)
 
 // Flagged covers the write shapes: direct field store, element store
 // through a method result, append through an alias, builtin growth.
@@ -44,4 +47,28 @@ func ReadsOnly(t *rtree.Tree) float64 {
 	}
 	t.Grow(sum) // builder-package method: the mutating-method hole, by design
 	return sum
+}
+
+// ClampImage is the audit's plant in the root package's bandImage
+// (DESIGN.md §11): it clamps a published band's coordinate columns in
+// place. The test suite, race hammer included, passes with it.
+func ClampImage(b *skyband.Band) {
+	c := b.Coords()
+	for j := range c.Dim() {
+		col := c.Col(j)
+		for i, v := range col {
+			col[i] = min(max(v, 0), 1) // want `writes through snapshot-reachable state`
+		}
+	}
+}
+
+// CountSelf is the audit's other missed plant in bandImage: it bumps a
+// published band's dominance counts in place, through the second result
+// of a multi-value method. The test suite passes with it.
+func CountSelf(b *skyband.Band) {
+	ids, counts := b.Members()
+	_ = ids
+	for i := range counts {
+		counts[i]++ // want `increments snapshot-reachable state`
+	}
 }

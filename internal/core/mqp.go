@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 
-	"wqrtq/internal/feq"
 	"wqrtq/internal/mat"
 	"wqrtq/internal/rtree"
 	"wqrtq/internal/topk"
@@ -94,7 +93,7 @@ func projectSafeRegion(q vec.Point, wm []vec.Weight, s []float64) (vec.Point, []
 	qLive := vec.Clone(q)
 	var pinned, live []int
 	for i, w := range wm {
-		if feq.Zero(s[i]) && vec.Score(w, q) > 0 {
+		if s[i] == 0 && vec.Score(w, q) > 0 {
 			pinned = append(pinned, i)
 			for j, wj := range w {
 				if wj > 0 {
@@ -189,7 +188,7 @@ func projectActiveSet(q vec.Point, wm []vec.Weight, s []float64, live []int, lam
 	var work []int          // rows in the working set
 	tiny := 0.0             // rounding level of steps and multipliers
 	for j, v := range q {
-		zero[j] = feq.Zero(v)
+		zero[j] = v == 0
 		tiny = math.Max(tiny, 1e-12*v)
 	}
 	atMin := false // x reached the working set's closest point by a full step

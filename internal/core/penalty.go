@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/vec"
 )
@@ -59,7 +58,7 @@ func (pm PenaltyModel) Validate() error {
 // the product q.
 func (pm PenaltyModel) QPenalty(q, qp vec.Point) float64 {
 	nq := vec.Norm(q)
-	if feq.Zero(nq) {
+	if nq == 0 {
 		return vec.Norm(qp)
 	}
 	return vec.Dist(q, qp) / nq

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"wqrtq/internal/feq"
 	"wqrtq/internal/sample"
 	"wqrtq/internal/topk"
 	"wqrtq/internal/vec"
@@ -82,7 +81,7 @@ func MakeWhyNot(ds *Dataset, k, targetRank, nWm int, seed int64) (Workload, erro
 func atOrigin(pts []vec.Point) int {
 	n := 0
 	for _, p := range pts {
-		if !slices.ContainsFunc(p, func(v float64) bool { return !feq.Zero(v) }) {
+		if !slices.ContainsFunc(p, func(v float64) bool { return v != 0 }) {
 			n++
 		}
 	}

@@ -122,7 +122,6 @@ func (a *bandEntry) before(b *bandEntry) bool {
 	case (a.node == nil) != (b.node == nil):
 		return a.node != nil
 	}
-	//wqrtq:bounded one comparison per coordinate
 	for j, v := range a.lo {
 		switch {
 		case v < b.lo[j]:
@@ -236,7 +235,6 @@ func newBandIndex(root *rtree.Node, d int) *bandIndex {
 	hi := make([]float64, d)
 	for i := 0; i < root.NumEntries(); i++ {
 		r := root.EntryRect(i)
-		//wqrtq:bounded one pass per coordinate
 		for j := range d {
 			if i == 0 || r.Min[j] < x.lo[j] {
 				x.lo[j] = r.Min[j]

@@ -2,7 +2,6 @@ package dominance
 
 import (
 	"sort"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/vec"
 )
@@ -29,7 +28,7 @@ func Skyline(points []vec.Point) []int {
 		sums[i] = s
 	}
 	sort.Slice(order, func(a, b int) bool {
-		if feq.Ne(sums[order[a]], sums[order[b]]) {
+		if sums[order[a]] != sums[order[b]] {
 			return sums[order[a]] < sums[order[b]]
 		}
 		return order[a] < order[b]

@@ -12,8 +12,6 @@ package mat
 import (
 	"errors"
 	"math"
-
-	"wqrtq/internal/feq"
 )
 
 // Dense is a row-major dense matrix.
@@ -66,7 +64,7 @@ func (m *Dense) TMulVec(x []float64) []float64 {
 	y := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		xi := x[i]
-		if feq.Zero(xi) {
+		if xi == 0 {
 			continue
 		}
 		row := m.Row(i)
@@ -189,7 +187,7 @@ func spdJitter(a *Dense) float64 {
 			maxAbs = v
 		}
 	}
-	if feq.Zero(maxAbs) {
+	if maxAbs == 0 {
 		maxAbs = 1
 	}
 	return 1e-12 * maxAbs

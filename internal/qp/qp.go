@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"wqrtq/internal/feq"
 	"wqrtq/internal/mat"
 )
 
@@ -152,7 +151,7 @@ func solveInequality(h *mat.Dense, c []float64, g *mat.Dense, hv []float64) ([]f
 			}
 			row := g.Row(r)
 			for i := 0; i < n; i++ {
-				if feq.Zero(row[i]) {
+				if row[i] == 0 {
 					continue
 				}
 				di := d * row[i]

@@ -21,7 +21,6 @@ package rtopk
 import (
 	"context"
 	"sort"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/ctxcheck"
 	"wqrtq/internal/kernel"
@@ -190,7 +189,7 @@ func Monochromatic2D(points []vec.Point, q vec.Point, k int) []Interval {
 	for _, p := range points {
 		a := p[0] - q[0]
 		b := p[1] - q[1]
-		if feq.Eq(a, b) {
+		if a == b {
 			continue
 		}
 		if lam := b / (b - a); lam > 0 && lam < 1 {
@@ -202,11 +201,11 @@ func Monochromatic2D(points []vec.Point, q vec.Point, k int) []Interval {
 	bounds := make([]float64, 0, len(lams)+2)
 	bounds = append(bounds, 0)
 	for _, lam := range lams {
-		if feq.Ne(lam, bounds[len(bounds)-1]) {
+		if lam != bounds[len(bounds)-1] {
 			bounds = append(bounds, lam)
 		}
 	}
-	if feq.Ne(bounds[len(bounds)-1], 1) {
+	if bounds[len(bounds)-1] != 1 {
 		bounds = append(bounds, 1)
 	}
 
@@ -229,7 +228,7 @@ func Monochromatic2D(points []vec.Point, q vec.Point, k int) []Interval {
 		if cnt, _ := kernel.CountBelowCapped(&sc.Uni, w[:], fq, k-1, 0, len(points)); cnt >= k {
 			continue
 		}
-		if n := len(out); n > 0 && feq.Eq(out[n-1].Hi, bounds[i]) {
+		if n := len(out); n > 0 && out[n-1].Hi == bounds[i] {
 			out[n-1].Hi = bounds[i+1]
 		} else {
 			out = append(out, Interval{Lo: bounds[i], Hi: bounds[i+1]})

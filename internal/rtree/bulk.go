@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"wqrtq/internal/feq"
 	"wqrtq/internal/vec"
 )
 
@@ -204,10 +203,10 @@ func (p *strPacker) sort(items []int32, axis int) {
 // floats: every NaN is 0, below −Inf, and −0 is +0. A non-negative float
 // gets its sign bit set, a negative one all its bits flipped.
 func sortKey(x float64) uint64 {
-	if feq.Ne(x, x) {
+	if x != x {
 		return 0
 	}
-	if feq.Zero(x) {
+	if x == 0 {
 		x = 0 // −0 → +0
 	}
 	b := math.Float64bits(x)

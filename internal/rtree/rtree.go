@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/vec"
 )
@@ -271,8 +270,8 @@ func (t *Tree) chooseSubtree(n *Node, r Rect) int {
 			}
 		}
 		if overlap < bestOverlap ||
-			(feq.Eq(overlap, bestOverlap) && enl < bestEnl) ||
-			(feq.Eq(overlap, bestOverlap) && feq.Eq(enl, bestEnl) && area < bestArea) {
+			(overlap == bestOverlap && enl < bestEnl) ||
+			(overlap == bestOverlap && enl == bestEnl && area < bestArea) {
 			best, bestOverlap, bestEnl, bestArea = i, overlap, enl, area
 		}
 	}
@@ -356,7 +355,7 @@ func (t *Tree) split(n *Node) (*Node, *Node) {
 			lr, rr := cv.left(k), cv.right(k)
 			ov := lr.OverlapArea(rr)
 			as := lr.Area() + rr.Area()
-			if ov < best.overlap || (feq.Eq(ov, best.overlap) && as < best.areaSum) {
+			if ov < best.overlap || (ov == best.overlap && as < best.areaSum) {
 				best = dist{axis: bestAxis, k: k, byUpper: byUpper, overlap: ov, areaSum: as}
 			}
 		}

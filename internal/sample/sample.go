@@ -20,7 +20,6 @@ package sample
 import (
 	"errors"
 	"math/rand"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/vec"
 )
@@ -32,7 +31,7 @@ func HyperplaneVertices(c []float64) []vec.Weight {
 	d := len(c)
 	var out []vec.Weight
 	for i := 0; i < d; i++ {
-		if feq.Zero(c[i]) {
+		if c[i] == 0 {
 			v := make(vec.Weight, d)
 			v[i] = 1
 			out = append(out, v)
@@ -232,7 +231,7 @@ func hyperplaneVerticesInto(c []float64, sc *DrawScratch) []vec.Weight {
 		return v
 	}
 	for i := 0; i < d; i++ {
-		if feq.Zero(c[i]) {
+		if c[i] == 0 {
 			v := grab()
 			v[i] = 1
 			out = append(out, v)

@@ -226,7 +226,7 @@ func (f *FaultFS) List(dir string) ([]string, error) {
 	}
 	prefix := filepath.Clean(dir) + string(filepath.Separator)
 	var names []string
-	for name := range f.files { //wqrtq:unordered sorted below before returning
+	for name := range f.files {
 		if strings.HasPrefix(name, prefix) && !strings.Contains(name[len(prefix):], string(filepath.Separator)) {
 			names = append(names, name[len(prefix):])
 		}
@@ -256,7 +256,7 @@ func (f *FaultFS) SyncDir(string) error {
 	// All files share one logical directory for durability purposes; the
 	// engine keeps everything in a single data dir.
 	f.synced = make(map[string]*memFile, len(f.files))
-	for name, mf := range f.files { //wqrtq:unordered map snapshot copy, no ordering observable
+	for name, mf := range f.files {
 		f.synced[name] = mf
 	}
 	f.pending = nil
@@ -307,7 +307,7 @@ func (f *FaultFS) Reboot(seed int64) *FaultFS {
 
 	// Survive a prefix of the pending namespace operations.
 	ns := make(map[string]*memFile, len(f.synced))
-	for name, mf := range f.synced { //wqrtq:unordered map copy, no ordering observable
+	for name, mf := range f.synced {
 		ns[name] = mf
 	}
 	keep := rng.Intn(len(f.pending) + 1)
@@ -326,12 +326,12 @@ func (f *FaultFS) Reboot(seed int64) *FaultFS {
 	}
 
 	out := NewFaultFS()
-	for d := range f.dirs { //wqrtq:unordered set copy, no ordering observable
+	for d := range f.dirs {
 		out.dirs[d] = true
 	}
 	// Deterministic iteration so a given seed reproduces byte-for-byte.
 	names := make([]string, 0, len(ns))
-	for name := range ns { //wqrtq:unordered collected then sorted for determinism
+	for name := range ns {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -363,7 +363,7 @@ func (f *FaultFS) Files() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	names := make([]string, 0, len(f.files))
-	for name := range f.files { //wqrtq:unordered collected then sorted
+	for name := range f.files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -387,7 +387,7 @@ func (f *FaultFS) Bytes(name string) ([]byte, bool) {
 func (f *FaultFS) DumpTo(dir string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for name, mf := range f.files { //wqrtq:unordered independent file writes, order immaterial
+	for name, mf := range f.files {
 		dst := filepath.Join(dir, filepath.Base(filepath.Dir(name))+"_"+filepath.Base(name))
 		if err := os.WriteFile(dst, mf.data, 0o644); err != nil {
 			return err

@@ -49,8 +49,6 @@ func Dominates(a, b Point) bool {
 }
 
 // Equal reports exact element-wise equality.
-//
-//wqrtq:floatcmp
 func Equal(a, b Point) bool {
 	if len(a) != len(b) {
 		return false

@@ -2,7 +2,6 @@ package wqrtq
 
 import (
 	"context"
-	"wqrtq/internal/feq"
 
 	"wqrtq/internal/core"
 	"wqrtq/internal/vec"
@@ -41,10 +40,10 @@ func (o Options) resolve() (core.PenaltyModel, int, int64, error) {
 		Gamma: o.Penalty.Gamma, Lambda: o.Penalty.Lambda,
 		NormalizeWeights: o.Penalty.NormalizeWeights,
 	}
-	if feq.Zero(pm.Alpha) && feq.Zero(pm.Beta) {
+	if pm.Alpha == 0 && pm.Beta == 0 {
 		pm.Alpha, pm.Beta = 0.5, 0.5
 	}
-	if feq.Zero(pm.Gamma) && feq.Zero(pm.Lambda) {
+	if pm.Gamma == 0 && pm.Lambda == 0 {
 		pm.Gamma, pm.Lambda = 0.5, 0.5
 	}
 	if err := pm.Validate(); err != nil {
